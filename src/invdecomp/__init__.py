@@ -53,4 +53,4 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -156,10 +156,10 @@ CONFIG_SCHEMA = {
                 "basis": {"type": "array"},
             },
         },
-        "rho": {"type": "number", "minimum": -1.0, "maximum": 1.0},
+        "rho": {"type": "number", "minimum": 0.0, "maximum": 1.0},
         "n_max": {"type": "integer", "minimum": 1, "maximum": 12},
         "samples": {"type": "integer", "minimum": 2000},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
         "checks": {
             "type": "array",
             "minItems": 1,

@@ -1,15 +1,26 @@
 """Seeded Gaussian ensembles, correlated pairs, and law-comparison checks.
 
-Reproducibility contract
-------------------------
-Every sample column j of an ensemble is drawn from its own counter-based
-stream, keyed by (seed, stream-id, j).  All heavy numerics run over
-fixed-size column blocks regardless of how many worker threads are active.
-Threads are opt-in: sampling runs in one worker unless the
-``INVDECOMP_THREADS`` environment variable holds a positive integer, which
-then sets the pool size.  Workers only distribute whole blocks, so identical
-(kernel, count, seed) inputs give bit-identical ensembles under any
-parallelism degree, and the streaming and materialized code paths agree
+Reproducibility contract (``RNG_CONTRACT``)
+-------------------------------------------
+The sample axis is cut into fixed blocks of ``BLOCK`` columns.  Block b
+(columns b*BLOCK, ..., b*BLOCK + BLOCK - 1) of an ensemble is drawn from
+one counter-based Philox stream keyed by (seed, stream-id, b), in row-major
+order: the stream's first m normals are the block's first column, the next
+m its second, and so on.  A shorter last block takes a prefix of its
+stream, so the normals behind the first k columns are the same in every
+draw of at least k columns with the same seed and stream.  The samples
+agree bitwise over full blocks, and to roundoff in a partial one, where
+BLAS may pick another kernel for another column count.  ``BLOCK`` is part
+of the contract: changing it changes the samples.  Realized samples differ
+from those of version 0.1.0, which keyed one stream per column; this rule
+holds from version 0.2.0.
+
+All heavy numerics run over these blocks regardless of how many worker
+threads are active.  Threads are opt-in: sampling runs in one worker unless
+the ``INVDECOMP_THREADS`` environment variable holds a positive integer,
+which then sets the pool size.  Workers only distribute whole blocks, so
+identical (kernel, count, seed) inputs give bit-identical ensembles under
+any parallelism degree, and the streaming and materialized code paths agree
 bitwise.
 """
 
@@ -50,9 +61,9 @@ __all__ = [
     "quadruplication_check",
 ]
 
-BLOCK = 4096          # fixed work unit; never depends on the worker count
+BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
+RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor for the covariance factor
-_MASK64 = (1 << 64) - 1
 
 
 def worker_count() -> int:
@@ -69,18 +80,29 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _key(seed: int, stream: int, j: int) -> np.ndarray:
-    if not 0 <= j < (1 << 48):
-        raise ValueError("sample index out of the 48-bit key range")
-    return np.array([seed & _MASK64, ((stream & 0xFFFF) << 48) | j], dtype=np.uint64)
+def _key(seed: int, stream: int, block: int) -> np.ndarray:
+    """Philox key of one block: 64 bits of seed, 16 of stream id, 48 of block index.
+
+    Values outside those ranges raise instead of aliasing another key.
+    """
+    if not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= stream < (1 << 16):
+        raise ValueError(f"stream must be in [0, 2**16), got {stream}")
+    if not 0 <= block < (1 << 48):
+        raise ValueError("block index out of the 48-bit key range")
+    return np.array([seed, (stream << 48) | block], dtype=np.uint64)
 
 
-def _fill_normals(out: np.ndarray, seed: int, stream: int, j0: int) -> None:
-    # one Philox stream per column: partitioning-invariant by construction
-    m = out.shape[0]
-    for c in range(out.shape[1]):
-        gen = Generator(Philox(key=_key(seed, stream, j0 + c)))
-        out[:, c] = gen.standard_normal(m)
+def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
+    """Fill the C-contiguous (ncols, m) ``out`` with the normals of columns a, a+1, ...
+
+    ``a`` is the first column of a block.  One Philox stream per block, keyed
+    by the block index a // BLOCK and drawn row-major, so row c holds column
+    a + c and a partial block gets a prefix of the full block's draw.
+    Callers apply the factor as l @ out.T.
+    """
+    Generator(Philox(key=_key(seed, stream, a // BLOCK))).standard_normal(out=out)
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:
@@ -178,9 +200,9 @@ def sample(
 
     def run(blk):
         a, b = blk
-        xi = np.empty((m, b - a))
+        xi = np.empty((b - a, m))
         _fill_normals(xi, seed, stream, a)
-        out[:, a:b] = l @ xi
+        out[:, a:b] = l @ xi.T
 
     _parallel(_blocks(count), run)
     return PathEnsemble(space=kernel.space, samples=out, seed=seed, factorization_rank=rank)
@@ -195,14 +217,16 @@ def sample_pair(
 ) -> CorrelatedPair:
     """Correlated pair Z2 = rho Z1 + sqrt(1-rho^2) Z1' from two streams.
 
-    rho = 1 reproduces Z1 bit-for-bit in the second member.
+    At rho = 1 the second stream is not drawn: the second member is Z1.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     factor = covariance_factor(kernel)
     z1 = sample(kernel, count, seed, stream=streams[0], factor=factor)
-    z1p = sample(kernel, count, seed, stream=streams[1], factor=factor)
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
+    if comp == 0.0:
+        return CorrelatedPair(first=z1, second=z1, rho=rho)
+    z1p = sample(kernel, count, seed, stream=streams[1], factor=factor)
     z2 = rho * z1.samples + comp * z1p.samples
     second = PathEnsemble(
         space=kernel.space, samples=z2, seed=seed, factorization_rank=z1.factorization_rank
@@ -220,8 +244,8 @@ def pair_functional(
     """Streamed sum_i Z1[i] Z2[i] w_i per sample, without holding ensembles.
 
     Bitwise identical to ``quadratic_functional(sample_pair(...))`` with the
-    same arguments: both consume the same per-column streams in the same
-    fixed blocks.
+    same arguments: both consume the same per-block streams in the same
+    fixed blocks, and both skip the second stream at rho = 1.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -233,11 +257,14 @@ def pair_functional(
 
     def run(blk):
         a, b = blk
-        xi = np.empty((m, b - a))
+        xi = np.empty((b - a, m))
         _fill_normals(xi, seed, streams[0], a)
-        z1 = l @ xi
-        _fill_normals(xi, seed, streams[1], a)
-        z2 = rho * z1 + comp * (l @ xi)
+        z1 = l @ xi.T
+        if comp == 0.0:
+            z2 = z1
+        else:
+            _fill_normals(xi, seed, streams[1], a)
+            z2 = rho * z1 + comp * (l @ xi.T)
         out[a:b] = w @ (z1 * z2)
 
     _parallel(_blocks(count), run)

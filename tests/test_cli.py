@@ -75,6 +75,31 @@ def test_validate_missing_seed_for_mc(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_validate_rejects_negative_rho(tmp_path, capsys):
+    cfg = write_config(tmp_path, checks=["duplication"], samples=2000, seed=1, rho=-0.5)
+    assert main(["validate", str(cfg)]) == 2
+    assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+def test_validate_seed_fits_the_rng_key(tmp_path, seed, code):
+    cfg = write_config(tmp_path, checks=["duplication"], samples=2000, seed=seed)
+    assert main(["validate", str(cfg)]) == code
+
+
+def test_run_rejects_a_seed_beyond_64_bits(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        checks=["duplication"],
+        samples=2000,
+        seed=1,
+        output={"dir": str(tmp_path / "out")},
+    )
+    assert main(["run", str(cfg), "--seed", str(2**64)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_unknown_check_name(tmp_path, capsys):
     cfg = write_config(tmp_path, checks=["frobnicate"])
     assert main(["validate", str(cfg)]) == 2

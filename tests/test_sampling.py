@@ -1,11 +1,22 @@
 """Deterministic Gaussian sampling, correlated pairs, and law comparisons."""
 
+import hashlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from invdecomp.groups import character_table
 from invdecomp.kernels import builtin_kernel, make_interval_grid
 from invdecomp.sampling import (
+    BLOCK,
+    RNG_CONTRACT,
+    _fill_normals,
+    _key,
     compare_distributions,
     decompose_ensemble,
     duplication_check,
@@ -74,6 +85,101 @@ def test_block_boundary_is_seamless(watson32):
     small = sample(watson32, 4096, seed=12).samples
     large = sample(watson32, 4100, seed=12).samples
     assert np.array_equal(large[:, :4096], small)
+
+
+# --------------------------------------------- RNG keying (RNG_CONTRACT)
+
+# few, reproducible examples: each one draws up to a few blocks
+FEW = settings(derandomize=True, max_examples=4, deadline=None)
+# roundoff of the 32-point factor apply, set from the dtype: BLAS may pick a
+# different kernel for a different column count, so only the normals and
+# the full blocks are bitwise prefix-stable
+APPLY_TOL = 8 * 32 * np.finfo(float).eps
+
+
+def test_rng_contract_golden_digest():
+    """Pins the keying rule: one Philox stream per (seed, stream, block), row-major."""
+    assert RNG_CONTRACT == f"philox-block-{BLOCK}-rowmajor" == "philox-block-4096-rowmajor"
+    buf = np.empty((4, 8))
+    _fill_normals(buf, 1961, 3, 5 * BLOCK)
+    want = Generator(Philox(key=[1961, (3 << 48) | 5])).standard_normal(32).reshape(4, 8)
+    assert np.array_equal(buf, want)
+    digest = hashlib.sha256(buf.astype("<f8").tobytes()).hexdigest()
+    assert digest == "747e271c5ad795c8213dbf10a0826dd0436a6e39cc8bf3a3eb80087d1c37c143"
+
+
+@pytest.mark.parametrize(
+    "seed, stream, block",
+    [(-1, 0, 0), (1 << 64, 0, 0), (0, -1, 0), (0, 1 << 16, 0), (0, 0, -1), (0, 0, 1 << 48)],
+)
+def test_key_rejects_aliasing_values(seed, stream, block):
+    with pytest.raises(ValueError):
+        _key(seed, stream, block)
+
+
+def test_key_accepts_its_extremes(watson32):
+    top = (1 << 64) - 1
+    assert _key(top, 0xFFFF, (1 << 48) - 1).tolist() == [top, top]
+    assert _key(0, 1, 0).tolist() == [0, 1 << 48]
+    assert sample(watson32, 3, seed=top).samples.shape == (32, 3)
+    with pytest.raises(ValueError, match="seed"):
+        sample(watson32, 3, seed=1 << 64)
+    with pytest.raises(ValueError, match="stream"):
+        sample(watson32, 3, seed=1, stream=1 << 16)
+
+
+@FEW
+@given(
+    block=st.integers(0, (1 << 48) - 1),
+    k=st.integers(1, 40),
+    extra=st.integers(0, 40),
+    m=st.integers(1, 16),
+)
+def test_normals_prefix_is_bitwise(block, k, extra, m):
+    short, long_ = np.empty((k, m)), np.empty((k + extra, m))
+    _fill_normals(short, 7, 3, block * BLOCK)
+    _fill_normals(long_, 7, 3, block * BLOCK)
+    assert np.array_equal(short, long_[:k])
+
+
+@FEW
+@given(k=st.integers(1, 2 * BLOCK + 8), extra=st.integers(0, BLOCK + 8))
+@example(k=BLOCK - 1, extra=2)
+@example(k=BLOCK + 3, extra=BLOCK)
+def test_sample_prefix_is_stable(watson32, k, extra):
+    """sample(k) is the first k columns of sample(k + extra)."""
+    small = sample(watson32, k, seed=31).samples
+    large = sample(watson32, k + extra, seed=31).samples[:, :k]
+    full = k // BLOCK * BLOCK
+    assert np.array_equal(small[:, :full], large[:, :full])
+    np.testing.assert_allclose(small, large, rtol=0, atol=APPLY_TOL)
+
+
+@FEW
+@given(count=st.integers(1, 2 * BLOCK + 8), rho=st.sampled_from([0.0, 0.5, 1.0]))
+@example(count=BLOCK + 4, rho=1.0)
+def test_worker_count_invariance(watson32, count, rho):
+    seen = []
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"INVDECOMP_THREADS": threads}):
+            seen.append(
+                (
+                    sample(watson32, count, seed=2).samples,
+                    pair_functional(watson32, rho, count, seed=2),
+                )
+            )
+    for ens, j in seen[1:]:
+        assert np.array_equal(ens, seen[0][0])
+        assert np.array_equal(j, seen[0][1])
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_pair_functional_matches_sample_pair_across_a_block_edge(watson32, rho):
+    pair = sample_pair(watson32, rho, 4100, seed=5)
+    j = pair_functional(watson32, rho, 4100, seed=5)
+    assert np.array_equal(quadratic_functional(pair), j)
+    if rho == 1.0:  # the second stream is never drawn
+        assert pair.second is pair.first
 
 
 # ------------------------------------------------------------------ moments
