@@ -5,6 +5,11 @@ dependency order (a failed gate skips its dependents), and writes
 ``report.json``, per-check CSV tables, and ``summary.txt`` into the output
 directory.  Exit code 0 means every executed check passed, 1 means some
 check failed, 2 means the configuration itself was rejected.
+
+``CHECKS`` is the one place to add a check: its record declares the run
+function, the gate, what the config must provide, the default tolerances,
+the summary headline and the CSV table.  The config schema, validation, the
+runner and the report writers all read the records.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -48,8 +55,9 @@ from invdecomp.spectral import (
     DecompositionError,
     canonical_decomposition,
     check_eigenspace_invariance,
+    SPECTRUM_CSV_HEADER,
     eigendecompose,
-    spectrum_to_csv,
+    spectrum_rows,
 )
 from invdecomp.torus import (
     Lattice,
@@ -61,47 +69,428 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-CHECK_ORDER = (
-    "invariance",
-    "stationarity",
-    "decomposition",
-    "spectrum",
-    "watson_relation",
-    "z2_condition",
-    "cumulants",
-    "mgf",
-    "duplication",
-    "quadruplication",
-    "torus_watson",
-)
 
-# checks gated on a prior check passing
-DEPENDS = {
-    "decomposition": "invariance",
-    "watson_relation": "invariance",
-    "z2_condition": "invariance",
-    "torus_watson": "stationarity",
+class ConfigError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class Check:
+    """Everything the runner, the validator and the reports know of a check.
+
+    ``run(ctx, tols, cfg)`` returns a JSON-ready report with an ``ok`` flag;
+    ``headline(report)`` is its one-line summary and ``rows(report, ctx)``
+    the cells of its CSV table, if it has one.  The flags name what the
+    config must provide, and ``kernel``/``axes`` pin the kernel and grid of a
+    check that builds its own.
+    """
+
+    run: Callable[[dict, dict, dict], dict]
+    tolerances: dict  # default value of each tolerance key the check owns
+    headline: Callable[[dict], str]
+    gate: Optional[str] = None  # check that must pass first
+    seed: bool = False  # Monte Carlo: the config must give a seed
+    action: bool = False  # needs the grid's group action bound
+    torus: bool = False  # needs a torus grid
+    kernel: Optional[str] = None  # the only kernel the check accepts
+    axes: Optional[int] = None  # needs an interval grid of this many equal axes
+    csv: Optional[str] = None  # table file name
+    header: str = ""
+    rows: Optional[Callable[[dict, dict], list]] = None
+
+
+def _grid_axes(cfg: dict) -> list[int]:
+    n = cfg.get("grid", {}).get("n", 256)
+    return [int(n)] if isinstance(n, int) else [int(x) for x in n]
+
+
+# ---------------------------------------------------------------------------
+# individual checks; each returns a JSON-ready dict with an "ok" flag
+
+
+def _run_invariance(ctx, tols, cfg):
+    ok, dev = check_invariance(ctx["kernel"], tol=tols["invariance"])
+    return {"ok": bool(ok), "deviation": dev, "tolerance": tols["invariance"]}
+
+
+def _run_stationarity(ctx, tols, cfg):
+    spread = stationarity_spread(ctx["kernel"])
+    tol = tols["stationarity"]
+    return {"ok": bool(spread <= tol), "spread": spread, "tolerance": tol}
+
+
+def _run_decomposition(ctx, tols, cfg):
+    kernel, table = ctx["kernel"], ctx["table"]
+    tol = tols["decomposition"]
+    total = np.zeros_like(kernel.matrix)
+    shares = {}
+    for p in table:
+        part = project_kernel(kernel, p, p)
+        total = total + part.matrix
+        shares[p.label] = float(np.sum(np.diag(part.matrix) * kernel.space.weights))
+    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
+    cross = 0.0
+    for p in table:
+        for q in table:
+            if p is q:
+                continue
+            mat = project_kernel(kernel, p, q)
+            mat = mat.matrix if hasattr(mat, "matrix") else mat
+            cross = max(cross, float(np.max(np.abs(mat))))
+    ok = sum_dev <= tol and cross <= tol
+    return {
+        "ok": bool(ok),
+        "sum_deviation": sum_dev,
+        "max_cross_projection": cross,
+        "tolerance": tol,
+        "component_trace": shares,
+    }
+
+
+def _run_watson_relation(ctx, tols, cfg):
+    return watson_relation_check(
+        ctx["kernel"],
+        rho=float(cfg.get("rho", 1.0)),
+        n_max=int(cfg.get("n_max", 6)),
+        tol=tols["watson_relation"],
+        table=ctx["table"],
+    ).to_dict()
+
+
+def _run_z2(ctx, tols, cfg):
+    return z2_condition_check(
+        ctx["kernel"], n_max=int(cfg.get("n_max", 6)), tol=tols["z2_condition"]
+    ).to_dict()
+
+
+def _run_cumulants(ctx, tols, cfg):
+    kernel = ctx["kernel"]
+    rho = float(cfg.get("rho", 1.0))
+    count = int(cfg.get("samples", 100_000))
+    seed = int(cfg["seed"])
+    ana = analytic_cumulants(kernel, rho, 8)
+    j = pair_functional(kernel, rho, count, seed, streams=(0, 1))
+    mc = [float(kstat(j, n)) for n in (1, 2, 3)]
+    noise = 5.0 * np.sqrt(kstat_variances(ana.values, count))
+    rel = tols["cumulants"]
+    rows = []
+    ok = True
+    for i in range(3):
+        tol_i = max(rel[i] * abs(ana.values[i]), float(noise[i]))
+        gap = abs(mc[i] - float(ana.values[i]))
+        rows.append(
+            {
+                "order": i + 1,
+                "analytic": float(ana.values[i]),
+                "mc": mc[i],
+                "gap": gap,
+                "tolerance": tol_i,
+            }
+        )
+        ok = ok and gap <= tol_i
+    return {"ok": bool(ok), "rho": rho, "count": count, "seed": seed, "orders": rows}
+
+
+def _run_mgf(ctx, tols, cfg):
+    kernel = ctx["kernel"]
+    count = int(cfg.get("samples", 100_000))
+    seed = int(cfg["seed"])
+    pairs = cfg["kernel"].get("params", {}).get(
+        "mgf_pairs", [[0.5, 0.5], [1.0, 0.2], [0.3, 0.9]]
+    )
+    rel_tol = tols["mgf"]
+    mc_tol = tols["mgf_mc"]
+    rows = []
+    ok = True
+    for i, (lam, rho) in enumerate(pairs):
+        closed, spectral = mgf_watson(float(lam), float(rho))
+        rel = abs(closed - spectral) / abs(closed)
+        # the closed form is for E[exp(lambda^2 * J)]; MC must match that exponent
+        j = pair_functional(kernel, float(rho), count, seed, streams=(2 * i, 2 * i + 1))
+        mc = float(np.mean(np.exp(float(lam) ** 2 * j)))
+        mc_rel = abs(mc - spectral) / abs(spectral)
+        rows.append(
+            {
+                "lambda": float(lam),
+                "rho": float(rho),
+                "closed_form": closed,
+                "spectral": spectral,
+                "rel_gap": rel,
+                "mc": mc,
+                "mc_rel_gap": mc_rel,
+            }
+        )
+        ok = ok and rel <= rel_tol and mc_rel <= mc_tol
+    return {
+        "ok": bool(ok),
+        "count": count,
+        "seed": seed,
+        "tolerance": rel_tol,
+        "mc_tolerance": mc_tol,
+        "pairs": rows,
+    }
+
+
+ORACLE_SPECTRA = {
+    # continuum eigenvalues and their multiplicities on [0, 1]
+    "bridge": (lambda k: 1.0 / (np.pi**2 * k**2), 1),
+    "watson": (lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2),
 }
 
-MC_CHECKS = frozenset({"cumulants", "mgf", "duplication", "quadruplication", "torus_watson"})
-ACTION_CHECKS = frozenset({"invariance", "decomposition", "watson_relation", "z2_condition"})
-TORUS_CHECKS = frozenset({"stationarity", "torus_watson"})
 
-DEFAULT_TOLERANCES = {
-    "invariance": 1e-10,
-    "stationarity": 1e-10,
-    "decomposition": 1e-10,
-    "watson_relation": 1e-3,
-    "z2_condition": 1e-8,
-    "cumulants": [0.01, 0.03, 0.10],
-    "mgf": 1e-3,
-    "mgf_mc": 0.02,
-    "duplication": 0.01,
-    "quadruplication": 0.015,
-    "spectrum": 1e-8,
-    "spectrum_eig": 0.01,
-    "torus_split": 1e-10,
+def _run_spectrum(ctx, tols, cfg):
+    kernel = ctx["kernel"]
+    spectrum = eigendecompose(kernel)
+    report = {
+        "eigenvalues_top": [float(x) for x in spectrum.eigenvalues[:20]],
+        "clusters_top": [list(c) for c in spectrum.clusters[:12]],
+    }
+    ok = True
+
+    if kernel.name in ORACLE_SPECTRA and kernel.space.dim == 1 and not isinstance(
+        kernel.space, TorusGrid
+    ):
+        oracle, mult = ORACLE_SPECTRA[kernel.name]
+        rel_tol = tols["spectrum_eig"]
+        rows, worst = [], 0.0
+        for k in range(1, 11):
+            lam = float(spectrum.eigenvalues[(k - 1) * mult])
+            ref = float(oracle(np.array(k)))
+            rel = abs(lam - ref) / ref
+            worst = max(worst, rel)
+            width = spectrum.clusters[k - 1][1] - spectrum.clusters[k - 1][0]
+            rows.append({"k": k, "lambda": lam, "oracle": ref, "rel_gap": rel, "multiplicity": width})
+            ok = ok and rel <= rel_tol and width == mult
+        report["oracle"] = {"rows": rows, "max_rel_gap": worst, "tolerance": rel_tol}
+
+    splits = None
+    if kernel.space.action is not None:
+        inv = check_eigenspace_invariance(spectrum, tol=tols["spectrum"])
+        report["eigenspace_invariance"] = {
+            "max_residual": inv.max_residual,
+            "tolerance": inv.tol,
+            "ok": inv.ok,
+        }
+        ok = ok and inv.ok
+        try:
+            splits = canonical_decomposition(spectrum, ctx["table"])
+            report["canonical"] = {
+                "clusters": [
+                    {
+                        "eigenvalue": s.eigenvalue,
+                        "dims": s.dims,
+                        "max_residual": s.max_residual,
+                    }
+                    for s in splits[:12]
+                ],
+                "dimension_sums_exact": True,
+            }
+        except DecompositionError as exc:
+            report["canonical"] = {"error": str(exc), "dimension_sums_exact": False}
+            ok = False
+    ctx["spectrum_rows"] = spectrum_rows(spectrum, splits)  # the basis is not kept
+    report["ok"] = bool(ok)
+    return report
+
+
+def _run_torus_watson(ctx, tols, cfg):
+    kernel, space = ctx["kernel"], ctx["space"]
+    params = cfg["kernel"].get("params", {})
+    cutoff = int(params.get("cutoff", max(1, (min(space.shape) - 1) // 2)))
+    spec = fourier_kl(kernel.matrix[0], space, cutoff)
+    count = int(cfg.get("samples", 20_000))
+    seed = int(cfg["seed"])
+    rep = torus_watson_check(
+        spec,
+        space,
+        count,
+        seed,
+        stationarity_tol=tols["stationarity"],
+        split_tol=tols["torus_split"],
+    )
+    rep["cutoff"] = cutoff
+    rep["kernel_spec"] = spec.to_dict()
+    return rep
+
+
+def _law_config(cfg: dict, ks_tol: float) -> dict:
+    """Config for the sampling module's in-law checks, which own their defaults."""
+    out = {key: cfg[key] for key in ("samples", "rho", "seed") if key in cfg}
+    return dict(out, grid=_grid_axes(cfg)[0], ks_tol=ks_tol)
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _spectrum_headline(rep: dict) -> str:
+    parts = []
+    if "oracle" in rep:
+        parts.append(f"eig rel gap={rep['oracle']['max_rel_gap']:.2e}")
+    if "eigenspace_invariance" in rep:
+        parts.append(f"residual={rep['eigenspace_invariance']['max_residual']:.2e}")
+    return ", ".join(parts) or "spectrum computed"
+
+
+def _watson_relation_rows(rep: dict, ctx: dict) -> list:
+    columns = ("traces", "cumulants", "cII_dev", "cIII_dev")
+    return [
+        [rec["label"], str(i + 1)] + [_fmt(rec[col][i]) for col in columns]
+        for rec in rep["per_irrep"]
+        for i in range(len(rec["traces"]))
+    ]
+
+
+def _law_headline(rep: dict) -> str:
+    return (
+        f"ks={rep['comparison']['ks_distance']:.4f} (tol {rep['ks_tol']:.4f}) "
+        f"seed={rep['seed']}"
+    )
+
+
+def _law_rows(rep: dict, ctx: dict) -> list:
+    gaps = rep["comparison"]["cumulant_gaps"]
+    columns = (rep["analytic_lhs"], rep["analytic_rhs"], gaps, rep["cumulant_tol"])
+    return [[str(i + 1)] + [_fmt(col[i]) for col in columns] for i in range(4)]
+
+
+# Registry order is the run order; a gate precedes the checks it gates.
+CHECKS = {
+    "invariance": Check(
+        run=_run_invariance,
+        tolerances={"invariance": 1e-10},
+        headline=lambda r: f"deviation={r['deviation']:.3e} tol={r['tolerance']:.1e}",
+        action=True,
+    ),
+    "stationarity": Check(
+        run=_run_stationarity,
+        tolerances={"stationarity": 1e-10},
+        headline=lambda r: f"spread={r['spread']:.3e} tol={r['tolerance']:.1e}",
+        torus=True,
+    ),
+    "decomposition": Check(
+        run=_run_decomposition,
+        tolerances={"decomposition": 1e-10},
+        headline=lambda r: (
+            f"sum_dev={r['sum_deviation']:.3e} "
+            f"cross={r['max_cross_projection']:.3e} tol={r['tolerance']:.1e}"
+        ),
+        gate="invariance",
+        action=True,
+    ),
+    "spectrum": Check(
+        run=_run_spectrum,
+        tolerances={"spectrum": 1e-8, "spectrum_eig": 0.01},
+        headline=_spectrum_headline,
+        csv="spectrum.csv",
+        header=SPECTRUM_CSV_HEADER,
+        rows=lambda r, ctx: ctx["spectrum_rows"],
+    ),
+    "watson_relation": Check(
+        run=_run_watson_relation,
+        tolerances={"watson_relation": 1e-3},
+        headline=lambda r: (
+            f"max cIII dev={max(d for rec in r['per_irrep'] for d in rec['cIII_dev']):.3e} "
+            f"tol={r['tolerances']['cIII']:.1e}"
+        ),
+        gate="invariance",
+        action=True,
+        csv="watson_relation.csv",
+        header="irrep,n,trace,cumulant,cII_dev,cIII_dev",
+        rows=_watson_relation_rows,
+    ),
+    "z2_condition": Check(
+        run=_run_z2,
+        tolerances={"z2_condition": 1e-8},
+        headline=lambda r: f"max |value|={max(abs(v) for v in r['values']):.3e} tol={r['tol']:.1e}",
+        gate="invariance",
+        action=True,
+        csv="z2_condition.csv",
+        header="n,value,tol",
+        rows=lambda r, ctx: [
+            [str(i + 1), _fmt(v), _fmt(r["tol"])] for i, v in enumerate(r["values"])
+        ],
+    ),
+    "cumulants": Check(
+        run=_run_cumulants,
+        tolerances={"cumulants": [0.01, 0.03, 0.10]},
+        headline=lambda r: (
+            f"worst gap/tol={max(o['gap'] / o['tolerance'] for o in r['orders']):.2f} "
+            f"seed={r['seed']}"
+        ),
+        seed=True,
+        csv="cumulants.csv",
+        header="order,analytic,mc,gap,tol",
+        rows=lambda r, ctx: [
+            [str(o["order"])] + [_fmt(o[k]) for k in ("analytic", "mc", "gap", "tolerance")]
+            for o in r["orders"]
+        ],
+    ),
+    "mgf": Check(
+        run=_run_mgf,
+        tolerances={"mgf": 1e-3, "mgf_mc": 0.02},
+        headline=lambda r: (
+            f"max rel gap={max(p['rel_gap'] for p in r['pairs']):.2e} "
+            f"(tol {r['tolerance']:.1e}), mc={max(p['mc_rel_gap'] for p in r['pairs']):.2e}"
+        ),
+        seed=True,
+        csv="mgf.csv",
+        header="lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap",
+        rows=lambda r, ctx: [
+            [
+                _fmt(p[k])
+                for k in ("lambda", "rho", "closed_form", "spectral", "rel_gap", "mc", "mc_rel_gap")
+            ]
+            for p in r["pairs"]
+        ],
+    ),
+    # the two in-law checks build their own kernels on the first grid axis
+    "duplication": Check(
+        run=lambda ctx, tols, cfg: duplication_check(_law_config(cfg, tols["duplication"])),
+        tolerances={"duplication": 0.01},
+        headline=_law_headline,
+        seed=True,
+        kernel="watson",
+        axes=1,
+        csv="duplication.csv",
+        header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
+        rows=_law_rows,
+    ),
+    "quadruplication": Check(
+        run=lambda ctx, tols, cfg: quadruplication_check(
+            _law_config(cfg, tols["quadruplication"])
+        ),
+        tolerances={"quadruplication": 0.015},
+        headline=_law_headline,
+        seed=True,
+        kernel="sheet_compensated",
+        axes=2,
+        csv="quadruplication.csv",
+        header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
+        rows=_law_rows,
+    ),
+    "torus_watson": Check(
+        run=_run_torus_watson,
+        tolerances={"torus_split": 1e-10},
+        headline=lambda r: (
+            f"conventions={r.get('conventions_satisfied', [])} "
+            f"ks={r.get('ks_parts', float('nan')):.4f} seed={r['seed']}"
+        ),
+        gate="stationarity",
+        seed=True,
+        torus=True,
+        csv="torus_conventions.csv",
+        header="convention,residual,satisfied",
+        rows=lambda r, ctx: [
+            [key, _fmt(val), str(key in r["conventions_satisfied"]).lower()]
+            for key, val in r["energy_residuals"].items()
+        ],
+    ),
 }
+
+DEFAULT_TOLERANCES = {key: val for c in CHECKS.values() for key, val in c.tolerances.items()}
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -117,18 +506,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "name": {"type": "string"},
                 "params": {"type": "object"},
-            },
-        },
-        "group": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["cyclic", "product"]},
-                "factors": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 1,
-                },
             },
         },
         "action": {
@@ -163,9 +540,20 @@ CONFIG_SCHEMA = {
         "checks": {
             "type": "array",
             "minItems": 1,
-            "items": {"enum": list(CHECK_ORDER)},
+            "items": {"enum": list(CHECKS)},
         },
-        "tolerances": {"type": "object"},
+        "tolerances": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                key: (
+                    {"type": "array", "items": _POSITIVE, "minItems": len(val), "maxItems": len(val)}
+                    if isinstance(val, list)
+                    else _POSITIVE
+                )
+                for key, val in DEFAULT_TOLERANCES.items()
+            },
+        },
         "output": {
             "type": "object",
             "additionalProperties": False,
@@ -173,7 +561,7 @@ CONFIG_SCHEMA = {
                 "dir": {"type": "string"},
                 "formats": {
                     "type": "array",
-                    "items": {"enum": ["json", "csv", "binary"]},
+                    "items": {"enum": ["json", "csv"]},
                 },
             },
         },
@@ -265,10 +653,6 @@ PRESETS = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -303,19 +687,19 @@ def validate_config(cfg: dict) -> list[str]:
     if kname not in known:
         errors.append(f"kernel/name: unknown kernel {kname!r} (known: {sorted(known)})")
 
-    checks = cfg["checks"]
-    grid = cfg.get("grid", {})
-    kind = grid.get("kind", "interval")
-    n = grid.get("n", 256)
-    ns = [n] if isinstance(n, int) else list(n)
+    checks = sorted(set(cfg["checks"]))
+    kind = cfg.get("grid", {}).get("kind", "interval")
+    ns = _grid_axes(cfg)
+
+    def needing(flag: str) -> list[str]:
+        return [c for c in checks if getattr(CHECKS[c], flag)]
 
     if kind == "torus":
         if kname != "torus_watson":
             errors.append("kernel/name: torus grids support the torus_watson kernel")
     else:
-        if set(checks) & TORUS_CHECKS:
-            bad = sorted(set(checks) & TORUS_CHECKS)
-            errors.append(f"checks: {bad} need a torus grid")
+        if needing("torus"):
+            errors.append(f"checks: {needing('torus')} need a torus grid")
         if kname in ("bridge", "watson", "torus_watson") and len(ns) != 1:
             errors.append(f"grid/n: kernel {kname!r} needs a 1-d grid")
         if kname.startswith("sheet") and len(ns) != 2:
@@ -323,31 +707,25 @@ def validate_config(cfg: dict) -> list[str]:
         if len(ns) > 2:
             errors.append("grid/n: interval grids support at most 2 axes")
 
-    if cfg.get("action", {}).get("name") == "none" and set(checks) & ACTION_CHECKS:
-        bad = sorted(set(checks) & ACTION_CHECKS)
-        errors.append(f"checks: {bad} need a bound group action (action is 'none')")
+    # the interval grid binds reversal (or nothing), the torus grid negation
+    action = cfg.get("action", {}).get("name")
+    allowed = ["negation"] if kind == "torus" else ["reversal", "none"]
+    if action is not None and action not in allowed:
+        errors.append(f"action/name: a {kind} grid takes {allowed}, not {action!r}")
+    if action == "none" and needing("action"):
+        errors.append(f"checks: {needing('action')} need a bound group action (action is 'none')")
 
-    if set(checks) & MC_CHECKS and "seed" not in cfg:
-        bad = sorted(set(checks) & MC_CHECKS)
-        errors.append(f"seed: required by Monte Carlo checks {bad}")
+    if needing("seed") and "seed" not in cfg:
+        errors.append(f"seed: required by Monte Carlo checks {needing('seed')}")
 
-    group = cfg.get("group")
-    if group is not None:
-        kindg = group.get("kind", "cyclic")
-        factors = group.get("factors", [2])
-        if kindg == "cyclic" and len(factors) != 1:
-            errors.append("group/factors: cyclic groups take exactly one factor")
-        expected = 2 ** len(ns) if kind == "interval" else 2
-        order = int(np.prod(factors))
-        if order != expected:
-            errors.append(
-                f"group/factors: order {order} does not match the grid action (order {expected})"
-            )
-
-    known_tols = set(DEFAULT_TOLERANCES)
-    for key in cfg.get("tolerances", {}):
-        if key not in known_tols:
-            errors.append(f"tolerances/{key}: unknown tolerance (known: {sorted(known_tols)})")
+    for name in checks:
+        check = CHECKS[name]
+        if check.kernel is not None and kname != check.kernel:
+            errors.append(f"kernel/name: {name} runs the {check.kernel!r} kernel only")
+        if check.axes is not None and (
+            kind != "interval" or len(ns) != check.axes or len(set(ns)) != 1
+        ):
+            errors.append(f"grid/n: {name} needs {check.axes} equal interval axes")
     return errors
 
 
@@ -368,11 +746,9 @@ def resolve_tolerances(cfg: dict, tol_scale: float) -> dict:
 
 
 def build_space(cfg: dict):
-    grid = cfg.get("grid", {"n": 256})
-    kind = grid.get("kind", "interval")
-    n = grid["n"] if "n" in grid else 256
-    ns = [int(n)] if isinstance(n, int) else [int(x) for x in n]
-    if kind == "torus":
+    grid = cfg.get("grid", {})
+    ns = _grid_axes(cfg)
+    if grid.get("kind", "interval") == "torus":
         basis = np.asarray(grid.get("basis", np.eye(len(ns))), dtype=float)
         return torus_grid(Lattice(basis), ns)
     if len(ns) == 1:
@@ -397,301 +773,40 @@ def build_kernel(cfg: dict, space):
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns a JSON-ready dict with an "ok" flag
-
-
-def _run_invariance(ctx, tols):
-    ok, dev = check_invariance(ctx["kernel"], tol=tols["invariance"])
-    return {"ok": bool(ok), "deviation": dev, "tolerance": tols["invariance"]}
-
-
-def _run_stationarity(ctx, tols):
-    spread = stationarity_spread(ctx["kernel"])
-    tol = tols["stationarity"]
-    return {"ok": bool(spread <= tol), "spread": spread, "tolerance": tol}
-
-
-def _run_decomposition(ctx, tols):
-    kernel, table = ctx["kernel"], ctx["table"]
-    tol = tols["decomposition"]
-    total = np.zeros_like(kernel.matrix)
-    shares = {}
-    for p in table:
-        part = project_kernel(kernel, p, p)
-        total = total + part.matrix
-        shares[p.label] = float(np.sum(np.diag(part.matrix) * kernel.space.weights))
-    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
-    cross = 0.0
-    for p in table:
-        for q in table:
-            if p is q:
-                continue
-            mat = project_kernel(kernel, p, q)
-            mat = mat.matrix if hasattr(mat, "matrix") else mat
-            cross = max(cross, float(np.max(np.abs(mat))))
-    ok = sum_dev <= tol and cross <= tol
-    return {
-        "ok": bool(ok),
-        "sum_deviation": sum_dev,
-        "max_cross_projection": cross,
-        "tolerance": tol,
-        "component_trace": shares,
-    }
-
-
-def _run_watson_relation(ctx, tols, cfg):
-    rep = watson_relation_check(
-        ctx["kernel"],
-        rho=float(cfg.get("rho", 1.0)),
-        n_max=int(cfg.get("n_max", 6)),
-        tol=tols["watson_relation"],
-        table=ctx["table"],
-    )
-    out = rep.to_dict()
-    out["ok"] = rep.ok
-    return out
-
-
-def _run_z2(ctx, tols, cfg):
-    rep = z2_condition_check(
-        ctx["kernel"], n_max=int(cfg.get("n_max", 6)), tol=tols["z2_condition"]
-    )
-    out = rep.to_dict()
-    out["ok"] = rep.ok
-    return out
-
-
-def _run_cumulants(ctx, tols, cfg):
-    kernel = ctx["kernel"]
-    rho = float(cfg.get("rho", 1.0))
-    count = int(cfg.get("samples", 100_000))
-    seed = int(cfg["seed"])
-    ana = analytic_cumulants(kernel, rho, 8)
-    j = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    mc = [float(kstat(j, n)) for n in (1, 2, 3)]
-    noise = 5.0 * np.sqrt(kstat_variances(ana.values, count))
-    rel = tols["cumulants"]
-    rows = []
-    ok = True
-    for i in range(3):
-        tol_i = max(rel[i] * abs(ana.values[i]), float(noise[i]))
-        gap = abs(mc[i] - float(ana.values[i]))
-        rows.append(
-            {
-                "order": i + 1,
-                "analytic": float(ana.values[i]),
-                "mc": mc[i],
-                "gap": gap,
-                "tolerance": tol_i,
-            }
-        )
-        ok = ok and gap <= tol_i
-    return {"ok": bool(ok), "rho": rho, "count": count, "seed": seed, "orders": rows}
-
-
-def _run_mgf(ctx, tols, cfg):
-    kernel = ctx["kernel"]
-    count = int(cfg.get("samples", 100_000))
-    seed = int(cfg["seed"])
-    pairs = cfg["kernel"].get("params", {}).get(
-        "mgf_pairs", [[0.5, 0.5], [1.0, 0.2], [0.3, 0.9]]
-    )
-    rel_tol = tols["mgf"]
-    mc_tol = tols["mgf_mc"]
-    rows = []
-    ok = True
-    for i, (lam, rho) in enumerate(pairs):
-        closed, spectral = mgf_watson(float(lam), float(rho))
-        rel = abs(closed - spectral) / abs(closed)
-        # the closed form is for E[exp(lambda^2 * J)]; MC must match that exponent
-        j = pair_functional(kernel, float(rho), count, seed, streams=(2 * i, 2 * i + 1))
-        mc = float(np.mean(np.exp(float(lam) ** 2 * j)))
-        mc_rel = abs(mc - spectral) / abs(spectral)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "rho": float(rho),
-                "closed_form": closed,
-                "spectral": spectral,
-                "rel_gap": rel,
-                "mc": mc,
-                "mc_rel_gap": mc_rel,
-            }
-        )
-        ok = ok and rel <= rel_tol and mc_rel <= mc_tol
-    return {
-        "ok": bool(ok),
-        "count": count,
-        "seed": seed,
-        "tolerance": rel_tol,
-        "mc_tolerance": mc_tol,
-        "pairs": rows,
-    }
-
-
-ORACLE_SPECTRA = {
-    # continuum eigenvalues and their multiplicities on [0, 1]
-    "bridge": (lambda k: 1.0 / (np.pi**2 * k**2), 1),
-    "watson": (lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2),
-}
-
-
-def _run_spectrum(ctx, tols, cfg, out_parts):
-    kernel = ctx["kernel"]
-    spectrum = eigendecompose(kernel)
-    report = {
-        "eigenvalues_top": [float(x) for x in spectrum.eigenvalues[:20]],
-        "clusters_top": [list(c) for c in spectrum.clusters[:12]],
-    }
-    ok = True
-
-    if kernel.name in ORACLE_SPECTRA and kernel.space.dim == 1 and not isinstance(
-        kernel.space, TorusGrid
-    ):
-        oracle, mult = ORACLE_SPECTRA[kernel.name]
-        rel_tol = tols["spectrum_eig"]
-        rows, worst = [], 0.0
-        for k in range(1, 11):
-            lam = float(spectrum.eigenvalues[(k - 1) * mult])
-            ref = float(oracle(np.array(k)))
-            rel = abs(lam - ref) / ref
-            worst = max(worst, rel)
-            width = spectrum.clusters[k - 1][1] - spectrum.clusters[k - 1][0]
-            rows.append({"k": k, "lambda": lam, "oracle": ref, "rel_gap": rel, "multiplicity": width})
-            ok = ok and rel <= rel_tol and width == mult
-        report["oracle"] = {"rows": rows, "max_rel_gap": worst, "tolerance": rel_tol}
-
-    splits = None
-    if kernel.space.action is not None:
-        inv = check_eigenspace_invariance(spectrum, tol=tols["spectrum"])
-        report["eigenspace_invariance"] = {
-            "max_residual": inv.max_residual,
-            "tolerance": inv.tol,
-            "ok": inv.ok,
-        }
-        ok = ok and inv.ok
-        try:
-            splits = canonical_decomposition(spectrum, ctx["table"])
-            report["canonical"] = {
-                "clusters": [
-                    {
-                        "eigenvalue": s.eigenvalue,
-                        "dims": s.dims,
-                        "max_residual": s.max_residual,
-                    }
-                    for s in splits[:12]
-                ],
-                "dimension_sums_exact": True,
-            }
-        except DecompositionError as exc:
-            report["canonical"] = {"error": str(exc), "dimension_sums_exact": False}
-            ok = False
-    out_parts["spectrum_csv"] = spectrum_to_csv(spectrum, splits)
-    report["ok"] = bool(ok)
-    return report
-
-
-def _run_torus_watson(ctx, tols, cfg):
-    kernel, space = ctx["kernel"], ctx["space"]
-    params = cfg["kernel"].get("params", {})
-    cutoff = int(params.get("cutoff", max(1, (min(space.shape) - 1) // 2)))
-    spec = fourier_kl(kernel.matrix[0], space, cutoff)
-    count = int(cfg.get("samples", 20_000))
-    seed = int(cfg["seed"])
-    rep = torus_watson_check(
-        spec,
-        space,
-        count,
-        seed,
-        stationarity_tol=tols["stationarity"],
-        split_tol=tols["torus_split"],
-    )
-    rep["cutoff"] = cutoff
-    rep["kernel_spec"] = spec.to_dict()
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # runner
 
 
 def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
-    """Run requested checks (plus their gates) in canonical order."""
+    """Run requested checks (plus their gates) in registry order.
+
+    Returns the per-check reports and, for each check that completed with a
+    table, its CSV rows.
+    """
     space = build_space(cfg)
     kernel = build_kernel(cfg, space)
-    if kernel.space is not space:
-        space = kernel.space  # user_matrix kernels carry their own space
+    space = kernel.space  # user_matrix kernels carry their own space
     table = character_table(space.action.group) if space.action is not None else None
     ctx = {"space": space, "kernel": kernel, "table": table}
 
-    requested = list(cfg["checks"])
-    for chk in list(requested):
-        gate = DEPENDS.get(chk)
-        if gate and gate not in requested:
-            requested.append(gate)
-    order = [c for c in CHECK_ORDER if c in requested]
-
+    requested = set(cfg["checks"]) | {CHECKS[c].gate for c in cfg["checks"]}
     out_parts: dict = {}
     results: dict = {}
-    for name in order:
-        gate = DEPENDS.get(name)
-        if gate and results.get(gate, {}).get("status") != "passed":
-            results[name] = {"status": "skipped", "skipped_due_to": gate}
+    for name, check in CHECKS.items():
+        if name not in requested:
+            continue
+        if check.gate and results[check.gate]["status"] != "passed":
+            results[name] = {"status": "skipped", "skipped_due_to": check.gate}
             continue
         try:
-            if name == "invariance":
-                rep = _run_invariance(ctx, tols)
-            elif name == "stationarity":
-                rep = _run_stationarity(ctx, tols)
-            elif name == "decomposition":
-                rep = _run_decomposition(ctx, tols)
-            elif name == "spectrum":
-                rep = _run_spectrum(ctx, tols, cfg, out_parts)
-            elif name == "watson_relation":
-                rep = _run_watson_relation(ctx, tols, cfg)
-            elif name == "z2_condition":
-                rep = _run_z2(ctx, tols, cfg)
-            elif name == "cumulants":
-                rep = _run_cumulants(ctx, tols, cfg)
-            elif name == "mgf":
-                rep = _run_mgf(ctx, tols, cfg)
-            elif name == "duplication":
-                rep = duplication_check(
-                    {
-                        "grid": _first_axis(cfg),
-                        "samples": cfg.get("samples", 100_000),
-                        "rho": cfg.get("rho", 1.0),
-                        "seed": cfg["seed"],
-                        "ks_tol": tols["duplication"],
-                    }
-                )
-            elif name == "quadruplication":
-                rep = quadruplication_check(
-                    {
-                        "grid": _first_axis(cfg),
-                        "samples": cfg.get("samples", 50_000),
-                        "rho": cfg.get("rho", 0.5),
-                        "seed": cfg["seed"],
-                        "ks_tol": tols["quadruplication"],
-                    }
-                )
-            elif name == "torus_watson":
-                rep = _run_torus_watson(ctx, tols, cfg)
-            else:  # pragma: no cover - names are schema-bound
-                raise ConfigError(f"unknown check {name}")
+            rep = check.run(ctx, tols, cfg)
         except (KernelError, DecompositionError, ValueError) as exc:
             results[name] = {"status": "failed", "error": str(exc)}
             continue
         rep["status"] = "passed" if rep.get("ok") else "failed"
-        if "seed" not in rep and name in MC_CHECKS:
-            rep["seed"] = cfg.get("seed")
         results[name] = rep
+        if check.csv and "error" not in rep:
+            out_parts[name] = check.rows(rep, ctx)
     return results, out_parts
-
-
-def _first_axis(cfg) -> int:
-    n = cfg.get("grid", {}).get("n", 256)
-    return int(n if isinstance(n, int) else n[0])
 
 
 def _headline(name: str, rep: dict) -> str:
@@ -699,147 +814,16 @@ def _headline(name: str, rep: dict) -> str:
         return f"gate {rep['skipped_due_to']} did not pass"
     if "error" in rep:
         return rep["error"]
-    if name == "invariance":
-        return f"deviation={rep['deviation']:.3e} tol={rep['tolerance']:.1e}"
-    if name == "stationarity":
-        return f"spread={rep['spread']:.3e} tol={rep['tolerance']:.1e}"
-    if name == "decomposition":
-        return (
-            f"sum_dev={rep['sum_deviation']:.3e} "
-            f"cross={rep['max_cross_projection']:.3e} tol={rep['tolerance']:.1e}"
-        )
-    if name == "watson_relation":
-        devs = [d for rec in rep["per_irrep"] for d in rec["cIII_dev"]]
-        return f"max cIII dev={max(devs):.3e} tol={rep['tolerances']['cIII']:.1e}"
-    if name == "z2_condition":
-        vals = [abs(v) for v in rep["values"]]
-        return f"max |value|={max(vals):.3e} tol={rep['tol']:.1e}"
-    if name == "cumulants":
-        worst = max(r["gap"] / r["tolerance"] for r in rep["orders"])
-        return f"worst gap/tol={worst:.2f} seed={rep['seed']}"
-    if name == "mgf":
-        worst = max(r["rel_gap"] for r in rep["pairs"])
-        mc = max(r["mc_rel_gap"] for r in rep["pairs"])
-        return f"max rel gap={worst:.2e} (tol {rep['tolerance']:.1e}), mc={mc:.2e}"
-    if name == "spectrum":
-        parts = []
-        if "oracle" in rep:
-            parts.append(f"eig rel gap={rep['oracle']['max_rel_gap']:.2e}")
-        if "eigenspace_invariance" in rep:
-            parts.append(f"residual={rep['eigenspace_invariance']['max_residual']:.2e}")
-        return ", ".join(parts) or "spectrum computed"
-    if name in ("duplication", "quadruplication"):
-        return (
-            f"ks={rep['comparison']['ks_distance']:.4f} (tol {rep['ks_tol']:.4f}) "
-            f"seed={rep['seed']}"
-        )
-    if name == "torus_watson":
-        return (
-            f"conventions={rep.get('conventions_satisfied', [])} "
-            f"ks={rep.get('ks_parts', float('nan')):.4f} seed={rep['seed']}"
-        )
-    return ""
+    return CHECKS[name].headline(rep)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_tables(results: dict, out_parts: dict, out_dir: Path) -> list[str]:
-    """Per-check CSV tables; returns the list of files written."""
-    written = []
-
-    def emit(fname: str, header: str, rows: list[str]) -> None:
-        path = out_dir / fname
-        path.write_text("\n".join([header] + rows) + "\n")
-        written.append(fname)
-
-    if "spectrum_csv" in out_parts:
-        (out_dir / "spectrum.csv").write_text(out_parts["spectrum_csv"])
-        written.append("spectrum.csv")
-
-    rep = results.get("watson_relation")
-    if rep and rep.get("status") != "skipped" and "per_irrep" in rep:
-        rows = []
-        for rec in rep["per_irrep"]:
-            for i, tr in enumerate(rec["traces"]):
-                rows.append(
-                    ",".join(
-                        [
-                            rec["label"],
-                            str(i + 1),
-                            _fmt(tr),
-                            _fmt(rec["cumulants"][i]),
-                            _fmt(rec["cII_dev"][i]),
-                            _fmt(rec["cIII_dev"][i]),
-                        ]
-                    )
-                )
-        emit("watson_relation.csv", "irrep,n,trace,cumulant,cII_dev,cIII_dev", rows)
-
-    rep = results.get("z2_condition")
-    if rep and rep.get("status") != "skipped" and "values" in rep:
-        rows = [
-            ",".join([str(i + 1), _fmt(v), _fmt(rep["tol"])])
-            for i, v in enumerate(rep["values"])
-        ]
-        emit("z2_condition.csv", "n,value,tol", rows)
-
-    rep = results.get("cumulants")
-    if rep and "orders" in rep:
-        rows = [
-            ",".join(
-                [str(r["order"]), _fmt(r["analytic"]), _fmt(r["mc"]), _fmt(r["gap"]), _fmt(r["tolerance"])]
-            )
-            for r in rep["orders"]
-        ]
-        emit("cumulants.csv", "order,analytic,mc,gap,tol", rows)
-
-    rep = results.get("mgf")
-    if rep and "pairs" in rep:
-        rows = [
-            ",".join(
-                [
-                    _fmt(r["lambda"]),
-                    _fmt(r["rho"]),
-                    _fmt(r["closed_form"]),
-                    _fmt(r["spectral"]),
-                    _fmt(r["rel_gap"]),
-                    _fmt(r["mc"]),
-                    _fmt(r["mc_rel_gap"]),
-                ]
-            )
-            for r in rep["pairs"]
-        ]
-        emit("mgf.csv", "lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap", rows)
-
-    for name in ("duplication", "quadruplication"):
-        rep = results.get(name)
-        if rep and "comparison" in rep:
-            gaps = rep["comparison"]["cumulant_gaps"]
-            rows = [
-                ",".join(
-                    [
-                        str(i + 1),
-                        _fmt(rep["analytic_lhs"][i]),
-                        _fmt(rep["analytic_rhs"][i]),
-                        _fmt(gaps[i]),
-                        _fmt(rep["cumulant_tol"][i]),
-                    ]
-                )
-                for i in range(4)
-            ]
-            emit(f"{name}.csv", "order,analytic_lhs,analytic_rhs,mc_gap,tol", rows)
-
-    rep = results.get("torus_watson")
-    if rep and "energy_residuals" in rep:
-        sat = set(rep["conventions_satisfied"])
-        rows = [
-            ",".join([key, _fmt(val), str(key in sat).lower()])
-            for key, val in rep["energy_residuals"].items()
-        ]
-        emit("torus_conventions.csv", "convention,residual,satisfied", rows)
-    return written
+def write_tables(out_parts: dict, out_dir: Path) -> list[str]:
+    """Write each check's CSV table in run order; returns the files written."""
+    for name, rows in out_parts.items():
+        check = CHECKS[name]
+        lines = [check.header] + [",".join(cells) for cells in rows]
+        (out_dir / check.csv).write_text("\n".join(lines) + "\n")
+    return [CHECKS[name].csv for name in out_parts]
 
 
 def _json_default(obj):
@@ -853,7 +837,7 @@ def _json_default(obj):
 def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     formats = cfg.get("output", {}).get("formats", ["json", "csv"])
-    tables = write_tables(results, out_parts, out_dir) if "csv" in formats else []
+    tables = write_tables(out_parts, out_dir) if "csv" in formats else []
 
     report = {
         "config": cfg,
@@ -904,6 +888,8 @@ def run_command(args) -> int:
             cfg.setdefault("output", {})["dir"] = args.out
 
         problems = validate_config(cfg)
+        if not np.isfinite(args.tol_scale) or args.tol_scale <= 0:
+            problems.append(f"--tol-scale: must be a positive number, not {args.tol_scale}")
         if problems:
             raise ConfigError("; ".join(problems))
         tols = resolve_tolerances(cfg, args.tol_scale)

@@ -178,6 +178,7 @@ class WatsonCheckReport:
             "vacuous_orders": list(self.vacuous),
             "verdicts": {"cII": self.cii_pass, "cIII": self.ciii_pass},
             "tolerances": {"cII": self.tol, "cIII": self.tol},
+            "ok": self.ok,
         }
 
 

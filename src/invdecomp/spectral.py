@@ -10,7 +10,6 @@ group and splits canonically into character-projected sub-bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -26,6 +25,8 @@ __all__ = [
     "DecompositionError",
     "ClusterSplit",
     "canonical_decomposition",
+    "SPECTRUM_CSV_HEADER",
+    "spectrum_rows",
     "spectrum_to_csv",
 ]
 
@@ -225,8 +226,11 @@ def canonical_decomposition(
     return splits
 
 
-def spectrum_to_csv(spectrum: Spectrum, splits: Optional[list[ClusterSplit]] = None) -> str:
-    """CSV rows (k, lambda, cluster_id, irrep_label).
+SPECTRUM_CSV_HEADER = "k,lambda,cluster_id,irrep_label"
+
+
+def spectrum_rows(spectrum: Spectrum, splits: Optional[list[ClusterSplit]] = None) -> list[list[str]]:
+    """CSV cells (k, lambda, cluster_id, irrep_label), one row per eigenvalue.
 
     The irrep label column lists the labels present in the eigenvalue's
     cluster (from ``splits``), or is empty when no decomposition was run.
@@ -236,10 +240,14 @@ def spectrum_to_csv(spectrum: Spectrum, splits: Optional[list[ClusterSplit]] = N
         for s in splits:
             labs = "+".join(sorted(l for l, d in s.dims.items() if d))
             labels_by_cluster[s.index_range] = labs
-    out = StringIO()
-    out.write("k,lambda,cluster_id,irrep_label\n")
-    for cid, (a, b) in enumerate(spectrum.clusters):
-        lab = labels_by_cluster.get((a, b), "")
-        for k in range(a, b):
-            out.write(f"{k},{float(spectrum.eigenvalues[k])!r},{cid},{lab}\n")
-    return out.getvalue()
+    return [
+        [str(k), repr(float(spectrum.eigenvalues[k])), str(cid), labels_by_cluster.get((a, b), "")]
+        for cid, (a, b) in enumerate(spectrum.clusters)
+        for k in range(a, b)
+    ]
+
+
+def spectrum_to_csv(spectrum: Spectrum, splits: Optional[list[ClusterSplit]] = None) -> str:
+    """:func:`spectrum_rows` as CSV text under :data:`SPECTRUM_CSV_HEADER`."""
+    lines = [SPECTRUM_CSV_HEADER] + [",".join(r) for r in spectrum_rows(spectrum, splits)]
+    return "\n".join(lines) + "\n"

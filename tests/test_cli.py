@@ -117,6 +117,81 @@ def test_validate_torus_check_needs_torus_grid(tmp_path, capsys):
     assert main(["validate", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "check, kernel, n",
+    [
+        ("duplication", "sheet_compensated", [16, 16]),
+        ("duplication", "bridge", 16),
+        ("quadruplication", "sheet_tied", [16, 16]),
+        ("quadruplication", "sheet_compensated", [32, 8]),
+    ],
+)
+def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
+    tmp_path, capsys, check, kernel, n
+):
+    """duplication runs watson on a 1-d grid, quadruplication sheet_compensated on n x n."""
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": kernel},
+        grid={"kind": "interval", "n": n},
+        checks=[check],
+        samples=2000,
+        seed=1,
+    )
+    assert main(["validate", str(cfg)]) == 2
+    assert check in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"group": {"kind": "cyclic", "factors": [2]}},
+        {"output": {"formats": ["binary"]}},
+        {"action": {"name": "negation"}},
+        {
+            "action": {"name": "reversal"},
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [4, 4]},
+            "checks": ["stationarity"],
+        },
+        {
+            "action": {"name": "none"},
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [4, 4]},
+            "checks": ["stationarity"],
+        },
+    ],
+    ids=["group", "binary", "negation-on-interval", "reversal-on-torus", "none-on-torus"],
+)
+def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["validate", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [
+        {"invariance": "abc"},
+        {"invariance": [1, 2]},
+        {"cumulants": 0.01},
+        {"invariance": -1},
+    ],
+    ids=["string", "array", "cumulants-scalar", "negative"],
+)
+def test_validate_rejects_bad_tolerance_values(tmp_path, capsys, tolerances):
+    cfg = write_config(tmp_path, tolerances=tolerances)
+    assert main(["validate", str(cfg)]) == 2
+    assert "tolerances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_run_rejects_a_non_positive_tol_scale(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")})
+    assert main(["run", str(cfg), "--tol-scale", scale]) == 2
+    assert "tol-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 2
 
@@ -250,6 +325,80 @@ def test_mgf_preset_tables(tmp_path):
     lines = (tmp_path / "out" / "mgf.csv").read_text().splitlines()
     assert lines[0] == "lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap"
     assert len(lines) == 4  # three pinned (lambda, rho) pairs
+
+
+@pytest.mark.parametrize(
+    "check, overrides, table, header, tag",
+    [
+        (
+            "spectrum",
+            {"kernel": {"name": "bridge"}},
+            "spectrum.csv",
+            "k,lambda,cluster_id,irrep_label",
+            "FAIL",  # 16 points are too few for the continuum eigenvalue oracle
+        ),
+        ("z2_condition", {}, "z2_condition.csv", "n,value,tol", "FAIL"),
+        (
+            "cumulants",
+            {"samples": 2000, "seed": 1, "tolerances": {"cumulants": [0.5, 0.5, 0.5]}},
+            "cumulants.csv",
+            "order,analytic,mc,gap,tol",
+            "PASS",
+        ),
+        (
+            "duplication",
+            {"samples": 2000, "seed": 1, "tolerances": {"duplication": 0.1}},
+            "duplication.csv",
+            "order,analytic_lhs,analytic_rhs,mc_gap,tol",
+            "PASS",
+        ),
+        (
+            "quadruplication",
+            {
+                "kernel": {"name": "sheet_compensated"},
+                "grid": {"kind": "interval", "n": [8, 8]},
+                "samples": 2000,
+                "seed": 1,
+                "tolerances": {"quadruplication": 0.1},
+            },
+            "quadruplication.csv",
+            "order,analytic_lhs,analytic_rhs,mc_gap,tol",
+            "PASS",
+        ),
+        (
+            "torus_watson",
+            {
+                "kernel": {"name": "torus_watson"},
+                "grid": {"kind": "torus", "n": [4, 4]},
+                "samples": 2000,
+                "seed": 1,
+            },
+            "torus_conventions.csv",
+            "convention,residual,satisfied",
+            "PASS",
+        ),
+    ],
+)
+def test_check_table_header_and_headline(tmp_path, capsys, check, overrides, table, header, tag):
+    cfg = write_config(
+        tmp_path,
+        checks=[check],
+        output={"dir": str(tmp_path / "out")},
+        **{"grid": {"kind": "interval", "n": 16}, **overrides},
+    )
+    assert main(["run", str(cfg)]) == (0 if tag == "PASS" else 1)
+    err = capsys.readouterr().err
+    out = tmp_path / "out"
+    assert (out / table).read_text().splitlines()[0] == header
+    report = json.loads((out / "report.json").read_text())
+    assert table in report["tables"]
+    line = next(
+        x for x in (out / "summary.txt").read_text().splitlines() if x.startswith(f"[{tag}] {check}: ")
+    )
+    headline = line[len(f"[{tag}] {check}: "):]
+    assert headline
+    failed_line = f"check failed: {check} — {headline}"
+    assert (failed_line in err.splitlines()) == (tag == "FAIL")
 
 
 # --------------------------------------------------------------- tolerances
