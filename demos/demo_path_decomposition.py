@@ -43,7 +43,6 @@ print("covariance, and the two blocks are orthogonal as operators.")
 from invdecomp.kernels import decompose_kernel
 
 blocks = decompose_kernel(kernel, table)
-rw = np.sqrt(w)
 for label, block in blocks.items():
-    lam = np.linalg.eigvalsh(rw[:, None] * block.matrix * rw[None, :])
+    lam = block.eigenvalues
     print(f"  block {label!r}: min eigenvalue {lam.min():.2e}, operator trace {lam.sum():.6f}")

@@ -27,7 +27,6 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     check_invariance,
-    contract_power,
     project_kernel,
     weighted_diag_trace,
     weighted_traces,
@@ -276,9 +275,13 @@ def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2Condi
     perm = action.perm[g]
     idx = np.arange(kernel.size)
     w = kernel.space.weights
+    # contract_power(kernel, n) for n = 1..n_max, one weighted product per order
+    wk = kernel.matrix * w[None, :]
+    m = kernel.matrix
     values = []
     for n in range(1, n_max + 1):
-        m = contract_power(kernel, n)
+        if n > 1:
+            m = wk @ m
         values.append(float(np.sum(m[idx, perm] * w)))
     return Z2ConditionReport(values=tuple(values), tol=tol)
 

@@ -7,6 +7,13 @@ of path projection: projecting a kernel onto a pair of characters,
 contracting two kernels against the quadrature measure, and checking
 invariance under the action.
 
+The weighted operator ``diag(w) K`` is solved through the similar symmetric
+matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
+Each :class:`Kernel` decomposes it once, in its PSD check, and keeps the
+ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
+sums.  :func:`weighted_eigh` is the one eigenvector solve, shared by the
+Karhunen-Loeve spectrum and the covariance factor.
+
 Weighted contraction conventions, with ``D = diag(weights)``:
 
 * ``contract(K1, K2) = K1 D K2^T``  (one quadrature integration),
@@ -37,7 +44,6 @@ __all__ = [
     "KernelError",
     "IndexSpace",
     "Kernel",
-    "FeatureMap",
     "make_interval_grid",
     "make_product_grid",
     "builtin_kernel",
@@ -49,8 +55,8 @@ __all__ = [
     "contract_power",
     "weighted_diag_trace",
     "weighted_traces",
-    "feature_map_from_kernel",
-    "project_feature_map",
+    "weighted_symmetric",
+    "weighted_eigh",
 ]
 
 PSD_TOL = 1e-10
@@ -168,28 +174,32 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric positive semi-definite matrix over an index space."""
+    """Symmetric positive semi-definite matrix over an index space.
+
+    ``eigenvalues`` is the ascending spectrum of the weighted operator
+    diag(w) K, computed by the PSD check.  By Sylvester's law of inertia
+    sqrt(w) K sqrt(w) is PSD exactly when K is, so the check runs on it.
+    """
 
     space: IndexSpace
     matrix: np.ndarray
     name: str = ""
-    check: bool = True
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = np.asarray(self.matrix, dtype=float)
         m = self.space.size
         if k.shape != (m, m):
             raise KernelError(f"matrix must be ({m}, {m}), got {k.shape}")
-        if self.check:
-            sym = float(np.max(np.abs(k - k.T))) if m else 0.0
-            if sym > PSD_TOL:
-                raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
-            k = (k + k.T) / 2
-            evals = np.linalg.eigvalsh(k)
-            floor = -PSD_TOL * max(1.0, float(evals[-1]))
-            if evals[0] < floor:
-                raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
-        object.__setattr__(self, "matrix", _readonly(k))
+        sym = float(np.max(np.abs(k - k.T))) if m else 0.0
+        if sym > PSD_TOL:
+            raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
+        object.__setattr__(self, "matrix", _readonly((k + k.T) / 2))
+        evals = np.linalg.eigvalsh(weighted_symmetric(self))
+        floor = -PSD_TOL * max(float(self.space.weights.max()), float(evals[-1]))
+        if evals[0] < floor:
+            raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
+        object.__setattr__(self, "eigenvalues", _readonly(evals))
 
     @property
     def size(self) -> int:
@@ -362,87 +372,28 @@ def weighted_diag_trace(matrix: np.ndarray, space: IndexSpace) -> float:
     )
 
 
+def weighted_symmetric(kernel: Kernel) -> np.ndarray:
+    """sqrt(w) K sqrt(w): symmetric, and similar to the weighted operator diag(w) K."""
+    rw = np.sqrt(kernel.space.weights)
+    out = rw[:, None] * kernel.matrix
+    out *= rw[None, :]
+    return out
+
+
+def weighted_eigh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (lambda, V) of :func:`weighted_symmetric`.
+
+    lambda is the spectrum of diag(w) K; the columns of V / sqrt(w) are its
+    eigenfunctions, orthonormal in the weighted inner product.
+    """
+    return np.linalg.eigh(weighted_symmetric(kernel))
+
+
 def weighted_traces(kernel: Kernel, n_max: int) -> np.ndarray:
-    """tr((diag(w) K)^n) for n = 1..n_max via the symmetrized spectrum.
+    """tr((diag(w) K)^n) for n = 1..n_max as power sums of ``kernel.eigenvalues``.
 
-    Equal to ``weighted_diag_trace(contract_power(K, n))`` but O(m^3) once:
-    the weighted operator diag(w)K is similar to the symmetric matrix
-    sqrt(w) K sqrt(w), so its trace powers are eigenvalue power sums.
+    Equal to ``weighted_diag_trace(contract_power(K, n))``, with no
+    decomposition beyond the one the PSD check already ran.
     """
-    rw = np.sqrt(kernel.space.weights)
-    sym = rw[:, None] * kernel.matrix * rw[None, :]
-    evals = np.linalg.eigvalsh(sym)
+    evals = kernel.eigenvalues
     return np.array([float(np.sum(evals**n)) for n in range(1, n_max + 1)])
-
-
-@dataclass(frozen=True)
-class FeatureMap:
-    """Finite-rank representation R(y1,y2) = sum_k phi(y1,k) phi(y2,k) tau_k."""
-
-    space: IndexSpace
-    phi: np.ndarray  # (m, p)
-    tau: np.ndarray  # (p,) positive weights on the auxiliary index
-    truncation_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        phi = np.asarray(self.phi)
-        tau = np.asarray(self.tau, dtype=float)
-        if phi.shape[0] != self.space.size or phi.ndim != 2:
-            raise KernelError("phi must be (m, p)")
-        if tau.shape != (phi.shape[1],):
-            raise KernelError("tau must be one weight per feature")
-        object.__setattr__(self, "phi", _readonly(phi))
-        object.__setattr__(self, "tau", _readonly(tau))
-
-    @property
-    def rank(self) -> int:
-        return self.phi.shape[1]
-
-    def induced_kernel(self) -> Kernel:
-        k = (self.phi * self.tau[None, :]) @ np.conj(self.phi).T
-        return Kernel(self.space, k.real if np.iscomplexobj(k) else k)
-
-
-def feature_map_from_kernel(kernel: Kernel, cutoff: int = 200) -> FeatureMap:
-    """Truncated factorization through the top ``cutoff`` weighted eigenpairs.
-
-    Columns are sqrt(lambda_k) f_k with f_k orthonormal in the weighted inner
-    product, so the induced kernel reproduces K up to the reported truncation
-    error sum_{k>cutoff} lambda_k (a bound on the max diagonal deviation).
-    """
-    m = kernel.size
-    p = min(cutoff, m)
-    rw = np.sqrt(kernel.space.weights)
-    sym = rw[:, None] * kernel.matrix * rw[None, :]
-    evals, vecs = np.linalg.eigh(sym)
-    evals, vecs = evals[::-1], vecs[:, ::-1]
-    evals = np.clip(evals, 0.0, None)
-    phi = (vecs[:, :p] / rw[:, None]) * np.sqrt(evals[:p])[None, :]
-    return FeatureMap(
-        kernel.space,
-        phi,
-        np.ones(p),
-        truncation_error=float(np.sum(evals[p:])),
-    )
-
-
-def project_feature_map(fm: FeatureMap, irrep: Irrep) -> FeatureMap:
-    """Project each feature in its space argument onto ``irrep``.
-
-    phi^pi(y, k) = (d / |G|) sum_g chi(g^{-1}) phi(g.y, k); the induced
-    kernel of the result equals project_kernel(induced kernel, pi, pi).
-    """
-    action = fm.space.action
-    if action is None:
-        raise KernelError("space has no bound action")
-    group = action.group
-    chi_inv = irrep.values[group.inv]
-    chi_inv = chi_inv.real if irrep.real_valued else chi_inv
-    phi = fm.phi
-    if not irrep.real_valued:
-        phi = phi.astype(np.complex128, copy=False)
-    out = chi_inv[0] * phi[action.perm[0]]
-    for g in range(1, group.order):
-        out += chi_inv[g] * phi[action.perm[g]]
-    out *= irrep.dim / group.order
-    return FeatureMap(fm.space, out, fm.tau, truncation_error=fm.truncation_error)

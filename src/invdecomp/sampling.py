@@ -42,6 +42,7 @@ from invdecomp.kernels import (
     builtin_kernel,
     make_interval_grid,
     make_product_grid,
+    weighted_eigh,
 )
 from invdecomp.cumulants import analytic_cumulants
 
@@ -120,19 +121,25 @@ def _parallel(tasks, fn) -> None:
 
 
 def covariance_factor(kernel: Kernel) -> tuple[np.ndarray, int]:
-    """Symmetric PSD square root of K with small eigenvalues clipped.
+    """Factor L with L L^T = K, from the weighted eigenpairs, small ones clipped.
 
-    Returns (L, rank) with L = U diag(sqrt(clip(lambda))) U^T; eigenvalues
-    below EIG_CLIP * lambda_max count as zero.  Eigendecomposition rather
-    than Cholesky: discretized kernels are routinely rank-deficient.
+    Returns (L, rank) with L = W^-1/2 V diag(sqrt(clip(lambda))) V^T, where
+    W = diag(w) and (lambda, V) = :func:`invdecomp.kernels.weighted_eigh`, so
+    L L^T = W^-1/2 (W^1/2 K W^1/2) W^-1/2 = K.  On uniform weights L is the
+    symmetric PSD root of K; when the weights are a power of 4 it is bitwise
+    the root U sqrt(Lambda) U^T of eigh(K), and on other weights it differs
+    from that root by roundoff.  Eigenvalues below EIG_CLIP * lambda_max
+    count as zero.  Eigendecomposition rather than Cholesky: discretized
+    kernels are routinely rank-deficient.
     """
-    evals, vecs = np.linalg.eigh(kernel.matrix)
+    evals, vecs = weighted_eigh(kernel)
     lmax = float(evals[-1]) if evals.size else 0.0
     if lmax <= 0.0:
         return np.zeros_like(kernel.matrix), 0
     keep = evals >= EIG_CLIP * lmax
     lam = np.where(keep, evals, 0.0)
     l = (vecs * np.sqrt(lam)[None, :]) @ vecs.T
+    l /= np.sqrt(kernel.space.weights)[:, None]
     return l, int(np.count_nonzero(keep))
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from invdecomp.groups import CharacterTable, GroupAction, project_path
-from invdecomp.kernels import Kernel, KernelError
+from invdecomp.kernels import Kernel, KernelError, weighted_eigh
 
 __all__ = [
     "Spectrum",
@@ -69,17 +69,13 @@ def eigendecompose(kernel: Kernel, rel_tol: float = 1e-6) -> Spectrum:
     """Solve K diag(w) f = lambda f through the symmetric similar problem.
 
     With W = diag(sqrt(w)), the matrix W K W is symmetric with the same
-    spectrum; its orthonormal eigenvectors v map back to f = v / sqrt(w),
+    spectrum; its orthonormal eigenvectors v (from
+    :func:`invdecomp.kernels.weighted_eigh`) map back to f = v / sqrt(w),
     which are orthonormal in the weighted inner product.
     """
-    w = kernel.space.weights
-    if np.any(w <= 0):
-        raise KernelError("all quadrature weights must be positive")
-    rw = np.sqrt(w)
-    sym = rw[:, None] * kernel.matrix * rw[None, :]
-    evals, vecs = np.linalg.eigh(sym)
+    evals, vecs = weighted_eigh(kernel)
     evals = evals[::-1]
-    basis = vecs[:, ::-1] / rw[:, None]
+    basis = vecs[:, ::-1] / np.sqrt(kernel.space.weights)[:, None]
 
     lmax = max(float(evals[0]), 0.0)
     clusters = []

@@ -228,6 +228,17 @@ def test_run_failure_exit_code_and_stderr(tmp_path, capsys):
     assert len(table) > 1
 
 
+def test_spectrum_compares_only_the_oracle_rows_the_grid_has(tmp_path, capsys):
+    """16 watson points hold 8 oracle pairs, not the 10 a larger grid shows."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, grid={"kind": "interval", "n": 16}, checks=["spectrum"])
+    assert main(["run", str(cfg), "--out", str(out)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    rows = report["checks"]["spectrum"]["oracle"]["rows"]
+    assert 0 < len(rows) <= 8
+
+
 def test_failed_gate_skips_dependents(tmp_path, capsys):
     r = np.random.default_rng(7)
     a = r.normal(size=(16, 16))

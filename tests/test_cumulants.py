@@ -17,7 +17,13 @@ from invdecomp.cumulants import (
     watson_relation_check,
     z2_condition_check,
 )
-from invdecomp.kernels import IndexSpace, Kernel, builtin_kernel, make_interval_grid
+from invdecomp.kernels import (
+    IndexSpace,
+    Kernel,
+    builtin_kernel,
+    contract_power,
+    make_interval_grid,
+)
 
 # ------------------------------------------------------------- coefficients
 
@@ -183,6 +189,18 @@ def test_z2_passes_from_second_order():
     k = builtin_kernel("watson", make_interval_grid(256))
     rep = z2_condition_check(k, 6)
     assert all(abs(v) < 1e-8 for v in rep.values[1:])
+
+
+def test_z2_values_are_the_contract_power_integrals(watson64):
+    """The incremental chain gives bitwise the values of contract_power."""
+    action = watson64.space.action
+    perm = action.perm[1 - action.group.identity]
+    idx = np.arange(watson64.size)
+    w = watson64.space.weights
+    want = tuple(
+        float(np.sum(contract_power(watson64, n)[idx, perm] * w)) for n in range(1, 7)
+    )
+    assert z2_condition_check(watson64, 6).values == want
 
 
 # ---------------------------------------------------------------------- mgf

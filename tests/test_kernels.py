@@ -1,11 +1,14 @@
 """Grids, built-in covariance kernels, projections, and contractions."""
 
+import re
+
 import numpy as np
 import pytest
 
 from invdecomp.groups import character_table
 from invdecomp.kernels import (
     BUILTIN_KERNELS,
+    IndexSpace,
     Kernel,
     KernelError,
     builtin_kernel,
@@ -13,12 +16,11 @@ from invdecomp.kernels import (
     contract,
     contract_power,
     decompose_kernel,
-    feature_map_from_kernel,
     make_interval_grid,
     make_product_grid,
-    project_feature_map,
     project_kernel,
     weighted_diag_trace,
+    weighted_symmetric,
     weighted_traces,
 )
 
@@ -123,6 +125,44 @@ def test_kernel_rejects_asymmetric():
         Kernel(sp, np.triu(np.ones((4, 4))))
 
 
+def _nonuniform_space():
+    w = np.array([0.1, 0.3, 0.05, 0.2, 0.15, 0.2])
+    return IndexSpace(np.linspace(0.0, 1.0, 6), w, name="nonuniform")
+
+
+def _with_spectrum(lam, seed=5):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
+    return (q * np.asarray(lam)[None, :]) @ q.T
+
+
+def test_psd_check_uses_the_weighted_spectrum():
+    """PSD is decided on sqrt(w) K sqrt(w) (same inertia as K), and a
+    rejection reports that matrix's smallest eigenvalue."""
+    sp = _nonuniform_space()
+    Kernel(sp, _with_spectrum([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+    bad = _with_spectrum([-1e-6, 0.5, 1.0, 2.0, 3.0, 4.0])
+    bad = (bad + bad.T) / 2
+    rw = np.sqrt(sp.weights)
+    lam_min = np.linalg.eigvalsh(rw[:, None] * bad * rw[None, :])[0]
+    assert lam_min < 0
+    with pytest.raises(KernelError, match=re.escape(f"min eigenvalue {lam_min:.3e}")):
+        Kernel(sp, bad)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_kernel_eigenvalues_are_the_weighted_spectrum(uniform, watson64):
+    if uniform:
+        k = watson64
+    else:
+        k = Kernel(_nonuniform_space(), _with_spectrum([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
+    rw = np.sqrt(k.space.weights)
+    want = np.linalg.eigvalsh(rw[:, None] * k.matrix * rw[None, :])
+    assert np.array_equal(k.eigenvalues, want)
+    assert np.array_equal(weighted_symmetric(k), rw[:, None] * k.matrix * rw[None, :])
+    with pytest.raises(ValueError):
+        k.eigenvalues[0] = 1.0
+
+
 @pytest.mark.parametrize("name", [n for n in BUILTIN_KERNELS if "sheet" not in n])
 def test_builtins_invariant_under_reversal(name, grid64):
     k = builtin_kernel(name, grid64)
@@ -216,41 +256,3 @@ def test_weighted_traces_match_contractions(bridge64):
     for n in range(1, 5):
         direct = weighted_diag_trace(contract_power(bridge64, n), bridge64.space)
         assert tr[n - 1] == pytest.approx(direct, rel=1e-12)
-
-
-# -------------------------------------------------------------- feature maps
-
-
-def test_feature_map_reconstruction(watson64):
-    fm = feature_map_from_kernel(watson64, cutoff=64)
-    assert fm.rank == 64
-    assert fm.truncation_error == 0.0
-    rec = fm.induced_kernel()
-    assert np.abs(rec.matrix - watson64.matrix).max() < 1e-14
-
-
-def test_feature_map_truncation_error_bounds_diagonal(watson64):
-    fm = feature_map_from_kernel(watson64, cutoff=10)
-    rec = fm.induced_kernel()
-    diag_gap = np.abs(np.diag(rec.matrix - watson64.matrix)).max()
-    assert diag_gap <= fm.truncation_error + 1e-15
-
-
-def test_feature_map_weighted_gram_is_diagonal(watson64):
-    fm = feature_map_from_kernel(watson64, cutoff=12)
-    w = watson64.space.weights
-    gram = fm.phi.T @ (w[:, None] * fm.phi)
-    off = gram - np.diag(np.diag(gram))
-    assert np.abs(off).max() < 1e-14
-    # diagonal carries the eigenvalues (decreasing, positive)
-    lam = np.diag(gram)
-    assert np.all(np.diff(lam) <= 1e-15) and lam.min() > 0
-
-
-def test_project_feature_map_consistent_with_kernel_projection(watson64, z2_table):
-    fm = feature_map_from_kernel(watson64, cutoff=64)
-    for ir in z2_table.irreps:
-        proj_fm = project_feature_map(fm, ir)
-        via_features = proj_fm.induced_kernel().matrix
-        via_kernel = project_kernel(watson64, ir, ir).matrix
-        assert np.abs(via_features - via_kernel).max() < 1e-13

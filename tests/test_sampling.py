@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from invdecomp.groups import character_table
-from invdecomp.kernels import builtin_kernel, make_interval_grid
+from invdecomp.kernels import IndexSpace, builtin_kernel, make_interval_grid, make_product_grid
 from invdecomp.sampling import (
     BLOCK,
+    EIG_CLIP,
     RNG_CONTRACT,
     _fill_normals,
     _key,
     compare_distributions,
+    covariance_factor,
     decompose_ensemble,
     duplication_check,
     kstat_variances,
@@ -180,6 +182,38 @@ def test_pair_functional_matches_sample_pair_across_a_block_edge(watson32, rho):
     assert np.array_equal(quadratic_functional(pair), j)
     if rho == 1.0:  # the second stream is never drawn
         assert pair.second is pair.first
+
+
+# ------------------------------------------------------------ factor
+
+
+def test_covariance_factor_reproduces_kernel_on_nonuniform_weights():
+    x, w = np.polynomial.legendre.leggauss(40)
+    space = IndexSpace((x + 1) / 2, w / 2, name="gauss-legendre[40]")
+    k = builtin_kernel("bridge", space)
+    l, rank = covariance_factor(k)
+    assert rank == k.size
+    assert np.abs(l @ l.T - k.matrix).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        ("watson", make_interval_grid(16)),
+        ("watson", make_interval_grid(64)),
+        ("sheet_compensated", make_product_grid([make_interval_grid(8)] * 2)),
+    ],
+    ids=["interval16", "interval64", "sheet8x8"],
+)
+def test_covariance_factor_is_the_symmetric_root_on_power_of_4_weights(kernel):
+    """On weights 4^-k the weighted factor is bitwise U sqrt(Lambda) U^T."""
+    k = builtin_kernel(*kernel)
+    evals, vecs = np.linalg.eigh(k.matrix)
+    lam = np.where(evals >= EIG_CLIP * evals[-1], evals, 0.0)
+    root = (vecs * np.sqrt(lam)[None, :]) @ vecs.T
+    l, rank = covariance_factor(k)
+    assert np.array_equal(l, root)
+    assert rank == np.count_nonzero(lam)
 
 
 # ------------------------------------------------------------------ moments
