@@ -12,7 +12,6 @@ from invdecomp.groups import (
     GroupAction,
     Irrep,
     character_table,
-    convolve,
     cyclic_group,
     direct_product,
     project_path,

@@ -38,6 +38,7 @@ from invdecomp.groups import character_table
 from invdecomp.kernels import (
     BUILTIN_KERNELS,
     IndexSpace,
+    Kernel,
     KernelError,
     builtin_kernel,
     check_invariance,
@@ -124,19 +125,16 @@ def _run_decomposition(ctx, tols, cfg):
     tol = tols["decomposition"]
     total = np.zeros_like(kernel.matrix)
     shares = {}
-    for p in table:
-        part = project_kernel(kernel, p, p)
-        total = total + part.matrix
-        shares[p.label] = float(np.sum(np.diag(part.matrix) * kernel.space.weights))
-    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
     cross = 0.0
     for p in table:
         for q in table:
-            if p is q:
-                continue
             mat = project_kernel(kernel, p, q)
-            mat = mat.matrix if hasattr(mat, "matrix") else mat
-            cross = max(cross, float(np.max(np.abs(mat))))
+            if p is q:
+                total = total + mat
+                shares[p.label] = float(np.sum(np.diag(mat) * kernel.space.weights))
+            else:
+                cross = max(cross, float(np.max(np.abs(mat))))
+    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
     ok = sum_dev <= tol and cross <= tol
     return {
         "ok": bool(ok),
@@ -709,11 +707,19 @@ def validate_config(cfg: dict) -> list[str]:
         if len(ns) > 2:
             errors.append("grid/n: interval grids support at most 2 axes")
 
-    # the interval grid binds reversal (or nothing), the torus grid negation
+    # the interval grid binds reversal (or nothing), the torus grid negation;
+    # a user_matrix file's group is its action, which only "none" can drop
     action = cfg.get("action", {}).get("name")
-    allowed = ["negation"] if kind == "torus" else ["reversal", "none"]
-    if action is not None and action not in allowed:
-        errors.append(f"action/name: a {kind} grid takes {allowed}, not {action!r}")
+    if kname == "user_matrix":
+        if action not in (None, "none"):
+            errors.append(
+                f"action/name: a user_matrix kernel takes its file's action or 'none', "
+                f"not {action!r}"
+            )
+    else:
+        allowed = ["negation"] if kind == "torus" else ["reversal", "none"]
+        if action is not None and action not in allowed:
+            errors.append(f"action/name: a {kind} grid takes {allowed}, not {action!r}")
     if action == "none" and needing("action"):
         errors.append(f"checks: {needing('action')} need a bound group action (action is 'none')")
 
@@ -762,16 +768,41 @@ def build_space(cfg: dict):
     return space
 
 
-def build_kernel(cfg: dict, space):
-    kname = cfg["kernel"]["name"]
+def load_user_matrix(cfg: dict) -> Kernel:
+    """The kernel file of a ``user_matrix`` config, with ``grid`` and ``action`` applied.
+
+    The file's space is the grid: a ``grid`` must count as many points, and
+    ``action: none`` drops the file's group action.  Checks that need an
+    action are rejected for a file without one.
+    """
     params = cfg["kernel"].get("params", {})
-    if kname == "user_matrix":
-        if "path" not in params:
-            raise ConfigError("kernel/params/path: user_matrix needs a kernel file")
-        return iio.load_kernel(params["path"])
+    if "path" not in params:
+        raise ConfigError("kernel/params/path: user_matrix needs a kernel file")
+    try:
+        kernel = iio.load_kernel(params["path"])
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"kernel/params/path: {exc}") from exc
+    if "grid" in cfg and int(np.prod(_grid_axes(cfg))) != kernel.size:
+        raise ConfigError(
+            f"grid/n: {cfg['grid']['n']} does not count the {kernel.size} points of the kernel file"
+        )
+    if cfg.get("action", {}).get("name") == "none":
+        space = kernel.space
+        space = IndexSpace(space.points, space.weights, action=None, name=space.name)
+        kernel = Kernel(space, kernel.matrix, name=kernel.name)
+    needs = [c for c in cfg["checks"] if CHECKS[c].action]
+    if kernel.space.action is None and needs:
+        raise ConfigError(f"checks: {needs} need a group action; the kernel file has none")
+    return kernel
+
+
+def build_kernel(cfg: dict) -> Kernel:
+    if cfg["kernel"]["name"] == "user_matrix":
+        return load_user_matrix(cfg)
+    space = build_space(cfg)
     if isinstance(space, TorusGrid):
         return torus_watson(space)
-    return builtin_kernel(kname, space)
+    return builtin_kernel(cfg["kernel"]["name"], space)
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +815,8 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
     Returns the per-check reports and, for each check that completed with a
     table, its CSV rows.
     """
-    space = build_space(cfg)
-    kernel = build_kernel(cfg, space)
-    space = kernel.space  # user_matrix kernels carry their own space
+    kernel = build_kernel(cfg)
+    space = kernel.space
     table = character_table(space.action.group) if space.action is not None else None
     ctx = {"space": space, "kernel": kernel, "table": table}
 

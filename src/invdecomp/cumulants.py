@@ -27,8 +27,7 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     check_invariance,
-    project_kernel,
-    weighted_diag_trace,
+    decompose_kernel,
     weighted_traces,
 )
 
@@ -210,10 +209,10 @@ def watson_relation_check(
 
     nd = len(table)
     full = weighted_traces(kernel, n_max)
-    traces = {}
-    for p in table:
-        comp = project_kernel(kernel, p, p)
-        traces[p.label] = tuple(weighted_traces(comp, n_max))
+    traces = {
+        label: tuple(weighted_traces(comp, n_max))
+        for label, comp in decompose_kernel(kernel, table).items()
+    }
 
     vacuous = tuple(n for n in range(1, n_max + 1) if k_coeff(n, rho) == 0.0)
     cii_dev, ciii_dev = {}, {}

@@ -15,7 +15,7 @@ are all verified with plain array arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,10 +30,8 @@ __all__ = [
     "direct_product",
     "character_table",
     "character_inner",
-    "convolve",
     "project_path",
     "check_action",
-    "group_to_dict",
     "group_from_dict",
 ]
 
@@ -65,8 +63,8 @@ class FiniteGroup:
     name : str
         Display name, e.g. ``"Z2"`` or ``"Z2 x Z3"``.
     table : CharacterTable, optional
-        Attached by the built-in constructors; ``character_table`` falls back
-        to recovering it from the regular representation when absent.
+        Attached by the built-in constructors and by :func:`group_from_dict`
+        when the data lists its irreps; ``character_table`` reads it.
     """
 
     mul: np.ndarray
@@ -101,9 +99,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return self.mul.shape[0]
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     def __repr__(self) -> str:  # keep array dumps out of test output
         return f"FiniteGroup(name={self.name!r}, order={self.order})"
@@ -266,71 +261,16 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return g
 
 
-def _abelian_table_from_regular(group: FiniteGroup, tol: float) -> CharacterTable:
-    # Characters of an abelian group are the common eigenvectors of all
-    # translation operators; a generic linear combination separates them.
-    n = group.order
-    rng = np.random.default_rng(0x1D)
-    coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    m = np.zeros((n, n), dtype=np.complex128)
-    for g in range(n):
-        # left translation L_g: (L_g f)(u) = f(g^{-1} u)
-        m[np.arange(n), group.mul[group.inv[g]]] += coeff[g]
-    _, vecs = np.linalg.eig(m)
-    irreps = []
-    seen: list[np.ndarray] = []
-    elem_order = np.ones(n, dtype=int)
-    for a in range(n):
-        x, k = a, 1
-        while x != group.identity:
-            x, k = group.mul[x, a], k + 1
-        elem_order[a] = k
-    for col in vecs.T:
-        chi = col / col[group.identity]
-        chi = np.array(
-            [_snap_root_of_unity(chi[a], int(elem_order[a])) for a in range(n)]
-        )
-        if any(np.max(np.abs(chi - s)) < 1e-8 for s in seen):
-            continue
-        if np.max(np.abs(chi[group.mul] - np.outer(chi, chi))) > 1e-8:
-            raise GroupError("failed to recover a multiplicative character")
-        seen.append(chi)
-        trivial = np.allclose(chi, 1)
-        label = "triv" if trivial else f"chi{sum(1 for p in irreps if p.label != 'triv')+1}"
-        irreps.append(Irrep(label, 1, chi))
-    if len(irreps) != n:
-        raise GroupError(f"recovered {len(irreps)} characters, expected {n}")
-    irreps.sort(key=lambda p: (p.label != "triv", p.label))
-    return CharacterTable(group, tuple(irreps), tol=tol)
+def character_table(group: FiniteGroup) -> CharacterTable:
+    """The character table attached to ``group``.
 
-
-def character_table(group: FiniteGroup, tol: float = DEFAULT_TOL) -> CharacterTable:
-    """Character table of ``group``.
-
-    Uses the table attached by the built-in constructors when present;
-    otherwise recovers all 1-dim characters from the regular representation
-    (abelian groups only — for non-abelian groups supply a validated
-    ``CharacterTable`` directly).
+    The built-in constructors attach a validated table, and
+    :func:`group_from_dict` attaches the one its data lists.  A group without
+    one raises :class:`GroupError`; no table is derived from the Cayley data.
     """
-    if group.table is not None:
-        return group.table
-    if not group.is_abelian():
-        raise NotImplementedError(
-            "automatic tables only for abelian groups; pass a CharacterTable"
-        )
-    table = _abelian_table_from_regular(group, tol)
-    object.__setattr__(group, "table", table)
-    return table
-
-
-def convolve(f: np.ndarray, k: np.ndarray, group: FiniteGroup) -> np.ndarray:
-    """Group convolution (f * k)(u) = (1/|G|) sum_g f(g) k(g^{-1} u)."""
-    f = np.asarray(f)
-    k = np.asarray(k)
-    n = group.order
-    if f.shape != (n,) or k.shape != (n,):
-        raise GroupError(f"expected length-{n} functions")
-    return f @ k[group.mul[group.inv]] / n
+    if group.table is None:
+        raise GroupError(f"group {group.name or '?'} has no character table (irreps)")
+    return group.table
 
 
 @dataclass(frozen=True)
@@ -431,36 +371,14 @@ def project_path(z: np.ndarray, action: GroupAction, irrep: Irrep) -> np.ndarray
     return out
 
 
-def group_to_dict(
-    group: FiniteGroup,
-    action: Optional[GroupAction] = None,
-) -> dict:
-    """JSON-ready dict: Cayley data, character table, optional action."""
-    d = {
-        "order": group.order,
-        "identity": int(group.identity),
-        "name": group.name,
-        "mul": [int(x) for x in group.mul.ravel()],
-        "inv": [int(x) for x in group.inv],
-    }
-    if group.table is not None:
-        d["irreps"] = [
-            {
-                "label": p.label,
-                "dim": p.dim,
-                "re": [float(x) for x in p.values.real],
-                "im": [float(x) for x in p.values.imag],
-            }
-            for p in group.table
-        ]
-    if action is not None:
-        d["perm"] = [int(x) for x in action.perm.ravel()]
-        d["npoints"] = action.npoints
-    return d
-
-
 def group_from_dict(d: dict) -> tuple[FiniteGroup, Optional[GroupAction]]:
-    """Inverse of group_to_dict; revalidates everything on load."""
+    """Group (and optional action) from JSON-ready Cayley data.
+
+    Keys: ``order``, ``mul`` (row-major Cayley table), ``inv``, optional
+    ``identity`` and ``name``, ``irreps`` (each ``label``, ``dim``, ``re``,
+    ``im``), and ``perm`` with ``npoints`` for an action.  Everything is
+    revalidated on load.
+    """
     n = int(d["order"])
     mul = np.asarray(d["mul"], dtype=np.intp).reshape(n, n)
     inv = np.asarray(d["inv"], dtype=np.intp)

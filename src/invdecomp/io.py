@@ -1,92 +1,63 @@
-"""On-disk formats: JSON headers, float64 payloads, small CSV tables.
+"""Reader for ``user_matrix`` kernel files.
 
-Every artifact is a JSON header file plus (when there is bulk data) a
-sidecar payload named in the header.  Payloads are row-major float64,
-either raw binary or a CSV of ``%.17g`` numbers -- both round-trip doubles
-exactly.  Kernels above ``BINARY_CUTOFF`` entries default to binary.
+A kernel file is a JSON header plus a sidecar payload named in it.  The
+header holds ``kind`` (``"kernel"``), ``shape`` ``[m, m]``, ``format``
+(``"csv"`` or ``"binary"``), ``payload`` (a file name next to the header),
+an optional ``name``, and ``space``: ``points``, ``weights``, an optional
+``name`` and an optional ``group`` in the form :func:`group_from_dict`
+reads.  The payload is the row-major float64 matrix, either raw binary or
+a CSV of numbers; ``%.17g`` text round-trips doubles exactly.
+
+A ``group`` must list its ``irreps``, and its action must preserve the
+weights: the decomposition and its trace identities hold only under a
+measure-preserving action.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from invdecomp.groups import group_from_dict, group_to_dict
+from invdecomp.groups import check_action, group_from_dict
 from invdecomp.kernels import IndexSpace, Kernel, KernelError
-from invdecomp.sampling import PathEnsemble
-from invdecomp.spectral import Spectrum, spectrum_to_csv
-from invdecomp.torus import Lattice, TorusKernelSpec
-
-BINARY_CUTOFF = 1_000_000
 
 PathLike = Union[str, Path]
-
-
-def _write_payload(arr: np.ndarray, path: Path, fmt: str) -> None:
-    data = np.ascontiguousarray(arr, dtype=np.float64)
-    if fmt == "binary":
-        data.tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, data.reshape(data.shape[0], -1), fmt="%.17g", delimiter=",")
-    else:
-        raise KernelError(f"unknown payload format {fmt!r}")
 
 
 def _read_payload(path: Path, fmt: str, shape: tuple) -> np.ndarray:
     if fmt == "binary":
         data = np.fromfile(path, dtype=np.float64)
-    else:
+    elif fmt == "csv":
         data = np.loadtxt(path, delimiter=",", dtype=np.float64)
+    else:
+        raise KernelError(f"unknown payload format {fmt!r}")
     return data.reshape(shape)
 
 
-def space_to_dict(space: IndexSpace) -> dict:
-    d = {
-        "points": [[float(x) for x in row] for row in space.points],
-        "weights": [float(x) for x in space.weights],
-        "name": space.name,
-    }
-    if space.action is not None:
-        d["group"] = group_to_dict(space.action.group, space.action)
-    return d
-
-
 def space_from_dict(d: dict) -> IndexSpace:
+    """Index space of a kernel file, with its group action validated."""
     action = None
     if "group" in d:
-        _, action = group_from_dict(d["group"])
-    return IndexSpace(
+        group, action = group_from_dict(d["group"])
+        if group.table is None:
+            raise KernelError("space/group: the group must list its irreps")
+    space = IndexSpace(
         points=np.asarray(d["points"], dtype=float),
         weights=np.asarray(d["weights"], dtype=float),
         action=action,
         name=d.get("name", ""),
     )
-
-
-def save_kernel(kernel: Kernel, stem: PathLike, fmt: Optional[str] = None) -> Path:
-    """Write ``stem.json`` plus ``stem.bin`` or ``stem.csv``; returns the header path."""
-    stem = Path(stem)
-    m = kernel.space.size
-    if fmt is None:
-        fmt = "binary" if m * m > BINARY_CUTOFF else "csv"
-    payload = stem.with_suffix(".bin" if fmt == "binary" else ".csv")
-    header = {
-        "kind": "kernel",
-        "name": kernel.name,
-        "shape": [m, m],
-        "dtype": "float64",
-        "layout": "row-major",
-        "format": fmt,
-        "payload": payload.name,
-        "space": space_to_dict(kernel.space),
-    }
-    _write_payload(kernel.matrix, payload, fmt)
-    hpath = stem.with_suffix(".json")
-    hpath.write_text(json.dumps(header, sort_keys=True, indent=1))
-    return hpath
+    if action is not None:
+        rep = check_action(action, space.weights)
+        if not rep.ok:
+            raise KernelError(
+                "space/group: the action does not preserve the weights "
+                f"(max deviation {rep.max_weight_violation:.3e})"
+            )
+    return space
 
 
 def load_kernel(header_path: PathLike) -> Kernel:
@@ -99,97 +70,3 @@ def load_kernel(header_path: PathLike) -> Kernel:
         hpath.with_name(header["payload"]), header["format"], tuple(header["shape"])
     )
     return Kernel(space, mat, name=header.get("name", ""))
-
-
-def save_ensemble(ensemble: PathEnsemble, stem: PathLike) -> Path:
-    """Header JSON + row-major float64 binary of the (m, S) sample block."""
-    stem = Path(stem)
-    payload = stem.with_suffix(".bin")
-    header = {
-        "kind": "ensemble",
-        "shape": list(ensemble.samples.shape),
-        "dtype": "float64",
-        "layout": "row-major",
-        "seed": ensemble.seed,
-        "factorization_rank": ensemble.factorization_rank,
-        "payload": payload.name,
-        "space": space_to_dict(ensemble.space),
-    }
-    _write_payload(ensemble.samples, payload, "binary")
-    hpath = stem.with_suffix(".json")
-    hpath.write_text(json.dumps(header, sort_keys=True, indent=1))
-    return hpath
-
-
-def load_ensemble(header_path: PathLike) -> PathEnsemble:
-    hpath = Path(header_path)
-    header = json.loads(hpath.read_text())
-    if header.get("kind") != "ensemble":
-        raise KernelError(f"{hpath} is not an ensemble header")
-    samples = _read_payload(
-        hpath.with_name(header["payload"]), "binary", tuple(header["shape"])
-    )
-    return PathEnsemble(
-        space=space_from_dict(header["space"]),
-        samples=samples,
-        seed=int(header["seed"]),
-        factorization_rank=int(header["factorization_rank"]),
-    )
-
-
-def save_functional_csv(values: np.ndarray, path: PathLike) -> Path:
-    """Single-column CSV, one functional sample per line, exact precision."""
-    path = Path(path)
-    np.savetxt(path, np.asarray(values, dtype=np.float64), fmt="%.17g")
-    return path
-
-
-def load_functional_csv(path: PathLike) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path, dtype=np.float64))
-
-
-def save_spectrum(
-    spectrum: Spectrum,
-    stem: PathLike,
-    splits=None,
-    with_basis: bool = False,
-) -> Path:
-    """Spectrum CSV (k, lambda, cluster_id, irrep_label); basis optionally as binary."""
-    stem = Path(stem)
-    path = stem.with_suffix(".csv")
-    path.write_text(spectrum_to_csv(spectrum, splits))
-    if with_basis:
-        _write_payload(spectrum.basis, stem.with_suffix(".basis.bin"), "binary")
-    return path
-
-
-def save_group(group, path: PathLike, action=None) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(group_to_dict(group, action), sort_keys=True, indent=1))
-    return path
-
-
-def load_group(path: PathLike):
-    return group_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_torus_spec(spec: TorusKernelSpec, path: PathLike) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(spec.to_dict(), sort_keys=True, indent=1))
-    return path
-
-
-def load_torus_spec(path: PathLike) -> TorusKernelSpec:
-    d = json.loads(Path(path).read_text())
-    coeffs = d["coefficients"]
-    return TorusKernelSpec(
-        lattice=Lattice(np.asarray(d["basis"], dtype=float)),
-        vectors=np.asarray([c["v*"] for c in coeffs], dtype=int),
-        eigenvalues=np.asarray([c["a_v"] for c in coeffs], dtype=float),
-        fourier_coeffs=np.asarray(
-            [c.get("fourier_coeff", c["a_v"]) for c in coeffs], dtype=float
-        ),
-        sine_dev=float(d.get("sine_dev", 0.0)),
-        cutoff=int(d["cutoff"]),
-        grid_shape=tuple(int(n) for n in d.get("grid", ())),
-    )

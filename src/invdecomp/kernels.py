@@ -26,18 +26,16 @@ so that ``weighted_diag_trace(contract_power(K, n)) == trace((D K)^n)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from invdecomp.groups import (
-    DEFAULT_TOL,
-    FiniteGroup,
     GroupAction,
-    GroupError,
     Irrep,
     cyclic_group,
     direct_product,
+    project_path,
 )
 
 __all__ = [
@@ -296,45 +294,39 @@ def check_invariance(kernel: Kernel, tol: float = 1e-9) -> tuple[bool, float]:
     return dev <= tol, dev
 
 
-def _project_axis(mat: np.ndarray, action: GroupAction, irrep: Irrep, axis: int) -> np.ndarray:
-    group = action.group
-    chi = irrep.values.real if irrep.real_valued else irrep.values
-    if not irrep.real_valued:
-        mat = mat.astype(np.complex128, copy=False)
-    inv_perm = action.perm[group.inv]
-    out = chi[0] * np.take(mat, inv_perm[0], axis=axis)
-    for g in range(1, group.order):
-        out += chi[g] * np.take(mat, inv_perm[g], axis=axis)
-    out *= irrep.dim / group.order
-    return out
-
-
-def project_kernel(kernel: Kernel, pi: Irrep, sigma: Irrep):
+def project_kernel(kernel: Kernel, pi: Irrep, sigma: Irrep) -> np.ndarray:
     """Project a kernel onto the (pi, sigma) character pair.
 
     Applies the path projection in each argument:
 
         R_{pi,sigma}(y1, y2) =
           (d_pi d_sigma / |G|^2) * sum_{g1,g2} chi_pi(g1) chi_sigma(g2)
-                                   R(g1^{-1}.y1, g2^{-1}.y2).
+                                   R(g1^{-1}.y1, g2^{-1}.y2),
 
-    Returns a :class:`Kernel` when ``pi is sigma`` and the character is real
-    (the projected matrix is then a covariance); otherwise the raw matrix.
-    Cross projections of an invariant kernel vanish for real characters.
+    that is :func:`invdecomp.groups.project_path` on the rows, then on the
+    columns.  Returns the matrix, real when both characters are.  Of an
+    invariant kernel only the pairs (pi, conj pi) survive, so for real
+    characters every cross projection vanishes.
     """
     action = kernel.space.action
     if action is None:
         raise KernelError("space has no bound action")
-    out = _project_axis(kernel.matrix, action, pi, axis=0)
-    out = _project_axis(out, action, sigma, axis=1)
-    if pi is sigma and pi.real_valued:
-        return Kernel(kernel.space, out, name=f"{kernel.name}[{pi.label}]")
-    return out
+    rows = project_path(kernel.matrix, action, pi)
+    return project_path(rows.T, action, sigma).T
 
 
 def decompose_kernel(kernel: Kernel, table) -> dict:
-    """All diagonal projections R_{pi,pi}, keyed by irrep label."""
-    return {p.label: project_kernel(kernel, p, p) for p in table}
+    """All diagonal projections R_{pi,pi} as kernels, keyed by irrep label.
+
+    A block P K P^T with a real projection P is again a covariance; complex
+    characters are rejected.
+    """
+    if not table.real_valued():
+        raise KernelError("diagonal blocks are kernels only for real characters")
+    return {
+        p.label: Kernel(kernel.space, project_kernel(kernel, p, p), f"{kernel.name}[{p.label}]")
+        for p in table
+    }
 
 
 def _same_space(a: IndexSpace, b: IndexSpace) -> None:

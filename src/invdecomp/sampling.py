@@ -57,6 +57,7 @@ __all__ = [
     "quadratic_functional",
     "DistributionComparison",
     "compare_distributions",
+    "null_ks_critical",
     "kstat_variances",
     "duplication_check",
     "quadruplication_check",
@@ -162,9 +163,6 @@ class PathEnsemble:
     @property
     def count(self) -> int:
         return self.samples.shape[1]
-
-    def empirical_covariance(self) -> np.ndarray:
-        return (self.samples @ self.samples.T) / self.count
 
     def __repr__(self) -> str:
         return f"PathEnsemble(m={self.space.size}, count={self.count}, seed={self.seed})"
@@ -345,6 +343,12 @@ def compare_distributions(a: np.ndarray, b: np.ndarray) -> DistributionCompariso
     )
 
 
+def null_ks_critical(count: int) -> float:
+    """Null two-sample KS critical value for two samples of ``count`` each:
+    the sqrt(2 / count) quantile scaling, slightly above its 99.9% point."""
+    return 2.2 * np.sqrt(2.0 / count)
+
+
 def kstat_variances(kappas: Sequence[float], count: int) -> np.ndarray:
     """Sampling variances of k-statistics of orders 1..4.
 
@@ -401,8 +405,7 @@ def _law_report(
     tol = noise + systematic
     gaps = np.abs(np.asarray(cmp_.cumulant_gaps))
     if ks_tol is None:
-        # null two-sample KS quantile scaling, slightly above the 99.9% point
-        ks_tol = 2.2 * np.sqrt(2.0 / count)
+        ks_tol = null_ks_critical(count)
     passes = {
         "ks": bool(cmp_.ks_distance < ks_tol),
         "cumulants": bool(np.all(gaps[:orders] <= tol[:orders])),

@@ -58,9 +58,6 @@ class Spectrum:
     def size(self) -> int:
         return len(self.eigenvalues)
 
-    def cluster_values(self) -> list[float]:
-        return [float(self.eigenvalues[a]) for a, _ in self.clusters]
-
     def __repr__(self) -> str:
         return f"Spectrum(size={self.size}, clusters={len(self.clusters)})"
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from invdecomp.groups import GroupAction, cyclic_group
 from invdecomp.kernels import IndexSpace, Kernel, KernelError
-from invdecomp.sampling import PathEnsemble, compare_distributions, sample
+from invdecomp.sampling import PathEnsemble, compare_distributions, null_ks_critical, sample
 
 __all__ = [
     "Lattice",
@@ -58,10 +58,6 @@ class Lattice:
     def volume(self) -> float:
         """Fundamental-domain volume |det V|."""
         return float(abs(np.linalg.det(self.basis)))
-
-    @property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.basis))
 
     def to_dict(self) -> dict:
         return {"basis": [[float(x) for x in row] for row in self.basis], "name": self.name}
@@ -402,7 +398,7 @@ def torus_watson_check(
 
     cmp_ = compare_distributions(e1, e2)
     if ks_tol is None:
-        ks_tol = 2.2 * np.sqrt(2.0 / count)
+        ks_tol = null_ks_critical(count)
 
     fixed = np.flatnonzero(grid.action.perm[1] == np.arange(grid.size))
     fixed_dev = float(np.max(np.abs(x1.samples[fixed]))) if fixed.size else 0.0

@@ -1,0 +1,50 @@
+"""The public surface: exports resolve, and the benchmark's traced names exist."""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import invdecomp
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules():
+    names = [m.name for m in pkgutil.iter_modules(invdecomp.__path__)]
+    return [importlib.import_module(f"invdecomp.{name}") for name in names]
+
+
+def test_every_export_resolves():
+    for mod in _modules():
+        names = list(getattr(mod, "__all__", ()))
+        assert len(names) == len(set(names)), f"{mod.__name__}: duplicate __all__ entries"
+        missing = [n for n in names if not hasattr(mod, n)]
+        assert not missing, f"{mod.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_package_reexports_are_module_exports():
+    tree = ast.parse(Path(invdecomp.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module(node.module)
+        for alias in node.names:
+            assert alias.name in mod.__all__, f"{node.module}.{alias.name} is not exported"
+            assert getattr(invdecomp, alias.name) is getattr(mod, alias.name)
+
+
+def test_traced_spans_exist():
+    """Every (module, attribute) the benchmark tracer wraps is defined."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANS
+    for modname, attr in tracer.SPANS:
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{modname}.{attr} is traced but not defined"
+            obj = getattr(obj, part)
+        assert callable(obj)

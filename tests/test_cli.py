@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-import invdecomp.io as iio
 from invdecomp.cli import (
     DEFAULT_TOLERANCES,
     PRESETS,
     main,
     resolve_tolerances,
 )
-from invdecomp.kernels import Kernel, make_interval_grid
+from invdecomp.kernels import builtin_kernel, make_interval_grid
 
 
 def write_config(tmp_path, name="cfg", **overrides):
@@ -239,14 +238,13 @@ def test_spectrum_compares_only_the_oracle_rows_the_grid_has(tmp_path, capsys):
     assert 0 < len(rows) <= 8
 
 
-def test_failed_gate_skips_dependents(tmp_path, capsys):
+def test_failed_gate_skips_dependents(tmp_path, capsys, kernel_file):
     r = np.random.default_rng(7)
     a = r.normal(size=(16, 16))
-    k = Kernel(make_interval_grid(16), a @ a.T / 16, name="random")
-    iio.save_kernel(k, tmp_path / "rand")
+    path = kernel_file(a @ a.T / 16, stem="rand")
     cfg = write_config(
         tmp_path,
-        kernel={"name": "user_matrix", "params": {"path": str(tmp_path / "rand.json")}},
+        kernel={"name": "user_matrix", "params": {"path": str(path)}},
         grid={"kind": "interval", "n": 16},
         checks=["invariance", "watson_relation"],
         output={"dir": str(tmp_path / "out")},
@@ -257,6 +255,79 @@ def test_failed_gate_skips_dependents(tmp_path, capsys):
     assert report["checks"]["watson_relation"]["status"] == "skipped"
     assert report["checks"]["watson_relation"]["skipped_due_to"] == "invariance"
     assert "[SKIP] watson_relation" in capsys.readouterr().out
+
+
+def _watson16_file(kernel_file, **kwargs):
+    return kernel_file(builtin_kernel("watson", make_interval_grid(16)).matrix, **kwargs)
+
+
+def _user_matrix_config(tmp_path, path, **overrides):
+    overrides.setdefault("grid", {"kind": "interval", "n": 16})
+    return write_config(
+        tmp_path,
+        kernel={"name": "user_matrix", "params": {"path": str(path)}},
+        output={"dir": str(tmp_path / "out")},
+        **overrides,
+    )
+
+
+def test_user_matrix_rejects_weights_the_action_moves(tmp_path, capsys, kernel_file):
+    w = np.linspace(1.0, 2.0, 16)
+    path = _watson16_file(kernel_file, weights=w / w.sum())
+    cfg = _user_matrix_config(tmp_path, path, checks=["invariance", "watson_relation"])
+    assert main(["run", str(cfg)]) == 2
+    assert "does not preserve the weights" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_user_matrix_rejects_a_group_without_irreps(tmp_path, capsys, kernel_file):
+    path = _watson16_file(kernel_file)
+    meta = json.loads(path.read_text())
+    del meta["space"]["group"]["irreps"]
+    path.write_text(json.dumps(meta))
+    cfg = _user_matrix_config(tmp_path, path, checks=["invariance", "decomposition"])
+    assert main(["run", str(cfg)]) == 2
+    assert "irreps" in capsys.readouterr().err
+
+
+def test_user_matrix_rejects_a_grid_of_another_size(tmp_path, capsys, kernel_file):
+    cfg = _user_matrix_config(
+        tmp_path, _watson16_file(kernel_file), grid={"kind": "interval", "n": 999}
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "16 points of the kernel file" in capsys.readouterr().err
+
+
+def test_user_matrix_rejects_a_missing_file(tmp_path, capsys):
+    cfg = _user_matrix_config(tmp_path, tmp_path / "absent.json")
+    assert main(["run", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_user_matrix_action_none_drops_the_files_action(tmp_path, kernel_file):
+    cfg = _user_matrix_config(
+        tmp_path, _watson16_file(kernel_file), action={"name": "none"}, checks=["spectrum"]
+    )
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "eigenspace_invariance" not in report["checks"]["spectrum"]
+    assert "canonical" not in report["checks"]["spectrum"]
+
+
+def test_user_matrix_without_a_group_rejects_checks_that_need_one(tmp_path, capsys, kernel_file):
+    cfg = _user_matrix_config(
+        tmp_path, _watson16_file(kernel_file, group=None), checks=["decomposition"]
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert "the kernel file has none" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["reversal", "negation"])
+def test_user_matrix_takes_no_other_action(tmp_path, capsys, kernel_file, action):
+    cfg = _user_matrix_config(tmp_path, _watson16_file(kernel_file), action={"name": action})
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert "user_matrix kernel takes its file's action" in capsys.readouterr().err
 
 
 def test_gate_is_auto_appended(tmp_path):

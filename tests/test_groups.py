@@ -1,20 +1,21 @@
 """Cayley tables, characters, and path projections for small abelian groups."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invdecomp.groups import (
+    FiniteGroup,
     GroupError,
     character_inner,
     character_table,
     check_action,
-    convolve,
     cyclic_group,
     direct_product,
     group_from_dict,
-    group_to_dict,
     project_path,
 )
 from invdecomp.kernels import make_interval_grid
@@ -89,34 +90,19 @@ def test_characters_are_homomorphisms(group):
         assert np.allclose(chi[group.mul], np.outer(chi, chi), atol=1e-12)
 
 
+def test_character_table_needs_an_attached_table():
+    z2 = cyclic_group(2)
+    bare = FiniteGroup(z2.mul, z2.inv, name="bare")
+    with pytest.raises(GroupError, match="no character table"):
+        character_table(bare)
+
+
 def test_real_valuedness_flags():
     t3 = character_table(cyclic_group(3))
     flags = {ir.label: ir.real_valued for ir in t3.irreps}
     assert flags == {"triv": True, "chi1": False, "chi2": False}
     t2 = character_table(cyclic_group(2))
     assert all(ir.real_valued for ir in t2.irreps)
-
-
-# ---------------------------------------------------------------- convolution
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30)
-def test_convolve_matches_double_loop(n, seed):
-    g = cyclic_group(n)
-    r = np.random.default_rng(seed)
-    f, k = r.normal(size=n), r.normal(size=n)
-    got = convolve(f, k, g)
-    want = np.zeros(n)
-    for u in range(n):
-        for h in range(n):
-            want[u] += f[h] * k[g.mul[g.inv[h], u]]
-    assert np.allclose(got, want / n, atol=1e-13)
-
-
-def test_convolve_shape_check():
-    with pytest.raises(GroupError):
-        convolve(np.ones(3), np.ones(4), cyclic_group(4))
 
 
 # ---------------------------------------------------------------- actions
@@ -187,10 +173,23 @@ def test_complex_characters_still_sum_to_identity():
 
 
 def test_group_dict_round_trip():
+    """group_from_dict rebuilds a group, its table and its action from JSON data."""
     sp = make_interval_grid(12)
     g = sp.action.group
-    d = group_to_dict(g, sp.action)
-    g2, act2 = group_from_dict(d)
+    d = {
+        "order": g.order,
+        "identity": g.identity,
+        "name": g.name,
+        "mul": g.mul.ravel().tolist(),
+        "inv": g.inv.tolist(),
+        "irreps": [
+            {"label": p.label, "dim": p.dim, "re": p.values.real.tolist(), "im": p.values.imag.tolist()}
+            for p in g.table
+        ],
+        "perm": sp.action.perm.ravel().tolist(),
+        "npoints": sp.action.npoints,
+    }
+    g2, act2 = group_from_dict(json.loads(json.dumps(d)))
     assert np.array_equal(g.mul, g2.mul)
     assert np.array_equal(g.inv, g2.inv)
     assert g2.identity == g.identity

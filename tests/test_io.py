@@ -1,7 +1,9 @@
-"""Round-trip fidelity for kernels, ensembles, spectra, groups, and specs.
+"""On-disk formats: the user_matrix kernel reader, and the spectrum and
+torus-spec tables the runner writes.
 
-Everything numeric must survive a save/load cycle bitwise: binary payloads
-verbatim, csv payloads via %.17g (exact for doubles)."""
+Kernel files are written by hand here (a JSON header plus a csv or binary
+payload); numbers must load bitwise: binary payloads verbatim, csv payloads
+via %.17g (exact for doubles)."""
 
 import json
 
@@ -9,10 +11,9 @@ import numpy as np
 import pytest
 
 import invdecomp.io as iio
-from invdecomp.groups import character_table, group_to_dict
-from invdecomp.kernels import builtin_kernel, make_interval_grid
-from invdecomp.sampling import pair_functional, sample
-from invdecomp.spectral import canonical_decomposition, eigendecompose
+from invdecomp.groups import character_table
+from invdecomp.kernels import KernelError, builtin_kernel, make_interval_grid
+from invdecomp.spectral import canonical_decomposition, eigendecompose, spectrum_to_csv
 from invdecomp.torus import Lattice, fourier_kl, torus_grid, torus_watson
 
 
@@ -25,38 +26,44 @@ def watson16():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_kernel_round_trip(tmp_path, watson16, fmt):
-    header = iio.save_kernel(watson16, tmp_path / "k", fmt=fmt)
-    loaded = iio.load_kernel(header)
+def test_kernel_round_trip(kernel_file, watson16, fmt):
+    loaded = iio.load_kernel(kernel_file(watson16.matrix, fmt=fmt))
     assert np.array_equal(loaded.matrix, watson16.matrix)
     assert np.array_equal(loaded.space.points, watson16.space.points)
     assert np.array_equal(loaded.space.weights, watson16.space.weights)
-    assert loaded.name == watson16.name
+    assert loaded.name == "k"
 
 
-def test_kernel_round_trip_preserves_action(tmp_path, watson16):
-    loaded = iio.load_kernel(iio.save_kernel(watson16, tmp_path / "k"))
+def test_kernel_round_trip_preserves_action(kernel_file, watson16):
+    loaded = iio.load_kernel(kernel_file(watson16.matrix))
     assert loaded.space.action is not None
     assert np.array_equal(loaded.space.action.perm, watson16.space.action.perm)
     assert np.array_equal(
         loaded.space.action.group.mul, watson16.space.action.group.mul
     )
+    assert character_table(loaded.space.action.group).labels == ["triv", "sign"]
 
 
-def test_kernel_header_contents(tmp_path, watson16):
-    header = iio.save_kernel(watson16, tmp_path / "k", fmt="csv")
+def test_kernel_header_contents(kernel_file, watson16):
+    """Name, shape, format and payload come from the header, of kind "kernel" only."""
+    header = kernel_file(watson16.matrix, fmt="binary", stem="named")
+    loaded = iio.load_kernel(header)
+    assert loaded.name == "named"
+    assert loaded.matrix.shape == (16, 16)
     meta = json.loads(header.read_text())
-    assert meta["kind"] == "kernel"
-    assert meta["shape"] == [16, 16]
-    assert meta["dtype"] == "float64"
-    assert meta["format"] == "csv"
-    assert (tmp_path / meta["payload"]).exists()
+    meta["kind"] = "ensemble"
+    header.write_text(json.dumps(meta))
+    with pytest.raises(KernelError, match="not a kernel header"):
+        iio.load_kernel(header)
 
 
-def test_small_kernel_defaults_to_csv(tmp_path, watson16):
-    header = iio.save_kernel(watson16, tmp_path / "k")
-    assert json.loads(header.read_text())["format"] == "csv"
-    assert (tmp_path / "k.csv").exists()
+def test_unknown_payload_format_is_rejected(kernel_file, watson16):
+    header = kernel_file(watson16.matrix)
+    meta = json.loads(header.read_text())
+    meta["format"] = "npy"
+    header.write_text(json.dumps(meta))
+    with pytest.raises(KernelError, match="payload format"):
+        iio.load_kernel(header)
 
 
 def test_load_kernel_missing_file(tmp_path):
@@ -64,31 +71,25 @@ def test_load_kernel_missing_file(tmp_path):
         iio.load_kernel(tmp_path / "absent.json")
 
 
-# ---------------------------------------------------------------- ensembles
+def test_group_without_irreps_is_rejected(kernel_file, watson16):
+    header = kernel_file(watson16.matrix)
+    meta = json.loads(header.read_text())
+    del meta["space"]["group"]["irreps"]
+    header.write_text(json.dumps(meta))
+    with pytest.raises(KernelError, match="irreps"):
+        iio.load_kernel(header)
 
 
-def test_ensemble_round_trip(tmp_path, watson16):
-    ens = sample(watson16, 37, seed=4)
-    loaded = iio.load_ensemble(iio.save_ensemble(ens, tmp_path / "e"))
-    assert np.array_equal(loaded.samples, ens.samples)
-    assert loaded.seed == 4
-    assert loaded.factorization_rank == ens.factorization_rank
-    assert np.array_equal(loaded.space.weights, ens.space.weights)
+def test_action_must_preserve_the_weights(kernel_file, watson16):
+    w = np.linspace(1.0, 2.0, 16)
+    header = kernel_file(watson16.matrix, weights=w / w.sum())
+    with pytest.raises(KernelError, match="does not preserve the weights"):
+        iio.load_kernel(header)
 
 
-# -------------------------------------------------------------- functionals
-
-
-def test_functional_csv_round_trip(tmp_path, watson16):
-    j = pair_functional(watson16, 1.0, 500, seed=1)
-    path = iio.save_functional_csv(j, tmp_path / "j.csv")
-    assert np.array_equal(iio.load_functional_csv(path), j)
-
-
-def test_functional_csv_is_single_column(tmp_path):
-    path = iio.save_functional_csv(np.array([1.5, -2.25]), tmp_path / "j.csv")
-    lines = path.read_text().strip().splitlines()
-    assert lines == ["1.5", "-2.25"]
+def test_file_without_group_has_no_action(kernel_file, watson16):
+    loaded = iio.load_kernel(kernel_file(watson16.matrix, group=None))
+    assert loaded.space.action is None
 
 
 # ------------------------------------------------------------------ spectra
@@ -97,7 +98,8 @@ def test_functional_csv_is_single_column(tmp_path):
 def test_spectrum_csv_file(tmp_path, watson16):
     s = eigendecompose(watson16)
     splits = canonical_decomposition(s, character_table(watson16.space.action.group))
-    path = iio.save_spectrum(s, tmp_path / "spec", splits=splits)
+    path = tmp_path / "spec.csv"
+    path.write_text(spectrum_to_csv(s, splits))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,lambda,cluster_id,irrep_label"
     assert len(lines) == 17
@@ -105,46 +107,13 @@ def test_spectrum_csv_file(tmp_path, watson16):
     assert lam == s.eigenvalues[0]  # %.17g survives exactly
 
 
-def test_spectrum_with_basis(tmp_path, watson16):
-    s = eigendecompose(watson16)
-    iio.save_spectrum(s, tmp_path / "spec", with_basis=True)
-    raw = np.fromfile(tmp_path / "spec.basis.bin").reshape(16, 16)
-    assert np.array_equal(raw, s.basis)
-
-
-# ------------------------------------------------------------------- groups
-
-
-def test_group_file_round_trip(tmp_path):
-    sp = make_interval_grid(10)
-    path = iio.save_group(sp.action.group, tmp_path / "g.json", action=sp.action)
-    group, action = iio.load_group(path)
-    assert np.array_equal(group.mul, sp.action.group.mul)
-    assert np.array_equal(action.perm, sp.action.perm)
-    # the dict matches the in-memory serialization exactly
-    assert json.loads(path.read_text()) == group_to_dict(sp.action.group, sp.action)
-
-
 # -------------------------------------------------------------- torus specs
 
 
-def test_torus_spec_round_trip(tmp_path):
-    g = torus_grid(Lattice(np.eye(1)), 32)
-    spec = fourier_kl(torus_watson(g).matrix[0], g, 9)
-    path = iio.save_torus_spec(spec, tmp_path / "spec.json")
-    loaded = iio.load_torus_spec(path)
-    assert np.array_equal(loaded.vectors, spec.vectors)
-    assert np.array_equal(loaded.eigenvalues, spec.eigenvalues)
-    assert np.array_equal(loaded.fourier_coeffs, spec.fourier_coeffs)
-    assert loaded.cutoff == 9
-    assert loaded.sine_dev == spec.sine_dev
-    assert np.array_equal(loaded.lattice.basis, np.eye(1))
-
-
-def test_torus_spec_json_shape(tmp_path):
+def test_torus_spec_json_shape():
     g = torus_grid(Lattice(np.diag([2.0, 1.0])), [8, 8])
     spec = fourier_kl(torus_watson(g).matrix[0], g, 2)
-    d = json.loads(iio.save_torus_spec(spec, tmp_path / "s.json").read_text())
+    d = json.loads(json.dumps(spec.to_dict()))
     assert d["grid"] == [8, 8]
     assert d["basis"] == [[2.0, 0.0], [0.0, 1.0]]
     assert d["dual_basis"] == [[0.5, 0.0], [0.0, 1.0]]

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from invdecomp.groups import character_table
+from invdecomp.groups import character_table, cyclic_group
 from invdecomp.kernels import (
     BUILTIN_KERNELS,
     IndexSpace,
@@ -197,6 +197,11 @@ def test_cross_projections_vanish(watson64, z2_table):
     cross = project_kernel(watson64, triv, sign)
     assert isinstance(cross, np.ndarray)
     assert np.abs(cross).max() < 1e-14
+
+
+def test_decompose_kernel_rejects_complex_characters(watson64):
+    with pytest.raises(KernelError, match="real characters"):
+        decompose_kernel(watson64, character_table(cyclic_group(3)))
 
 
 def test_projected_kernels_are_orthogonal(watson64, z2_table):
