@@ -47,9 +47,11 @@ from invdecomp.kernels import (
     project_kernel,
 )
 from invdecomp.sampling import (
+    LAW_SAMPLES,
     duplication_check,
     pair_functional,
     kstat_variances,
+    null_ks_critical,
     quadruplication_check,
 )
 from invdecomp.spectral import (
@@ -121,6 +123,7 @@ def _run_stationarity(ctx, tols, cfg):
 
 
 def _run_decomposition(ctx, tols, cfg):
+    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it."""
     kernel, table = ctx["kernel"], ctx["table"]
     tol = tols["decomposition"]
     total = np.zeros_like(kernel.matrix)
@@ -129,9 +132,9 @@ def _run_decomposition(ctx, tols, cfg):
     for p in table:
         for q in table:
             mat = project_kernel(kernel, p, q)
-            if p is q:
+            if np.allclose(q.values, np.conj(p.values)):
                 total = total + mat
-                shares[p.label] = float(np.sum(np.diag(mat) * kernel.space.weights))
+                shares[p.label] = float(np.sum(np.diag(mat).real * kernel.space.weights))
             else:
                 cross = max(cross, float(np.max(np.abs(mat))))
     sum_dev = float(np.max(np.abs(total - kernel.matrix)))
@@ -737,6 +740,24 @@ def validate_config(cfg: dict) -> list[str]:
     return errors
 
 
+def _noise_notes(cfg: dict) -> list[str]:
+    """One note per in-law check whose KS tolerance is below the null KS
+    critical value at its sample count: such a check can fail on noise alone."""
+    tols = resolve_tolerances(cfg, 1.0)
+    notes = []
+    for name, default_count in LAW_SAMPLES.items():
+        if name not in cfg["checks"]:
+            continue
+        count = int(cfg.get("samples", default_count))
+        critical = null_ks_critical(count)
+        if tols[name] < critical:
+            notes.append(
+                f"note: {name} KS tolerance {tols[name]:g} is below the null KS critical "
+                f"value {critical:.4g} at {count} samples; it can fail on noise alone"
+            )
+    return notes
+
+
 def resolve_tolerances(cfg: dict, tol_scale: float) -> dict:
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(cfg.get("tolerances", {}))
@@ -983,6 +1004,8 @@ def main(argv=None) -> int:
                 print(f"config error: {p}", file=sys.stderr)
             return 2
         print("OK")
+        for note in _noise_notes(cfg):
+            print(note)
         return 0
     return run_command(args)
 

@@ -13,7 +13,10 @@ agree bitwise over full blocks, and to roundoff in a partial one, where
 BLAS may pick another kernel for another column count.  ``BLOCK`` is part
 of the contract: changing it changes the samples.  Realized samples differ
 from those of version 0.1.0, which keyed one stream per column; this rule
-holds from version 0.2.0.
+holds from version 0.2.0.  Every sampler draws its blocks through
+:func:`draw_block`: ``sample``, the streamed ``pair_functional`` and the
+streamed torus parity check (``invdecomp.torus.torus_watson_check``, stream
+0), so a block holds the same columns in all of them.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
@@ -66,6 +69,7 @@ __all__ = [
 BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
 RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor for the covariance factor
+LAW_SAMPLES = {"duplication": 100_000, "quadruplication": 50_000}  # default counts of the in-law checks
 
 
 def worker_count() -> int:
@@ -105,6 +109,17 @@ def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
     Callers apply the factor as l @ out.T.
     """
     Generator(Philox(key=_key(seed, stream, a // BLOCK))).standard_normal(out=out)
+
+
+def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
+    """Columns a, ..., b-1 of an ensemble with factor ``l``: one block of the contract.
+
+    ``a`` is the first column of a block and ``b`` at most its end.  Every
+    sampler draws through here, so every ensemble follows ``RNG_CONTRACT``.
+    """
+    xi = np.empty((b - a, l.shape[1]))
+    _fill_normals(xi, seed, stream, a)
+    return l @ xi.T
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:
@@ -205,9 +220,7 @@ def sample(
 
     def run(blk):
         a, b = blk
-        xi = np.empty((b - a, m))
-        _fill_normals(xi, seed, stream, a)
-        out[:, a:b] = l @ xi.T
+        out[:, a:b] = draw_block(l, seed, stream, a, b)
 
     _parallel(_blocks(count), run)
     return PathEnsemble(space=kernel.space, samples=out, seed=seed, factorization_rank=rank)
@@ -255,21 +268,14 @@ def pair_functional(
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     l, _ = covariance_factor(kernel)
-    m = kernel.size
     w = kernel.space.weights
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     out = np.empty(count)
 
     def run(blk):
         a, b = blk
-        xi = np.empty((b - a, m))
-        _fill_normals(xi, seed, streams[0], a)
-        z1 = l @ xi.T
-        if comp == 0.0:
-            z2 = z1
-        else:
-            _fill_normals(xi, seed, streams[1], a)
-            z2 = rho * z1 + comp * (l @ xi.T)
+        z1 = draw_block(l, seed, streams[0], a, b)
+        z2 = z1 if comp == 0.0 else rho * z1 + comp * draw_block(l, seed, streams[1], a, b)
         out[a:b] = w @ (z1 * z2)
 
     _parallel(_blocks(count), run)
@@ -432,7 +438,7 @@ def duplication_check(config: dict) -> dict:
     rho (default 1.0), seed (required), ks_tol (optional override).
     """
     grid = int(config.get("grid", 256))
-    count = int(config.get("samples", 100_000))
+    count = int(config.get("samples", LAW_SAMPLES["duplication"]))
     rho = float(config.get("rho", 1.0))
     seed = int(config["seed"])
     space = make_interval_grid(grid)
@@ -469,7 +475,7 @@ def quadruplication_check(config: dict) -> dict:
     rho (default 0.5), seed (required), ks_tol (optional).
     """
     grid = int(config.get("grid", 32))
-    count = int(config.get("samples", 50_000))
+    count = int(config.get("samples", LAW_SAMPLES["quadruplication"]))
     rho = float(config.get("rho", 0.5))
     seed = int(config["seed"])
     axis = make_interval_grid(grid)

@@ -5,19 +5,34 @@ cosines of dual-lattice frequencies, which is simultaneously their weighted
 eigenexpansion.  Sampling such a kernel and splitting each path into odd and
 even parts about negation yields two uncorrelated (hence independent)
 Gaussian processes whose quadratic functionals can be compared in law.
+
+A stationary kernel on a grid torus depends on t - s alone, so it is
+(block-)circulant: each grid carries one lag table, through which the
+kernels are built from their m lag values and their stationarity is read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from invdecomp.groups import GroupAction, cyclic_group
 from invdecomp.kernels import IndexSpace, Kernel, KernelError
-from invdecomp.sampling import PathEnsemble, compare_distributions, null_ks_critical, sample
+from invdecomp.sampling import (
+    BLOCK,
+    PathEnsemble,
+    _blocks,
+    _parallel,
+    compare_distributions,
+    covariance_factor,
+    draw_block,
+    null_ks_critical,
+    worker_count,
+)
 
 __all__ = [
     "Lattice",
@@ -32,6 +47,8 @@ __all__ = [
     "parity_decompose",
     "torus_watson_check",
 ]
+
+SPLIT_COLUMNS = BLOCK // 4  # columns per parity split of a drawn block; bounds the live parts
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,23 @@ class TorusGrid(IndexSpace):
     frac: np.ndarray = None
     lattice: Lattice = None
     shape: tuple = ()
+
+    @cached_property
+    def lag_index(self) -> np.ndarray:
+        """(m, m) lag table: entry [s, t] is the flat index of (s - t) mod shape.
+
+        The grid is row-major in its integer coordinates, so the lag's flat
+        index is also the grid point whose fractional coordinates are the
+        lag's: a stationary kernel is its profile on the m grid points,
+        gathered through this table.  Built once per grid.
+        """
+        shape = np.array(self.shape)
+        ints = np.rint(self.frac * shape).astype(np.intp)
+        lag = np.zeros((self.size, self.size), dtype=np.intp)
+        for k, n in enumerate(self.shape):
+            lag *= n
+            lag += (ints[:, None, k] - ints[None, :, k]) % n
+        return lag
 
 
 def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
@@ -239,19 +273,21 @@ def fourier_kl(
 
 
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
-    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid."""
+    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
+
+    The sum is evaluated once per lag, on the m grid points (p m cosines for
+    p dual vectors), and gathered into the m x m matrix through the grid's
+    lag table; the result is exactly stationary.
+    """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    m = grid.size
-    out = np.zeros((m, m))
+    profile = np.zeros(grid.size)
     for b, c in zip(spec.vectors, spec.fourier_coeffs):
         if not np.any(b):
-            out += c
+            profile += c
             continue
-        phase = 2.0 * np.pi * (grid.frac @ b)
-        diff = phase[:, None] - phase[None, :]
-        out += c * np.cos(diff)
-    return Kernel(grid, out, name="torus_fourier")
+        profile += c * np.cos(2.0 * np.pi * (grid.frac @ b))
+    return Kernel(grid, profile[grid.lag_index], name="torus_fourier")
 
 
 def torus_watson(grid: TorusGrid) -> Kernel:
@@ -260,36 +296,30 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     Per-axis profile phi(u) = (u - 1/2)^2/2 - 1/24 of the fractional lag,
     multiplied across axes.  On the unit circle this is the compensated
     bridge covariance min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for
-    entry; integer lags keep the matrix exactly circulant per axis.
+    entry.  The profile is evaluated on the m lags and gathered through the
+    grid's lag table, so the matrix is exactly circulant per axis.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     shape = np.array(grid.shape)
-    ints = np.rint(grid.frac * shape).astype(np.int64)
-    lag = (ints[:, None, :] - ints[None, :, :]) % shape  # (m, m, dim)
-    u = lag / shape
+    u = np.rint(grid.frac * shape).astype(np.int64) / shape
     prof = (u - 0.5) ** 2 / 2.0 - 1.0 / 24.0
-    return Kernel(grid, prof.prod(axis=2), name="torus_watson")
+    return Kernel(grid, prof.prod(axis=1)[grid.lag_index], name="torus_watson")
 
 
 def stationarity_spread(kernel: Kernel, grid: Optional[TorusGrid] = None) -> float:
-    """Max spread of kernel entries over equal t-s (mod lattice) classes."""
+    """Max spread of kernel entries over equal t-s (mod lattice) classes.
+
+    Each row is scattered into lag order through the grid's lag table, so
+    column j holds the m entries of lag j; the spread is the largest column
+    max - min.
+    """
     grid = grid if grid is not None else kernel.space
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    shape = np.array(grid.shape)
-    strides = np.cumprod((tuple(shape) + (1,))[::-1])[::-1][1:]
-    ints = np.round(grid.frac * shape).astype(np.intp)
-    key = ((ints[:, None, :] - ints[None, :, :]) % shape) @ strides
-    flat_key = key.ravel()
-    flat_val = kernel.matrix.ravel()
-    order = np.argsort(flat_key, kind="stable")
-    sk, sv = flat_key[order], flat_val[order]
-    bounds = np.flatnonzero(np.diff(sk)) + 1
-    spread = 0.0
-    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(sk)]])):
-        spread = max(spread, float(sv[lo:hi].max() - sv[lo:hi].min()))
-    return spread
+    by_lag = np.empty_like(kernel.matrix)
+    by_lag[np.arange(grid.size)[:, None], grid.lag_index] = kernel.matrix
+    return float(np.max(by_lag.max(axis=0) - by_lag.min(axis=0)))
 
 
 def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
@@ -354,6 +384,15 @@ def torus_watson_check(
     cross-covariance; and equality in law of the two part energies.  The
     even part is expanded against both cosine and sine frequencies so the
     two readings of its expansion are reported side by side.
+
+    The ensemble is never held: each ``BLOCK`` of columns is drawn as
+    :func:`invdecomp.sampling.sample` draws it (stream 0) and split by
+    :func:`parity_decompose` in slices of ``SPLIT_COLUMNS``; only the five
+    per-sample energies and one m/2 x m cross-covariance sum are kept.  The
+    per-block cross-covariance partials are added in block order, so every
+    field is bitwise independent of the worker count, and every field but
+    ``cross_cov_max`` (summed in another order) is bitwise that of the
+    materialized ensemble.
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)
@@ -373,14 +412,45 @@ def torus_watson_check(
         report["error"] = "kernel is not stationary on the torus"
         return report
 
-    ens = sample(kernel, count, seed)
-    x1, x2 = parity_decompose(ens)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    l, rank = covariance_factor(kernel)
     w = grid.weights
-    e = w @ (ens.samples**2)
-    e1 = w @ (x1.samples**2)
-    e2 = w @ (x2.samples**2)
-    u1 = w @ ((2.0 * x1.samples) ** 2)
-    u2 = w @ ((2.0 * x2.samples) ** 2)
+    neg = grid.action.perm[1]
+    fixed = np.flatnonzero(neg == np.arange(grid.size))
+    # x1[neg] = -x1 bitwise and x1 is 0 at the fixed points, so one row per
+    # +-orbit of the other points carries all of x1 x2^T
+    half = np.flatnonzero(np.arange(grid.size) < neg)
+    e, e1, e2, u1, u2, odd_fixed = (np.empty(count) for _ in range(6))
+    partials: dict = {}  # block start -> the block's x1 x2^T rows
+
+    def run(blk):
+        a, b = blk
+        x = draw_block(l, seed, 0, a, b)
+        cross = np.zeros((half.size, grid.size))
+        for c in range(0, b - a, SPLIT_COLUMNS):
+            cols = slice(c, c + SPLIT_COLUMNS)
+            part = PathEnsemble(space=grid, samples=x[:, cols], seed=seed, factorization_rank=rank)
+            x1, x2 = (p.samples for p in parity_decompose(part))
+            out = slice(a + c, a + c + x1.shape[1])
+            e[out] = w @ (part.samples**2)
+            e1[out] = w @ (x1**2)
+            e2[out] = w @ (x2**2)
+            u1[out] = w @ ((2.0 * x1) ** 2)
+            u2[out] = w @ ((2.0 * x2) ** 2)
+            odd_fixed[out] = np.max(np.abs(x1[fixed]), axis=0, initial=0.0)
+            cross += x1[half] @ x2.T
+        partials[a] = cross
+
+    # waves of one block per worker, each added in block order, keep the
+    # sums independent of the worker count and at most one partial per worker
+    blocks, step = _blocks(count), worker_count()
+    cross = np.zeros((half.size, grid.size))
+    for i in range(0, len(blocks), step):
+        wave = blocks[i : i + step]
+        _parallel(wave, run)
+        for a, _ in wave:
+            cross += partials.pop(a)
 
     res_halved_sum = float(np.max(np.abs(e - (e1 + e2))))
     res_halved_quarter = float(np.max(np.abs(e - 0.25 * (e1 + e2))))
@@ -392,16 +462,13 @@ def torus_watson_check(
     }
     satisfied = [k for k, v in conventions.items() if v <= split_tol]
 
-    cross = (x1.samples @ x2.samples.T) / count
-    cross_max = float(np.max(np.abs(cross)))
+    cross_max = float(np.max(np.abs(cross / count), initial=0.0))
     cross_tol = 4.0 / np.sqrt(count)
+    fixed_dev = float(np.max(odd_fixed))
 
     cmp_ = compare_distributions(e1, e2)
     if ks_tol is None:
         ks_tol = null_ks_critical(count)
-
-    fixed = np.flatnonzero(grid.action.perm[1] == np.arange(grid.size))
-    fixed_dev = float(np.max(np.abs(x1.samples[fixed]))) if fixed.size else 0.0
 
     report.update(
         {
@@ -419,7 +486,6 @@ def torus_watson_check(
     )
     if spec is not None:
         # even-part expansion: cosine reading vs (typo) sine reading
-        neg = grid.action.perm[1]
         cov_even = 0.5 * (kernel.matrix + kernel.matrix[:, neg])
         q = _basis_quadratics(cov_even, grid, spec)
         report["even_part_expansion"] = {

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from invdecomp.cli import (
+    CHECKS,
     DEFAULT_TOLERANCES,
     PRESETS,
     main,
     resolve_tolerances,
 )
+from invdecomp.groups import character_table
+from invdecomp.io import load_kernel
 from invdecomp.kernels import builtin_kernel, make_interval_grid
 
 
@@ -114,6 +117,24 @@ def test_validate_torus_check_needs_torus_grid(tmp_path, capsys):
         tmp_path, checks=["stationarity", "torus_watson"], samples=2000, seed=1
     )
     assert main(["validate", str(cfg)]) == 2
+
+
+def test_validate_notes_a_ks_tolerance_below_the_noise_floor(tmp_path, capsys):
+    cfg = write_config(tmp_path, checks=["duplication"], samples=2000, seed=1)
+    assert main(["validate", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "OK"
+    assert len(out) == 2
+    assert out[1].startswith("note: duplication KS tolerance 0.01 is below the null KS critical")
+    assert "at 2000 samples" in out[1]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_no_preset_sits_below_the_ks_noise_floor(tmp_path, capsys, preset):
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(PRESETS[preset]))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "OK\n"
 
 
 @pytest.mark.parametrize(
@@ -255,6 +276,55 @@ def test_failed_gate_skips_dependents(tmp_path, capsys, kernel_file):
     assert report["checks"]["watson_relation"]["status"] == "skipped"
     assert report["checks"]["watson_relation"]["skipped_due_to"] == "invariance"
     assert "[SKIP] watson_relation" in capsys.readouterr().out
+
+
+def _z3_rotation(m: int) -> dict:
+    """Z3 rotating m = 3k points by k, with its complex characters."""
+    k = m // 3
+    w = np.exp(2j * np.pi * np.arange(3) / 3)
+    return {
+        "order": 3,
+        "identity": 0,
+        "name": "Z3",
+        "mul": [(g + h) % 3 for g in range(3) for h in range(3)],
+        "inv": [0, 2, 1],
+        "perm": [(i + g * k) % m for g in range(3) for i in range(m)],
+        "npoints": m,
+        "irreps": [
+            {"label": f"chi{j}", "dim": 1, "re": list((w**j).real), "im": list((w**j).imag)}
+            for j in range(3)
+        ],
+    }
+
+
+def test_decomposition_pairs_complex_characters_with_their_conjugates(
+    tmp_path, kernel_file
+):
+    """An invariant kernel splits into the (pi, conj pi) blocks; with the
+    complex characters of Z3 these are not the (pi, pi) blocks."""
+    u = np.arange(12) / 12
+    lag = np.mod(u[:, None] - u[None, :], 1.0)
+    path = kernel_file((lag - 0.5) ** 2 / 2 - 1.0 / 24, group=_z3_rotation(12))
+    cfg = _user_matrix_config(
+        tmp_path, path, grid={"kind": "interval", "n": 12}, checks=["decomposition"]
+    )
+    assert main(["run", str(cfg)]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]["decomposition"]
+    assert rep["status"] == "passed"
+    assert rep["sum_deviation"] < 1e-14
+    assert rep["max_cross_projection"] < 1e-14
+    shares = rep["component_trace"]
+    assert shares["chi1"] == pytest.approx(shares["chi2"], rel=1e-12)
+    assert sum(shares.values()) == pytest.approx(1.0 / 12, rel=1e-12)
+
+
+def test_decomposition_fails_a_kernel_the_group_moves(kernel_file):
+    a = np.random.default_rng(3).normal(size=(12, 12))
+    kernel = load_kernel(kernel_file(a @ a.T / 12, group=_z3_rotation(12)))
+    ctx = {"kernel": kernel, "table": character_table(kernel.space.action.group)}
+    rep = CHECKS["decomposition"].run(ctx, DEFAULT_TOLERANCES, {})
+    assert not rep["ok"]
+    assert rep["max_cross_projection"] > 1e-3
 
 
 def _watson16_file(kernel_file, **kwargs):

@@ -11,12 +11,15 @@ aliases j (a trigamma reflection).  The continuum value 1/(4 pi^2 v^2) is the
 independent of all of that.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
-from invdecomp.sampling import sample
+from invdecomp.sampling import BLOCK, compare_distributions, sample
 from invdecomp.torus import (
     Lattice,
     TorusKernelSpec,
@@ -264,3 +267,69 @@ def test_torus_watson_check_is_deterministic(kernel16, circle16):
     a = torus_watson_check(kernel16, circle16, 1500, seed=3)
     b = torus_watson_check(kernel16, circle16, 1500, seed=3)
     assert a == b
+
+
+# ------------------------------------------------------ streamed check
+
+
+def _materialized_check(kernel, grid, count, seed):
+    """The check's sample statistics from the whole ensemble at once."""
+    ens = sample(kernel, count, seed)
+    x1, x2 = (p.samples for p in parity_decompose(ens))
+    w = grid.weights
+    e = w @ (ens.samples**2)
+    e1, e2 = w @ (x1**2), w @ (x2**2)
+    u1, u2 = w @ ((2.0 * x1) ** 2), w @ ((2.0 * x2) ** 2)
+    fixed = np.flatnonzero(grid.action.perm[1] == np.arange(grid.size))
+    return {
+        "energy_residuals": {
+            "halved_sum": float(np.max(np.abs(e - (e1 + e2)))),
+            "halved_quarter_verbatim": float(np.max(np.abs(e - 0.25 * (e1 + e2)))),
+            "unhalved_quarter": float(np.max(np.abs(e - 0.25 * (u1 + u2)))),
+        },
+        "fixed_point_max_odd_value": float(np.max(np.abs(x1[fixed]))),
+        "cross_cov_max": float(np.max(np.abs((x1 @ x2.T) / count))),
+        "ks_parts": compare_distributions(e1, e2).ks_distance,
+        "part_kstats": {
+            "odd": list(compare_distributions(e1, e2).kstats_a),
+            "even": list(compare_distributions(e1, e2).kstats_b),
+        },
+    }
+
+
+def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
+    count = BLOCK + 36  # the second block is partial
+    rep = torus_watson_check(kernel16, circle16, count, seed=17)
+    ref = _materialized_check(kernel16, circle16, count, 17)
+    assert rep["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
+    for key, val in ref.items():
+        assert rep[key] == val, key
+
+
+def test_streamed_check_does_not_depend_on_the_worker_count(kernel16, circle16, monkeypatch):
+    """More workers than cores, with frequent thread switches: waves of three
+    blocks and then two must add up exactly as the serial run does."""
+    count = 4 * BLOCK + 100
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    serial = torus_watson_check(kernel16, circle16, count, seed=4)
+    monkeypatch.setenv("INVDECOMP_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = torus_watson_check(kernel16, circle16, count, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_streamed_check_never_holds_the_ensemble():
+    grid = torus_grid(Lattice(np.eye(1)), 256)
+    kernel = torus_watson(grid)
+    count = 3 * BLOCK
+    tracemalloc.start()
+    try:
+        torus_watson_check(kernel, grid, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.size * count * 8

@@ -1,0 +1,102 @@
+"""The lag-table torus paths against dense reference code.
+
+``assemble_kernel``, ``torus_watson`` and ``stationarity_spread`` evaluate a
+stationary kernel once per lag and gather (or scatter) through the grid's
+lag table.  The references below are the direct m x m formulas: one cosine
+matrix per dual vector, the (m, m, dim) lag array, and a sort of all m^2
+entries by lag class.  Grids are 1-, 2- and 3-d, on unit and sheared
+lattice bases.
+"""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invdecomp.kernels import Kernel
+from invdecomp.torus import (
+    Lattice,
+    assemble_kernel,
+    fourier_kl,
+    stationarity_spread,
+    torus_grid,
+    torus_watson,
+)
+
+PROPS = settings(derandomize=True, max_examples=12, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def grids(draw):
+    dim = draw(st.integers(1, 3))
+    shape = [draw(st.integers(3, 12 if dim == 1 else 8 if dim == 2 else 5)) for _ in range(dim)]
+    basis = np.eye(dim)
+    if draw(st.booleans()):  # sheared: unit diagonal, drawn upper triangle
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                basis[i, j] = draw(st.floats(-1.5, 1.5))
+    return torus_grid(Lattice(basis), shape)
+
+
+def dense_assemble(spec, grid):
+    out = np.zeros((grid.size, grid.size))
+    for b, c in zip(spec.vectors, spec.fourier_coeffs):
+        if not np.any(b):
+            out += c
+            continue
+        phase = 2.0 * np.pi * (grid.frac @ b)
+        out += c * np.cos(phase[:, None] - phase[None, :])
+    return out
+
+
+def dense_torus_watson(grid):
+    shape = np.array(grid.shape)
+    ints = np.rint(grid.frac * shape).astype(np.int64)
+    u = ((ints[:, None, :] - ints[None, :, :]) % shape) / shape
+    return ((u - 0.5) ** 2 / 2.0 - 1.0 / 24.0).prod(axis=2)
+
+
+def sorted_spread(kernel, grid):
+    shape = np.array(grid.shape)
+    strides = np.cumprod((tuple(shape) + (1,))[::-1])[::-1][1:]
+    ints = np.round(grid.frac * shape).astype(np.intp)
+    key = (((ints[:, None, :] - ints[None, :, :]) % shape) @ strides).ravel()
+    order = np.argsort(key, kind="stable")
+    sk, sv = key[order], kernel.matrix.ravel()[order]
+    bounds = np.flatnonzero(np.diff(sk)) + 1
+    spread = 0.0
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(sk)]])):
+        spread = max(spread, float(sv[lo:hi].max() - sv[lo:hi].min()))
+    return spread
+
+
+@PROPS
+@given(grid=grids(), seed=SEEDS)
+def test_assemble_kernel_matches_the_per_vector_cosine_sum(grid, seed):
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
+    coeffs = np.random.default_rng(seed).uniform(0.0, 1.0, len(spec.vectors))
+    spec = dataclasses.replace(spec, fourier_coeffs=coeffs)
+    got = assemble_kernel(spec, grid).matrix
+    want = dense_assemble(spec, grid)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@PROPS
+@given(grid=grids())
+def test_torus_watson_is_the_lag_formula_bitwise(grid):
+    want = Kernel(grid, dense_torus_watson(grid)).matrix  # symmetrized as every Kernel
+    assert np.array_equal(torus_watson(grid).matrix, want)
+
+
+@PROPS
+@given(grid=grids(), seed=SEEDS, scale=st.sampled_from([0.0, 1e-16, 1e-9, 1.0]))
+def test_stationarity_spread_is_the_sorted_reference_bitwise(grid, seed, scale):
+    """Stationary kernels (scale 0) and perturbations from roundoff size up."""
+    a = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
+    matrix = torus_watson(grid).matrix + scale * (a @ a.T) / grid.size
+    kernel = Kernel(grid, matrix)
+    spread = stationarity_spread(kernel)
+    assert spread == sorted_spread(kernel, grid)
+    assert (spread == 0.0) == (scale == 0.0)
