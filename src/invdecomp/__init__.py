@@ -35,10 +35,8 @@ from invdecomp.cumulants import (
 from invdecomp.sampling import (
     duplication_check,
     pair_functional,
-    quadratic_functional,
     quadruplication_check,
     sample,
-    sample_pair,
 )
 from invdecomp.spectral import canonical_decomposition, eigendecompose
 from invdecomp.torus import (
@@ -52,4 +50,4 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

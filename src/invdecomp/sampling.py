@@ -1,4 +1,4 @@
-"""Seeded Gaussian ensembles, correlated pairs, and law-comparison checks.
+"""Seeded Gaussian ensembles, pair functionals, and law-comparison checks.
 
 Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
@@ -13,18 +13,26 @@ agree bitwise over full blocks, and to roundoff in a partial one, where
 BLAS may pick another kernel for another column count.  ``BLOCK`` is part
 of the contract: changing it changes the samples.  Realized samples differ
 from those of version 0.1.0, which keyed one stream per column; this rule
-holds from version 0.2.0.  Every sampler draws its blocks through
-:func:`draw_block`: ``sample``, the streamed ``pair_functional`` and the
-streamed torus parity check (``invdecomp.torus.torus_watson_check``, stream
-0), so a block holds the same columns in all of them.
+holds from version 0.2.0.  Path samplers draw their blocks through
+:func:`draw_block`: ``sample`` and the streamed torus parity check
+(``invdecomp.torus.torus_watson_check``, stream 0), so a block holds the
+same columns in both.
+
+Normals of a column are coordinates, and two rules say on what.  A path
+sampler multiplies them by the covariance factor L (:func:`draw_block`).
+:func:`pair_functional` never forms a path: normal k of a column is the
+coordinate on the k-th eigenvalue, in ascending order, of the clipped
+weighted spectrum (``Kernel.eigenvalues`` through :func:`_clip_spectrum`).
+Both rules give the same law, but the checks built on it (duplication,
+quadruplication, cumulants, mgf) draw other samples than in version 0.2.0,
+where they multiplied the normals by L; the keying above is unchanged.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
 the ``INVDECOMP_THREADS`` environment variable holds a positive integer,
 which then sets the pool size.  Workers only distribute whole blocks, so
-identical (kernel, count, seed) inputs give bit-identical ensembles under
-any parallelism degree, and the streaming and materialized code paths agree
-bitwise.
+identical (kernel, count, seed) inputs give bit-identical ensembles and
+functionals under any parallelism degree.
 """
 
 from __future__ import annotations
@@ -51,13 +59,10 @@ from invdecomp.cumulants import analytic_cumulants
 
 __all__ = [
     "PathEnsemble",
-    "CorrelatedPair",
     "covariance_factor",
     "sample",
-    "sample_pair",
     "pair_functional",
     "decompose_ensemble",
-    "quadratic_functional",
     "DistributionComparison",
     "compare_distributions",
     "null_ks_critical",
@@ -68,7 +73,7 @@ __all__ = [
 
 BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
 RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor"  # names the keying rule of the module docstring
-EIG_CLIP = 1e-12      # relative eigenvalue floor for the covariance factor
+EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
 LAW_SAMPLES = {"duplication": 100_000, "quadruplication": 50_000}  # default counts of the in-law checks
 
 
@@ -115,7 +120,7 @@ def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndar
     """Columns a, ..., b-1 of an ensemble with factor ``l``: one block of the contract.
 
     ``a`` is the first column of a block and ``b`` at most its end.  Every
-    sampler draws through here, so every ensemble follows ``RNG_CONTRACT``.
+    path sampler draws through here, so every ensemble follows ``RNG_CONTRACT``.
     """
     xi = np.empty((b - a, l.shape[1]))
     _fill_normals(xi, seed, stream, a)
@@ -136,6 +141,20 @@ def _parallel(tasks, fn) -> None:
         list(pool.map(fn, tasks))
 
 
+def _clip_spectrum(evals: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ascending ``evals`` with those below EIG_CLIP * lambda_max set to 0, and the rank kept.
+
+    The one clip rule of the sampled laws: :func:`covariance_factor` applies
+    it to the eigenvalues of ``weighted_eigh`` and :func:`pair_functional` to
+    ``Kernel.eigenvalues``, so both sample a law of the same rank.
+    """
+    lmax = float(evals[-1]) if evals.size else 0.0
+    if lmax <= 0.0:
+        return np.zeros_like(evals), 0
+    keep = evals >= EIG_CLIP * lmax
+    return np.where(keep, evals, 0.0), int(np.count_nonzero(keep))
+
+
 def covariance_factor(kernel: Kernel) -> tuple[np.ndarray, int]:
     """Factor L with L L^T = K, from the weighted eigenpairs, small ones clipped.
 
@@ -144,19 +163,17 @@ def covariance_factor(kernel: Kernel) -> tuple[np.ndarray, int]:
     L L^T = W^-1/2 (W^1/2 K W^1/2) W^-1/2 = K.  On uniform weights L is the
     symmetric PSD root of K; when the weights are a power of 4 it is bitwise
     the root U sqrt(Lambda) U^T of eigh(K), and on other weights it differs
-    from that root by roundoff.  Eigenvalues below EIG_CLIP * lambda_max
-    count as zero.  Eigendecomposition rather than Cholesky: discretized
-    kernels are routinely rank-deficient.
+    from that root by roundoff.  Eigenvalues are clipped by
+    :func:`_clip_spectrum`.  Eigendecomposition rather than Cholesky:
+    discretized kernels are routinely rank-deficient.
     """
     evals, vecs = weighted_eigh(kernel)
-    lmax = float(evals[-1]) if evals.size else 0.0
-    if lmax <= 0.0:
+    lam, rank = _clip_spectrum(evals)
+    if rank == 0:
         return np.zeros_like(kernel.matrix), 0
-    keep = evals >= EIG_CLIP * lmax
-    lam = np.where(keep, evals, 0.0)
     l = (vecs * np.sqrt(lam)[None, :]) @ vecs.T
     l /= np.sqrt(kernel.space.weights)[:, None]
-    return l, int(np.count_nonzero(keep))
+    return l, rank
 
 
 @dataclass(frozen=True)
@@ -183,27 +200,6 @@ class PathEnsemble:
         return f"PathEnsemble(m={self.space.size}, count={self.count}, seed={self.seed})"
 
 
-@dataclass(frozen=True)
-class CorrelatedPair:
-    """Two ensembles with common covariance K and cross-covariance rho*K."""
-
-    first: PathEnsemble
-    second: PathEnsemble
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.first.space is not self.second.space and not (
-            np.array_equal(self.first.space.points, self.second.space.points)
-        ):
-            raise KernelError("pair members live on different spaces")
-        if self.first.count != self.second.count:
-            raise KernelError("pair members have different sample counts")
-
-    @property
-    def count(self) -> int:
-        return self.first.count
-
-
 def sample(
     kernel: Kernel,
     count: int,
@@ -226,32 +222,6 @@ def sample(
     return PathEnsemble(space=kernel.space, samples=out, seed=seed, factorization_rank=rank)
 
 
-def sample_pair(
-    kernel: Kernel,
-    rho: float,
-    count: int,
-    seed: int,
-    streams: tuple[int, int] = (0, 1),
-) -> CorrelatedPair:
-    """Correlated pair Z2 = rho Z1 + sqrt(1-rho^2) Z1' from two streams.
-
-    At rho = 1 the second stream is not drawn: the second member is Z1.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    factor = covariance_factor(kernel)
-    z1 = sample(kernel, count, seed, stream=streams[0], factor=factor)
-    comp = np.sqrt(max(0.0, 1.0 - rho * rho))
-    if comp == 0.0:
-        return CorrelatedPair(first=z1, second=z1, rho=rho)
-    z1p = sample(kernel, count, seed, stream=streams[1], factor=factor)
-    z2 = rho * z1.samples + comp * z1p.samples
-    second = PathEnsemble(
-        space=kernel.space, samples=z2, seed=seed, factorization_rank=z1.factorization_rank
-    )
-    return CorrelatedPair(first=z1, second=second, rho=rho)
-
-
 def pair_functional(
     kernel: Kernel,
     rho: float,
@@ -259,24 +229,34 @@ def pair_functional(
     seed: int,
     streams: tuple[int, int] = (0, 1),
 ) -> np.ndarray:
-    """Streamed sum_i Z1[i] Z2[i] w_i per sample, without holding ensembles.
+    """Streamed J = sum_i w_i Z1[i] Z2[i] per sample, for Z2 = rho Z1 + sqrt(1-rho^2) Z1'.
 
-    Bitwise identical to ``quadratic_functional(sample_pair(...))`` with the
-    same arguments: both consume the same per-block streams in the same
-    fixed blocks, and both skip the second stream at rho = 1.
+    Z1 and Z1' are independent paths with covariance K.  Written as
+    Z1 = L V xi and Z1' = L V eta, with i.i.d. normal xi, eta and the factor
+    L = W^-1/2 V Lambda^1/2 V^T of :func:`covariance_factor`, the functional is
+    exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k).  So J is
+    drawn from the clipped spectrum alone: O(m) per column, no paths and no
+    eigenvectors.  Normal k of a column of stream ``streams[0]`` is xi_k and
+    of ``streams[1]`` is eta_k, with lambda ascending; at rho = 1 the second
+    stream is not drawn.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    l, _ = covariance_factor(kernel)
-    w = kernel.space.weights
+    lam, _ = _clip_spectrum(kernel.eigenvalues)
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     out = np.empty(count)
 
     def run(blk):
         a, b = blk
-        z1 = draw_block(l, seed, streams[0], a, b)
-        z2 = z1 if comp == 0.0 else rho * z1 + comp * draw_block(l, seed, streams[1], a, b)
-        out[a:b] = w @ (z1 * z2)
+        xi = np.empty((b - a, lam.size))
+        _fill_normals(xi, seed, streams[0], a)
+        # each einsum is one pass over the normals, with no temporary block
+        j = np.einsum("ck,ck,k->c", xi, xi, lam)
+        if comp > 0.0:
+            eta = np.empty_like(xi)
+            _fill_normals(eta, seed, streams[1], a)
+            j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, lam)
+        out[a:b] = j
 
     _parallel(_blocks(count), run)
     return out
@@ -302,16 +282,6 @@ def decompose_ensemble(ensemble: PathEnsemble, table) -> dict:
         )
         for p in table
     }
-
-
-def quadratic_functional(pair: CorrelatedPair) -> np.ndarray:
-    """Per-sample weighted product sum_i Z1[i] Z2[i] w_i."""
-    w = pair.first.space.weights
-    z1, z2 = pair.first.samples, pair.second.samples
-    out = np.empty(pair.count)
-    for a, b in _blocks(pair.count):
-        out[a:b] = w @ (z1[:, a:b] * z2[:, a:b])
-    return out
 
 
 @dataclass(frozen=True)

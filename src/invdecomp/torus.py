@@ -349,22 +349,20 @@ def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble
 
 
 def _basis_quadratics(cov: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
-    """Variance of <X, cos_v>_m and <X, sin_v>_m under a path covariance."""
+    """Variance of <X, cos_v>_m and <X, sin_v>_m under a path covariance.
+
+    The weighted, normalized cos and sin vectors of every nonzero dual vector
+    are stacked as the columns of one matrix B, and all the quadratic forms
+    are the column sums of B * (cov @ B): one matrix product.
+    """
     w = grid.weights
-    cos_q, sin_q = [], []
-    for b in spec.vectors:
-        if not np.any(b):
-            continue
-        phase = 2.0 * np.pi * (grid.frac @ b)
-        for fn, acc in ((np.cos, cos_q), (np.sin, sin_q)):
-            v = fn(phase)
-            nrm = np.sqrt(np.sum(v * v * w))
-            if nrm == 0:
-                acc.append(0.0)
-                continue
-            v = v / nrm
-            acc.append(float((w * v) @ cov @ (w * v)))
-    return {"cos": cos_q, "sin": sin_q}
+    b = np.array([v for v in spec.vectors if np.any(v)], dtype=float).reshape(-1, grid.dim)
+    phase = 2.0 * np.pi * (grid.frac @ b.T)
+    basis = np.hstack([np.cos(phase), np.sin(phase)])
+    nrm = np.sqrt(w @ (basis * basis))
+    basis = basis / np.where(nrm > 0, nrm, np.inf) * w[:, None]  # a vector of norm 0 reads 0
+    q = np.sum(basis * (cov @ basis), axis=0)
+    return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
 
 
 def torus_watson_check(

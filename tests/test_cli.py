@@ -449,6 +449,21 @@ def test_reports_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_report_does_not_depend_on_the_output_directory(tmp_path):
+    """One preset and seed written to two directories: equal reports but for the time stamp."""
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps({"samples": 5000, "output": {"formats": ["json"]}}))
+    reports = []
+    for out in ("first", "second/nested"):
+        args = ["run", str(overlay), "--preset", "mgf-check", "--seed", "5", "--out", str(tmp_path / out)]
+        assert main(args) == 0
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["config"]["output"] == {"formats": ["json"]}
+        report.pop("generated_at")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_preset_run_with_override(tmp_path):
     """A config file overlays a preset; tiny sample count keeps this fast."""
     cfg = write_config(

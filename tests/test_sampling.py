@@ -1,4 +1,4 @@
-"""Deterministic Gaussian sampling, correlated pairs, and law comparisons."""
+"""Deterministic Gaussian sampling, pair functionals, and law comparisons."""
 
 import hashlib
 import os
@@ -9,9 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
+from scipy.stats import ks_2samp
 
 from invdecomp.groups import character_table
-from invdecomp.kernels import IndexSpace, builtin_kernel, make_interval_grid, make_product_grid
+from invdecomp.kernels import (
+    IndexSpace,
+    builtin_kernel,
+    decompose_kernel,
+    make_interval_grid,
+    make_product_grid,
+    weighted_eigh,
+)
 from invdecomp.sampling import (
     BLOCK,
     EIG_CLIP,
@@ -23,11 +31,10 @@ from invdecomp.sampling import (
     decompose_ensemble,
     duplication_check,
     kstat_variances,
+    null_ks_critical,
     pair_functional,
-    quadratic_functional,
     quadruplication_check,
     sample,
-    sample_pair,
     worker_count,
 )
 
@@ -175,13 +182,75 @@ def test_worker_count_invariance(watson32, count, rho):
         assert np.array_equal(j, seen[0][1])
 
 
-@pytest.mark.parametrize("rho", [1.0, 0.5])
-def test_pair_functional_matches_sample_pair_across_a_block_edge(watson32, rho):
-    pair = sample_pair(watson32, rho, 4100, seed=5)
-    j = pair_functional(watson32, rho, 4100, seed=5)
-    assert np.array_equal(quadratic_functional(pair), j)
-    if rho == 1.0:  # the second stream is never drawn
-        assert pair.second is pair.first
+# ------------------------------------------------------ spectral pair functional
+
+
+def _rank_deficient():
+    # the reversal-even block of the watson kernel: half of its spectrum is 0
+    k = builtin_kernel("watson", make_interval_grid(16))
+    return decompose_kernel(k, character_table(k.space.action.group))["triv"]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "make_kernel",
+    [
+        lambda: builtin_kernel("watson", make_interval_grid(24)),
+        lambda: builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(6)] * 2)),
+        _rank_deficient,
+    ],
+    ids=["interval24", "sheet6x6", "rank_deficient"],
+)
+def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
+    """For fixed normals xi, eta: sum_i w (L xi)(L (rho xi + c eta)) is the
+    spectral reduction of (V^T xi, V^T eta), with (lambda, V) = weighted_eigh.
+
+    L = W^-1/2 V sqrt(lambda) V^T is built here, with lambda clipped at
+    EIG_CLIP * lambda_max.  Taking xi = V x and eta = V y for the normals x, y
+    that pair_functional draws (streams 0 and 1, seed 5, two blocks) makes
+    that reduction pair_functional's own output, up to the roundoff of
+    V^T V = I.
+    """
+    kernel = make_kernel()
+    count = BLOCK + 4  # straddles a block edge
+    x, y = np.empty((count, kernel.size)), np.empty((count, kernel.size))
+    for a in (0, BLOCK):
+        _fill_normals(x[a : a + BLOCK], 5, 0, a)
+        _fill_normals(y[a : a + BLOCK], 5, 1, a)
+    evals, vecs = weighted_eigh(kernel)
+    lam = np.where(evals >= EIG_CLIP * evals[-1], evals, 0.0)
+    l = (vecs * np.sqrt(lam)) @ vecs.T / np.sqrt(kernel.space.weights)[:, None]
+    xi, eta = vecs @ x.T, vecs @ y.T
+    comp = np.sqrt(1.0 - rho * rho)
+    dense = kernel.space.weights @ ((l @ xi) * (l @ (rho * xi + comp * eta)))
+    j = pair_functional(kernel, rho, count, seed=5)
+    assert np.max(np.abs(j - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _small_kernels():
+    interval = st.builds(
+        lambda name, n: builtin_kernel(name, make_interval_grid(n)),
+        st.sampled_from(["watson", "bridge"]),
+        st.integers(2, 12),
+    )
+    sheet = st.builds(
+        lambda name, n: builtin_kernel(name, make_product_grid([make_interval_grid(n)] * 2)),
+        st.sampled_from(["sheet_compensated", "sheet_tied"]),
+        st.integers(2, 4),
+    )
+    return st.one_of(interval, sheet)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(kernel=_small_kernels(), rho=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_pair_functional_has_the_law_of_the_dense_pair(kernel, rho, seed):
+    """In law, J equals sum_i w Z1 Z2 of paths drawn through the factor L."""
+    count = 5000
+    j = pair_functional(kernel, rho, count, seed)
+    z1 = sample(kernel, count, seed, stream=2).samples
+    z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * sample(kernel, count, seed, stream=3).samples
+    dense = kernel.space.weights @ (z1 * z2)
+    assert ks_2samp(j, dense).statistic < null_ks_critical(count)
 
 
 # ------------------------------------------------------------ factor
@@ -226,39 +295,18 @@ def test_empirical_covariance(watson32):
     assert np.abs(emp - watson32.matrix).max() < 5e-3  # measured 1.9e-3
 
 
-def test_pair_cross_covariance(watson32):
-    pair = sample_pair(watson32, 0.5, 20000, seed=77)
-    assert pair.rho == 0.5
-    cross = pair.first.samples @ pair.second.samples.T / 20000
-    assert np.abs(cross - 0.5 * watson32.matrix).max() < 5e-3  # measured 1.8e-3
-
-
-def test_pair_marginals_have_common_kernel(watson32):
-    pair = sample_pair(watson32, 0.3, 20000, seed=13)
-    for ens in (pair.first, pair.second):
-        emp = ens.samples @ ens.samples.T / 20000
-        assert np.abs(emp - watson32.matrix).max() < 5e-3
-
-
-def test_rho_zero_and_one_extremes(watson32):
-    ind = sample_pair(watson32, 0.0, 8000, seed=21)
-    dup = sample_pair(watson32, 1.0, 8000, seed=21)
-    cross = ind.first.samples @ ind.second.samples.T / 8000
-    assert np.abs(cross).max() < 6e-3
-    assert np.array_equal(dup.first.samples, dup.second.samples)
-
-
 # -------------------------------------------------------------- functionals
 
 
 def test_pair_functional_is_weighted_dot(watson32):
-    pair = sample_pair(watson32, 1.0, 100, seed=5)
-    j = quadratic_functional(pair)
-    w = watson32.space.weights
-    manual = np.einsum("is,i,is->s", pair.first.samples, w, pair.second.samples)
+    """At rho = 1, J is the dot of the squared stream-0 normals with the ascending spectrum."""
+    xi = np.empty((100, 32))
+    _fill_normals(xi, 5, 0, 0)
+    manual = np.einsum("sk,k,sk->s", xi, watson32.eigenvalues, xi)
+    j = pair_functional(watson32, 1.0, 100, seed=5)
     assert np.allclose(j, manual, rtol=1e-14)
-    # the convenience wrapper draws the same streams
-    assert np.array_equal(j, pair_functional(watson32, 1.0, 100, seed=5))
+    # the second stream is never drawn
+    assert np.array_equal(j, pair_functional(watson32, 1.0, 100, seed=5, streams=(0, 9)))
 
 
 def test_functional_mean_matches_first_cumulant(watson32):

@@ -2,9 +2,10 @@
 
 ``assemble_kernel``, ``torus_watson`` and ``stationarity_spread`` evaluate a
 stationary kernel once per lag and gather (or scatter) through the grid's
-lag table.  The references below are the direct m x m formulas: one cosine
-matrix per dual vector, the (m, m, dim) lag array, and a sort of all m^2
-entries by lag class.  Grids are 1-, 2- and 3-d, on unit and sheared
+lag table, and ``_basis_quadratics`` takes every quadratic form from one
+matrix product.  The references below are the direct formulas: one cosine
+matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
+entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
 lattice bases.
 """
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from invdecomp.kernels import Kernel
 from invdecomp.torus import (
     Lattice,
+    _basis_quadratics,
     assemble_kernel,
     fourier_kl,
     stationarity_spread,
@@ -72,6 +74,20 @@ def sorted_spread(kernel, grid):
     return spread
 
 
+def looped_quadratics(cov, grid, spec):
+    w = grid.weights
+    cos_q, sin_q = [], []
+    for b in spec.vectors:
+        if not np.any(b):
+            continue
+        phase = 2.0 * np.pi * (grid.frac @ b)
+        for fn, acc in ((np.cos, cos_q), (np.sin, sin_q)):
+            v = fn(phase)
+            v = v / np.sqrt(np.sum(v * v * w))
+            acc.append(float((w * v) @ cov @ (w * v)))
+    return {"cos": cos_q, "sin": sin_q}
+
+
 @PROPS
 @given(grid=grids(), seed=SEEDS)
 def test_assemble_kernel_matches_the_per_vector_cosine_sum(grid, seed):
@@ -100,3 +116,17 @@ def test_stationarity_spread_is_the_sorted_reference_bitwise(grid, seed, scale):
     spread = stationarity_spread(kernel)
     assert spread == sorted_spread(kernel, grid)
     assert (spread == 0.0) == (scale == 0.0)
+
+
+@PROPS
+@given(grid=grids(), seed=SEEDS)
+def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
+    """One product for all forms; summation order moves them by roundoff only."""
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
+    a = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
+    cov = a @ a.T / grid.size
+    got, want = _basis_quadratics(cov, grid, spec), looped_quadratics(cov, grid, spec)
+    for part in ("cos", "sin"):
+        g, w = np.array(got[part]), np.array(want[part])
+        assert g.shape == w.shape == (len(spec.vectors) - 1,)
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
