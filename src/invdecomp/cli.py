@@ -107,6 +107,12 @@ def _grid_axes(cfg: dict) -> list[int]:
     return [int(n)] if isinstance(n, int) else [int(x) for x in n]
 
 
+def _torus_cutoff(cfg: dict) -> int:
+    """The torus_watson cutoff: ``kernel.params.cutoff``, else the largest below Nyquist."""
+    default = max(1, (min(_grid_axes(cfg)) - 1) // 2)
+    return int(cfg["kernel"].get("params", {}).get("cutoff", default))
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns a JSON-ready dict with an "ok" flag
 
@@ -298,8 +304,7 @@ def _run_spectrum(ctx, tols, cfg):
 
 def _run_torus_watson(ctx, tols, cfg):
     kernel, space = ctx["kernel"], ctx["space"]
-    params = cfg["kernel"].get("params", {})
-    cutoff = int(params.get("cutoff", max(1, (min(space.shape) - 1) // 2)))
+    cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(kernel.matrix[0], space, cutoff)
     count = int(cfg.get("samples", 20_000))
     seed = int(cfg["seed"])
@@ -494,6 +499,7 @@ CHECKS = {
 DEFAULT_TOLERANCES = {key: val for c in CHECKS.values() for key, val in c.tolerances.items()}
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -508,7 +514,15 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "name": {"type": "string"},
-                "params": {"type": "object"},
+                "params": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "path": {"type": "string"},
+                        "cutoff": {"type": "integer", "minimum": 1},
+                        "mgf_pairs": {"type": "array", "items": _PAIR, "minItems": 1},
+                    },
+                },
             },
         },
         "action": {
@@ -726,6 +740,21 @@ def validate_config(cfg: dict) -> list[str]:
     if action == "none" and needing("action"):
         errors.append(f"checks: {needing('action')} need a bound group action (action is 'none')")
 
+    # each kernel param has one reader; anywhere else it would be ignored
+    params = cfg["kernel"].get("params", {})
+    if ("path" in params) != (kname == "user_matrix"):
+        errors.append("kernel/params/path: the user_matrix kernel needs it, no other reads it")
+    for key, reader in (("cutoff", "torus_watson"), ("mgf_pairs", "mgf")):
+        if key in params and reader not in checks:
+            errors.append(f"kernel/params/{key}: only the {reader} check reads it")
+    cutoff = _torus_cutoff(cfg)
+    if "torus_watson" in checks and kind == "torus" and 2 * cutoff >= min(ns):
+        errors.append(f"kernel/params/cutoff: {cutoff} aliases; 2 * cutoff must be < {min(ns)}")
+    for i, (lam, rho) in enumerate(params.get("mgf_pairs", [])):
+        if not (0.0 <= rho <= 1.0 and 0.0 <= lam < 2.0 * np.pi / np.sqrt(1.0 + rho)):
+            bound = "0 <= rho <= 1 and 0 <= lambda < 2 pi / sqrt(1 + rho)"
+            errors.append(f"kernel/params/mgf_pairs/{i}: [{lam}, {rho}] needs {bound}")
+
     if needing("seed") and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {needing('seed')}")
 
@@ -796,11 +825,8 @@ def load_user_matrix(cfg: dict) -> Kernel:
     ``action: none`` drops the file's group action.  Checks that need an
     action are rejected for a file without one.
     """
-    params = cfg["kernel"].get("params", {})
-    if "path" not in params:
-        raise ConfigError("kernel/params/path: user_matrix needs a kernel file")
     try:
-        kernel = iio.load_kernel(params["path"])
+        kernel = iio.load_kernel(cfg["kernel"]["params"]["path"])
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"kernel/params/path: {exc}") from exc
     if "grid" in cfg and int(np.prod(_grid_axes(cfg))) != kernel.size:

@@ -13,19 +13,20 @@ agree bitwise over full blocks, and to roundoff in a partial one, where
 BLAS may pick another kernel for another column count.  ``BLOCK`` is part
 of the contract: changing it changes the samples.  Realized samples differ
 from those of version 0.1.0, which keyed one stream per column; this rule
-holds from version 0.2.0.  Path samplers draw their blocks through
-:func:`draw_block`: ``sample`` and the streamed torus parity check
-(``invdecomp.torus.torus_watson_check``, stream 0), so a block holds the
-same columns in both.
+holds from version 0.2.0.
 
-Normals of a column are coordinates, and two rules say on what.  A path
-sampler multiplies them by the covariance factor L (:func:`draw_block`).
-:func:`pair_functional` never forms a path: normal k of a column is the
-coordinate on the k-th eigenvalue, in ascending order, of the clipped
-weighted spectrum (``Kernel.eigenvalues`` through :func:`_clip_spectrum`).
-Both rules give the same law, but the checks built on it (duplication,
-quadruplication, cumulants, mgf) draw other samples than in version 0.2.0,
-where they multiplied the normals by L; the keying above is unchanged.
+Normal k of a column is the coordinate on the k-th eigenvalue, in ascending
+order, of the weighted spectrum clipped by :func:`_clip_spectrum`: the
+Karhunen-Loeve coordinates.  Every sampler reads the normals this way.
+:func:`pair_functional` reduces them against the eigenvalues, with no path.
+The path samplers, ``sample`` and the streamed torus parity check
+(``invdecomp.torus.torus_watson_check``, stream 0), draw each block through
+:func:`draw_block`, which applies the m x r factor of
+:func:`covariance_factor` to the last r normals of each column, those of the
+r eigenvalues kept.  Up to version 0.2.0 the law checks (duplication,
+quadruplication, cumulants, mgf), and up to version 0.3.0 the path samplers,
+multiplied all m normals by the symmetric root of K, so their realized
+samples differ from those versions; the keying above is unchanged.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
@@ -62,7 +63,6 @@ __all__ = [
     "covariance_factor",
     "sample",
     "pair_functional",
-    "decompose_ensemble",
     "DistributionComparison",
     "compare_distributions",
     "null_ks_critical",
@@ -117,14 +117,17 @@ def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
 
 
 def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
-    """Columns a, ..., b-1 of an ensemble with factor ``l``: one block of the contract.
+    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``: one block of the contract.
 
-    ``a`` is the first column of a block and ``b`` at most its end.  Every
-    path sampler draws through here, so every ensemble follows ``RNG_CONTRACT``.
+    ``a`` is the first column of a block and ``b`` at most its end.  Each
+    column draws m normals and ``l`` takes the last r, the coordinates on the
+    r largest eigenvalues.  Every path sampler draws through here, so every
+    ensemble follows ``RNG_CONTRACT`` and the coordinate rule.
     """
-    xi = np.empty((b - a, l.shape[1]))
+    m, r = l.shape
+    xi = np.empty((b - a, m))
     _fill_normals(xi, seed, stream, a)
-    return l @ xi.T
+    return l @ xi[:, m - r :].T
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:
@@ -155,25 +158,20 @@ def _clip_spectrum(evals: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(keep, evals, 0.0), int(np.count_nonzero(keep))
 
 
-def covariance_factor(kernel: Kernel) -> tuple[np.ndarray, int]:
-    """Factor L with L L^T = K, from the weighted eigenpairs, small ones clipped.
+def covariance_factor(kernel: Kernel) -> np.ndarray:
+    """The m x r Karhunen-Loeve factor L = W^-1/2 V_r diag(sqrt(lambda_r)), with L L^T = K.
 
-    Returns (L, rank) with L = W^-1/2 V diag(sqrt(clip(lambda))) V^T, where
-    W = diag(w) and (lambda, V) = :func:`invdecomp.kernels.weighted_eigh`, so
-    L L^T = W^-1/2 (W^1/2 K W^1/2) W^-1/2 = K.  On uniform weights L is the
-    symmetric PSD root of K; when the weights are a power of 4 it is bitwise
-    the root U sqrt(Lambda) U^T of eigh(K), and on other weights it differs
-    from that root by roundoff.  Eigenvalues are clipped by
-    :func:`_clip_spectrum`.  Eigendecomposition rather than Cholesky:
-    discretized kernels are routinely rank-deficient.
+    (lambda, V) = :func:`invdecomp.kernels.weighted_eigh` and W = diag(w).
+    The r eigenvalues that :func:`_clip_spectrum` keeps are the last r of the
+    ascending spectrum, and V_r, lambda_r are those columns and values, so
+    L L^T = W^-1/2 (W^1/2 K W^1/2) W^-1/2 = K up to the clipped tail.  Column
+    j of L is the j-th kept eigenfunction scaled by its sqrt(eigenvalue); a
+    kernel with nothing kept gives an (m, 0) factor.  Eigendecomposition
+    rather than Cholesky: discretized kernels are routinely rank-deficient.
     """
     evals, vecs = weighted_eigh(kernel)
-    lam, rank = _clip_spectrum(evals)
-    if rank == 0:
-        return np.zeros_like(kernel.matrix), 0
-    l = (vecs * np.sqrt(lam)[None, :]) @ vecs.T
-    l /= np.sqrt(kernel.space.weights)[:, None]
-    return l, rank
+    m, r = kernel.size, _clip_spectrum(evals)[1]
+    return vecs[:, m - r :] * np.sqrt(evals[m - r :]) / np.sqrt(kernel.space.weights)[:, None]
 
 
 @dataclass(frozen=True)
@@ -183,7 +181,6 @@ class PathEnsemble:
     space: IndexSpace
     samples: np.ndarray  # (m, S)
     seed: int
-    factorization_rank: int
 
     def __post_init__(self) -> None:
         s = np.asarray(self.samples)
@@ -192,34 +189,30 @@ class PathEnsemble:
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
-    @property
-    def count(self) -> int:
-        return self.samples.shape[1]
-
-    def __repr__(self) -> str:
-        return f"PathEnsemble(m={self.space.size}, count={self.count}, seed={self.seed})"
-
 
 def sample(
     kernel: Kernel,
     count: int,
     seed: int,
     stream: int = 0,
-    factor: Optional[tuple[np.ndarray, int]] = None,
+    factor: Optional[np.ndarray] = None,
 ) -> PathEnsemble:
-    """Draw ``count`` Gaussian paths with covariance ``kernel``."""
+    """Draw ``count`` Gaussian paths with covariance ``kernel``.
+
+    ``factor`` is :func:`covariance_factor` of the kernel, computed here when
+    not given.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    l, rank = covariance_factor(kernel) if factor is None else factor
-    m = kernel.size
-    out = np.empty((m, count))
+    l = covariance_factor(kernel) if factor is None else factor
+    out = np.empty((kernel.size, count))
 
     def run(blk):
         a, b = blk
         out[:, a:b] = draw_block(l, seed, stream, a, b)
 
     _parallel(_blocks(count), run)
-    return PathEnsemble(space=kernel.space, samples=out, seed=seed, factorization_rank=rank)
+    return PathEnsemble(space=kernel.space, samples=out, seed=seed)
 
 
 def pair_functional(
@@ -231,14 +224,14 @@ def pair_functional(
 ) -> np.ndarray:
     """Streamed J = sum_i w_i Z1[i] Z2[i] per sample, for Z2 = rho Z1 + sqrt(1-rho^2) Z1'.
 
-    Z1 and Z1' are independent paths with covariance K.  Written as
-    Z1 = L V xi and Z1' = L V eta, with i.i.d. normal xi, eta and the factor
-    L = W^-1/2 V Lambda^1/2 V^T of :func:`covariance_factor`, the functional is
-    exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k).  So J is
-    drawn from the clipped spectrum alone: O(m) per column, no paths and no
-    eigenvectors.  Normal k of a column of stream ``streams[0]`` is xi_k and
-    of ``streams[1]`` is eta_k, with lambda ascending; at rho = 1 the second
-    stream is not drawn.
+    Z1 and Z1' are independent paths with covariance K.  Drawn as
+    :func:`sample` draws them, Z1 = L xi and Z1' = L eta with the normals
+    xi, eta of one column and the factor L of :func:`covariance_factor`, the
+    functional is exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k),
+    since L^T W L = diag(lambda_r).  So J is drawn from the clipped spectrum
+    alone: O(m) per column, no paths and no eigenvectors.  Normal k of a
+    column of stream ``streams[0]`` is xi_k and of ``streams[1]`` is eta_k,
+    with lambda ascending; at rho = 1 the second stream is not drawn.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -260,28 +253,6 @@ def pair_functional(
 
     _parallel(_blocks(count), run)
     return out
-
-
-def decompose_ensemble(ensemble: PathEnsemble, table) -> dict:
-    """Character components of every sample; values are PathEnsembles.
-
-    Components sum to the original ensemble (exactly up to addition
-    roundoff) and are pathwise orthogonal in the weighted inner product.
-    """
-    from invdecomp.groups import project_path
-
-    action = ensemble.space.action
-    if action is None:
-        raise KernelError("ensemble space has no bound action")
-    return {
-        p.label: PathEnsemble(
-            space=ensemble.space,
-            samples=project_path(ensemble.samples, action, p),
-            seed=ensemble.seed,
-            factorization_rank=ensemble.factorization_rank,
-        )
-        for p in table
-    }
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
     axes = [np.arange(n) for n in shape]
     ints = np.array(list(itertools.product(*axes)), dtype=np.intp)  # row-major
     frac = ints / np.array(shape, dtype=float)
-    pts = frac @ lattice.basis  # row i = V^T? rows are sums a_k/n_k * v_k
+    pts = frac @ lattice.basis  # point i = sum_k frac[i, k] * (basis row k)
     m = len(ints)
     w = np.full(m, lattice.volume / m)
 
@@ -339,12 +339,7 @@ def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble
     x = ensemble.samples
     x1 = (x - x[neg]) / 2.0
     x2 = x - x1
-    mk = lambda s: PathEnsemble(
-        space=ensemble.space,
-        samples=s,
-        seed=ensemble.seed,
-        factorization_rank=ensemble.factorization_rank,
-    )
+    mk = lambda s: PathEnsemble(space=ensemble.space, samples=s, seed=ensemble.seed)
     return mk(x1), mk(x2)
 
 
@@ -412,7 +407,7 @@ def torus_watson_check(
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    l, rank = covariance_factor(kernel)
+    l = covariance_factor(kernel)
     w = grid.weights
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
@@ -428,7 +423,7 @@ def torus_watson_check(
         cross = np.zeros((half.size, grid.size))
         for c in range(0, b - a, SPLIT_COLUMNS):
             cols = slice(c, c + SPLIT_COLUMNS)
-            part = PathEnsemble(space=grid, samples=x[:, cols], seed=seed, factorization_rank=rank)
+            part = PathEnsemble(space=grid, samples=x[:, cols], seed=seed)
             x1, x2 = (p.samples for p in parity_decompose(part))
             out = slice(a + c, a + c + x1.shape[1])
             e[out] = w @ (part.samples**2)

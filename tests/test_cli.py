@@ -188,6 +188,69 @@ def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):
     assert main(["validate", str(cfg)]) == 2
 
 
+def _torus_config(params=None, n=(16,), checks=("stationarity", "torus_watson")):
+    kernel = {"name": "torus_watson"}
+    if params is not None:
+        kernel["params"] = params
+    grid = {"kind": "torus", "n": list(n)}
+    return {"kernel": kernel, "grid": grid, "checks": list(checks), "samples": 2000, "seed": 1}
+
+
+def _mgf_config(pairs, checks=("mgf",)):
+    kernel = {"name": "watson", "params": {"mgf_pairs": pairs}}
+    return {"kernel": kernel, "grid": {"n": 64}, "checks": list(checks), "samples": 2000, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        _torus_config({"cutof": 5}),
+        {"kernel": {"name": "watson", "params": {"path": "k.json"}}},
+        {"kernel": {"name": "user_matrix"}},
+        _torus_config({"cutoff": 3}, checks=["stationarity"]),
+        _mgf_config([[0.5, 0.5]], checks=["invariance"]),
+        _torus_config({"cutoff": 8}),
+        _torus_config(n=[2, 16]),
+        _torus_config({"cutoff": -3}),
+        _mgf_config([[7.0, 0.5]]),
+        _mgf_config([[-0.5, 0.5]]),
+        _mgf_config([[0.5, 1.5]]),
+    ],
+    ids=[
+        "misspelt-key",
+        "path-without-user-matrix",
+        "user-matrix-without-path",
+        "cutoff-without-torus-check",
+        "mgf-pairs-without-mgf",
+        "cutoff-at-nyquist",
+        "default-cutoff-at-nyquist",
+        "negative-cutoff",
+        "mgf-lambda-at-the-pole",
+        "mgf-negative-lambda",
+        "mgf-rho-above-one",
+    ],
+)
+def test_validate_rejects_kernel_params_the_run_ignores_or_cannot_honour(
+    tmp_path, capsys, overrides
+):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["validate", str(cfg)]) == 2
+    assert "kernel/params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        _torus_config({"cutoff": 7}),
+        _torus_config(n=[3, 16]),
+        _mgf_config([[6.2, 0.01], [0.0, 1.0]]),
+    ],
+    ids=["cutoff-below-nyquist", "default-cutoff", "mgf-pairs-in-range"],
+)
+def test_validate_accepts_kernel_params_where_they_are_read(tmp_path, overrides):
+    assert main(["validate", str(write_config(tmp_path, **overrides))]) == 0
+
+
 @pytest.mark.parametrize(
     "tolerances",
     [

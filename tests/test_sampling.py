@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.stats import ks_2samp
 
-from invdecomp.groups import character_table
+from invdecomp.groups import character_table, project_path
+from invdecomp.io import load_kernel
 from invdecomp.kernels import (
     IndexSpace,
     builtin_kernel,
@@ -22,13 +23,12 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
-    EIG_CLIP,
     RNG_CONTRACT,
+    _clip_spectrum,
     _fill_normals,
     _key,
     compare_distributions,
     covariance_factor,
-    decompose_ensemble,
     duplication_check,
     kstat_variances,
     null_ks_critical,
@@ -202,14 +202,10 @@ def _rank_deficient():
     ids=["interval24", "sheet6x6", "rank_deficient"],
 )
 def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
-    """For fixed normals xi, eta: sum_i w (L xi)(L (rho xi + c eta)) is the
-    spectral reduction of (V^T xi, V^T eta), with (lambda, V) = weighted_eigh.
-
-    L = W^-1/2 V sqrt(lambda) V^T is built here, with lambda clipped at
-    EIG_CLIP * lambda_max.  Taking xi = V x and eta = V y for the normals x, y
-    that pair_functional draws (streams 0 and 1, seed 5, two blocks) makes
-    that reduction pair_functional's own output, up to the roundoff of
-    V^T V = I.
+    """For the normals x, y that pair_functional draws (streams 0 and 1, seed 5,
+    two blocks), sum_i w (L x)(L (rho x + c y)) with the factor L of sample
+    is pair_functional's own output, up to the roundoff of L^T W L = Lambda_r:
+    both samplers read normal k as the coordinate on the k-th eigenvalue.
     """
     kernel = make_kernel()
     count = BLOCK + 4  # straddles a block edge
@@ -217,10 +213,9 @@ def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
     for a in (0, BLOCK):
         _fill_normals(x[a : a + BLOCK], 5, 0, a)
         _fill_normals(y[a : a + BLOCK], 5, 1, a)
-    evals, vecs = weighted_eigh(kernel)
-    lam = np.where(evals >= EIG_CLIP * evals[-1], evals, 0.0)
-    l = (vecs * np.sqrt(lam)) @ vecs.T / np.sqrt(kernel.space.weights)[:, None]
-    xi, eta = vecs @ x.T, vecs @ y.T
+    l = covariance_factor(kernel)
+    r = l.shape[1]
+    xi, eta = x[:, kernel.size - r :].T, y[:, kernel.size - r :].T
     comp = np.sqrt(1.0 - rho * rho)
     dense = kernel.space.weights @ ((l @ xi) * (l @ (rho * xi + comp * eta)))
     j = pair_functional(kernel, rho, count, seed=5)
@@ -260,29 +255,38 @@ def test_covariance_factor_reproduces_kernel_on_nonuniform_weights():
     x, w = np.polynomial.legendre.leggauss(40)
     space = IndexSpace((x + 1) / 2, w / 2, name="gauss-legendre[40]")
     k = builtin_kernel("bridge", space)
-    l, rank = covariance_factor(k)
-    assert rank == k.size
+    l = covariance_factor(k)
+    assert l.shape == (k.size, k.size)
     assert np.abs(l @ l.T - k.matrix).max() < 1e-14
 
 
 @pytest.mark.parametrize(
-    "kernel",
+    "make_kernel",
     [
-        ("watson", make_interval_grid(16)),
-        ("watson", make_interval_grid(64)),
-        ("sheet_compensated", make_product_grid([make_interval_grid(8)] * 2)),
+        lambda: builtin_kernel("watson", make_interval_grid(16)),
+        lambda: builtin_kernel("watson", make_interval_grid(64)),
+        lambda: builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(8)] * 2)),
+        _rank_deficient,
     ],
-    ids=["interval16", "interval64", "sheet8x8"],
+    ids=["interval16", "interval64", "sheet8x8", "rank_deficient"],
 )
-def test_covariance_factor_is_the_symmetric_root_on_power_of_4_weights(kernel):
-    """On weights 4^-k the weighted factor is bitwise U sqrt(Lambda) U^T."""
-    k = builtin_kernel(*kernel)
-    evals, vecs = np.linalg.eigh(k.matrix)
-    lam = np.where(evals >= EIG_CLIP * evals[-1], evals, 0.0)
-    root = (vecs * np.sqrt(lam)[None, :]) @ vecs.T
-    l, rank = covariance_factor(k)
-    assert np.array_equal(l, root)
-    assert rank == np.count_nonzero(lam)
+def test_covariance_factor_is_the_kl_factor(make_kernel):
+    """L is bitwise W^-1/2 V_r sqrt(Lambda_r) on the r kept, largest, eigenpairs."""
+    k = make_kernel()
+    evals, vecs = weighted_eigh(k)
+    m, r = k.size, _clip_spectrum(evals)[1]
+    l = covariance_factor(k)
+    assert l.shape == (m, r)
+    want = vecs[:, m - r :] * np.sqrt(evals[m - r :]) / np.sqrt(k.space.weights)[:, None]
+    assert np.array_equal(l, want)
+    assert np.abs(l @ l.T - k.matrix).max() < 1e-14
+
+
+def test_zero_kernel_has_an_empty_factor_and_zero_paths(kernel_file):
+    k = load_kernel(kernel_file(np.zeros((8, 8))))
+    assert covariance_factor(k).shape == (8, 0)
+    ens = sample(k, BLOCK + 3, seed=1)
+    assert np.array_equal(ens.samples, np.zeros((8, BLOCK + 3)))
 
 
 # ------------------------------------------------------------------ moments
@@ -320,36 +324,36 @@ def test_functional_mean_matches_first_cumulant(watson32):
 # ------------------------------------------------------------ decomposition
 
 
+def _parts(kernel, count, seed):
+    """A sampled ensemble and its character projections, by irrep label."""
+    ens = sample(kernel, count, seed=seed)
+    action = kernel.space.action
+    table = character_table(action.group)
+    return ens, {p.label: project_path(ens.samples, action, p) for p in table}
+
+
 def test_ensemble_decomposition_recovers_paths(watson32):
-    ens = sample(watson32, 300, seed=8)
-    table = character_table(watson32.space.action.group)
-    parts = decompose_ensemble(ens, table)
+    ens, parts = _parts(watson32, 300, 8)
     assert set(parts) == {"triv", "sign"}
-    total = sum(p.samples for p in parts.values())
+    total = sum(parts.values())
     assert np.abs(total - ens.samples).max() < 1e-14
 
 
 def test_ensemble_parts_have_exact_symmetry(watson32):
-    ens = sample(watson32, 64, seed=8)
-    table = character_table(watson32.space.action.group)
-    parts = decompose_ensemble(ens, table)
+    _, parts = _parts(watson32, 64, 8)
     rev = watson32.space.action.perm[1]
-    assert np.array_equal(parts["triv"].samples[rev], parts["triv"].samples)
-    assert np.array_equal(parts["sign"].samples[rev], -parts["sign"].samples)
+    assert np.array_equal(parts["triv"][rev], parts["triv"])
+    assert np.array_equal(parts["sign"][rev], -parts["sign"])
 
 
 def test_ensemble_parts_are_orthogonal(watson32):
     """Pathwise Parseval: weighted energies of the parts sum to the total."""
-    ens = sample(watson32, 500, seed=14)
-    table = character_table(watson32.space.action.group)
-    parts = decompose_ensemble(ens, table)
+    ens, parts = _parts(watson32, 500, 14)
     w = watson32.space.weights
-    cross = np.einsum("is,i,is->s", parts["triv"].samples, w, parts["sign"].samples)
+    cross = np.einsum("is,i,is->s", parts["triv"], w, parts["sign"])
     assert np.abs(cross).max() < 1e-15
     total = np.einsum("is,i,is->s", ens.samples, w, ens.samples)
-    split = sum(
-        np.einsum("is,i,is->s", p.samples, w, p.samples) for p in parts.values()
-    )
+    split = sum(np.einsum("is,i,is->s", p, w, p) for p in parts.values())
     assert np.allclose(split, total, rtol=1e-12)
 
 

@@ -1,0 +1,74 @@
+"""Print one digest line per preset, to prove that a refactor leaves every report unchanged.
+
+Usage, from the root of a checkout:
+
+    python3 tools/preset_digests.py [PRESET ...]
+
+Every preset of ``invdecomp.cli.PRESETS`` (or only those named) runs through
+``invdecomp.cli.main`` into a temporary directory, with one sampling worker
+and one BLAS thread.  Each line gives the preset, its exit code, the sha256 of
+its ``report.json`` and the sha256 of each CSV table, in name order.  The
+report is hashed without its ``generated_at`` timestamp and without its
+``version``, re-serialized exactly as the program writes it, so a version bump
+does not change the digest; compare the version separately.
+
+Run the script on two checkouts and diff the outputs: equal lines mean
+byte-identical reports and tables.
+"""
+
+from __future__ import annotations
+
+import os
+
+# before numpy loads, so that BLAS starts with one thread
+os.environ["INVDECOMP_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from invdecomp import cli  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(preset: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["run", "--preset", preset, "--out", str(out)])
+        fields = [preset, f"exit={code}"]
+        path = out / "report.json"
+        if path.exists():
+            report = json.loads(path.read_text())
+            report.pop("generated_at", None)
+            report.pop("version", None)
+            # the writer's own serialization, so the digest is that of the bytes
+            text = json.dumps(report, sort_keys=True, indent=1)
+            fields.append(f"report.json={_sha(text.encode())}")
+        fields += [f"{csv.name}={_sha(csv.read_bytes())}" for csv in sorted(out.glob("*.csv"))]
+    return " ".join(fields)
+
+
+def main(argv: list[str]) -> int:
+    names = argv or list(cli.PRESETS)
+    unknown = [n for n in names if n not in cli.PRESETS]
+    if unknown:
+        print(f"unknown presets: {unknown}", file=sys.stderr)
+        return 2
+    for name in names:
+        print(digest(name), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
