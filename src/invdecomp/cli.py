@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -47,12 +48,11 @@ from invdecomp.kernels import (
     project_kernel,
 )
 from invdecomp.sampling import (
-    LAW_SAMPLES,
-    duplication_check,
+    LAW_DEFAULTS,
+    law_check,
     pair_functional,
     kstat_variances,
     null_ks_critical,
-    quadruplication_check,
 )
 from invdecomp.spectral import (
     DecompositionError,
@@ -84,8 +84,8 @@ class Check:
     ``run(ctx, tols, cfg)`` returns a JSON-ready report with an ``ok`` flag;
     ``headline(report)`` is its one-line summary and ``rows(report, ctx)``
     the cells of its CSV table, if it has one.  The flags name what the
-    config must provide, and ``kernel``/``axes`` pin the kernel and grid of a
-    check that builds its own.
+    config must provide; ``kernel``/``axes`` pin the only kernel and grid a
+    check accepts.  Every check runs on the run's one kernel, ``ctx["kernel"]``.
     """
 
     run: Callable[[dict, dict, dict], dict]
@@ -321,10 +321,11 @@ def _run_torus_watson(ctx, tols, cfg):
     return rep
 
 
-def _law_config(cfg: dict, ks_tol: float) -> dict:
-    """Config for the sampling module's in-law checks, which own their defaults."""
-    out = {key: cfg[key] for key in ("samples", "rho", "seed") if key in cfg}
-    return dict(out, grid=_grid_axes(cfg)[0], ks_tol=ks_tol)
+def _run_law(name: str, ctx: dict, tols: dict, cfg: dict) -> dict:
+    """The in-law check ``name`` on the run's kernel, with the sampling module's defaults."""
+    defaults = LAW_DEFAULTS[name]
+    rho, count = float(cfg.get("rho", defaults["rho"])), int(cfg.get("samples", defaults["samples"]))
+    return law_check(ctx["kernel"], rho, count, int(cfg["seed"]), tols[name])
 
 
 def _fmt(x) -> str:
@@ -452,9 +453,9 @@ CHECKS = {
             for p in r["pairs"]
         ],
     ),
-    # the two in-law checks build their own kernels on the first grid axis
+    # the two in-law checks run the run's kernel against its tied-down partner
     "duplication": Check(
-        run=lambda ctx, tols, cfg: duplication_check(_law_config(cfg, tols["duplication"])),
+        run=partial(_run_law, "duplication"),
         tolerances={"duplication": 0.01},
         headline=_law_headline,
         seed=True,
@@ -465,9 +466,7 @@ CHECKS = {
         rows=_law_rows,
     ),
     "quadruplication": Check(
-        run=lambda ctx, tols, cfg: quadruplication_check(
-            _law_config(cfg, tols["quadruplication"])
-        ),
+        run=partial(_run_law, "quadruplication"),
         tolerances={"quadruplication": 0.015},
         headline=_law_headline,
         seed=True,
@@ -547,7 +546,7 @@ CONFIG_SCHEMA = {
                         },
                     ]
                 },
-                "basis": {"type": "array"},
+                "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
             },
         },
         "rho": {"type": "number", "minimum": 0.0, "maximum": 1.0},
@@ -711,6 +710,9 @@ def validate_config(cfg: dict) -> list[str]:
     def needing(flag: str) -> list[str]:
         return [c for c in checks if getattr(CHECKS[c], flag)]
 
+    basis, d = cfg.get("grid", {}).get("basis"), len(ns)
+    if basis is not None and (kind != "torus" or [len(row) for row in basis] != [d] * d):
+        errors.append(f"grid/basis: only a torus grid reads it, one row of {d} numbers per axis")
     if kind == "torus":
         if kname != "torus_watson":
             errors.append("kernel/name: torus grids support the torus_watson kernel")
@@ -774,10 +776,10 @@ def _noise_notes(cfg: dict) -> list[str]:
     critical value at its sample count: such a check can fail on noise alone."""
     tols = resolve_tolerances(cfg, 1.0)
     notes = []
-    for name, default_count in LAW_SAMPLES.items():
+    for name in LAW_DEFAULTS:
         if name not in cfg["checks"]:
             continue
-        count = int(cfg.get("samples", default_count))
+        count = int(cfg.get("samples", LAW_DEFAULTS[name]["samples"]))
         critical = null_ks_critical(count)
         if tols[name] < critical:
             notes.append(

@@ -95,15 +95,14 @@ class CumulantVector:
         if len(v) >= 2 and v[1] < 0:
             raise ValueError("kappa_2 must be nonnegative for rho in [0,1]")
 
-    def __getitem__(self, n: int) -> float:
-        """1-based access: self[n] = kappa_n."""
-        if n < 1:
-            raise IndexError("cumulant orders start at 1")
-        return float(self.values[n - 1])
 
-    @property
-    def n_max(self) -> int:
-        return len(self.values)
+def _cumulants_from_traces(traces, rho: float) -> np.ndarray:
+    """kappa_1..kappa_N of the module formula from the traces tr((D K)^n), n = 1..N."""
+    values = np.empty(len(traces))
+    values[0] = rho * traces[0]
+    for n in range(2, len(traces) + 1):
+        values[n - 1] = cumulant_coefficient(n) * k_coeff(n, rho) * 2.0 ** (-n) * traces[n - 1]
+    return values
 
 
 def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> CumulantVector:
@@ -111,11 +110,7 @@ def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> CumulantVector
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     traces = weighted_traces(kernel, n_max)
-    values = np.empty(n_max)
-    values[0] = rho * traces[0]
-    for n in range(2, n_max + 1):
-        values[n - 1] = cumulant_coefficient(n) * k_coeff(n, rho) * 2.0 ** (-n) * traces[n - 1]
-    return CumulantVector(rho=rho, values=values)
+    return CumulantVector(rho=rho, values=_cumulants_from_traces(traces, rho))
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -149,15 +144,6 @@ class WatsonCheckReport:
     def ok(self) -> bool:
         return self.cii_pass and self.ciii_pass
 
-    def _irrep_cumulants(self, label: str) -> list[float]:
-        tr = self.traces[label]
-        out = [self.rho * tr[0]]
-        for n in range(2, self.n_max + 1):
-            out.append(
-                cumulant_coefficient(n) * k_coeff(n, self.rho) * 2.0 ** (-n) * tr[n - 1]
-            )
-        return out
-
     def to_dict(self) -> dict:
         return {
             "rho": self.rho,
@@ -165,7 +151,7 @@ class WatsonCheckReport:
             "per_irrep": [
                 {
                     "label": lab,
-                    "cumulants": self._irrep_cumulants(lab),
+                    "cumulants": _cumulants_from_traces(self.traces[lab], self.rho).tolist(),
                     "traces": list(self.traces[lab]),
                     "cII_dev": list(self.cii_dev[lab]),
                     "cIII_dev": list(self.ciii_dev[lab]),

@@ -1,4 +1,9 @@
-"""Seeded Gaussian ensembles, pair functionals, and law-comparison checks.
+"""Seeded Gaussian ensembles, pair functionals, and the duplication-law check.
+
+:func:`law_check` states Watson's duplication law once for Z2^d on
+[0, 1]^d and runs it on the kernel it is given; the runner passes the kernel
+it built.  :func:`duplication_check` (d = 1) and
+:func:`quadruplication_check` (d = 2) build that kernel from a config.
 
 Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
@@ -67,6 +72,7 @@ __all__ = [
     "compare_distributions",
     "null_ks_critical",
     "kstat_variances",
+    "law_check",
     "duplication_check",
     "quadruplication_check",
 ]
@@ -74,7 +80,12 @@ __all__ = [
 BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
 RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
-LAW_SAMPLES = {"duplication": 100_000, "quadruplication": 50_000}  # default counts of the in-law checks
+# the in-law checks in order of dimension, with the defaults their wrappers and the runner read
+LAW_DEFAULTS = {
+    "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
+    "quadruplication": {"grid": 32, "samples": 50_000, "rho": 0.5},
+}
+TIED = {"watson": "bridge", "sheet_compensated": "sheet_tied"}  # compensated -> tied-down, by dim
 
 
 def worker_count() -> int:
@@ -371,75 +382,66 @@ def _law_report(
     }
 
 
-def duplication_check(config: dict) -> dict:
-    """Compare the compensated functional with a quarter-sum of two
-    independent uncompensated (tied-down) functionals, in law.
+def law_check(
+    kernel: Kernel, rho: float, count: int, seed: int, ks_tol: Optional[float] = None
+) -> dict:
+    """Watson's duplication law on [0, 1]^d, for a compensated ``kernel``.
 
-    config keys: grid (int, default 256), samples (default 100000),
-    rho (default 1.0), seed (required), ks_tol (optional override).
+    A Gaussian law invariant under Z2^d splits into 2^d parts, each with the
+    law of the tied-down functional, so the compensated functional equals in
+    law 4^-d times the sum of 2^d independent tied-down ones: duplication in
+    1-d, quadruplication on the square.  The tied-down partner (``TIED``) is
+    built on ``kernel.space``.  The left side draws streams (0, 1), copy i of
+    the right side streams (2 + 2i, 3 + 2i).
     """
-    grid = int(config.get("grid", 256))
-    count = int(config.get("samples", LAW_SAMPLES["duplication"]))
-    rho = float(config.get("rho", 1.0))
-    seed = int(config["seed"])
-    space = make_interval_grid(grid)
-    watson = builtin_kernel("watson", space)
-    bridge = builtin_kernel("bridge", space)
-
-    lhs = pair_functional(watson, rho, count, seed, streams=(0, 1))
-    rhs = 0.25 * (
-        pair_functional(bridge, rho, count, seed, streams=(2, 3))
-        + pair_functional(bridge, rho, count, seed, streams=(4, 5))
-    )
-    kap_l = analytic_cumulants(watson, rho, 8).values
-    kap_b = analytic_cumulants(bridge, rho, 8).values
-    # kappa_n of (J + J')/4 for independent copies
-    kap_r = np.array([2.0 * 4.0 ** (-n) * kap_b[n - 1] for n in range(1, 9)])
-    rep = _law_report(lhs, rhs, kap_l, kap_r, count, seed, config.get("ks_tol"), orders=3)
+    if kernel.name not in TIED:
+        raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {sorted(TIED)})")
+    space = kernel.space
+    tied = builtin_kernel(TIED[kernel.name], space)
+    copies = 2**space.dim
+    lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
+    acc = np.zeros(count)
+    for i in range(copies):
+        acc += pair_functional(tied, rho, count, seed, streams=(2 + 2 * i, 3 + 2 * i))
+    rhs = acc / copies**2
+    kap_l = analytic_cumulants(kernel, rho, 8).values
+    # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
+    kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values
+    rep = _law_report(lhs, rhs, kap_l, kap_r, count, seed, ks_tol, orders=3)
+    axes = [np.unique(space.points[:, k]).size for k in range(space.dim)]
     rep.update(
         {
-            "check": "duplication",
-            "grid": grid,
+            "check": list(LAW_DEFAULTS)[space.dim - 1],
+            "grid": axes[0] if space.dim == 1 else axes,
             "rho": rho,
             "mean_lhs": float(np.mean(lhs)),
             "mean_rhs": float(np.mean(rhs)),
         }
     )
     return rep
+
+
+def _law_from_config(name: str, config: dict) -> dict:
+    """:func:`law_check` on an n^d interval grid, d = 1 for duplication and 2 for
+    quadruplication.  ``config`` gives grid (n), samples, rho, seed (required)
+    and ks_tol; the first three default to ``LAW_DEFAULTS[name]``."""
+    defaults = LAW_DEFAULTS[name]
+    dim = list(LAW_DEFAULTS).index(name) + 1
+    space = make_product_grid([make_interval_grid(int(config.get("grid", defaults["grid"])))] * dim)
+    return law_check(
+        builtin_kernel(list(TIED)[dim - 1], space),
+        float(config.get("rho", defaults["rho"])),
+        int(config.get("samples", defaults["samples"])),
+        int(config["seed"]),
+        config.get("ks_tol"),
+    )
+
+
+def duplication_check(config: dict) -> dict:
+    """:func:`law_check` of the watson kernel on an n-point interval grid."""
+    return _law_from_config("duplication", config)
 
 
 def quadruplication_check(config: dict) -> dict:
-    """Product-space analogue: compensated sheet vs 1/16 times the sum of
-    four independent tied-down sheet functionals.
-
-    config keys: grid (per-axis int, default 32), samples (default 50000),
-    rho (default 0.5), seed (required), ks_tol (optional).
-    """
-    grid = int(config.get("grid", 32))
-    count = int(config.get("samples", LAW_SAMPLES["quadruplication"]))
-    rho = float(config.get("rho", 0.5))
-    seed = int(config["seed"])
-    axis = make_interval_grid(grid)
-    space = make_product_grid([axis, axis])
-    comp = builtin_kernel("sheet_compensated", space)
-    tied = builtin_kernel("sheet_tied", space)
-
-    lhs = pair_functional(comp, rho, count, seed, streams=(0, 1))
-    acc = np.zeros(count)
-    for i in range(4):
-        acc += pair_functional(tied, rho, count, seed, streams=(2 + 2 * i, 3 + 2 * i))
-    rhs = acc / 16.0
-    kap_l = analytic_cumulants(comp, rho, 8).values
-    kap_t = analytic_cumulants(tied, rho, 8).values
-    kap_r = np.array([4.0 * 16.0 ** (-n) * kap_t[n - 1] for n in range(1, 9)])
-    rep = _law_report(lhs, rhs, kap_l, kap_r, count, seed, config.get("ks_tol"), orders=3)
-    rep.update(
-        {
-            "check": "quadruplication",
-            "grid": [grid, grid],
-            "rho": rho,
-            "mean_lhs": float(np.mean(lhs)),
-            "mean_rhs": float(np.mean(rhs)),
-        }
-    )
-    return rep
+    """:func:`law_check` of the sheet_compensated kernel on an n x n grid."""
+    return _law_from_config("quadruplication", config)

@@ -14,7 +14,8 @@ from invdecomp.cli import (
 )
 from invdecomp.groups import character_table
 from invdecomp.io import load_kernel
-from invdecomp.kernels import builtin_kernel, make_interval_grid
+from invdecomp.kernels import Kernel, builtin_kernel, make_interval_grid
+from invdecomp.sampling import duplication_check, quadruplication_check
 
 
 def write_config(tmp_path, name="cfg", **overrides):
@@ -180,8 +181,22 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
             "grid": {"kind": "torus", "n": [4, 4]},
             "checks": ["stationarity"],
         },
+        {"grid": {"kind": "interval", "n": 32, "basis": [[1.0]]}},
+        {
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [4, 4], "basis": np.eye(3).tolist()},
+            "checks": ["stationarity"],
+        },
     ],
-    ids=["group", "binary", "negation-on-interval", "reversal-on-torus", "none-on-torus"],
+    ids=[
+        "group",
+        "binary",
+        "negation-on-interval",
+        "reversal-on-torus",
+        "none-on-torus",
+        "basis-on-interval",
+        "basis-rows-not-axes",
+    ],
 )
 def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -277,6 +292,68 @@ def test_run_rejects_a_non_positive_tol_scale(tmp_path, capsys, scale):
 
 def test_missing_config_file(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 2
+
+
+def test_validate_accepts_a_torus_basis_with_one_row_per_axis(tmp_path):
+    grid = {"kind": "torus", "n": [4, 4], "basis": [[1.0, 0.0], [0.5, 1.0]]}
+    cfg = write_config(tmp_path, kernel={"name": "torus_watson"}, grid=grid, checks=["stationarity"])
+    assert main(["validate", str(cfg)]) == 0
+
+
+# ---------------------------------------------------------------- law checks
+
+_LAW_RUNS = {
+    # check: (kernel, tied-down partner, grid.n, the sampling module's wrapper, its grid)
+    "duplication": ("watson", "bridge", 32, duplication_check, 32),
+    "quadruplication": ("sheet_compensated", "sheet_tied", [8, 8], quadruplication_check, 8),
+}
+
+
+@pytest.mark.parametrize("check", list(_LAW_RUNS))
+def test_law_check_runs_on_the_runners_kernel(tmp_path, monkeypatch, check):
+    """The run builds its kernel and the tied-down partner: two kernels, not three."""
+    built = []
+    post_init = Kernel.__post_init__
+
+    def counting(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Kernel, "__post_init__", counting)
+    kernel, tied, n, _, _ = _LAW_RUNS[check]
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": kernel},
+        grid={"kind": "interval", "n": n},
+        checks=[check],
+        samples=2000,
+        seed=7,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert built == [kernel, tied]
+
+
+@pytest.mark.parametrize("action", [None, "none"])
+@pytest.mark.parametrize("check", list(_LAW_RUNS))
+def test_runner_law_report_is_the_wrappers(tmp_path, check, action):
+    kernel, _, n, wrapper, grid = _LAW_RUNS[check]
+    extra = {} if action is None else {"action": {"name": action}}
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": kernel},
+        grid={"kind": "interval", "n": n},
+        checks=[check],
+        samples=2500,
+        rho=0.7,
+        seed=11,
+        tolerances={check: 0.05},
+        **extra,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    got = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][check]
+    assert got.pop("status") in ("passed", "failed")
+    want = wrapper({"grid": grid, "samples": 2500, "rho": 0.7, "seed": 11, "ks_tol": 0.05})
+    assert got == json.loads(json.dumps(want))
 
 
 # ----------------------------------------------------------------- run paths

@@ -12,8 +12,9 @@ report is hashed without its ``generated_at`` timestamp and without its
 ``version``, re-serialized exactly as the program writes it, so a version bump
 does not change the digest; compare the version separately.
 
-Run the script on two checkouts and diff the outputs: equal lines mean
-byte-identical reports and tables.
+The last line, ``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.
+Run the script on two checkouts and diff the outputs: equal preset lines mean
+byte-identical reports and tables, and the last lines compare the code size.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from invdecomp import cli  # noqa: E402
 
@@ -67,6 +69,8 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         print(digest(name), flush=True)
+    lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
+    print(f"src_lines={lines}")
     return 0
 
 
