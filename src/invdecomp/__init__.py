@@ -50,4 +50,4 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

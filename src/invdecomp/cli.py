@@ -713,6 +713,11 @@ def validate_config(cfg: dict) -> list[str]:
     basis, d = cfg.get("grid", {}).get("basis"), len(ns)
     if basis is not None and (kind != "torus" or [len(row) for row in basis] != [d] * d):
         errors.append(f"grid/basis: only a torus grid reads it, one row of {d} numbers per axis")
+    elif basis is not None:
+        try:
+            Lattice(np.asarray(basis, dtype=float))
+        except KernelError as exc:
+            errors.append(f"grid/basis: {exc}")
     if kind == "torus":
         if kname != "torus_watson":
             errors.append("kernel/name: torus grids support the torus_watson kernel")

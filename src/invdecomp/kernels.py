@@ -11,7 +11,7 @@ The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
 Each :class:`Kernel` decomposes it once, in its PSD check, and keeps the
 ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
-sums, and ``invdecomp.sampling.pair_functional`` draws the law checks from
+sums, and ``invdecomp.sampling`` draws the law checks' functionals from
 it.  :func:`weighted_eigh` is the one eigenvector solve, shared by the
 Karhunen-Loeve spectrum and the covariance factor.
 

@@ -33,6 +33,15 @@ quadruplication, cumulants, mgf), and up to version 0.3.0 the path samplers,
 multiplied all m normals by the symmetric root of K, so their realized
 samples differ from those versions; the keying above is unchanged.
 
+The right side of :func:`law_check` draws standard exponentials instead of
+normals, with the same per-block keying (:func:`_block_generator`): stream 2
+holds G^A and stream 3 G^B, the latter not drawn at rho = 1.  A column takes
+h*m exponentials of its block's stream, row-major, h = 2^(d-1) on [0, 1]^d;
+exponential j*m + k adds to the k-th ascending eigenvalue of the tied-down
+kernel (:func:`_copies_sum`).  Up to version 0.4.0 that side summed 2^d
+pair functionals on streams (2 + 2i, 3 + 2i), so its realized samples differ
+from those versions; its law and the left side's samples are unchanged.
+
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
 the ``INVDECOMP_THREADS`` environment variable holds a positive integer,
@@ -116,6 +125,11 @@ def _key(seed: int, stream: int, block: int) -> np.ndarray:
     return np.array([seed, (stream << 48) | block], dtype=np.uint64)
 
 
+def _block_generator(seed: int, stream: int, a: int) -> Generator:
+    """The Philox generator of the block that starts at column ``a``: the one keying rule."""
+    return Generator(Philox(key=_key(seed, stream, a // BLOCK)))
+
+
 def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
     """Fill the C-contiguous (ncols, m) ``out`` with the normals of columns a, a+1, ...
 
@@ -124,7 +138,7 @@ def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
     a + c and a partial block gets a prefix of the full block's draw.
     Callers apply the factor as l @ out.T.
     """
-    Generator(Philox(key=_key(seed, stream, a // BLOCK))).standard_normal(out=out)
+    _block_generator(seed, stream, a).standard_normal(out=out)
 
 
 def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
@@ -266,6 +280,38 @@ def pair_functional(
     return out
 
 
+def _copies_sum(tied: Kernel, rho: float, copies: int, count: int, seed: int) -> np.ndarray:
+    """The sum of ``copies`` independent :func:`pair_functional` draws of ``tied``,
+    divided by copies^2, drawn from its chi^2 form; ``copies`` is even.
+
+    Copy i is sum_k mu_k xi_k (rho xi_k + c eta_k) on the clipped spectrum mu,
+    and xi (rho xi + c eta) has the law of ((1+rho) U^2 - (1-rho) V^2) / 2 for
+    independent standard normals U, V.  Over the copies the U^2 and the V^2
+    add up to chi^2 variates with ``copies`` degrees of freedom, each twice a
+    Gamma(h) variate, h = copies / 2, so the sum is exactly in law
+    sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k], with each G_k the sum of h
+    standard exponentials.  Layout: a column's row of its block on stream 2
+    holds h*m exponentials, and exponential j*m + k adds to G^A_k, mu
+    ascending; stream 3 holds G^B alike and is not drawn at rho = 1.
+    """
+    mu = np.tile(_clip_spectrum(tied.eigenvalues)[0], copies // 2)
+    out = np.empty(count)
+
+    def run(blk):
+        a, b = blk
+        # one buffer per block, reused for G^B; each product is one GEMV with no temporary
+        e = np.empty((b - a, mu.size))
+        _block_generator(seed, 2, a).standard_exponential(out=e)
+        j = (1.0 + rho) * (e @ mu)
+        if rho < 1.0:
+            _block_generator(seed, 3, a).standard_exponential(out=e)
+            j -= (1.0 - rho) * (e @ mu)
+        out[a:b] = j / copies**2
+
+    _parallel(_blocks(count), run)
+    return out
+
+
 @dataclass(frozen=True)
 class DistributionComparison:
     """Two-sample KS distance plus gaps of the first four k-statistics."""
@@ -391,8 +437,10 @@ def law_check(
     law of the tied-down functional, so the compensated functional equals in
     law 4^-d times the sum of 2^d independent tied-down ones: duplication in
     1-d, quadruplication on the square.  The tied-down partner (``TIED``) is
-    built on ``kernel.space``.  The left side draws streams (0, 1), copy i of
-    the right side streams (2 + 2i, 3 + 2i).
+    built on ``kernel.space``.  The left side is :func:`pair_functional` of
+    ``kernel`` on streams (0, 1).  The right side is drawn from its chi^2
+    form by :func:`_copies_sum` on streams 2 and 3, exactly in law and
+    without drawing the copies.
     """
     if kernel.name not in TIED:
         raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {sorted(TIED)})")
@@ -400,10 +448,7 @@ def law_check(
     tied = builtin_kernel(TIED[kernel.name], space)
     copies = 2**space.dim
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    acc = np.zeros(count)
-    for i in range(copies):
-        acc += pair_functional(tied, rho, count, seed, streams=(2 + 2 * i, 3 + 2 * i))
-    rhs = acc / copies**2
+    rhs = _copies_sum(tied, rho, copies, count, seed)
     kap_l = analytic_cumulants(kernel, rho, 8).values
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
     kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values

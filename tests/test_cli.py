@@ -187,6 +187,11 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
             "grid": {"kind": "torus", "n": [4, 4], "basis": np.eye(3).tolist()},
             "checks": ["stationarity"],
         },
+        {
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [4, 4], "basis": [[1, 0], [2, 0]]},
+            "checks": ["stationarity"],
+        },
     ],
     ids=[
         "group",
@@ -196,6 +201,7 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
         "none-on-torus",
         "basis-on-interval",
         "basis-rows-not-axes",
+        "basis-singular",
     ],
 )
 def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstat
 
+from invdecomp.cumulants import analytic_cumulants
 from invdecomp.groups import character_table, project_path
 from invdecomp.io import load_kernel
 from invdecomp.kernels import (
@@ -24,7 +25,9 @@ from invdecomp.kernels import (
 from invdecomp.sampling import (
     BLOCK,
     RNG_CONTRACT,
+    TIED,
     _clip_spectrum,
+    _copies_sum,
     _fill_normals,
     _key,
     compare_distributions,
@@ -246,6 +249,95 @@ def test_pair_functional_has_the_law_of_the_dense_pair(kernel, rho, seed):
     z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * sample(kernel, count, seed, stream=3).samples
     dense = kernel.space.weights @ (z1 * z2)
     assert ks_2samp(j, dense).statistic < null_ks_critical(count)
+
+
+# ------------------------------------------- chi^2 right side of the law check
+
+
+def test_copies_sum_golden_digest():
+    """Pins the right side's exponential streams: one Philox stream per (seed, block)
+    on stream 2 (G^A) and 3 (G^B), h*m exponentials per column in row-major
+    order, exponential j*m + k added to the k-th ascending eigenvalue."""
+    tied = builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(3)] * 2))
+    m, h, rho = tied.size, 2, 0.5
+    rhs = _copies_sum(tied, rho, 4, BLOCK + 4, seed=1961)
+    e = {
+        s: Generator(Philox(key=[1961, (s << 48) | 1])).standard_exponential(4 * h * m)
+        for s in (2, 3)
+    }
+    digest = hashlib.sha256(e[2].astype("<f8").tobytes()).hexdigest()
+    assert digest == "6278c8db6b0af8c73eff7888ab3d1eaf5b2f55d467361f621216c69858e0f6df"
+    g = {s: e[s].reshape(4, h, m).sum(axis=1) for s in e}
+    mu = _clip_spectrum(tied.eigenvalues)[0]
+    want = ((1 + rho) * g[2] - (1 - rho) * g[3]) @ mu / 16
+    # roundoff of an h*m-term dot product, against the sum of its absolute terms
+    scale = ((1 + rho) * g[2] + (1 - rho) * g[3]) @ mu / 16
+    assert np.all(np.abs(rhs[BLOCK:] - want) <= 4 * h * m * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "tied",
+    [
+        builtin_kernel("bridge", make_interval_grid(32)),
+        builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(4)] * 2)),
+    ],
+    ids=["bridge32", "sheet4x4"],
+)
+def test_copies_sum_is_worker_and_prefix_stable(tied, rho):
+    """Bitwise equal at 1, 2 and 3 workers, and over full blocks at fewer columns."""
+    copies, count = 2**tied.space.dim, 2 * BLOCK + 8
+    seen = []
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"INVDECOMP_THREADS": threads}):
+            seen.append(_copies_sum(tied, rho, copies, count, seed=2))
+    for rhs in seen[1:]:
+        assert np.array_equal(rhs, seen[0])
+    full = seen[0]
+    assert np.array_equal(_copies_sum(tied, rho, copies, 2 * BLOCK, seed=2), full[: 2 * BLOCK])
+    part = _copies_sum(tied, rho, copies, BLOCK + 3, seed=2)
+    assert np.array_equal(part[:BLOCK], full[:BLOCK])
+    # roundoff of an h*m-term dot product, h = copies / 2
+    tol = 4 * (copies // 2) * tied.size * np.finfo(float).eps * np.abs(full).max()
+    np.testing.assert_allclose(part, full[: BLOCK + 3], rtol=0, atol=tol)
+
+
+def _sheet_compensated(n):
+    return builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(n)] * 2))
+
+
+def _compensated_kernels():
+    watson = st.builds(lambda n: builtin_kernel("watson", make_interval_grid(n)), st.integers(8, 32))
+    return st.one_of(watson, st.builds(_sheet_compensated, st.integers(4, 8)))
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    kernel=_compensated_kernels(),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(kernel=builtin_kernel("watson", make_interval_grid(32)), rho=1.0, seed=7)
+@example(kernel=_sheet_compensated(8), rho=1.0, seed=7)
+@example(kernel=_sheet_compensated(4), rho=0.0, seed=7)
+def test_copies_sum_has_the_law_of_the_sum_of_copies(kernel, rho, seed):
+    """The chi^2 right side equals in law 4^-d times the sum of 2^d independent
+    pair functionals of the tied-down partner, drawn one copy at a time."""
+    count = 5000
+    tied = builtin_kernel(TIED[kernel.name], kernel.space)
+    copies = 2**kernel.space.dim
+    rhs = _copies_sum(tied, rho, copies, count, seed)
+    # seed + 1: streams 2 and 3 of the same seed share the exponentials' Philox keys
+    ref = sum(
+        pair_functional(tied, rho, count, seed + 1, streams=(2 + 2 * i, 3 + 2 * i))
+        for i in range(copies)
+    ) / copies**2
+    assert ks_2samp(rhs, ref).statistic < null_ks_critical(count)
+    kappa = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values
+    sd = np.sqrt(kstat_variances(kappa, count))
+    for draw in (rhs, ref):
+        k = np.array([kstat(draw, n) for n in (1, 2, 3, 4)])
+        assert np.all(np.abs(k - kappa[:4]) <= 5 * sd)
 
 
 # ------------------------------------------------------------ factor

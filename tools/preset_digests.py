@@ -15,6 +15,7 @@ does not change the digest; compare the version separately.
 The last line, ``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.
 Run the script on two checkouts and diff the outputs: equal preset lines mean
 byte-identical reports and tables, and the last lines compare the code size.
+Each preset's wall seconds go to stderr, so stdout stays diff-able.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,7 +70,10 @@ def main(argv: list[str]) -> int:
         print(f"unknown presets: {unknown}", file=sys.stderr)
         return 2
     for name in names:
-        print(digest(name), flush=True)
+        t0 = time.perf_counter()
+        line = digest(name)
+        print(f"{name} {time.perf_counter() - t0:.2f} s", file=sys.stderr, flush=True)
+        print(line, flush=True)
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
     print(f"src_lines={lines}")
     return 0
