@@ -94,6 +94,8 @@ class Check:
     gate: Optional[str] = None  # check that must pass first
     seed: bool = False  # Monte Carlo: the config must give a seed
     action: bool = False  # needs the grid's group action bound
+    order: Optional[int] = None  # needs a bound group of exactly this order
+    real: bool = False  # needs a bound group with real-valued characters
     torus: bool = False  # needs a torus grid
     kernel: Optional[str] = None  # the only kernel the check accepts
     axes: Optional[int] = None  # needs an interval grid of this many equal axes
@@ -404,6 +406,7 @@ CHECKS = {
         ),
         gate="invariance",
         action=True,
+        real=True,
         csv="watson_relation.csv",
         header="irrep,n,trace,cumulant,cII_dev,cIII_dev",
         rows=_watson_relation_rows,
@@ -414,6 +417,7 @@ CHECKS = {
         headline=lambda r: f"max |value|={max(abs(v) for v in r['values']):.3e} tol={r['tol']:.1e}",
         gate="invariance",
         action=True,
+        order=2,
         csv="z2_condition.csv",
         header="n,value,tol",
         rows=lambda r, ctx: [
@@ -746,6 +750,9 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append(f"action/name: a {kind} grid takes {allowed}, not {action!r}")
     if action == "none" and needing("action"):
         errors.append(f"checks: {needing('action')} need a bound group action (action is 'none')")
+    elif kname != "user_matrix":
+        # a torus binds negation (Z2), an interval grid reversal on each axis (Z2^d)
+        errors += _group_problems(checks, 2 if kind == "torus" else 2 ** len(ns), real=True)
 
     # each kernel param has one reader; anywhere else it would be ignored
     params = cfg["kernel"].get("params", {})
@@ -774,6 +781,19 @@ def validate_config(cfg: dict) -> list[str]:
         ):
             errors.append(f"grid/n: {name} needs {check.axes} equal interval axes")
     return errors
+
+
+def _group_problems(checks, order: int, real: bool) -> list[str]:
+    """What the named checks need of the bound group that a group of this
+    ``order``, with real characters or not, does not give."""
+    problems = []
+    for name in checks:
+        check = CHECKS[name]
+        if check.order is not None and check.order != order:
+            problems.append(f"checks: {name} needs a {check.order}-element group, not order {order}")
+        if check.real and not real:
+            problems.append(f"checks: {name} needs real-valued characters, not complex ones")
+    return problems
 
 
 def _noise_notes(cfg: dict) -> list[str]:
@@ -830,7 +850,8 @@ def load_user_matrix(cfg: dict) -> Kernel:
 
     The file's space is the grid: a ``grid`` must count as many points, and
     ``action: none`` drops the file's group action.  Checks that need an
-    action are rejected for a file without one.
+    action are rejected for a file without one, and for a group without the
+    order or the real characters their record asks for.
     """
     try:
         kernel = iio.load_kernel(cfg["kernel"]["params"]["path"])
@@ -847,6 +868,11 @@ def load_user_matrix(cfg: dict) -> Kernel:
     needs = [c for c in cfg["checks"] if CHECKS[c].action]
     if kernel.space.action is None and needs:
         raise ConfigError(f"checks: {needs} need a group action; the kernel file has none")
+    if needs:
+        group = kernel.space.action.group
+        problems = _group_problems(needs, group.order, group.table.real_valued())
+        if problems:
+            raise ConfigError("; ".join(problems))
     return kernel
 
 

@@ -27,7 +27,7 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     check_invariance,
-    decompose_kernel,
+    irrep_spectra,
     weighted_traces,
 )
 
@@ -179,6 +179,11 @@ def watson_relation_check(
     kernel carry exactly a 1/|dual| share of the full contraction trace;
     condition III asks that all projected traces agree pairwise.  Relative
     gaps are scaled by the larger side since traces decay geometrically.
+
+    The per-irrep traces tr_n(R_pi) are power sums of the isotypic block
+    spectra of :func:`invdecomp.kernels.irrep_spectra`, the nonzero spectra
+    of the projections R_pi; no m x m projection is built.  ``full_traces``
+    come from the kernel's own spectrum.
     """
     action = kernel.space.action
     if action is None:
@@ -196,8 +201,8 @@ def watson_relation_check(
     nd = len(table)
     full = weighted_traces(kernel, n_max)
     traces = {
-        label: tuple(weighted_traces(comp, n_max))
-        for label, comp in decompose_kernel(kernel, table).items()
+        label: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1))
+        for label, ev in irrep_spectra(kernel, table).items()
     }
 
     vacuous = tuple(n for n in range(1, n_max + 1) if k_coeff(n, rho) == 0.0)

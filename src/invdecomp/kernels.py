@@ -13,7 +13,9 @@ Each :class:`Kernel` decomposes it once, in its PSD check, and keeps the
 ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
 sums, and ``invdecomp.sampling`` draws the law checks' functionals from
 it.  :func:`weighted_eigh` is the one eigenvector solve, shared by the
-Karhunen-Loeve spectrum and the covariance factor.
+Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
+solves the same matrix restricted to each real character's isotypic
+subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
 
 Weighted contraction conventions, with ``D = diag(weights)``:
 
@@ -50,6 +52,7 @@ __all__ = [
     "check_invariance",
     "project_kernel",
     "decompose_kernel",
+    "irrep_spectra",
     "contract",
     "contract_power",
     "weighted_diag_trace",
@@ -328,6 +331,66 @@ def decompose_kernel(kernel: Kernel, table) -> dict:
         p.label: Kernel(kernel.space, project_kernel(kernel, p, p), f"{kernel.name}[{p.label}]")
         for p in table
     }
+
+
+def irrep_spectra(kernel: Kernel, table) -> dict:
+    """Ascending spectrum of each isotypic block B_pi, keyed by irrep label.
+
+    For a real character the matrix P of :func:`project_path` is an
+    orthogonal projector that acts orbit by orbit, so it commutes with
+    diag(sqrt(w)) when the action preserves the weights.  With U_pi an
+    orthonormal basis of its range and S = :func:`weighted_symmetric`,
+    sqrt(w) R_{pi,pi} sqrt(w) = P S P = U_pi B_pi U_pi^T for
+    B_pi = U_pi^T S U_pi.  B_pi thus has the nonzero spectrum of
+    diag(w) R_{pi,pi}, and its power sums are the :func:`weighted_traces` of
+    :func:`decompose_kernel`'s blocks, for any kernel, invariant or not.
+    B_pi is m_pi x m_pi, and the m_pi add up to m.
+
+    Each column of U_pi lives on one orbit: it is an eigenvector of
+    eigenvalue 1 of the orbit's local projector, found by one batched
+    ``eigh`` per orbit size.  For a 1-dim character that is
+    sum_g chi(g) e_{g.i}, normalized, when chi is trivial on the stabilizer
+    of i, and nothing otherwise.  S U_pi comes from gathered columns of S
+    and U_pi^T (S U_pi) from gathered rows, in O(|G| m^2).
+    """
+    action = kernel.space.action
+    if action is None:
+        raise KernelError("space has no bound action")
+    if not table.real_valued():
+        raise KernelError("diagonal blocks are kernels only for real characters")
+    perm, order = action.perm, action.group.order
+    # the orbits of each size as a (count, size) index array; pos = place in its orbit
+    rep = perm.min(axis=0)
+    pts = np.argsort(rep, kind="stable")
+    _, starts, sizes = np.unique(rep[pts], return_index=True, return_counts=True)
+    pos = np.empty(kernel.size, dtype=np.intp)
+    orbits = []
+    for size in np.unique(sizes):
+        idx = pts[starts[sizes == size][:, None] + np.arange(size)]
+        pos[idx] = np.arange(size)
+        orbits.append(idx)
+    width = orbits[-1].shape[1]
+    s = weighted_symmetric(kernel)
+    out = {}
+    for p in table:
+        coef = p.values.real * (p.dim / order)
+        rows, vals = [], []
+        for idx in orbits:
+            n, size = idx.shape
+            # local[o, a, b] = P[idx[o, a], idx[o, b]] = sum over g with g.idx[o, b] = idx[o, a]
+            local = np.zeros((n, size, size))
+            for g in range(order):
+                local[np.arange(n)[:, None], pos[perm[g][idx]], np.arange(size)] += coef[g]
+            lam, vec = np.linalg.eigh(local)
+            keep = lam > 0.5
+            pad = ((0, 0), (0, width - size))
+            vals.append(np.pad(vec.transpose(0, 2, 1)[keep], pad))
+            rows.append(np.pad(np.broadcast_to(idx[:, None, :], (n, size, size))[keep], pad))
+        rows, vals = np.concatenate(rows), np.concatenate(vals)
+        su = sum(s[:, rows[:, a]] * vals[:, a] for a in range(width))
+        block = sum(vals[:, a, None] * su[rows[:, a]] for a in range(width))
+        out[p.label] = np.linalg.eigvalsh(block)
+    return out
 
 
 def _same_space(a: IndexSpace, b: IndexSpace) -> None:

@@ -192,6 +192,11 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
             "grid": {"kind": "torus", "n": [4, 4], "basis": [[1, 0], [2, 0]]},
             "checks": ["stationarity"],
         },
+        {
+            "kernel": {"name": "sheet_compensated"},
+            "grid": {"kind": "interval", "n": [8, 8]},
+            "checks": ["z2_condition"],
+        },
     ],
     ids=[
         "group",
@@ -202,6 +207,7 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
         "basis-on-interval",
         "basis-rows-not-axes",
         "basis-singular",
+        "z2-condition-on-two-axes",
     ],
 )
 def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):
@@ -536,6 +542,35 @@ def test_user_matrix_without_a_group_rejects_checks_that_need_one(tmp_path, caps
     )
     assert main(["run", str(cfg)]) == 2
     assert "the kernel file has none" in capsys.readouterr().err
+
+
+def _z3_circle_file(kernel_file):
+    """The circle kernel on 12 points, invariant under the Z3 rotation."""
+    u = np.arange(12) / 12
+    lag = np.mod(u[:, None] - u[None, :], 1.0)
+    return kernel_file((lag - 0.5) ** 2 / 2 - 1.0 / 24, group=_z3_rotation(12))
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("watson_relation", "watson_relation needs real-valued characters"),
+        ("z2_condition", "z2_condition needs a 2-element group"),
+    ],
+)
+def test_user_matrix_rejects_checks_its_group_cannot_serve(
+    tmp_path, capsys, kernel_file, check, message
+):
+    """Z3 has complex characters and order 3: neither check could run on it."""
+    cfg = _user_matrix_config(
+        tmp_path,
+        _z3_circle_file(kernel_file),
+        grid={"kind": "interval", "n": 12},
+        checks=["invariance", check],
+    )
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("action", ["reversal", "negation"])

@@ -1,11 +1,12 @@
 """Grids, built-in covariance kernels, projections, and contractions."""
 
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from invdecomp.groups import character_table, cyclic_group
+from invdecomp.groups import character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
     BUILTIN_KERNELS,
     IndexSpace,
@@ -16,6 +17,7 @@ from invdecomp.kernels import (
     contract,
     contract_power,
     decompose_kernel,
+    irrep_spectra,
     make_interval_grid,
     make_product_grid,
     project_kernel,
@@ -23,6 +25,7 @@ from invdecomp.kernels import (
     weighted_symmetric,
     weighted_traces,
 )
+from invdecomp.torus import Lattice, torus_grid, torus_watson
 
 
 # ------------------------------------------------------------------- grids
@@ -218,6 +221,94 @@ def test_decomposition_identity_all_builtins(z2_table):
         parts = decompose_kernel(k, character_table(k.space.action.group))
         total = sum(p.matrix for p in parts.values())
         assert np.abs(total - k.matrix).max() < 1e-14, name
+
+
+def _s3_on_three_and_six_points() -> IndexSpace:
+    """S3 with its real irreps triv, sign and std (dim 2), acting on its
+    natural 3-point orbit and on its regular 6-point orbit, whose points
+    weigh less."""
+    elems = list(permutations(range(3)))
+    index = {e: i for i, e in enumerate(elems)}
+    mul = [index[tuple(a[b[i]] for i in range(3))] for a in elems for b in elems]
+    inv = [index[tuple(np.argsort(a))] for a in elems]
+    sign = [round(np.linalg.det(np.eye(3)[list(a)])) for a in elems]
+    fixed = [sum(a[i] == i for i in range(3)) for a in elems]
+    perm = [list(g) + [3 + mul[6 * i + h] for h in range(6)] for i, g in enumerate(elems)]
+    irreps = [
+        {"label": "triv", "dim": 1, "re": [1.0] * 6},
+        {"label": "sign", "dim": 1, "re": [float(s) for s in sign]},
+        {"label": "std", "dim": 2, "re": [f - 1.0 for f in fixed]},
+    ]
+    for rec in irreps:
+        rec["im"] = [0.0] * 6
+    _, action = group_from_dict(
+        {"order": 6, "mul": mul, "inv": inv, "perm": sum(perm, []), "npoints": 9, "irreps": irreps}
+    )
+    return IndexSpace(np.arange(9.0), np.repeat([0.2, 0.4 / 6], [3, 6]), action)
+
+
+def _random_psd(space: IndexSpace, seed: int) -> Kernel:
+    a = np.random.default_rng(seed).normal(size=(space.size, space.size))
+    return Kernel(space, a @ a.T / space.size, name="random")
+
+
+def _product(*ns: int) -> IndexSpace:
+    return make_product_grid([make_interval_grid(n) for n in ns])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_kernel("watson", make_interval_grid(63)),
+        lambda: builtin_kernel("watson", make_interval_grid(64)),
+        lambda: builtin_kernel("sheet_compensated", _product(9, 9)),
+        lambda: builtin_kernel("sheet_compensated", _product(8, 5)),
+        lambda: builtin_kernel("sheet_compensated", _product(9, 5)),
+        lambda: torus_watson(torus_grid(Lattice(np.eye(2)), [6, 5])),
+        lambda: _random_psd(make_interval_grid(33), 11),
+        lambda: _random_psd(_product(5, 4), 12),
+        lambda: _random_psd(_s3_on_three_and_six_points(), 13),
+    ],
+    ids=[
+        "z2-odd",
+        "z2-even",
+        "z2xz2-9x9",
+        "z2xz2-8x5",
+        "z2xz2-9x5",
+        "torus-negation",
+        "not-invariant-z2",
+        "not-invariant-z2xz2",
+        "s3-not-invariant",
+    ],
+)
+def test_irrep_spectra_power_sums_are_the_block_traces(build):
+    """The block spectra give decompose_kernel's per-irrep traces, also off invariance."""
+    kernel = build()
+    table = character_table(kernel.space.action.group)
+    spectra = irrep_spectra(kernel, table)
+    blocks = decompose_kernel(kernel, table)
+    assert list(spectra) == table.labels
+    assert sum(len(ev) for ev in spectra.values()) == kernel.size
+    for label, ev in spectra.items():
+        assert np.all(np.diff(ev) >= 0)
+        sums = [np.sum(ev**n) for n in range(1, 7)]
+        np.testing.assert_allclose(sums, weighted_traces(blocks[label], 6), rtol=1e-12, atol=0)
+
+
+def test_irrep_spectra_block_sizes_count_the_isotypic_dimensions():
+    """Z2 x Z2 on 3 x 2 points has orbits of size 2 and 4; S3 on 3 + 6 points
+    holds std twice in the regular orbit and once in the natural one."""
+    def sizes(space):
+        spectra = irrep_spectra(_random_psd(space, 2), character_table(space.action.group))
+        return {lab: len(ev) for lab, ev in spectra.items()}
+
+    assert sizes(_product(3, 2)) == {"triv*triv": 2, "triv*sign": 2, "sign*triv": 1, "sign*sign": 1}
+    assert sizes(_s3_on_three_and_six_points()) == {"triv": 2, "sign": 1, "std": 6}
+
+
+def test_irrep_spectra_rejects_complex_characters(watson64):
+    with pytest.raises(KernelError, match="real characters"):
+        irrep_spectra(watson64, character_table(cyclic_group(3)))
 
 
 # -------------------------------------------------------------- contraction
