@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from jsonschema import Draft202012Validator
-from scipy.stats import kstat
 
 import invdecomp.io as iio
 from invdecomp import __version__
@@ -49,6 +48,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     LAW_DEFAULTS,
+    kstat,
     law_check,
     pair_functional,
     kstat_variances,
@@ -179,7 +179,7 @@ def _run_cumulants(ctx, tols, cfg):
     seed = int(cfg["seed"])
     ana = analytic_cumulants(kernel, rho, 8)
     j = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    mc = [float(kstat(j, n)) for n in (1, 2, 3)]
+    mc = [kstat(j, n) for n in (1, 2, 3)]
     noise = 5.0 * np.sqrt(kstat_variances(ana.values, count))
     rel = tols["cumulants"]
     rows = []
@@ -1063,6 +1063,12 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         problems = validate_config(cfg)
+        if not problems and cfg["kernel"]["name"] == "user_matrix":
+            # the file-level rules, as run applies them
+            try:
+                load_user_matrix(cfg)
+            except ConfigError as exc:
+                problems.append(str(exc))
         if problems:
             for p in problems:
                 print(f"config error: {p}", file=sys.stderr)

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import invdecomp
@@ -48,3 +51,18 @@ def test_traced_spans_exist():
             assert hasattr(obj, part), f"{modname}.{attr} is traced but not defined"
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def test_importing_the_runner_loads_no_scipy():
+    """scipy is a test dependency only: the package and its runner import without it."""
+    src = str(Path(invdecomp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, invdecomp, invdecomp.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"

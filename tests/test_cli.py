@@ -573,6 +573,60 @@ def test_user_matrix_rejects_checks_its_group_cannot_serve(
     assert not (tmp_path / "out").exists()
 
 
+def _grid_of_another_size(tmp_path, kernel_file):
+    return _user_matrix_config(
+        tmp_path, _watson16_file(kernel_file), grid={"kind": "interval", "n": 999}
+    )
+
+
+def _weights_moved(tmp_path, kernel_file):
+    w = np.linspace(1.0, 2.0, 16)
+    path = _watson16_file(kernel_file, weights=w / w.sum())
+    return _user_matrix_config(tmp_path, path, checks=["invariance", "watson_relation"])
+
+
+def _no_irreps(tmp_path, kernel_file):
+    path = _watson16_file(kernel_file)
+    meta = json.loads(path.read_text())
+    del meta["space"]["group"]["irreps"]
+    path.write_text(json.dumps(meta))
+    return _user_matrix_config(tmp_path, path, checks=["invariance", "decomposition"])
+
+
+def _z3_config(check):
+    def build(tmp_path, kernel_file):
+        return _user_matrix_config(
+            tmp_path,
+            _z3_circle_file(kernel_file),
+            grid={"kind": "interval", "n": 12},
+            checks=["invariance", check],
+        )
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_grid_of_another_size, "16 points of the kernel file"),
+        (_no_irreps, "irreps"),
+        (_weights_moved, "does not preserve the weights"),
+        (_z3_config("z2_condition"), "z2_condition needs a 2-element group"),
+        (_z3_config("watson_relation"), "watson_relation needs real-valued characters"),
+    ],
+    ids=["point-count", "no-irreps", "weights-moved", "group-order", "complex-characters"],
+)
+def test_validate_applies_the_user_matrix_file_rules(tmp_path, capsys, kernel_file, build, message):
+    """validate reads the kernel file and rejects it with the message run gives."""
+    cfg = build(tmp_path, kernel_file)
+    assert main(["validate", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    assert message in captured.err
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 @pytest.mark.parametrize("action", ["reversal", "negation"])
 def test_user_matrix_takes_no_other_action(tmp_path, capsys, kernel_file, action):
     cfg = _user_matrix_config(tmp_path, _watson16_file(kernel_file), action={"name": action})

@@ -24,6 +24,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
+    KS_EXACT_MAX,
     RNG_CONTRACT,
     TIED,
     _clip_spectrum,
@@ -33,6 +34,8 @@ from invdecomp.sampling import (
     compare_distributions,
     covariance_factor,
     duplication_check,
+    ks_statistic,
+    kstat as np_kstat,
     kstat_variances,
     null_ks_critical,
     pair_functional,
@@ -470,6 +473,54 @@ def test_compare_distributions_different_law(watson32):
 def test_compare_distributions_sample_floor():
     with pytest.raises(ValueError, match="1000"):
         compare_distributions(np.zeros(500), np.zeros(500))
+
+
+def _two_samples(n1, n2, kind, seed=11):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(n1) ** 3, 1.1 * rng.standard_normal(n2)
+    if kind == "ties":
+        a, b = np.round(a, 1), np.round(b, 1)
+    elif kind == "integers":
+        a, b = rng.integers(0, 5, n1).astype(float), rng.integers(0, 5, n2).astype(float)
+    elif kind == "same":
+        b = a[:n2].copy()
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "n1, n2, kind",
+    [
+        (1000, 1000, "continuous"),  # the floor of compare_distributions
+        (KS_EXACT_MAX, KS_EXACT_MAX, "continuous"),  # the largest size scipy snaps
+        (KS_EXACT_MAX + 1, KS_EXACT_MAX + 1, "continuous"),  # the smallest it does not
+        (100_000, 100_000, "continuous"),  # the law checks' default
+        (1000, 1500, "continuous"),
+        (3000, 4500, "ties"),
+        (KS_EXACT_MAX, KS_EXACT_MAX + 1, "continuous"),
+        (2000, 700, "integers"),
+        (20_000, 20_000, "ties"),
+        (20_000, 20_000, "same"),  # distance zero, unsnapped: its sign must be +
+    ],
+)
+def test_statistics_are_bitwise_scipys(n1, n2, kind):
+    """The numpy KS distance and k-statistics equal scipy's exactly, no tolerance."""
+    a, b = _two_samples(n1, n2, kind)
+    d = ks_statistic(a, b)
+    assert d == ks_2samp(a, b).statistic
+    assert np.copysign(1.0, d) == 1.0
+    for x in (a, b):
+        for n in (1, 2, 3, 4):
+            assert np_kstat(x, n) == kstat(x, n)
+    if min(n1, n2) >= 1000:
+        cmp_ = compare_distributions(a, b)
+        assert cmp_.ks_distance == ks_2samp(a, b).statistic
+        assert cmp_.kstats_a == tuple(kstat(a, n) for n in (1, 2, 3, 4))
+        assert cmp_.kstats_b == tuple(kstat(b, n) for n in (1, 2, 3, 4))
+
+
+def test_kstat_takes_orders_one_to_four():
+    with pytest.raises(ValueError, match="1 to 4"):
+        np_kstat(np.zeros(10), 5)
 
 
 def test_kstat_variances_gaussian_closed_forms():
