@@ -43,6 +43,7 @@ from invdecomp.torus import (
     Lattice,
     assemble_kernel,
     dual_lattice,
+    fourier_factor,
     fourier_kl,
     parity_decompose,
     torus_grid,
@@ -50,4 +51,4 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

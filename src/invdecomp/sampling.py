@@ -10,37 +10,43 @@ Reproducibility contract (``RNG_CONTRACT``)
 The sample axis is cut into fixed blocks of ``BLOCK`` columns.  Block b
 (columns b*BLOCK, ..., b*BLOCK + BLOCK - 1) of an ensemble is drawn from
 one counter-based Philox stream keyed by (seed, stream-id, b), in row-major
-order: the stream's first m normals are the block's first column, the next
-m its second, and so on.  A shorter last block takes a prefix of its
-stream, so the normals behind the first k columns are the same in every
-draw of at least k columns with the same seed and stream.  The samples
-agree bitwise over full blocks, and to roundoff in a partial one, where
-BLAS may pick another kernel for another column count.  ``BLOCK`` is part
-of the contract: changing it changes the samples.  Realized samples differ
-from those of version 0.1.0, which keyed one stream per column; this rule
-holds from version 0.2.0.
+order: the stream's first r normals are the block's first column, the next
+r its second, and so on, r being the rank the sampler keeps (below).  A
+shorter last block takes a prefix of its stream, so the normals behind the
+first k columns are the same in every draw of at least k columns with the
+same seed and stream.  The samples agree bitwise over full blocks, and to
+roundoff in a partial one, where BLAS may pick another kernel for another
+column count.  ``BLOCK`` is part of the contract: changing it changes the
+samples.  Realized samples differ from those of version 0.1.0, which keyed
+one stream per column; this rule holds from version 0.2.0.
 
-Normal k of a column is the coordinate on the k-th eigenvalue, in ascending
-order, of the weighted spectrum clipped by :func:`_clip_spectrum`: the
-Karhunen-Loeve coordinates.  Every sampler reads the normals this way.
-:func:`pair_functional` reduces them against the eigenvalues, with no path.
-The path samplers, ``sample`` and the streamed torus parity check
-(``invdecomp.torus.torus_watson_check``, stream 0), draw each block through
-:func:`draw_block`, which applies the m x r factor of
-:func:`covariance_factor` to the last r normals of each column, those of the
-r eigenvalues kept.  Up to version 0.2.0 the law checks (duplication,
-quadruplication, cumulants, mgf), and up to version 0.3.0 the path samplers,
-multiplied all m normals by the symmetric root of K, so their realized
-samples differ from those versions; the keying above is unchanged.
+A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
+keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
+eigenvalue in ascending order, the Karhunen-Loeve coordinates.  Every
+sampler reads the normals this way.  :func:`pair_functional` reduces them
+against the kept eigenvalues, with no path.  The path samplers draw each
+block through :func:`draw_block`, which applies an m x r factor to the
+block's r x ncols normals: ``sample`` the factor of :func:`covariance_factor`,
+and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
+stream 0) that of ``invdecomp.torus.fourier_factor``, whose columns are the
+cos/sin characters of the torus.  Up to version 0.5.0 a column held m
+normals and a rank-r sampler read its last r, and the torus check sampled
+the eigenvectors of ``eigh``, so realized samples of rank-deficient kernels
+and of the torus check differ from those versions; a full-rank kernel draws
+the same normals as before.  Up to version 0.2.0 the law checks
+(duplication, quadruplication, cumulants, mgf), and up to version 0.3.0 the
+path samplers, multiplied all m normals by the symmetric root of K, so
+their realized samples differ from those versions.
 
 The right side of :func:`law_check` draws standard exponentials instead of
 normals, with the same per-block keying (:func:`_block_generator`): stream 2
 holds G^A and stream 3 G^B, the latter not drawn at rho = 1.  A column takes
-h*m exponentials of its block's stream, row-major, h = 2^(d-1) on [0, 1]^d;
-exponential j*m + k adds to the k-th ascending eigenvalue of the tied-down
-kernel (:func:`_copies_sum`).  Up to version 0.4.0 that side summed 2^d
-pair functionals on streams (2 + 2i, 3 + 2i), so its realized samples differ
-from those versions; its law and the left side's samples are unchanged.
+h*r exponentials of its block's stream, row-major, h = 2^(d-1) on [0, 1]^d;
+exponential j*r + k adds to the k-th ascending kept eigenvalue of the
+tied-down kernel (:func:`_copies_sum`).  Up to version 0.4.0 that side
+summed 2^d pair functionals on streams (2 + 2i, 3 + 2i), so its realized
+samples differ from those versions; its law and the left side's samples are
+unchanged.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
@@ -153,14 +159,14 @@ def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndar
     """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``: one block of the contract.
 
     ``a`` is the first column of a block and ``b`` at most its end.  Each
-    column draws m normals and ``l`` takes the last r, the coordinates on the
-    r largest eigenvalues.  Every path sampler draws through here, so every
-    ensemble follows ``RNG_CONTRACT`` and the coordinate rule.
+    column draws r normals, its coordinates on the r kept eigenvalues, which
+    column k of ``l`` carries in ascending order.  Every path sampler draws
+    through here, so every ensemble follows ``RNG_CONTRACT`` and the
+    coordinate rule.
     """
-    m, r = l.shape
-    xi = np.empty((b - a, m))
+    xi = np.empty((b - a, l.shape[1]))
     _fill_normals(xi, seed, stream, a)
-    return l @ xi[:, m - r :].T
+    return l @ xi.T
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:
@@ -177,18 +183,20 @@ def _parallel(tasks, fn) -> None:
         list(pool.map(fn, tasks))
 
 
-def _clip_spectrum(evals: np.ndarray) -> tuple[np.ndarray, int]:
-    """Ascending ``evals`` with those below EIG_CLIP * lambda_max set to 0, and the rank kept.
+def _clip_spectrum(evals: np.ndarray) -> np.ndarray:
+    """The kept suffix of the ascending ``evals``: those at least EIG_CLIP * lambda_max.
 
-    The one clip rule of the sampled laws: :func:`covariance_factor` applies
-    it to the eigenvalues of ``weighted_eigh`` and :func:`pair_functional` to
-    ``Kernel.eigenvalues``, so both sample a law of the same rank.
+    The one clip rule of the sampled laws, whose size r is the rank sampled:
+    :func:`covariance_factor` applies it to the eigenvalues of
+    ``weighted_eigh``, ``invdecomp.torus.fourier_factor`` to the DFT
+    spectrum, and :func:`pair_functional` and :func:`_copies_sum` to
+    ``Kernel.eigenvalues``, so every sampler of a kernel draws a law of the
+    same rank.
     """
     lmax = float(evals[-1]) if evals.size else 0.0
     if lmax <= 0.0:
-        return np.zeros_like(evals), 0
-    keep = evals >= EIG_CLIP * lmax
-    return np.where(keep, evals, 0.0), int(np.count_nonzero(keep))
+        return evals[:0]
+    return evals[evals.size - int(np.count_nonzero(evals >= EIG_CLIP * lmax)) :]
 
 
 def covariance_factor(kernel: Kernel) -> np.ndarray:
@@ -203,8 +211,8 @@ def covariance_factor(kernel: Kernel) -> np.ndarray:
     rather than Cholesky: discretized kernels are routinely rank-deficient.
     """
     evals, vecs = weighted_eigh(kernel)
-    m, r = kernel.size, _clip_spectrum(evals)[1]
-    return vecs[:, m - r :] * np.sqrt(evals[m - r :]) / np.sqrt(kernel.space.weights)[:, None]
+    lam, m = _clip_spectrum(evals), kernel.size
+    return vecs[:, m - lam.size :] * np.sqrt(lam) / np.sqrt(kernel.space.weights)[:, None]
 
 
 @dataclass(frozen=True)
@@ -261,14 +269,14 @@ def pair_functional(
     :func:`sample` draws them, Z1 = L xi and Z1' = L eta with the normals
     xi, eta of one column and the factor L of :func:`covariance_factor`, the
     functional is exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k),
-    since L^T W L = diag(lambda_r).  So J is drawn from the clipped spectrum
-    alone: O(m) per column, no paths and no eigenvectors.  Normal k of a
+    since L^T W L = diag(lambda_r).  So J is drawn from the kept spectrum
+    alone: O(r) per column, no paths and no eigenvectors.  Normal k of a
     column of stream ``streams[0]`` is xi_k and of ``streams[1]`` is eta_k,
     with lambda ascending; at rho = 1 the second stream is not drawn.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    lam, _ = _clip_spectrum(kernel.eigenvalues)
+    lam = _clip_spectrum(kernel.eigenvalues)
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     out = np.empty(count)
 
@@ -292,17 +300,18 @@ def _copies_sum(tied: Kernel, rho: float, copies: int, count: int, seed: int) ->
     """The sum of ``copies`` independent :func:`pair_functional` draws of ``tied``,
     divided by copies^2, drawn from its chi^2 form; ``copies`` is even.
 
-    Copy i is sum_k mu_k xi_k (rho xi_k + c eta_k) on the clipped spectrum mu,
+    Copy i is sum_k mu_k xi_k (rho xi_k + c eta_k) on the kept spectrum mu,
     and xi (rho xi + c eta) has the law of ((1+rho) U^2 - (1-rho) V^2) / 2 for
     independent standard normals U, V.  Over the copies the U^2 and the V^2
     add up to chi^2 variates with ``copies`` degrees of freedom, each twice a
     Gamma(h) variate, h = copies / 2, so the sum is exactly in law
     sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k], with each G_k the sum of h
     standard exponentials.  Layout: a column's row of its block on stream 2
-    holds h*m exponentials, and exponential j*m + k adds to G^A_k, mu
-    ascending; stream 3 holds G^B alike and is not drawn at rho = 1.
+    holds h*r exponentials for the r kept eigenvalues, and exponential
+    j*r + k adds to G^A_k, mu ascending; stream 3 holds G^B alike and is not
+    drawn at rho = 1.
     """
-    mu = np.tile(_clip_spectrum(tied.eigenvalues)[0], copies // 2)
+    mu = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2)
     out = np.empty(count)
 
     def run(blk):
@@ -512,7 +521,8 @@ def law_check(
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
     kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values
     rep = _law_report(lhs, rhs, kap_l, kap_r, count, seed, ks_tol, orders=3)
-    axes = [np.unique(space.points[:, k]).size for k in range(space.dim)]
+    # distinct values per axis, counted without np.unique, which imports numpy.ma
+    axes = [1 + int(np.count_nonzero(np.diff(np.sort(x)))) for x in space.points.T]
     rep.update(
         {
             "check": list(LAW_DEFAULTS)[space.dim - 1],

@@ -9,6 +9,8 @@ Gaussian processes whose quadratic functionals can be compared in law.
 A stationary kernel on a grid torus depends on t - s alone, so it is
 (block-)circulant: each grid carries one lag table, through which the
 kernels are built from their m lag values and their stationarity is read.
+The DFT of those m lag values is the kernel's spectrum, from which
+:func:`fourier_factor` builds the factor that samples it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from invdecomp.sampling import (
     BLOCK,
     PathEnsemble,
     _blocks,
+    _clip_spectrum,
     _parallel,
     compare_distributions,
-    covariance_factor,
     draw_block,
     null_ks_critical,
     worker_count,
@@ -44,6 +46,7 @@ __all__ = [
     "assemble_kernel",
     "stationarity_spread",
     "torus_watson",
+    "fourier_factor",
     "parity_decompose",
     "torus_watson_check",
 ]
@@ -307,6 +310,45 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     return Kernel(grid, prof.prod(axis=1)[grid.lag_index], name="torus_watson")
 
 
+def fourier_factor(kernel: Kernel) -> np.ndarray:
+    """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
+
+    Whatever the lattice basis, a stationary kernel is circulant on the index
+    group Z_n1 x ... x Z_nd of its grid, whose characters are therefore its
+    eigenvectors (the circulant case of Wood and Chan, 1994): index b
+    has eigenvalue lambda_b = w * Re DFT(K[:, 0])_b of diag(w) K and pairs
+    with -b, the grid's negation of b.  Over a +-pair the two complex
+    characters give one cos and one sin column; a self-conjugate b (b = -b)
+    gives one cos column, which is +-1.  Column b of L, on grid point a, is
+
+        sqrt(c_b lambda_b / (w m)) * (cos if b <= -b else sin)(2 pi <b, a/n>),
+
+    c_b = 1 if b = -b else 2, so L L^T = K.  The columns are those that
+    :func:`invdecomp.sampling._clip_spectrum` keeps of the spectrum, in
+    ascending order, ties in index order, so normal k of a column is the
+    coordinate on the k-th kept eigenvalue as for every sampler.  The
+    kernel is assumed stationary (see :func:`stationarity_spread`).
+    """
+    grid = kernel.space
+    if not isinstance(grid, TorusGrid):
+        raise KernelError("need a torus grid")
+    m, w, neg = grid.size, float(grid.weights[0]), grid.action.perm[1]
+    spec = np.fft.fftn(kernel.matrix[:, 0].reshape(grid.shape)).real.ravel()
+    spec = (spec + spec[neg]) / 2.0  # a +-pair shares its eigenvalue bitwise
+    lam = w * spec
+    order = np.argsort(lam, kind="stable")
+    idx = order[m - _clip_spectrum(lam[order]).size :]
+    # turns <b, a/n> mod 1 of every grid point a and kept index b, exact in integers
+    ints = np.rint(grid.frac * np.array(grid.shape)).astype(np.intp)
+    turns = sum(((ints[:, k, None] * ints[idx, k]) % n) / n for k, n in enumerate(grid.shape))
+    theta = 2.0 * np.pi * turns
+    cos = idx <= neg[idx]
+    l = np.empty((m, idx.size))
+    l[:, cos] = np.cos(theta[:, cos])
+    l[:, ~cos] = np.sin(theta[:, ~cos])
+    return l * np.sqrt(np.where(idx == neg[idx], 1.0, 2.0) * spec[idx] / m)
+
+
 def stationarity_spread(kernel: Kernel, grid: Optional[TorusGrid] = None) -> float:
     """Max spread of kernel entries over equal t-s (mod lattice) classes.
 
@@ -378,14 +420,17 @@ def torus_watson_check(
     even part is expanded against both cosine and sine frequencies so the
     two readings of its expansion are reported side by side.
 
+    The kernel is sampled through its closed-form factor
+    :func:`fourier_factor`, after the stationarity gate and with no
+    eigendecomposition, r normals per column for the r eigenvalues kept.
     The ensemble is never held: each ``BLOCK`` of columns is drawn as
-    :func:`invdecomp.sampling.sample` draws it (stream 0) and split by
-    :func:`parity_decompose` in slices of ``SPLIT_COLUMNS``; only the five
-    per-sample energies and one m/2 x m cross-covariance sum are kept.  The
-    per-block cross-covariance partials are added in block order, so every
-    field is bitwise independent of the worker count, and every field but
-    ``cross_cov_max`` (summed in another order) is bitwise that of the
-    materialized ensemble.
+    :func:`invdecomp.sampling.sample` draws it with that factor (stream 0)
+    and split by :func:`parity_decompose` in slices of ``SPLIT_COLUMNS``;
+    only the three per-sample energies and one m/2 x m/2 cross-covariance
+    sum are kept.  The per-block cross-covariance partials are added in
+    block order, so every field is bitwise independent of the worker count,
+    and every field but ``cross_cov_max`` (summed in another order, over one
+    point per +-orbit) is bitwise that of the materialized ensemble.
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)
@@ -407,20 +452,22 @@ def torus_watson_check(
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    l = covariance_factor(kernel)
+    l = fourier_factor(kernel)
     w = grid.weights
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
-    # x1[neg] = -x1 bitwise and x1 is 0 at the fixed points, so one row per
-    # +-orbit of the other points carries all of x1 x2^T
+    # x1[neg] = -x1 bitwise and x1 is 0 at the fixed points, and x2[neg] = x2
+    # to 1 ulp, so one row of x1 per +-orbit of the other points, and one of
+    # x2 per orbit, carry all of x1 x2^T
     half = np.flatnonzero(np.arange(grid.size) < neg)
-    e, e1, e2, u1, u2, odd_fixed = (np.empty(count) for _ in range(6))
+    orbits = np.flatnonzero(np.arange(grid.size) <= neg)
+    e, e1, e2, odd_fixed = (np.empty(count) for _ in range(4))
     partials: dict = {}  # block start -> the block's x1 x2^T rows
 
     def run(blk):
         a, b = blk
         x = draw_block(l, seed, 0, a, b)
-        cross = np.zeros((half.size, grid.size))
+        cross = np.zeros((half.size, orbits.size))
         for c in range(0, b - a, SPLIT_COLUMNS):
             cols = slice(c, c + SPLIT_COLUMNS)
             part = PathEnsemble(space=grid, samples=x[:, cols], seed=seed)
@@ -429,22 +476,22 @@ def torus_watson_check(
             e[out] = w @ (part.samples**2)
             e1[out] = w @ (x1**2)
             e2[out] = w @ (x2**2)
-            u1[out] = w @ ((2.0 * x1) ** 2)
-            u2[out] = w @ ((2.0 * x2) ** 2)
             odd_fixed[out] = np.max(np.abs(x1[fixed]), axis=0, initial=0.0)
-            cross += x1[half] @ x2.T
+            cross += x1[half] @ x2[orbits].T
         partials[a] = cross
 
     # waves of one block per worker, each added in block order, keep the
     # sums independent of the worker count and at most one partial per worker
     blocks, step = _blocks(count), worker_count()
-    cross = np.zeros((half.size, grid.size))
+    cross = np.zeros((half.size, orbits.size))
     for i in range(0, len(blocks), step):
         wave = blocks[i : i + step]
         _parallel(wave, run)
         for a, _ in wave:
             cross += partials.pop(a)
 
+    # the unhalved parts 2 x1, 2 x2 have energies 4 e1, 4 e2, bitwise
+    u1, u2 = 4.0 * e1, 4.0 * e2
     res_halved_sum = float(np.max(np.abs(e - (e1 + e2))))
     res_halved_quarter = float(np.max(np.abs(e - 0.25 * (e1 + e2))))
     res_unhalved_quarter = float(np.max(np.abs(e - 0.25 * (u1 + u2))))

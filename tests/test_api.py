@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import invdecomp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,16 +55,38 @@ def test_traced_spans_exist():
         assert callable(obj)
 
 
-def test_importing_the_runner_loads_no_scipy():
-    """scipy is a test dependency only: the package and its runner import without it."""
+def _fresh_stdout(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this package."""
     src = str(Path(invdecomp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_importing_the_runner_loads_no_scipy():
+    """scipy is a test dependency only: the package and its runner import without it."""
     code = (
         "import sys, invdecomp, invdecomp.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_a_law_check_loads_no_numpy_ma():
+    """numpy.ma costs about 17 ms to import, and nothing on the law check's path needs it."""
+    code = (
+        "import sys; from invdecomp.kernels import builtin_kernel, make_interval_grid; "
+        "from invdecomp.sampling import law_check; "
+        "law_check(builtin_kernel('watson', make_interval_grid(16)), 0.5, 1000, seed=1); "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == invdecomp.__version__

@@ -33,6 +33,7 @@ from invdecomp.sampling import (
     _key,
     compare_distributions,
     covariance_factor,
+    draw_block,
     duplication_check,
     ks_statistic,
     kstat as np_kstat,
@@ -211,17 +212,18 @@ def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
     """For the normals x, y that pair_functional draws (streams 0 and 1, seed 5,
     two blocks), sum_i w (L x)(L (rho x + c y)) with the factor L of sample
     is pair_functional's own output, up to the roundoff of L^T W L = Lambda_r:
-    both samplers read normal k as the coordinate on the k-th eigenvalue.
+    both samplers draw r normals per column and read normal k as the
+    coordinate on the k-th kept eigenvalue.
     """
     kernel = make_kernel()
     count = BLOCK + 4  # straddles a block edge
-    x, y = np.empty((count, kernel.size)), np.empty((count, kernel.size))
+    l = covariance_factor(kernel)
+    r = l.shape[1]
+    x, y = np.empty((count, r)), np.empty((count, r))
     for a in (0, BLOCK):
         _fill_normals(x[a : a + BLOCK], 5, 0, a)
         _fill_normals(y[a : a + BLOCK], 5, 1, a)
-    l = covariance_factor(kernel)
-    r = l.shape[1]
-    xi, eta = x[:, kernel.size - r :].T, y[:, kernel.size - r :].T
+    xi, eta = x.T, y.T
     comp = np.sqrt(1.0 - rho * rho)
     dense = kernel.space.weights @ ((l @ xi) * (l @ (rho * xi + comp * eta)))
     j = pair_functional(kernel, rho, count, seed=5)
@@ -271,7 +273,7 @@ def test_copies_sum_golden_digest():
     digest = hashlib.sha256(e[2].astype("<f8").tobytes()).hexdigest()
     assert digest == "6278c8db6b0af8c73eff7888ab3d1eaf5b2f55d467361f621216c69858e0f6df"
     g = {s: e[s].reshape(4, h, m).sum(axis=1) for s in e}
-    mu = _clip_spectrum(tied.eigenvalues)[0]
+    mu = _clip_spectrum(tied.eigenvalues)
     want = ((1 + rho) * g[2] - (1 - rho) * g[3]) @ mu / 16
     # roundoff of an h*m-term dot product, against the sum of its absolute terms
     scale = ((1 + rho) * g[2] + (1 - rho) * g[3]) @ mu / 16
@@ -369,12 +371,20 @@ def test_covariance_factor_is_the_kl_factor(make_kernel):
     """L is bitwise W^-1/2 V_r sqrt(Lambda_r) on the r kept, largest, eigenpairs."""
     k = make_kernel()
     evals, vecs = weighted_eigh(k)
-    m, r = k.size, _clip_spectrum(evals)[1]
+    m, r = k.size, _clip_spectrum(evals).size
     l = covariance_factor(k)
     assert l.shape == (m, r)
     want = vecs[:, m - r :] * np.sqrt(evals[m - r :]) / np.sqrt(k.space.weights)[:, None]
     assert np.array_equal(l, want)
     assert np.abs(l @ l.T - k.matrix).max() < 1e-14
+
+
+def test_draw_block_reads_r_normals_per_column():
+    """A rank-r factor takes r normals per column of its block's stream, row-major."""
+    l = np.random.default_rng(0).standard_normal((9, 4))  # m = 9, r = 4
+    got = draw_block(l, 3, 1, BLOCK, BLOCK + 10)
+    xi = Generator(Philox(key=_key(3, 1, 1))).standard_normal((10, 4))
+    assert np.array_equal(got, l @ xi.T)
 
 
 def test_zero_kernel_has_an_empty_factor_and_zero_paths(kernel_file):

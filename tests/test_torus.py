@@ -19,12 +19,13 @@ import pytest
 
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
-from invdecomp.sampling import BLOCK, compare_distributions, sample
+from invdecomp.sampling import BLOCK, compare_distributions, ks_statistic, null_ks_critical, sample
 from invdecomp.torus import (
     Lattice,
     TorusKernelSpec,
     assemble_kernel,
     dual_lattice,
+    fourier_factor,
     fourier_kl,
     parity_decompose,
     stationarity_spread,
@@ -273,8 +274,9 @@ def test_torus_watson_check_is_deterministic(kernel16, circle16):
 
 
 def _materialized_check(kernel, grid, count, seed):
-    """The check's sample statistics from the whole ensemble at once."""
-    ens = sample(kernel, count, seed)
+    """The check's sample statistics from the whole ensemble at once, drawn
+    with the check's factor."""
+    ens = sample(kernel, count, seed, factor=fourier_factor(kernel))
     x1, x2 = (p.samples for p in parity_decompose(ens))
     w = grid.weights
     e = w @ (ens.samples**2)
@@ -304,6 +306,24 @@ def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
     assert rep["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
     for key, val in ref.items():
         assert rep[key] == val, key
+
+
+def test_check_part_energies_have_the_law_of_the_eigh_factor_parts():
+    """The check draws through the DFT factor (the materialized reference above
+    is bitwise its ensemble); its part energies have the law of those of paths
+    drawn through the eigh factor of ``covariance_factor``, on a skew lattice
+    and a rank-deficient kernel."""
+    grid = torus_grid(Lattice(np.array([[1.0, 0.4], [0.0, 1.0]])), [8, 6])
+    kernel = assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, 2), grid)
+    count = 20_000
+    check = sample(kernel, count, seed=8, factor=fourier_factor(kernel))
+    ref = sample(kernel, count, seed=9)
+    assert check.samples.shape == ref.samples.shape
+    assert fourier_factor(kernel).shape[1] < kernel.size
+    w = grid.weights
+    for a, b in zip(parity_decompose(check), parity_decompose(ref)):
+        d = ks_statistic(w @ (a.samples**2), w @ (b.samples**2))
+        assert d < null_ks_critical(count)
 
 
 def test_streamed_check_does_not_depend_on_the_worker_count(kernel16, circle16, monkeypatch):

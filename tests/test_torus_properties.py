@@ -6,20 +6,23 @@ lag table, and ``_basis_quadratics`` takes every quadratic form from one
 matrix product.  The references below are the direct formulas: one cosine
 matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
 entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
-lattice bases.
+lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to
+the kernel it factors and to the spectrum of the kernel's own PSD check.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invdecomp.kernels import Kernel
+from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
     Lattice,
     _basis_quadratics,
     assemble_kernel,
+    fourier_factor,
     fourier_kl,
     stationarity_spread,
     torus_grid,
@@ -130,3 +133,45 @@ def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
         g, w = np.array(got[part]), np.array(want[part])
         assert g.shape == w.shape == (len(spec.vectors) - 1,)
         assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+
+
+@st.composite
+def stationary_kernels(draw):
+    """torus_watson, or its assembled cosine truncation, on a 1- or 2-d grid."""
+    dim = draw(st.integers(1, 2))
+    shape = [draw(st.integers(3, 16 if dim == 1 else 8)) for _ in range(dim)]
+    basis = np.eye(dim)
+    if dim == 2 and draw(st.booleans()):  # skew
+        basis[0, 1] = draw(st.floats(-1.5, 1.5))
+    grid = torus_grid(Lattice(basis), shape)
+    kernel = torus_watson(grid)
+    if draw(st.booleans()):
+        cutoff = draw(st.integers(0, (min(shape) - 1) // 2))
+        kernel = assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff), grid)
+    return kernel
+
+
+def _assembled(basis, shape, cutoff):
+    grid = torus_grid(Lattice(np.array(basis, dtype=float)), shape)
+    return assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, cutoff), grid)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kernel=stationary_kernels())
+@example(kernel=torus_watson(torus_grid(Lattice(np.eye(1)), 16)))
+@example(kernel=torus_watson(torus_grid(Lattice(np.eye(1)), 15)))
+@example(kernel=_assembled([[1.0, 0.7], [0.0, 1.0]], [5, 8], 2))
+@example(kernel=torus_watson(torus_grid(Lattice(np.array([[1.0, -1.2], [0.0, 1.0]])), [7, 6])))
+def test_fourier_factor_is_the_kl_factor(kernel):
+    """L L^T = K, and L's columns carry the kept eigenvalues of the PSD check, ascending."""
+    l = fourier_factor(kernel)
+    kept = _clip_spectrum(kernel.eigenvalues)
+    assert l.shape == (kernel.size, kept.size)
+    scale = np.max(np.abs(kernel.matrix))
+    assert np.max(np.abs(l @ l.T - kernel.matrix)) <= 1e-13 * scale
+    # the columns are w-orthogonal, so column j's weighted square norm is its
+    # eigenvalue; both it and eigvalsh's spectrum round to about m eps lambda_max
+    col = kernel.space.weights @ (l * l)
+    tol = kernel.size * np.finfo(float).eps * kept[-1]
+    assert np.max(np.abs(col - kept)) <= tol
+    assert np.all(np.diff(col) >= -tol)
