@@ -9,13 +9,16 @@ invariance under the action.
 
 The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
-Each :class:`Kernel` decomposes it once, in its PSD check, and keeps the
-ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
-sums, and ``invdecomp.sampling`` draws the law checks' functionals from
-it.  :func:`weighted_eigh` is the one eigenvector solve, shared by the
-Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
-solves the same matrix restricted to each real character's isotypic
-subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
+Each :class:`Kernel` takes its spectrum once, in its PSD check, from
+:meth:`IndexSpace.spectrum`: a dense ``eigvalsh`` of that matrix, or, for an
+exactly stationary kernel on a torus grid, the DFT of its lag profile.  It
+keeps the ascending spectrum as ``Kernel.eigenvalues``; the trace powers
+are its power sums, and ``invdecomp.sampling`` draws the law checks'
+functionals from it.  :func:`weighted_eigh` is the one eigenvector solve,
+shared by the Karhunen-Loeve spectrum and the covariance factor.
+:func:`irrep_spectra` solves the same matrix restricted to each real
+character's isotypic subspace, one m_pi x m_pi block per irrep, for the
+per-irrep traces.
 
 Weighted contraction conventions, with ``D = diag(weights)``:
 
@@ -115,6 +118,15 @@ class IndexSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    def spectrum(self, kernel: "Kernel") -> np.ndarray:
+        """Ascending spectrum of diag(w) K for a kernel on this space, for its PSD check.
+
+        The dense ``eigvalsh`` of :func:`weighted_symmetric`; a space whose
+        kernels can have more structure overrides it
+        (``invdecomp.torus.TorusGrid`` reads a stationary kernel's from the DFT).
+        """
+        return np.linalg.eigvalsh(weighted_symmetric(kernel))
+
     def __repr__(self) -> str:
         return f"IndexSpace(name={self.name!r}, size={self.size}, dim={self.dim})"
 
@@ -179,8 +191,10 @@ class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
     ``eigenvalues`` is the ascending spectrum of the weighted operator
-    diag(w) K, computed by the PSD check.  By Sylvester's law of inertia
-    sqrt(w) K sqrt(w) is PSD exactly when K is, so the check runs on it.
+    diag(w) K, computed by the PSD check through ``space.spectrum``: the
+    dense ``eigvalsh`` of sqrt(w) K sqrt(w), which by Sylvester's law of
+    inertia is PSD exactly when K is, or, for an exactly stationary K on a
+    ``invdecomp.torus.TorusGrid``, the DFT of its lag profile.
     """
 
     space: IndexSpace
@@ -197,7 +211,7 @@ class Kernel:
         if sym > PSD_TOL:
             raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
         object.__setattr__(self, "matrix", _readonly((k + k.T) / 2))
-        evals = np.linalg.eigvalsh(weighted_symmetric(self))
+        evals = self.space.spectrum(self)
         floor = -PSD_TOL * max(float(self.space.weights.max()), float(evals[-1]))
         if evals[0] < floor:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")

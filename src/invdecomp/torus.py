@@ -9,8 +9,11 @@ Gaussian processes whose quadratic functionals can be compared in law.
 A stationary kernel on a grid torus depends on t - s alone, so it is
 (block-)circulant: each grid carries one lag table, through which the
 kernels are built from their m lag values and their stationarity is read.
-The DFT of those m lag values is the kernel's spectrum, from which
-:func:`fourier_factor` builds the factor that samples it.
+The DFT of those m lag values is the kernel's spectrum.  The PSD check of
+an exactly stationary kernel reads its eigenvalues from it
+(:meth:`TorusGrid.spectrum`), and :func:`fourier_factor` builds from it the
+factor that samples the kernel, so neither runs an eigendecomposition; a
+kernel that is not bitwise stationary is still solved densely.
 """
 
 from __future__ import annotations
@@ -122,6 +125,18 @@ class TorusGrid(IndexSpace):
             lag *= n
             lag += (ints[:, None, k] - ints[None, :, k]) % n
         return lag
+
+    def spectrum(self, kernel: Kernel) -> np.ndarray:
+        """Ascending spectrum of diag(w) K, from the DFT when K is exactly stationary.
+
+        A kernel that is bitwise circulant in index order
+        (:func:`stationarity_spread` 0) has the characters of the index group
+        as eigenvectors, so its spectrum is :func:`_dft_spectrum`'s, sorted.
+        Any other kernel is solved densely, by ``IndexSpace.spectrum``.
+        """
+        if stationarity_spread(kernel) != 0.0:
+            return super().spectrum(kernel)
+        return np.sort(_dft_spectrum(kernel.matrix, self)[0])
 
 
 def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
@@ -310,14 +325,27 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     return Kernel(grid, prof.prod(axis=1)[grid.lag_index], name="torus_watson")
 
 
+def _dft_spectrum(matrix: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, spec) of a stationary kernel matrix on ``grid``, in index order.
+
+    spec_b = Re DFT(K[:, 0])_b on ``grid.shape``, averaged with spec_-b so a
+    +-pair shares its value bitwise, and lambda_b = w spec_b is the
+    eigenvalue of diag(w) K on the character of index b.
+    """
+    spec = np.fft.fftn(matrix[:, 0].reshape(grid.shape)).real.ravel()
+    spec = (spec + spec[grid.action.perm[1]]) / 2.0
+    return grid.weights[0] * spec, spec
+
+
 def fourier_factor(kernel: Kernel) -> np.ndarray:
     """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
 
     Whatever the lattice basis, a stationary kernel is circulant on the index
     group Z_n1 x ... x Z_nd of its grid, whose characters are therefore its
     eigenvectors (the circulant case of Wood and Chan, 1994): index b
-    has eigenvalue lambda_b = w * Re DFT(K[:, 0])_b of diag(w) K and pairs
-    with -b, the grid's negation of b.  Over a +-pair the two complex
+    has eigenvalue lambda_b = w * Re DFT(K[:, 0])_b of diag(w) K
+    (:func:`_dft_spectrum`, which the kernel's PSD check also reads) and
+    pairs with -b, the grid's negation of b.  Over a +-pair the two complex
     characters give one cos and one sin column; a self-conjugate b (b = -b)
     gives one cos column, which is +-1.  Column b of L, on grid point a, is
 
@@ -332,10 +360,8 @@ def fourier_factor(kernel: Kernel) -> np.ndarray:
     grid = kernel.space
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    m, w, neg = grid.size, float(grid.weights[0]), grid.action.perm[1]
-    spec = np.fft.fftn(kernel.matrix[:, 0].reshape(grid.shape)).real.ravel()
-    spec = (spec + spec[neg]) / 2.0  # a +-pair shares its eigenvalue bitwise
-    lam = w * spec
+    m, neg = grid.size, grid.action.perm[1]
+    lam, spec = _dft_spectrum(kernel.matrix, grid)
     order = np.argsort(lam, kind="stable")
     idx = order[m - _clip_spectrum(lam[order]).size :]
     # turns <b, a/n> mod 1 of every grid point a and kept index b, exact in integers
@@ -418,7 +444,10 @@ def torus_watson_check(
     X(t) -+ X(-t)); independence of the parts through empirical
     cross-covariance; and equality in law of the two part energies.  The
     even part is expanded against both cosine and sine frequencies so the
-    two readings of its expansion are reported side by side.
+    two readings of its expansion are reported side by side.  The unhalved
+    parts are 2 X1 and 2 X2, whose energies are 4 e1 and 4 e2 exactly, so
+    the ``unhalved_quarter`` residual is bitwise that of ``halved_sum``: it
+    is implied by it, and is reported to name the convention.
 
     The kernel is sampled through its closed-form factor
     :func:`fourier_factor`, after the stationarity gate and with no

@@ -714,6 +714,21 @@ def test_preset_run_with_override(tmp_path):
     assert report["tolerances_effective"]["z2_condition"] == 1e-4
 
 
+@pytest.mark.parametrize("preset", ["torus-1d", "torus-2d"])
+def test_torus_presets_run_no_eigendecomposition(tmp_path, monkeypatch, preset):
+    """A stationary torus kernel's PSD check reads the DFT, and its sampler the
+    closed-form factor: the torus presets pass with eigh and eigvalsh disabled."""
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("dense eigendecomposition on the torus path")
+
+    monkeypatch.setattr(np.linalg, "eigh", disabled)
+    monkeypatch.setattr(np.linalg, "eigvalsh", disabled)
+    assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert {c["status"] for c in report["checks"].values()} == {"passed"}
+
+
 def test_mgf_preset_tables(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -11,6 +11,8 @@ aliases j (a trigamma reflection).  The continuum value 1/(4 pi^2 v^2) is the
 independent of all of that.
 """
 
+import hashlib
+import json
 import sys
 import tracemalloc
 
@@ -253,6 +255,8 @@ def test_torus_watson_check_report(kernel16, circle16):
     assert res["unhalved_quarter"] < 1e-10
     assert res["halved_quarter_verbatim"] > 0.1
     assert rep["conventions_satisfied"] == ["halved_sum", "unhalved_quarter"]
+    # the unhalved energies are 4 e1, 4 e2 exactly, so that residual is halved_sum's
+    assert res["unhalved_quarter"] == res["halved_sum"]
 
 
 def test_torus_watson_check_accepts_spec(kernel16, circle16):
@@ -268,6 +272,22 @@ def test_torus_watson_check_is_deterministic(kernel16, circle16):
     a = torus_watson_check(kernel16, circle16, 1500, seed=3)
     b = torus_watson_check(kernel16, circle16, 1500, seed=3)
     assert a == b
+
+
+def test_torus_watson_check_golden_digest():
+    """Pins which normal drives which column of ``fourier_factor``, ties included.
+
+    On the square 6 x 6 torus at cutoff 2 the kept spectrum has ties of 4 and
+    8 (the frequencies (a, b), (b, a) and their negations); the columns are in
+    ascending order with ties in index order, and any other order gives other
+    samples and another report.
+    """
+    grid = torus_grid(Lattice(np.eye(2)), 6)
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, 2)
+    rep = torus_watson_check(spec, grid, 1000, seed=1961)
+    assert rep["ok"]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "2a5f4cadcccdf8beb3c46f93b8d92db587ed66e3946c6ead4cbf302deb194262"
 
 
 # ------------------------------------------------------ streamed check

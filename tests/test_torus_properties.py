@@ -7,16 +7,21 @@ matrix product.  The references below are the direct formulas: one cosine
 matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
 entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
 lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to
-the kernel it factors and to the spectrum of the kernel's own PSD check.
+the kernel it factors and to the spectrum of the kernel's own PSD check,
+which for an exactly stationary kernel is read from the same DFT: it is held
+to the dense ``eigvalsh``, and every other matrix on a torus grid to that
+``eigvalsh`` bitwise.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invdecomp.kernels import Kernel
+from invdecomp.kernels import Kernel, KernelError, weighted_symmetric
 from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
     Lattice,
@@ -175,3 +180,57 @@ def test_fourier_factor_is_the_kl_factor(kernel):
     tol = kernel.size * np.finfo(float).eps * kept[-1]
     assert np.max(np.abs(col - kept)) <= tol
     assert np.all(np.diff(col) >= -tol)
+
+
+def _dense_path_raises(*args, **kwargs):
+    raise AssertionError("dense eigvalsh on the DFT path")
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kernel=stationary_kernels())
+@example(kernel=torus_watson(torus_grid(Lattice(np.eye(1)), 16)))
+@example(kernel=torus_watson(torus_grid(Lattice(np.eye(1)), 15)))
+@example(kernel=_assembled([[1.0, 0.7], [0.0, 1.0]], [5, 8], 2))
+@example(kernel=torus_watson(torus_grid(Lattice(np.array([[1.0, -1.2], [0.0, 1.0]])), [7, 6])))
+def test_stationary_kernel_spectrum_is_the_dft_of_its_profile(kernel):
+    """An exactly stationary kernel's PSD check runs no eigvalsh and agrees with it
+    to m eps lambda_max, the roundoff of the dense solve."""
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        evals = Kernel(kernel.space, kernel.matrix).eigenvalues
+    dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
+    assert np.array_equal(evals, kernel.eigenvalues)
+    assert np.max(np.abs(evals - dense)) <= kernel.size * np.finfo(float).eps * dense[-1]
+
+
+@PROPS
+@given(grid=grids(), seed=SEEDS, bump=st.sampled_from([None, 2.0**-40, 1e-3]))
+def test_other_kernels_on_a_torus_keep_the_dense_spectrum_bitwise(grid, seed, bump):
+    """A symmetric matrix that is not bitwise stationary goes through eigvalsh:
+    a random Gram matrix, or torus_watson with one diagonal entry raised."""
+    rng = np.random.default_rng(seed)
+    if bump is None:
+        a = rng.standard_normal((grid.size, grid.size))
+        mat = a @ a.T
+    else:
+        mat = np.array(torus_watson(grid).matrix)
+        i = rng.integers(grid.size)
+        mat[i, i] += bump * np.max(np.abs(mat))  # a PSD change
+    kernel = Kernel(grid, mat)
+    assert stationarity_spread(kernel) > 0.0
+    assert np.array_equal(kernel.eigenvalues, np.linalg.eigvalsh(weighted_symmetric(kernel)))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(kernel=stationary_kernels())
+def test_stationary_indefinite_profile_is_rejected_on_the_dft_path(kernel):
+    """Lowering a stationary profile by a constant keeps it bitwise stationary and
+    makes the constant mode's eigenvalue negative: the DFT path rejects it with
+    the PSD check's message and the dense minimum eigenvalue."""
+    mat = kernel.matrix - 2.0 * np.max(np.abs(kernel.matrix))
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        with pytest.raises(KernelError, match=r"not PSD \(min eigenvalue -") as err:
+            Kernel(kernel.space, mat)
+    rw = np.sqrt(kernel.space.weights)
+    dense = np.linalg.eigvalsh(rw[:, None] * mat * rw[None, :])
+    got = float(str(err.value).split("min eigenvalue ")[1].rstrip(")"))
+    assert got == pytest.approx(dense[0], rel=1e-3)  # the message keeps 4 digits

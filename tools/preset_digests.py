@@ -15,7 +15,9 @@ does not change the digest; compare the version separately.
 The last line, ``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.
 Run the script on two checkouts and diff the outputs: equal preset lines mean
 byte-identical reports and tables, and the last lines compare the code size.
-Each preset's wall seconds go to stderr, so stdout stays diff-able.
+Each preset's wall seconds go to stderr, so stdout stays diff-able, with the
+count and matrix shapes of its ``numpy.linalg.eigh`` and ``eigvalsh`` calls
+(for example ``eigvalsh(1024x1024) x2``), which show which spectrum path ran.
 """
 
 from __future__ import annotations
@@ -33,12 +35,37 @@ import json
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from invdecomp import cli  # noqa: E402
+
+
+@contextlib.contextmanager
+def eig_calls():
+    """Record ``name(shape)`` for each ``numpy.linalg.eigh``/``eigvalsh`` call in the block."""
+    calls: list[str] = []
+    saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+    def counted(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append(f"{name}({'x'.join(str(n) for n in np.shape(a))})")
+            return fn(a, *args, **kwargs)
+
+        return call
+
+    for name, fn in saved.items():
+        setattr(np.linalg, name, counted(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(np.linalg, name, fn)
 
 
 def _sha(data: bytes) -> str:
@@ -71,8 +98,12 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         t0 = time.perf_counter()
-        line = digest(name)
-        print(f"{name} {time.perf_counter() - t0:.2f} s", file=sys.stderr, flush=True)
+        with eig_calls() as calls:
+            line = digest(name)
+        seconds = time.perf_counter() - t0
+        counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
+        eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
+        print(f"{name} {seconds:.2f} s, {eig}", file=sys.stderr, flush=True)
         print(line, flush=True)
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
     print(f"src_lines={lines}")
