@@ -66,7 +66,6 @@ from invdecomp.torus import (
     Lattice,
     TorusGrid,
     fourier_kl,
-    stationarity_spread,
     torus_grid,
     torus_watson,
     torus_watson_check,
@@ -125,7 +124,7 @@ def _run_invariance(ctx, tols, cfg):
 
 
 def _run_stationarity(ctx, tols, cfg):
-    spread = stationarity_spread(ctx["kernel"])
+    spread = ctx["kernel"].stationarity_spread
     tol = tols["stationarity"]
     return {"ok": bool(spread <= tol), "spread": spread, "tolerance": tol}
 
@@ -841,7 +840,7 @@ def build_space(cfg: dict):
     else:
         space = make_product_grid([make_interval_grid(k) for k in ns])
     if cfg.get("action", {}).get("name") == "none":
-        space = IndexSpace(space.points, space.weights, action=None, name=space.name)
+        space = IndexSpace(space.points, space.weights, None, space.name, space.shape)
     return space
 
 
@@ -863,7 +862,7 @@ def load_user_matrix(cfg: dict) -> Kernel:
         )
     if cfg.get("action", {}).get("name") == "none":
         space = kernel.space
-        space = IndexSpace(space.points, space.weights, action=None, name=space.name)
+        space = IndexSpace(space.points, space.weights, None, space.name, space.shape)
         kernel = Kernel(space, kernel.matrix, name=kernel.name)
     needs = [c for c in cfg["checks"] if CHECKS[c].action]
     if kernel.space.action is None and needs:

@@ -9,16 +9,24 @@ invariance under the action.
 
 The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
-Each :class:`Kernel` takes its spectrum once, in its PSD check, from
-:meth:`IndexSpace.spectrum`: a dense ``eigvalsh`` of that matrix, or, for an
-exactly stationary kernel on a torus grid, the DFT of its lag profile.  It
-keeps the ascending spectrum as ``Kernel.eigenvalues``; the trace powers
-are its power sums, and ``invdecomp.sampling`` draws the law checks'
-functionals from it.  :func:`weighted_eigh` is the one eigenvector solve,
-shared by the Karhunen-Loeve spectrum and the covariance factor.
-:func:`irrep_spectra` solves the same matrix restricted to each real
-character's isotypic subspace, one m_pi x m_pi block per irrep, for the
-per-irrep traces.
+Each :class:`Kernel` takes its spectrum once, in its PSD check, by one rule
+for every grid (:meth:`IndexSpace.spectrum`).  Every space reads its points
+as a cyclic index group Z_n1 x ... x Z_nd of its ``shape``, row-major: an
+interval grid is Z_n, a product grid the product of its factors' groups, a
+torus grid its own lattice index group.  A kernel that is bitwise circulant
+over that group (``Kernel.stationarity_spread`` 0) on equal weights has the
+group's characters as eigenvectors (Wood and Chan, 1994), so its spectrum
+is the DFT of its lag profile (:func:`_dft_spectrum`); any other kernel
+takes the dense ``eigvalsh`` of the symmetric matrix.  The watson kernel,
+the compensated bridge, is the stationary circle process: on a power-of-two
+midpoint grid it is bitwise circulant and takes the DFT.  The kernel keeps
+the ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its
+power sums, and ``invdecomp.sampling`` draws the law checks' functionals
+from it.
+:func:`weighted_eigh` is the one eigenvector solve, shared by the
+Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
+solves the same matrix restricted to each real character's isotypic
+subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
 
 Weighted contraction conventions, with ``D = diag(weights)``:
 
@@ -31,10 +39,12 @@ so that ``weighted_diag_trace(contract_power(K, n)) == trace((D K)^n)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from invdecomp.groups import (
     GroupAction,
@@ -65,6 +75,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
+SPREAD_BYTES = 1 << 21  # the row chunk of the stationarity spread's periodic copy
 
 
 class KernelError(ValueError):
@@ -89,12 +100,17 @@ class IndexSpace:
         Permutation action on the points.  Constructors only bind actions
         that map grid points to grid points exactly.
     name : str
+    shape : tuple of int, optional
+        The cyclic index group Z_n1 x ... x Z_nd the points are read in,
+        row-major (last axis fastest), for the stationarity gate of
+        :meth:`spectrum`; its sizes multiply to m.  Defaults to (m,).
     """
 
     points: np.ndarray
     weights: np.ndarray
     action: Optional[GroupAction] = None
     name: str = ""
+    shape: tuple = ()
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -107,6 +123,10 @@ class IndexSpace:
             raise KernelError("weights must be strictly positive")
         if self.action is not None and self.action.npoints != pts.shape[0]:
             raise KernelError("action size does not match point count")
+        shape = tuple(int(n) for n in self.shape) or (pts.shape[0],)
+        if math.prod(shape) != pts.shape[0] or min(shape) < 1:
+            raise KernelError(f"index shape {shape} does not count {pts.shape[0]} points")
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "weights", _readonly(w))
 
@@ -121,10 +141,15 @@ class IndexSpace:
     def spectrum(self, kernel: "Kernel") -> np.ndarray:
         """Ascending spectrum of diag(w) K for a kernel on this space, for its PSD check.
 
-        The dense ``eigvalsh`` of :func:`weighted_symmetric`; a space whose
-        kernels can have more structure overrides it
-        (``invdecomp.torus.TorusGrid`` reads a stationary kernel's from the DFT).
+        The gate is bitwise: on equal weights, a kernel that is circulant over
+        ``shape`` (``kernel.stationarity_spread`` 0) has the characters of
+        the index group as eigenvectors, so its spectrum is
+        :func:`_dft_spectrum`'s, sorted.  Any other kernel takes the dense
+        ``eigvalsh`` of :func:`weighted_symmetric`.
         """
+        w = self.weights
+        if kernel.stationarity_spread == 0.0 and np.all(w == w[0]):
+            return np.sort(_dft_spectrum(kernel.matrix, self)[0])
         return np.linalg.eigvalsh(weighted_symmetric(kernel))
 
     def __repr__(self) -> str:
@@ -146,15 +171,16 @@ def make_interval_grid(n: int, reversal: bool = True) -> IndexSpace:
         g = cyclic_group(2)
         perm = np.stack([np.arange(n), np.arange(n)[::-1]])
         action = GroupAction(g, perm)
-    return IndexSpace(t, w, action, name=f"interval[{n}]")
+    return IndexSpace(t, w, action, name=f"interval[{n}]", shape=(n,))
 
 
 def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
     """Cartesian product space, row-major (last factor fastest).
 
-    Weights multiply.  When every factor carries an action, the product
-    group acts coordinate-wise; its element (g1, .., gk) is encoded
-    row-major exactly like :func:`invdecomp.groups.direct_product`.
+    Weights multiply, and the index shapes concatenate.  When every factor
+    carries an action, the product group acts coordinate-wise; its element
+    (g1, .., gk) is encoded row-major exactly like
+    :func:`invdecomp.groups.direct_product`.
     """
     spaces = list(spaces)
     if not spaces:
@@ -183,23 +209,29 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
                 ).ravel()
         action = GroupAction(grp, perm)
     name = " x ".join(s.name or "?" for s in spaces)
-    return IndexSpace(pts, w, action, name=name)
+    return IndexSpace(pts, w, action, name=name, shape=mid.shape + last.shape)
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
-    ``eigenvalues`` is the ascending spectrum of the weighted operator
-    diag(w) K, computed by the PSD check through ``space.spectrum``: the
-    dense ``eigvalsh`` of sqrt(w) K sqrt(w), which by Sylvester's law of
-    inertia is PSD exactly when K is, or, for an exactly stationary K on a
-    ``invdecomp.torus.TorusGrid``, the DFT of its lag profile.
+    The PSD check computes, once per kernel:
+
+    * ``stationarity_spread``, the largest spread of K's entries over a
+      class of equal lag (s - t) mod ``space.shape`` (:func:`_lag_spread`),
+      which is 0 exactly when K is bitwise circulant over the index group;
+    * ``eigenvalues``, the ascending spectrum of the weighted operator
+      diag(w) K, through ``space.spectrum``: the DFT of the lag profile for
+      a circulant K on equal weights, else the dense ``eigvalsh`` of
+      sqrt(w) K sqrt(w), which by Sylvester's law of inertia is PSD exactly
+      when K is.
     """
 
     space: IndexSpace
     matrix: np.ndarray
     name: str = ""
+    stationarity_spread: float = field(init=False, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -211,6 +243,7 @@ class Kernel:
         if sym > PSD_TOL:
             raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
         object.__setattr__(self, "matrix", _readonly((k + k.T) / 2))
+        object.__setattr__(self, "stationarity_spread", _lag_spread(self.matrix, self.space.shape))
         evals = self.space.spectrum(self)
         floor = -PSD_TOL * max(float(self.space.weights.max()), float(evals[-1]))
         if evals[0] < floor:
@@ -223,6 +256,55 @@ class Kernel:
 
     def __repr__(self) -> str:
         return f"Kernel(name={self.name!r}, size={self.size})"
+
+
+def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
+    """Max spread of ``matrix`` entries over the classes of equal lag (s - t) mod ``shape``.
+
+    With the column index doubled periodically along every axis, the
+    entries K[s, s + c] of lag -c sit at one stride pattern, so each row
+    chunk is read through one strided view, and the per-lag max and min
+    are kept across chunks of about ``SPREAD_BYTES``.  Max and min are
+    exact, so the spread is that of any other grouping of the classes.
+    """
+    d, m = len(shape), matrix.shape[0]
+    k = matrix.reshape(shape + shape)
+    axes = tuple(range(d))
+    step = max(1, SPREAD_BYTES // (8 * 2**d * m * (m // shape[0])))  # rows of the first axis
+    hi, lo = np.full(shape, -np.inf), np.full(shape, np.inf)
+    for a in range(0, shape[0], step):
+        tiled = np.tile(k[a : a + step], (1,) * d + (2,) * d)
+        st = tiled.strides
+        # view[s, c] = tiled[s, (a + s_1 + c_1, s_2 + c_2, ...)] = K[a + s, a + s + c]
+        view = as_strided(
+            tiled[(slice(None),) * d + (slice(a, None),)],
+            shape=tiled.shape[:d] + shape,
+            strides=tuple(st[i] + st[d + i] for i in axes) + st[d:],
+            writeable=False,
+        )
+        np.maximum(hi, view.max(axis=axes), out=hi)
+        np.minimum(lo, view.min(axis=axes), out=lo)
+    return float(np.max(hi - lo, initial=0.0))
+
+
+def _negation(shape: tuple) -> np.ndarray:
+    """Flat index of -b mod ``shape`` for each flat index b, row-major."""
+    ints = np.indices(shape).reshape(len(shape), -1)
+    return np.ravel_multi_index(tuple((-ints) % np.array(shape)[:, None]), shape)
+
+
+def _dft_spectrum(matrix: np.ndarray, space: IndexSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, spec) of a circulant kernel matrix on ``space``, in index order.
+
+    spec_b = Re DFT(K[:, 0])_b on ``space.shape``, averaged with spec_-b so a
+    +-pair shares its value bitwise, -b taken mod the shape (not from the
+    bound action, which on an interval is the reversal), and
+    lambda_b = w spec_b is the eigenvalue of diag(w) K on the character of
+    index b, for the equal weights w.
+    """
+    spec = np.fft.fftn(matrix[:, 0].reshape(space.shape)).real.ravel()
+    spec = (spec + spec[_negation(space.shape)]) / 2.0
+    return space.weights[0] * spec, spec
 
 
 def _bridge(s: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -24,12 +24,13 @@ A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
 keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
 eigenvalue in ascending order, the Karhunen-Loeve coordinates.  Every
 sampler reads the normals this way.  :func:`pair_functional` reduces them
-against the kept eigenvalues, with no path.  The path samplers draw each
-block through :func:`draw_block`, which applies an m x r factor to the
-block's r x ncols normals: ``sample`` the factor of :func:`covariance_factor`,
-and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
-stream 0) that of ``invdecomp.torus.fourier_factor``, whose columns are the
-cos/sin characters of the torus.  Up to version 0.5.0 a column held m
+against the kept eigenvalues, with no path, and draws their exact ties as
+exponentials (below).  The path samplers draw each block through
+:func:`draw_block`, which applies an m x r factor to the block's r x ncols
+normals: ``sample`` the factor of :func:`covariance_factor`, and the
+streamed torus parity check (``invdecomp.torus.torus_watson_check``, stream
+0) that of ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
+characters of the torus.  Up to version 0.5.0 a column held m
 normals and a rank-r sampler read its last r, and the torus check sampled
 the eigenvectors of ``eigh``, so realized samples of rank-deficient kernels
 and of the torus check differ from those versions; a full-rank kernel draws
@@ -47,6 +48,22 @@ tied-down kernel (:func:`_copies_sum`).  Up to version 0.4.0 that side
 summed 2^d pair functionals on streams (2 + 2i, 3 + 2i), so its realized
 samples differ from those versions; its law and the left side's samples are
 unchanged.
+
+:func:`pair_functional` draws exact eigenvalue ties as exponentials, the
+third contract (``RNG_CONTRACT`` ``-v3``, version 0.7.0).  The kept spectrum
+splits into runs of bitwise-equal values (never equal within a tolerance);
+a run of L values lambda gives L // 2 pairs and, for odd L, one leftover.
+The leftovers, ascending, take the normals above: normal k of a column on
+stream s = ``streams[0]`` (and ``streams[1]``) belongs to the k-th
+leftover.  The pairs, ascending, take standard exponentials with the same
+per-block keying on stream s + ``EXP_STREAM`` (2^15): a column holds one
+exponential per pair, row-major, so ``streams`` must lie below 2^15, and
+these ids never meet the streams 0 to 3 of the law check.  A tie-free
+spectrum has no pairs and draws the normals of version 0.6.0 bitwise.  A
+DFT spectrum (``invdecomp.kernels``) ties every +-frequency pair, so the
+realized functionals of the duplication, quadruplication, cumulants and mgf
+checks on watson and sheet_compensated kernels differ from version 0.6.0;
+their law does not.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
@@ -100,8 +117,9 @@ __all__ = [
 ]
 
 BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
-RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor"  # names the keying rule of the module docstring
+RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor-v3"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
+EXP_STREAM = 1 << 15  # stream s + EXP_STREAM holds pair_functional's tie exponentials of stream s
 # the in-law checks in order of dimension, with the defaults their wrappers and the runner read
 LAW_DEFAULTS = {
     "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
@@ -256,6 +274,36 @@ def sample(
     return PathEnsemble(space=kernel.space, samples=out, seed=seed)
 
 
+def _tie_split(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pairs, single) of the ascending ``lam``, by runs of bitwise-equal values.
+
+    A run of L equal values lambda gives L // 2 entries lambda to ``pairs``
+    and, for odd L, one to ``single``; both stay ascending.  Values tie only
+    when they are equal: no tolerance, which would change the law.
+    """
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf))  # x - y is 0 only for x == y
+    runs = np.diff(np.append(starts, lam.size))
+    return np.repeat(lam[starts], runs // 2), lam[starts[runs % 2 == 1]]
+
+
+def _exponential_gemv(
+    e: np.ndarray, weights: np.ndarray, rho: float, seed: int, streams: tuple[int, int], a: int
+) -> np.ndarray:
+    """(1 + rho) E^A @ weights - (1 - rho) E^B @ weights for the block starting at column a.
+
+    E^A and E^B are the block's standard exponentials on ``streams[0]`` and
+    ``streams[1]``, drawn row-major into the (ncols, weights.size) buffer
+    ``e``, which is reused for E^B; each product is one GEMV with no
+    temporary, and E^B is not drawn at rho = 1.
+    """
+    _block_generator(seed, streams[0], a).standard_exponential(out=e)
+    j = (1.0 + rho) * (e @ weights)
+    if rho < 1.0:
+        _block_generator(seed, streams[1], a).standard_exponential(out=e)
+        j -= (1.0 - rho) * (e @ weights)
+    return j
+
+
 def pair_functional(
     kernel: Kernel,
     rho: float,
@@ -270,26 +318,44 @@ def pair_functional(
     xi, eta of one column and the factor L of :func:`covariance_factor`, the
     functional is exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k),
     since L^T W L = diag(lambda_r).  So J is drawn from the kept spectrum
-    alone: O(r) per column, no paths and no eigenvectors.  Normal k of a
-    column of stream ``streams[0]`` is xi_k and of ``streams[1]`` is eta_k,
-    with lambda ascending; at rho = 1 the second stream is not drawn.
+    alone: O(r) per column, no paths and no eigenvectors.
+
+    Each term xi (rho xi + c eta) has the law of ((1+rho) U^2 - (1-rho) V^2) / 2,
+    so two terms with the same lambda add up, in law, to
+    lambda [(1+rho) E^A - (1-rho) E^B] with standard exponentials E, since
+    chi^2_2 = 2 Exp(1).  :func:`_tie_split` cuts the kept spectrum into the
+    pairs of its runs of bitwise-equal values and its single leftovers, both
+    ascending.  Normal k of a column of stream ``streams[0]`` is xi_k and of
+    ``streams[1]`` is eta_k of the k-th single; exponential k of
+    ``streams[0] + EXP_STREAM`` is E^A and of ``streams[1] + EXP_STREAM`` is
+    E^B of the k-th pair.  At rho = 1 neither second stream is drawn.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
+    if not all(0 <= s < EXP_STREAM for s in streams):
+        raise ValueError(f"streams must be in [0, {EXP_STREAM}), got {streams}")
     lam = _clip_spectrum(kernel.eigenvalues)
+    pairs, single = _tie_split(lam)
+    exp_streams = (streams[0] + EXP_STREAM, streams[1] + EXP_STREAM)
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     out = np.empty(count)
 
     def run(blk):
         a, b = blk
-        xi = np.empty((b - a, lam.size))
+        # one r-wide buffer per block, as wide as the right side's so the allocator reuses
+        # it: the singles' xi, then the pairs' exponentials
+        n, buf = b - a, np.empty((b - a) * lam.size)
+        xi = buf[: n * single.size].reshape(n, single.size)
         _fill_normals(xi, seed, streams[0], a)
         # each einsum is one pass over the normals, with no temporary block
-        j = np.einsum("ck,ck,k->c", xi, xi, lam)
+        j = np.einsum("ck,ck,k->c", xi, xi, single)
         if comp > 0.0:
             eta = np.empty_like(xi)
             _fill_normals(eta, seed, streams[1], a)
-            j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, lam)
+            j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, single)
+        if pairs.size:
+            e = buf[n * single.size : n * (single.size + pairs.size)]
+            j += _exponential_gemv(e.reshape(n, pairs.size), pairs, rho, seed, exp_streams, a)
         out[a:b] = j
 
     _parallel(_blocks(count), run)
@@ -309,21 +375,15 @@ def _copies_sum(tied: Kernel, rho: float, copies: int, count: int, seed: int) ->
     standard exponentials.  Layout: a column's row of its block on stream 2
     holds h*r exponentials for the r kept eigenvalues, and exponential
     j*r + k adds to G^A_k, mu ascending; stream 3 holds G^B alike and is not
-    drawn at rho = 1.
+    drawn at rho = 1 (:func:`_exponential_gemv`).
     """
     mu = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2)
     out = np.empty(count)
 
     def run(blk):
         a, b = blk
-        # one buffer per block, reused for G^B; each product is one GEMV with no temporary
         e = np.empty((b - a, mu.size))
-        _block_generator(seed, 2, a).standard_exponential(out=e)
-        j = (1.0 + rho) * (e @ mu)
-        if rho < 1.0:
-            _block_generator(seed, 3, a).standard_exponential(out=e)
-            j -= (1.0 - rho) * (e @ mu)
-        out[a:b] = j / copies**2
+        out[a:b] = _exponential_gemv(e, mu, rho, seed, (2, 3), a) / copies**2
 
     _parallel(_blocks(count), run)
     return out

@@ -8,12 +8,13 @@ Gaussian processes whose quadratic functionals can be compared in law.
 
 A stationary kernel on a grid torus depends on t - s alone, so it is
 (block-)circulant: each grid carries one lag table, through which the
-kernels are built from their m lag values and their stationarity is read.
-The DFT of those m lag values is the kernel's spectrum.  The PSD check of
-an exactly stationary kernel reads its eigenvalues from it
-(:meth:`TorusGrid.spectrum`), and :func:`fourier_factor` builds from it the
-factor that samples the kernel, so neither runs an eigendecomposition; a
-kernel that is not bitwise stationary is still solved densely.
+kernels are built from their m lag values.  The DFT of those m lag values
+is the kernel's spectrum.  The PSD check of a bitwise circulant kernel
+reads its eigenvalues from it and stores its stationarity spread, by the
+one rule that ``invdecomp.kernels`` applies on every grid, and
+:func:`fourier_factor` builds from the same DFT the factor that samples the
+kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
+stationary is still solved densely.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from invdecomp.groups import GroupAction, cyclic_group
-from invdecomp.kernels import IndexSpace, Kernel, KernelError
+from invdecomp.kernels import IndexSpace, Kernel, KernelError, _dft_spectrum, _negation
 from invdecomp.sampling import (
     BLOCK,
     PathEnsemble,
@@ -107,7 +108,6 @@ class TorusGrid(IndexSpace):
 
     frac: np.ndarray = None
     lattice: Lattice = None
-    shape: tuple = ()
 
     @cached_property
     def lag_index(self) -> np.ndarray:
@@ -125,18 +125,6 @@ class TorusGrid(IndexSpace):
             lag *= n
             lag += (ints[:, None, k] - ints[None, :, k]) % n
         return lag
-
-    def spectrum(self, kernel: Kernel) -> np.ndarray:
-        """Ascending spectrum of diag(w) K, from the DFT when K is exactly stationary.
-
-        A kernel that is bitwise circulant in index order
-        (:func:`stationarity_spread` 0) has the characters of the index group
-        as eigenvectors, so its spectrum is :func:`_dft_spectrum`'s, sorted.
-        Any other kernel is solved densely, by ``IndexSpace.spectrum``.
-        """
-        if stationarity_spread(kernel) != 0.0:
-            return super().spectrum(kernel)
-        return np.sort(_dft_spectrum(kernel.matrix, self)[0])
 
 
 def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
@@ -160,9 +148,7 @@ def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
     m = len(ints)
     w = np.full(m, lattice.volume / m)
 
-    strides = np.cumprod((shape + (1,))[::-1])[::-1][1:]
-    neg = ((-ints) % np.array(shape)) @ strides
-    perm = np.stack([np.arange(m), neg])
+    perm = np.stack([np.arange(m), _negation(shape)])
     action = GroupAction(cyclic_group(2), perm)
     return TorusGrid(
         points=pts,
@@ -325,18 +311,6 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     return Kernel(grid, prof.prod(axis=1)[grid.lag_index], name="torus_watson")
 
 
-def _dft_spectrum(matrix: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, spec) of a stationary kernel matrix on ``grid``, in index order.
-
-    spec_b = Re DFT(K[:, 0])_b on ``grid.shape``, averaged with spec_-b so a
-    +-pair shares its value bitwise, and lambda_b = w spec_b is the
-    eigenvalue of diag(w) K on the character of index b.
-    """
-    spec = np.fft.fftn(matrix[:, 0].reshape(grid.shape)).real.ravel()
-    spec = (spec + spec[grid.action.perm[1]]) / 2.0
-    return grid.weights[0] * spec, spec
-
-
 def fourier_factor(kernel: Kernel) -> np.ndarray:
     """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
 
@@ -375,19 +349,16 @@ def fourier_factor(kernel: Kernel) -> np.ndarray:
     return l * np.sqrt(np.where(idx == neg[idx], 1.0, 2.0) * spec[idx] / m)
 
 
-def stationarity_spread(kernel: Kernel, grid: Optional[TorusGrid] = None) -> float:
+def stationarity_spread(kernel: Kernel) -> float:
     """Max spread of kernel entries over equal t-s (mod lattice) classes.
 
-    Each row is scattered into lag order through the grid's lag table, so
-    column j holds the m entries of lag j; the spread is the largest column
-    max - min.
+    The value the kernel's PSD check computed over its grid's index shape
+    (``Kernel.stationarity_spread``); 0 exactly when the kernel is bitwise
+    circulant.
     """
-    grid = grid if grid is not None else kernel.space
-    if not isinstance(grid, TorusGrid):
+    if not isinstance(kernel.space, TorusGrid):
         raise KernelError("need a torus grid")
-    by_lag = np.empty_like(kernel.matrix)
-    by_lag[np.arange(grid.size)[:, None], grid.lag_index] = kernel.matrix
-    return float(np.max(by_lag.max(axis=0) - by_lag.min(axis=0)))
+    return kernel.stationarity_spread
 
 
 def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
@@ -467,7 +438,7 @@ def torus_watson_check(
     else:
         kernel = spec_or_kernel
         spec = None
-    spread = stationarity_spread(kernel, grid)
+    spread = kernel.stationarity_spread
     report: dict = {
         "stationarity_spread": spread,
         "stationarity_tol": stationarity_tol,

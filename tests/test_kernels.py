@@ -1,10 +1,14 @@
 """Grids, built-in covariance kernels, projections, and contractions."""
 
+import math
 import re
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invdecomp.groups import character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
@@ -153,9 +157,11 @@ def test_psd_check_uses_the_weighted_spectrum():
 
 
 @pytest.mark.parametrize("uniform", [True, False])
-def test_kernel_eigenvalues_are_the_weighted_spectrum(uniform, watson64):
+def test_kernel_eigenvalues_are_the_weighted_spectrum(uniform, bridge64):
+    """A kernel off the DFT gate (the bridge is not stationary, or the weights
+    differ) keeps the dense eigvalsh bitwise."""
     if uniform:
-        k = watson64
+        k = bridge64
     else:
         k = Kernel(_nonuniform_space(), _with_spectrum([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]))
     rw = np.sqrt(k.space.weights)
@@ -179,6 +185,128 @@ def test_random_kernel_not_invariant(grid64):
     k = Kernel(grid64, a @ a.T / 64, name="random")
     ok, dev = check_invariance(k)
     assert not ok and dev > 1e-3
+
+
+# ------------------------------------------------------ stationary spectrum
+
+PROPS = settings(derandomize=True, max_examples=12, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def cyclic_shapes(draw):
+    dim = draw(st.integers(1, 3))
+    return tuple(draw(st.integers(1, 12 if dim == 1 else 6 if dim == 2 else 4)) for _ in range(dim))
+
+
+def _grid(shape):
+    """The interval grid of a 1-tuple, else the product grid of its axes."""
+    return make_product_grid([make_interval_grid(n) for n in shape])
+
+
+def _lag_keys(shape):
+    """(m, m) flat index of the lag (s - t) mod shape, from the integer coordinates."""
+    ints = np.indices(shape).reshape(len(shape), -1)
+    diff = (ints[:, :, None] - ints[:, None, :]) % np.array(shape)[:, None, None]
+    return np.ravel_multi_index(tuple(diff), shape)
+
+
+def _circulant(shape, seed):
+    """A PSD matrix that is bitwise circulant over ``shape``: its lag profile is
+    the inverse DFT of a positive spectrum, averaged over +-lags."""
+    axes = tuple(range(len(shape)))
+    flip = lambda a: np.roll(np.flip(a), 1, axis=axes)  # a at -b
+    spec = np.random.default_rng(seed).uniform(0.5, 2.0, size=shape)
+    prof = np.fft.ifftn(spec + flip(spec)).real
+    prof = (prof + flip(prof)) / 2.0
+    return prof.ravel()[_lag_keys(shape)]
+
+
+def _dense_path_raises(*args, **kwargs):
+    raise AssertionError("dense eigvalsh on the DFT path")
+
+
+@PROPS
+@given(shape=cyclic_shapes(), seed=SEEDS)
+@example(shape=(7,), seed=0)
+@example(shape=(4, 6), seed=1)
+def test_circulant_kernel_spectrum_is_the_dft_on_interval_and_product_grids(shape, seed):
+    """A bitwise circulant kernel on equal weights runs no eigvalsh, and agrees with
+    it to m eps lambda_max, the roundoff of the dense solve."""
+    space = _grid(shape)
+    assert space.shape == shape
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        kernel = Kernel(space, _circulant(shape, seed))
+    assert kernel.stationarity_spread == 0.0
+    dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
+    tol = kernel.size * np.finfo(float).eps * dense[-1]
+    assert np.max(np.abs(kernel.eigenvalues - dense)) <= tol
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("watson", (32,)), ("watson", (256,)), ("sheet_compensated", (8, 8))]
+)
+def test_compensated_builtins_take_the_dft_spectrum_on_power_of_two_grids(name, shape):
+    """On 2^k midpoints the compensated bridge is bitwise circulant: the circle process."""
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        kernel = builtin_kernel(name, _grid(shape))
+    dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
+    tol = kernel.size * np.finfo(float).eps * dense[-1]
+    assert np.max(np.abs(kernel.eigenvalues - dense)) <= tol
+
+
+@PROPS
+@given(
+    shape=cyclic_shapes().filter(lambda s: math.prod(s) > 1),
+    seed=SEEDS,
+    off=st.sampled_from(["entry", "weights"]),
+)
+def test_kernel_off_the_dft_gate_keeps_the_dense_spectrum_bitwise(shape, seed, off):
+    """One diagonal entry one ulp up breaks circulance; one weight one ulp up breaks
+    the equal weights: either kernel goes through eigvalsh, bitwise."""
+    space, matrix = _grid(shape), _circulant(shape, seed)
+    i = np.random.default_rng(seed).integers(space.size)
+    if off == "entry":
+        matrix[i, i] = np.nextafter(matrix[i, i], np.inf)
+    else:
+        w = np.array(space.weights)
+        w[i] = np.nextafter(w[i], 1.0)
+        space = IndexSpace(space.points, w, space.action, space.name, shape=space.shape)
+    kernel = Kernel(space, matrix)
+    assert (kernel.stationarity_spread > 0.0) == (off == "entry")
+    assert np.array_equal(kernel.eigenvalues, np.linalg.eigvalsh(weighted_symmetric(kernel)))
+
+
+def _sorted_spread(matrix, shape):
+    key = _lag_keys(shape).ravel()
+    order = np.argsort(key, kind="stable")
+    sk, sv = key[order], matrix.ravel()[order]
+    bounds = np.flatnonzero(np.diff(sk)) + 1
+    lo, hi = np.concatenate([[0], bounds]), np.concatenate([bounds, [sk.size]])
+    return max(float(sv[a:b].max() - sv[a:b].min()) for a, b in zip(lo, hi))
+
+
+@PROPS
+@given(shape=cyclic_shapes(), seed=SEEDS, scale=st.sampled_from([0.0, 1e-16, 1e-9, 1.0]))
+@example(shape=(500,), seed=3, scale=1e-9)  # read in row chunks
+@example(shape=(20, 20), seed=4, scale=1.0)
+@example(shape=(9, 6, 7), seed=5, scale=1e-16)
+def test_stationarity_spread_is_the_sorted_reference_bitwise(shape, seed, scale):
+    """The strided, chunked spread over the index shape, against a sort by lag class."""
+    m = math.prod(shape)
+    a = np.random.default_rng(seed).normal(size=(m, m))
+    kernel = Kernel(_grid(shape), _circulant(shape, seed) + scale * (a @ a.T) / m)
+    assert kernel.stationarity_spread == _sorted_spread(kernel.matrix, shape)
+    assert (kernel.stationarity_spread == 0.0) == (scale == 0.0 or m == 1)
+
+
+def test_index_shape_must_count_the_points():
+    pts, w = np.arange(6.0), np.full(6, 1.0 / 6)
+    assert IndexSpace(pts, w).shape == (6,)
+    assert IndexSpace(pts, w, shape=(2, 3)).shape == (2, 3)
+    with pytest.raises(KernelError, match="shape"):
+        IndexSpace(pts, w, shape=(4,))
+    assert make_product_grid([make_interval_grid(n) for n in (3, 4, 5)]).shape == (3, 4, 5)
 
 
 # --------------------------------------------------------------- projection

@@ -24,6 +24,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
+    EXP_STREAM,
     KS_EXACT_MAX,
     RNG_CONTRACT,
     TIED,
@@ -31,6 +32,7 @@ from invdecomp.sampling import (
     _copies_sum,
     _fill_normals,
     _key,
+    _tie_split,
     compare_distributions,
     covariance_factor,
     draw_block,
@@ -115,7 +117,7 @@ APPLY_TOL = 8 * 32 * np.finfo(float).eps
 
 def test_rng_contract_golden_digest():
     """Pins the keying rule: one Philox stream per (seed, stream, block), row-major."""
-    assert RNG_CONTRACT == f"philox-block-{BLOCK}-rowmajor" == "philox-block-4096-rowmajor"
+    assert RNG_CONTRACT == f"philox-block-{BLOCK}-rowmajor-v3" == "philox-block-4096-rowmajor-v3"
     buf = np.empty((4, 8))
     _fill_normals(buf, 1961, 3, 5 * BLOCK)
     want = Generator(Philox(key=[1961, (3 << 48) | 5])).standard_normal(32).reshape(4, 8)
@@ -202,19 +204,24 @@ def _rank_deficient():
 @pytest.mark.parametrize(
     "make_kernel",
     [
-        lambda: builtin_kernel("watson", make_interval_grid(24)),
-        lambda: builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(6)] * 2)),
+        lambda: builtin_kernel("bridge", make_interval_grid(24)),
+        # 6 x 5: a square sheet_tied has the Kronecker ties lambda_i lambda_j = lambda_j lambda_i
+        lambda: builtin_kernel(
+            "sheet_tied", make_product_grid([make_interval_grid(n) for n in (6, 5)])
+        ),
         _rank_deficient,
     ],
-    ids=["interval24", "sheet6x6", "rank_deficient"],
+    ids=["interval24", "sheet6x5", "rank_deficient"],
 )
 def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
     """For the normals x, y that pair_functional draws (streams 0 and 1, seed 5,
     two blocks), sum_i w (L x)(L (rho x + c y)) with the factor L of sample
     is pair_functional's own output, up to the roundoff of L^T W L = Lambda_r:
     both samplers draw r normals per column and read normal k as the
-    coordinate on the k-th kept eigenvalue.
+    coordinate on the k-th kept eigenvalue.  This holds for a tie-free kept
+    spectrum, which draws only normals; the kernels here are not stationary.
     """
+    assert _tie_split(_clip_spectrum(make_kernel().eigenvalues))[0].size == 0
     kernel = make_kernel()
     count = BLOCK + 4  # straddles a block edge
     l = covariance_factor(kernel)
@@ -254,6 +261,138 @@ def test_pair_functional_has_the_law_of_the_dense_pair(kernel, rho, seed):
     z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * sample(kernel, count, seed, stream=3).samples
     dense = kernel.space.weights @ (z1 * z2)
     assert ks_2samp(j, dense).statistic < null_ks_critical(count)
+
+
+# ------------------------------------------ exact ties drawn as exponentials
+
+
+def _all_normal_pair(kernel, rho, count, seed, streams=(0, 1)):
+    """The draw of versions up to 0.6.0: one normal per kept eigenvalue, tied or not."""
+    lam = _clip_spectrum(kernel.eigenvalues)
+    comp = np.sqrt(max(0.0, 1.0 - rho * rho))
+    out = np.empty(count)
+    for a in range(0, count, BLOCK):
+        b = min(a + BLOCK, count)
+        xi = np.empty((b - a, lam.size))
+        _fill_normals(xi, seed, streams[0], a)
+        j = np.einsum("ck,ck,k->c", xi, xi, lam)
+        if comp > 0.0:
+            eta = np.empty_like(xi)
+            _fill_normals(eta, seed, streams[1], a)
+            j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, lam)
+        out[a:b] = j
+    return out
+
+
+def _tied_kernels():
+    """Bitwise circulant kernels, whose DFT spectra tie every +-frequency pair."""
+    watson = st.builds(
+        lambda k: builtin_kernel("watson", make_interval_grid(2**k)), st.integers(3, 6)
+    )
+    sheet = st.builds(_sheet_compensated, st.sampled_from([4, 8]))
+    return st.one_of(watson, sheet)
+
+
+def _sheet_compensated(n):
+    return builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(n)] * 2))
+
+
+def test_tie_split_takes_runs_of_bitwise_equal_values():
+    lam = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, np.nextafter(3.0, 4.0), 5.0, 5.0, 5.0, 5.0])
+    pairs, single = _tie_split(lam)
+    assert pairs.tolist() == [2.0, 3.0, 5.0, 5.0]
+    assert single.tolist() == [1.0, 3.0, np.nextafter(3.0, 4.0)]
+    assert [x.size for x in _tie_split(lam[:0])] == [0, 0]
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(kernel=_tied_kernels(), rho=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32))
+@example(kernel=builtin_kernel("watson", make_interval_grid(32)), rho=1.0, seed=7)
+@example(kernel=_sheet_compensated(8), rho=0.5, seed=7)
+def test_tied_pair_functional_has_the_law_of_the_all_normal_draw(kernel, rho, seed):
+    """Exponential pairs against the 0.6.0 draw of two normals per pair."""
+    count = 5000
+    assert _tie_split(_clip_spectrum(kernel.eigenvalues))[0].size > 0
+    j = pair_functional(kernel, rho, count, seed)
+    ref = _all_normal_pair(kernel, rho, count, seed + 1)
+    assert ks_statistic(j, ref) < null_ks_critical(count)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(
+    kernel=_tied_kernels(),
+    count=st.integers(1, 2 * BLOCK + 8),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(kernel=builtin_kernel("watson", make_interval_grid(32)), count=BLOCK + 4, rho=0.5)
+def test_tied_pair_functional_is_worker_count_invariant(kernel, count, rho):
+    seen = []
+    for threads in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {"INVDECOMP_THREADS": threads}):
+            seen.append(pair_functional(kernel, rho, count, seed=2))
+    for j in seen[1:]:
+        assert np.array_equal(j, seen[0])
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(kernel=_tied_kernels(), k=st.integers(1, 2 * BLOCK + 8), extra=st.integers(0, BLOCK + 8))
+@example(kernel=builtin_kernel("watson", make_interval_grid(32)), k=BLOCK + 3, extra=BLOCK)
+@example(kernel=_sheet_compensated(4), k=BLOCK - 1, extra=2)
+def test_tied_pair_functional_prefix_is_stable_across_a_block_edge(kernel, k, extra):
+    """pair_functional(k) is the first k values of pair_functional(k + extra): bitwise
+    over full blocks, and to the roundoff of the GEMV in a partial one."""
+    for rho in (0.5, 1.0):
+        small = pair_functional(kernel, rho, k, seed=31)
+        large = pair_functional(kernel, rho, k + extra, seed=31)[:k]
+        full = k // BLOCK * BLOCK
+        assert np.array_equal(small[:full], large[:full])
+        tol = 4 * kernel.size * np.finfo(float).eps * np.abs(large).max()
+        np.testing.assert_allclose(small, large, rtol=0, atol=tol)
+
+
+def test_tied_pair_functional_golden_digest():
+    """Pins the v3 layout: on watson[8] the kept spectrum is 3 tied pairs and 2
+    singles.  Per block, the singles read 2 normals per column on streams 0, 1,
+    and the pairs 3 exponentials per column on streams 2^15 and 2^15 + 1, one
+    Philox stream per (seed, stream, block), row-major, ascending."""
+    kernel = builtin_kernel("watson", make_interval_grid(8))
+    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
+    assert (pairs.size, single.size) == (3, 2)
+    rho, count, seed = 0.5, BLOCK + 4, 1961
+    j = pair_functional(kernel, rho, count, seed)
+    # an explicit uint64 key: a list holding 2^63 + 1 would convert to float64
+    draw = lambda s, kind, n: getattr(
+        Generator(Philox(key=np.array([seed, (s << 48) | 1], dtype=np.uint64))), f"standard_{kind}"
+    )(n).reshape(4, -1)
+    xi, eta = draw(0, "normal", 8), draw(1, "normal", 8)
+    ea, eb = draw(EXP_STREAM, "exponential", 12), draw(EXP_STREAM + 1, "exponential", 12)
+    digest = hashlib.sha256(np.concatenate([ea, eb]).astype("<f8").tobytes()).hexdigest()
+    assert digest == "dda3d106f0c7be491e64d96b96f33f07fdbb5b7334a9a6aa997b11e648695a7c"
+    c = np.sqrt(1.0 - rho * rho)
+    terms = [xi * (rho * xi + c * eta) * single, ((1 + rho) * ea - (1 - rho) * eb) * pairs]
+    want = sum(t.sum(axis=1) for t in terms)
+    scale = sum(np.abs(t).sum(axis=1) for t in terms)
+    assert np.all(np.abs(j[BLOCK:] - want) <= 8 * np.finfo(float).eps * scale)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(
+    kernel=st.one_of(
+        st.builds(lambda n: builtin_kernel("bridge", make_interval_grid(n)), st.integers(2, 40)),
+        st.just(_rank_deficient()),
+    ),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+    count=st.integers(1, BLOCK + 8),
+)
+def test_tie_free_pair_functional_is_the_all_normal_draw_bitwise(kernel, rho, count):
+    assert _tie_split(_clip_spectrum(kernel.eigenvalues))[0].size == 0
+    j = pair_functional(kernel, rho, count, 9)
+    assert np.array_equal(j, _all_normal_pair(kernel, rho, count, 9))
+
+
+def test_pair_functional_streams_leave_room_for_the_exponentials(watson32):
+    with pytest.raises(ValueError, match="streams"):
+        pair_functional(watson32, 1.0, 10, seed=1, streams=(0, EXP_STREAM))
 
 
 # ------------------------------------------- chi^2 right side of the law check
@@ -305,10 +444,6 @@ def test_copies_sum_is_worker_and_prefix_stable(tied, rho):
     # roundoff of an h*m-term dot product, h = copies / 2
     tol = 4 * (copies // 2) * tied.size * np.finfo(float).eps * np.abs(full).max()
     np.testing.assert_allclose(part, full[: BLOCK + 3], rtol=0, atol=tol)
-
-
-def _sheet_compensated(n):
-    return builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(n)] * 2))
 
 
 def _compensated_kernels():
@@ -407,15 +542,17 @@ def test_empirical_covariance(watson32):
 # -------------------------------------------------------------- functionals
 
 
-def test_pair_functional_is_weighted_dot(watson32):
-    """At rho = 1, J is the dot of the squared stream-0 normals with the ascending spectrum."""
+def test_pair_functional_is_weighted_dot():
+    """At rho = 1, J is the dot of the squared stream-0 normals with the ascending
+    spectrum, for a tie-free one (the bridge's, from the dense eigvalsh)."""
+    bridge32 = builtin_kernel("bridge", make_interval_grid(32))
     xi = np.empty((100, 32))
     _fill_normals(xi, 5, 0, 0)
-    manual = np.einsum("sk,k,sk->s", xi, watson32.eigenvalues, xi)
-    j = pair_functional(watson32, 1.0, 100, seed=5)
+    manual = np.einsum("sk,k,sk->s", xi, bridge32.eigenvalues, xi)
+    j = pair_functional(bridge32, 1.0, 100, seed=5)
     assert np.allclose(j, manual, rtol=1e-14)
     # the second stream is never drawn
-    assert np.array_equal(j, pair_functional(watson32, 1.0, 100, seed=5, streams=(0, 9)))
+    assert np.array_equal(j, pair_functional(bridge32, 1.0, 100, seed=5, streams=(0, 9)))
 
 
 def test_functional_mean_matches_first_cumulant(watson32):

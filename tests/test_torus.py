@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invdecomp import kernels
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
 from invdecomp.sampling import BLOCK, compare_distributions, ks_statistic, null_ks_critical, sample
@@ -111,6 +112,20 @@ def test_stationarity_spread_detects_non_stationary(circle16):
     a = r.normal(size=(16, 16))
     k = Kernel(circle16, a @ a.T / 16)
     assert stationarity_spread(k) > 0.01
+
+
+def test_stationarity_spread_is_computed_once_per_kernel(monkeypatch):
+    """The PSD check stores the spread; the torus check and stationarity_spread read it."""
+    calls = []
+    real = kernels._lag_spread
+    counted = lambda k, shape: calls.append(shape) or real(k, shape)
+    monkeypatch.setattr(kernels, "_lag_spread", counted)
+    grid = torus_grid(Lattice(np.eye(2)), 6)
+    kernel = torus_watson(grid)
+    rep = torus_watson_check(fourier_kl(kernel.matrix[0], grid, 2), grid, 1000, seed=3)
+    assert rep["stationarity_spread"] == stationarity_spread(kernel) == 0.0
+    assert kernel.stationarity_spread == 0.0
+    assert calls == [(6, 6)] * 2  # torus_watson's kernel and the assembled one
 
 
 # --------------------------------------------------------- fourier analysis

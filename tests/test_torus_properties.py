@@ -1,9 +1,9 @@
 """The lag-table torus paths against dense reference code.
 
-``assemble_kernel``, ``torus_watson`` and ``stationarity_spread`` evaluate a
-stationary kernel once per lag and gather (or scatter) through the grid's
-lag table, and ``_basis_quadratics`` takes every quadratic form from one
-matrix product.  The references below are the direct formulas: one cosine
+``assemble_kernel`` and ``torus_watson`` evaluate a stationary kernel once
+per lag and gather through the grid's lag table, the PSD check reads
+``stationarity_spread`` through strided views, and ``_basis_quadratics``
+takes every quadratic form from one matrix product.  The references below are the direct formulas: one cosine
 matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
 entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
 lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to

@@ -17,7 +17,9 @@ Run the script on two checkouts and diff the outputs: equal preset lines mean
 byte-identical reports and tables, and the last lines compare the code size.
 Each preset's wall seconds go to stderr, so stdout stays diff-able, with the
 count and matrix shapes of its ``numpy.linalg.eigh`` and ``eigvalsh`` calls
-(for example ``eigvalsh(1024x1024) x2``), which show which spectrum path ran.
+(for example ``eigvalsh(1024x1024) x2``) and the spectrum path of each
+``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for
+example ``dft(256) x1, dense(256) x1``).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from invdecomp import cli  # noqa: E402
+from invdecomp import cli, kernels  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -66,6 +68,30 @@ def eig_calls():
     finally:
         for name, fn in saved.items():
             setattr(np.linalg, name, fn)
+
+
+@contextlib.contextmanager
+def spectrum_paths():
+    """Record ``dft(shape)`` or ``dense(m)`` for each ``Kernel`` PSD check in the block."""
+    paths: list[str] = []
+    spectrum, dft = kernels.IndexSpace.spectrum, kernels._dft_spectrum
+
+    def traced_dft(matrix, space):
+        paths.append(f"dft({'x'.join(str(n) for n in space.shape)})")
+        return dft(matrix, space)
+
+    def traced_spectrum(space, kernel):
+        n = len(paths)
+        out = spectrum(space, kernel)
+        if len(paths) == n:
+            paths.append(f"dense({space.size})")
+        return out
+
+    kernels._dft_spectrum, kernels.IndexSpace.spectrum = traced_dft, traced_spectrum
+    try:
+        yield paths
+    finally:
+        kernels._dft_spectrum, kernels.IndexSpace.spectrum = dft, spectrum
 
 
 def _sha(data: bytes) -> str:
@@ -98,12 +124,13 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         t0 = time.perf_counter()
-        with eig_calls() as calls:
+        with eig_calls() as calls, spectrum_paths() as paths:
             line = digest(name)
         seconds = time.perf_counter() - t0
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
-        print(f"{name} {seconds:.2f} s, {eig}", file=sys.stderr, flush=True)
+        spectra = ", ".join(f"{path} x{n}" for path, n in Counter(paths).items()) or "none"
+        print(f"{name} {seconds:.2f} s, {eig}; spectra: {spectra}", file=sys.stderr, flush=True)
         print(line, flush=True)
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
     print(f"src_lines={lines}")
