@@ -8,23 +8,24 @@ check failed, 2 means the configuration itself was rejected.
 
 ``CHECKS`` is the one place to add a check: its record declares the run
 function, the gate, what the config must provide, the default tolerances,
-the summary headline and the CSV table.  The config schema, validation, the
-runner and the report writers all read the records.
+the summary headline and the CSV table.  Validation (each key's type, range
+and nesting in ``CONFIG_FIELDS``, then what each check needs of the kernel,
+grid and group), the runner and the report writers all read the records.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 import invdecomp.io as iio
 from invdecomp import __version__
@@ -500,92 +501,126 @@ CHECKS = {
 
 DEFAULT_TOLERANCES = {key: val for c in CHECKS.values() for key, val in c.tolerances.items()}
 
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["kernel", "checks"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string"},
-        "kernel": {
-            "type": "object",
-            "required": ["name"],
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "path": {"type": "string"},
-                        "cutoff": {"type": "integer", "minimum": 1},
-                        "mgf_pairs": {"type": "array", "items": _PAIR, "minItems": 1},
-                    },
-                },
-            },
-        },
-        "action": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"name": {"enum": ["reversal", "negation", "none"]}},
-        },
-        "grid": {
-            "type": "object",
-            "required": ["n"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["interval", "torus"]},
-                "n": {
-                    "oneOf": [
-                        {"type": "integer", "minimum": 2},
-                        {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 2},
-                            "minItems": 1,
-                            "maxItems": 3,
-                        },
-                    ]
-                },
-                "basis": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-            },
-        },
-        "rho": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "n_max": {"type": "integer", "minimum": 1, "maximum": 12},
-        "samples": {"type": "integer", "minimum": 2000},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "checks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": list(CHECKS)},
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                key: (
-                    {"type": "array", "items": _POSITIVE, "minItems": len(val), "maxItems": len(val)}
-                    if isinstance(val, list)
-                    else _POSITIVE
-                )
-                for key, val in DEFAULT_TOLERANCES.items()
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "formats": {
-                    "type": "array",
-                    "items": {"enum": ["json", "csv"]},
-                },
-            },
-        },
-    },
+@dataclass(frozen=True)
+class Field:
+    """The shape of one config value: a JSON type of ``_TYPES``, or one of the ``enum`` strings.
+
+    ``lo``/``hi`` bound a number inclusively, ``gt`` exclusively; an object has
+    ``keys``, the ``required`` ones present; a list has ``size`` = (min, max or
+    None) ``item``s.  ``or_list`` = (min, max) also takes a list of such values.
+    """
+
+    type: Optional[str] = None
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    gt: Optional[float] = None
+    enum: tuple = ()
+    keys: Optional[dict] = None
+    required: tuple = ()
+    item: Optional["Field"] = None
+    size: tuple = (0, None)
+    or_list: Optional[tuple] = None
+
+
+# JSON Schema's types, with two rules more: an integer is not 64.0, and a number is finite
+_TYPES = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "number": ("a finite number", lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
 }
+_POSITIVE = Field("number", gt=0)
+_TOLERANCES = {
+    key: Field("list", size=(len(val),) * 2, item=_POSITIVE) if isinstance(val, list) else _POSITIVE
+    for key, val in DEFAULT_TOLERANCES.items()
+}
+_FORMAT = Field(enum=("json", "csv"))
+_PAIR = Field("list", size=(2, 2), item=Field("number"))
+
+CONFIG_FIELDS = Field(
+    "object",
+    required=("kernel", "checks"),
+    keys={
+        "name": Field("string"),
+        "kernel": Field(
+            "object",
+            required=("name",),
+            keys={
+                "name": Field("string"),
+                "params": Field(
+                    "object",
+                    keys={
+                        "path": Field("string"),
+                        "cutoff": Field("integer", lo=1),
+                        "mgf_pairs": Field("list", size=(1, None), item=_PAIR),
+                    },
+                ),
+            },
+        ),
+        "action": Field("object", keys={"name": Field(enum=("reversal", "negation", "none"))}),
+        "grid": Field(
+            "object",
+            required=("n",),
+            keys={
+                "kind": Field(enum=("interval", "torus")),
+                "n": Field("integer", lo=2, or_list=(1, 3)),
+                "basis": Field("list", item=Field("list", item=Field("number"))),
+            },
+        ),
+        "rho": Field("number", lo=0.0, hi=1.0),
+        "n_max": Field("integer", lo=1, hi=12),
+        "samples": Field("integer", lo=2000),
+        "seed": Field("integer", lo=0, hi=2**64 - 1),
+        "checks": Field("list", size=(1, None), item=Field(enum=tuple(CHECKS))),
+        "tolerances": Field("object", keys=_TOLERANCES),
+        "output": Field("object", keys={"dir": Field("string"), "formats": Field("list", item=_FORMAT)}),
+    },
+)
+
+
+def field_problems(value, field: Field, path: str = "") -> list[str]:
+    """Every way ``value`` departs from ``field``, each as ``path/to/key: message``."""
+    where = path or "<root>"
+
+    def wrong(expected: str) -> list[str]:
+        return [f"{where}: expected {expected}, got {json.dumps(value, default=repr)}"]
+
+    def under(key) -> str:
+        return f"{path}/{key}" if path else str(key)
+
+    if field.or_list is not None and isinstance(value, list):
+        field = Field("list", size=field.or_list, item=replace(field, or_list=None))
+    if field.enum:
+        return [] if isinstance(value, str) and value in field.enum else wrong(f"one of {list(field.enum)}")
+    name, is_type = _TYPES[field.type]
+    if not is_type(value):
+        return wrong(name)
+    if field.lo is not None and value < field.lo:
+        return wrong(f">= {field.lo}")
+    if field.hi is not None and value > field.hi:
+        return wrong(f"<= {field.hi}")
+    if field.gt is not None and value <= field.gt:
+        return wrong(f"> {field.gt}")
+
+    problems = []
+    if field.type == "list":
+        lo, hi = field.size
+        if len(value) < lo or (hi is not None and len(value) > hi):
+            count = f"{lo}" if lo == hi else f">= {lo}" if hi is None else f"{lo} to {hi}"
+            problems.append(f"{where}: expected length {count}, got {len(value)}")
+        for i, item in enumerate(value):
+            problems += field_problems(item, field.item, under(i))
+    elif field.type == "object":
+        problems += [f"{under(key)}: required" for key in field.required if key not in value]
+        for key, item in value.items():
+            if key in field.keys:
+                problems += field_problems(item, field.keys[key], under(key))
+            else:
+                problems.append(f"{under(key)}: unknown key (known: {', '.join(field.keys)})")
+    return problems
+
 
 PRESETS = {
     # classical duplication of the compensated-bridge functional
@@ -694,10 +729,7 @@ def load_config_file(path: str) -> dict:
 
 def validate_config(cfg: dict) -> list[str]:
     """All validation problems (empty list means the config is runnable)."""
-    errors = [
-        f"{'/'.join(str(p) for p in e.absolute_path) or '<root>'}: {e.message}"
-        for e in Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg)
-    ]
+    errors = field_problems(cfg, CONFIG_FIELDS)
     if errors:
         return errors
 

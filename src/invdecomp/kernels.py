@@ -4,8 +4,8 @@ An :class:`IndexSpace` is a finite quadrature rule (points, weights) with an
 optional group action by permutations.  A :class:`Kernel` is a symmetric PSD
 matrix over such a space.  The operations here are the kernel-side analogues
 of path projection: projecting a kernel onto a pair of characters,
-contracting two kernels against the quadrature measure, and checking
-invariance under the action.
+chaining a kernel's weighted contractions, and checking invariance under
+the action.
 
 The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
@@ -27,14 +27,6 @@ from it.
 Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
 solves the same matrix restricted to each real character's isotypic
 subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
-
-Weighted contraction conventions, with ``D = diag(weights)``:
-
-* ``contract(K1, K2) = K1 D K2^T``  (one quadrature integration),
-* ``contract_power(K, n) = K (D K)^(n-1)``  (chain of n kernel factors),
-* ``weighted_diag_trace(M) = trace(D M)``,
-
-so that ``weighted_diag_trace(contract_power(K, n)) == trace((D K)^n)``.
 """
 
 from __future__ import annotations
@@ -66,9 +58,7 @@ __all__ = [
     "project_kernel",
     "decompose_kernel",
     "irrep_spectra",
-    "contract",
     "contract_power",
-    "weighted_diag_trace",
     "weighted_traces",
     "weighted_symmetric",
     "weighted_eigh",
@@ -489,21 +479,8 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     return out
 
 
-def _same_space(a: IndexSpace, b: IndexSpace) -> None:
-    if a is b:
-        return
-    if a.size != b.size or not np.array_equal(a.points, b.points) or not np.array_equal(a.weights, b.weights):
-        raise KernelError("kernels live on different spaces")
-
-
-def contract(k1: Kernel, k2: Kernel) -> np.ndarray:
-    """One weighted contraction: (k1 o k2)(y1, y2) = sum_x k1(y1,x) k2(y2,x) w(x)."""
-    _same_space(k1.space, k2.space)
-    return (k1.matrix * k1.space.weights[None, :]) @ k2.matrix.T
-
-
 def contract_power(kernel: Kernel, n: int) -> np.ndarray:
-    """Chain of ``n`` kernel factors joined by n-1 weighted contractions."""
+    """Chain of ``n`` kernel factors joined by n-1 weighted contractions: K (diag(w) K)^(n-1)."""
     if n < 1:
         raise KernelError("n must be >= 1")
     k = kernel.matrix
@@ -512,16 +489,6 @@ def contract_power(kernel: Kernel, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = wk @ out
     return out
-
-
-def weighted_diag_trace(matrix: np.ndarray, space: IndexSpace) -> float:
-    """trace(diag(weights) @ matrix) = sum_i matrix[i, i] w_i."""
-    m = np.asarray(matrix)
-    if m.shape != (space.size, space.size):
-        raise KernelError("matrix does not match space")
-    return float(np.sum(np.diagonal(m).real * space.weights)) if np.iscomplexobj(m) else float(
-        np.sum(np.diagonal(m) * space.weights)
-    )
 
 
 def weighted_symmetric(kernel: Kernel) -> np.ndarray:
@@ -544,7 +511,7 @@ def weighted_eigh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
 def weighted_traces(kernel: Kernel, n_max: int) -> np.ndarray:
     """tr((diag(w) K)^n) for n = 1..n_max as power sums of ``kernel.eigenvalues``.
 
-    Equal to ``weighted_diag_trace(contract_power(K, n))``, with no
+    Equal to ``trace(diag(w) contract_power(K, n))``, with no
     decomposition beyond the one the PSD check already ran.
     """
     evals = kernel.eigenvalues

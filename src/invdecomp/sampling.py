@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -197,6 +196,7 @@ def _parallel(tasks, fn) -> None:
         for t in tasks:
             fn(t)
         return
+    from concurrent.futures import ThreadPoolExecutor  # here, so one-worker runs never import it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fn, tasks))
 

@@ -66,11 +66,11 @@ def _fresh_stdout(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_importing_the_runner_loads_no_scipy():
-    """scipy is a test dependency only: the package and its runner import without it."""
+def test_importing_the_runner_loads_no_scipy_or_jsonschema():
+    """scipy and jsonschema are test oracles only: the package and its runner import without them."""
     code = (
         "import sys, invdecomp, invdecomp.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     assert _fresh_stdout(code) == "[]"
 

@@ -294,6 +294,35 @@ def test_validate_rejects_bad_tolerance_values(tmp_path, capsys, tolerances):
     assert "tolerances" in capsys.readouterr().err
 
 
+_REJECTED_NUMBERS = {
+    # Python's json reads NaN and Infinity; a config number must be finite
+    "rho-nan": ({"rho": float("nan")}, "rho"),
+    "tolerance-nan": ({"tolerances": {"invariance": float("nan")}}, "tolerances/invariance"),
+    "tolerance-infinity": ({"tolerances": {"invariance": float("inf")}}, "tolerances/invariance"),
+    "cumulants-minus-infinity": (
+        {"tolerances": {"cumulants": [0.01, float("-inf"), 0.1]}},
+        "tolerances/cumulants/1",
+    ),
+    # an integer field takes a JSON integer, not an integral float
+    "grid-n-float": ({"grid": {"kind": "interval", "n": 32.0}}, "grid/n"),
+    "grid-n-float-axis": ({"grid": {"kind": "interval", "n": [8.0, 8]}}, "grid/n/0"),
+    "samples-float": ({"samples": 2000.0}, "samples"),
+    "seed-float": ({"seed": 1.0}, "seed"),
+    "n-max-float": ({"n_max": 6.0}, "n_max"),
+    "n-max-bool": ({"n_max": True}, "n_max"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("overrides, key", _REJECTED_NUMBERS.values(), ids=list(_REJECTED_NUMBERS))
+def test_non_finite_numbers_and_float_integers_exit_2(tmp_path, capsys, command, overrides, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, output={"dir": str(out)}, **overrides)
+    assert main([command, str(cfg)]) == 2
+    assert f"config error: {key}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", ["0", "-1"])
 def test_run_rejects_a_non_positive_tol_scale(tmp_path, capsys, scale):
     cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")})

@@ -1,4 +1,4 @@
-"""Grids, built-in covariance kernels, projections, and contractions."""
+"""Grids, built-in covariance kernels, projections, and contraction powers."""
 
 import math
 import re
@@ -18,14 +18,12 @@ from invdecomp.kernels import (
     KernelError,
     builtin_kernel,
     check_invariance,
-    contract,
     contract_power,
     decompose_kernel,
     irrep_spectra,
     make_interval_grid,
     make_product_grid,
     project_kernel,
-    weighted_diag_trace,
     weighted_symmetric,
     weighted_traces,
 )
@@ -442,13 +440,6 @@ def test_irrep_spectra_rejects_complex_characters(watson64):
 # -------------------------------------------------------------- contraction
 
 
-def test_contract_is_weighted_product(watson64, bridge64):
-    got = contract(watson64, bridge64)
-    w = watson64.space.weights
-    want = watson64.matrix @ (w[:, None] * bridge64.matrix)
-    assert np.array_equal(got, want)
-
-
 def test_contract_power_small_case():
     sp = make_interval_grid(3)
     k = builtin_kernel("bridge", sp)
@@ -458,12 +449,6 @@ def test_contract_power_small_case():
     assert np.allclose(contract_power(k, 2), expect2, atol=1e-16)
     expect4 = expect2 @ w @ expect2
     assert np.allclose(contract_power(k, 4), expect4, atol=1e-18)
-
-
-def test_weighted_diag_trace():
-    sp = make_interval_grid(5)
-    m = np.diag(np.arange(5.0))
-    assert weighted_diag_trace(m, sp) == pytest.approx(np.arange(5.0).mean())
 
 
 def test_weighted_traces_match_eigenvalues(watson64):
@@ -476,7 +461,13 @@ def test_weighted_traces_match_eigenvalues(watson64):
 
 
 def test_weighted_traces_match_contractions(bridge64):
+    """tr_n = trace(D K (D K)^(n-1)), with the chain formed densely here."""
     tr = weighted_traces(bridge64, 4)
+    w = bridge64.space.weights
+    dk = w[:, None] * bridge64.matrix
+    chain = np.eye(bridge64.size)
     for n in range(1, 5):
-        direct = weighted_diag_trace(contract_power(bridge64, n), bridge64.space)
-        assert tr[n - 1] == pytest.approx(direct, rel=1e-12)
+        chain = chain @ dk
+        assert tr[n - 1] == pytest.approx(np.trace(chain), rel=1e-12)
+        power = contract_power(bridge64, n)
+        assert np.sum(np.diagonal(power) * w) == pytest.approx(np.trace(chain), rel=1e-12)
