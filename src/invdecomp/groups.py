@@ -364,9 +364,11 @@ def project_path(z: np.ndarray, action: GroupAction, irrep: Irrep) -> np.ndarray
     if not irrep.real_valued:
         z = z.astype(np.complex128, copy=False)
     inv_perm = action.perm[group.inv]
-    out = chi[0] * z[inv_perm[0]]
+    # the identity acts trivially: its term reads z itself, not a gathered copy
+    term = lambda g: z if g == group.identity else z[inv_perm[g]]
+    out = chi[0] * term(0)
     for g in range(1, group.order):
-        out += chi[g] * z[inv_perm[g]]
+        out += chi[g] * term(g)
     out *= irrep.dim / group.order
     return out
 

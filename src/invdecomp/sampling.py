@@ -14,22 +14,25 @@ order: the stream's first r normals are the block's first column, the next
 r its second, and so on, r being the rank the sampler keeps (below).  A
 shorter last block takes a prefix of its stream, so the normals behind the
 first k columns are the same in every draw of at least k columns with the
-same seed and stream.  The samples agree bitwise over full blocks, and to
-roundoff in a partial one, where BLAS may pick another kernel for another
-column count.  ``BLOCK`` is part of the contract: changing it changes the
-samples.  Realized samples differ from those of version 0.1.0, which keyed
-one stream per column; this rule holds from version 0.2.0.
+same seed and stream.  A block drawn in chunks, read in turn from its one
+generator (:func:`draw_chunks`), gets the same normals as when it is drawn
+at once.  The samples agree bitwise over full blocks, and to roundoff in a
+partial one, where BLAS may pick another kernel for another column count.
+``BLOCK`` is part of the contract: changing it changes the samples.
+Realized samples differ from those of version 0.1.0, which keyed one
+stream per column; this rule holds from version 0.2.0.
 
 A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
 keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
 eigenvalue in ascending order, the Karhunen-Loeve coordinates.  Every
 sampler reads the normals this way.  :func:`pair_functional` reduces them
 against the kept eigenvalues, with no path, and draws their exact ties as
-exponentials (below).  The path samplers draw each block through
-:func:`draw_block`, which applies an m x r factor to the block's r x ncols
-normals: ``sample`` the factor of :func:`covariance_factor`, and the
-streamed torus parity check (``invdecomp.torus.torus_watson_check``, stream
-0) that of ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
+exponentials (below).  The path samplers draw through :func:`draw_chunks`,
+which applies an m x r factor to r x ncols normals: ``sample`` each block
+at once (:func:`draw_block`) with the factor of :func:`covariance_factor`,
+and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
+stream 0) each block in chunks with that of
+``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
 characters of the torus.  Up to version 0.5.0 a column held m
 normals and a rank-r sampler read its last r, and the torus check sampled
 the eigenvectors of ``eigh``, so realized samples of rank-deficient kernels
@@ -172,18 +175,29 @@ def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
     _block_generator(seed, stream, a).standard_normal(out=out)
 
 
-def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
-    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``: one block of the contract.
+def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: int):
+    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, ``width`` at a time.
 
     ``a`` is the first column of a block and ``b`` at most its end.  Each
     column draws r normals, its coordinates on the r kept eigenvalues, which
-    column k of ``l`` carries in ascending order.  Every path sampler draws
-    through here, so every ensemble follows ``RNG_CONTRACT`` and the
-    coordinate rule.
+    column k of ``l`` carries in ascending order.  The chunks' normals are
+    read in turn from the block's one generator, so they are bitwise those of
+    one :func:`_fill_normals` call, and only one chunk of them is held.
+    Yields (first column, m x ncols paths).  Every path sampler draws through
+    here, so every ensemble follows ``RNG_CONTRACT`` and the coordinate rule.
     """
-    xi = np.empty((b - a, l.shape[1]))
-    _fill_normals(xi, seed, stream, a)
-    return l @ xi.T
+    normals = _block_generator(seed, stream, a)
+    xi = np.empty((min(width, b - a), l.shape[1]))
+    for c in range(a, b, width):
+        chunk = xi[: min(width, b - c)]
+        normals.standard_normal(out=chunk)
+        yield c, l @ chunk.T
+
+
+def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
+    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, as one chunk of
+    :func:`draw_chunks`: one block of the contract."""
+    return next(draw_chunks(l, seed, stream, a, b, b - a))[1]
 
 
 def _blocks(count: int) -> list[tuple[int, int]]:

@@ -15,6 +15,11 @@ one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT the factor that samples the
 kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
 stationary is still solved densely.
+
+:func:`torus_watson_check` streams its samples: each block of the
+sampling contract is drawn, split and reduced ``DRAW`` columns at a time,
+so its working set is O(m ``SPLIT_COLUMNS``) on top of the kernel and its
+factor, never an m x ``BLOCK`` block.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from invdecomp.sampling import (
     _clip_spectrum,
     _parallel,
     compare_distributions,
-    draw_block,
+    draw_chunks,
     null_ks_critical,
     worker_count,
 )
@@ -55,7 +60,8 @@ __all__ = [
     "torus_watson_check",
 ]
 
-SPLIT_COLUMNS = BLOCK // 4  # columns per parity split of a drawn block; bounds the live parts
+DRAW = BLOCK // 16  # columns drawn, split and reduced at once: bounds the live paths and parts
+SPLIT_COLUMNS = BLOCK // 4  # columns per cross-covariance product; a multiple of DRAW
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,12 @@ class TorusGrid(IndexSpace):
         The grid is row-major in its integer coordinates, so the lag's flat
         index is also the grid point whose fractional coordinates are the
         lag's: a stationary kernel is its profile on the m grid points,
-        gathered through this table.  Built once per grid.
+        gathered through this table.  Built once per grid, as int32: half the
+        bytes of a platform index for a table the grid holds for its lifetime.
         """
         shape = np.array(self.shape)
-        ints = np.rint(self.frac * shape).astype(np.intp)
-        lag = np.zeros((self.size, self.size), dtype=np.intp)
+        ints = np.rint(self.frac * shape).astype(np.int32)
+        lag = np.zeros((self.size, self.size), dtype=np.int32)
         for k, n in enumerate(self.shape):
             lag *= n
             lag += (ints[:, None, k] - ints[None, :, k]) % n
@@ -382,20 +389,26 @@ def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble
     return mk(x1), mk(x2)
 
 
-def _basis_quadratics(cov: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
-    """Variance of <X, cos_v>_m and <X, sin_v>_m under a path covariance.
+def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
+    """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part of a path covariance.
 
-    The weighted, normalized cos and sin vectors of every nonzero dual vector
-    are stacked as the columns of one matrix B, and all the quadratic forms
-    are the column sums of B * (cov @ B): one matrix product.
+    The even part of ``matrix`` is cov = (K + K o neg) / 2, negation acting
+    on the columns.  The weighted, normalized cos and sin vectors of every
+    nonzero dual vector are stacked as the columns of one matrix B, and all
+    the quadratic forms are the column sums of B * (cov @ B).  cov and
+    cov @ B are built ``DRAW`` rows at a time, so cov is never held.
     """
-    w = grid.weights
+    w, neg = grid.weights, grid.action.perm[1]
     b = np.array([v for v in spec.vectors if np.any(v)], dtype=float).reshape(-1, grid.dim)
     phase = 2.0 * np.pi * (grid.frac @ b.T)
     basis = np.hstack([np.cos(phase), np.sin(phase)])
     nrm = np.sqrt(w @ (basis * basis))
     basis = basis / np.where(nrm > 0, nrm, np.inf) * w[:, None]  # a vector of norm 0 reads 0
-    q = np.sum(basis * (cov @ basis), axis=0)
+    cov_basis = np.empty_like(basis)
+    for i in range(0, grid.size, DRAW):
+        rows = matrix[i : i + DRAW]
+        cov_basis[i : i + DRAW] = 0.5 * (rows + rows[:, neg]) @ basis
+    q = np.sum(basis * cov_basis, axis=0)
     return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
 
 
@@ -423,14 +436,29 @@ def torus_watson_check(
     The kernel is sampled through its closed-form factor
     :func:`fourier_factor`, after the stationarity gate and with no
     eigendecomposition, r normals per column for the r eigenvalues kept.
-    The ensemble is never held: each ``BLOCK`` of columns is drawn as
-    :func:`invdecomp.sampling.sample` draws it with that factor (stream 0)
-    and split by :func:`parity_decompose` in slices of ``SPLIT_COLUMNS``;
-    only the three per-sample energies and one m/2 x m/2 cross-covariance
-    sum are kept.  The per-block cross-covariance partials are added in
-    block order, so every field is bitwise independent of the worker count,
-    and every field but ``cross_cov_max`` (summed in another order, over one
-    point per +-orbit) is bitwise that of the materialized ensemble.
+    Neither the ensemble nor a whole block of it is held.  Each ``BLOCK`` of
+    columns is drawn from its one generator with that factor (stream 0), as
+    :func:`invdecomp.sampling.sample` draws it, but ``DRAW`` columns at a
+    time (:func:`invdecomp.sampling.draw_chunks`).  Each chunk is split by
+    :func:`parity_decompose` and reduced to its three energies per sample
+    and its odd values at the fixed points, and its odd rows (one per +-pair
+    of non-fixed points) and even rows (one per +-orbit) are copied into two
+    (m/2) x ``SPLIT_COLUMNS`` buffers; the cross-covariance takes one
+    product of those buffers per ``SPLIT_COLUMNS`` columns.  So a worker
+    holds one chunk of normals, paths and parts (under 2 m ``SPLIT_COLUMNS``
+    doubles), the two buffers (m ``SPLIT_COLUMNS``) and its block's
+    m/2 x m/2 cross-covariance partial; with the kernel, the m x r factor
+    and the total cross-covariance, one worker's check stays below two
+    m x m matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The even part's
+    expansion is taken ``DRAW`` rows at a time (:func:`_basis_quadratics`).
+
+    The per-block cross-covariance partials are added in block order, so
+    every field is bitwise independent of the worker count.  Every field but
+    ``cross_cov_max`` (summed in another order, over one point per +-orbit)
+    is bitwise that of the materialized ensemble wherever BLAS computes a
+    chunk's columns as it does in the whole block: on OpenBLAS in every
+    full block, and in a partial one whose last chunk is a multiple of 8
+    columns wide (elsewhere to roundoff, as ``RNG_CONTRACT`` allows).
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)
@@ -466,18 +494,24 @@ def torus_watson_check(
 
     def run(blk):
         a, b = blk
-        x = draw_block(l, seed, 0, a, b)
+        # the odd rows and even rows of the block's current SPLIT_COLUMNS slice
+        odd = np.empty((half.size, SPLIT_COLUMNS))
+        even = np.empty((orbits.size, SPLIT_COLUMNS))
         cross = np.zeros((half.size, orbits.size))
-        for c in range(0, b - a, SPLIT_COLUMNS):
-            cols = slice(c, c + SPLIT_COLUMNS)
-            part = PathEnsemble(space=grid, samples=x[:, cols], seed=seed)
+        for c, x in draw_chunks(l, seed, 0, a, b, DRAW):
+            part = PathEnsemble(space=grid, samples=x, seed=seed)
             x1, x2 = (p.samples for p in parity_decompose(part))
-            out = slice(a + c, a + c + x1.shape[1])
-            e[out] = w @ (part.samples**2)
+            out = slice(c, c + x.shape[1])
+            e[out] = w @ (x**2)
             e1[out] = w @ (x1**2)
             e2[out] = w @ (x2**2)
             odd_fixed[out] = np.max(np.abs(x1[fixed]), axis=0, initial=0.0)
-            cross += x1[half] @ x2[orbits].T
+            j = (c - a) % SPLIT_COLUMNS
+            k = j + x.shape[1]
+            odd[:, j:k] = x1[half]
+            even[:, j:k] = x2[orbits]
+            if k == SPLIT_COLUMNS or out.stop == b:  # the slice is full, or the block ends
+                cross += odd[:, :k] @ even[:, :k].T
         partials[a] = cross
 
     # waves of one block per worker, each added in block order, keep the
@@ -526,8 +560,7 @@ def torus_watson_check(
     )
     if spec is not None:
         # even-part expansion: cosine reading vs (typo) sine reading
-        cov_even = 0.5 * (kernel.matrix + kernel.matrix[:, neg])
-        q = _basis_quadratics(cov_even, grid, spec)
+        q = _basis_quadratics(kernel.matrix, grid, spec)
         report["even_part_expansion"] = {
             "cos_quadratics": q["cos"],
             "sin_quadratics_max": float(np.max(q["sin"])) if q["sin"] else 0.0,

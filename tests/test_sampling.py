@@ -29,6 +29,7 @@ from invdecomp.sampling import (
     RNG_CONTRACT,
     TIED,
     _clip_spectrum,
+    _block_generator,
     _copies_sum,
     _fill_normals,
     _key,
@@ -36,6 +37,7 @@ from invdecomp.sampling import (
     compare_distributions,
     covariance_factor,
     draw_block,
+    draw_chunks,
     duplication_check,
     ks_statistic,
     kstat as np_kstat,
@@ -46,6 +48,7 @@ from invdecomp.sampling import (
     sample,
     worker_count,
 )
+from invdecomp.torus import DRAW, Lattice, fourier_factor, torus_grid, torus_watson
 
 
 @pytest.fixture(scope="module")
@@ -520,6 +523,51 @@ def test_draw_block_reads_r_normals_per_column():
     got = draw_block(l, 3, 1, BLOCK, BLOCK + 10)
     xi = Generator(Philox(key=_key(3, 1, 1))).standard_normal((10, 4))
     assert np.array_equal(got, l @ xi.T)
+
+
+@pytest.mark.parametrize("width", [1, 7, 256, 1000])
+@pytest.mark.parametrize(
+    "a, b", [(2 * BLOCK, 3 * BLOCK), (BLOCK, BLOCK + 1500)], ids=["full", "partial"]
+)
+def test_block_generator_pulled_in_chunks_gives_the_normals_of_one_fill(width, a, b):
+    """A block's normals do not depend on how many columns are pulled from its generator at once."""
+    want = np.empty((b - a, 5))
+    _fill_normals(want, 11, 2, a)
+    normals, got = _block_generator(11, 2, a), np.empty_like(want)
+    for c in range(0, b - a, width):
+        normals.standard_normal(out=got[c : c + width])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "make_factor",
+    [
+        lambda: fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32))),
+        lambda: covariance_factor(builtin_kernel("bridge", make_interval_grid(256))),
+    ],
+    ids=["fourier32x32", "dense_bridge256"],
+)
+@pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
+def test_chunked_draw_is_draw_block_bitwise(make_factor, a, b):
+    """The torus check draws DRAW columns at a time; its paths are bitwise those of
+    the whole block, the last chunk partial included."""
+    l = make_factor()
+    chunks = list(draw_chunks(l, 13, 0, a, b, DRAW))
+    assert [c for c, _ in chunks] == list(range(a, b, DRAW))
+    assert chunks[-1][1].shape == (l.shape[0], (b - a) % DRAW or DRAW)
+    assert np.array_equal(np.hstack([x for _, x in chunks]), draw_block(l, 13, 0, a, b))
+
+
+def test_chunked_draw_of_a_partial_block_is_draw_block_to_roundoff():
+    """BLAS may compute the columns of a short last chunk with another kernel than in
+    the whole block (OpenBLAS does when its width is not a multiple of 8): the full
+    chunks stay bitwise and the last agrees to roundoff, as the contract allows."""
+    l = fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32)))
+    a, b = BLOCK, BLOCK + 2 * DRAW + 3
+    got = np.hstack([x for _, x in draw_chunks(l, 13, 0, a, b, DRAW)])
+    want = draw_block(l, 13, 0, a, b)
+    assert np.array_equal(got[:, : 2 * DRAW], want[:, : 2 * DRAW])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_zero_kernel_has_an_empty_factor_and_zero_paths(kernel_file):

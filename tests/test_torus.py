@@ -24,6 +24,7 @@ from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
 from invdecomp.sampling import BLOCK, compare_distributions, ks_statistic, null_ks_critical, sample
 from invdecomp.torus import (
+    SPLIT_COLUMNS,
     Lattice,
     TorusKernelSpec,
     assemble_kernel,
@@ -343,6 +344,28 @@ def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
         assert rep[key] == val, key
 
 
+def test_streamed_cross_covariance_sums_split_slices_in_order_bitwise():
+    """Drawing DRAW columns at a time leaves the cross-covariance's summation as it
+    was: one product per SPLIT_COLUMNS slice of each block, added in order."""
+    grid = torus_grid(Lattice(np.eye(2)), 16)
+    kernel = torus_watson(grid)
+    count = BLOCK + 1000  # a partial block, whose last slice is partial too
+    # at seed 0 slices of 64, 128, 512 or BLOCK columns each give another maximum
+    rep = torus_watson_check(kernel, grid, count, seed=0)
+    ens = sample(kernel, count, 0, factor=fourier_factor(kernel))
+    x1, x2 = (p.samples for p in parity_decompose(ens))
+    neg, points = grid.action.perm[1], np.arange(grid.size)
+    half, orbits = np.flatnonzero(points < neg), np.flatnonzero(points <= neg)
+    cross = np.zeros((half.size, orbits.size))
+    for a in range(0, count, BLOCK):
+        block = np.zeros_like(cross)
+        for c in range(a, min(a + BLOCK, count), SPLIT_COLUMNS):
+            cols = slice(c, min(c + SPLIT_COLUMNS, a + BLOCK, count))
+            block += x1[half, cols] @ x2[orbits, cols].T
+        cross += block
+    assert rep["cross_cov_max"] == float(np.max(np.abs(cross / count)))
+
+
 def test_check_part_energies_have_the_law_of_the_eigh_factor_parts():
     """The check draws through the DFT factor (the materialized reference above
     is bitwise its ensemble); its part energies have the law of those of paths
@@ -388,3 +411,26 @@ def test_streamed_check_never_holds_the_ensemble():
     finally:
         tracemalloc.stop()
     assert peak < grid.size * count * 8
+
+
+def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
+    """The check's peak allocation, kernel assembled inside it, at m = 1024.
+
+    Bounded by two kernel matrices -- the assembled kernel, the factor (m x r,
+    r <= m) and the two (m/2 x m/2) cross-covariance sums -- plus
+    3 m SPLIT_COLUMNS doubles: the worker's odd and even slice buffers (one)
+    and one DRAW-column chunk's paths, parts and normals (under two).  A
+    whole drawn block (4 m SPLIT_COLUMNS doubles) does not fit.
+    """
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    grid = torus_grid(Lattice(np.eye(2)), 32)
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, 10)
+    m = grid.size
+    tracemalloc.start()
+    try:
+        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"]
+    assert peak < (2 * m * m + 3 * m * SPLIT_COLUMNS) * 8

@@ -3,8 +3,9 @@
 ``assemble_kernel`` and ``torus_watson`` evaluate a stationary kernel once
 per lag and gather through the grid's lag table, the PSD check reads
 ``stationarity_spread`` through strided views, and ``_basis_quadratics``
-takes every quadratic form from one matrix product.  The references below are the direct formulas: one cosine
-matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
+takes every quadratic form of a covariance's even part from one matrix
+product, built in row chunks.  The references below are the direct
+formulas: one cosine matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
 entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
 lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to
 the kernel it factors and to the spectrum of the kernel's own PSD check,
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from invdecomp.kernels import Kernel, KernelError, weighted_symmetric
 from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
+    DRAW,
     Lattice,
     _basis_quadratics,
     assemble_kernel,
@@ -129,15 +131,37 @@ def test_stationarity_spread_is_the_sorted_reference_bitwise(grid, seed, scale):
 @PROPS
 @given(grid=grids(), seed=SEEDS)
 def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
-    """One product for all forms; summation order moves them by roundoff only."""
+    """One product for all forms of the even part; summation order moves them by
+    roundoff only.  The sine forms of an even covariance vanish up to roundoff, so
+    both parts are held to the scale of the cosine forms, which are those of cov."""
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
     a = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
     cov = a @ a.T / grid.size
-    got, want = _basis_quadratics(cov, grid, spec), looped_quadratics(cov, grid, spec)
+    even = 0.5 * (cov + cov[:, grid.action.perm[1]])
+    got, want = _basis_quadratics(cov, grid, spec), looped_quadratics(even, grid, spec)
+    scale = np.abs(np.array(want["cos"])).max(initial=0.0)
     for part in ("cos", "sin"):
         g, w = np.array(got[part]), np.array(want[part])
         assert g.shape == w.shape == (len(spec.vectors) - 1,)
-        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_basis_quadratics_in_row_chunks_are_the_dense_product_bitwise():
+    """At m = 1024 the even covariance and its product with the basis are built in
+    DRAW-row chunks; the forms are bitwise those of the dense even covariance."""
+    grid = torus_grid(Lattice(np.eye(2)), 32)
+    k = torus_watson(grid).matrix
+    spec = fourier_kl(k[0], grid, 10)
+    w = grid.weights
+    b = np.array([v for v in spec.vectors if np.any(v)], dtype=float)
+    phase = 2.0 * np.pi * (grid.frac @ b.T)
+    basis = np.hstack([np.cos(phase), np.sin(phase)])
+    basis = basis / np.sqrt(w @ (basis * basis)) * w[:, None]
+    even = 0.5 * (k + k[:, grid.action.perm[1]])
+    q = np.sum(basis * (even @ basis), axis=0)
+    assert grid.size > DRAW
+    want = {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
+    assert _basis_quadratics(k, grid, spec) == want
 
 
 @st.composite

@@ -15,11 +15,13 @@ does not change the digest; compare the version separately.
 The last line, ``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.
 Run the script on two checkouts and diff the outputs: equal preset lines mean
 byte-identical reports and tables, and the last lines compare the code size.
-Each preset's wall seconds go to stderr, so stdout stays diff-able, with the
-count and matrix shapes of its ``numpy.linalg.eigh`` and ``eigvalsh`` calls
-(for example ``eigvalsh(1024x1024) x2``) and the spectrum path of each
-``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for
-example ``dft(256) x1, dense(256) x1``).
+Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
+heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
+``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``) and the spectrum
+path of each ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)``
+(for example ``dft(256) x1, dense(256) x1``).  The heap peak is the largest
+``tracemalloc`` total (numpy's arrays included) over a second, traced run of
+the preset, so that tracing does not slow the timed run.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -116,6 +119,16 @@ def digest(preset: str) -> str:
     return " ".join(fields)
 
 
+def heap_peak_mb(preset: str) -> float:
+    """The largest traced heap of one more run of ``preset``, in MiB."""
+    tracemalloc.start()
+    try:
+        digest(preset)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str]) -> int:
     names = argv or list(cli.PRESETS)
     unknown = [n for n in names if n not in cli.PRESETS]
@@ -127,10 +140,15 @@ def main(argv: list[str]) -> int:
         with eig_calls() as calls, spectrum_paths() as paths:
             line = digest(name)
         seconds = time.perf_counter() - t0
+        peak = heap_peak_mb(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
         spectra = ", ".join(f"{path} x{n}" for path, n in Counter(paths).items()) or "none"
-        print(f"{name} {seconds:.2f} s, {eig}; spectra: {spectra}", file=sys.stderr, flush=True)
+        print(
+            f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}",
+            file=sys.stderr,
+            flush=True,
+        )
         print(line, flush=True)
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
     print(f"src_lines={lines}")
