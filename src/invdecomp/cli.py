@@ -134,17 +134,19 @@ def _run_decomposition(ctx, tols, cfg):
     """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it."""
     kernel, table = ctx["kernel"], ctx["table"]
     tol = tols["decomposition"]
-    total = np.zeros_like(kernel.matrix)
+    # summed in place, one block alive at a time; complex blocks need a complex sum
+    total = np.zeros(kernel.matrix.shape, float if table.real_valued() else complex)
     shares = {}
     cross = 0.0
     for p in table:
         for q in table:
             mat = project_kernel(kernel, p, q)
             if np.allclose(q.values, np.conj(p.values)):
-                total = total + mat
+                total += mat
                 shares[p.label] = float(np.sum(np.diag(mat).real * kernel.space.weights))
             else:
                 cross = max(cross, float(np.max(np.abs(mat))))
+            del mat
     sum_dev = float(np.max(np.abs(total - kernel.matrix)))
     ok = sum_dev <= tol and cross <= tol
     return {

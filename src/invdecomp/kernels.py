@@ -407,7 +407,10 @@ def project_kernel(kernel: Kernel, pi: Irrep, sigma: Irrep) -> np.ndarray:
     if action is None:
         raise KernelError("space has no bound action")
     rows = project_path(kernel.matrix, action, pi)
-    return project_path(rows.T, action, sigma).T
+    # a C-ordered rows.T gives project_path's values bitwise, about twice as
+    # fast; rebinding frees the row projection before the second one runs
+    rows = np.ascontiguousarray(rows.T)
+    return project_path(rows, action, sigma).T
 
 
 def decompose_kernel(kernel: Kernel, table) -> dict:

@@ -5,12 +5,21 @@ The eigenproblem solved here is the discrete Fredholm equation
 inner product ``<f, g>_w = sum_i f_i g_i w_i``.  When the kernel is invariant
 under a group action, each eigenvalue cluster spans a representation of the
 group and splits canonically into character-projected sub-bases.
+
+:func:`check_eigenspace_invariance` and :func:`canonical_decomposition`
+work on slabs: clusters of one width k, in cluster order, at most
+``SLAB // k`` of them (one when k > SLAB).  A slab's columns are gathered
+once; each group element is one row gather of the slab, each irrep one
+:func:`invdecomp.groups.project_path` call and one stacked SVD, so every
+cluster's SVD sees the same input as a cluster-by-cluster loop.  Beyond
+their outputs the two functions hold one slab's arrays at a time, a few
+``max(SLAB, k) * m`` blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +38,9 @@ __all__ = [
     "spectrum_rows",
     "spectrum_to_csv",
 ]
+
+
+SLAB = 256  # basis columns per slab
 
 
 class DecompositionError(KernelError):
@@ -93,13 +105,25 @@ def eigendecompose(kernel: Kernel, rel_tol: float = 1e-6) -> Spectrum:
     )
 
 
-def _mu_coords(basis: np.ndarray, w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # coordinates of vecs in the (mu-orthonormal) columns of basis
-    return np.conj(basis).T @ (w[:, None] * vecs)
+def _slabs(clusters) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(cluster ids, (c, k) basis columns) of each slab, as the module docstring defines it."""
+    by_width: dict = {}
+    for i, (a, b) in enumerate(clusters):
+        by_width.setdefault(b - a, []).append(i)
+    starts = np.array([a for a, _ in clusters])
+    for k, ids in by_width.items():
+        step = max(1, SLAB // k)
+        for j in range(0, len(ids), step):
+            chunk = np.array(ids[j : j + step])
+            yield chunk, starts[chunk][:, None] + np.arange(k)
 
 
-def _mu_norms(vecs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.abs(np.sum(np.conj(vecs) * vecs * w[:, None], axis=0)).real)
+def _leak_norms(bt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(c, k) mu-norms of the rows of v outside the span of the mu-orthonormal
+    rows of bt; both are (c, k, m) stacks of c clusters of k vectors."""
+    coords = np.conj(bt) @ (v * w).transpose(0, 2, 1)  # coords[c, i, j] = <bt_i, v_j>_w
+    leak = v - coords.transpose(0, 2, 1) @ bt
+    return np.sqrt(np.abs(np.sum(np.conj(leak) * leak * w, axis=2)).real)
 
 
 @dataclass(frozen=True)
@@ -130,25 +154,24 @@ def check_eigenspace_invariance(
     For an invariant kernel every eigenspace is stable under the translation
     (g.f)(y) = f(g^{-1}.y); the report carries the worst weighted residual
     norm per cluster, relative to the unit norm of the translated vector.
+    The identity, whose residual is 0 in exact arithmetic, is skipped.
+    Clusters are processed a slab at a time (see the module docstring).
     """
     action = action or spectrum.space.action
     if action is None:
         raise KernelError("no action bound or supplied")
     w = spectrum.space.weights
     inv_perm = action.perm[action.group.inv]
-    per_cluster = []
-    worst = 0.0
-    for a, b in spectrum.clusters:
-        block = spectrum.basis[:, a:b]
-        res = 0.0
+    per_cluster = np.zeros(len(spectrum.clusters))
+    for ids, cols in _slabs(spectrum.clusters):
+        bt = spectrum.basis.T[cols]
         for g in range(action.group.order):
-            moved = block[inv_perm[g]]
-            proj = block @ _mu_coords(block, w, moved)
-            res = max(res, float(np.max(_mu_norms(moved - proj, w))))
-        per_cluster.append(res)
-        worst = max(worst, res)
+            if g != action.group.identity:
+                res = _leak_norms(bt, bt[:, :, inv_perm[g]], w).max(axis=1)
+                per_cluster[ids] = np.maximum(per_cluster[ids], res)
+    worst = float(per_cluster.max())
     return InvarianceReport(
-        ok=worst <= tol, tol=tol, max_residual=worst, per_cluster=tuple(per_cluster)
+        ok=worst <= tol, tol=tol, max_residual=worst, per_cluster=tuple(per_cluster.tolist())
     )
 
 
@@ -172,51 +195,56 @@ def canonical_decomposition(
 
     Projects each cluster basis vector with every irrep, verifies the images
     stay inside the cluster span, orthonormalizes the nonzero images, and
-    checks the dimensions add back to the cluster multiplicity (raises
-    DecompositionError otherwise).
+    checks the dimensions add back to the cluster multiplicity.  Clusters are
+    processed a slab at a time (see the module docstring); a slab that starts
+    after a failing cluster is skipped, and DecompositionError names the
+    first failing cluster in cluster order.
     """
     action = spectrum.space.action
     if action is None:
         raise KernelError("no action bound to the space")
+    clusters = spectrum.clusters
     w = spectrum.space.weights
-    splits = []
-    for a, b in spectrum.clusters:
-        block = spectrum.basis[:, a:b]
-        dims, bases = {}, {}
-        residual = 0.0
-        total = 0
+    sw = np.sqrt(w)
+    dims, bases = [{} for _ in clusters], [{} for _ in clusters]
+    residual = np.zeros(len(clusters))
+    failed = len(clusters)  # the first failing cluster found so far
+    for ids, cols in _slabs(clusters):
+        if ids[0] > failed:
+            continue
+        c, k = cols.shape
+        block = spectrum.basis[:, cols.ravel()]
+        total = np.zeros(c, dtype=int)
         for p in table:
             img = project_path(block, action, p)
-            norms = _mu_norms(img, w)
-            scale = float(np.max(norms)) if norms.size else 0.0
-            if scale > 0:
-                leak = img - block @ _mu_coords(block, w, img)
-                residual = max(residual, float(np.max(_mu_norms(leak, w))))
-            # mu-orthonormal basis of the image span via the weighted SVD.
+            leak = _leak_norms(block.T.reshape(c, k, -1), img.T.reshape(c, k, -1), w)
+            residual[ids] = np.maximum(residual[ids], leak.max(axis=1))
+            # mu-orthonormal basis of each image span via the weighted SVD.
             # Cluster columns are mu-unit vectors and the projection is
             # idempotent, so singular values sit near 0 or 1: an absolute
             # threshold separates them.
-            u, s, _ = np.linalg.svd(np.sqrt(w)[:, None] * img, full_matrices=False)
-            rank = int(np.sum(s > 1e-6))
-            dims[p.label] = rank
-            if rank:
-                bases[p.label] = u[:, :rank] / np.sqrt(w)[:, None]
-            total += rank
-        if total != b - a or residual > tol:
-            raise DecompositionError(
-                f"cluster {a}:{b} split into {total} dims (expected {b - a}), "
-                f"max residual {residual:.3e}"
+            u, s, _ = np.linalg.svd(
+                (sw[:, None] * img).reshape(-1, c, k).transpose(1, 0, 2), full_matrices=False
             )
-        splits.append(
-            ClusterSplit(
-                index_range=(a, b),
-                eigenvalue=float(spectrum.eigenvalues[a]),
-                dims=dims,
-                bases=bases,
-                max_residual=residual,
-            )
+            ranks = np.sum(s > 1e-6, axis=1)
+            total += ranks
+            for i, rank, ui in zip(ids, ranks.tolist(), u):
+                dims[i][p.label] = rank
+                if rank:
+                    bases[i][p.label] = ui[:, :rank] / sw[:, None]
+        bad = ids[(total != k) | (residual[ids] > tol)]
+        if bad.size:
+            failed = min(failed, int(bad[0]))
+    if failed < len(clusters):
+        a, b = clusters[failed]
+        raise DecompositionError(
+            f"cluster {a}:{b} split into {sum(dims[failed].values())} dims (expected {b - a}), "
+            f"max residual {residual[failed]:.3e}"
         )
-    return splits
+    return [
+        ClusterSplit((a, b), float(spectrum.eigenvalues[a]), dims[i], bases[i], float(residual[i]))
+        for i, (a, b) in enumerate(clusters)
+    ]
 
 
 SPECTRUM_CSV_HEADER = "k,lambda,cluster_id,irrep_label"

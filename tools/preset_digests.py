@@ -21,7 +21,10 @@ heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 path of each ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)``
 (for example ``dft(256) x1, dense(256) x1``).  The heap peak is the largest
 ``tracemalloc`` total (numpy's arrays included) over a second, traced run of
-the preset, so that tracing does not slow the timed run.
+the preset, so that tracing does not slow the timed run.  That traced run
+also gives each check's seconds and heap peak (for example
+``spectrum 0.14 s 25.3 MiB``): the check's wall time under tracing, and the
+largest traced total while it ran, which includes what the run held before.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ os.environ["INVDECOMP_THREADS"] = "1"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -119,14 +123,43 @@ def digest(preset: str) -> str:
     return " ".join(fields)
 
 
-def heap_peak_mb(preset: str) -> float:
-    """The largest traced heap of one more run of ``preset``, in MiB."""
+def traced_run(preset: str) -> tuple[float, list[str]]:
+    """The largest traced heap of one more run of ``preset``, in MiB, and
+    ``name <s> s <MiB> MiB`` for each check it ran, in run order.
+
+    Each ``cli.CHECKS[name].run`` is wrapped for this run only: it records
+    its wall seconds and the traced heap's peak while it ran (what the run
+    already held included). It restarts the peak as it starts, so the run's
+    peak is the largest of the peaks read before each restart and at the end.
+    """
+    checks: list[str] = []
+    top = 0
+    saved = dict(cli.CHECKS)
+
+    def timed(name, run):
+        def call(*args):
+            nonlocal top
+            top = max(top, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            t0 = time.perf_counter()
+            try:
+                return run(*args)
+            finally:
+                seconds = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1] / 2**20
+                checks.append(f"{name} {seconds:.2f} s {peak:.1f} MiB")
+
+        return call
+
     tracemalloc.start()
     try:
+        for name, check in saved.items():
+            cli.CHECKS[name] = dataclasses.replace(check, run=timed(name, check.run))
         digest(preset)
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        return max(top, tracemalloc.get_traced_memory()[1]) / 2**20, checks
     finally:
         tracemalloc.stop()
+        cli.CHECKS.update(saved)
 
 
 def main(argv: list[str]) -> int:
@@ -140,12 +173,13 @@ def main(argv: list[str]) -> int:
         with eig_calls() as calls, spectrum_paths() as paths:
             line = digest(name)
         seconds = time.perf_counter() - t0
-        peak = heap_peak_mb(name)
+        peak, checks = traced_run(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
         spectra = ", ".join(f"{path} x{n}" for path, n in Counter(paths).items()) or "none"
         print(
-            f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}",
+            f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
+            f"checks: {', '.join(checks)}",
             file=sys.stderr,
             flush=True,
         )
