@@ -43,6 +43,7 @@ from invdecomp.kernels import (
     KernelError,
     builtin_kernel,
     check_invariance,
+    irrep_spectra,
     make_interval_grid,
     make_product_grid,
     project_kernel,
@@ -158,6 +159,13 @@ def _run_decomposition(ctx, tols, cfg):
     }
 
 
+def _isotypic_spectra(ctx):
+    """The run's one :func:`irrep_spectra`, computed by the first check that reads it."""
+    if "irrep_spectra" not in ctx:
+        ctx["irrep_spectra"] = irrep_spectra(ctx["kernel"], ctx["table"])
+    return ctx["irrep_spectra"]
+
+
 def _run_watson_relation(ctx, tols, cfg):
     return watson_relation_check(
         ctx["kernel"],
@@ -165,13 +173,18 @@ def _run_watson_relation(ctx, tols, cfg):
         n_max=int(cfg.get("n_max", 6)),
         tol=tols["watson_relation"],
         table=ctx["table"],
+        spectra=_isotypic_spectra(ctx),
     ).to_dict()
 
 
 def _run_z2(ctx, tols, cfg):
     return z2_condition_check(
-        ctx["kernel"], n_max=int(cfg.get("n_max", 6)), tol=tols["z2_condition"]
+        ctx["kernel"], int(cfg.get("n_max", 6)), tols["z2_condition"], _isotypic_spectra(ctx)
     ).to_dict()
+
+
+_CUMULANT_KEYS = ("order", "analytic", "mc", "gap", "tolerance")
+_MGF_KEYS = ("lambda", "rho", "closed_form", "spectral", "rel_gap", "mc", "mc_rel_gap")
 
 
 def _run_cumulants(ctx, tols, cfg):
@@ -189,15 +202,7 @@ def _run_cumulants(ctx, tols, cfg):
     for i in range(3):
         tol_i = max(rel[i] * abs(ana.values[i]), float(noise[i]))
         gap = abs(mc[i] - float(ana.values[i]))
-        rows.append(
-            {
-                "order": i + 1,
-                "analytic": float(ana.values[i]),
-                "mc": mc[i],
-                "gap": gap,
-                "tolerance": tol_i,
-            }
-        )
+        rows.append(dict(zip(_CUMULANT_KEYS, (i + 1, float(ana.values[i]), mc[i], gap, tol_i))))
         ok = ok and gap <= tol_i
     return {"ok": bool(ok), "rho": rho, "count": count, "seed": seed, "orders": rows}
 
@@ -220,17 +225,8 @@ def _run_mgf(ctx, tols, cfg):
         j = pair_functional(kernel, float(rho), count, seed, streams=(2 * i, 2 * i + 1))
         mc = float(np.mean(np.exp(float(lam) ** 2 * j)))
         mc_rel = abs(mc - spectral) / abs(spectral)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "rho": float(rho),
-                "closed_form": closed,
-                "spectral": spectral,
-                "rel_gap": rel,
-                "mc": mc,
-                "mc_rel_gap": mc_rel,
-            }
-        )
+        row = (float(lam), float(rho), closed, spectral, rel, mc, mc_rel)
+        rows.append(dict(zip(_MGF_KEYS, row)))
         ok = ok and rel <= rel_tol and mc_rel <= mc_tol
     return {
         "ok": bool(ok),
@@ -437,8 +433,7 @@ CHECKS = {
         csv="cumulants.csv",
         header="order,analytic,mc,gap,tol",
         rows=lambda r, ctx: [
-            [str(o["order"])] + [_fmt(o[k]) for k in ("analytic", "mc", "gap", "tolerance")]
-            for o in r["orders"]
+            [str(o["order"])] + [_fmt(o[k]) for k in _CUMULANT_KEYS[1:]] for o in r["orders"]
         ],
     ),
     "mgf": Check(
@@ -451,13 +446,7 @@ CHECKS = {
         seed=True,
         csv="mgf.csv",
         header="lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap",
-        rows=lambda r, ctx: [
-            [
-                _fmt(p[k])
-                for k in ("lambda", "rho", "closed_form", "spectral", "rel_gap", "mc", "mc_rel_gap")
-            ]
-            for p in r["pairs"]
-        ],
+        rows=lambda r, ctx: [[_fmt(p[k]) for k in _MGF_KEYS] for p in r["pairs"]],
     ),
     # the two in-law checks run the run's kernel against its tied-down partner
     "duplication": Check(

@@ -8,10 +8,10 @@ and cross-covariance rho*K, the functional J = sum_i Z1[i] Z2[i] w_i has
 
 with D = diag(weights), c_n = 2^(n-1) (n-1)! the classical quadratic-form
 cumulant coefficient, and K(n, rho) the even/odd binomial sums implemented
-in :func:`k_coeff`.  The module also provides the two symmetry conditions
-that make per-character functionals identically distributed (equal-trace
-checks across irreps), the reflection-vanishing criterion for Z/2 actions,
-and a closed-form/spectral MGF cross-check for the circle kernel.
+in :func:`k_coeff`.  The module also provides a closed-form/spectral MGF
+cross-check for the circle kernel and two symmetry checks on the isotypic
+spectra of :func:`invdecomp.kernels.irrep_spectra`: equal power sums across
+irreps and, by character orthogonality, the Z/2 reflection criterion.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from invdecomp.groups import CharacterTable, GroupError
+from invdecomp.groups import CharacterTable, GroupError, character_table, check_action
 from invdecomp.kernels import (
     Kernel,
     KernelError,
@@ -113,6 +113,23 @@ def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> CumulantVector
     return CumulantVector(rho=rho, values=_cumulants_from_traces(traces, rho))
 
 
+def _block_traces(kernel: Kernel, table, n_max: int, spectra: Optional[dict]) -> dict:
+    """tr(B_pi^n), n = 1..n_max, by irrep label, from ``spectra`` or :func:`irrep_spectra`."""
+    spectra = irrep_spectra(kernel, table) if spectra is None else spectra
+    return {k: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1)) for k, ev in spectra.items()}
+
+
+def _invariant_action(kernel: Kernel):
+    """The bound action, once it preserves the kernel and the weights, as both checks need."""
+    action = kernel.space.action
+    ok, dev = check_invariance(kernel)  # raises KernelError when there is no action
+    if not ok:
+        raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
+    if not check_action(action, kernel.space.weights).ok:
+        raise KernelError("the action does not preserve the weights")
+    return action
+
+
 def _rel_gap(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
@@ -172,6 +189,7 @@ def watson_relation_check(
     n_max: int,
     tol: float = 1e-3,
     table: Optional[CharacterTable] = None,
+    spectra: Optional[dict] = None,
 ) -> WatsonCheckReport:
     """Check the two equal-trace conditions behind the duplication identity.
 
@@ -182,28 +200,18 @@ def watson_relation_check(
 
     The per-irrep traces tr_n(R_pi) are power sums of the isotypic block
     spectra of :func:`invdecomp.kernels.irrep_spectra`, the nonzero spectra
-    of the projections R_pi; no m x m projection is built.  ``full_traces``
-    come from the kernel's own spectrum.
+    of the projections R_pi, or ``spectra`` when given; no m x m projection
+    is built.  ``full_traces`` come from the kernel's own spectrum.
     """
-    action = kernel.space.action
-    if action is None:
-        raise KernelError("kernel space has no bound action")
-    ok, dev = check_invariance(kernel)
-    if not ok:
-        raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
+    action = _invariant_action(kernel)
     if table is None:
-        table = action.group.table
-    if table is None:
-        raise GroupError("no character table available; pass one explicitly")
+        table = character_table(action.group)
     if not table.real_valued():
         raise GroupError("equal-trace conditions need real-valued characters")
 
     nd = len(table)
     full = weighted_traces(kernel, n_max)
-    traces = {
-        label: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1))
-        for label, ev in irrep_spectra(kernel, table).items()
-    }
+    traces = _block_traces(kernel, table, n_max, spectra)
 
     vacuous = tuple(n for n in range(1, n_max + 1) if k_coeff(n, rho) == 0.0)
     cii_dev, ciii_dev = {}, {}
@@ -235,7 +243,7 @@ def watson_relation_check(
 
 @dataclass(frozen=True)
 class Z2ConditionReport:
-    """Reflection-pairing integrals sum_i M_n[i, g.i] w_i for the nontrivial g."""
+    """Reflection-pairing integrals sum_i w_i M_n[i, g.i] for the nontrivial g (see the check)."""
 
     values: tuple
     tol: float
@@ -248,32 +256,31 @@ class Z2ConditionReport:
         return {"values": list(self.values), "tol": self.tol, "ok": self.ok}
 
 
-def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2ConditionReport:
+def z2_condition_check(
+    kernel: Kernel, n_max: int, tol: float = 1e-8, spectra: Optional[dict] = None
+) -> Z2ConditionReport:
     """Evaluate the vanishing criterion for an order-2 action.
 
     The functional pair built from an invariant kernel splits into
     independent, identically distributed halves precisely when the
     reflected-diagonal integrals of every contraction power vanish; this
     computes them for n = 1..n_max.
+
+    With S = sqrt(w) K sqrt(w) and P_g the permutation of g, the order-n
+    integral is tr(S^n P_g) = sum_pi chi_pi(g) tr(B_pi^n) by character
+    orthogonality (Serre, section 2), over the block spectra ``spectra`` (else
+    :func:`irrep_spectra`'s): on Z2, bitwise watson_relation_check's
+    traces[trivial] - traces[sign].  A kernel or weights the action moves
+    raise :class:`KernelError`, since S must commute with P_g.
     """
-    action = kernel.space.action
-    if action is None:
-        raise KernelError("kernel space has no bound action")
+    action = _invariant_action(kernel)
     if action.group.order != 2:
         raise GroupError(f"criterion needs a 2-element group, got order {action.group.order}")
+    table = character_table(action.group)
+    tr = _block_traces(kernel, table, n_max, spectra)
     g = 1 - action.group.identity
-    perm = action.perm[g]
-    idx = np.arange(kernel.size)
-    w = kernel.space.weights
-    # contract_power(kernel, n) for n = 1..n_max, one weighted product per order
-    wk = kernel.matrix * w[None, :]
-    m = kernel.matrix
-    values = []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            m = wk @ m
-        values.append(float(np.sum(m[idx, perm] * w)))
-    return Z2ConditionReport(values=tuple(values), tol=tol)
+    values = tuple(float(sum(p.values[g].real * tr[p.label][n] for p in table)) for n in range(n_max))
+    return Z2ConditionReport(values=values, tol=tol)
 
 
 def mgf_watson(lam: float, rho: float, n_pairs: int = 2000) -> tuple[float, float]:

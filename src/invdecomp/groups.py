@@ -361,14 +361,18 @@ def project_path(z: np.ndarray, action: GroupAction, irrep: Irrep) -> np.ndarray
         raise GroupError(f"path has {z.shape[0]} points, action expects {action.npoints}")
     group = action.group
     chi = irrep.values.real if irrep.real_valued else irrep.values
-    if not irrep.real_valued:
-        z = z.astype(np.complex128, copy=False)
+    z = z.astype(np.result_type(chi, z), copy=False)
     inv_perm = action.perm[group.inv]
     # the identity acts trivially: its term reads z itself, not a gathered copy
-    term = lambda g: z if g == group.identity else z[inv_perm[g]]
-    out = chi[0] * term(0)
+    out = chi[0] * (z if group.identity == 0 else z[inv_perm[0]])
+    # the other terms share one buffer; np.take fills it in place in C order only, hence .T
+    buf = np.empty_like(out)
+    flip = z.flags.f_contiguous and not z.flags.c_contiguous
+    src, dst = (z.T, buf.T) if flip else (np.ascontiguousarray(z), buf)
     for g in range(1, group.order):
-        out += chi[g] * term(g)
+        np.take(src, inv_perm[g], axis=-1 if flip else 0, out=dst, mode="clip")
+        np.multiply(chi[g], buf, out=buf)
+        out += buf
     out *= irrep.dim / group.order
     return out
 

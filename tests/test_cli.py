@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from invdecomp import cli, cumulants
 from invdecomp.cli import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -14,7 +15,7 @@ from invdecomp.cli import (
 )
 from invdecomp.groups import character_table
 from invdecomp.io import load_kernel
-from invdecomp.kernels import Kernel, builtin_kernel, make_interval_grid
+from invdecomp.kernels import Kernel, builtin_kernel, irrep_spectra, make_interval_grid
 from invdecomp.sampling import duplication_check, quadruplication_check
 
 
@@ -410,6 +411,28 @@ def test_run_pass(tmp_path, capsys):
     assert report["ok"] is True
     assert report["checks"]["invariance"]["status"] == "passed"
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("checks", [["watson_relation", "z2_condition"], ["z2_condition"]])
+def test_symmetry_checks_share_one_isotypic_split(tmp_path, monkeypatch, checks):
+    """One irrep_spectra per run; the z2 values are the trace differences of the report."""
+    calls = []
+
+    def counting(kernel, table):
+        calls.append(kernel.name)
+        return irrep_spectra(kernel, table)
+
+    # where the runner looks it up, and where a check computes its own spectra
+    monkeypatch.setattr(cli, "irrep_spectra", counting)
+    monkeypatch.setattr(cumulants, "irrep_spectra", counting)
+    cfg = write_config(tmp_path, grid={"kind": "interval", "n": 64}, checks=checks)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert calls == ["watson"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    if "watson_relation" in checks:
+        traces = {r["label"]: r["traces"] for r in report["watson_relation"]["per_irrep"]}
+        want = [a - b for a, b in zip(traces["triv"], traces["sign"])]
+        assert report["z2_condition"]["values"] == want
 
 
 def test_run_failure_exit_code_and_stderr(tmp_path, capsys):

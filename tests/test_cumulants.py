@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invdecomp.cumulants import (
     analytic_cumulants,
@@ -20,6 +22,7 @@ from invdecomp.cumulants import (
 from invdecomp.kernels import (
     IndexSpace,
     Kernel,
+    KernelError,
     builtin_kernel,
     contract_power,
     make_interval_grid,
@@ -191,16 +194,72 @@ def test_z2_passes_from_second_order():
     assert all(abs(v) < 1e-8 for v in rep.values[1:])
 
 
-def test_z2_values_are_the_contract_power_integrals(watson64):
-    """The incremental chain gives bitwise the values of contract_power."""
-    action = watson64.space.action
+def _dense_z2(kernel, n_max):
+    """sum_i w_i contract_power(K, n)[i, g.i] for n = 1..n_max: the dense oracle."""
+    action = kernel.space.action
     perm = action.perm[1 - action.group.identity]
-    idx = np.arange(watson64.size)
-    w = watson64.space.weights
-    want = tuple(
-        float(np.sum(contract_power(watson64, n)[idx, perm] * w)) for n in range(1, 7)
-    )
-    assert z2_condition_check(watson64, 6).values == want
+    idx = np.arange(kernel.size)
+    w = kernel.space.weights
+    return [float(np.sum(contract_power(kernel, n)[idx, perm] * w)) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("m", [64, 256, 1024])
+@pytest.mark.parametrize("name", ["watson", "bridge"])
+def test_z2_values_match_the_contract_power_integrals(name, m):
+    """The character sums over the isotypic spectra give the dense integrals to roundoff."""
+    kernel = builtin_kernel(name, make_interval_grid(m))
+    got = z2_condition_check(kernel, 6).values
+    assert np.max(np.abs(np.subtract(got, _dense_z2(kernel, 6)))) <= 1e-16
+
+
+@st.composite
+def reversal_invariant_kernels(draw):
+    """A PSD user kernel and positive weights on m midpoints, both bitwise reversal-invariant."""
+    m = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(m, m)) * rng.uniform(0.0, 2.0, size=m)  # spread the spectrum
+    k = a @ a.T / m
+    k = (k + k[::-1, ::-1]) / 2
+    w = rng.uniform(0.1, 1.0, size=m)
+    w = (w + w[::-1]) / 2
+    grid = make_interval_grid(m)
+    return Kernel(IndexSpace(grid.points, w / w.sum(), grid.action), k, name="user")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kernel=reversal_invariant_kernels())
+def test_z2_values_match_the_contract_power_integrals_on_user_kernels(kernel):
+    """Within 64 eps m lambda_max^n of the dense chain, on any weights the reversal keeps."""
+    n_max = 6
+    got = z2_condition_check(kernel, n_max).values
+    want = _dense_z2(kernel, n_max)
+    lam = float(np.max(np.abs(kernel.eigenvalues)))
+    for n in range(1, n_max + 1):
+        bound = 64 * np.finfo(float).eps * kernel.size * lam**n
+        assert abs(got[n - 1] - want[n - 1]) <= bound
+
+
+def _not_invariant(grid):
+    a = np.random.default_rng(3).normal(size=(grid.size, grid.size))
+    return Kernel(grid, a @ a.T / grid.size, name="random")
+
+
+def _weights_moved(grid):
+    w = np.linspace(1.0, 2.0, grid.size)
+    space = IndexSpace(grid.points, w / w.sum(), grid.action)
+    return Kernel(space, np.ones((grid.size, grid.size)), name="constant")
+
+
+@pytest.mark.parametrize("build", [_not_invariant, _weights_moved])
+@pytest.mark.parametrize(
+    "check",
+    [lambda k: z2_condition_check(k, 4), lambda k: watson_relation_check(k, 1.0, 4)],
+    ids=["z2_condition", "watson_relation"],
+)
+def test_symmetry_checks_refuse_what_the_action_does_not_preserve(grid64, build, check):
+    """Both isotypic identities need the weighted operator to commute with the action."""
+    with pytest.raises(KernelError, match="invariant|preserve the weights"):
+        check(build(grid64))
 
 
 # ---------------------------------------------------------------------- mgf

@@ -1,6 +1,7 @@
 """Cayley tables, characters, and path projections for small abelian groups."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from invdecomp.groups import (
     FiniteGroup,
+    GroupAction,
     GroupError,
     character_inner,
     character_table,
@@ -167,6 +169,57 @@ def test_complex_characters_still_sum_to_identity():
     total = sum(parts)
     assert np.allclose(total.imag, 0, atol=1e-14)
     assert np.allclose(total.real, z, atol=1e-14)
+
+
+def _regular_action(group, copies):
+    """``group`` acting on ``copies`` copies of itself by left multiplication."""
+    k = np.arange(copies)
+    return GroupAction(group, (group.mul[:, :, None] * copies + k).reshape(group.order, -1))
+
+
+def _reference_projection(z, action, irrep):
+    """The per-term sum: chi(g) times the gathered z(g^-1 . y), one new array per term."""
+    group = action.group
+    chi = irrep.values.real if irrep.real_valued else irrep.values
+    if not irrep.real_valued:
+        z = z.astype(np.complex128)
+    inv_perm = action.perm[group.inv]
+    out = chi[0] * (z if group.identity == 0 else z[inv_perm[0]])
+    for g in range(1, group.order):
+        out += chi[g] * (z if g == group.identity else z[inv_perm[g]])
+    out *= irrep.dim / group.order
+    return out
+
+
+@pytest.mark.parametrize("group", all_test_groups(), ids=lambda g: f"order{g.order}")
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "1-d"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_path_projection_is_the_per_term_sum_bitwise(group, layout, dtype):
+    """One reused gather buffer gives the per-term sum bit for bit, in any memory layout."""
+    action = _regular_action(group, 5)
+    rng = np.random.default_rng(group.order)
+    z = rng.normal(size=(action.npoints, 12)).astype(dtype)
+    if dtype is np.complex128:
+        z += 1j * rng.normal(size=z.shape)
+    z = {"C": z, "F": np.asfortranarray(z), "strided": z[:, ::3], "1-d": z[:, 0].copy()}[layout]
+    for irrep in character_table(group):
+        got, want = project_path(z, action, irrep), _reference_projection(z, action, irrep)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_path_projection_holds_one_buffer_beyond_its_result(order):
+    """At m = 1024 the Z2 projection of a 256-column block allocates its result and one buffer."""
+    sp = make_interval_grid(1024)
+    z = np.asarray(np.random.default_rng(1).normal(size=(1024, 256)), order=order)
+    sign = character_table(sp.action.group).irreps[1]
+    tracemalloc.start()
+    try:
+        project_path(z, sp.action, sign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * z.nbytes + (1 << 20)
 
 
 # ---------------------------------------------------------------- round-trip

@@ -17,11 +17,13 @@ Run the script on two checkouts and diff the outputs: equal preset lines mean
 byte-identical reports and tables, and the last lines compare the code size.
 Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
 heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
-``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``) and the spectrum
-path of each ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)``
-(for example ``dft(256) x1, dense(256) x1``).  The heap peak is the largest
-``tracemalloc`` total (numpy's arrays included) over a second, traced run of
-the preset, so that tracing does not slow the timed run.  That traced run
+``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
+isotypic splits, the ``kernels.irrep_spectra`` calls of the runner and the
+checks (for example ``irrep_spectra x1``), and the spectrum path of each
+``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
+``dft(256) x1, dense(256) x1``).  The heap peak is the largest ``tracemalloc``
+total (numpy's arrays included) over a second, traced run of the preset, so
+that tracing does not slow the timed run.  That traced run
 also gives each check's seconds and heap peak (for example
 ``spectrum 0.14 s 25.3 MiB``): the check's wall time under tracing, and the
 largest traced total while it ran, which includes what the run held before.
@@ -52,7 +54,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from invdecomp import cli, kernels  # noqa: E402
+from invdecomp import cli, cumulants, kernels  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -75,6 +77,23 @@ def eig_calls():
     finally:
         for name, fn in saved.items():
             setattr(np.linalg, name, fn)
+
+
+@contextlib.contextmanager
+def isotypic_splits():
+    """Record the kernel size of each ``irrep_spectra`` call in the block, by runner or check."""
+    calls: list[int] = []
+    saved = cli.irrep_spectra, cumulants.irrep_spectra
+
+    def counted(kernel, table):
+        calls.append(kernel.size)
+        return saved[0](kernel, table)
+
+    cli.irrep_spectra = cumulants.irrep_spectra = counted
+    try:
+        yield calls
+    finally:
+        cli.irrep_spectra, cumulants.irrep_spectra = saved
 
 
 @contextlib.contextmanager
@@ -170,12 +189,13 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         t0 = time.perf_counter()
-        with eig_calls() as calls, spectrum_paths() as paths:
+        with eig_calls() as calls, isotypic_splits() as splits, spectrum_paths() as paths:
             line = digest(name)
         seconds = time.perf_counter() - t0
         peak, checks = traced_run(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
+        eig += f"; irrep_spectra x{len(splits)}"
         spectra = ", ".join(f"{path} x{n}" for path, n in Counter(paths).items()) or "none"
         print(
             f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
