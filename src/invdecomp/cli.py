@@ -50,6 +50,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     LAW_DEFAULTS,
+    RNG_CONTRACT,
     kstat,
     law_check,
     pair_functional,
@@ -122,6 +123,7 @@ def _torus_cutoff(cfg: dict) -> int:
 
 def _run_invariance(ctx, tols, cfg):
     ok, dev = check_invariance(ctx["kernel"], tol=tols["invariance"])
+    ctx["invariance_dev"] = dev  # the run's one deviation, for the symmetry checks' guards
     return {"ok": bool(ok), "deviation": dev, "tolerance": tols["invariance"]}
 
 
@@ -174,12 +176,17 @@ def _run_watson_relation(ctx, tols, cfg):
         tol=tols["watson_relation"],
         table=ctx["table"],
         spectra=_isotypic_spectra(ctx),
+        invariance_dev=ctx["invariance_dev"],
     ).to_dict()
 
 
 def _run_z2(ctx, tols, cfg):
     return z2_condition_check(
-        ctx["kernel"], int(cfg.get("n_max", 6)), tols["z2_condition"], _isotypic_spectra(ctx)
+        ctx["kernel"],
+        int(cfg.get("n_max", 6)),
+        tols["z2_condition"],
+        _isotypic_spectra(ctx),
+        invariance_dev=ctx["invariance_dev"],
     ).to_dict()
 
 
@@ -987,6 +994,8 @@ def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -
         "tables": tables,
         "ok": exit_code == 0,
     }
+    if "seed" in cfg:
+        report["rng_contract"] = RNG_CONTRACT  # the keying rule behind the seeded samples
     if "json" in formats:
         (out_dir / "report.json").write_text(
             json.dumps(report, sort_keys=True, indent=1, default=_json_default)

@@ -24,6 +24,7 @@ import numpy as np
 
 from invdecomp.groups import CharacterTable, GroupError, character_table, check_action
 from invdecomp.kernels import (
+    INVARIANCE_TOL,
     Kernel,
     KernelError,
     check_invariance,
@@ -119,12 +120,18 @@ def _block_traces(kernel: Kernel, table, n_max: int, spectra: Optional[dict]) ->
     return {k: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1)) for k, ev in spectra.items()}
 
 
-def _invariant_action(kernel: Kernel):
-    """The bound action, once it preserves the kernel and the weights, as both checks need."""
+def _invariant_action(kernel: Kernel, invariance_dev: Optional[float]):
+    """The bound action, once it preserves the kernel and the weights, as both checks need.
+
+    ``invariance_dev`` is :func:`check_invariance`'s deviation of ``kernel``
+    when the caller has it (the runner's ``invariance`` gate), else it is
+    computed here; either way it must be at most ``INVARIANCE_TOL``.
+    """
     action = kernel.space.action
-    ok, dev = check_invariance(kernel)  # raises KernelError when there is no action
-    if not ok:
-        raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
+    if invariance_dev is None:
+        invariance_dev = check_invariance(kernel)[1]  # raises KernelError when there is no action
+    if not invariance_dev <= INVARIANCE_TOL:
+        raise KernelError(f"kernel is not invariant under the action (dev {invariance_dev:.3e})")
     if not check_action(action, kernel.space.weights).ok:
         raise KernelError("the action does not preserve the weights")
     return action
@@ -190,6 +197,7 @@ def watson_relation_check(
     tol: float = 1e-3,
     table: Optional[CharacterTable] = None,
     spectra: Optional[dict] = None,
+    invariance_dev: Optional[float] = None,
 ) -> WatsonCheckReport:
     """Check the two equal-trace conditions behind the duplication identity.
 
@@ -201,9 +209,11 @@ def watson_relation_check(
     The per-irrep traces tr_n(R_pi) are power sums of the isotypic block
     spectra of :func:`invdecomp.kernels.irrep_spectra`, the nonzero spectra
     of the projections R_pi, or ``spectra`` when given; no m x m projection
-    is built.  ``full_traces`` come from the kernel's own spectrum.
+    is built.  ``full_traces`` come from the kernel's own spectrum.  A kernel
+    or weights the action moves raise :class:`KernelError`; ``invariance_dev``
+    is the kernel's :func:`check_invariance` deviation, when known.
     """
-    action = _invariant_action(kernel)
+    action = _invariant_action(kernel, invariance_dev)
     if table is None:
         table = character_table(action.group)
     if not table.real_valued():
@@ -257,7 +267,11 @@ class Z2ConditionReport:
 
 
 def z2_condition_check(
-    kernel: Kernel, n_max: int, tol: float = 1e-8, spectra: Optional[dict] = None
+    kernel: Kernel,
+    n_max: int,
+    tol: float = 1e-8,
+    spectra: Optional[dict] = None,
+    invariance_dev: Optional[float] = None,
 ) -> Z2ConditionReport:
     """Evaluate the vanishing criterion for an order-2 action.
 
@@ -271,9 +285,10 @@ def z2_condition_check(
     orthogonality (Serre, section 2), over the block spectra ``spectra`` (else
     :func:`irrep_spectra`'s): on Z2, bitwise watson_relation_check's
     traces[trivial] - traces[sign].  A kernel or weights the action moves
-    raise :class:`KernelError`, since S must commute with P_g.
+    raise :class:`KernelError`, since S must commute with P_g
+    (``invariance_dev`` as in :func:`watson_relation_check`).
     """
-    action = _invariant_action(kernel)
+    action = _invariant_action(kernel, invariance_dev)
     if action.group.order != 2:
         raise GroupError(f"criterion needs a 2-element group, got order {action.group.order}")
     table = character_table(action.group)

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
+INVARIANCE_TOL = 1e-9  # check_invariance's default, and the tolerance of the symmetry checks' guards
 SPREAD_BYTES = 1 << 21  # the row chunk of the stationarity spread's periodic copy
 
 
@@ -371,7 +372,7 @@ BUILTIN_KERNELS = (
 )
 
 
-def check_invariance(kernel: Kernel, tol: float = 1e-9) -> tuple[bool, float]:
+def check_invariance(kernel: Kernel, tol: float = INVARIANCE_TOL) -> tuple[bool, float]:
     """Max deviation of R(g.y1, g.y2) from R(y1, y2) over the bound action.
 
     The identity, which acts trivially, deviates by exactly 0 and is skipped.

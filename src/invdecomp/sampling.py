@@ -9,18 +9,23 @@ Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
 The sample axis is cut into fixed blocks of ``BLOCK`` columns.  Block b
 (columns b*BLOCK, ..., b*BLOCK + BLOCK - 1) of an ensemble is drawn from
-one counter-based Philox stream keyed by (seed, stream-id, b), in row-major
-order: the stream's first r normals are the block's first column, the next
-r its second, and so on, r being the rank the sampler keeps (below).  A
-shorter last block takes a prefix of its stream, so the normals behind the
+one SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream, b))``,
+numpy's pattern for independent parallel streams, in row-major order: the
+generator's first r normals are the block's first column, the next r its
+second, and so on, r being the rank the sampler keeps (below).  A shorter
+last block takes a prefix of its generator's draw, so the normals behind the
 first k columns are the same in every draw of at least k columns with the
 same seed and stream.  A block drawn in chunks, read in turn from its one
-generator (:func:`draw_chunks`), gets the same normals as when it is drawn
-at once.  The samples agree bitwise over full blocks, and to roundoff in a
-partial one, where BLAS may pick another kernel for another column count.
-``BLOCK`` is part of the contract: changing it changes the samples.
-Realized samples differ from those of version 0.1.0, which keyed one
-stream per column; this rule holds from version 0.2.0.
+generator (:func:`draw_chunks`, :func:`_exponential_gemv`), gets the same
+variates as when it is drawn at once.  The samples agree bitwise over full
+blocks, and to roundoff in a partial one, where BLAS may pick another kernel
+for another column count.  ``BLOCK`` is part of the contract: changing it
+changes the samples.  This is the fourth contract (``-v4``, version 0.8.0).
+Up to version 0.7.4 (v3, Philox) realized samples differ; laws are
+unchanged: each block drew from a counter-based Philox stream keyed by
+(seed, stream, b) (Salmon et al., SC'11), with the layout above.  Realized
+samples also differ from those of version 0.1.0, which keyed one stream per
+column; per-block keying holds from version 0.2.0.
 
 A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
 keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
@@ -52,8 +57,8 @@ summed 2^d pair functionals on streams (2 + 2i, 3 + 2i), so its realized
 samples differ from those versions; its law and the left side's samples are
 unchanged.
 
-:func:`pair_functional` draws exact eigenvalue ties as exponentials, the
-third contract (``RNG_CONTRACT`` ``-v3``, version 0.7.0).  The kept spectrum
+:func:`pair_functional` draws exact eigenvalue ties as exponentials, from
+the third contract on (``-v3``, version 0.7.0).  The kept spectrum
 splits into runs of bitwise-equal values (never equal within a tolerance);
 a run of L values lambda gives L // 2 pairs and, for odd L, one leftover.
 The leftovers, ascending, take the normals above: normal k of a column on
@@ -62,7 +67,7 @@ leftover.  The pairs, ascending, take standard exponentials with the same
 per-block keying on stream s + ``EXP_STREAM`` (2^15): a column holds one
 exponential per pair, row-major, so ``streams`` must lie below 2^15, and
 these ids never meet the streams 0 to 3 of the law check.  A tie-free
-spectrum has no pairs and draws the normals of version 0.6.0 bitwise.  A
+spectrum has no pairs and reads its normals as version 0.6.0 did.  A
 DFT spectrum (``invdecomp.kernels``) ties every +-frequency pair, so the
 realized functionals of the duplication, quadruplication, cumulants and mgf
 checks on watson and sheet_compensated kernels differ from version 0.6.0;
@@ -89,7 +94,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from invdecomp.kernels import (
     IndexSpace,
@@ -119,9 +124,10 @@ __all__ = [
 ]
 
 BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the worker count
-RNG_CONTRACT = f"philox-block-{BLOCK}-rowmajor-v3"  # names the keying rule of the module docstring
+RNG_CONTRACT = f"sfc64-block-{BLOCK}-rowmajor-v4"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
 EXP_STREAM = 1 << 15  # stream s + EXP_STREAM holds pair_functional's tie exponentials of stream s
+EXP_CHUNK = 1 << 17   # doubles of exponentials drawn and reduced at once: 1 MiB, cache-sized
 # the in-law checks in order of dimension, with the defaults their wrappers and the runner read
 LAW_DEFAULTS = {
     "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
@@ -146,9 +152,10 @@ def worker_count() -> int:
 
 
 def _key(seed: int, stream: int, block: int) -> np.ndarray:
-    """Philox key of one block: 64 bits of seed, 16 of stream id, 48 of block index.
+    """The identity of one block: 64 bits of seed, 16 of stream id, 48 of block index,
+    packed into two 64-bit words (up to version 0.7.4 the block's Philox key).
 
-    Values outside those ranges raise instead of aliasing another key.
+    Values outside those ranges raise instead of aliasing another block.
     """
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
@@ -160,14 +167,21 @@ def _key(seed: int, stream: int, block: int) -> np.ndarray:
 
 
 def _block_generator(seed: int, stream: int, a: int) -> Generator:
-    """The Philox generator of the block that starts at column ``a``: the one keying rule."""
-    return Generator(Philox(key=_key(seed, stream, a // BLOCK)))
+    """The generator of the block that starts at column ``a``: the one keying rule.
+
+    SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``,
+    once :func:`_key` has checked the three ranges.  Up to version 0.7.4 (v3,
+    Philox) realized samples differ; laws are unchanged.
+    """
+    block = a // BLOCK
+    _key(seed, stream, block)
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
 
 
 def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
     """Fill the C-contiguous (ncols, m) ``out`` with the normals of columns a, a+1, ...
 
-    ``a`` is the first column of a block.  One Philox stream per block, keyed
+    ``a`` is the first column of a block.  One generator per block, keyed
     by the block index a // BLOCK and drawn row-major, so row c holds column
     a + c and a partial block gets a prefix of the full block's draw.
     Callers apply the factor as l @ out.T.
@@ -301,20 +315,35 @@ def _tie_split(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exponential_gemv(
-    e: np.ndarray, weights: np.ndarray, rho: float, seed: int, streams: tuple[int, int], a: int
+    weights: np.ndarray, rho: float, seed: int, streams: tuple[int, int], a: int, b: int
 ) -> np.ndarray:
-    """(1 + rho) E^A @ weights - (1 - rho) E^B @ weights for the block starting at column a.
+    """(1 + rho) E^A @ weights - (1 - rho) E^B @ weights for columns a, ..., b-1.
 
-    E^A and E^B are the block's standard exponentials on ``streams[0]`` and
-    ``streams[1]``, drawn row-major into the (ncols, weights.size) buffer
-    ``e``, which is reused for E^B; each product is one GEMV with no
-    temporary, and E^B is not drawn at rho = 1.
+    ``a`` is the first column of a block and ``b`` at most its end.  E^A and
+    E^B are the block's standard exponentials on ``streams[0]`` and
+    ``streams[1]``, a row of weights.size per column, row-major.  They are
+    read in turn from each stream's one generator, about ``EXP_CHUNK``
+    doubles at a time, and each chunk is reduced at once by its row GEMV, so
+    the block's whole (b - a) x weights.size draw is never held.  The
+    variates are bitwise those of one fill, and so is the result wherever
+    BLAS computes a chunk's rows as it does in the whole block (a full
+    block, on OpenBLAS).  E^B is not drawn at rho = 1.
     """
-    _block_generator(seed, streams[0], a).standard_exponential(out=e)
-    j = (1.0 + rho) * (e @ weights)
-    if rho < 1.0:
-        _block_generator(seed, streams[1], a).standard_exponential(out=e)
-        j -= (1.0 - rho) * (e @ weights)
+    n = b - a
+    # a multiple of 16 rows, so that OpenBLAS splits and unrolls each chunk's GEMV
+    # as it does the whole block's
+    rows = max(16, EXP_CHUNK // max(1, weights.size) // 16 * 16)
+    ea = _block_generator(seed, streams[0], a)
+    eb = _block_generator(seed, streams[1], a) if rho < 1.0 else None
+    e, j = np.empty((min(rows, n), weights.size)), np.empty(n)
+    for c in range(0, n, rows):
+        chunk = e[: min(rows, n - c)]
+        ea.standard_exponential(out=chunk)
+        jc = (1.0 + rho) * (chunk @ weights)
+        if eb is not None:
+            eb.standard_exponential(out=chunk)
+            jc -= (1.0 - rho) * (chunk @ weights)
+        j[c : c + chunk.shape[0]] = jc
     return j
 
 
@@ -356,10 +385,7 @@ def pair_functional(
 
     def run(blk):
         a, b = blk
-        # one r-wide buffer per block, as wide as the right side's so the allocator reuses
-        # it: the singles' xi, then the pairs' exponentials
-        n, buf = b - a, np.empty((b - a) * lam.size)
-        xi = buf[: n * single.size].reshape(n, single.size)
+        xi = np.empty((b - a, single.size))
         _fill_normals(xi, seed, streams[0], a)
         # each einsum is one pass over the normals, with no temporary block
         j = np.einsum("ck,ck,k->c", xi, xi, single)
@@ -368,8 +394,7 @@ def pair_functional(
             _fill_normals(eta, seed, streams[1], a)
             j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, single)
         if pairs.size:
-            e = buf[n * single.size : n * (single.size + pairs.size)]
-            j += _exponential_gemv(e.reshape(n, pairs.size), pairs, rho, seed, exp_streams, a)
+            j += _exponential_gemv(pairs, rho, seed, exp_streams, a, b)
         out[a:b] = j
 
     _parallel(_blocks(count), run)
@@ -396,8 +421,7 @@ def _copies_sum(tied: Kernel, rho: float, copies: int, count: int, seed: int) ->
 
     def run(blk):
         a, b = blk
-        e = np.empty((b - a, mu.size))
-        out[a:b] = _exponential_gemv(e, mu, rho, seed, (2, 3), a) / copies**2
+        out[a:b] = _exponential_gemv(mu, rho, seed, (2, 3), a, b) / copies**2
 
     _parallel(_blocks(count), run)
     return out

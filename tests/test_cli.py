@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from invdecomp import cli, cumulants
+from invdecomp import cli, cumulants, kernels
 from invdecomp.cli import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -16,7 +16,7 @@ from invdecomp.cli import (
 from invdecomp.groups import character_table
 from invdecomp.io import load_kernel
 from invdecomp.kernels import Kernel, builtin_kernel, irrep_spectra, make_interval_grid
-from invdecomp.sampling import duplication_check, quadruplication_check
+from invdecomp.sampling import RNG_CONTRACT, duplication_check, quadruplication_check
 
 
 def write_config(tmp_path, name="cfg", **overrides):
@@ -435,6 +435,43 @@ def test_symmetry_checks_share_one_isotypic_split(tmp_path, monkeypatch, checks)
         assert report["z2_condition"]["values"] == want
 
 
+def test_one_invariance_verdict_per_run(tmp_path, monkeypatch):
+    """A run of the five analytic checks computes the kernel's invariance once: the
+    gate hands its deviation to both symmetry guards, and the report and tables are
+    byte-identical to those of a run whose guards compute their own."""
+    calls = []
+
+    def counting(kernel, tol=kernels.INVARIANCE_TOL):
+        calls.append(kernel.name)
+        return kernels.check_invariance(kernel, tol)
+
+    # where the gate looks it up, and where the guards do
+    monkeypatch.setattr(cli, "check_invariance", counting)
+    monkeypatch.setattr(cumulants, "check_invariance", counting)
+    checks = ["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"]
+    cfg = write_config(tmp_path, grid={"kind": "interval", "n": 64}, rho=0.5, checks=checks)
+
+    def run(out):
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) in (0, 1)
+        files = sorted((tmp_path / out).iterdir())
+        text = {f.name: f.read_text() for f in files}
+        text["report.json"] = "\n".join(
+            line for line in text["report.json"].splitlines() if '"generated_at"' not in line
+        )
+        return text
+
+    handed = run("handed")
+    assert calls == ["watson"]
+    for name in ("watson_relation_check", "z2_condition_check"):
+        check = getattr(cumulants, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _check=check, invariance_dev=None, **k: _check(*a, **k)
+        )
+    assert run("guarded") == handed
+    assert calls == ["watson"] * 4
+    assert handed.keys() >= {"report.json", "watson_relation.csv", "z2_condition.csv"}
+
+
 def test_run_failure_exit_code_and_stderr(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -749,6 +786,22 @@ def test_report_does_not_depend_on_the_output_directory(tmp_path):
         report.pop("generated_at")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_seeded_reports_name_the_rng_contract(tmp_path, seed):
+    """A report names the keying rule of its samples exactly when the summary names a seed."""
+    extra = {} if seed is None else {"seed": seed}
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **extra)
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    if seed is None:
+        assert "rng_contract" not in report
+        assert not any(line.startswith("seed:") for line in summary)
+    else:
+        assert report["rng_contract"] == RNG_CONTRACT == "sfc64-block-4096-rowmajor-v4"
+        assert f"seed: {seed}" in summary
 
 
 def test_preset_run_with_override(tmp_path):

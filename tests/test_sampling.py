@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, Philox, SeedSequence
 from scipy.stats import ks_2samp, kstat
 
 from invdecomp.cumulants import analytic_cumulants
@@ -31,6 +31,7 @@ from invdecomp.sampling import (
     _clip_spectrum,
     _block_generator,
     _copies_sum,
+    _exponential_gemv,
     _fill_normals,
     _key,
     _tie_split,
@@ -119,14 +120,15 @@ APPLY_TOL = 8 * 32 * np.finfo(float).eps
 
 
 def test_rng_contract_golden_digest():
-    """Pins the keying rule: one Philox stream per (seed, stream, block), row-major."""
-    assert RNG_CONTRACT == f"philox-block-{BLOCK}-rowmajor-v3" == "philox-block-4096-rowmajor-v3"
+    """Pins the keying rule: one SFC64 generator per (seed, stream, block), seeded by
+    SeedSequence(seed, spawn_key=(stream, block)), row-major."""
+    assert RNG_CONTRACT == f"sfc64-block-{BLOCK}-rowmajor-v4" == "sfc64-block-4096-rowmajor-v4"
     buf = np.empty((4, 8))
     _fill_normals(buf, 1961, 3, 5 * BLOCK)
-    want = Generator(Philox(key=[1961, (3 << 48) | 5])).standard_normal(32).reshape(4, 8)
+    want = Generator(SFC64(SeedSequence(1961, spawn_key=(3, 5)))).standard_normal(32).reshape(4, 8)
     assert np.array_equal(buf, want)
     digest = hashlib.sha256(buf.astype("<f8").tobytes()).hexdigest()
-    assert digest == "747e271c5ad795c8213dbf10a0826dd0436a6e39cc8bf3a3eb80087d1c37c143"
+    assert digest == "de42614bfb32d2862ac8d9a2a07517be2a88b4784de7fad14126de4fd2487dba"
 
 
 @pytest.mark.parametrize(
@@ -354,23 +356,22 @@ def test_tied_pair_functional_prefix_is_stable_across_a_block_edge(kernel, k, ex
 
 
 def test_tied_pair_functional_golden_digest():
-    """Pins the v3 layout: on watson[8] the kept spectrum is 3 tied pairs and 2
-    singles.  Per block, the singles read 2 normals per column on streams 0, 1,
-    and the pairs 3 exponentials per column on streams 2^15 and 2^15 + 1, one
-    Philox stream per (seed, stream, block), row-major, ascending."""
+    """Pins the v3 layout under the v4 keying: on watson[8] the kept spectrum is 3
+    tied pairs and 2 singles.  Per block, the singles read 2 normals per column on
+    streams 0, 1, and the pairs 3 exponentials per column on streams 2^15 and
+    2^15 + 1, one SFC64 generator per (seed, stream, block), row-major, ascending."""
     kernel = builtin_kernel("watson", make_interval_grid(8))
     pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
     assert (pairs.size, single.size) == (3, 2)
     rho, count, seed = 0.5, BLOCK + 4, 1961
     j = pair_functional(kernel, rho, count, seed)
-    # an explicit uint64 key: a list holding 2^63 + 1 would convert to float64
     draw = lambda s, kind, n: getattr(
-        Generator(Philox(key=np.array([seed, (s << 48) | 1], dtype=np.uint64))), f"standard_{kind}"
+        Generator(SFC64(SeedSequence(seed, spawn_key=(s, 1)))), f"standard_{kind}"
     )(n).reshape(4, -1)
     xi, eta = draw(0, "normal", 8), draw(1, "normal", 8)
     ea, eb = draw(EXP_STREAM, "exponential", 12), draw(EXP_STREAM + 1, "exponential", 12)
     digest = hashlib.sha256(np.concatenate([ea, eb]).astype("<f8").tobytes()).hexdigest()
-    assert digest == "dda3d106f0c7be491e64d96b96f33f07fdbb5b7334a9a6aa997b11e648695a7c"
+    assert digest == "5251305a0140257284e1e8361f4bb5fa7ead9036c27e4e0ea85c8118809f346a"
     c = np.sqrt(1.0 - rho * rho)
     terms = [xi * (rho * xi + c * eta) * single, ((1 + rho) * ea - (1 - rho) * eb) * pairs]
     want = sum(t.sum(axis=1) for t in terms)
@@ -402,18 +403,18 @@ def test_pair_functional_streams_leave_room_for_the_exponentials(watson32):
 
 
 def test_copies_sum_golden_digest():
-    """Pins the right side's exponential streams: one Philox stream per (seed, block)
+    """Pins the right side's exponential streams: one SFC64 generator per (seed, block)
     on stream 2 (G^A) and 3 (G^B), h*m exponentials per column in row-major
     order, exponential j*m + k added to the k-th ascending eigenvalue."""
     tied = builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(3)] * 2))
     m, h, rho = tied.size, 2, 0.5
     rhs = _copies_sum(tied, rho, 4, BLOCK + 4, seed=1961)
     e = {
-        s: Generator(Philox(key=[1961, (s << 48) | 1])).standard_exponential(4 * h * m)
+        s: Generator(SFC64(SeedSequence(1961, spawn_key=(s, 1)))).standard_exponential(4 * h * m)
         for s in (2, 3)
     }
     digest = hashlib.sha256(e[2].astype("<f8").tobytes()).hexdigest()
-    assert digest == "6278c8db6b0af8c73eff7888ab3d1eaf5b2f55d467361f621216c69858e0f6df"
+    assert digest == "c8a7a1d941600ef6fe0f59dbb659c365f8bb519ce4bacea476f538080bbbd94e"
     g = {s: e[s].reshape(4, h, m).sum(axis=1) for s in e}
     mu = _clip_spectrum(tied.eigenvalues)
     want = ((1 + rho) * g[2] - (1 - rho) * g[3]) @ mu / 16
@@ -449,6 +450,24 @@ def test_copies_sum_is_worker_and_prefix_stable(tied, rho):
     np.testing.assert_allclose(part, full[: BLOCK + 3], rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+@pytest.mark.parametrize("width", [100, 510, 1500])
+@pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
+def test_streamed_exponential_gemv_is_one_fill_bitwise(a, b, width, rho):
+    """The law checks draw and reduce their exponentials about EXP_CHUNK doubles at a
+    time; the result is bitwise that of one fill of the block and one GEMV per side,
+    the last chunk partial included."""
+    weights = np.random.default_rng(width).random(width)
+    got = _exponential_gemv(weights, rho, 13, (2, 3), a, b)
+    e = np.empty((b - a, width))
+    _block_generator(13, 2, a).standard_exponential(out=e)
+    want = (1.0 + rho) * (e @ weights)
+    if rho < 1.0:
+        _block_generator(13, 3, a).standard_exponential(out=e)
+        want -= (1.0 - rho) * (e @ weights)
+    assert np.array_equal(got, want)
+
+
 def _compensated_kernels():
     watson = st.builds(lambda n: builtin_kernel("watson", make_interval_grid(n)), st.integers(8, 32))
     return st.one_of(watson, st.builds(_sheet_compensated, st.integers(4, 8)))
@@ -481,6 +500,87 @@ def test_copies_sum_has_the_law_of_the_sum_of_copies(kernel, rho, seed):
     for draw in (rhs, ref):
         k = np.array([kstat(draw, n) for n in (1, 2, 3, 4)])
         assert np.all(np.abs(k - kappa[:4]) <= 5 * sd)
+
+
+# ------------------------------------- v4 against v3: the keying moved, the laws did not
+
+LAW_COUNT = 20_000  # draws per side of each law test below
+
+
+def _philox_block_generator(seed, stream, a):
+    """The v3 keying rule (versions 0.7.0 to 0.7.4), kept here as the law tests'
+    reference: one counter-based Philox stream per block, keyed by 64 bits of seed,
+    16 of stream id and 48 of block index."""
+    return Generator(Philox(key=_key(seed, stream, a // BLOCK)))
+
+
+def _v3(draw, *args, **kwargs):
+    """``draw(*args, **kwargs)`` with every block keyed by the v3 rule."""
+    with mock.patch("invdecomp.sampling._block_generator", _philox_block_generator):
+        return draw(*args, **kwargs)
+
+
+def test_v3_reference_is_the_philox_keying():
+    """The reference draws the v3 golden normals: the patch reaches every sampler."""
+    buf = np.empty((4, 8))
+    _v3(_fill_normals, buf, 1961, 3, 5 * BLOCK)
+    digest = hashlib.sha256(buf.astype("<f8").tobytes()).hexdigest()
+    assert digest == "747e271c5ad795c8213dbf10a0826dd0436a6e39cc8bf3a3eb80087d1c37c143"
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(kernel=_small_kernels(), seed=st.integers(0, 2**32))
+@example(kernel=builtin_kernel("watson", make_interval_grid(12)), seed=7)
+def test_sample_has_the_law_of_the_v3_sample(kernel, seed):
+    """Paths of v4 against v3: the weighted energy and the first point's value."""
+    new = sample(kernel, LAW_COUNT, seed).samples
+    old = _v3(sample, kernel, LAW_COUNT, seed).samples
+    w = kernel.space.weights
+    assert ks_statistic(w @ new**2, w @ old**2) < null_ks_critical(LAW_COUNT)
+    assert ks_statistic(new[0], old[0]) < null_ks_critical(LAW_COUNT)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    kernel=st.one_of(
+        _tied_kernels(),
+        st.builds(lambda n: builtin_kernel("bridge", make_interval_grid(n)), st.integers(2, 40)),
+    ),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(kernel=builtin_kernel("watson", make_interval_grid(32)), rho=0.5, seed=7)
+@example(kernel=_sheet_compensated(8), rho=0.0, seed=7)
+@example(kernel=builtin_kernel("bridge", make_interval_grid(24)), rho=1.0, seed=7)
+def test_pair_functional_has_the_law_of_the_v3_draw(kernel, rho, seed):
+    """Tied spectra (normals and exponentials) and tie-free ones (normals only)."""
+    j = pair_functional(kernel, rho, LAW_COUNT, seed)
+    ref = _v3(pair_functional, kernel, rho, LAW_COUNT, seed)
+    assert ks_statistic(j, ref) < null_ks_critical(LAW_COUNT)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(
+    tied=st.one_of(
+        st.builds(lambda n: builtin_kernel("bridge", make_interval_grid(n)), st.integers(8, 32)),
+        st.builds(
+            lambda n: builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(n)] * 2)),
+            st.integers(3, 6),
+        ),
+    ),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    tied=builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(4)] * 2)),
+    rho=0.5,
+    seed=7,
+)
+def test_copies_sum_has_the_law_of_the_v3_draw(tied, rho, seed):
+    copies = 2**tied.space.dim
+    rhs = _copies_sum(tied, rho, copies, LAW_COUNT, seed)
+    ref = _v3(_copies_sum, tied, rho, copies, LAW_COUNT, seed)
+    assert ks_statistic(rhs, ref) < null_ks_critical(LAW_COUNT)
 
 
 # ------------------------------------------------------------ factor
@@ -521,7 +621,7 @@ def test_draw_block_reads_r_normals_per_column():
     """A rank-r factor takes r normals per column of its block's stream, row-major."""
     l = np.random.default_rng(0).standard_normal((9, 4))  # m = 9, r = 4
     got = draw_block(l, 3, 1, BLOCK, BLOCK + 10)
-    xi = Generator(Philox(key=_key(3, 1, 1))).standard_normal((10, 4))
+    xi = Generator(SFC64(SeedSequence(3, spawn_key=(1, 1)))).standard_normal((10, 4))
     assert np.array_equal(got, l @ xi.T)
 
 

@@ -303,7 +303,7 @@ def test_torus_watson_check_golden_digest():
     rep = torus_watson_check(spec, grid, 1000, seed=1961)
     assert rep["ok"]
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    assert digest == "2a5f4cadcccdf8beb3c46f93b8d92db587ed66e3946c6ead4cbf302deb194262"
+    assert digest == "460e41140d273d2aadbab9f3473bce5b3a2b94e29e2c703845adfddcd4fa237b"
 
 
 # ------------------------------------------------------ streamed check

@@ -12,9 +12,12 @@ report is hashed without its ``generated_at`` timestamp and without its
 ``version``, re-serialized exactly as the program writes it, so a version bump
 does not change the digest; compare the version separately.
 
-The last line, ``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.
-Run the script on two checkouts and diff the outputs: equal preset lines mean
-byte-identical reports and tables, and the last lines compare the code size.
+The line ``rng_contract=<name>`` then names ``invdecomp.sampling.RNG_CONTRACT``,
+the keying rule of the seeded presets' samples, and the last line,
+``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.  Run the script
+on two checkouts and diff the outputs: equal preset lines mean byte-identical
+reports and tables, and the last two lines compare the contract and the code
+size.
 Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
 heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
@@ -55,6 +58,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from invdecomp import cli, cumulants, kernels  # noqa: E402
+from invdecomp.sampling import RNG_CONTRACT  # noqa: E402
 
 
 @contextlib.contextmanager
@@ -205,6 +209,7 @@ def main(argv: list[str]) -> int:
         )
         print(line, flush=True)
     lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
+    print(f"rng_contract={RNG_CONTRACT}")
     print(f"src_lines={lines}")
     return 0
 
