@@ -37,13 +37,15 @@ from invdecomp.cumulants import (
 )
 from invdecomp.groups import character_table
 from invdecomp.kernels import (
-    BUILTIN_KERNELS,
+    BUILTINS,
+    TORUS_KERNEL,
     IndexSpace,
     Kernel,
     KernelError,
     builtin_kernel,
     check_invariance,
     irrep_spectra,
+    law_kernel,
     make_interval_grid,
     make_product_grid,
     project_kernel,
@@ -86,8 +88,9 @@ class Check:
     ``run(ctx, tols, cfg)`` returns a JSON-ready report with an ``ok`` flag;
     ``headline(report)`` is its one-line summary and ``rows(report, ctx)``
     the cells of its CSV table, if it has one.  The flags name what the
-    config must provide; ``kernel``/``axes`` pin the only kernel and grid a
-    check accepts.  Every check runs on the run's one kernel, ``ctx["kernel"]``.
+    config must provide; ``axes`` pins an in-law check's grid and, through
+    ``kernels.law_kernel``, its kernel.  Every check runs on the run's one
+    kernel, ``ctx["kernel"]``.
     """
 
     run: Callable[[dict, dict, dict], dict]
@@ -99,8 +102,7 @@ class Check:
     order: Optional[int] = None  # needs a bound group of exactly this order
     real: bool = False  # needs a bound group with real-valued characters
     torus: bool = False  # needs a torus grid
-    kernel: Optional[str] = None  # the only kernel the check accepts
-    axes: Optional[int] = None  # needs an interval grid of this many equal axes
+    axes: Optional[int] = None  # in-law check: this many equal interval axes, law_kernel(axes)
     csv: Optional[str] = None  # table file name
     header: str = ""
     rows: Optional[Callable[[dict, dict], list]] = None
@@ -245,13 +247,6 @@ def _run_mgf(ctx, tols, cfg):
     }
 
 
-ORACLE_SPECTRA = {
-    # continuum eigenvalues and their multiplicities on [0, 1]
-    "bridge": (lambda k: 1.0 / (np.pi**2 * k**2), 1),
-    "watson": (lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2),
-}
-
-
 def _run_spectrum(ctx, tols, cfg):
     kernel = ctx["kernel"]
     spectrum = eigendecompose(kernel)
@@ -261,10 +256,9 @@ def _run_spectrum(ctx, tols, cfg):
     }
     ok = True
 
-    if kernel.name in ORACLE_SPECTRA and kernel.space.dim == 1 and not isinstance(
-        kernel.space, TorusGrid
-    ):
-        oracle, mult = ORACLE_SPECTRA[kernel.name]
+    continuum = getattr(BUILTINS.get(kernel.name), "oracle", None)
+    if continuum and kernel.space.dim == 1 and not isinstance(kernel.space, TorusGrid):
+        oracle, mult = continuum
         rel_tol = tols["spectrum_eig"]
         rows, worst = [], 0.0
         # the first 10 oracle rows, or as many as the grid has
@@ -461,7 +455,6 @@ CHECKS = {
         tolerances={"duplication": 0.01},
         headline=_law_headline,
         seed=True,
-        kernel="watson",
         axes=1,
         csv="duplication.csv",
         header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
@@ -472,7 +465,6 @@ CHECKS = {
         tolerances={"quadruplication": 0.015},
         headline=_law_headline,
         seed=True,
-        kernel="sheet_compensated",
         axes=2,
         csv="quadruplication.csv",
         header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
@@ -732,7 +724,7 @@ def validate_config(cfg: dict) -> list[str]:
         return errors
 
     kname = cfg["kernel"]["name"]
-    known = set(BUILTIN_KERNELS) | {"user_matrix"}
+    known = set(BUILTINS) | {"user_matrix"}
     if kname not in known:
         errors.append(f"kernel/name: unknown kernel {kname!r} (known: {sorted(known)})")
 
@@ -752,15 +744,14 @@ def validate_config(cfg: dict) -> list[str]:
         except KernelError as exc:
             errors.append(f"grid/basis: {exc}")
     if kind == "torus":
-        if kname != "torus_watson":
-            errors.append("kernel/name: torus grids support the torus_watson kernel")
+        if kname != TORUS_KERNEL:
+            errors.append(f"kernel/name: torus grids support the {TORUS_KERNEL} kernel")
     else:
         if needing("torus"):
             errors.append(f"checks: {needing('torus')} need a torus grid")
-        if kname in ("bridge", "watson", "torus_watson") and len(ns) != 1:
-            errors.append(f"grid/n: kernel {kname!r} needs a 1-d grid")
-        if kname.startswith("sheet") and len(ns) != 2:
-            errors.append(f"grid/n: kernel {kname!r} needs a 2-d grid")
+        dim = getattr(BUILTINS.get(kname), "dim", len(ns))
+        if len(ns) != dim:
+            errors.append(f"grid/n: kernel {kname!r} needs a {dim}-d grid")
         if len(ns) > 2:
             errors.append("grid/n: interval grids support at most 2 axes")
 
@@ -801,14 +792,12 @@ def validate_config(cfg: dict) -> list[str]:
     if needing("seed") and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {needing('seed')}")
 
-    for name in checks:
-        check = CHECKS[name]
-        if check.kernel is not None and kname != check.kernel:
-            errors.append(f"kernel/name: {name} runs the {check.kernel!r} kernel only")
-        if check.axes is not None and (
-            kind != "interval" or len(ns) != check.axes or len(set(ns)) != 1
-        ):
-            errors.append(f"grid/n: {name} needs {check.axes} equal interval axes")
+    for name in needing("axes"):
+        axes = CHECKS[name].axes
+        if kname != law_kernel(axes):
+            errors.append(f"kernel/name: {name} runs the {law_kernel(axes)!r} kernel only")
+        if kind != "interval" or len(ns) != axes or len(set(ns)) != 1:
+            errors.append(f"grid/n: {name} needs {axes} equal interval axes")
     return errors
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from invdecomp.groups import CharacterTable, GroupError, character_table, check_action
 from invdecomp.kernels import (
+    BUILTINS,
     INVARIANCE_TOL,
     Kernel,
     KernelError,
@@ -308,9 +309,10 @@ def mgf_watson(lam: float, rho: float, n_pairs: int = 2000) -> tuple[float, floa
 
     with the lam -> 0 and rho -> 1 limits taken analytically.  ``spectral``
     multiplies per-eigenvalue factors over lambda_k = 1/(4 pi^2 k^2), each of
-    multiplicity two: writing xi*eta = ((xi+eta)^2 - (xi-eta)^2)/4 for a
-    rho-correlated standard pair turns each mode into an independent
-    difference of scaled chi^2(1) variables, giving the factor
+    multiplicity two (the watson oracle of ``kernels.BUILTINS``): writing
+    xi*eta = ((xi+eta)^2 - (xi-eta)^2)/4 for a rho-correlated standard pair
+    turns each mode into an independent difference of scaled chi^2(1)
+    variables, giving the factor
 
         [ (1 - lam^2 lambda_k (1+rho)) (1 + lam^2 lambda_k (1-rho)) ]^(-1).
 
@@ -331,7 +333,7 @@ def mgf_watson(lam: float, rho: float, n_pairs: int = 2000) -> tuple[float, floa
         zm = half * np.sqrt(1.0 - rho)
         closed = (half**2 * np.sqrt(1.0 - rho**2)) / (np.sin(zp) * np.sinh(zm))
     k = np.arange(1, n_pairs + 1)
-    lk = 1.0 / (4.0 * np.pi**2 * k**2)
+    lk = BUILTINS["watson"].oracle[0](k)
     fac = (1.0 - lam**2 * lk * (1.0 + rho)) * (1.0 + lam**2 * lk * (1.0 - rho))
     spectral = float(1.0 / np.prod(fac))
     return float(closed), spectral

@@ -7,6 +7,10 @@ of path projection: projecting a kernel onto a pair of characters,
 chaining a kernel's weighted contractions, and checking invariance under
 the action.
 
+Each built-in kernel is one :class:`Builtin` record of :data:`BUILTINS`,
+which the builder, the config validator, the ``spectrum`` check's oracle
+and the in-law checks (:func:`law_kernel`) read.
+
 The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
 Each :class:`Kernel` takes its spectrum once, in its PSD check, by one rule
@@ -33,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import reduce
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -52,8 +57,11 @@ __all__ = [
     "Kernel",
     "make_interval_grid",
     "make_product_grid",
+    "Builtin",
+    "BUILTINS",
+    "TORUS_KERNEL",
     "builtin_kernel",
-    "BUILTIN_KERNELS",
+    "law_kernel",
     "check_invariance",
     "project_kernel",
     "decompose_kernel",
@@ -314,62 +322,53 @@ def _circle_profile(u: np.ndarray) -> np.ndarray:
     return (u - 0.5) ** 2 / 2 - 1.0 / 24
 
 
-def _kernel_1d(space: IndexSpace, fn, name: str) -> Kernel:
-    if space.dim != 1:
-        raise KernelError(f"{name} kernel needs a 1-d space")
-    t = space.points[:, 0]
-    return Kernel(space, fn(t[:, None], t[None, :]), name=name)
+@dataclass(frozen=True)
+class Builtin:
+    """One built-in kernel: ``axis(s, t)``, its one-axis covariance on [0, 1],
+    is multiplied over the ``dim`` axes of an interval grid."""
+
+    axis: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dim: int
+    grids: tuple = ("interval",)  # the grid kinds it runs on
+    tied: Optional[str] = None  # its tied-down partner in Watson's duplication law
+    oracle: Optional[tuple] = None  # continuum spectrum on [0, 1]: (k -> lambda_k, multiplicity)
 
 
-def _kernel_2d_product(space: IndexSpace, fn, name: str) -> Kernel:
-    if space.dim != 2:
-        raise KernelError(f"{name} kernel needs a 2-d space")
-    a = space.points[:, 0]
-    b = space.points[:, 1]
-    k = fn(a[:, None], a[None, :]) * fn(b[:, None], b[None, :])
-    return Kernel(space, k, name=name)
+BUILTINS = {
+    "bridge": Builtin(_bridge, 1, oracle=(lambda k: 1.0 / (np.pi**2 * k**2), 1)),
+    "watson": Builtin(  # the compensated bridge, diagonal identically 1/12
+        _compensated_bridge, 1, tied="bridge", oracle=(lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2)
+    ),
+    "sheet_tied": Builtin(_bridge, 2),
+    "sheet_compensated": Builtin(_compensated_bridge, 2, tied="sheet_tied"),
+    "torus_watson": Builtin(lambda s, t: _circle_profile(s - t), 1, grids=("interval", "torus")),
+}
+TORUS_KERNEL = next(name for name, b in BUILTINS.items() if "torus" in b.grids)
+
+
+def law_kernel(dim: int) -> str:
+    """The compensated kernel of Watson's duplication law on [0, 1]^dim."""
+    return next(name for name, b in BUILTINS.items() if b.tied and b.dim == dim)
 
 
 def builtin_kernel(name: str, space: IndexSpace, matrix: Optional[np.ndarray] = None) -> Kernel:
     """Construct a named covariance kernel on ``space``.
 
-    Supported names:
-
-    * ``"bridge"``        — min(s,t) - st on [0,1];
-    * ``"watson"``        — compensated bridge, diag identically 1/12;
-    * ``"sheet_tied"``    — product of two bridge factors on [0,1]^2;
-    * ``"sheet_compensated"`` — product of two compensated-bridge factors;
-    * ``"torus_watson"``  — stationary circle kernel k((s-t) mod 1) with
-      the same profile as the compensated bridge;
-    * ``"user_matrix"``   — validate and wrap ``matrix``.
+    A :data:`BUILTINS` name multiplies its record's one-axis covariance over
+    the record's ``dim`` axes of ``space``, in axis order; ``"user_matrix"``
+    validates and wraps ``matrix``.
     """
-    if name == "bridge":
-        return _kernel_1d(space, _bridge, name)
-    if name == "watson":
-        return _kernel_1d(space, _compensated_bridge, name)
-    if name == "sheet_tied":
-        return _kernel_2d_product(space, _bridge, name)
-    if name == "sheet_compensated":
-        return _kernel_2d_product(space, _compensated_bridge, name)
-    if name == "torus_watson":
-        if space.dim != 1:
-            raise KernelError("torus_watson kernel needs a 1-d space")
-        t = space.points[:, 0]
-        return Kernel(space, _circle_profile(t[:, None] - t[None, :]), name=name)
     if name == "user_matrix":
         if matrix is None:
             raise KernelError("user_matrix requires the matrix argument")
         return Kernel(space, np.asarray(matrix, dtype=float), name=name)
-    raise KernelError(f"unknown kernel {name!r}")
-
-
-BUILTIN_KERNELS = (
-    "bridge",
-    "watson",
-    "sheet_tied",
-    "sheet_compensated",
-    "torus_watson",
-)
+    if name not in BUILTINS:
+        raise KernelError(f"unknown kernel {name!r}")
+    rec = BUILTINS[name]
+    if space.dim != rec.dim:
+        raise KernelError(f"{name} kernel needs a {rec.dim}-d space")
+    factors = (rec.axis(x[:, None], x[None, :]) for x in space.points.T)
+    return Kernel(space, reduce(np.multiply, factors), name=name)
 
 
 def check_invariance(kernel: Kernel, tol: float = INVARIANCE_TOL) -> tuple[bool, float]:

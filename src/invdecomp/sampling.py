@@ -97,10 +97,12 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from invdecomp.kernels import (
+    BUILTINS,
     IndexSpace,
     Kernel,
     KernelError,
     builtin_kernel,
+    law_kernel,
     make_interval_grid,
     make_product_grid,
     weighted_eigh,
@@ -133,7 +135,6 @@ LAW_DEFAULTS = {
     "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
     "quadruplication": {"grid": 32, "samples": 50_000, "rho": 0.5},
 }
-TIED = {"watson": "bridge", "sheet_compensated": "sheet_tied"}  # compensated -> tied-down, by dim
 KS_EXACT_MAX = 10_000  # ks_2samp's exact mode, which snaps the distance, up to this sample size
 
 
@@ -151,19 +152,15 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _key(seed: int, stream: int, block: int) -> np.ndarray:
-    """The identity of one block: 64 bits of seed, 16 of stream id, 48 of block index,
-    packed into two 64-bit words (up to version 0.7.4 the block's Philox key).
-
-    Values outside those ranges raise instead of aliasing another block.
-    """
+def _key(seed: int, stream: int, block: int) -> None:
+    """Raise unless seed, stream id and block index fit in 64, 16 and 48 bits, so
+    that no two blocks alias (up to version 0.7.4 the fields of a block's Philox key)."""
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= stream < (1 << 16):
         raise ValueError(f"stream must be in [0, 2**16), got {stream}")
     if not 0 <= block < (1 << 48):
         raise ValueError("block index out of the 48-bit key range")
-    return np.array([seed, (stream << 48) | block], dtype=np.uint64)
 
 
 def _block_generator(seed: int, stream: int, a: int) -> Generator:
@@ -602,16 +599,18 @@ def law_check(
     A Gaussian law invariant under Z2^d splits into 2^d parts, each with the
     law of the tied-down functional, so the compensated functional equals in
     law 4^-d times the sum of 2^d independent tied-down ones: duplication in
-    1-d, quadruplication on the square.  The tied-down partner (``TIED``) is
-    built on ``kernel.space``.  The left side is :func:`pair_functional` of
-    ``kernel`` on streams (0, 1).  The right side is drawn from its chi^2
-    form by :func:`_copies_sum` on streams 2 and 3, exactly in law and
-    without drawing the copies.
+    1-d, quadruplication on the square.  The tied-down partner that the
+    kernel's ``BUILTINS`` record names is built on ``kernel.space``.  The
+    left side is :func:`pair_functional` of ``kernel`` on streams (0, 1).
+    The right side is drawn from its chi^2 form by :func:`_copies_sum` on
+    streams 2 and 3, exactly in law and without drawing the copies.
     """
-    if kernel.name not in TIED:
-        raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {sorted(TIED)})")
+    partner = getattr(BUILTINS.get(kernel.name), "tied", None)
+    if partner is None:
+        known = sorted(name for name, b in BUILTINS.items() if b.tied)
+        raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {known})")
     space = kernel.space
-    tied = builtin_kernel(TIED[kernel.name], space)
+    tied = builtin_kernel(partner, space)
     copies = 2**space.dim
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
     rhs = _copies_sum(tied, rho, copies, count, seed)
@@ -641,7 +640,7 @@ def _law_from_config(name: str, config: dict) -> dict:
     dim = list(LAW_DEFAULTS).index(name) + 1
     space = make_product_grid([make_interval_grid(int(config.get("grid", defaults["grid"])))] * dim)
     return law_check(
-        builtin_kernel(list(TIED)[dim - 1], space),
+        builtin_kernel(law_kernel(dim), space),
         float(config.get("rho", defaults["rho"])),
         int(config.get("samples", defaults["samples"])),
         int(config["seed"]),

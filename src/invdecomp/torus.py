@@ -32,7 +32,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from invdecomp.groups import GroupAction, cyclic_group
-from invdecomp.kernels import IndexSpace, Kernel, KernelError, _dft_spectrum, _negation
+from invdecomp.kernels import (
+    TORUS_KERNEL,
+    IndexSpace,
+    Kernel,
+    KernelError,
+    _circle_profile,
+    _dft_spectrum,
+    _negation,
+)
 from invdecomp.sampling import (
     BLOCK,
     PathEnsemble,
@@ -304,18 +312,17 @@ def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
 def torus_watson(grid: TorusGrid) -> Kernel:
     """Compensated-quadratic stationary kernel, exact on the grid.
 
-    Per-axis profile phi(u) = (u - 1/2)^2/2 - 1/24 of the fractional lag,
-    multiplied across axes.  On the unit circle this is the compensated
-    bridge covariance min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for
-    entry.  The profile is evaluated on the m lags and gathered through the
+    Per-axis profile phi(u) = (u - 1/2)^2/2 - 1/24 of the fractional lag
+    (``kernels._circle_profile``), multiplied across axes.  On the unit
+    circle this is the compensated bridge covariance
+    min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is evaluated on the m lags and gathered through the
     grid's lag table, so the matrix is exactly circulant per axis.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     shape = np.array(grid.shape)
     u = np.rint(grid.frac * shape).astype(np.int64) / shape
-    prof = (u - 0.5) ** 2 / 2.0 - 1.0 / 24.0
-    return Kernel(grid, prof.prod(axis=1)[grid.lag_index], name="torus_watson")
+    return Kernel(grid, _circle_profile(u).prod(axis=1)[grid.lag_index], name=TORUS_KERNEL)
 
 
 def fourier_factor(kernel: Kernel) -> np.ndarray:

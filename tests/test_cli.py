@@ -12,6 +12,7 @@ from invdecomp.cli import (
     PRESETS,
     main,
     resolve_tolerances,
+    validate_config,
 )
 from invdecomp.groups import character_table
 from invdecomp.io import load_kernel
@@ -162,6 +163,33 @@ def test_validate_rejects_a_kernel_or_grid_the_law_check_ignores(
     )
     assert main(["validate", str(cfg)]) == 2
     assert check in capsys.readouterr().err
+
+
+_LAYOUTS = {"1": 8, "2": [8, 8], "3": [4, 4, 4], "unequal 2": [8, 4]}
+
+
+def test_the_validator_and_the_kernel_registry_agree():
+    """Every built-in kernel x grid kind x axis layout x check: each config the
+    validator accepts builds, each kernel is accepted on every grid kind its
+    record names, and an interval grid of another dimension is rejected by a
+    message that names the record's dim."""
+    built = {}
+    for name, rec in kernels.BUILTINS.items():
+        for kind in ("interval", "torus"):
+            for layout, n in _LAYOUTS.items():
+                d = len(n) if isinstance(n, list) else 1
+                for check in CHECKS:
+                    cfg = {"kernel": {"name": name}, "grid": {"kind": kind, "n": n}}
+                    cfg.update(checks=[check], seed=1)
+                    errors = validate_config(cfg)
+                    prefix = f"grid/n: kernel {name!r} needs"
+                    want = [f"{prefix} a {rec.dim}-d grid"] if kind == "interval" and d != rec.dim else []
+                    assert [e for e in errors if e.startswith(prefix)] == want, (kind, layout, check)
+                    if not errors and (name, kind, layout) not in built:
+                        built[name, kind, layout] = cli.build_kernel(cfg)
+                        assert built[name, kind, layout].name == name
+    grids = {(name, kind) for name, rec in kernels.BUILTINS.items() for kind in rec.grids}
+    assert {(name, kind) for name, kind, _ in built} == grids
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from invdecomp.groups import character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
-    BUILTIN_KERNELS,
+    BUILTINS,
+    TORUS_KERNEL,
     IndexSpace,
     Kernel,
     KernelError,
@@ -21,12 +22,14 @@ from invdecomp.kernels import (
     contract_power,
     decompose_kernel,
     irrep_spectra,
+    law_kernel,
     make_interval_grid,
     make_product_grid,
     project_kernel,
     weighted_symmetric,
     weighted_traces,
 )
+from invdecomp.sampling import LAW_DEFAULTS
 from invdecomp.torus import Lattice, torus_grid, torus_watson
 
 
@@ -115,6 +118,47 @@ def test_user_matrix_requires_matrix():
         builtin_kernel("user_matrix", make_interval_grid(4))
 
 
+# each built-in kernel's closed form on one axis of [0, 1]
+_CLOSED = {
+    "bridge": lambda s, t: np.minimum(s, t) - s * t,
+    "watson": lambda s, t: np.minimum(s, t) - (s + t) / 2 + (s - t) ** 2 / 2 + 1.0 / 12,
+    "sheet_tied": lambda s, t: np.minimum(s, t) - s * t,
+    "sheet_compensated": lambda s, t: np.minimum(s, t) - (s + t) / 2 + (s - t) ** 2 / 2 + 1.0 / 12,
+    "torus_watson": lambda s, t: (np.mod(s - t, 1.0) - 0.5) ** 2 / 2 - 1.0 / 24,
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_is_its_closed_form_bitwise(name):
+    """A registered kernel is its closed form on each axis, multiplied in axis order."""
+    space = make_product_grid([make_interval_grid(n) for n in (12, 7)[: BUILTINS[name].dim]])
+    x = space.points
+    want = _CLOSED[name](x[:, None, :], x[None, :, :]).prod(axis=-1)
+    assert np.array_equal(builtin_kernel(name, space).matrix, (want + want.T) / 2)
+
+
+@pytest.mark.parametrize("name", list(BUILTINS))
+def test_builtin_names_its_dimension_on_another_space(name):
+    dim = BUILTINS[name].dim
+    with pytest.raises(KernelError, match=f"^{name} kernel needs a {dim}-d space$"):
+        builtin_kernel(name, make_product_grid([make_interval_grid(4)] * (3 - dim)))
+
+
+def test_registry_invariants():
+    """Each tied partner is a registered kernel of the same dimension, each
+    in-law check's dimension has exactly one law kernel, oracles sit on 1-d
+    kernels only, and exactly one kernel runs on torus grids."""
+    for b in BUILTINS.values():
+        assert b.tied is None or BUILTINS[b.tied].dim == b.dim
+        assert b.oracle is None or b.dim == 1
+        assert set(b.grids) <= {"interval", "torus"}
+    law_dims = [b.dim for b in BUILTINS.values() if b.tied]
+    assert sorted(law_dims) == list(range(1, len(LAW_DEFAULTS) + 1))
+    for dim in law_dims:
+        assert BUILTINS[law_kernel(dim)].dim == dim and BUILTINS[law_kernel(dim)].tied
+    assert [n for n, b in BUILTINS.items() if "torus" in b.grids] == [TORUS_KERNEL]
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -170,7 +214,7 @@ def test_kernel_eigenvalues_are_the_weighted_spectrum(uniform, bridge64):
         k.eigenvalues[0] = 1.0
 
 
-@pytest.mark.parametrize("name", [n for n in BUILTIN_KERNELS if "sheet" not in n])
+@pytest.mark.parametrize("name", [n for n, b in BUILTINS.items() if b.dim == 1])
 def test_builtins_invariant_under_reversal(name, grid64):
     k = builtin_kernel(name, grid64)
     ok, dev = check_invariance(k, tol=1e-12)
