@@ -90,7 +90,7 @@ class Check:
     the cells of its CSV table, if it has one.  The flags name what the
     config must provide; ``axes`` pins an in-law check's grid and, through
     ``kernels.law_kernel``, its kernel.  Every check runs on the run's one
-    kernel, ``ctx["kernel"]``.
+    kernel, ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
     """
 
     run: Callable[[dict, dict, dict], dict]
@@ -304,9 +304,11 @@ def _run_spectrum(ctx, tols, cfg):
 
 
 def _run_torus_watson(ctx, tols, cfg):
-    kernel, space = ctx["kernel"], ctx["space"]
+    # the check reads row 0 of the run's kernel alone and is the last in CHECKS:
+    # the kernel is released before the check assembles its truncation
+    space, profile = ctx["space"], ctx.pop("kernel").matrix[0].copy()
     cutoff = _torus_cutoff(cfg)
-    spec = fourier_kl(kernel.matrix[0], space, cutoff)
+    spec = fourier_kl(profile, space, cutoff)
     count = int(cfg.get("samples", 20_000))
     seed = int(cfg["seed"])
     rep = torus_watson_check(
@@ -917,6 +919,7 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
     space = kernel.space
     table = character_table(space.action.group) if space.action is not None else None
     ctx = {"space": space, "kernel": kernel, "table": table}
+    del kernel  # ctx holds the one reference, which a check may release
 
     requested = set(cfg["checks"]) | {CHECKS[c].gate for c in cfg["checks"]}
     out_parts: dict = {}

@@ -38,11 +38,14 @@ at once (:func:`draw_block`) with the factor of :func:`covariance_factor`,
 and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
 stream 0) each block in chunks with that of
 ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
-characters of the torus.  Up to version 0.5.0 a column held m
-normals and a rank-r sampler read its last r, and the torus check sampled
-the eigenvectors of ``eigh``, so realized samples of rank-deficient kernels
-and of the torus check differ from those versions; a full-rank kernel draws
-the same normals as before.  Up to version 0.2.0 the law checks
+characters of the torus.  From version 0.8.1 that factor is applied axis
+by axis wherever that is cheaper (never on a 1-d grid): the normals are
+those of 0.8.0, and the paths there differ from 0.8.0's at roundoff.  Up
+to version 0.5.0 a column held m normals and a rank-r sampler read its
+last r, and the torus check sampled the eigenvectors of ``eigh``, so
+realized samples of rank-deficient kernels and of the torus check differ
+from those versions; a full-rank kernel draws the same normals as
+before.  Up to version 0.2.0 the law checks
 (duplication, quadruplication, cumulants, mgf), and up to version 0.3.0 the
 path samplers, multiplied all m normals by the symmetric root of K, so
 their realized samples differ from those versions.
@@ -189,7 +192,9 @@ def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
 def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: int):
     """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, ``width`` at a time.
 
-    ``a`` is the first column of a block and ``b`` at most its end.  Each
+    ``l`` is an array or a factor that multiplies like one (``shape`` and
+    ``@``), such as ``invdecomp.torus.FourierFactor``.  ``a`` is the first
+    column of a block and ``b`` at most its end.  Each
     column draws r normals, its coordinates on the r kept eigenvalues, which
     column k of ``l`` carries in ascending order.  The chunks' normals are
     read in turn from the block's one generator, so they are bitwise those of

@@ -14,7 +14,11 @@ reads its eigenvalues from it and stores its stationarity spread, by the
 one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT the factor that samples the
 kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
-stationary is still solved densely.
+stationary is still solved densely.  The factor's columns are characters of
+the grid's index group, which factor over its axes: a
+:class:`FourierFactor` applies them one axis at a time, a matrix product
+per axis over the box of kept frequencies, wherever that takes fewer
+multiplies than the m x r matrix (never on a 1-d grid).
 
 :func:`torus_watson_check` streams its samples: each block of the
 sampling contract is drawn, split and reduced ``DRAW`` columns at a time,
@@ -25,6 +29,7 @@ factor, never an m x ``BLOCK`` block.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -64,6 +69,7 @@ __all__ = [
     "stationarity_spread",
     "torus_watson",
     "fourier_factor",
+    "FourierFactor",
     "parity_decompose",
     "torus_watson_check",
 ]
@@ -325,7 +331,110 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     return Kernel(grid, _circle_profile(u).prod(axis=1)[grid.lag_index], name=TORUS_KERNEL)
 
 
-def fourier_factor(kernel: Kernel) -> np.ndarray:
+def _turns(points: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """b a / n mod 1 on an axis of n points, for the coordinates a of ``points``
+    (rows) and b of ``index`` (columns): exact in integers."""
+    return ((points[:, None] * index) % n) / n
+
+
+@dataclass(frozen=True, eq=False)
+class FourierFactor:
+    """The m x r factor of :func:`fourier_factor`, applied axis by axis where that is cheaper.
+
+    Column j is ``scale[j] * (sin if sine[j] else cos)(2 pi <b, a/n>)`` on grid
+    point a, for the kept index b = ``index[j]``.  ``np.asarray`` gives that
+    matrix, and ``l @ xi`` multiplies it into an (r, ncols) operand.
+
+    As <b, a/n> = sum_k b_k a_k / n_k, column j is the real part of
+    scale_j (1 or i) prod_k e^{-2 pi i b_k a_k / n_k}, as in the row-column
+    DFT.  :meth:`by_axes` writes each column's normal into a (re/im, s_1,
+    ..., s_d) coefficient array over the box of the kept indices (their
+    ``supports`` per axis) and turns axis k's s_k frequencies into its n_k
+    points with one matrix product: rows (a_k, re/im) of the rotations
+    [[C, S], [-S, C]] of 2 pi a_k b_k / n_k, only [C, S] on the last axis.
+    The paths land as (m, ncols), row-major.  That costs
+    sum_k rows_k 2 s_k prod_{i<k} n_i prod_{i>k} s_i multiplies per column
+    (rows_k = 2 n_k, and n_d on the last axis), against m r for the
+    matrix; ``l @ xi`` takes the cheaper (:attr:`separable`).  So a 1-d
+    grid always takes the matrix, bitwise as an array factor, and the axis
+    products agree with it to roundoff.
+    """
+
+    grid_shape: tuple  # (n_1, ..., n_d)
+    index: np.ndarray  # (r, d) integer coordinates of the kept indices, in column order
+    sine: np.ndarray  # (r,) bool: column j is a sine
+    scale: np.ndarray  # (r,) the column norms sqrt(c_b lambda_b / (w m))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (math.prod(self.grid_shape), self.sine.size)
+
+    @cached_property
+    def supports(self) -> list[np.ndarray]:
+        """The distinct coordinates of the kept indices on each axis, ascending."""
+        return [np.unique(b) for b in self.index.T]
+
+    @property
+    def box(self) -> tuple[int, ...]:
+        return tuple(s.size for s in self.supports)
+
+    @cached_property
+    def separable(self) -> bool:
+        """Whether ``l @ xi`` takes the axis products: fewer multiplies per column than m r."""
+        ns, box = self.grid_shape, self.box
+        rows = [2 * n for n in ns[:-1]] + [ns[-1]]
+        cost = sum(
+            rows[k] * 2 * box[k] * math.prod(ns[:k]) * math.prod(box[k + 1 :]) for k in range(len(ns))
+        )
+        return cost < math.prod(self.shape)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The m x r matrix, read-only; built only when asked for."""
+        points = np.indices(self.grid_shape).reshape(len(self.grid_shape), -1)  # row-major
+        turns = sum(_turns(a, b, n) for a, b, n in zip(points, self.index.T, self.grid_shape))
+        theta = 2.0 * np.pi * turns
+        l = np.empty(self.shape)
+        l[:, ~self.sine] = np.cos(theta[:, ~self.sine])
+        l[:, self.sine] = np.sin(theta[:, self.sine])
+        l *= self.scale
+        l.setflags(write=False)
+        return l
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.dense, dtype=dtype, copy=copy)
+
+    @cached_property
+    def _axis_operands(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each column's flat place in the (re/im, box) coefficients, and the axis matrices."""
+        places = [np.searchsorted(s, b) for s, b in zip(self.supports, self.index.T)]
+        place = np.ravel_multi_index([self.sine.astype(np.intp), *places], (2, *self.box))
+        mats = []
+        for n, s in zip(self.grid_shape, self.supports):
+            theta = 2.0 * np.pi * _turns(np.arange(n), s, n)
+            c, sin = np.cos(theta), np.sin(theta)
+            rotations = np.stack([np.hstack([c, sin]), np.hstack([-sin, c])], axis=1)
+            mats.append(rotations.reshape(2 * n, 2 * s.size))
+        mats[-1] = np.ascontiguousarray(mats[-1][::2])  # the real rows
+        return place, mats
+
+    def by_axes(self, xi: np.ndarray) -> np.ndarray:
+        """The (m, ncols) product with the (r, ncols) ``xi``, one matrix product per axis."""
+        ncols, box = xi.shape[1], self.box
+        place, mats = self._axis_operands
+        z = np.zeros((2 * math.prod(box), ncols))
+        z[place] = self.scale[:, None] * xi
+        lead = 1  # the points of the axes done, which batch the products
+        for k, a in enumerate(mats):
+            z = a @ z.reshape(lead, a.shape[1], math.prod(box[k + 1 :]) * ncols)
+            lead *= self.grid_shape[k]
+        return z.reshape(lead, ncols)
+
+    def __matmul__(self, xi: np.ndarray) -> np.ndarray:
+        return self.by_axes(xi) if self.separable else self.dense @ xi
+
+
+def fourier_factor(kernel: Kernel) -> FourierFactor:
     """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
 
     Whatever the lattice basis, a stationary kernel is circulant on the index
@@ -343,7 +452,9 @@ def fourier_factor(kernel: Kernel) -> np.ndarray:
     :func:`invdecomp.sampling._clip_spectrum` keeps of the spectrum, in
     ascending order, ties in index order, so normal k of a column is the
     coordinate on the k-th kept eigenvalue as for every sampler.  The
-    kernel is assumed stationary (see :func:`stationarity_spread`).
+    kernel is assumed stationary (see :func:`stationarity_spread`).  The
+    factor is a :class:`FourierFactor`, which applies L axis by axis where
+    that is cheaper and never builds the m x r matrix there.
     """
     grid = kernel.space
     if not isinstance(grid, TorusGrid):
@@ -352,15 +463,9 @@ def fourier_factor(kernel: Kernel) -> np.ndarray:
     lam, spec = _dft_spectrum(kernel.matrix, grid)
     order = np.argsort(lam, kind="stable")
     idx = order[m - _clip_spectrum(lam[order]).size :]
-    # turns <b, a/n> mod 1 of every grid point a and kept index b, exact in integers
-    ints = np.rint(grid.frac * np.array(grid.shape)).astype(np.intp)
-    turns = sum(((ints[:, k, None] * ints[idx, k]) % n) / n for k, n in enumerate(grid.shape))
-    theta = 2.0 * np.pi * turns
-    cos = idx <= neg[idx]
-    l = np.empty((m, idx.size))
-    l[:, cos] = np.cos(theta[:, cos])
-    l[:, ~cos] = np.sin(theta[:, ~cos])
-    return l * np.sqrt(np.where(idx == neg[idx], 1.0, 2.0) * spec[idx] / m)
+    index = np.stack(np.unravel_index(idx, grid.shape), axis=1)  # the grid is row-major
+    scale = np.sqrt(np.where(idx == neg[idx], 1.0, 2.0) * spec[idx] / m)
+    return FourierFactor(tuple(grid.shape), index, idx > neg[idx], scale)
 
 
 def stationarity_spread(kernel: Kernel) -> float:
@@ -454,9 +559,13 @@ def torus_watson_check(
     product of those buffers per ``SPLIT_COLUMNS`` columns.  So a worker
     holds one chunk of normals, paths and parts (under 2 m ``SPLIT_COLUMNS``
     doubles), the two buffers (m ``SPLIT_COLUMNS``) and its block's
-    m/2 x m/2 cross-covariance partial; with the kernel, the m x r factor
-    and the total cross-covariance, one worker's check stays below two
-    m x m matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The even part's
+    m/2 x m/2 cross-covariance partial; with the kernel, the factor and the
+    total cross-covariance, one worker's check stays below two m x m
+    matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The factor holds the
+    m x r matrix only where it is applied as one; applied axis by axis it
+    holds its per-axis matrices, and a chunk's product holds at most two
+    of its partial products at once, each at most 2 m doubles per column,
+    which the chunk's paths and parts then replace.  The even part's
     expansion is taken ``DRAW`` rows at a time (:func:`_basis_quadratics`).
 
     The per-block cross-covariance partials are added in block order, so
@@ -464,8 +573,10 @@ def torus_watson_check(
     ``cross_cov_max`` (summed in another order, over one point per +-orbit)
     is bitwise that of the materialized ensemble wherever BLAS computes a
     chunk's columns as it does in the whole block: on OpenBLAS in every
-    full block, and in a partial one whose last chunk is a multiple of 8
-    columns wide (elsewhere to roundoff, as ``RNG_CONTRACT`` allows).
+    full block, and in a partial one a multiple of 8 columns wide
+    (elsewhere to roundoff in its last columns, as ``RNG_CONTRACT``
+    allows; applied axis by axis, those can reach into the chunk before
+    the last, since a product's columns there run over a box axis too).
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)

@@ -1,11 +1,12 @@
 """Command-line runner: config validation, exit codes, reports, presets."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from invdecomp import cli, cumulants, kernels
+from invdecomp import cli, cumulants, kernels, torus
 from invdecomp.cli import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -860,6 +861,43 @@ def test_torus_presets_run_no_eigendecomposition(tmp_path, monkeypatch, preset):
     assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert {c["status"] for c in report["checks"].values()} == {"passed"}
+
+
+def test_torus_run_releases_its_kernel_before_the_check_samples(monkeypatch):
+    """The torus check reads row 0 of the run's kernel alone: when its sampling
+    loop starts the heap holds one m x m array less than the same check with
+    the run's kernel held, and that kernel is the array (m = 1024)."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    cfg = {
+        "kernel": {"name": "torus_watson", "params": {"cutoff": 10}},
+        "grid": {"kind": "torus", "n": [32, 32]},
+        "samples": 1000,
+        "seed": 3,
+        "checks": ["stationarity", "torus_watson"],
+    }
+    heaps = []  # the traced heap as each sampling loop starts
+    draw = torus.draw_chunks
+
+    def traced(*args):
+        heaps.append(tracemalloc.get_traced_memory()[0])
+        return draw(*args)
+
+    cli.execute_checks(cfg, DEFAULT_TOLERANCES)  # what a run imports stays out of the heaps
+    monkeypatch.setattr(torus, "draw_chunks", traced)
+    tracemalloc.start()
+    try:
+        results, _ = cli.execute_checks(cfg, DEFAULT_TOLERANCES)
+        held = cli.build_kernel(cfg)
+        spec = torus.fourier_kl(held.matrix[0], held.space, 10)
+        report = torus.torus_watson_check(spec, held.space, 1000, 3)
+    finally:
+        tracemalloc.stop()
+    released, kept = heaps
+    mm = held.matrix.nbytes
+    assert mm == 1024 * 1024 * 8
+    assert 0.95 * mm < kept - released < 1.05 * mm
+    assert results["torus_watson"]["status"] == "passed"
+    assert {k: v for k, v in results["torus_watson"].items() if k in report} == report
 
 
 def test_mgf_preset_tables(tmp_path):

@@ -203,6 +203,74 @@ def test_spec_dict_round_trip(circle16, kernel16):
     assert set(entry) == {"v*", "a_v", "fourier_coeff"}
 
 
+# ------------------------------------------------------------ fourier factor
+
+
+def _torus_kernel(basis, shape, cutoff=None):
+    """torus_watson on the grid, or its truncation at ``cutoff``."""
+    grid = torus_grid(Lattice(np.array(basis, dtype=float)), shape)
+    kernel = torus_watson(grid)
+    if cutoff is None:
+        return kernel
+    return assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff), grid)
+
+
+FACTORS = {
+    "1d256": ([[1.0]], 256, None),
+    "1d256-cut40": ([[1.0]], 256, 40),
+    "2d6x6-cut2": (np.eye(2), 6, 2),
+    "2d16x16-cut5": (np.eye(2), 16, 5),
+    "2d32x32-cut10": (np.eye(2), 32, 10),
+    "2d16x16-full": (np.eye(2), 16, None),
+    "3d8x8x8-cut3": (np.eye(3), 8, 3),
+    "skew12x10-cut3": ([[1.0, 0.7], [0.0, 1.0]], [12, 10], 3),
+    "skew7x6-full": ([[1.0, -1.2], [0.0, 1.0]], [7, 6], None),
+}
+
+
+@pytest.mark.parametrize("case", FACTORS.values(), ids=list(FACTORS))
+def test_fourier_factor_by_axes_is_the_matrix_product(case):
+    """The axis products agree with the m x r matrix to roundoff, on 1-, 2- and 3-d
+    grids, skew lattices and full rank, whichever product ``l @ xi`` takes."""
+    l = fourier_factor(_torus_kernel(*case))
+    xi = np.random.default_rng(5).standard_normal((l.shape[1], 300))
+    want = np.asarray(l) @ xi
+    got = l.by_axes(xi)
+    assert got.shape == (l.shape[0], 300)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_fourier_factor_of_the_zero_kernel_draws_zero_paths():
+    grid = torus_grid(Lattice(np.eye(2)), [6, 4])
+    l = fourier_factor(Kernel(grid, np.zeros((grid.size, grid.size))))
+    assert l.shape == (24, 0) and l.box == (0, 0)
+    xi = np.empty((0, 5))
+    assert np.array_equal(l.by_axes(xi), np.zeros((24, 5)))
+    assert np.array_equal(l @ xi, np.zeros((24, 5)))
+
+
+@pytest.mark.parametrize(
+    "name, separable",
+    [
+        ("1d256", False),
+        ("1d256-cut40", False),
+        ("2d6x6-cut2", False),  # a 5 x 5 box: 960 multiplies per column against m r = 900
+        ("2d16x16-cut5", True),  # an 11 x 11 box: 13,376 against 30,976
+        ("2d32x32-cut10", True),  # a 21 x 21 box: 99,456 against 451,584
+    ],
+)
+def test_fourier_factor_takes_the_axis_products_where_they_cost_less(name, separable):
+    """1-d grids and the 6 x 6 torus at cutoff 2 multiply by the matrix, bitwise as
+    an array factor; 16 x 16 at cutoff 5 and 32 x 32 at cutoff 10 take the axis
+    products and never build the matrix."""
+    l = fourier_factor(_torus_kernel(*FACTORS[name]))
+    assert l.separable is separable
+    xi = np.random.default_rng(6).standard_normal((l.shape[1], 40))
+    got = l @ xi
+    assert ("dense" in vars(l)) is not separable
+    assert np.array_equal(got, l.by_axes(xi) if separable else np.asarray(l) @ xi)
+
+
 # -------------------------------------------------------------------- parity
 
 
@@ -306,6 +374,25 @@ def test_torus_watson_check_golden_digest():
     assert digest == "460e41140d273d2aadbab9f3473bce5b3a2b94e29e2c703845adfddcd4fa237b"
 
 
+def test_torus_watson_check_golden_digest_16x16():
+    """Pins the axis products' arithmetic: on the 16 x 16 torus at cutoff 5 the
+    factor applies an 11 x 11 box axis by axis (its paths differ from the
+    matrix product's at roundoff), with the column order of the digest above.
+
+    ``cross_cov_max`` is left out of the digest: its product of the parts
+    sums in an order that OpenBLAS picks by its thread count (here the last
+    digit moves between one and two threads, with bitwise equal paths).
+    """
+    grid = torus_grid(Lattice(np.eye(2)), 16)
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, 5)
+    assert fourier_factor(assemble_kernel(spec, grid)).separable
+    rep = torus_watson_check(spec, grid, 1000, seed=1961)
+    assert rep["ok"]
+    assert rep.pop("cross_cov_max") == pytest.approx(5.086217744570301e-4, rel=1e-14)
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "783c6641a516bfe8716abc6417b53ca1b9c700d5469bdd91124c7c6a0ce213a0"
+
+
 # ------------------------------------------------------ streamed check
 
 
@@ -395,6 +482,41 @@ def test_streamed_check_does_not_depend_on_the_worker_count(kernel16, circle16, 
     sys.setswitchinterval(1e-6)
     try:
         threaded = torus_watson_check(kernel16, circle16, count, seed=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+@pytest.fixture(scope="module")
+def torus16x16():
+    """The 16 x 16 torus at cutoff 5, whose factor takes the axis products."""
+    kernel = _torus_kernel(np.eye(2), 16, 5)
+    return kernel, kernel.space
+
+
+def test_streamed_check_matches_the_materialized_ensemble_on_the_axis_products(torus16x16):
+    kernel, grid = torus16x16
+    assert fourier_factor(kernel).separable
+    count = BLOCK + 36  # the second block is partial
+    rep = torus_watson_check(kernel, grid, count, seed=17)
+    ref = _materialized_check(kernel, grid, count, 17)
+    assert rep["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
+    for key, val in ref.items():
+        assert rep[key] == val, key
+
+
+def test_streamed_check_on_the_axis_products_does_not_depend_on_the_worker_count(
+    torus16x16, monkeypatch
+):
+    kernel, grid = torus16x16
+    count = 4 * BLOCK + 100
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    serial = torus_watson_check(kernel, grid, count, seed=4)
+    monkeypatch.setenv("INVDECOMP_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = torus_watson_check(kernel, grid, count, seed=4)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial

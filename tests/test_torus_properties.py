@@ -8,7 +8,8 @@ product, built in row chunks.  The references below are the direct
 formulas: one cosine matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
 entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
 lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to
-the kernel it factors and to the spectrum of the kernel's own PSD check,
+the kernel it factors, its axis-by-axis product to its matrix product,
+and its columns to the spectrum of the kernel's own PSD check,
 which for an exactly stationary kernel is read from the same DFT: it is held
 to the dense ``eigvalsh``, and every other matrix on a torus grid to that
 ``eigvalsh`` bitwise.
@@ -193,7 +194,7 @@ def _assembled(basis, shape, cutoff):
 @example(kernel=torus_watson(torus_grid(Lattice(np.array([[1.0, -1.2], [0.0, 1.0]])), [7, 6])))
 def test_fourier_factor_is_the_kl_factor(kernel):
     """L L^T = K, and L's columns carry the kept eigenvalues of the PSD check, ascending."""
-    l = fourier_factor(kernel)
+    l = np.asarray(fourier_factor(kernel))
     kept = _clip_spectrum(kernel.eigenvalues)
     assert l.shape == (kernel.size, kept.size)
     scale = np.max(np.abs(kernel.matrix))
@@ -204,6 +205,21 @@ def test_fourier_factor_is_the_kl_factor(kernel):
     tol = kernel.size * np.finfo(float).eps * kept[-1]
     assert np.max(np.abs(col - kept)) <= tol
     assert np.all(np.diff(col) >= -tol)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(kernel=stationary_kernels(), seed=SEEDS)
+@example(kernel=_assembled([[1.0, 0.7], [0.0, 1.0]], [5, 8], 2), seed=0)
+@example(kernel=_assembled([[1.0, -1.2], [0.0, 1.0]], [7, 6], 2), seed=1)
+def test_fourier_factor_axis_products_are_the_matrix_product(kernel, seed):
+    """The axis products agree with L to 1e-14 of the largest path value, and
+    ``l @ xi`` is bitwise the product it takes."""
+    l = fourier_factor(kernel)
+    xi = np.random.default_rng(seed).standard_normal((l.shape[1], 17))
+    want = np.asarray(l) @ xi
+    got = l.by_axes(xi)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(l @ xi, got if l.separable else want)
 
 
 def _dense_path_raises(*args, **kwargs):

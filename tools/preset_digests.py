@@ -24,9 +24,12 @@ heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 isotypic splits, the ``kernels.irrep_spectra`` calls of the runner and the
 checks (for example ``irrep_spectra x1``), and the spectrum path of each
 ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
-``dft(256) x1, dense(256) x1``).  The heap peak is the largest ``tracemalloc``
-total (numpy's arrays included) over a second, traced run of the preset, so
-that tracing does not slow the timed run.  That traced run
+``dft(256) x1, dense(256) x1``), and the product path of each torus
+factor (``torus.fourier_factor``): ``fourier(separable <box>)`` when it
+applies its kept-index box axis by axis, else ``fourier(dense <m>x<r>)``
+(for example ``fourier(separable 11x11) x1``).  The heap peak is the
+largest ``tracemalloc`` total (numpy's arrays included) over a second,
+traced run of the preset, so that tracing does not slow the timed run.  That traced run
 also gives each check's seconds and heap peak (for example
 ``spectrum 0.14 s 25.3 MiB``): the check's wall time under tracing, and the
 largest traced total while it ran, which includes what the run held before.
@@ -57,7 +60,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from invdecomp import cli, cumulants, kernels  # noqa: E402
+from invdecomp import cli, cumulants, kernels, torus  # noqa: E402
 from invdecomp.sampling import RNG_CONTRACT  # noqa: E402
 
 
@@ -122,6 +125,26 @@ def spectrum_paths():
         yield paths
     finally:
         kernels._dft_spectrum, kernels.IndexSpace.spectrum = dft, spectrum
+
+
+@contextlib.contextmanager
+def factor_paths():
+    """Record ``fourier(separable <box>)`` or ``fourier(dense <m>x<r>)`` for each torus factor."""
+    paths: list[str] = []
+    saved = torus.fourier_factor
+
+    def traced(kernel):
+        l = saved(kernel)
+        dims = l.box if l.separable else l.shape
+        path = "separable" if l.separable else "dense"
+        paths.append(f"fourier({path} {'x'.join(map(str, dims))})")
+        return l
+
+    torus.fourier_factor = traced
+    try:
+        yield paths
+    finally:
+        torus.fourier_factor = saved
 
 
 def _sha(data: bytes) -> str:
@@ -193,14 +216,16 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         t0 = time.perf_counter()
-        with eig_calls() as calls, isotypic_splits() as splits, spectrum_paths() as paths:
-            line = digest(name)
+        with eig_calls() as calls, isotypic_splits() as splits:
+            with spectrum_paths() as paths, factor_paths() as factors:
+                line = digest(name)
         seconds = time.perf_counter() - t0
         peak, checks = traced_run(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
         eig += f"; irrep_spectra x{len(splits)}"
-        spectra = ", ".join(f"{path} x{n}" for path, n in Counter(paths).items()) or "none"
+        spectra = Counter(paths + factors)
+        spectra = ", ".join(f"{path} x{n}" for path, n in spectra.items()) or "none"
         print(
             f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
             f"checks: {', '.join(checks)}",
