@@ -38,9 +38,9 @@ at once (:func:`draw_block`) with the factor of :func:`covariance_factor`,
 and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
 stream 0) each block in chunks with that of
 ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
-characters of the torus.  From version 0.8.1 that factor is applied axis
-by axis wherever that is cheaper (never on a 1-d grid): the normals are
-those of 0.8.0, and the paths there differ from 0.8.0's at roundoff.  Up
+characters of the torus.  From version 0.8.2 that factor is applied axis
+by axis on every torus grid (from 0.8.1 on some): the normals are those of
+0.8.0, and a given kernel's torus paths differ from 0.8.0's at roundoff.  Up
 to version 0.5.0 a column held m normals and a rank-r sampler read its
 last r, and the torus check sampled the eigenvectors of ``eigh``, so
 realized samples of rank-deficient kernels and of the torus check differ

@@ -15,10 +15,9 @@ one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT the factor that samples the
 kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
 stationary is still solved densely.  The factor's columns are characters of
-the grid's index group, which factor over its axes: a
-:class:`FourierFactor` applies them one axis at a time, a matrix product
-per axis over the box of kept frequencies, wherever that takes fewer
-multiplies than the m x r matrix (never on a 1-d grid).
+the grid's index group; :func:`_characters` evaluates every character here,
+and a :class:`FourierFactor` folds each sine onto its cosine partner and
+applies its columns by one matrix product per axis.
 
 :func:`torus_watson_check` streams its samples: each block of the
 sampling contract is drawn, split and reduced ``DRAW`` columns at a time,
@@ -230,6 +229,21 @@ class TorusKernelSpec:
         }
 
 
+def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi <b, a/n> on every grid point a (rows, row-major) for
+    each index b (columns) of the (r, d) ``index``.
+
+    The turns b_k a_k mod n_k are taken in integers, so an index and its
+    aliases b + n_k e_k give bitwise equal characters.
+    """
+    points = np.indices(shape).reshape(len(shape), -1)
+    theta = np.zeros((points.shape[1], len(index)))
+    for a, b, n in zip(points, np.asarray(index).T, shape):
+        theta += np.multiply.outer(a, b) % n / n
+    theta *= 2.0 * np.pi
+    return np.cos(theta), np.sin(theta, out=theta)
+
+
 def _dual_reps(dim: int, cutoff: int) -> list[tuple[int, ...]]:
     # one representative per {b, -b} pair, |b_i| <= cutoff, zero first
     reps = [(0,) * dim]
@@ -261,36 +275,22 @@ def fourier_kl(
     k = np.asarray(profile, dtype=float)
     if k.shape != (grid.size,):
         raise KernelError("profile must be sampled on the grid")
-    vol = grid.lattice.volume
-    shape = np.array(grid.shape)
-    reps = _dual_reps(grid.dim, cutoff)
-    vectors, eigs, coeffs = [], [], []
-    worst_sine = 0.0
-    for b in reps:
-        barr = np.array(b)
-        if np.any(2 * np.abs(barr) >= shape):
-            raise KernelError(
-                f"dual vector {b} aliases on grid {grid.shape} (Nyquist)"
-            )
-        phase = 2.0 * np.pi * (grid.frac @ barr)
-        if all(x == 0 for x in b):
-            c = float(np.sum(k * grid.weights)) / vol
-            eig = c * vol
-        else:
-            c = float(np.sum(k * np.cos(phase) * grid.weights)) / (vol / 2.0)
-            s = float(np.sum(k * np.sin(phase) * grid.weights)) / (vol / 2.0)
-            worst_sine = max(worst_sine, abs(s))
-            eig = c * vol / 2.0
-        vectors.append(b)
-        coeffs.append(c)
-        eigs.append(eig)
+    vectors = np.array(_dual_reps(grid.dim, cutoff), dtype=int)
+    aliased = vectors[np.any(2 * np.abs(vectors) >= grid.shape, axis=1)]
+    if aliased.size:
+        raise KernelError(f"dual vector {tuple(map(int, aliased[0]))} aliases on grid {grid.shape} (Nyquist)")
+    cos, sin = _characters(grid.shape, vectors)
+    kw = k * grid.weights
+    half = np.where(np.any(vectors, axis=1), 0.5, 1.0) * grid.lattice.volume  # squared cosine norms
+    coeffs = (kw @ cos) / half
+    worst_sine = float(np.max(np.abs(kw @ sin) / half))
     if worst_sine > sine_tol:
         raise KernelError(f"profile is not even: sine coefficient {worst_sine:.3e}")
     return TorusKernelSpec(
         lattice=grid.lattice,
-        vectors=np.array(vectors, dtype=int),
-        eigenvalues=np.array(eigs),
-        fourier_coeffs=np.array(coeffs),
+        vectors=vectors,
+        eigenvalues=coeffs * half,
+        fourier_coeffs=coeffs,
         sine_dev=worst_sine,
         cutoff=cutoff,
         grid_shape=tuple(grid.shape),
@@ -300,18 +300,13 @@ def fourier_kl(
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
 
-    The sum is evaluated once per lag, on the m grid points (p m cosines for
-    p dual vectors), and gathered into the m x m matrix through the grid's
-    lag table; the result is exactly stationary.
+    The sum is evaluated once per lag, as one product of the m x p cosines
+    of the p dual vectors on the grid points, and gathered into the m x m
+    matrix through the grid's lag table; the result is exactly stationary.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    profile = np.zeros(grid.size)
-    for b, c in zip(spec.vectors, spec.fourier_coeffs):
-        if not np.any(b):
-            profile += c
-            continue
-        profile += c * np.cos(2.0 * np.pi * (grid.frac @ b))
+    profile = _characters(grid.shape, spec.vectors)[0] @ spec.fourier_coeffs
     return Kernel(grid, profile[grid.lag_index], name="torus_fourier")
 
 
@@ -331,33 +326,27 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     return Kernel(grid, _circle_profile(u).prod(axis=1)[grid.lag_index], name=TORUS_KERNEL)
 
 
-def _turns(points: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """b a / n mod 1 on an axis of n points, for the coordinates a of ``points``
-    (rows) and b of ``index`` (columns): exact in integers."""
-    return ((points[:, None] * index) % n) / n
-
-
 @dataclass(frozen=True, eq=False)
 class FourierFactor:
-    """The m x r factor of :func:`fourier_factor`, applied axis by axis where that is cheaper.
+    """The m x r factor of :func:`fourier_factor`, applied axis by axis.
 
     Column j is ``scale[j] * (sin if sine[j] else cos)(2 pi <b, a/n>)`` on grid
-    point a, for the kept index b = ``index[j]``.  ``np.asarray`` gives that
-    matrix, and ``l @ xi`` multiplies it into an (r, ncols) operand.
+    point a, for the kept index b = ``index[j]``.  ``l @ xi`` multiplies it
+    into an (r, ncols) operand; ``np.asarray`` gives the matrix, a reference
+    that the product never builds.
 
-    As <b, a/n> = sum_k b_k a_k / n_k, column j is the real part of
-    scale_j (1 or i) prod_k e^{-2 pi i b_k a_k / n_k}, as in the row-column
-    DFT.  :meth:`by_axes` writes each column's normal into a (re/im, s_1,
-    ..., s_d) coefficient array over the box of the kept indices (their
-    ``supports`` per axis) and turns axis k's s_k frequencies into its n_k
-    points with one matrix product: rows (a_k, re/im) of the rotations
-    [[C, S], [-S, C]] of 2 pi a_k b_k / n_k, only [C, S] on the last axis.
-    The paths land as (m, ncols), row-major.  That costs
-    sum_k rows_k 2 s_k prod_{i<k} n_i prod_{i>k} s_i multiplies per column
-    (rows_k = 2 n_k, and n_d on the last axis), against m r for the
-    matrix; ``l @ xi`` takes the cheaper (:attr:`separable`).  So a 1-d
-    grid always takes the matrix, bitwise as an array factor, and the axis
-    products agree with it to roundoff.
+    A cosine column is Re e^{i theta_b}; a sine column's index is the larger
+    of b and -b, and sin theta_b = -sin theta_{-b} = Re i e^{i theta_{-b}}.
+    So each column folds onto the smaller of its index and its negation, a
+    cosine into the re slot and a sine into the im slot.  As <b, a/n> =
+    sum_k b_k a_k / n_k, the characters then factor over the axes, as in the
+    row-column DFT: ``l @ xi`` writes each column's scaled normal into a
+    (re/im, s_1, ..., s_d) array over the box of the folded indices (their
+    distinct coordinates per axis, (c + 1) (2c + 1)^(d-1) at cutoff c) and
+    turns axis k's s_k frequencies into its n_k points by one matrix product
+    with rows (a_k, re/im) of the rotations [[C, -S], [S, C]] of
+    2 pi a_k b_k / n_k, only [C, -S] on the last axis.  The paths land as
+    (m, ncols), row-major, and agree with the matrix to roundoff.
     """
 
     grid_shape: tuple  # (n_1, ..., n_d)
@@ -370,34 +359,10 @@ class FourierFactor:
         return (math.prod(self.grid_shape), self.sine.size)
 
     @cached_property
-    def supports(self) -> list[np.ndarray]:
-        """The distinct coordinates of the kept indices on each axis, ascending."""
-        return [np.unique(b) for b in self.index.T]
-
-    @property
-    def box(self) -> tuple[int, ...]:
-        return tuple(s.size for s in self.supports)
-
-    @cached_property
-    def separable(self) -> bool:
-        """Whether ``l @ xi`` takes the axis products: fewer multiplies per column than m r."""
-        ns, box = self.grid_shape, self.box
-        rows = [2 * n for n in ns[:-1]] + [ns[-1]]
-        cost = sum(
-            rows[k] * 2 * box[k] * math.prod(ns[:k]) * math.prod(box[k + 1 :]) for k in range(len(ns))
-        )
-        return cost < math.prod(self.shape)
-
-    @cached_property
     def dense(self) -> np.ndarray:
         """The m x r matrix, read-only; built only when asked for."""
-        points = np.indices(self.grid_shape).reshape(len(self.grid_shape), -1)  # row-major
-        turns = sum(_turns(a, b, n) for a, b, n in zip(points, self.index.T, self.grid_shape))
-        theta = 2.0 * np.pi * turns
-        l = np.empty(self.shape)
-        l[:, ~self.sine] = np.cos(theta[:, ~self.sine])
-        l[:, self.sine] = np.sin(theta[:, self.sine])
-        l *= self.scale
+        cos, sin = _characters(self.grid_shape, self.index)
+        l = np.where(self.sine, sin, cos) * self.scale
         l.setflags(write=False)
         return l
 
@@ -405,23 +370,24 @@ class FourierFactor:
         return np.array(self.dense, dtype=dtype, copy=copy)
 
     @cached_property
-    def _axis_operands(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each column's flat place in the (re/im, box) coefficients, and the axis matrices."""
-        places = [np.searchsorted(s, b) for s, b in zip(self.supports, self.index.T)]
-        place = np.ravel_multi_index([self.sine.astype(np.intp), *places], (2, *self.box))
+    def _axes(self) -> tuple[np.ndarray, tuple[int, ...], list[np.ndarray]]:
+        """Each column's flat place in the (re/im, box) coefficients, the box, and the axis matrices."""
+        folded = np.where(self.sine[:, None], -self.index % self.grid_shape, self.index)
+        supports = [np.flatnonzero(np.bincount(b, minlength=n)) for b, n in zip(folded.T, self.grid_shape)]
+        box = tuple(s.size for s in supports)
+        places = [np.searchsorted(s, b) for s, b in zip(supports, folded.T)]
+        place = np.ravel_multi_index([self.sine.astype(np.intp), *places], (2, *box))
         mats = []
-        for n, s in zip(self.grid_shape, self.supports):
-            theta = 2.0 * np.pi * _turns(np.arange(n), s, n)
-            c, sin = np.cos(theta), np.sin(theta)
-            rotations = np.stack([np.hstack([c, sin]), np.hstack([-sin, c])], axis=1)
-            mats.append(rotations.reshape(2 * n, 2 * s.size))
+        for n, s in zip(self.grid_shape, supports):
+            c, sin = _characters((n,), s[:, None])
+            mats.append(np.stack([np.hstack([c, -sin]), np.hstack([sin, c])], axis=1).reshape(2 * n, -1))
         mats[-1] = np.ascontiguousarray(mats[-1][::2])  # the real rows
-        return place, mats
+        return place, box, mats
 
-    def by_axes(self, xi: np.ndarray) -> np.ndarray:
+    def __matmul__(self, xi: np.ndarray) -> np.ndarray:
         """The (m, ncols) product with the (r, ncols) ``xi``, one matrix product per axis."""
-        ncols, box = xi.shape[1], self.box
-        place, mats = self._axis_operands
+        ncols = xi.shape[1]
+        place, box, mats = self._axes
         z = np.zeros((2 * math.prod(box), ncols))
         z[place] = self.scale[:, None] * xi
         lead = 1  # the points of the axes done, which batch the products
@@ -429,9 +395,6 @@ class FourierFactor:
             z = a @ z.reshape(lead, a.shape[1], math.prod(box[k + 1 :]) * ncols)
             lead *= self.grid_shape[k]
         return z.reshape(lead, ncols)
-
-    def __matmul__(self, xi: np.ndarray) -> np.ndarray:
-        return self.by_axes(xi) if self.separable else self.dense @ xi
 
 
 def fourier_factor(kernel: Kernel) -> FourierFactor:
@@ -453,8 +416,7 @@ def fourier_factor(kernel: Kernel) -> FourierFactor:
     ascending order, ties in index order, so normal k of a column is the
     coordinate on the k-th kept eigenvalue as for every sampler.  The
     kernel is assumed stationary (see :func:`stationarity_spread`).  The
-    factor is a :class:`FourierFactor`, which applies L axis by axis where
-    that is cheaper and never builds the m x r matrix there.
+    factor is a :class:`FourierFactor`, which applies L axis by axis.
     """
     grid = kernel.space
     if not isinstance(grid, TorusGrid):
@@ -511,9 +473,8 @@ def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec
     cov @ B are built ``DRAW`` rows at a time, so cov is never held.
     """
     w, neg = grid.weights, grid.action.perm[1]
-    b = np.array([v for v in spec.vectors if np.any(v)], dtype=float).reshape(-1, grid.dim)
-    phase = 2.0 * np.pi * (grid.frac @ b.T)
-    basis = np.hstack([np.cos(phase), np.sin(phase)])
+    b = spec.vectors[np.any(spec.vectors, axis=1)]
+    basis = np.hstack(_characters(grid.shape, b))
     nrm = np.sqrt(w @ (basis * basis))
     basis = basis / np.where(nrm > 0, nrm, np.inf) * w[:, None]  # a vector of norm 0 reads 0
     cov_basis = np.empty_like(basis)
@@ -561,11 +522,10 @@ def torus_watson_check(
     doubles), the two buffers (m ``SPLIT_COLUMNS``) and its block's
     m/2 x m/2 cross-covariance partial; with the kernel, the factor and the
     total cross-covariance, one worker's check stays below two m x m
-    matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The factor holds the
-    m x r matrix only where it is applied as one; applied axis by axis it
-    holds its per-axis matrices, and a chunk's product holds at most two
-    of its partial products at once, each at most 2 m doubles per column,
-    which the chunk's paths and parts then replace.  The even part's
+    matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The factor holds its
+    per-axis matrices, and a chunk's product at most two of its partial
+    products at once, each at most 2 m doubles per column, which the
+    chunk's paths and parts then replace.  The even part's
     expansion is taken ``DRAW`` rows at a time (:func:`_basis_quadratics`).
 
     The per-block cross-covariance partials are added in block order, so
@@ -575,8 +535,8 @@ def torus_watson_check(
     chunk's columns as it does in the whole block: on OpenBLAS in every
     full block, and in a partial one a multiple of 8 columns wide
     (elsewhere to roundoff in its last columns, as ``RNG_CONTRACT``
-    allows; applied axis by axis, those can reach into the chunk before
-    the last, since a product's columns there run over a box axis too).
+    allows; on a grid of two or more axes those can reach into the chunk
+    before the last, since a product's columns run over a box axis too).
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)

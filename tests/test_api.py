@@ -86,6 +86,18 @@ def test_a_law_check_loads_no_numpy_ma():
     assert _fresh_stdout(code) == "[]"
 
 
+def test_a_torus_check_loads_no_numpy_ma():
+    """The torus factor takes its per-axis supports by ``bincount``, not ``np.unique``,
+    which imports numpy.ma."""
+    code = (
+        "import sys, numpy as np; from invdecomp.torus import Lattice, torus_grid, torus_watson, "
+        "torus_watson_check; grid = torus_grid(Lattice(np.eye(2)), 6); "
+        "torus_watson_check(torus_watson(grid), grid, 1000, seed=1); "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    assert _fresh_stdout(code) == "[]"
+
+
 def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -643,9 +643,10 @@ def test_block_generator_pulled_in_chunks_gives_the_normals_of_one_fill(width, a
     "make_factor",
     [
         lambda: fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32))),
+        lambda: fourier_factor(torus_watson(torus_grid(Lattice(np.eye(1)), 256))),
         lambda: covariance_factor(builtin_kernel("bridge", make_interval_grid(256))),
     ],
-    ids=["fourier32x32", "dense_bridge256"],
+    ids=["fourier32x32", "fourier256", "dense_bridge256"],
 )
 @pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
 def test_chunked_draw_is_draw_block_bitwise(make_factor, a, b):

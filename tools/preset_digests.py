@@ -24,10 +24,9 @@ heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 isotypic splits, the ``kernels.irrep_spectra`` calls of the runner and the
 checks (for example ``irrep_spectra x1``), and the spectrum path of each
 ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
-``dft(256) x1, dense(256) x1``), and the product path of each torus
-factor (``torus.fourier_factor``): ``fourier(separable <box>)`` when it
-applies its kept-index box axis by axis, else ``fourier(dense <m>x<r>)``
-(for example ``fourier(separable 11x11) x1``).  The heap peak is the
+``dft(256) x1, dense(256) x1``), and the folded box of frequencies that
+each torus factor (``torus.fourier_factor``) applies axis by axis (for
+example ``fourier(axes 11x21) x1``).  The heap peak is the
 largest ``tracemalloc`` total (numpy's arrays included) over a second,
 traced run of the preset, so that tracing does not slow the timed run.  That traced run
 also gives each check's seconds and heap peak (for example
@@ -129,15 +128,13 @@ def spectrum_paths():
 
 @contextlib.contextmanager
 def factor_paths():
-    """Record ``fourier(separable <box>)`` or ``fourier(dense <m>x<r>)`` for each torus factor."""
+    """Record ``fourier(axes <box>)``, the folded box of each torus factor, in the block."""
     paths: list[str] = []
     saved = torus.fourier_factor
 
     def traced(kernel):
         l = saved(kernel)
-        dims = l.box if l.separable else l.shape
-        path = "separable" if l.separable else "dense"
-        paths.append(f"fourier({path} {'x'.join(map(str, dims))})")
+        paths.append(f"fourier(axes {'x'.join(map(str, l._axes[1]))})")
         return l
 
     torus.fourier_factor = traced
