@@ -459,7 +459,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     _, starts, sizes = np.unique(rep[pts], return_index=True, return_counts=True)
     pos = np.empty(kernel.size, dtype=np.intp)
     orbits = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # ascending; np.unique would import numpy.ma
         idx = pts[starts[sizes == size][:, None] + np.arange(size)]
         pos[idx] = np.arange(size)
         orbits.append(idx)

@@ -16,10 +16,10 @@ second, and so on, r being the rank the sampler keeps (below).  A shorter
 last block takes a prefix of its generator's draw, so the normals behind the
 first k columns are the same in every draw of at least k columns with the
 same seed and stream.  A block drawn in chunks, read in turn from its one
-generator (:func:`draw_chunks`, :func:`_exponential_gemv`), gets the same
-variates as when it is drawn at once.  The samples agree bitwise over full
-blocks, and to roundoff in a partial one, where BLAS may pick another kernel
-for another column count.  ``BLOCK`` is part of the contract: changing it
+generator (:func:`draw_chunks`, :func:`_exponential_gemv`; about ``CHUNK``
+doubles per streamed array), gets the same variates as when it is drawn at
+once.  The samples agree bitwise over full blocks, and to roundoff in a
+partial one, where BLAS may pick another kernel for another column count.  ``BLOCK`` is part of the contract: changing it
 changes the samples.  This is the fourth contract (``-v4``, version 0.8.0).
 Up to version 0.7.4 (v3, Philox) realized samples differ; laws are
 unchanged: each block drew from a counter-based Philox stream keyed by
@@ -132,7 +132,7 @@ BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the w
 RNG_CONTRACT = f"sfc64-block-{BLOCK}-rowmajor-v4"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
 EXP_STREAM = 1 << 15  # stream s + EXP_STREAM holds pair_functional's tie exponentials of stream s
-EXP_CHUNK = 1 << 17   # doubles of exponentials drawn and reduced at once: 1 MiB, cache-sized
+CHUNK = 1 << 16       # doubles per array of a streamed chunk: 512 KiB, cache-sized
 # the in-law checks in order of dimension, with the defaults their wrappers and the runner read
 LAW_DEFAULTS = {
     "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
@@ -324,7 +324,7 @@ def _exponential_gemv(
     ``a`` is the first column of a block and ``b`` at most its end.  E^A and
     E^B are the block's standard exponentials on ``streams[0]`` and
     ``streams[1]``, a row of weights.size per column, row-major.  They are
-    read in turn from each stream's one generator, about ``EXP_CHUNK``
+    read in turn from each stream's one generator, about ``CHUNK``
     doubles at a time, and each chunk is reduced at once by its row GEMV, so
     the block's whole (b - a) x weights.size draw is never held.  The
     variates are bitwise those of one fill, and so is the result wherever
@@ -334,7 +334,7 @@ def _exponential_gemv(
     n = b - a
     # a multiple of 16 rows, so that OpenBLAS splits and unrolls each chunk's GEMV
     # as it does the whole block's
-    rows = max(16, EXP_CHUNK // max(1, weights.size) // 16 * 16)
+    rows = max(16, CHUNK // max(1, weights.size) // 16 * 16)
     ea = _block_generator(seed, streams[0], a)
     eb = _block_generator(seed, streams[1], a) if rho < 1.0 else None
     e, j = np.empty((min(rows, n), weights.size)), np.empty(n)

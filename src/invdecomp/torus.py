@@ -20,9 +20,9 @@ and a :class:`FourierFactor` folds each sine onto its cosine partner and
 applies its columns by one matrix product per axis.
 
 :func:`torus_watson_check` streams its samples: each block of the
-sampling contract is drawn, split and reduced ``DRAW`` columns at a time,
-so its working set is O(m ``SPLIT_COLUMNS``) on top of the kernel and its
-factor, never an m x ``BLOCK`` block.
+sampling contract is drawn, split and reduced :func:`_chunk_width` columns
+at a time (64 at m = 1024, 256 up to m = 256), so its working set is
+O(m ``SPLIT_COLUMNS``) on top of the kernel and its factor, never m x ``BLOCK``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
+    CHUNK,
     PathEnsemble,
     _blocks,
     _clip_spectrum,
@@ -73,8 +74,13 @@ __all__ = [
     "torus_watson_check",
 ]
 
-DRAW = BLOCK // 16  # columns drawn, split and reduced at once: bounds the live paths and parts
-SPLIT_COLUMNS = BLOCK // 4  # columns per cross-covariance product; a multiple of DRAW
+SPLIT_COLUMNS = BLOCK // 4  # columns per cross-covariance product; a multiple of every chunk width
+
+
+def _chunk_width(m: int) -> int:
+    """The torus check's columns per chunk: the largest power of two within ``CHUNK`` // m,
+    kept in [8, ``BLOCK`` // 16] (a multiple of 8, which OpenBLAS computes as in a block)."""
+    return min(BLOCK // 16, max(8, 1 << (max(1, CHUNK // m).bit_length() - 1)))
 
 
 @dataclass(frozen=True)
@@ -470,17 +476,17 @@ def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec
     on the columns.  The weighted, normalized cos and sin vectors of every
     nonzero dual vector are stacked as the columns of one matrix B, and all
     the quadratic forms are the column sums of B * (cov @ B).  cov and
-    cov @ B are built ``DRAW`` rows at a time, so cov is never held.
+    cov @ B are built :func:`_chunk_width` rows at a time, so cov is never held.
     """
-    w, neg = grid.weights, grid.action.perm[1]
+    w, neg, rows = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
     b = spec.vectors[np.any(spec.vectors, axis=1)]
     basis = np.hstack(_characters(grid.shape, b))
     nrm = np.sqrt(w @ (basis * basis))
     basis = basis / np.where(nrm > 0, nrm, np.inf) * w[:, None]  # a vector of norm 0 reads 0
     cov_basis = np.empty_like(basis)
-    for i in range(0, grid.size, DRAW):
-        rows = matrix[i : i + DRAW]
-        cov_basis[i : i + DRAW] = 0.5 * (rows + rows[:, neg]) @ basis
+    for i in range(0, grid.size, rows):
+        chunk = matrix[i : i + rows]
+        cov_basis[i : i + rows] = 0.5 * (chunk + chunk[:, neg]) @ basis
     q = np.sum(basis * cov_basis, axis=0)
     return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
 
@@ -511,22 +517,22 @@ def torus_watson_check(
     eigendecomposition, r normals per column for the r eigenvalues kept.
     Neither the ensemble nor a whole block of it is held.  Each ``BLOCK`` of
     columns is drawn from its one generator with that factor (stream 0), as
-    :func:`invdecomp.sampling.sample` draws it, but ``DRAW`` columns at a
-    time (:func:`invdecomp.sampling.draw_chunks`).  Each chunk is split by
-    :func:`parity_decompose` and reduced to its three energies per sample
-    and its odd values at the fixed points, and its odd rows (one per +-pair
-    of non-fixed points) and even rows (one per +-orbit) are copied into two
-    (m/2) x ``SPLIT_COLUMNS`` buffers; the cross-covariance takes one
-    product of those buffers per ``SPLIT_COLUMNS`` columns.  So a worker
-    holds one chunk of normals, paths and parts (under 2 m ``SPLIT_COLUMNS``
-    doubles), the two buffers (m ``SPLIT_COLUMNS``) and its block's
-    m/2 x m/2 cross-covariance partial; with the kernel, the factor and the
-    total cross-covariance, one worker's check stays below two m x m
-    matrices plus 3 m ``SPLIT_COLUMNS`` doubles.  The factor holds its
-    per-axis matrices, and a chunk's product at most two of its partial
-    products at once, each at most 2 m doubles per column, which the
-    chunk's paths and parts then replace.  The even part's
-    expansion is taken ``DRAW`` rows at a time (:func:`_basis_quadratics`).
+    :func:`invdecomp.sampling.sample` draws it, but ``width`` =
+    :func:`_chunk_width` (m) columns at a time (``draw_chunks``).  Each chunk
+    is split by :func:`parity_decompose` and reduced to its three energies per
+    sample and its odd values at the fixed points, and its odd rows (one per
+    +-pair of non-fixed points) and even rows (one per +-orbit) are copied into
+    two (m/2) x ``SPLIT_COLUMNS`` buffers; the cross-covariance takes one
+    product of those buffers per ``SPLIT_COLUMNS`` columns, whatever the width.
+    So a worker holds one chunk's normals, paths, parts and their temporaries
+    (under 8 m ``width`` doubles), the two buffers (m ``SPLIT_COLUMNS``) and
+    its block's m/2 x m/2 cross-covariance partial; with the kernel, the factor
+    and the total cross-covariance, one worker's check stays below two m x m
+    matrices plus m (``SPLIT_COLUMNS`` + 8 ``width``) doubles.  The factor
+    holds its per-axis matrices, and a chunk's product at most two of its
+    partial products at once, each at most 2 m doubles per column, which the
+    chunk's paths and parts then replace.  The even part's expansion is taken
+    ``width`` rows at a time (:func:`_basis_quadratics`).
 
     The per-block cross-covariance partials are added in block order, so
     every field is bitwise independent of the worker count.  Every field but
@@ -559,7 +565,7 @@ def torus_watson_check(
     if count < 1:
         raise ValueError("count must be >= 1")
     l = fourier_factor(kernel)
-    w = grid.weights
+    w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
     # x1[neg] = -x1 bitwise and x1 is 0 at the fixed points, and x2[neg] = x2
@@ -576,7 +582,7 @@ def torus_watson_check(
         odd = np.empty((half.size, SPLIT_COLUMNS))
         even = np.empty((orbits.size, SPLIT_COLUMNS))
         cross = np.zeros((half.size, orbits.size))
-        for c, x in draw_chunks(l, seed, 0, a, b, DRAW):
+        for c, x in draw_chunks(l, seed, 0, a, b, width):
             part = PathEnsemble(space=grid, samples=x, seed=seed)
             x1, x2 = (p.samples for p in parity_decompose(part))
             out = slice(c, c + x.shape[1])

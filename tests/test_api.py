@@ -98,6 +98,19 @@ def test_a_torus_check_loads_no_numpy_ma():
     assert _fresh_stdout(code) == "[]"
 
 
+def test_isotypic_spectra_load_no_numpy_ma():
+    """The isotypic split takes its orbit sizes by ``bincount``, not ``np.unique``,
+    which imports numpy.ma."""
+    code = (
+        "import sys; from invdecomp.groups import character_table; "
+        "from invdecomp.kernels import builtin_kernel, irrep_spectra, make_interval_grid; "
+        "k = builtin_kernel('watson', make_interval_grid(16)); "
+        "irrep_spectra(k, character_table(k.space.action.group)); "
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
+    assert _fresh_stdout(code) == "[]"
+
+
 def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -49,7 +49,7 @@ from invdecomp.sampling import (
     sample,
     worker_count,
 )
-from invdecomp.torus import DRAW, Lattice, fourier_factor, torus_grid, torus_watson
+from invdecomp.torus import Lattice, _chunk_width, fourier_factor, torus_grid, torus_watson
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +454,7 @@ def test_copies_sum_is_worker_and_prefix_stable(tied, rho):
 @pytest.mark.parametrize("width", [100, 510, 1500])
 @pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
 def test_streamed_exponential_gemv_is_one_fill_bitwise(a, b, width, rho):
-    """The law checks draw and reduce their exponentials about EXP_CHUNK doubles at a
+    """The law checks draw and reduce their exponentials about CHUNK doubles at a
     time; the result is bitwise that of one fill of the block and one GEMV per side,
     the last chunk partial included."""
     weights = np.random.default_rng(width).random(width)
@@ -650,12 +650,13 @@ def test_block_generator_pulled_in_chunks_gives_the_normals_of_one_fill(width, a
 )
 @pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
 def test_chunked_draw_is_draw_block_bitwise(make_factor, a, b):
-    """The torus check draws DRAW columns at a time; its paths are bitwise those of
-    the whole block, the last chunk partial included."""
+    """The torus check draws _chunk_width(m) columns at a time; its paths are bitwise
+    those of the whole block, the last chunk partial included."""
     l = make_factor()
-    chunks = list(draw_chunks(l, 13, 0, a, b, DRAW))
-    assert [c for c, _ in chunks] == list(range(a, b, DRAW))
-    assert chunks[-1][1].shape == (l.shape[0], (b - a) % DRAW or DRAW)
+    width = _chunk_width(l.shape[0])
+    chunks = list(draw_chunks(l, 13, 0, a, b, width))
+    assert [c for c, _ in chunks] == list(range(a, b, width))
+    assert chunks[-1][1].shape == (l.shape[0], (b - a) % width or width)
     assert np.array_equal(np.hstack([x for _, x in chunks]), draw_block(l, 13, 0, a, b))
 
 
@@ -664,10 +665,11 @@ def test_chunked_draw_of_a_partial_block_is_draw_block_to_roundoff():
     the whole block (OpenBLAS does when its width is not a multiple of 8): the full
     chunks stay bitwise and the last agrees to roundoff, as the contract allows."""
     l = fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32)))
-    a, b = BLOCK, BLOCK + 2 * DRAW + 3
-    got = np.hstack([x for _, x in draw_chunks(l, 13, 0, a, b, DRAW)])
+    width = _chunk_width(l.shape[0])
+    a, b = BLOCK, BLOCK + 2 * width + 3
+    got = np.hstack([x for _, x in draw_chunks(l, 13, 0, a, b, width)])
     want = draw_block(l, 13, 0, a, b)
-    assert np.array_equal(got[:, : 2 * DRAW], want[:, : 2 * DRAW])
+    assert np.array_equal(got[:, : 2 * width], want[:, : 2 * width])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 

@@ -22,12 +22,20 @@ import pytest
 from invdecomp import kernels
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
-from invdecomp.sampling import BLOCK, compare_distributions, ks_statistic, null_ks_critical, sample
+from invdecomp.sampling import (
+    BLOCK,
+    CHUNK,
+    compare_distributions,
+    ks_statistic,
+    null_ks_critical,
+    sample,
+)
 from invdecomp.torus import (
     SPLIT_COLUMNS,
     Lattice,
     TorusKernelSpec,
     _characters,
+    _chunk_width,
     assemble_kernel,
     dual_lattice,
     fourier_factor,
@@ -454,7 +462,7 @@ def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
 
 
 def test_streamed_cross_covariance_sums_split_slices_in_order_bitwise():
-    """Drawing DRAW columns at a time leaves the cross-covariance's summation as it
+    """Drawing a chunk of columns at a time leaves the cross-covariance's summation as it
     was: one product per SPLIT_COLUMNS slice of each block, added in order."""
     grid = torus_grid(Lattice(np.eye(2)), 16)
     kernel = torus_watson(grid)
@@ -577,3 +585,55 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
         tracemalloc.stop()
     assert rep["ok"]
     assert peak < (2 * m * m + 3 * m * SPLIT_COLUMNS) * 8
+
+
+@pytest.mark.parametrize(
+    "m, want", [(36, 256), (256, 256), (257, 128), (1024, 64), (CHUNK // 8 + 1, 8)]
+)
+def test_chunk_width_is_the_largest_power_of_two_in_the_cache_budget(m, want):
+    width = _chunk_width(m)
+    assert width == want
+    assert width & (width - 1) == 0
+    assert width * m <= CHUNK or width == 8
+    assert width == BLOCK // 16 or 2 * width * m > CHUNK
+    assert 8 <= width <= BLOCK // 16
+    assert SPLIT_COLUMNS % width == 0
+
+
+def test_every_grid_of_at_most_256_points_keeps_the_widest_chunk():
+    assert {_chunk_width(m) for m in range(1, 257)} == {BLOCK // 16}
+
+
+@pytest.fixture(scope="module")
+def spec32():
+    grid = torus_grid(Lattice(np.eye(2)), 32)
+    return fourier_kl(torus_watson(grid).matrix[0], grid, 3), grid
+
+
+def test_torus_report_does_not_depend_on_the_chunk_width(spec32, monkeypatch):
+    """At m = 1024 the check draws 64 columns at a time; its report is that of the
+    widest chunk, BLOCK // 16, in a partial block whose last chunk is 40 wide."""
+    spec, grid = spec32
+    count = BLOCK + 104
+    assert _chunk_width(grid.size) < BLOCK // 16
+    narrow = torus_watson_check(spec, grid, count, seed=5)
+    monkeypatch.setattr("invdecomp.torus._chunk_width", lambda m: BLOCK // 16)
+    assert torus_watson_check(spec, grid, count, seed=5) == narrow
+
+
+def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
+    """The check's peak allocation at m = 1024 is below two kernel matrices, the
+    worker's odd and even slice buffers (m SPLIT_COLUMNS doubles) and eight m-row
+    arrays of one chunk's width: normals, partial products, paths, parts and
+    their squares and gathers.  A chunk of BLOCK // 16 columns does not fit."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    spec, grid = spec32
+    m, width = grid.size, _chunk_width(grid.size)
+    tracemalloc.start()
+    try:
+        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"]
+    assert peak < (2 * m * m + m * SPLIT_COLUMNS + 8 * m * width) * 8

@@ -26,10 +26,10 @@ from hypothesis import strategies as st
 from invdecomp.kernels import Kernel, KernelError, weighted_symmetric
 from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
-    DRAW,
     Lattice,
     _basis_quadratics,
     _characters,
+    _chunk_width,
     assemble_kernel,
     fourier_factor,
     fourier_kl,
@@ -150,7 +150,7 @@ def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
 
 def test_basis_quadratics_in_row_chunks_are_the_dense_product_bitwise():
     """At m = 1024 the even covariance and its product with the basis are built in
-    DRAW-row chunks; the forms are bitwise those of the dense even covariance."""
+    _chunk_width(m)-row chunks; the forms are bitwise those of the dense even covariance."""
     grid = torus_grid(Lattice(np.eye(2)), 32)
     k = torus_watson(grid).matrix
     spec = fourier_kl(k[0], grid, 10)
@@ -160,7 +160,7 @@ def test_basis_quadratics_in_row_chunks_are_the_dense_product_bitwise():
     basis = basis / np.sqrt(w @ (basis * basis)) * w[:, None]
     even = 0.5 * (k + k[:, grid.action.perm[1]])
     q = np.sum(basis * (even @ basis), axis=0)
-    assert grid.size > DRAW
+    assert grid.size > _chunk_width(grid.size)
     want = {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
     assert _basis_quadratics(k, grid, spec) == want
 

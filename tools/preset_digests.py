@@ -25,8 +25,9 @@ isotypic splits, the ``kernels.irrep_spectra`` calls of the runner and the
 checks (for example ``irrep_spectra x1``), and the spectrum path of each
 ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
 ``dft(256) x1, dense(256) x1``), and the folded box of frequencies that
-each torus factor (``torus.fourier_factor``) applies axis by axis (for
-example ``fourier(axes 11x21) x1``).  The heap peak is the
+each torus factor (``torus.fourier_factor``) applies axis by axis, with the
+columns per chunk that the torus check streams it (for example
+``fourier(axes 11x21, chunk 64) x1``).  The heap peak is the
 largest ``tracemalloc`` total (numpy's arrays included) over a second,
 traced run of the preset, so that tracing does not slow the timed run.  That traced run
 also gives each check's seconds and heap peak (for example
@@ -128,13 +129,15 @@ def spectrum_paths():
 
 @contextlib.contextmanager
 def factor_paths():
-    """Record ``fourier(axes <box>)``, the folded box of each torus factor, in the block."""
+    """Record ``fourier(axes <box>, chunk <width>)`` for each torus factor in the block:
+    its folded box and the torus check's chunk width on its grid."""
     paths: list[str] = []
     saved = torus.fourier_factor
 
     def traced(kernel):
         l = saved(kernel)
-        paths.append(f"fourier(axes {'x'.join(map(str, l._axes[1]))})")
+        box = "x".join(map(str, l._axes[1]))
+        paths.append(f"fourier(axes {box}, chunk {torus._chunk_width(l.shape[0])})")
         return l
 
     torus.fourier_factor = traced
