@@ -9,72 +9,47 @@ Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
 The sample axis is cut into fixed blocks of ``BLOCK`` columns.  Block b
 (columns b*BLOCK, ..., b*BLOCK + BLOCK - 1) of an ensemble is drawn from
-one SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream, b))``,
-numpy's pattern for independent parallel streams, in row-major order: the
-generator's first r normals are the block's first column, the next r its
-second, and so on, r being the rank the sampler keeps (below).  A shorter
-last block takes a prefix of its generator's draw, so the normals behind the
-first k columns are the same in every draw of at least k columns with the
-same seed and stream.  A block drawn in chunks, read in turn from its one
-generator (:func:`draw_chunks`, :func:`_exponential_gemv`; about ``CHUNK``
-doubles per streamed array), gets the same variates as when it is drawn at
-once.  The samples agree bitwise over full blocks, and to roundoff in a
-partial one, where BLAS may pick another kernel for another column count.  ``BLOCK`` is part of the contract: changing it
-changes the samples.  This is the fourth contract (``-v4``, version 0.8.0).
-Up to version 0.7.4 (v3, Philox) realized samples differ; laws are
-unchanged: each block drew from a counter-based Philox stream keyed by
-(seed, stream, b) (Salmon et al., SC'11), with the layout above.  Realized
-samples also differ from those of version 0.1.0, which keyed one stream per
-column; per-block keying holds from version 0.2.0.
+one SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream, b))``
+(:func:`_block_generator`), numpy's pattern for independent parallel
+streams, in row-major order: the generator's first r normals are the block's
+first column, the next r its second, and so on, r being the rank the sampler
+keeps (below).  A shorter last block takes a prefix of its generator's draw,
+so the normals behind the first k columns are the same in every draw of at
+least k columns with the same seed and stream.  A block drawn in chunks,
+read in turn from its one generator (:func:`draw_chunks`, :func:`_chi2_sum`;
+about ``CHUNK`` doubles per streamed array), gets the same variates as when
+it is drawn at once.  The samples agree bitwise over full blocks, and to
+roundoff in a partial one, where BLAS may pick another kernel for another
+column count.  ``BLOCK`` is part of the contract: changing it changes the
+samples.  This is the fourth contract (``-v4``).
 
 A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
 keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
 eigenvalue in ascending order, the Karhunen-Loeve coordinates.  Every
-sampler reads the normals this way.  :func:`pair_functional` reduces them
-against the kept eigenvalues, with no path, and draws their exact ties as
-exponentials (below).  The path samplers draw through :func:`draw_chunks`,
-which applies an m x r factor to r x ncols normals: ``sample`` each block
-at once (:func:`draw_block`) with the factor of :func:`covariance_factor`,
-and the streamed torus parity check (``invdecomp.torus.torus_watson_check``,
-stream 0) each block in chunks with that of
-``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
-characters of the torus.  From version 0.8.2 that factor is applied axis
-by axis on every torus grid (from 0.8.1 on some): the normals are those of
-0.8.0, and a given kernel's torus paths differ from 0.8.0's at roundoff.  Up
-to version 0.5.0 a column held m normals and a rank-r sampler read its
-last r, and the torus check sampled the eigenvectors of ``eigh``, so
-realized samples of rank-deficient kernels and of the torus check differ
-from those versions; a full-rank kernel draws the same normals as
-before.  Up to version 0.2.0 the law checks
-(duplication, quadruplication, cumulants, mgf), and up to version 0.3.0 the
-path samplers, multiplied all m normals by the symmetric root of K, so
-their realized samples differ from those versions.
+sampler reads the normals this way.  The path samplers draw through
+:func:`draw_chunks`, which applies an m x r factor to r x ncols normals:
+``sample`` each block at once (:func:`draw_block`) with the factor of
+:func:`covariance_factor`, and the streamed torus parity check
+(``invdecomp.torus.torus_watson_check``, stream 0) each block in chunks with
+that of ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
+characters of the torus, applied axis by axis.
 
-The right side of :func:`law_check` draws standard exponentials instead of
-normals, with the same per-block keying (:func:`_block_generator`): stream 2
-holds G^A and stream 3 G^B, the latter not drawn at rho = 1.  A column takes
-h*r exponentials of its block's stream, row-major, h = 2^(d-1) on [0, 1]^d;
-exponential j*r + k adds to the k-th ascending kept eigenvalue of the
-tied-down kernel (:func:`_copies_sum`).  Up to version 0.4.0 that side
-summed 2^d pair functionals on streams (2 + 2i, 3 + 2i), so its realized
-samples differ from those versions; its law and the left side's samples are
-unchanged.
-
-:func:`pair_functional` draws exact eigenvalue ties as exponentials, from
-the third contract on (``-v3``, version 0.7.0).  The kept spectrum
-splits into runs of bitwise-equal values (never equal within a tolerance);
-a run of L values lambda gives L // 2 pairs and, for odd L, one leftover.
-The leftovers, ascending, take the normals above: normal k of a column on
-stream s = ``streams[0]`` (and ``streams[1]``) belongs to the k-th
-leftover.  The pairs, ascending, take standard exponentials with the same
-per-block keying on stream s + ``EXP_STREAM`` (2^15): a column holds one
-exponential per pair, row-major, so ``streams`` must lie below 2^15, and
-these ids never meet the streams 0 to 3 of the law check.  A tie-free
-spectrum has no pairs and reads its normals as version 0.6.0 did.  A
-DFT spectrum (``invdecomp.kernels``) ties every +-frequency pair, so the
-realized functionals of the duplication, quadruplication, cumulants and mgf
-checks on watson and sheet_compensated kernels differ from version 0.6.0;
-their law does not.
+Both sides of a law check are weighted chi^2 sums over a kept spectrum, drawn
+with no paths by one sampler, :func:`_chi2_sum`: a weight of one degree of
+freedom reads normals, and a weight of two reads standard exponentials, since
+chi^2_2 = 2 Exp(1), with the same per-block keying.  :func:`pair_functional`
+splits the kept spectrum into runs of bitwise-equal values (never equal
+within a tolerance); a run of L values lambda gives L // 2 pairs and, for odd
+L, one leftover.  The leftovers, ascending, take the normals above: normal k
+of a column on stream s = ``streams[0]`` (and ``streams[1]``) belongs to the
+k-th leftover.  The pairs, ascending, take one exponential per column on
+stream s + ``EXP_STREAM`` (2^15), row-major, so ``streams`` must lie below
+2^15, and these ids never meet the streams 0 to 3 of the law check.  The
+right side of :func:`law_check` has pairs only: stream 2 holds G^A and
+stream 3 G^B.  A column takes h*r exponentials of its block's stream,
+row-major, h = 2^(d-1) on [0, 1]^d; exponential j*r + k adds to the k-th
+ascending kept eigenvalue of the tied-down kernel.  No second stream is
+drawn at rho = 1.
 
 All heavy numerics run over these blocks regardless of how many worker
 threads are active.  Threads are opt-in: sampling runs in one worker unless
@@ -155,26 +130,20 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _key(seed: int, stream: int, block: int) -> None:
-    """Raise unless seed, stream id and block index fit in 64, 16 and 48 bits, so
-    that no two blocks alias (up to version 0.7.4 the fields of a block's Philox key)."""
+def _block_generator(seed: int, stream: int, a: int) -> Generator:
+    """The generator of the block that starts at column ``a``: the one keying rule.
+
+    SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``.
+    Raises unless seed, stream id and block index fit in 64, 16 and 48 bits,
+    so that no two blocks alias.
+    """
+    block = a // BLOCK
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= stream < (1 << 16):
         raise ValueError(f"stream must be in [0, 2**16), got {stream}")
     if not 0 <= block < (1 << 48):
         raise ValueError("block index out of the 48-bit key range")
-
-
-def _block_generator(seed: int, stream: int, a: int) -> Generator:
-    """The generator of the block that starts at column ``a``: the one keying rule.
-
-    SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``,
-    once :func:`_key` has checked the three ranges.  Up to version 0.7.4 (v3,
-    Philox) realized samples differ; laws are unchanged.
-    """
-    block = a // BLOCK
-    _key(seed, stream, block)
     return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
 
 
@@ -237,7 +206,7 @@ def _clip_spectrum(evals: np.ndarray) -> np.ndarray:
     The one clip rule of the sampled laws, whose size r is the rank sampled:
     :func:`covariance_factor` applies it to the eigenvalues of
     ``weighted_eigh``, ``invdecomp.torus.fourier_factor`` to the DFT
-    spectrum, and :func:`pair_functional` and :func:`_copies_sum` to
+    spectrum, and :func:`pair_functional` and :func:`law_check` to
     ``Kernel.eigenvalues``, so every sampler of a kernel draws a law of the
     same rank.
     """
@@ -316,37 +285,61 @@ def _tie_split(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(lam[starts], runs // 2), lam[starts[runs % 2 == 1]]
 
 
-def _exponential_gemv(
-    weights: np.ndarray, rho: float, seed: int, streams: tuple[int, int], a: int, b: int
+def _chi2_sum(
+    single: np.ndarray,
+    pairs: np.ndarray,
+    rho: float,
+    count: int,
+    seed: int,
+    streams: tuple[int, int],
+    exp_streams: tuple[int, int],
 ) -> np.ndarray:
-    """(1 + rho) E^A @ weights - (1 - rho) E^B @ weights for columns a, ..., b-1.
+    """``count`` draws of sum_k single_k xi_k (rho xi_k + c eta_k)
+    + sum_k pairs_k [(1+rho) E^A_k - (1-rho) E^B_k], c = sqrt(1 - rho^2).
 
-    ``a`` is the first column of a block and ``b`` at most its end.  E^A and
-    E^B are the block's standard exponentials on ``streams[0]`` and
-    ``streams[1]``, a row of weights.size per column, row-major.  They are
-    read in turn from each stream's one generator, about ``CHUNK``
-    doubles at a time, and each chunk is reduced at once by its row GEMV, so
-    the block's whole (b - a) x weights.size draw is never held.  The
-    variates are bitwise those of one fill, and so is the result wherever
-    BLAS computes a chunk's rows as it does in the whole block (a full
-    block, on OpenBLAS).  E^B is not drawn at rho = 1.
+    The one sampler of the law checks' weighted chi^2 sums.  Per block, xi and
+    eta are the normals of ``streams[0]`` and ``streams[1]``, a row of
+    single.size per column, and E^A and E^B the standard exponentials of
+    ``exp_streams[0]`` and ``exp_streams[1]``, a row of pairs.size per column.
+    The exponentials are read in turn from each stream's one generator, about
+    ``CHUNK`` doubles at a time, and each chunk's row GEMV is added into the
+    block's output at once, so the block's whole draw of them is never held.
+    The variates are bitwise those of one fill, and so is the result wherever
+    BLAS computes a chunk's rows as it does in the whole block (a full block,
+    on OpenBLAS).  No second stream is drawn at rho = 1.
     """
-    n = b - a
+    comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     # a multiple of 16 rows, so that OpenBLAS splits and unrolls each chunk's GEMV
     # as it does the whole block's
-    rows = max(16, CHUNK // max(1, weights.size) // 16 * 16)
-    ea = _block_generator(seed, streams[0], a)
-    eb = _block_generator(seed, streams[1], a) if rho < 1.0 else None
-    e, j = np.empty((min(rows, n), weights.size)), np.empty(n)
-    for c in range(0, n, rows):
-        chunk = e[: min(rows, n - c)]
-        ea.standard_exponential(out=chunk)
-        jc = (1.0 + rho) * (chunk @ weights)
-        if eb is not None:
-            eb.standard_exponential(out=chunk)
-            jc -= (1.0 - rho) * (chunk @ weights)
-        j[c : c + chunk.shape[0]] = jc
-    return j
+    rows = max(16, CHUNK // max(1, pairs.size) // 16 * 16)
+    out = np.zeros(count)
+
+    def run(blk):
+        a, b = blk
+        if single.size:
+            xi = np.empty((b - a, single.size))
+            _fill_normals(xi, seed, streams[0], a)
+            # each einsum is one pass over the normals, with no temporary block
+            out[a:b] = np.einsum("ck,ck,k->c", xi, xi, single)
+            if comp > 0.0:
+                eta = np.empty_like(xi)
+                _fill_normals(eta, seed, streams[1], a)
+                out[a:b] = rho * out[a:b] + comp * np.einsum("ck,ck,k->c", xi, eta, single)
+        if pairs.size:
+            ea = _block_generator(seed, exp_streams[0], a)
+            eb = _block_generator(seed, exp_streams[1], a) if rho < 1.0 else None
+            e = np.empty((min(rows, b - a), pairs.size))
+            for c in range(a, b, rows):
+                chunk = e[: min(rows, b - c)]
+                ea.standard_exponential(out=chunk)
+                jc = (1.0 + rho) * (chunk @ pairs)
+                if eb is not None:
+                    eb.standard_exponential(out=chunk)
+                    jc -= (1.0 - rho) * (chunk @ pairs)
+                out[c : c + chunk.shape[0]] += jc
+
+    _parallel(_blocks(count), run)
+    return out
 
 
 def pair_functional(
@@ -369,64 +362,17 @@ def pair_functional(
     so two terms with the same lambda add up, in law, to
     lambda [(1+rho) E^A - (1-rho) E^B] with standard exponentials E, since
     chi^2_2 = 2 Exp(1).  :func:`_tie_split` cuts the kept spectrum into the
-    pairs of its runs of bitwise-equal values and its single leftovers, both
-    ascending.  Normal k of a column of stream ``streams[0]`` is xi_k and of
-    ``streams[1]`` is eta_k of the k-th single; exponential k of
-    ``streams[0] + EXP_STREAM`` is E^A and of ``streams[1] + EXP_STREAM`` is
-    E^B of the k-th pair.  At rho = 1 neither second stream is drawn.
+    pairs of its runs of bitwise-equal values and its single leftovers, and
+    :func:`_chi2_sum` draws the singles on ``streams`` and the pairs on
+    ``streams`` + ``EXP_STREAM``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if not all(0 <= s < EXP_STREAM for s in streams):
         raise ValueError(f"streams must be in [0, {EXP_STREAM}), got {streams}")
-    lam = _clip_spectrum(kernel.eigenvalues)
-    pairs, single = _tie_split(lam)
+    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
     exp_streams = (streams[0] + EXP_STREAM, streams[1] + EXP_STREAM)
-    comp = np.sqrt(max(0.0, 1.0 - rho * rho))
-    out = np.empty(count)
-
-    def run(blk):
-        a, b = blk
-        xi = np.empty((b - a, single.size))
-        _fill_normals(xi, seed, streams[0], a)
-        # each einsum is one pass over the normals, with no temporary block
-        j = np.einsum("ck,ck,k->c", xi, xi, single)
-        if comp > 0.0:
-            eta = np.empty_like(xi)
-            _fill_normals(eta, seed, streams[1], a)
-            j = rho * j + comp * np.einsum("ck,ck,k->c", xi, eta, single)
-        if pairs.size:
-            j += _exponential_gemv(pairs, rho, seed, exp_streams, a, b)
-        out[a:b] = j
-
-    _parallel(_blocks(count), run)
-    return out
-
-
-def _copies_sum(tied: Kernel, rho: float, copies: int, count: int, seed: int) -> np.ndarray:
-    """The sum of ``copies`` independent :func:`pair_functional` draws of ``tied``,
-    divided by copies^2, drawn from its chi^2 form; ``copies`` is even.
-
-    Copy i is sum_k mu_k xi_k (rho xi_k + c eta_k) on the kept spectrum mu,
-    and xi (rho xi + c eta) has the law of ((1+rho) U^2 - (1-rho) V^2) / 2 for
-    independent standard normals U, V.  Over the copies the U^2 and the V^2
-    add up to chi^2 variates with ``copies`` degrees of freedom, each twice a
-    Gamma(h) variate, h = copies / 2, so the sum is exactly in law
-    sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k], with each G_k the sum of h
-    standard exponentials.  Layout: a column's row of its block on stream 2
-    holds h*r exponentials for the r kept eigenvalues, and exponential
-    j*r + k adds to G^A_k, mu ascending; stream 3 holds G^B alike and is not
-    drawn at rho = 1 (:func:`_exponential_gemv`).
-    """
-    mu = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2)
-    out = np.empty(count)
-
-    def run(blk):
-        a, b = blk
-        out[a:b] = _exponential_gemv(mu, rho, seed, (2, 3), a, b) / copies**2
-
-    _parallel(_blocks(count), run)
-    return out
+    return _chi2_sum(single, pairs, rho, count, seed, streams, exp_streams)
 
 
 def kstat(data: np.ndarray, n: int) -> float:
@@ -607,8 +553,14 @@ def law_check(
     1-d, quadruplication on the square.  The tied-down partner that the
     kernel's ``BUILTINS`` record names is built on ``kernel.space``.  The
     left side is :func:`pair_functional` of ``kernel`` on streams (0, 1).
-    The right side is drawn from its chi^2 form by :func:`_copies_sum` on
-    streams 2 and 3, exactly in law and without drawing the copies.
+
+    The right side is drawn from its chi^2 form, exactly in law and without
+    drawing the copies.  Over the copies the U^2 and the V^2 of
+    ((1+rho) U^2 - (1-rho) V^2) / 2 add up to chi^2 variates with 2^d degrees
+    of freedom, so the sum is sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k] on
+    the tied-down kept spectrum mu, each G_k the sum of h = 2^(d-1) standard
+    exponentials: :func:`_chi2_sum` of h tiled copies of mu on streams 2
+    and 3.  Its weights take the factor 4^-d, a power of 2, so exactly.
     """
     partner = getattr(BUILTINS.get(kernel.name), "tied", None)
     if partner is None:
@@ -618,7 +570,8 @@ def law_check(
     tied = builtin_kernel(partner, space)
     copies = 2**space.dim
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    rhs = _copies_sum(tied, rho, copies, count, seed)
+    mu = _clip_spectrum(tied.eigenvalues)
+    rhs = _chi2_sum(mu[:0], np.tile(mu, copies // 2) / copies**2, rho, count, seed, (2, 3), (2, 3))
     kap_l = analytic_cumulants(kernel, rho, 8).values
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
     kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -64,6 +65,36 @@ def _fresh_stdout(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     return out.stdout.strip()
+
+
+def test_traced_probes_bind_the_counted_arguments(tmp_path):
+    """The benchmark tracer, installed in a new interpreter, runs the duplication and
+    torus probes through the runner: its counters bind ``kernel``, ``count`` and
+    ``streams`` of ``pair_functional`` and ``ensemble`` of ``parity_decompose``."""
+    code = f"""
+import json, sys
+import invdecomp.cli as cli
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+from tracer import Tracer, install
+from workloads import PROBES
+tracer = Tracer()
+install(tracer)
+codes = []
+for probe in PROBES:
+    if probe.name in ("probe-duplication", "probe-torus"):
+        out = {str(tmp_path)!r} + "/" + probe.name
+        path = out + ".json"
+        with open(path, "w") as f:
+            json.dump(probe.make_config(21, out), f)
+        codes.append(cli.main(["run", path]))
+m = tracer.metrics()
+print(json.dumps([codes, m["sampling.columns"][0], m["torus.dense_bytes"][0]]))
+"""
+    codes, columns, dense_bytes = json.loads(_fresh_stdout(code).splitlines()[-1])
+    assert len(codes) == 2 and set(codes) <= {0, 1}
+    assert columns > 0
+    assert dense_bytes > 0
 
 
 def test_importing_the_runner_loads_no_scipy_or_jsonschema():

@@ -28,12 +28,11 @@ from invdecomp.sampling import (
     EXP_STREAM,
     KS_EXACT_MAX,
     RNG_CONTRACT,
+    _chi2_sum,
     _clip_spectrum,
     _block_generator,
-    _copies_sum,
-    _exponential_gemv,
     _fill_normals,
-    _key,
+    _law_report,
     _tie_split,
     compare_distributions,
     covariance_factor,
@@ -43,6 +42,7 @@ from invdecomp.sampling import (
     ks_statistic,
     kstat as np_kstat,
     kstat_variances,
+    law_check,
     null_ks_critical,
     pair_functional,
     quadruplication_check,
@@ -137,13 +137,13 @@ def test_rng_contract_golden_digest():
 )
 def test_key_rejects_aliasing_values(seed, stream, block):
     with pytest.raises(ValueError):
-        _key(seed, stream, block)
+        _block_generator(seed, stream, block * BLOCK)
 
 
 def test_key_accepts_its_extremes(watson32):
     top = (1 << 64) - 1
-    assert _key(top, 0xFFFF, (1 << 48) - 1) is None
-    assert _key(0, 1, 0) is None
+    assert isinstance(_block_generator(top, 0xFFFF, ((1 << 48) - 1) * BLOCK), Generator)
+    assert isinstance(_block_generator(0, 1, 0), Generator)
     assert sample(watson32, 3, seed=top).samples.shape == (32, 3)
     with pytest.raises(ValueError, match="seed"):
         sample(watson32, 3, seed=1 << 64)
@@ -402,13 +402,21 @@ def test_pair_functional_streams_leave_room_for_the_exponentials(watson32):
 # ------------------------------------------- chi^2 right side of the law check
 
 
+def _law_rhs(kernel, rho, count, seed):
+    """The right side of ``law_check(kernel, rho, count, seed)``, as law_check draws it:
+    the sum of 2^d copies of the tied-down partner's pair functional, over 4^d."""
+    with mock.patch("invdecomp.sampling._law_report", wraps=_law_report) as report:
+        law_check(kernel, rho, count, seed)
+    return report.call_args.args[1]
+
+
 def test_copies_sum_golden_digest():
     """Pins the right side's exponential streams: one SFC64 generator per (seed, block)
     on stream 2 (G^A) and 3 (G^B), h*m exponentials per column in row-major
     order, exponential j*m + k added to the k-th ascending eigenvalue."""
     tied = builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(3)] * 2))
     m, h, rho = tied.size, 2, 0.5
-    rhs = _copies_sum(tied, rho, 4, BLOCK + 4, seed=1961)
+    rhs = _law_rhs(_sheet_compensated(3), rho, BLOCK + 4, seed=1961)
     e = {
         s: Generator(SFC64(SeedSequence(1961, spawn_key=(s, 1)))).standard_exponential(4 * h * m)
         for s in (2, 3)
@@ -423,31 +431,47 @@ def test_copies_sum_golden_digest():
     assert np.all(np.abs(rhs[BLOCK:] - want) <= 4 * h * m * np.finfo(float).eps * scale)
 
 
+# compensated kernels of the law check; the test ids name the tied-down partners,
+# whose copies the right side sums
+LAW_KERNELS = [builtin_kernel("watson", make_interval_grid(32)), _sheet_compensated(4)]
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize(
-    "tied",
-    [
-        builtin_kernel("bridge", make_interval_grid(32)),
-        builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(4)] * 2)),
-    ],
-    ids=["bridge32", "sheet4x4"],
-)
-def test_copies_sum_is_worker_and_prefix_stable(tied, rho):
+@pytest.mark.parametrize("kernel", LAW_KERNELS, ids=["bridge32", "sheet4x4"])
+def test_copies_sum_is_worker_and_prefix_stable(kernel, rho):
     """Bitwise equal at 1, 2 and 3 workers, and over full blocks at fewer columns."""
-    copies, count = 2**tied.space.dim, 2 * BLOCK + 8
+    copies, count = 2**kernel.space.dim, 2 * BLOCK + 8
     seen = []
     for threads in ("1", "2", "3"):
         with mock.patch.dict(os.environ, {"INVDECOMP_THREADS": threads}):
-            seen.append(_copies_sum(tied, rho, copies, count, seed=2))
+            seen.append(_law_rhs(kernel, rho, count, seed=2))
     for rhs in seen[1:]:
         assert np.array_equal(rhs, seen[0])
     full = seen[0]
-    assert np.array_equal(_copies_sum(tied, rho, copies, 2 * BLOCK, seed=2), full[: 2 * BLOCK])
-    part = _copies_sum(tied, rho, copies, BLOCK + 3, seed=2)
+    assert np.array_equal(_law_rhs(kernel, rho, 2 * BLOCK, seed=2), full[: 2 * BLOCK])
+    part = _law_rhs(kernel, rho, BLOCK + 3, seed=2)
     assert np.array_equal(part[:BLOCK], full[:BLOCK])
     # roundoff of an h*m-term dot product, h = copies / 2
-    tol = 4 * (copies // 2) * tied.size * np.finfo(float).eps * np.abs(full).max()
+    tol = 4 * (copies // 2) * kernel.size * np.finfo(float).eps * np.abs(full).max()
     np.testing.assert_allclose(part, full[: BLOCK + 3], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kernel", LAW_KERNELS, ids=["bridge32", "sheet4x4"])
+def test_law_rhs_is_the_copies_gemv_of_one_fill_bitwise(kernel, rho):
+    """On full blocks the right side is ((1+rho) E^A @ mu - (1-rho) E^B @ mu) / copies^2,
+    E^A and E^B one fill of each block's stream 2 and 3, mu the tied-down kept
+    spectrum tiled h = copies / 2 times."""
+    tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
+    copies = 2**kernel.space.dim
+    mu = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2)
+    rhs = _law_rhs(kernel, rho, 2 * BLOCK, seed=5)
+    for a in (0, BLOCK):
+        e = {s: np.empty((BLOCK, mu.size)) for s in (2, 3)}
+        for s in e:
+            _block_generator(5, s, a).standard_exponential(out=e[s])
+        want = ((1 + rho) * (e[2] @ mu) - (1 - rho) * (e[3] @ mu)) / copies**2
+        assert np.array_equal(rhs[a : a + BLOCK], want)
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0])
@@ -458,7 +482,7 @@ def test_streamed_exponential_gemv_is_one_fill_bitwise(a, b, width, rho):
     time; the result is bitwise that of one fill of the block and one GEMV per side,
     the last chunk partial included."""
     weights = np.random.default_rng(width).random(width)
-    got = _exponential_gemv(weights, rho, 13, (2, 3), a, b)
+    got = _chi2_sum(weights[:0], weights, rho, b, 13, (0, 1), (2, 3))[a:]
     e = np.empty((b - a, width))
     _block_generator(13, 2, a).standard_exponential(out=e)
     want = (1.0 + rho) * (e @ weights)
@@ -488,7 +512,7 @@ def test_copies_sum_has_the_law_of_the_sum_of_copies(kernel, rho, seed):
     count = 5000
     tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
     copies = 2**kernel.space.dim
-    rhs = _copies_sum(tied, rho, copies, count, seed)
+    rhs = _law_rhs(kernel, rho, count, seed)
     # seed + 1: streams 2 and 3 of the same seed share the exponentials' Philox keys
     ref = sum(
         pair_functional(tied, rho, count, seed + 1, streams=(2 + 2 * i, 3 + 2 * i))
@@ -561,25 +585,18 @@ def test_pair_functional_has_the_law_of_the_v3_draw(kernel, rho, seed):
 
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(
-    tied=st.one_of(
-        st.builds(lambda n: builtin_kernel("bridge", make_interval_grid(n)), st.integers(8, 32)),
-        st.builds(
-            lambda n: builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(n)] * 2)),
-            st.integers(3, 6),
-        ),
+    kernel=st.one_of(
+        st.builds(lambda n: builtin_kernel("watson", make_interval_grid(n)), st.integers(8, 32)),
+        st.builds(_sheet_compensated, st.integers(3, 6)),
     ),
     rho=st.sampled_from([0.0, 0.5, 1.0]),
     seed=st.integers(0, 2**32),
 )
-@example(
-    tied=builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(4)] * 2)),
-    rho=0.5,
-    seed=7,
-)
-def test_copies_sum_has_the_law_of_the_v3_draw(tied, rho, seed):
-    copies = 2**tied.space.dim
-    rhs = _copies_sum(tied, rho, copies, LAW_COUNT, seed)
-    ref = _v3(_copies_sum, tied, rho, copies, LAW_COUNT, seed)
+@example(kernel=_sheet_compensated(4), rho=0.5, seed=7)
+def test_copies_sum_has_the_law_of_the_v3_draw(kernel, rho, seed):
+    """The right side of law_check against the same draw keyed by the v3 rule."""
+    rhs = _law_rhs(kernel, rho, LAW_COUNT, seed)
+    ref = _v3(_law_rhs, kernel, rho, LAW_COUNT, seed)
     assert ks_statistic(rhs, ref) < null_ks_critical(LAW_COUNT)
 
 
