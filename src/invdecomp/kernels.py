@@ -74,7 +74,7 @@ __all__ = [
 
 PSD_TOL = 1e-10
 INVARIANCE_TOL = 1e-9  # check_invariance's default, and the tolerance of the symmetry checks' guards
-SPREAD_BYTES = 1 << 21  # the row chunk of the stationarity spread's periodic copy
+SPREAD_BYTES = 1 << 21  # the row chunk of the asymmetry pass and of the stationarity spread
 
 
 class KernelError(ValueError):
@@ -215,6 +215,10 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
 class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
+    A matrix with a non-finite entry or an asymmetry above ``PSD_TOL`` is rejected.  The
+    matrix is stored as (K + K^T) / 2; a bitwise symmetric, C-ordered float64 one, which
+    equals it bitwise, is kept itself, not copied, and made read-only.
+
     The PSD check computes, once per kernel:
 
     * ``stationarity_spread``, the largest spread of K's entries over a
@@ -234,14 +238,16 @@ class Kernel:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = np.asarray(self.matrix, dtype=float)
+        k = np.ascontiguousarray(self.matrix, dtype=float)
         m = self.space.size
         if k.shape != (m, m):
             raise KernelError(f"matrix must be ({m}, {m}), got {k.shape}")
-        sym = float(np.max(np.abs(k - k.T))) if m else 0.0
+        if not np.isfinite([k.min(), k.max()]).all():
+            raise KernelError("matrix has non-finite entries")
+        sym = _asymmetry(k)
         if sym > PSD_TOL:
             raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
-        object.__setattr__(self, "matrix", _readonly((k + k.T) / 2))
+        object.__setattr__(self, "matrix", _readonly(k if sym == 0.0 else (k + k.T) / 2))
         object.__setattr__(self, "stationarity_spread", _lag_spread(self.matrix, self.space.shape))
         evals = self.space.spectrum(self)
         floor = -PSD_TOL * max(float(self.space.weights.max()), float(evals[-1]))
@@ -255,6 +261,23 @@ class Kernel:
 
     def __repr__(self) -> str:
         return f"Kernel(name={self.name!r}, size={self.size})"
+
+
+def _asymmetry(k: np.ndarray) -> float:
+    """max |K - K^T| of a finite K (``max`` drops a NaN), in row chunks of ``SPREAD_BYTES``."""
+    step = max(1, SPREAD_BYTES // (8 * k.shape[0]))
+    diffs = (k[a : a + step] - k[:, a : a + step].T for a in range(0, k.shape[0], step))
+    return max(float(np.abs(d, out=d).max()) for d in diffs)
+
+
+def _circulant(profile: np.ndarray, shape: tuple) -> np.ndarray:
+    """The m x m matrix K[s, t] = profile[(s - t) mod ``shape``], row-major in s and t: one copy
+    of a strided view of the profile doubled along every axis (:func:`_lag_spread`'s layout),
+    in which entry [s, t] sits at shape + s - t."""
+    tiled = np.tile(np.reshape(profile, shape), (2,) * len(shape))
+    st, start = tiled.strides, tuple(slice(n, None) for n in shape)
+    view = as_strided(tiled[start], shape + shape, st + tuple(-s for s in st), writeable=False)
+    return view.copy().reshape(math.prod(shape), -1)
 
 
 def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:

@@ -7,9 +7,9 @@ even parts about negation yields two uncorrelated (hence independent)
 Gaussian processes whose quadratic functionals can be compared in law.
 
 A stationary kernel on a grid torus depends on t - s alone, so it is
-(block-)circulant: each grid carries one lag table, through which the
-kernels are built from their m lag values.  The DFT of those m lag values
-is the kernel's spectrum.  The PSD check of a bitwise circulant kernel
+(block-)circulant: the kernels are built from their m lag values by one
+strided copy (``kernels._circulant``).  The DFT of those m lag values is
+the kernel's spectrum.  The PSD check of a bitwise circulant kernel
 reads its eigenvalues from it and stores its stationarity spread, by the
 one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT the factor that samples the
@@ -22,7 +22,8 @@ applies its columns by one matrix product per axis.
 :func:`torus_watson_check` streams its samples: each block of the
 sampling contract is drawn, split and reduced :func:`_chunk_width` columns
 at a time (64 at m = 1024, 256 up to m = 256), so its working set is
-O(m ``SPLIT_COLUMNS``) on top of the kernel and its factor, never m x ``BLOCK``.
+O(m ``SPLIT_COLUMNS``) on top of its factor, never m x ``BLOCK``, and the
+kernel it assembles is released before the first draw.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     _circle_profile,
+    _circulant,
     _dft_spectrum,
     _negation,
 )
@@ -133,24 +135,6 @@ class TorusGrid(IndexSpace):
 
     frac: np.ndarray = None
     lattice: Lattice = None
-
-    @cached_property
-    def lag_index(self) -> np.ndarray:
-        """(m, m) lag table: entry [s, t] is the flat index of (s - t) mod shape.
-
-        The grid is row-major in its integer coordinates, so the lag's flat
-        index is also the grid point whose fractional coordinates are the
-        lag's: a stationary kernel is its profile on the m grid points,
-        gathered through this table.  Built once per grid, as int32: half the
-        bytes of a platform index for a table the grid holds for its lifetime.
-        """
-        shape = np.array(self.shape)
-        ints = np.rint(self.frac * shape).astype(np.int32)
-        lag = np.zeros((self.size, self.size), dtype=np.int32)
-        for k, n in enumerate(self.shape):
-            lag *= n
-            lag += (ints[:, None, k] - ints[None, :, k]) % n
-        return lag
 
 
 def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
@@ -303,17 +287,25 @@ def fourier_kl(
     )
 
 
+def _stationary(profile: np.ndarray, grid: TorusGrid, name: str) -> Kernel:
+    """K[s, t] = (p_b + p_-b) / 2 at the lag b = s - t, for p_b the profile at grid point b:
+    bitwise the (C + C^T) / 2 that a :class:`Kernel` stores for the circulant C of p, and
+    bitwise symmetric, so the Kernel keeps it as its one m x m array."""
+    even = (profile + profile[_negation(grid.shape)]) / 2
+    return Kernel(grid, _circulant(even, grid.shape), name=name)
+
+
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
 
     The sum is evaluated once per lag, as one product of the m x p cosines
-    of the p dual vectors on the grid points, and gathered into the m x m
-    matrix through the grid's lag table; the result is exactly stationary.
+    of the p dual vectors on the grid points, and copied into the m x m
+    matrix by :func:`_stationary`; the result is exactly stationary.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     profile = _characters(grid.shape, spec.vectors)[0] @ spec.fourier_coeffs
-    return Kernel(grid, profile[grid.lag_index], name="torus_fourier")
+    return _stationary(profile, grid, "torus_fourier")
 
 
 def torus_watson(grid: TorusGrid) -> Kernel:
@@ -322,14 +314,15 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     Per-axis profile phi(u) = (u - 1/2)^2/2 - 1/24 of the fractional lag
     (``kernels._circle_profile``), multiplied across axes.  On the unit
     circle this is the compensated bridge covariance
-    min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is evaluated on the m lags and gathered through the
-    grid's lag table, so the matrix is exactly circulant per axis.
+    min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is
+    evaluated on the m lags and copied into the matrix by :func:`_stationary`,
+    so the matrix is exactly circulant per axis.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     shape = np.array(grid.shape)
     u = np.rint(grid.frac * shape).astype(np.int64) / shape
-    return Kernel(grid, _circle_profile(u).prod(axis=1)[grid.lag_index], name=TORUS_KERNEL)
+    return _stationary(_circle_profile(u).prod(axis=1), grid, TORUS_KERNEL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,12 +475,14 @@ def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec
     b = spec.vectors[np.any(spec.vectors, axis=1)]
     basis = np.hstack(_characters(grid.shape, b))
     nrm = np.sqrt(w @ (basis * basis))
-    basis = basis / np.where(nrm > 0, nrm, np.inf) * w[:, None]  # a vector of norm 0 reads 0
+    basis /= np.where(nrm > 0, nrm, np.inf)  # a vector of norm 0 reads 0
+    basis *= w[:, None]
     cov_basis = np.empty_like(basis)
     for i in range(0, grid.size, rows):
         chunk = matrix[i : i + rows]
         cov_basis[i : i + rows] = 0.5 * (chunk + chunk[:, neg]) @ basis
-    q = np.sum(basis * cov_basis, axis=0)
+    cov_basis *= basis
+    q = np.sum(cov_basis, axis=0)
     return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
 
 
@@ -526,13 +521,14 @@ def torus_watson_check(
     product of those buffers per ``SPLIT_COLUMNS`` columns, whatever the width.
     So a worker holds one chunk's normals, paths, parts and their temporaries
     (under 8 m ``width`` doubles), the two buffers (m ``SPLIT_COLUMNS``) and
-    its block's m/2 x m/2 cross-covariance partial; with the kernel, the factor
-    and the total cross-covariance, one worker's check stays below two m x m
-    matrices plus m (``SPLIT_COLUMNS`` + 8 ``width``) doubles.  The factor
-    holds its per-axis matrices, and a chunk's product at most two of its
-    partial products at once, each at most 2 m doubles per column, which the
-    chunk's paths and parts then replace.  The even part's expansion is taken
-    ``width`` rows at a time (:func:`_basis_quadratics`).
+    its block's m/2 x m/2 cross-covariance partial.  The factor holds its
+    per-axis matrices, and a chunk's product at most two of its partial
+    products at once, each at most 2 m doubles per column, which the chunk's
+    paths and parts then replace.  The factor and the even part's expansion
+    (:func:`_basis_quadratics`, ``width`` rows at a time) are taken before the
+    first draw, and an assembled kernel is then released, so the check holds
+    no m x m array while it samples, and one worker's check stays below one
+    m x m matrix plus m (``SPLIT_COLUMNS`` + 8 ``width``) doubles.
 
     The per-block cross-covariance partials are added in block order, so
     every field is bitwise independent of the worker count.  Every field but
@@ -565,6 +561,8 @@ def torus_watson_check(
     if count < 1:
         raise ValueError("count must be >= 1")
     l = fourier_factor(kernel)
+    q = _basis_quadratics(kernel.matrix, grid, spec) if spec is not None else None
+    del kernel  # an assembled kernel is not held while the check samples
     w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
@@ -642,9 +640,8 @@ def torus_watson_check(
             "part_kstats": {"odd": list(cmp_.kstats_a), "even": list(cmp_.kstats_b)},
         }
     )
-    if spec is not None:
+    if q is not None:
         # even-part expansion: cosine reading vs (typo) sine reading
-        q = _basis_quadratics(kernel.matrix, grid, spec)
         report["even_part_expansion"] = {
             "cos_quadratics": q["cos"],
             "sin_quadratics_max": float(np.max(q["sin"])) if q["sin"] else 0.0,

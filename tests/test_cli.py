@@ -644,6 +644,19 @@ def test_user_matrix_rejects_a_missing_file(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_user_matrix_rejects_a_non_finite_kernel(tmp_path, capsys, kernel_file, bad):
+    """An infinite entry would pass as a spectrum of NaNs, a NaN fail inside LAPACK."""
+    k = builtin_kernel("watson", make_interval_grid(16)).matrix.copy()
+    k[0, 0] = bad
+    cfg = _user_matrix_config(tmp_path, kernel_file(k), checks=["spectrum"])
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernel/params/path: ")
+    assert "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_user_matrix_action_none_drops_the_files_action(tmp_path, kernel_file):
     cfg = _user_matrix_config(
         tmp_path, _watson16_file(kernel_file), action={"name": "none"}, checks=["spectrum"]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invdecomp import kernels
 from invdecomp.groups import character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
     BUILTINS,
@@ -172,6 +173,45 @@ def test_kernel_rejects_asymmetric():
     sp = make_interval_grid(4)
     with pytest.raises(KernelError, match="symmetric"):
         Kernel(sp, np.triu(np.ones((4, 4))))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_kernel_rejects_non_finite_entries(bad):
+    sp = make_interval_grid(4)
+    k = np.eye(4)
+    k[1, 2] = k[2, 1] = bad
+    with pytest.raises(KernelError, match="non-finite"):
+        Kernel(sp, k)
+
+
+def test_a_bitwise_symmetric_matrix_is_kept_not_copied():
+    sp = make_interval_grid(64)
+    k = builtin_kernel("watson", sp).matrix.copy()
+    kernel = Kernel(sp, k)
+    assert np.shares_memory(kernel.matrix, k)
+    assert not kernel.matrix.flags.writeable
+
+
+def test_a_matrix_asymmetric_within_the_tolerance_is_stored_symmetrized():
+    sp = make_interval_grid(64)
+    k = builtin_kernel("watson", sp).matrix.copy()
+    k[3, 5] += 1e-12
+    kernel = Kernel(sp, k)
+    assert not np.shares_memory(kernel.matrix, k)
+    assert np.array_equal(kernel.matrix, (k + k.T) / 2)
+
+
+@pytest.mark.parametrize("m, rows", [(10, 4), (37, 8), (64, 5)])
+def test_chunked_asymmetry_is_the_dense_maximum(monkeypatch, m, rows):
+    """Row chunks of ``rows`` rows, the last one partial and holding the largest deviation."""
+    monkeypatch.setattr(kernels, "SPREAD_BYTES", 8 * m * rows)
+    assert 1 < m % rows
+    k = np.random.default_rng(m).normal(size=(m, m))
+    assert kernels._asymmetry(k) == float(np.max(np.abs(k - k.T)))
+    k[m - 1, m - 2] += 100.0
+    assert kernels._asymmetry(k) == float(np.max(np.abs(k - k.T)))
+    k = (k + k.T) / 2
+    assert kernels._asymmetry(k) == 0.0
 
 
 def _nonuniform_space():

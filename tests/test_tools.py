@@ -1,0 +1,42 @@
+"""The proof tools in ``tools/`` run against the package in ``src/``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from invdecomp.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool(name, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / name), *map(str, args)],
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_preset_digests_prints_the_named_presets_and_the_footer():
+    run = _tool("preset_digests.py", "torus-1d", "torus-2d")
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [
+        ["torus-1d", "exit=0"],
+        ["torus-2d", "exit=0"],
+    ]
+    assert lines[2].startswith("rng_contract=")
+    assert lines[3].startswith("src_lines=")
+    assert len(lines) == 4
+    assert "dft(16x16) x2" in run.stderr
+    assert "heap peak" in run.stderr
+
+
+def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
+    assert main(["run", "--preset", "torus-2d", "--out", str(tmp_path)]) == 0
+    report = tmp_path / "report.json"
+    run = _tool("report_diff.py", report, report)
+    assert run.returncode == 0, run.stdout + run.stderr

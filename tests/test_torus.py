@@ -26,6 +26,7 @@ from invdecomp.sampling import (
     BLOCK,
     CHUNK,
     compare_distributions,
+    draw_chunks,
     ks_statistic,
     null_ks_critical,
     sample,
@@ -637,3 +638,31 @@ def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
         tracemalloc.stop()
     assert rep["ok"]
     assert peak < (2 * m * m + m * SPLIT_COLUMNS + 8 * m * width) * 8
+
+
+def test_spec_driven_check_holds_no_kernel_while_it_samples(spec32, monkeypatch):
+    """At m = 1024 the check assembles its kernel, takes the factor and the even
+    part's expansion from it and releases it: at its first draw no traced array is
+    an m x m matrix.  Its peak stays below one m x m matrix, the worker's odd and
+    even slice buffers (m SPLIT_COLUMNS doubles) and eight m-row arrays of one
+    chunk's width."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    spec, grid = spec32
+    m, width = grid.size, _chunk_width(grid.size)
+    largest = []
+
+    def first_draw(*args):
+        if not largest:
+            largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return draw_chunks(*args)
+
+    monkeypatch.setattr("invdecomp.torus.draw_chunks", first_draw)
+    tracemalloc.start()
+    try:
+        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"]
+    assert 0 < largest[0] < m * m * 8
+    assert peak < (m * m + m * SPLIT_COLUMNS + 8 * m * width) * 8

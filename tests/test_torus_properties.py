@@ -1,18 +1,19 @@
-"""The lag-table torus paths against dense reference code.
+"""The lag-profile torus paths against dense reference code.
 
 ``assemble_kernel`` and ``torus_watson`` evaluate a stationary kernel once
-per lag and gather through the grid's lag table, the PSD check reads
-``stationarity_spread`` through strided views, and ``_basis_quadratics``
-takes every quadratic form of a covariance's even part from one matrix
-product, built in row chunks.  The references below are the direct
-formulas: one cosine matrix per dual vector, the (m, m, dim) lag array, a sort of all m^2
-entries by lag class, and two mat-vecs per dual vector.  Grids are 1-, 2- and 3-d, on unit and sheared
-lattice bases.  ``fourier_factor``, the DFT's closed-form factor, is held to
-the kernel it factors, its axis-by-axis product to its matrix product,
-and its columns to the spectrum of the kernel's own PSD check,
-which for an exactly stationary kernel is read from the same DFT: it is held
-to the dense ``eigvalsh``, and every other matrix on a torus grid to that
-``eigvalsh`` bitwise.
+per lag and copy it into the matrix through one strided view
+(``kernels._circulant``), the PSD check reads ``stationarity_spread``
+through strided views, and ``_basis_quadratics`` takes every quadratic form
+of a covariance's even part from one matrix product, built in row chunks.
+The references below are the direct formulas: one cosine matrix per dual
+vector, the (m, m, dim) lag array, a gather through an m x m table of lag
+indices, a sort of all m^2 entries by lag class, and two mat-vecs per dual
+vector.  Grids are 1-, 2- and 3-d, on unit and sheared lattice bases.
+``fourier_factor``, the DFT's closed-form factor, is held to the kernel it
+factors, its axis-by-axis product to its matrix product, and its columns to
+the spectrum of the kernel's own PSD check, which for an exactly stationary
+kernel is read from the same DFT: it is held to the dense ``eigvalsh``, and
+every other matrix on a torus grid to that ``eigvalsh`` bitwise.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invdecomp.kernels import Kernel, KernelError, weighted_symmetric
+from invdecomp.kernels import Kernel, KernelError, _circulant, weighted_symmetric
 from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
     Lattice,
@@ -63,6 +64,18 @@ def dense_assemble(spec, grid):
         phase = 2.0 * np.pi * (grid.frac @ b)
         out += c * np.cos(phase[:, None] - phase[None, :])
     return out
+
+
+def lag_gather(profile, grid):
+    """profile[(s - t) mod shape] gathered through an (m, m) table of flat lag indices,
+    read from the grid's fractional coordinates."""
+    shape = np.array(grid.shape)
+    ints = np.rint(grid.frac * shape).astype(np.int32)
+    lag = np.zeros((grid.size, grid.size), dtype=np.int32)
+    for k, n in enumerate(grid.shape):
+        lag *= n
+        lag += (ints[:, None, k] - ints[None, :, k]) % n
+    return profile[lag]
 
 
 def dense_torus_watson(grid):
@@ -109,6 +122,32 @@ def test_assemble_kernel_matches_the_per_vector_cosine_sum(grid, seed):
     got = assemble_kernel(spec, grid).matrix
     want = dense_assemble(spec, grid)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "shape, basis",
+    [((1,), None), ((6,), None), ((5, 7), None), ((4, 5, 3), None), ((32, 32), None),
+     ((6, 5), [[1.0, 0.7], [0.0, 1.3]])],
+)
+def test_circulant_is_the_lag_table_gather_bitwise(shape, basis):
+    grid = torus_grid(Lattice(np.eye(len(shape)) if basis is None else np.array(basis)), shape)
+    profile = np.random.default_rng(grid.size).normal(size=grid.size)
+    got = _circulant(profile, grid.shape)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, lag_gather(profile, grid))
+
+
+@PROPS
+@given(grid=grids(), seed=SEEDS)
+def test_assemble_kernel_is_the_symmetrized_lag_gather_bitwise(grid, seed):
+    """The kernel a Kernel made of the gathered cosine sum by its symmetrizing copy,
+    now built as one bitwise symmetric matrix that the Kernel keeps."""
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
+    coeffs = np.random.default_rng(seed).uniform(0.0, 1.0, len(spec.vectors))
+    spec = dataclasses.replace(spec, fourier_coeffs=coeffs)
+    profile = _characters(grid.shape, spec.vectors)[0] @ coeffs
+    want = Kernel(grid, lag_gather(profile, grid)).matrix
+    assert np.array_equal(assemble_kernel(spec, grid).matrix, want)
 
 
 @PROPS
