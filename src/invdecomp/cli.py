@@ -44,7 +44,6 @@ from invdecomp.kernels import (
     KernelError,
     builtin_kernel,
     check_invariance,
-    irrep_spectra,
     law_kernel,
     make_interval_grid,
     make_product_grid,
@@ -125,7 +124,6 @@ def _torus_cutoff(cfg: dict) -> int:
 
 def _run_invariance(ctx, tols, cfg):
     ok, dev = check_invariance(ctx["kernel"], tol=tols["invariance"])
-    ctx["invariance_dev"] = dev  # the run's one deviation, for the symmetry checks' guards
     return {"ok": bool(ok), "deviation": dev, "tolerance": tols["invariance"]}
 
 
@@ -163,33 +161,17 @@ def _run_decomposition(ctx, tols, cfg):
     }
 
 
-def _isotypic_spectra(ctx):
-    """The run's one :func:`irrep_spectra`, computed by the first check that reads it."""
-    if "irrep_spectra" not in ctx:
-        ctx["irrep_spectra"] = irrep_spectra(ctx["kernel"], ctx["table"])
-    return ctx["irrep_spectra"]
-
-
 def _run_watson_relation(ctx, tols, cfg):
     return watson_relation_check(
         ctx["kernel"],
         rho=float(cfg.get("rho", 1.0)),
         n_max=int(cfg.get("n_max", 6)),
         tol=tols["watson_relation"],
-        table=ctx["table"],
-        spectra=_isotypic_spectra(ctx),
-        invariance_dev=ctx["invariance_dev"],
     ).to_dict()
 
 
 def _run_z2(ctx, tols, cfg):
-    return z2_condition_check(
-        ctx["kernel"],
-        int(cfg.get("n_max", 6)),
-        tols["z2_condition"],
-        _isotypic_spectra(ctx),
-        invariance_dev=ctx["invariance_dev"],
-    ).to_dict()
+    return z2_condition_check(ctx["kernel"], int(cfg.get("n_max", 6)), tols["z2_condition"]).to_dict()
 
 
 _CUMULANT_KEYS = ("order", "analytic", "mc", "gap", "tolerance")
@@ -257,7 +239,7 @@ def _run_spectrum(ctx, tols, cfg):
     ok = True
 
     continuum = getattr(BUILTINS.get(kernel.name), "oracle", None)
-    if continuum and kernel.space.dim == 1 and not isinstance(kernel.space, TorusGrid):
+    if continuum and kernel.space.dim == 1:
         oracle, mult = continuum
         rel_tol = tols["spectrum_eig"]
         rows, worst = [], 0.0
@@ -283,7 +265,7 @@ def _run_spectrum(ctx, tols, cfg):
         }
         ok = ok and inv.ok
         try:
-            splits = canonical_decomposition(spectrum, ctx["table"])
+            splits = canonical_decomposition(spectrum, ctx["table"], tol=tols["spectrum"])
             report["canonical"] = {
                 "clusters": [
                     {

@@ -9,29 +9,22 @@ and cross-covariance rho*K, the functional J = sum_i Z1[i] Z2[i] w_i has
 with D = diag(weights), c_n = 2^(n-1) (n-1)! the classical quadratic-form
 cumulant coefficient, and K(n, rho) the even/odd binomial sums implemented
 in :func:`k_coeff`.  The module also provides a closed-form/spectral MGF
-cross-check for the circle kernel and two symmetry checks on the isotypic
-spectra of :func:`invdecomp.kernels.irrep_spectra`: equal power sums across
-irreps and, by character orthogonality, the Z/2 reflection criterion.
+cross-check for the circle kernel and two symmetry checks on the kernel's
+isotypic spectra (``Kernel.irrep_spectra``): equal power sums across irreps
+and, by character orthogonality, the Z/2 reflection criterion.  Both read
+the kernel's cached invariance deviation and spectra, so a run that makes
+both checks computes each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Optional
 
 import numpy as np
 
-from invdecomp.groups import CharacterTable, GroupError, character_table, check_action
-from invdecomp.kernels import (
-    BUILTINS,
-    INVARIANCE_TOL,
-    Kernel,
-    KernelError,
-    check_invariance,
-    irrep_spectra,
-    weighted_traces,
-)
+from invdecomp.groups import GroupError, character_table, check_action
+from invdecomp.kernels import BUILTINS, INVARIANCE_TOL, Kernel, KernelError, weighted_traces
 
 __all__ = [
     "k_coeff",
@@ -115,24 +108,19 @@ def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> CumulantVector
     return CumulantVector(rho=rho, values=_cumulants_from_traces(traces, rho))
 
 
-def _block_traces(kernel: Kernel, table, n_max: int, spectra: Optional[dict]) -> dict:
-    """tr(B_pi^n), n = 1..n_max, by irrep label, from ``spectra`` or :func:`irrep_spectra`."""
-    spectra = irrep_spectra(kernel, table) if spectra is None else spectra
+def _block_traces(kernel: Kernel, n_max: int) -> dict:
+    """tr(B_pi^n), n = 1..n_max, by irrep label, from ``kernel.irrep_spectra``."""
+    spectra = kernel.irrep_spectra
     return {k: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1)) for k, ev in spectra.items()}
 
 
-def _invariant_action(kernel: Kernel, invariance_dev: Optional[float]):
-    """The bound action, once it preserves the kernel and the weights, as both checks need.
-
-    ``invariance_dev`` is :func:`check_invariance`'s deviation of ``kernel``
-    when the caller has it (the runner's ``invariance`` gate), else it is
-    computed here; either way it must be at most ``INVARIANCE_TOL``.
-    """
+def _invariant_action(kernel: Kernel):
+    """The bound action, once it preserves the kernel (``kernel.invariance_dev`` at most
+    ``INVARIANCE_TOL``) and the weights, as both checks need."""
+    dev = kernel.invariance_dev  # raises KernelError when there is no action
+    if not dev <= INVARIANCE_TOL:
+        raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
     action = kernel.space.action
-    if invariance_dev is None:
-        invariance_dev = check_invariance(kernel)[1]  # raises KernelError when there is no action
-    if not invariance_dev <= INVARIANCE_TOL:
-        raise KernelError(f"kernel is not invariant under the action (dev {invariance_dev:.3e})")
     if not check_action(action, kernel.space.weights).ok:
         raise KernelError("the action does not preserve the weights")
     return action
@@ -191,15 +179,7 @@ class WatsonCheckReport:
         }
 
 
-def watson_relation_check(
-    kernel: Kernel,
-    rho: float,
-    n_max: int,
-    tol: float = 1e-3,
-    table: Optional[CharacterTable] = None,
-    spectra: Optional[dict] = None,
-    invariance_dev: Optional[float] = None,
-) -> WatsonCheckReport:
+def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1e-3) -> WatsonCheckReport:
     """Check the two equal-trace conditions behind the duplication identity.
 
     For every irrep pi and order n, condition II asks that the projected
@@ -207,22 +187,20 @@ def watson_relation_check(
     condition III asks that all projected traces agree pairwise.  Relative
     gaps are scaled by the larger side since traces decay geometrically.
 
-    The per-irrep traces tr_n(R_pi) are power sums of the isotypic block
-    spectra of :func:`invdecomp.kernels.irrep_spectra`, the nonzero spectra
-    of the projections R_pi, or ``spectra`` when given; no m x m projection
-    is built.  ``full_traces`` come from the kernel's own spectrum.  A kernel
-    or weights the action moves raise :class:`KernelError`; ``invariance_dev``
-    is the kernel's :func:`check_invariance` deviation, when known.
+    The per-irrep traces tr_n(R_pi) are power sums of the kernel's isotypic
+    block spectra (``kernel.irrep_spectra``), the nonzero spectra of the
+    projections R_pi; no m x m projection is built.  ``full_traces`` come
+    from the kernel's own spectrum.  A kernel or weights the action moves
+    raise :class:`KernelError` (``kernel.invariance_dev`` above
+    ``INVARIANCE_TOL``).
     """
-    action = _invariant_action(kernel, invariance_dev)
-    if table is None:
-        table = character_table(action.group)
+    table = character_table(_invariant_action(kernel).group)
     if not table.real_valued():
         raise GroupError("equal-trace conditions need real-valued characters")
 
     nd = len(table)
     full = weighted_traces(kernel, n_max)
-    traces = _block_traces(kernel, table, n_max, spectra)
+    traces = _block_traces(kernel, n_max)
 
     vacuous = tuple(n for n in range(1, n_max + 1) if k_coeff(n, rho) == 0.0)
     cii_dev, ciii_dev = {}, {}
@@ -267,13 +245,7 @@ class Z2ConditionReport:
         return {"values": list(self.values), "tol": self.tol, "ok": self.ok}
 
 
-def z2_condition_check(
-    kernel: Kernel,
-    n_max: int,
-    tol: float = 1e-8,
-    spectra: Optional[dict] = None,
-    invariance_dev: Optional[float] = None,
-) -> Z2ConditionReport:
+def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2ConditionReport:
     """Evaluate the vanishing criterion for an order-2 action.
 
     The functional pair built from an invariant kernel splits into
@@ -283,17 +255,17 @@ def z2_condition_check(
 
     With S = sqrt(w) K sqrt(w) and P_g the permutation of g, the order-n
     integral is tr(S^n P_g) = sum_pi chi_pi(g) tr(B_pi^n) by character
-    orthogonality (Serre, section 2), over the block spectra ``spectra`` (else
-    :func:`irrep_spectra`'s): on Z2, bitwise watson_relation_check's
+    orthogonality (Serre, section 2), over the kernel's block spectra
+    (``kernel.irrep_spectra``): on Z2, bitwise watson_relation_check's
     traces[trivial] - traces[sign].  A kernel or weights the action moves
-    raise :class:`KernelError`, since S must commute with P_g
-    (``invariance_dev`` as in :func:`watson_relation_check`).
+    raise :class:`KernelError`, as in :func:`watson_relation_check`, since S
+    must commute with P_g.
     """
-    action = _invariant_action(kernel, invariance_dev)
+    action = _invariant_action(kernel)
     if action.group.order != 2:
         raise GroupError(f"criterion needs a 2-element group, got order {action.group.order}")
     table = character_table(action.group)
-    tr = _block_traces(kernel, table, n_max, spectra)
+    tr = _block_traces(kernel, n_max)
     g = 1 - action.group.identity
     values = tuple(float(sum(p.values[g].real * tr[p.label][n] for p in table)) for n in range(n_max))
     return Z2ConditionReport(values=values, tol=tol)

@@ -5,7 +5,10 @@ optional group action by permutations.  A :class:`Kernel` is a symmetric PSD
 matrix over such a space.  The operations here are the kernel-side analogues
 of path projection: projecting a kernel onto a pair of characters,
 chaining a kernel's weighted contractions, and checking invariance under
-the action.
+the action.  What a kernel knows about itself is computed once, by the
+kernel: its spectrum and stationarity spread by its PSD check, and its DFT
+(``Kernel.dft``), invariance deviation (``Kernel.invariance_dev``) and
+isotypic spectra (``Kernel.irrep_spectra``) when first read.
 
 Each built-in kernel is one :class:`Builtin` record of :data:`BUILTINS`,
 which the builder, the config validator, the ``spectrum`` check's oracle
@@ -14,13 +17,13 @@ and the in-law checks (:func:`law_kernel`) read.
 The weighted operator ``diag(w) K`` is solved through the similar symmetric
 matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
 Each :class:`Kernel` takes its spectrum once, in its PSD check, by one rule
-for every grid (:meth:`IndexSpace.spectrum`).  Every space reads its points
+for every grid.  Every space reads its points
 as a cyclic index group Z_n1 x ... x Z_nd of its ``shape``, row-major: an
 interval grid is Z_n, a product grid the product of its factors' groups, a
 torus grid its own lattice index group.  A kernel that is bitwise circulant
 over that group (``Kernel.stationarity_spread`` 0) on equal weights has the
 group's characters as eigenvectors (Wood and Chan, 1994), so its spectrum
-is the DFT of its lag profile (:func:`_dft_spectrum`); any other kernel
+is the DFT of its lag profile (``Kernel.dft``); any other kernel
 takes the dense ``eigvalsh`` of the symmetric matrix.  The watson kernel,
 the compensated bridge, is the stationary circle process: on a power-of-two
 midpoint grid it is bitwise circulant and takes the DFT.  The kernel keeps
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +49,7 @@ from numpy.lib.stride_tricks import as_strided
 from invdecomp.groups import (
     GroupAction,
     Irrep,
+    character_table,
     cyclic_group,
     direct_product,
     project_path,
@@ -94,15 +98,15 @@ class IndexSpace:
     ----------
     points : (m, d) float array
     weights : (m,) float array
-        Strictly positive quadrature weights.
+        Finite, strictly positive quadrature weights.
     action : GroupAction, optional
         Permutation action on the points.  Constructors only bind actions
         that map grid points to grid points exactly.
     name : str
     shape : tuple of int, optional
         The cyclic index group Z_n1 x ... x Z_nd the points are read in,
-        row-major (last axis fastest), for the stationarity gate of
-        :meth:`spectrum`; its sizes multiply to m.  Defaults to (m,).
+        row-major (last axis fastest), for the stationarity gate of a
+        :class:`Kernel`'s spectrum; its sizes multiply to m.  Defaults to (m,).
     """
 
     points: np.ndarray
@@ -118,8 +122,8 @@ class IndexSpace:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] != pts.shape[0]:
             raise KernelError("weights must be one per point")
-        if np.any(w <= 0):
-            raise KernelError("weights must be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):  # False for NaN
+            raise KernelError("weights must be finite and strictly positive")
         if self.action is not None and self.action.npoints != pts.shape[0]:
             raise KernelError("action size does not match point count")
         shape = tuple(int(n) for n in self.shape) or (pts.shape[0],)
@@ -136,20 +140,6 @@ class IndexSpace:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def spectrum(self, kernel: "Kernel") -> np.ndarray:
-        """Ascending spectrum of diag(w) K for a kernel on this space, for its PSD check.
-
-        The gate is bitwise: on equal weights, a kernel that is circulant over
-        ``shape`` (``kernel.stationarity_spread`` 0) has the characters of
-        the index group as eigenvectors, so its spectrum is
-        :func:`_dft_spectrum`'s, sorted.  Any other kernel takes the dense
-        ``eigvalsh`` of :func:`weighted_symmetric`.
-        """
-        w = self.weights
-        if kernel.stationarity_spread == 0.0 and np.all(w == w[0]):
-            return np.sort(_dft_spectrum(kernel.matrix, self)[0])
-        return np.linalg.eigvalsh(weighted_symmetric(kernel))
 
     def __repr__(self) -> str:
         return f"IndexSpace(name={self.name!r}, size={self.size}, dim={self.dim})"
@@ -225,10 +215,14 @@ class Kernel:
       class of equal lag (s - t) mod ``space.shape`` (:func:`_lag_spread`),
       which is 0 exactly when K is bitwise circulant over the index group;
     * ``eigenvalues``, the ascending spectrum of the weighted operator
-      diag(w) K, through ``space.spectrum``: the DFT of the lag profile for
-      a circulant K on equal weights, else the dense ``eigvalsh`` of
+      diag(w) K.  The gate is bitwise: a circulant K on equal weights has
+      the characters of the index group as eigenvectors, so its spectrum is
+      ``dft[0]``, sorted; any other K takes the dense ``eigvalsh`` of
       sqrt(w) K sqrt(w), which by Sylvester's law of inertia is PSD exactly
       when K is.
+
+    The other derived values are cached properties, computed when first read:
+    ``dft``, ``invariance_dev`` and ``irrep_spectra``.
     """
 
     space: IndexSpace
@@ -249,8 +243,12 @@ class Kernel:
             raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
         object.__setattr__(self, "matrix", _readonly(k if sym == 0.0 else (k + k.T) / 2))
         object.__setattr__(self, "stationarity_spread", _lag_spread(self.matrix, self.space.shape))
-        evals = self.space.spectrum(self)
-        floor = -PSD_TOL * max(float(self.space.weights.max()), float(evals[-1]))
+        w = self.space.weights
+        if self.stationarity_spread == 0.0 and np.all(w == w[0]):
+            evals = np.sort(self.dft[0])
+        else:
+            evals = np.linalg.eigvalsh(weighted_symmetric(self))
+        floor = -PSD_TOL * max(float(w.max()), float(evals[-1]))
         if evals[0] < floor:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
         object.__setattr__(self, "eigenvalues", _readonly(evals))
@@ -259,8 +257,35 @@ class Kernel:
     def size(self) -> int:
         return self.space.size
 
+    @cached_property
+    def dft(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_dft_spectrum` of the matrix, in index order, read-only: the spectrum of a
+        circulant K."""
+        return tuple(_readonly(a) for a in _dft_spectrum(self.matrix, self.space))
+
+    @cached_property
+    def invariance_dev(self) -> float:
+        """max |K[p, p] - K| over the bound action's permutations p; the identity,
+        which deviates by exactly 0, is skipped."""
+        action = _action(self)
+        k = self.matrix
+        perms = (action.perm[g] for g in range(action.group.order) if g != action.group.identity)
+        return max((float(np.max(np.abs(k[np.ix_(p, p)] - k))) for p in perms), default=0.0)
+
+    @cached_property
+    def irrep_spectra(self) -> dict:
+        """:func:`irrep_spectra` over the character table of the bound action's group."""
+        return irrep_spectra(self, character_table(_action(self).group))
+
     def __repr__(self) -> str:
         return f"Kernel(name={self.name!r}, size={self.size})"
+
+
+def _action(kernel: Kernel) -> GroupAction:
+    """The action bound to the kernel's space; :class:`KernelError` when there is none."""
+    if kernel.space.action is None:
+        raise KernelError("space has no bound action")
+    return kernel.space.action
 
 
 def _asymmetry(k: np.ndarray) -> float:
@@ -395,20 +420,9 @@ def builtin_kernel(name: str, space: IndexSpace, matrix: Optional[np.ndarray] = 
 
 
 def check_invariance(kernel: Kernel, tol: float = INVARIANCE_TOL) -> tuple[bool, float]:
-    """Max deviation of R(g.y1, g.y2) from R(y1, y2) over the bound action.
-
-    The identity, which acts trivially, deviates by exactly 0 and is skipped.
-    """
-    action = kernel.space.action
-    if action is None:
-        raise KernelError("space has no bound action")
-    dev = 0.0
-    k = kernel.matrix
-    for g in range(action.group.order):
-        if g == action.group.identity:
-            continue
-        p = action.perm[g]
-        dev = max(dev, float(np.max(np.abs(k[np.ix_(p, p)] - k))))
+    """Max deviation of R(g.y1, g.y2) from R(y1, y2) over the bound action
+    (``Kernel.invariance_dev``), and whether it is at most ``tol``."""
+    dev = kernel.invariance_dev
     return dev <= tol, dev
 
 
@@ -426,9 +440,7 @@ def project_kernel(kernel: Kernel, pi: Irrep, sigma: Irrep) -> np.ndarray:
     invariant kernel only the pairs (pi, conj pi) survive, so for real
     characters every cross projection vanishes.
     """
-    action = kernel.space.action
-    if action is None:
-        raise KernelError("space has no bound action")
+    action = _action(kernel)
     rows = project_path(kernel.matrix, action, pi)
     # a C-ordered rows.T gives project_path's values bitwise, about twice as
     # fast; rebinding frees the row projection before the second one runs
@@ -470,9 +482,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     of i, and nothing otherwise.  S U_pi comes from gathered columns of S
     and U_pi^T (S U_pi) from gathered rows, in O(|G| m^2).
     """
-    action = kernel.space.action
-    if action is None:
-        raise KernelError("space has no bound action")
+    action = _action(kernel)
     if not table.real_valued():
         raise KernelError("diagonal blocks are kernels only for real characters")
     perm, order = action.perm, action.group.order

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from invdecomp.groups import CharacterTable, GroupAction, project_path
+from invdecomp.groups import CharacterTable, project_path
 from invdecomp.kernels import Kernel, KernelError, weighted_eigh
 
 __all__ = [
@@ -135,20 +135,8 @@ class InvarianceReport:
     max_residual: float
     per_cluster: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "per_cluster": list(self.per_cluster),
-        }
 
-
-def check_eigenspace_invariance(
-    spectrum: Spectrum,
-    action: Optional[GroupAction] = None,
-    tol: float = 1e-8,
-) -> InvarianceReport:
+def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> InvarianceReport:
     """Residual of each translated cluster basis outside its own span.
 
     For an invariant kernel every eigenspace is stable under the translation
@@ -157,9 +145,9 @@ def check_eigenspace_invariance(
     The identity, whose residual is 0 in exact arithmetic, is skipped.
     Clusters are processed a slab at a time (see the module docstring).
     """
-    action = action or spectrum.space.action
+    action = spectrum.space.action
     if action is None:
-        raise KernelError("no action bound or supplied")
+        raise KernelError("no action bound to the space")
     w = spectrum.space.weights
     inv_perm = action.perm[action.group.inv]
     per_cluster = np.zeros(len(spectrum.clusters))

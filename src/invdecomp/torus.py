@@ -12,8 +12,8 @@ strided copy (``kernels._circulant``).  The DFT of those m lag values is
 the kernel's spectrum.  The PSD check of a bitwise circulant kernel
 reads its eigenvalues from it and stores its stationarity spread, by the
 one rule that ``invdecomp.kernels`` applies on every grid, and
-:func:`fourier_factor` builds from the same DFT the factor that samples the
-kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
+:func:`fourier_factor` builds from the same DFT (``Kernel.dft``, taken once)
+the factor that samples the kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
 stationary is still solved densely.  The factor's columns are characters of
 the grid's index group; :func:`_characters` evaluates every character here,
 and a :class:`FourierFactor` folds each sine onto its cosine partner and
@@ -44,7 +44,6 @@ from invdecomp.kernels import (
     KernelError,
     _circle_profile,
     _circulant,
-    _dft_spectrum,
     _negation,
 )
 from invdecomp.sampling import (
@@ -109,9 +108,6 @@ class Lattice:
     def volume(self) -> float:
         """Fundamental-domain volume |det V|."""
         return float(abs(np.linalg.det(self.basis)))
-
-    def to_dict(self) -> dict:
-        return {"basis": [[float(x) for x in row] for row in self.basis], "name": self.name}
 
 
 def dual_lattice(lattice: Lattice, tol: float = 1e-10) -> Lattice:
@@ -403,7 +399,7 @@ def fourier_factor(kernel: Kernel) -> FourierFactor:
     group Z_n1 x ... x Z_nd of its grid, whose characters are therefore its
     eigenvectors (the circulant case of Wood and Chan, 1994): index b
     has eigenvalue lambda_b = w * Re DFT(K[:, 0])_b of diag(w) K
-    (:func:`_dft_spectrum`, which the kernel's PSD check also reads) and
+    (``kernel.dft``, which the kernel's PSD check already took) and
     pairs with -b, the grid's negation of b.  Over a +-pair the two complex
     characters give one cos and one sin column; a self-conjugate b (b = -b)
     gives one cos column, which is +-1.  Column b of L, on grid point a, is
@@ -421,7 +417,7 @@ def fourier_factor(kernel: Kernel) -> FourierFactor:
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     m, neg = grid.size, grid.action.perm[1]
-    lam, spec = _dft_spectrum(kernel.matrix, grid)
+    lam, spec = kernel.dft
     order = np.argsort(lam, kind="stable")
     idx = order[m - _clip_spectrum(lam[order]).size :]
     index = np.stack(np.unravel_index(idx, grid.shape), axis=1)  # the grid is row-major

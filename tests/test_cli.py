@@ -1,12 +1,13 @@
 """Command-line runner: config validation, exit codes, reports, presets."""
 
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from invdecomp import cli, cumulants, kernels, torus
+from invdecomp import cli, kernels, torus
 from invdecomp.cli import (
     CHECKS,
     DEFAULT_TOLERANCES,
@@ -451,9 +452,8 @@ def test_symmetry_checks_share_one_isotypic_split(tmp_path, monkeypatch, checks)
         calls.append(kernel.name)
         return irrep_spectra(kernel, table)
 
-    # where the runner looks it up, and where a check computes its own spectra
-    monkeypatch.setattr(cli, "irrep_spectra", counting)
-    monkeypatch.setattr(cumulants, "irrep_spectra", counting)
+    # where Kernel.irrep_spectra looks it up
+    monkeypatch.setattr(kernels, "irrep_spectra", counting)
     cfg = write_config(tmp_path, grid={"kind": "interval", "n": 64}, checks=checks)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     assert calls == ["watson"]
@@ -466,17 +466,20 @@ def test_symmetry_checks_share_one_isotypic_split(tmp_path, monkeypatch, checks)
 
 def test_one_invariance_verdict_per_run(tmp_path, monkeypatch):
     """A run of the five analytic checks computes the kernel's invariance once: the
-    gate hands its deviation to both symmetry guards, and the report and tables are
-    byte-identical to those of a run whose guards compute their own."""
+    gate and both symmetry guards read the kernel's cached deviation, and the report
+    and tables are byte-identical to those of a run in which every read computes it."""
     calls = []
+    compute = kernels.Kernel.invariance_dev.func
 
-    def counting(kernel, tol=kernels.INVARIANCE_TOL):
+    def counting(kernel):
         calls.append(kernel.name)
-        return kernels.check_invariance(kernel, tol)
+        return compute(kernel)
 
-    # where the gate looks it up, and where the guards do
-    monkeypatch.setattr(cli, "check_invariance", counting)
-    monkeypatch.setattr(cumulants, "check_invariance", counting)
+    def install(prop):
+        prop.__set_name__(kernels.Kernel, "invariance_dev")
+        monkeypatch.setattr(kernels.Kernel, "invariance_dev", prop)
+
+    install(functools.cached_property(counting))
     checks = ["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"]
     cfg = write_config(tmp_path, grid={"kind": "interval", "n": 64}, rho=0.5, checks=checks)
 
@@ -489,16 +492,12 @@ def test_one_invariance_verdict_per_run(tmp_path, monkeypatch):
         )
         return text
 
-    handed = run("handed")
+    cached = run("cached")
     assert calls == ["watson"]
-    for name in ("watson_relation_check", "z2_condition_check"):
-        check = getattr(cumulants, name)
-        monkeypatch.setattr(
-            cli, name, lambda *a, _check=check, invariance_dev=None, **k: _check(*a, **k)
-        )
-    assert run("guarded") == handed
+    install(property(counting))
+    assert run("recomputed") == cached
     assert calls == ["watson"] * 4
-    assert handed.keys() >= {"report.json", "watson_relation.csv", "z2_condition.csv"}
+    assert cached.keys() >= {"report.json", "watson_relation.csv", "z2_condition.csv"}
 
 
 def test_run_failure_exit_code_and_stderr(tmp_path, capsys):
@@ -527,6 +526,24 @@ def test_spectrum_compares_only_the_oracle_rows_the_grid_has(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     rows = report["checks"]["spectrum"]["oracle"]["rows"]
     assert 0 < len(rows) <= 8
+
+
+@pytest.mark.parametrize(
+    "overrides, flags",
+    [({"tolerances": {"spectrum": 1e-6}}, []), ({}, ["--tol-scale", "100"])],
+    ids=["config", "tol-scale"],
+)
+def test_spectrum_tolerance_judges_the_canonical_split(tmp_path, overrides, flags):
+    """At m = 1024 watson's eigenvectors leak about 1e-7 under reversal: a spectrum
+    tolerance of 1e-6 passes both the eigenspace invariance and the canonical split."""
+    out = tmp_path / "out"
+    grid = {"kind": "interval", "n": 1024}
+    cfg = write_config(tmp_path, grid=grid, checks=["spectrum"], **overrides)
+    assert main(["run", str(cfg), "--out", str(out), *flags]) == 0
+    rep = json.loads((out / "report.json").read_text())["checks"]["spectrum"]
+    assert rep["status"] == "passed"
+    assert 1e-8 < rep["eigenspace_invariance"]["max_residual"] <= 1e-6  # fails at the default
+    assert rep["canonical"]["dimension_sums_exact"] is True
 
 
 def test_failed_gate_skips_dependents(tmp_path, capsys, kernel_file):
@@ -654,6 +671,20 @@ def test_user_matrix_rejects_a_non_finite_kernel(tmp_path, capsys, kernel_file, 
     err = capsys.readouterr().err
     assert err.startswith("config error: kernel/params/path: ")
     assert "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_user_matrix_rejects_a_non_finite_weight(tmp_path, capsys, kernel_file, bad):
+    """JSON's reader takes NaN and Infinity; such a weight used to reach LAPACK."""
+    w = np.full(16, 1.0 / 16)
+    w[3] = bad
+    path = _watson16_file(kernel_file, weights=w, group=None)
+    cfg = _user_matrix_config(tmp_path, path, checks=["spectrum"])
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernel/params/path: ")
+    assert "weights must be finite and strictly positive" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -391,6 +391,14 @@ def test_index_shape_must_count_the_points():
     assert make_product_grid([make_interval_grid(n) for n in (3, 4, 5)]).shape == (3, 4, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+def test_index_space_rejects_weights_that_are_not_finite_and_positive(bad):
+    """A NaN weight passes ``w <= 0`` and an infinite one is positive; either would
+    reach LAPACK in the PSD check."""
+    with pytest.raises(KernelError, match="weights must be finite and strictly positive"):
+        IndexSpace(np.linspace(0, 1, 4), [0.25, bad, 0.25, 0.25])
+
+
 # --------------------------------------------------------------- projection
 
 
@@ -519,6 +527,74 @@ def test_irrep_spectra_block_sizes_count_the_isotypic_dimensions():
 def test_irrep_spectra_rejects_complex_characters(watson64):
     with pytest.raises(KernelError, match="real characters"):
         irrep_spectra(watson64, character_table(cyclic_group(3)))
+
+
+# ---------------------------------------------------------- derived values
+
+
+def _invariance_loop(kernel: Kernel) -> float:
+    """max |K[p, p] - K| over the non-identity elements, one element at a time."""
+    action, k, dev = kernel.space.action, kernel.matrix, 0.0
+    for g in range(action.group.order):
+        if g != action.group.identity:
+            p = action.perm[g]
+            dev = max(dev, float(np.max(np.abs(k[np.ix_(p, p)] - k))))
+    return dev
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_kernel("watson", make_interval_grid(64)),
+        lambda: builtin_kernel("bridge", make_interval_grid(33)),
+        lambda: builtin_kernel("sheet_compensated", _product(8, 5)),
+        lambda: _random_psd(_s3_on_three_and_six_points(), 13),
+    ],
+    ids=["watson-dft", "bridge-dense", "z2xz2", "s3-not-invariant"],
+)
+def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch, build):
+    """``dft``, ``invariance_dev`` and ``irrep_spectra`` are each computed at most once
+    per kernel, and are bitwise what their functions give."""
+    counts = {"dft": 0, "irrep_spectra": 0, "ix_": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(kernels, "_dft_spectrum", counted("dft", kernels._dft_spectrum))
+    monkeypatch.setattr(kernels, "irrep_spectra", counted("irrep_spectra", irrep_spectra))
+    kernel = build()
+    took_dft = counts["dft"]  # the PSD check's, on the circulant path
+    monkeypatch.setattr(np, "ix_", counted("ix_", np.ix_))
+    for _ in range(2):
+        lam, spec = kernel.dft
+        dev = kernel.invariance_dev
+        spectra = kernel.irrep_spectra
+    order = kernel.space.action.group.order
+    assert counts == {"dft": 1, "irrep_spectra": 1, "ix_": order - 1}
+    assert took_dft == (kernel.stationarity_spread == 0.0)
+    want = kernels._dft_spectrum(kernel.matrix, kernel.space)
+    assert np.array_equal(lam, want[0]) and np.array_equal(spec, want[1])
+    assert dev == _invariance_loop(kernel)
+    assert check_invariance(kernel, tol=dev) == (True, dev)
+    table = character_table(kernel.space.action.group)
+    want = irrep_spectra(kernel, table)
+    assert list(spectra) == list(want)
+    assert all(np.array_equal(spectra[lab], want[lab]) for lab in want)
+
+
+def test_a_kernel_without_an_action_has_no_invariance_or_isotypic_spectra():
+    kernel = builtin_kernel("watson", make_interval_grid(16, reversal=False))
+    for read in (
+        lambda: kernel.invariance_dev,
+        lambda: kernel.irrep_spectra,
+        lambda: check_invariance(kernel),
+    ):
+        with pytest.raises(KernelError, match="space has no bound action"):
+            read()
 
 
 # -------------------------------------------------------------- contraction

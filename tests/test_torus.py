@@ -250,6 +250,24 @@ def test_fourier_factor_by_axes_is_the_matrix_product(case):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_fourier_factor_reads_the_dft_of_the_psd_check(monkeypatch):
+    """The factor takes the kernel's cached ``dft``: one DFT per kernel, the PSD check's."""
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return fftn(a, *args, **kwargs)
+
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    kernel = torus_watson(torus_grid(Lattice(np.eye(2)), [8, 6]))
+    assert calls == [(8, 6)]
+    l = fourier_factor(kernel)
+    fourier_factor(kernel)
+    assert calls == [(8, 6)]
+    assert np.array_equal(np.sort(kernel.dft[0]), kernel.eigenvalues) and l.shape[1] > 0
+
+
 def test_fourier_factor_of_the_zero_kernel_draws_zero_paths():
     grid = torus_grid(Lattice(np.eye(2)), [6, 4])
     l = fourier_factor(Kernel(grid, np.zeros((grid.size, grid.size))))

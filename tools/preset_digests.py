@@ -21,8 +21,9 @@ size.
 Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
 heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
-isotypic splits, the ``kernels.irrep_spectra`` calls of the runner and the
-checks (for example ``irrep_spectra x1``), and the spectrum path of each
+isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
+once when a check first reads ``Kernel.irrep_spectra`` (for example
+``irrep_spectra x1``), and the spectrum path of each
 ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
 ``dft(256) x1, dense(256) x1``), and the folded box of frequencies that
 each torus factor (``torus.fourier_factor``) applies axis by axis, with the
@@ -60,7 +61,7 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from invdecomp import cli, cumulants, kernels, torus  # noqa: E402
+from invdecomp import cli, kernels, torus  # noqa: E402
 from invdecomp.sampling import RNG_CONTRACT  # noqa: E402
 
 
@@ -88,43 +89,42 @@ def eig_calls():
 
 @contextlib.contextmanager
 def isotypic_splits():
-    """Record the kernel size of each ``irrep_spectra`` call in the block, by runner or check."""
+    """Record the kernel size of each ``kernels.irrep_spectra`` call in the block."""
     calls: list[int] = []
-    saved = cli.irrep_spectra, cumulants.irrep_spectra
+    saved = kernels.irrep_spectra
 
     def counted(kernel, table):
         calls.append(kernel.size)
-        return saved[0](kernel, table)
+        return saved(kernel, table)
 
-    cli.irrep_spectra = cumulants.irrep_spectra = counted
+    kernels.irrep_spectra = counted
     try:
         yield calls
     finally:
-        cli.irrep_spectra, cumulants.irrep_spectra = saved
+        kernels.irrep_spectra = saved
 
 
 @contextlib.contextmanager
 def spectrum_paths():
     """Record ``dft(shape)`` or ``dense(m)`` for each ``Kernel`` PSD check in the block."""
     paths: list[str] = []
-    spectrum, dft = kernels.IndexSpace.spectrum, kernels._dft_spectrum
+    post_init, dft = kernels.Kernel.__post_init__, kernels._dft_spectrum
 
     def traced_dft(matrix, space):
         paths.append(f"dft({'x'.join(str(n) for n in space.shape)})")
         return dft(matrix, space)
 
-    def traced_spectrum(space, kernel):
+    def traced_post_init(kernel):
         n = len(paths)
-        out = spectrum(space, kernel)
+        post_init(kernel)
         if len(paths) == n:
-            paths.append(f"dense({space.size})")
-        return out
+            paths.append(f"dense({kernel.size})")
 
-    kernels._dft_spectrum, kernels.IndexSpace.spectrum = traced_dft, traced_spectrum
+    kernels._dft_spectrum, kernels.Kernel.__post_init__ = traced_dft, traced_post_init
     try:
         yield paths
     finally:
-        kernels._dft_spectrum, kernels.IndexSpace.spectrum = dft, spectrum
+        kernels._dft_spectrum, kernels.Kernel.__post_init__ = dft, post_init
 
 
 @contextlib.contextmanager
