@@ -39,7 +39,6 @@ from invdecomp.groups import character_table
 from invdecomp.kernels import (
     BUILTINS,
     TORUS_KERNEL,
-    IndexSpace,
     Kernel,
     KernelError,
     builtin_kernel,
@@ -288,7 +287,8 @@ def _run_spectrum(ctx, tols, cfg):
 def _run_torus_watson(ctx, tols, cfg):
     # the check reads row 0 of the run's kernel alone and is the last in CHECKS:
     # the kernel is released before the check assembles its truncation
-    space, profile = ctx["space"], ctx.pop("kernel").matrix[0].copy()
+    space = ctx["kernel"].space
+    profile = ctx.pop("kernel").matrix[0].copy()
     cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(profile, space, cutoff)
     count = int(cfg.get("samples", 20_000))
@@ -843,7 +843,7 @@ def build_space(cfg: dict):
     else:
         space = make_product_grid([make_interval_grid(k) for k in ns])
     if cfg.get("action", {}).get("name") == "none":
-        space = IndexSpace(space.points, space.weights, None, space.name, space.shape)
+        space = replace(space, action=None)
     return space
 
 
@@ -864,9 +864,7 @@ def load_user_matrix(cfg: dict) -> Kernel:
             f"grid/n: {cfg['grid']['n']} does not count the {kernel.size} points of the kernel file"
         )
     if cfg.get("action", {}).get("name") == "none":
-        space = kernel.space
-        space = IndexSpace(space.points, space.weights, None, space.name, space.shape)
-        kernel = Kernel(space, kernel.matrix, name=kernel.name)
+        kernel = replace(kernel, space=replace(kernel.space, action=None))
     needs = [c for c in cfg["checks"] if CHECKS[c].action]
     if kernel.space.action is None and needs:
         raise ConfigError(f"checks: {needs} need a group action; the kernel file has none")
@@ -898,9 +896,8 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
     table, its CSV rows.
     """
     kernel = build_kernel(cfg)
-    space = kernel.space
-    table = character_table(space.action.group) if space.action is not None else None
-    ctx = {"space": space, "kernel": kernel, "table": table}
+    action = kernel.space.action
+    ctx = {"kernel": kernel, "table": character_table(action.group) if action is not None else None}
     del kernel  # ctx holds the one reference, which a check may release
 
     requested = set(cfg["checks"]) | {CHECKS[c].gate for c in cfg["checks"]}
@@ -1006,14 +1003,14 @@ def run_command(args) -> int:
                 cfg[key] = val
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.out is not None:
-            cfg.setdefault("output", {})["dir"] = args.out
 
         problems = validate_config(cfg)
         if not np.isfinite(args.tol_scale) or args.tol_scale <= 0:
             problems.append(f"--tol-scale: must be a positive number, not {args.tol_scale}")
         if problems:
             raise ConfigError("; ".join(problems))
+        if args.out is not None:  # once validated, ``output`` is an object
+            cfg.setdefault("output", {})["dir"] = args.out
         tols = resolve_tolerances(cfg, args.tol_scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

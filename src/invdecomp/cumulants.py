@@ -76,7 +76,7 @@ def cumulant_coefficient(n: int) -> float:
     return float(2 ** (n - 1) * factorial(n - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumulantVector:
     """kappa_1..kappa_{n_max} of the weighted product functional."""
 

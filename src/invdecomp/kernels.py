@@ -78,7 +78,7 @@ __all__ = [
 
 PSD_TOL = 1e-10
 INVARIANCE_TOL = 1e-9  # check_invariance's default, and the tolerance of the symmetry checks' guards
-SPREAD_BYTES = 1 << 21  # the row chunk of the asymmetry pass and of the stationarity spread
+CHUNK = 1 << 16  # doubles per array of every streamed or row-chunked pass: 512 KiB, cache-sized
 
 
 class KernelError(ValueError):
@@ -90,7 +90,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSpace:
     """Finite quadrature rule with an optional symmetry action.
 
@@ -145,7 +145,7 @@ class IndexSpace:
         return f"IndexSpace(name={self.name!r}, size={self.size}, dim={self.dim})"
 
 
-def make_interval_grid(n: int, reversal: bool = True) -> IndexSpace:
+def make_interval_grid(n: int) -> IndexSpace:
     """Midpoint rule on [0, 1] with the reflection t -> 1-t bound as a Z2 action.
 
     The midpoints (i + 1/2)/n are closed under reflection exactly, with
@@ -155,11 +155,7 @@ def make_interval_grid(n: int, reversal: bool = True) -> IndexSpace:
         raise KernelError("need at least one grid point")
     t = (np.arange(n) + 0.5) / n
     w = np.full(n, 1.0 / n)
-    action = None
-    if reversal:
-        g = cyclic_group(2)
-        perm = np.stack([np.arange(n), np.arange(n)[::-1]])
-        action = GroupAction(g, perm)
+    action = GroupAction(cyclic_group(2), np.stack([np.arange(n), np.arange(n)[::-1]]))
     return IndexSpace(t, w, action, name=f"interval[{n}]", shape=(n,))
 
 
@@ -201,7 +197,7 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
     return IndexSpace(pts, w, action, name=name, shape=mid.shape + last.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
@@ -289,8 +285,8 @@ def _action(kernel: Kernel) -> GroupAction:
 
 
 def _asymmetry(k: np.ndarray) -> float:
-    """max |K - K^T| of a finite K (``max`` drops a NaN), in row chunks of ``SPREAD_BYTES``."""
-    step = max(1, SPREAD_BYTES // (8 * k.shape[0]))
+    """max |K - K^T| of a finite K (``max`` drops a NaN), in row chunks of ``CHUNK`` doubles."""
+    step = max(1, CHUNK // k.shape[0])
     diffs = (k[a : a + step] - k[:, a : a + step].T for a in range(0, k.shape[0], step))
     return max(float(np.abs(d, out=d).max()) for d in diffs)
 
@@ -311,13 +307,13 @@ def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
     With the column index doubled periodically along every axis, the
     entries K[s, s + c] of lag -c sit at one stride pattern, so each row
     chunk is read through one strided view, and the per-lag max and min
-    are kept across chunks of about ``SPREAD_BYTES``.  Max and min are
+    are kept across chunks of about ``CHUNK`` doubles.  Max and min are
     exact, so the spread is that of any other grouping of the classes.
     """
     d, m = len(shape), matrix.shape[0]
     k = matrix.reshape(shape + shape)
     axes = tuple(range(d))
-    step = max(1, SPREAD_BYTES // (8 * 2**d * m * (m // shape[0])))  # rows of the first axis
+    step = max(1, CHUNK // (2**d * m * (m // shape[0])))  # rows of the first axis
     hi, lo = np.full(shape, -np.inf), np.full(shape, np.inf)
     for a in range(0, shape[0], step):
         tiled = np.tile(k[a : a + step], (1,) * d + (2,) * d)
@@ -399,17 +395,10 @@ def law_kernel(dim: int) -> str:
     return next(name for name, b in BUILTINS.items() if b.tied and b.dim == dim)
 
 
-def builtin_kernel(name: str, space: IndexSpace, matrix: Optional[np.ndarray] = None) -> Kernel:
-    """Construct a named covariance kernel on ``space``.
-
-    A :data:`BUILTINS` name multiplies its record's one-axis covariance over
-    the record's ``dim`` axes of ``space``, in axis order; ``"user_matrix"``
-    validates and wraps ``matrix``.
+def builtin_kernel(name: str, space: IndexSpace) -> Kernel:
+    """Construct a named covariance kernel on ``space``: the :data:`BUILTINS` record's
+    one-axis covariance, multiplied over the record's ``dim`` axes of ``space`` in axis order.
     """
-    if name == "user_matrix":
-        if matrix is None:
-            raise KernelError("user_matrix requires the matrix argument")
-        return Kernel(space, np.asarray(matrix, dtype=float), name=name)
     if name not in BUILTINS:
         raise KernelError(f"unknown kernel {name!r}")
     rec = BUILTINS[name]

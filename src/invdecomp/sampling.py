@@ -76,6 +76,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from invdecomp.kernels import (
     BUILTINS,
+    CHUNK,
     IndexSpace,
     Kernel,
     KernelError,
@@ -107,7 +108,6 @@ BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the w
 RNG_CONTRACT = f"sfc64-block-{BLOCK}-rowmajor-v4"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
 EXP_STREAM = 1 << 15  # stream s + EXP_STREAM holds pair_functional's tie exponentials of stream s
-CHUNK = 1 << 16       # doubles per array of a streamed chunk: 512 KiB, cache-sized
 # the in-law checks in order of dimension, with the defaults their wrappers and the runner read
 LAW_DEFAULTS = {
     "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
@@ -147,17 +147,6 @@ def _block_generator(seed: int, stream: int, a: int) -> Generator:
     return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
 
 
-def _fill_normals(out: np.ndarray, seed: int, stream: int, a: int) -> None:
-    """Fill the C-contiguous (ncols, m) ``out`` with the normals of columns a, a+1, ...
-
-    ``a`` is the first column of a block.  One generator per block, keyed
-    by the block index a // BLOCK and drawn row-major, so row c holds column
-    a + c and a partial block gets a prefix of the full block's draw.
-    Callers apply the factor as l @ out.T.
-    """
-    _block_generator(seed, stream, a).standard_normal(out=out)
-
-
 def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: int):
     """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, ``width`` at a time.
 
@@ -167,7 +156,7 @@ def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: in
     column draws r normals, its coordinates on the r kept eigenvalues, which
     column k of ``l`` carries in ascending order.  The chunks' normals are
     read in turn from the block's one generator, so they are bitwise those of
-    one :func:`_fill_normals` call, and only one chunk of them is held.
+    one fill of the whole block, and only one chunk of them is held.
     Yields (first column, m x ncols paths).  Every path sampler draws through
     here, so every ensemble follows ``RNG_CONTRACT`` and the coordinate rule.
     """
@@ -232,7 +221,7 @@ def covariance_factor(kernel: Kernel) -> np.ndarray:
     return vecs[:, m - lam.size :] * np.sqrt(lam) / np.sqrt(kernel.space.weights)[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """S sampled paths over an index space, one per column."""
 
@@ -318,12 +307,12 @@ def _chi2_sum(
         a, b = blk
         if single.size:
             xi = np.empty((b - a, single.size))
-            _fill_normals(xi, seed, streams[0], a)
+            _block_generator(seed, streams[0], a).standard_normal(out=xi)
             # each einsum is one pass over the normals, with no temporary block
             out[a:b] = np.einsum("ck,ck,k->c", xi, xi, single)
             if comp > 0.0:
                 eta = np.empty_like(xi)
-                _fill_normals(eta, seed, streams[1], a)
+                _block_generator(seed, streams[1], a).standard_normal(out=eta)
                 out[a:b] = rho * out[a:b] + comp * np.einsum("ck,ck,k->c", xi, eta, single)
         if pairs.size:
             ea = _block_generator(seed, exp_streams[0], a)
@@ -498,50 +487,6 @@ def kstat_variances(kappas: Sequence[float], count: int) -> np.ndarray:
     return np.array([v1, v2, v3, v4])
 
 
-def _law_report(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    kappa_lhs: np.ndarray,
-    kappa_rhs: np.ndarray,
-    count: int,
-    seed: int,
-    ks_tol: Optional[float],
-    orders: int,
-    sigma: float = 5.0,
-) -> dict:
-    """Compare two MC functionals against each other and their analytics.
-
-    Cumulant-gap tolerances combine the k-statistic sampling noise of both
-    sides (at ``sigma`` standard deviations) with the computable systematic
-    offset between the two discrete analytic cumulant sequences.
-    """
-    cmp_ = compare_distributions(lhs, rhs)
-    var_l = kstat_variances(kappa_lhs, count)
-    var_r = kstat_variances(kappa_rhs, count)
-    noise = sigma * np.sqrt(var_l + var_r)
-    systematic = np.abs(kappa_lhs[:4] - kappa_rhs[:4])
-    tol = noise + systematic
-    gaps = np.abs(np.asarray(cmp_.cumulant_gaps))
-    if ks_tol is None:
-        ks_tol = null_ks_critical(count)
-    passes = {
-        "ks": bool(cmp_.ks_distance < ks_tol),
-        "cumulants": bool(np.all(gaps[:orders] <= tol[:orders])),
-    }
-    return {
-        "count": count,
-        "seed": seed,
-        "comparison": cmp_.to_dict(),
-        "ks_tol": float(ks_tol),
-        "cumulant_orders_checked": orders,
-        "cumulant_tol": [float(x) for x in tol],
-        "analytic_lhs": [float(x) for x in kappa_lhs[:4]],
-        "analytic_rhs": [float(x) for x in kappa_rhs[:4]],
-        "pass": passes,
-        "ok": bool(all(passes.values())),
-    }
-
-
 def law_check(
     kernel: Kernel, rho: float, count: int, seed: int, ks_tol: Optional[float] = None
 ) -> dict:
@@ -561,6 +506,11 @@ def law_check(
     the tied-down kept spectrum mu, each G_k the sum of h = 2^(d-1) standard
     exponentials: :func:`_chi2_sum` of h tiled copies of mu on streams 2
     and 3.  Its weights take the factor 4^-d, a power of 2, so exactly.
+
+    The two sides pass when their KS distance is below ``ks_tol`` (by default
+    :func:`null_ks_critical`) and their first three k-statistic gaps are within
+    5 standard deviations of the sampling noise of both sides, plus the
+    systematic offset between the two discrete analytic cumulant sequences.
     """
     partner = getattr(BUILTINS.get(kernel.name), "tied", None)
     if partner is None:
@@ -575,19 +525,32 @@ def law_check(
     kap_l = analytic_cumulants(kernel, rho, 8).values
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
     kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values
-    rep = _law_report(lhs, rhs, kap_l, kap_r, count, seed, ks_tol, orders=3)
+    cmp_ = compare_distributions(lhs, rhs)
+    noise = 5.0 * np.sqrt(kstat_variances(kap_l, count) + kstat_variances(kap_r, count))
+    tol = noise + np.abs(kap_l[:4] - kap_r[:4])
+    gaps = np.abs(np.asarray(cmp_.cumulant_gaps))
+    if ks_tol is None:
+        ks_tol = null_ks_critical(count)
+    passes = {"ks": bool(cmp_.ks_distance < ks_tol), "cumulants": bool(np.all(gaps[:3] <= tol[:3]))}
     # distinct values per axis, counted without np.unique, which imports numpy.ma
     axes = [1 + int(np.count_nonzero(np.diff(np.sort(x)))) for x in space.points.T]
-    rep.update(
-        {
-            "check": list(LAW_DEFAULTS)[space.dim - 1],
-            "grid": axes[0] if space.dim == 1 else axes,
-            "rho": rho,
-            "mean_lhs": float(np.mean(lhs)),
-            "mean_rhs": float(np.mean(rhs)),
-        }
-    )
-    return rep
+    return {
+        "count": count,
+        "seed": seed,
+        "comparison": cmp_.to_dict(),
+        "ks_tol": float(ks_tol),
+        "cumulant_orders_checked": 3,
+        "cumulant_tol": [float(x) for x in tol],
+        "analytic_lhs": [float(x) for x in kap_l[:4]],
+        "analytic_rhs": [float(x) for x in kap_r[:4]],
+        "pass": passes,
+        "ok": bool(all(passes.values())),
+        "check": list(LAW_DEFAULTS)[space.dim - 1],
+        "grid": axes[0] if space.dim == 1 else axes,
+        "rho": rho,
+        "mean_lhs": float(np.mean(lhs)),
+        "mean_rhs": float(np.mean(rhs)),
+    }
 
 
 def _law_from_config(name: str, config: dict) -> dict:

@@ -41,26 +41,26 @@ __all__ = [
 
 
 SLAB = 256  # basis columns per slab
+CLUSTER_REL_TOL = 1e-6  # relative eigenvalue gap below which eigendecompose joins a cluster
 
 
 class DecompositionError(KernelError):
     """Canonical splitting failed to account for a full eigenspace."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Descending weighted spectrum with eigenvalue clusters.
 
     ``basis`` columns are eigenvectors, orthonormal in <.,.>_w; ``clusters``
     are half-open index ranges grouping eigenvalues whose consecutive
-    relative gaps fall below ``rel_tol``.
+    relative gaps fall below ``CLUSTER_REL_TOL``.
     """
 
     space: object
     eigenvalues: np.ndarray
     basis: np.ndarray
     clusters: tuple[tuple[int, int], ...]
-    rel_tol: float
 
     def __post_init__(self) -> None:
         for arr in (self.eigenvalues, self.basis):
@@ -74,7 +74,7 @@ class Spectrum:
         return f"Spectrum(size={self.size}, clusters={len(self.clusters)})"
 
 
-def eigendecompose(kernel: Kernel, rel_tol: float = 1e-6) -> Spectrum:
+def eigendecompose(kernel: Kernel) -> Spectrum:
     """Solve K diag(w) f = lambda f through the symmetric similar problem.
 
     With W = diag(sqrt(w)), the matrix W K W is symmetric with the same
@@ -92,7 +92,7 @@ def eigendecompose(kernel: Kernel, rel_tol: float = 1e-6) -> Spectrum:
     for i in range(len(evals) - 1):
         gap = evals[i] - evals[i + 1]
         scale = max(abs(float(evals[i])), lmax * 1e-15, np.finfo(float).tiny)
-        if gap / scale > rel_tol:
+        if gap / scale > CLUSTER_REL_TOL:
             clusters.append((start, i + 1))
             start = i + 1
     clusters.append((start, len(evals)))
@@ -101,7 +101,6 @@ def eigendecompose(kernel: Kernel, rel_tol: float = 1e-6) -> Spectrum:
         eigenvalues=np.ascontiguousarray(evals),
         basis=np.ascontiguousarray(basis),
         clusters=tuple(clusters),
-        rel_tol=rel_tol,
     )
 
 
@@ -163,7 +162,7 @@ def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> Invari
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSplit:
     """Canonical decomposition of one eigenvalue cluster."""
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from invdecomp.groups import GroupAction, cyclic_group
 from invdecomp.kernels import (
+    CHUNK,
     TORUS_KERNEL,
     IndexSpace,
     Kernel,
@@ -48,7 +49,6 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
-    CHUNK,
     PathEnsemble,
     _blocks,
     _clip_spectrum,
@@ -76,6 +76,8 @@ __all__ = [
 ]
 
 SPLIT_COLUMNS = BLOCK // 4  # columns per cross-covariance product; a multiple of every chunk width
+PAIRING_TOL = 1e-10  # largest deviation of dual_lattice's primal/dual pairing from integers
+SINE_TOL = 1e-10  # largest sine coefficient fourier_kl accepts of an even profile
 
 
 def _chunk_width(m: int) -> int:
@@ -84,12 +86,11 @@ def _chunk_width(m: int) -> int:
     return min(BLOCK // 16, max(8, 1 << (max(1, CHUNK // m).bit_length() - 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """Full-rank lattice given by basis rows stacked as a matrix."""
 
     basis: np.ndarray  # (n, n), row i is the i-th basis vector
-    name: str = ""
 
     def __post_init__(self) -> None:
         b = np.asarray(self.basis, dtype=float)
@@ -110,17 +111,17 @@ class Lattice:
         return float(abs(np.linalg.det(self.basis)))
 
 
-def dual_lattice(lattice: Lattice, tol: float = 1e-10) -> Lattice:
-    """Dual basis (inverse transpose), with the integrality pairing verified."""
+def dual_lattice(lattice: Lattice) -> Lattice:
+    """Dual basis (inverse transpose), with the integrality pairing verified to ``PAIRING_TOL``."""
     dual = np.linalg.inv(lattice.basis).T
     pair = lattice.basis @ dual.T
     dev = float(np.max(np.abs(pair - np.round(pair))))
-    if dev > tol:
+    if dev > PAIRING_TOL:
         raise KernelError(f"primal/dual pairing is not integral (dev {dev:.3e})")
-    return Lattice(dual, name=f"{lattice.name}*" if lattice.name else "dual")
+    return Lattice(dual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusGrid(IndexSpace):
     """Uniform lattice grid, negation-closed, with fractional coordinates.
 
@@ -167,7 +168,7 @@ def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusKernelSpec:
     """Retained Fourier data of a stationary even torus kernel.
 
@@ -242,16 +243,11 @@ def _dual_reps(dim: int, cutoff: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def fourier_kl(
-    profile: np.ndarray,
-    grid: TorusGrid,
-    cutoff: int,
-    sine_tol: float = 1e-10,
-) -> TorusKernelSpec:
+def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernelSpec:
     """Cosine expansion of a stationary even profile sampled on a torus grid.
 
     Quadrature against cos/sin(2 pi <v*|u>) for every dual representative up
-    to ``cutoff``; sine coefficients must vanish (evenness).  Stored per
+    to ``cutoff``; sine coefficients must vanish (evenness), to ``SINE_TOL``.  Stored per
     vector: the operator eigenvalue a_v = fourier_coeff * vol / 2 (v != 0)
     or fourier_coeff * vol (v = 0), which for the unit circle reproduces the
     classical 1/(4 pi^2 v^2) sequence of the compensated-bridge kernel.
@@ -270,7 +266,7 @@ def fourier_kl(
     half = np.where(np.any(vectors, axis=1), 0.5, 1.0) * grid.lattice.volume  # squared cosine norms
     coeffs = (kw @ cos) / half
     worst_sine = float(np.max(np.abs(kw @ sin) / half))
-    if worst_sine > sine_tol:
+    if worst_sine > SINE_TOL:
         raise KernelError(f"profile is not even: sine coefficient {worst_sine:.3e}")
     return TorusKernelSpec(
         lattice=grid.lattice,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invdecomp
@@ -146,3 +147,47 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["version"] == invdecomp.__version__
+
+
+def _interval_watson():
+    return invdecomp.builtin_kernel("watson", invdecomp.make_interval_grid(4))
+
+
+def _torus_spec():
+    grid = invdecomp.torus_grid(invdecomp.Lattice(np.eye(1)), 8)
+    return invdecomp.fourier_kl(invdecomp.torus_watson(grid).matrix[0], grid, 2)
+
+
+def _cluster_split():
+    kernel = _interval_watson()
+    table = invdecomp.character_table(kernel.space.action.group)
+    return invdecomp.canonical_decomposition(invdecomp.eigendecompose(kernel), table)[0]
+
+
+# each frozen dataclass that holds an ndarray, built from fixed inputs
+_ARRAY_HOLDERS = {
+    "IndexSpace": lambda: _interval_watson().space,
+    "Kernel": _interval_watson,
+    "TorusGrid": lambda: invdecomp.torus_grid(invdecomp.Lattice(np.eye(2)), 4),
+    "Lattice": lambda: invdecomp.Lattice(np.eye(2)),
+    "TorusKernelSpec": _torus_spec,
+    "Spectrum": lambda: invdecomp.eigendecompose(_interval_watson()),
+    "PathEnsemble": lambda: invdecomp.sample(_interval_watson(), 3, seed=1),
+    "FiniteGroup": lambda: invdecomp.cyclic_group(3),
+    "Irrep": lambda: invdecomp.Irrep("triv", 1, np.ones(2)),
+    "CharacterTable": lambda: invdecomp.character_table(invdecomp.cyclic_group(2)),
+    "GroupAction": lambda: _interval_watson().space.action,
+    "ClusterSplit": _cluster_split,
+    "CumulantVector": lambda: invdecomp.analytic_cumulants(_interval_watson(), 1.0, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))
+def test_array_holders_hash_and_compare_by_identity(name):
+    """A generated ``__eq__`` would compare the arrays with ``==`` and raise, and
+    ``hash`` would hash them; these classes compare and hash by identity."""
+    x, y = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(x).__name__ == name
+    assert hash(x) == hash(x)
+    assert x == x
+    assert (x == y) is False and x != y

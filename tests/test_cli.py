@@ -107,6 +107,16 @@ def test_run_rejects_a_seed_beyond_64_bits(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("output", [5, [], "x"], ids=["int", "list", "string"])
+@pytest.mark.parametrize("flag", [[], ["--out"]], ids=["config", "out-flag"])
+def test_run_rejects_a_malformed_output_with_or_without_out(tmp_path, capsys, output, flag):
+    cfg = write_config(tmp_path, output=output)
+    assert main(["run", str(cfg)] + flag + [str(tmp_path / "out")] * len(flag)) == 2
+    err = capsys.readouterr().err
+    assert f"config error: output: expected an object, got {json.dumps(output)}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_unknown_check_name(tmp_path, capsys):
     cfg = write_config(tmp_path, checks=["frobnicate"])
     assert main(["validate", str(cfg)]) == 2

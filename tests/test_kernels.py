@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 from unittest import mock
 
@@ -46,8 +48,10 @@ def test_interval_grid_is_midpoint_rule():
 
 
 def test_interval_grid_without_action():
-    sp = make_interval_grid(8, reversal=False)
+    sp = replace(make_interval_grid(8), action=None)
     assert sp.action is None
+    assert np.array_equal(sp.points, make_interval_grid(8).points)
+    assert sp.shape == (8,) and sp.name == "interval[8]"
 
 
 def test_product_grid():
@@ -114,8 +118,9 @@ def test_unknown_kernel_name():
         builtin_kernel("brownian", make_interval_grid(4))
 
 
-def test_user_matrix_requires_matrix():
-    with pytest.raises(KernelError):
+def test_user_matrix_is_not_a_builtin():
+    """A user_matrix kernel comes from its file (``invdecomp.io.load_kernel``) only."""
+    with pytest.raises(KernelError, match="unknown kernel 'user_matrix'"):
         builtin_kernel("user_matrix", make_interval_grid(4))
 
 
@@ -204,7 +209,7 @@ def test_a_matrix_asymmetric_within_the_tolerance_is_stored_symmetrized():
 @pytest.mark.parametrize("m, rows", [(10, 4), (37, 8), (64, 5)])
 def test_chunked_asymmetry_is_the_dense_maximum(monkeypatch, m, rows):
     """Row chunks of ``rows`` rows, the last one partial and holding the largest deviation."""
-    monkeypatch.setattr(kernels, "SPREAD_BYTES", 8 * m * rows)
+    monkeypatch.setattr(kernels, "CHUNK", m * rows)
     assert 1 < m % rows
     k = np.random.default_rng(m).normal(size=(m, m))
     assert kernels._asymmetry(k) == float(np.max(np.abs(k - k.T)))
@@ -212,6 +217,22 @@ def test_chunked_asymmetry_is_the_dense_maximum(monkeypatch, m, rows):
     assert kernels._asymmetry(k) == float(np.max(np.abs(k - k.T)))
     k = (k + k.T) / 2
     assert kernels._asymmetry(k) == 0.0
+
+
+@pytest.mark.parametrize("name", ["_asymmetry", "_lag_spread"])
+def test_the_row_chunked_passes_hold_three_chunks_at_most(name):
+    """At m = 1024 the asymmetry pass and the stationarity spread each peak within
+    3 x ``CHUNK`` doubles (1.5 MiB) above their entry; 4.1 and 5.0 MiB with a 2 MiB budget."""
+    k = builtin_kernel("watson", make_interval_grid(1024)).matrix
+    args = (k,) if name == "_asymmetry" else (k, (1024,))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        getattr(kernels, name)(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * kernels.CHUNK
 
 
 def _nonuniform_space():
@@ -587,7 +608,7 @@ def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch,
 
 
 def test_a_kernel_without_an_action_has_no_invariance_or_isotypic_spectra():
-    kernel = builtin_kernel("watson", make_interval_grid(16, reversal=False))
+    kernel = builtin_kernel("watson", replace(make_interval_grid(16), action=None))
     for read in (
         lambda: kernel.invariance_dev,
         lambda: kernel.irrep_spectra,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.random import SFC64, Generator, Philox, SeedSequence
 from scipy.stats import ks_2samp, kstat
 
+from invdecomp import sampling
 from invdecomp.cumulants import analytic_cumulants
 from invdecomp.groups import character_table, project_path
 from invdecomp.io import load_kernel
@@ -31,8 +32,6 @@ from invdecomp.sampling import (
     _chi2_sum,
     _clip_spectrum,
     _block_generator,
-    _fill_normals,
-    _law_report,
     _tie_split,
     compare_distributions,
     covariance_factor,
@@ -50,6 +49,12 @@ from invdecomp.sampling import (
     worker_count,
 )
 from invdecomp.torus import Lattice, _chunk_width, fourier_factor, torus_grid, torus_watson
+
+
+def _fill_normals(out, seed, stream, a):
+    """The normals of columns a, a+1, ... into the (ncols, r) ``out``, row-major, as every
+    sampler reads them: through ``sampling._block_generator``, which ``_v3`` patches."""
+    sampling._block_generator(seed, stream, a).standard_normal(out=out)
 
 
 @pytest.fixture(scope="module")
@@ -404,10 +409,17 @@ def test_pair_functional_streams_leave_room_for_the_exponentials(watson32):
 
 def _law_rhs(kernel, rho, count, seed):
     """The right side of ``law_check(kernel, rho, count, seed)``, as law_check draws it:
-    the sum of 2^d copies of the tied-down partner's pair functional, over 4^d."""
-    with mock.patch("invdecomp.sampling._law_report", wraps=_law_report) as report:
+    the sum of 2^d copies of the tied-down partner's pair functional, over 4^d:
+    its ``_chi2_sum`` draw on streams (2, 3)."""
+    draws = {}
+
+    def chi2_sum(*args):
+        draws[args[5]] = out = _chi2_sum(*args)
+        return out
+
+    with mock.patch("invdecomp.sampling._chi2_sum", chi2_sum):
         law_check(kernel, rho, count, seed)
-    return report.call_args.args[1]
+    return draws[(2, 3)]
 
 
 def test_copies_sum_golden_digest():

@@ -30,7 +30,9 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     ]
     assert lines[2].startswith("rng_contract=")
     assert lines[3].startswith("src_lines=")
-    assert len(lines) == 4
+    assert lines[4].startswith("code_lines=")
+    assert int(lines[4].split("=")[1]) < int(lines[3].split("=")[1])
+    assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
     assert "heap peak" in run.stderr
 

@@ -13,11 +13,12 @@ report is hashed without its ``generated_at`` timestamp and without its
 does not change the digest; compare the version separately.
 
 The line ``rng_contract=<name>`` then names ``invdecomp.sampling.RNG_CONTRACT``,
-the keying rule of the seeded presets' samples, and the last line,
-``src_lines=<N>``, counts the lines of ``src/invdecomp/*.py``.  Run the script
-on two checkouts and diff the outputs: equal preset lines mean byte-identical
-reports and tables, and the last two lines compare the contract and the code
-size.
+the keying rule of the seeded presets' samples, ``src_lines=<N>`` counts the
+lines of ``src/invdecomp/*.py``, and the last line, ``code_lines=<N>``, those of
+its lines that are not blank, not a comment alone and not in a docstring.  Run
+the script on two checkouts and diff the outputs: equal preset lines mean
+byte-identical reports and tables, and the last three lines compare the
+contract and the code size.
 Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
 heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
@@ -44,6 +45,7 @@ import os
 os.environ["INVDECOMP_THREADS"] = "1"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -147,6 +149,20 @@ def factor_paths():
         torus.fourier_factor = saved
 
 
+def code_lines(text: str) -> int:
+    """Lines of the Python source ``text`` that are not blank, not a comment alone
+    and not in the docstring of a module, class or function."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = enumerate(text.splitlines(), start=1)
+    return sum(1 for i, line in lines if line.strip()[:1] not in ("", "#") and i not in docs)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -233,9 +249,10 @@ def main(argv: list[str]) -> int:
             flush=True,
         )
         print(line, flush=True)
-    lines = sum(len(path.read_text().splitlines()) for path in (SRC / "invdecomp").glob("*.py"))
+    texts = [path.read_text() for path in (SRC / "invdecomp").glob("*.py")]
     print(f"rng_contract={RNG_CONTRACT}")
-    print(f"src_lines={lines}")
+    print(f"src_lines={sum(len(text.splitlines()) for text in texts)}")
+    print(f"code_lines={sum(map(code_lines, texts))}")
     return 0
 
 
