@@ -51,4 +51,4 @@ from invdecomp.torus import (
     torus_watson_check,
 )
 
-__version__ = "0.8.5"
+__version__ = "0.8.6"

@@ -14,26 +14,25 @@ isotypic spectra (``Kernel.irrep_spectra``): equal power sums across irreps
 and, by character orthogonality, the Z/2 reflection criterion.  Both read
 the kernel's cached invariance deviation and spectra, so a run that makes
 both checks computes each once.
+
+Every result is plain data: :func:`analytic_cumulants` returns a read-only
+array, and the two checks return the JSON-ready dicts the runner writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
-from invdecomp.groups import GroupError, character_table, check_action
+from invdecomp.groups import GroupError, character_table
 from invdecomp.kernels import BUILTINS, INVARIANCE_TOL, Kernel, KernelError, weighted_traces
 
 __all__ = [
     "k_coeff",
     "cumulant_coefficient",
-    "CumulantVector",
     "analytic_cumulants",
-    "WatsonCheckReport",
     "watson_relation_check",
-    "Z2ConditionReport",
     "z2_condition_check",
     "mgf_watson",
 ]
@@ -76,21 +75,6 @@ def cumulant_coefficient(n: int) -> float:
     return float(2 ** (n - 1) * factorial(n - 1))
 
 
-@dataclass(frozen=True, eq=False)
-class CumulantVector:
-    """kappa_1..kappa_{n_max} of the weighted product functional."""
-
-    rho: float
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if len(v) >= 2 and v[1] < 0:
-            raise ValueError("kappa_2 must be nonnegative for rho in [0,1]")
-
-
 def _cumulants_from_traces(traces, rho: float) -> np.ndarray:
     """kappa_1..kappa_N of the module formula from the traces tr((D K)^n), n = 1..N."""
     values = np.empty(len(traces))
@@ -100,12 +84,14 @@ def _cumulants_from_traces(traces, rho: float) -> np.ndarray:
     return values
 
 
-def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> CumulantVector:
-    """Exact cumulants of J = sum_i Z1[i] Z2[i] w_i on the discrete space."""
+def analytic_cumulants(kernel: Kernel, rho: float, n_max: int) -> np.ndarray:
+    """Exact cumulants of J = sum_i Z1[i] Z2[i] w_i on the discrete space: the
+    read-only array kappa_1..kappa_{n_max}."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    traces = weighted_traces(kernel, n_max)
-    return CumulantVector(rho=rho, values=_cumulants_from_traces(traces, rho))
+    values = _cumulants_from_traces(weighted_traces(kernel, n_max), rho)
+    values.setflags(write=False)
+    return values
 
 
 def _block_traces(kernel: Kernel, n_max: int) -> dict:
@@ -116,14 +102,11 @@ def _block_traces(kernel: Kernel, n_max: int) -> dict:
 
 def _invariant_action(kernel: Kernel):
     """The bound action, once it preserves the kernel (``kernel.invariance_dev`` at most
-    ``INVARIANCE_TOL``) and the weights, as both checks need."""
+    ``INVARIANCE_TOL``), as both checks need; the space checked the weights."""
     dev = kernel.invariance_dev  # raises KernelError when there is no action
     if not dev <= INVARIANCE_TOL:
         raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
-    action = kernel.space.action
-    if not check_action(action, kernel.space.weights).ok:
-        raise KernelError("the action does not preserve the weights")
-    return action
+    return kernel.space.action
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -131,55 +114,7 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class WatsonCheckReport:
-    """Equal-trace conditions across irreps for an invariant kernel.
-
-    ``cii_dev[label][n-1]`` is the relative gap between the per-irrep trace
-    statement K(n,rho)*tr_n(R_pi) and K(n,rho)/|dual| * tr_n(R); ``ciii_dev``
-    the worst pairwise gap across irreps.  Orders with K(n,rho) = 0 are
-    vacuous and excluded from the verdicts.
-    """
-
-    rho: float
-    n_max: int
-    tol: float
-    labels: tuple[str, ...]
-    traces: dict  # label -> tuple of tr_n(R_pi), n = 1..n_max
-    full_traces: tuple
-    cii_dev: dict
-    ciii_dev: dict
-    vacuous: tuple  # orders n with K(n, rho) == 0
-    cii_pass: bool
-    ciii_pass: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.cii_pass and self.ciii_pass
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "n_max": self.n_max,
-            "per_irrep": [
-                {
-                    "label": lab,
-                    "cumulants": _cumulants_from_traces(self.traces[lab], self.rho).tolist(),
-                    "traces": list(self.traces[lab]),
-                    "cII_dev": list(self.cii_dev[lab]),
-                    "cIII_dev": list(self.ciii_dev[lab]),
-                }
-                for lab in self.labels
-            ],
-            "full_traces": list(self.full_traces),
-            "vacuous_orders": list(self.vacuous),
-            "verdicts": {"cII": self.cii_pass, "cIII": self.ciii_pass},
-            "tolerances": {"cII": self.tol, "cIII": self.tol},
-            "ok": self.ok,
-        }
-
-
-def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1e-3) -> WatsonCheckReport:
+def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1e-3) -> dict:
     """Check the two equal-trace conditions behind the duplication identity.
 
     For every irrep pi and order n, condition II asks that the projected
@@ -190,9 +125,15 @@ def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1
     The per-irrep traces tr_n(R_pi) are power sums of the kernel's isotypic
     block spectra (``kernel.irrep_spectra``), the nonzero spectra of the
     projections R_pi; no m x m projection is built.  ``full_traces`` come
-    from the kernel's own spectrum.  A kernel or weights the action moves
-    raise :class:`KernelError` (``kernel.invariance_dev`` above
-    ``INVARIANCE_TOL``).
+    from the kernel's own spectrum.  A kernel the action moves raises
+    :class:`KernelError` (``kernel.invariance_dev`` above ``INVARIANCE_TOL``).
+
+    Returns the JSON-ready report.  Each ``per_irrep`` entry holds, for
+    n = 1..n_max, the irrep's ``traces`` tr_n(R_pi), its ``cumulants`` by the
+    module formula, ``cII_dev``, the relative gap between K(n,rho) tr_n(R_pi)
+    and K(n,rho)/|dual| tr_n(R), and ``cIII_dev``, the worst pairwise gap to
+    the other irreps.  Orders with K(n,rho) = 0 are vacuous
+    (``vacuous_orders``) and excluded from the ``verdicts``.
     """
     table = character_table(_invariant_action(kernel).group)
     if not table.real_valued():
@@ -201,51 +142,37 @@ def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1
     nd = len(table)
     full = weighted_traces(kernel, n_max)
     traces = _block_traces(kernel, n_max)
-
-    vacuous = tuple(n for n in range(1, n_max + 1) if k_coeff(n, rho) == 0.0)
-    cii_dev, ciii_dev = {}, {}
-    for p in table:
-        cii_dev[p.label] = tuple(
-            _rel_gap(traces[p.label][n - 1], full[n - 1] / nd) for n in range(1, n_max + 1)
-        )
-        ciii_dev[p.label] = tuple(
-            max(_rel_gap(traces[p.label][n - 1], traces[q.label][n - 1]) for q in table)
-            for n in range(1, n_max + 1)
-        )
-    live = [n for n in range(1, n_max + 1) if n not in vacuous]
-    cii_pass = all(cii_dev[lab][n - 1] <= tol for lab in cii_dev for n in live)
-    ciii_pass = all(ciii_dev[lab][n - 1] <= tol for lab in ciii_dev for n in live)
-    return WatsonCheckReport(
-        rho=rho,
-        n_max=n_max,
-        tol=tol,
-        labels=tuple(table.labels),
-        traces=traces,
-        full_traces=tuple(full),
-        cii_dev=cii_dev,
-        ciii_dev=ciii_dev,
-        vacuous=vacuous,
-        cii_pass=cii_pass,
-        ciii_pass=ciii_pass,
-    )
-
-
-@dataclass(frozen=True)
-class Z2ConditionReport:
-    """Reflection-pairing integrals sum_i w_i M_n[i, g.i] for the nontrivial g (see the check)."""
-
-    values: tuple
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return all(abs(v) <= self.tol for v in self.values)
-
-    def to_dict(self) -> dict:
-        return {"values": list(self.values), "tol": self.tol, "ok": self.ok}
+    orders = range(1, n_max + 1)
+    vacuous = [n for n in orders if k_coeff(n, rho) == 0.0]
+    per_irrep = [
+        {
+            "label": p.label,
+            "cumulants": _cumulants_from_traces(traces[p.label], rho).tolist(),
+            "traces": list(traces[p.label]),
+            "cII_dev": [float(_rel_gap(traces[p.label][n - 1], full[n - 1] / nd)) for n in orders],
+            "cIII_dev": [
+                float(max(_rel_gap(traces[p.label][n - 1], traces[q.label][n - 1]) for q in table))
+                for n in orders
+            ],
+        }
+        for p in table
+    ]
+    live = [n for n in orders if n not in vacuous]
+    cii = all(rec["cII_dev"][n - 1] <= tol for rec in per_irrep for n in live)
+    ciii = all(rec["cIII_dev"][n - 1] <= tol for rec in per_irrep for n in live)
+    return {
+        "rho": rho,
+        "n_max": n_max,
+        "per_irrep": per_irrep,
+        "full_traces": [float(x) for x in full],
+        "vacuous_orders": vacuous,
+        "verdicts": {"cII": cii, "cIII": ciii},
+        "tolerances": {"cII": tol, "cIII": tol},
+        "ok": cii and ciii,
+    }
 
 
-def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2ConditionReport:
+def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> dict:
     """Evaluate the vanishing criterion for an order-2 action.
 
     The functional pair built from an invariant kernel splits into
@@ -257,9 +184,12 @@ def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2Condi
     integral is tr(S^n P_g) = sum_pi chi_pi(g) tr(B_pi^n) by character
     orthogonality (Serre, section 2), over the kernel's block spectra
     (``kernel.irrep_spectra``): on Z2, bitwise watson_relation_check's
-    traces[trivial] - traces[sign].  A kernel or weights the action moves
-    raise :class:`KernelError`, as in :func:`watson_relation_check`, since S
-    must commute with P_g.
+    traces[trivial] - traces[sign].  A kernel the action moves raises
+    :class:`KernelError`, as in :func:`watson_relation_check`, since S must
+    commute with P_g.
+
+    Returns ``{"values", "tol", "ok"}``: the integrals for n = 1..n_max, and
+    ``ok`` when each is at most ``tol`` in absolute value.
     """
     action = _invariant_action(kernel)
     if action.group.order != 2:
@@ -267,8 +197,8 @@ def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> Z2Condi
     table = character_table(action.group)
     tr = _block_traces(kernel, n_max)
     g = 1 - action.group.identity
-    values = tuple(float(sum(p.values[g].real * tr[p.label][n] for p in table)) for n in range(n_max))
-    return Z2ConditionReport(values=values, tol=tol)
+    values = [float(sum(p.values[g].real * tr[p.label][n] for p in table)) for n in range(n_max)]
+    return {"values": values, "tol": tol, "ok": all(abs(v) <= tol for v in values)}
 
 
 def mgf_watson(lam: float, rho: float, n_pairs: int = 2000) -> tuple[float, float]:

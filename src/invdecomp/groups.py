@@ -25,7 +25,6 @@ __all__ = [
     "Irrep",
     "CharacterTable",
     "GroupAction",
-    "ActionReport",
     "cyclic_group",
     "direct_product",
     "character_table",
@@ -310,26 +309,20 @@ class GroupAction:
         return f"GroupAction(group={self.group.name!r}, npoints={self.npoints})"
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    """Outcome of check_action: measure preservation diagnostics."""
-
-    ok: bool
-    max_weight_violation: float
-
-
-def check_action(action: GroupAction, weights: np.ndarray) -> ActionReport:
+def check_action(action: GroupAction, weights: np.ndarray) -> tuple[bool, float]:
     """Verify that ``weights`` is invariant under the action.
 
     The structural permutation/homomorphism checks already ran at
     construction; this adds the measure-preservation check mu(g.A) = mu(A),
-    i.e. weights[perm[g]] == weights for every g, to ``DEFAULT_TOL``.
+    i.e. weights[perm[g]] == weights for every g.  Returns ``(ok,
+    max_weight_violation)``: the largest |weights[perm[g]] - weights| and
+    whether it is at most ``DEFAULT_TOL``.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (action.npoints,):
         raise GroupError(f"weights must have shape ({action.npoints},)")
     worst = max(float(np.max(np.abs(w[perm] - w))) for perm in action.perm)
-    return ActionReport(ok=worst <= DEFAULT_TOL, max_weight_violation=worst)
+    return worst <= DEFAULT_TOL, worst
 
 
 def project_path(z: np.ndarray, action: GroupAction, irrep: Irrep) -> np.ndarray:

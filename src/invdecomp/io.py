@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from invdecomp.groups import check_action, group_from_dict
+from invdecomp.groups import group_from_dict
 from invdecomp.kernels import IndexSpace, Kernel, KernelError
 
 PathLike = Union[str, Path]
@@ -38,26 +38,19 @@ def _read_payload(path: Path, fmt: str, shape: tuple) -> np.ndarray:
 
 
 def space_from_dict(d: dict) -> IndexSpace:
-    """Index space of a kernel file, with its group action validated."""
+    """Index space of a kernel file; :class:`IndexSpace` checks that its group action
+    preserves the weights."""
     action = None
     if "group" in d:
         group, action = group_from_dict(d["group"])
         if group.table is None:
             raise KernelError("space/group: the group must list its irreps")
-    space = IndexSpace(
+    return IndexSpace(
         points=np.asarray(d["points"], dtype=float),
         weights=np.asarray(d["weights"], dtype=float),
         action=action,
         name=d.get("name", ""),
     )
-    if action is not None:
-        rep = check_action(action, space.weights)
-        if not rep.ok:
-            raise KernelError(
-                "space/group: the action does not preserve the weights "
-                f"(max deviation {rep.max_weight_violation:.3e})"
-            )
-    return space
 
 
 def load_kernel(header_path: PathLike) -> Kernel:

@@ -50,6 +50,7 @@ from invdecomp.groups import (
     GroupAction,
     Irrep,
     character_table,
+    check_action,
     cyclic_group,
     direct_product,
     project_path,
@@ -100,8 +101,9 @@ class IndexSpace:
     weights : (m,) float array
         Finite, strictly positive quadrature weights.
     action : GroupAction, optional
-        Permutation action on the points.  Constructors only bind actions
-        that map grid points to grid points exactly.
+        Permutation action on the points; it must preserve the weights
+        (:func:`invdecomp.groups.check_action`).  Constructors only bind
+        actions that map grid points to grid points exactly.
     name : str
     shape : tuple of int, optional
         The cyclic index group Z_n1 x ... x Z_nd the points are read in,
@@ -124,8 +126,12 @@ class IndexSpace:
             raise KernelError("weights must be one per point")
         if not np.all((w > 0) & (w < np.inf)):  # False for NaN
             raise KernelError("weights must be finite and strictly positive")
-        if self.action is not None and self.action.npoints != pts.shape[0]:
-            raise KernelError("action size does not match point count")
+        if self.action is not None:
+            if self.action.npoints != pts.shape[0]:
+                raise KernelError("action size does not match point count")
+            ok, worst = check_action(self.action, w)
+            if not ok:
+                raise KernelError(f"the action does not preserve the weights (max deviation {worst:.3e})")
         shape = tuple(int(n) for n in self.shape) or (pts.shape[0],)
         if math.prod(shape) != pts.shape[0] or min(shape) < 1:
             raise KernelError(f"index shape {shape} does not count {pts.shape[0]} points")
@@ -285,10 +291,14 @@ def _action(kernel: Kernel) -> GroupAction:
 
 
 def _asymmetry(k: np.ndarray) -> float:
-    """max |K - K^T| of a finite K (``max`` drops a NaN), in row chunks of ``CHUNK`` doubles."""
-    step = max(1, CHUNK // k.shape[0])
-    diffs = (k[a : a + step] - k[:, a : a + step].T for a in range(0, k.shape[0], step))
-    return max(float(np.abs(d, out=d).max()) for d in diffs)
+    """max |K - K^T| of a finite K (``max`` drops a NaN), in row chunks of ``CHUNK`` doubles,
+    each released before the next is built."""
+    step, worst = max(1, CHUNK // k.shape[0]), 0.0
+    for a in range(0, k.shape[0], step):
+        d = k[a : a + step] - k[:, a : a + step].T
+        worst = max(worst, float(np.abs(d, out=d).max()))
+        del d
+    return worst
 
 
 def _circulant(profile: np.ndarray, shape: tuple) -> np.ndarray:
@@ -307,8 +317,9 @@ def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
     With the column index doubled periodically along every axis, the
     entries K[s, s + c] of lag -c sit at one stride pattern, so each row
     chunk is read through one strided view, and the per-lag max and min
-    are kept across chunks of about ``CHUNK`` doubles.  Max and min are
-    exact, so the spread is that of any other grouping of the classes.
+    are kept across chunks of about ``CHUNK`` doubles, one held at a time.
+    Max and min are exact, so the spread is that of any other grouping of
+    the classes.
     """
     d, m = len(shape), matrix.shape[0]
     k = matrix.reshape(shape + shape)
@@ -327,6 +338,7 @@ def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
         )
         np.maximum(hi, view.max(axis=axes), out=hi)
         np.minimum(lo, view.min(axis=axes), out=lo)
+        del tiled, view  # the next chunk is built with this one released
     return float(np.max(hi - lo, initial=0.0))
 
 

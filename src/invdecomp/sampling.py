@@ -95,7 +95,6 @@ __all__ = [
     "pair_functional",
     "kstat",
     "ks_statistic",
-    "DistributionComparison",
     "compare_distributions",
     "null_ks_critical",
     "kstat_variances",
@@ -414,38 +413,23 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(d)
 
 
-@dataclass(frozen=True)
-class DistributionComparison:
-    """Two-sample KS distance plus gaps of the first four k-statistics."""
-
-    ks_distance: float
-    cumulant_gaps: tuple
-    kstats_a: tuple
-    kstats_b: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "ks_distance": self.ks_distance,
-            "cumulant_gaps": list(self.cumulant_gaps),
-            "kstats_a": list(self.kstats_a),
-            "kstats_b": list(self.kstats_b),
-        }
-
-
-def compare_distributions(a: np.ndarray, b: np.ndarray) -> DistributionComparison:
-    """Operational "equal in law": KS statistic and k-statistic gaps."""
+def compare_distributions(a: np.ndarray, b: np.ndarray) -> dict:
+    """Operational "equal in law": the two-sample ``ks_distance``
+    (:func:`ks_statistic`), the first four k-statistics of each sample
+    (``kstats_a``, ``kstats_b``) and their differences a - b
+    (``cumulant_gaps``)."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if min(a.size, b.size) < 1000:
         raise ValueError("need at least 1000 samples per side")
-    ka = tuple(kstat(a, n) for n in (1, 2, 3, 4))
-    kb = tuple(kstat(b, n) for n in (1, 2, 3, 4))
-    return DistributionComparison(
-        ks_distance=ks_statistic(a, b),
-        cumulant_gaps=tuple(x - y for x, y in zip(ka, kb)),
-        kstats_a=ka,
-        kstats_b=kb,
-    )
+    ka = [kstat(a, n) for n in (1, 2, 3, 4)]
+    kb = [kstat(b, n) for n in (1, 2, 3, 4)]
+    return {
+        "ks_distance": ks_statistic(a, b),
+        "cumulant_gaps": [x - y for x, y in zip(ka, kb)],
+        "kstats_a": ka,
+        "kstats_b": kb,
+    }
 
 
 def null_ks_critical(count: int) -> float:
@@ -522,22 +506,22 @@ def law_check(
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
     mu = _clip_spectrum(tied.eigenvalues)
     rhs = _chi2_sum(mu[:0], np.tile(mu, copies // 2) / copies**2, rho, count, seed, (2, 3), (2, 3))
-    kap_l = analytic_cumulants(kernel, rho, 8).values
+    kap_l = analytic_cumulants(kernel, rho, 8)
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
-    kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8).values
+    kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8)
     cmp_ = compare_distributions(lhs, rhs)
     noise = 5.0 * np.sqrt(kstat_variances(kap_l, count) + kstat_variances(kap_r, count))
     tol = noise + np.abs(kap_l[:4] - kap_r[:4])
-    gaps = np.abs(np.asarray(cmp_.cumulant_gaps))
+    gaps = np.abs(np.asarray(cmp_["cumulant_gaps"]))
     if ks_tol is None:
         ks_tol = null_ks_critical(count)
-    passes = {"ks": bool(cmp_.ks_distance < ks_tol), "cumulants": bool(np.all(gaps[:3] <= tol[:3]))}
+    passes = {"ks": bool(cmp_["ks_distance"] < ks_tol), "cumulants": bool(np.all(gaps[:3] <= tol[:3]))}
     # distinct values per axis, counted without np.unique, which imports numpy.ma
     axes = [1 + int(np.count_nonzero(np.diff(np.sort(x)))) for x in space.points.T]
     return {
         "count": count,
         "seed": seed,
-        "comparison": cmp_.to_dict(),
+        "comparison": cmp_,
         "ks_tol": float(ks_tol),
         "cumulant_orders_checked": 3,
         "cumulant_tol": [float(x) for x in tol],

@@ -13,7 +13,7 @@ once; each group element is one row gather of the slab, each irrep one
 :func:`invdecomp.groups.project_path` call and one stacked SVD, so every
 cluster's SVD sees the same input as a cluster-by-cluster loop.  Beyond
 their outputs the two functions hold one slab's arrays at a time, a few
-``max(SLAB, k) * m`` blocks.
+``max(SLAB, k) * m`` blocks.  The invariance check returns a JSON-ready dict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from invdecomp.kernels import Kernel, KernelError, weighted_eigh
 __all__ = [
     "Spectrum",
     "eigendecompose",
-    "InvarianceReport",
     "check_eigenspace_invariance",
     "DecompositionError",
     "ClusterSplit",
@@ -125,24 +124,16 @@ def _leak_norms(bt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(np.sum(np.conj(leak) * leak * w, axis=2)).real)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Worst per-cluster residual of translated eigenvectors."""
-
-    ok: bool
-    tol: float
-    max_residual: float
-    per_cluster: tuple
-
-
-def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> InvarianceReport:
+def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> dict:
     """Residual of each translated cluster basis outside its own span.
 
     For an invariant kernel every eigenspace is stable under the translation
-    (g.f)(y) = f(g^{-1}.y); the report carries the worst weighted residual
-    norm per cluster, relative to the unit norm of the translated vector.
-    The identity, whose residual is 0 in exact arithmetic, is skipped.
-    Clusters are processed a slab at a time (see the module docstring).
+    (g.f)(y) = f(g^{-1}.y); ``per_cluster`` lists the worst weighted residual
+    norm of each cluster, relative to the unit norm of the translated vector,
+    and ``max_residual`` the worst of them, which passes (``ok``) when at
+    most ``tolerance``.  The identity, whose residual is 0 in exact
+    arithmetic, is skipped.  Clusters are processed a slab at a time (see the
+    module docstring).
     """
     action = spectrum.space.action
     if action is None:
@@ -157,9 +148,7 @@ def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> Invari
                 res = _leak_norms(bt, bt[:, :, inv_perm[g]], w).max(axis=1)
                 per_cluster[ids] = np.maximum(per_cluster[ids], res)
     worst = float(per_cluster.max())
-    return InvarianceReport(
-        ok=worst <= tol, tol=tol, max_residual=worst, per_cluster=tuple(per_cluster.tolist())
-    )
+    return {"ok": worst <= tol, "tolerance": tol, "max_residual": worst, "per_cluster": per_cluster.tolist()}
 
 
 @dataclass(frozen=True, eq=False)

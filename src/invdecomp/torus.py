@@ -627,9 +627,9 @@ def torus_watson_check(
             "fixed_point_max_odd_value": fixed_dev,
             "cross_cov_max": cross_max,
             "cross_cov_tol": float(cross_tol),
-            "ks_parts": cmp_.ks_distance,
+            "ks_parts": cmp_["ks_distance"],
             "ks_tol": float(ks_tol),
-            "part_kstats": {"odd": list(cmp_.kstats_a), "even": list(cmp_.kstats_b)},
+            "part_kstats": {"odd": cmp_["kstats_a"], "even": cmp_["kstats_b"]},
         }
     )
     if q is not None:
@@ -642,7 +642,7 @@ def torus_watson_check(
         "halved_sum" in satisfied
         and "unhalved_quarter" in satisfied
         and cross_max <= cross_tol
-        and cmp_.ks_distance < ks_tol
+        and cmp_["ks_distance"] < ks_tol
         and fixed_dev <= split_tol
     )
     return report

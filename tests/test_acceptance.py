@@ -93,7 +93,7 @@ def test_criterion_04_prop9_z2_condition():
     kern = builtin_kernel("watson", make_interval_grid(512))
     rep = z2_condition_check(kern, 6, tol=1e-8)
     violations = {
-        n + 1: v for n, v in enumerate(rep.values) if abs(v) > 1e-8
+        n + 1: v for n, v in enumerate(rep["values"]) if abs(v) > 1e-8
     }
     assert not violations, (
         f"z2 integral exceeds 1e-8 at grid 512 for orders {violations}; "
@@ -122,7 +122,7 @@ def test_criterion_06_cumulants_vs_monte_carlo():
     rels = (0.01, 0.03, 0.10)
     for i, rho in enumerate((0.0, 0.5, 1.0)):
         j = smp.pair_functional(kern, rho, 200_000, seed=1961 + i)
-        ana = analytic_cumulants(kern, rho, 8).values
+        ana = analytic_cumulants(kern, rho, 8)
         noise = np.sqrt(smp.kstat_variances(ana, 200_000))
         for n in range(3):
             got = stats.kstat(j, n + 1)
@@ -185,7 +185,7 @@ def test_criterion_11_kl_spectra():
             assert np.abs(head[:, 1] / head[:, 0] - 1).max() < 1e-9
             assert all(b - a == 2 for a, b in spec.clusters[:10])
         inv = check_eigenspace_invariance(spec, tol=1e-5)
-        assert max(inv.per_cluster[:10]) <= 1e-8
+        assert max(inv["per_cluster"][:10]) <= 1e-8
         # full canonical decomposition: dimension sums exact everywhere;
         # residuals at the stated 1e-8 on the clusters under test (deeper
         # clusters are limited by eigensolver conditioning, not structure)

@@ -178,7 +178,6 @@ _ARRAY_HOLDERS = {
     "CharacterTable": lambda: invdecomp.character_table(invdecomp.cyclic_group(2)),
     "GroupAction": lambda: _interval_watson().space.action,
     "ClusterSplit": _cluster_split,
-    "CumulantVector": lambda: invdecomp.analytic_cumulants(_interval_watson(), 1.0, 4),
 }
 
 

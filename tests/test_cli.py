@@ -1043,6 +1043,50 @@ def test_check_table_header_and_headline(tmp_path, capsys, check, overrides, tab
     assert (failed_line in err.splitlines()) == (tag == "FAIL")
 
 
+_INTERVAL = {"kernel": {"name": "watson"}, "grid": {"kind": "interval", "n": 32}}
+_TORUS = {"kernel": {"name": "torus_watson"}, "grid": {"kind": "torus", "n": [16]}}
+_MC = {"samples": 2000, "seed": 7}
+# a small config the validator accepts for each check
+_ONE_CHECK_CONFIGS = {
+    "invariance": _INTERVAL,
+    "stationarity": _TORUS,
+    "decomposition": _INTERVAL,
+    "spectrum": _INTERVAL,
+    "watson_relation": dict(_INTERVAL, rho=0.5, n_max=4),
+    "z2_condition": dict(_INTERVAL, n_max=4),
+    "cumulants": dict(_INTERVAL, **_MC),
+    "mgf": dict(_INTERVAL, **_MC),
+    "duplication": dict(_INTERVAL, **_MC),
+    "quadruplication": dict(_MC, kernel={"name": "sheet_compensated"}, grid={"kind": "interval", "n": [8, 8]}),
+    "torus_watson": dict(_TORUS, kernel={"name": "torus_watson", "params": {"cutoff": 3}}, **_MC),
+}
+_JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _non_json_values(value, path="") -> list[str]:
+    """Paths of the values in ``value`` whose exact type is not a builtin JSON type."""
+    if type(value) not in _JSON_TYPES:
+        return [f"{path}: {type(value).__name__}"]
+    if type(value) is dict:
+        return [f"{path}/{k!r}: key" for k in value if type(k) is not str] + [
+            bad for k, v in value.items() for bad in _non_json_values(v, f"{path}/{k}")
+        ]
+    if type(value) is list:
+        return [bad for i, v in enumerate(value) for bad in _non_json_values(v, f"{path}/{i}")]
+    return []
+
+
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_every_check_reports_only_builtin_json_types(name):
+    """A report holds only dict, list, str, int, float, bool and None, so
+    ``json.dumps`` writes it with no fallback; a numpy scalar fails here."""
+    cfg = dict(_ONE_CHECK_CONFIGS[name], name="types", checks=[name])
+    assert validate_config(cfg) == []
+    results, _ = cli.execute_checks(cfg, resolve_tolerances(cfg, 1.0))
+    assert "error" not in results[name]
+    assert _non_json_values(results) == []
+
+
 # --------------------------------------------------------------- tolerances
 
 

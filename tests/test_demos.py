@@ -1,6 +1,8 @@
-"""Every script in ``demos/`` runs to completion against the package in ``src/``."""
+"""Every script in ``demos/`` and the README's quick start run to completion against
+the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,13 @@ def test_demo_exits_0(demo, tmp_path):
         timeout=300,
     )
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_readme_quick_start_runs():
+    """The first python block under "## Quick start" executes as written."""
+    section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["kappa"].shape == (4,)
+    assert namespace["ens"].samples.shape == (256, 10_000)

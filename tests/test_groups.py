@@ -112,9 +112,9 @@ def test_real_valuedness_flags():
 
 def test_reversal_action_is_valid():
     sp = make_interval_grid(10)
-    rep = check_action(sp.action, sp.weights)
-    assert rep.ok
-    assert rep.max_weight_violation == 0.0
+    ok, worst = check_action(sp.action, sp.weights)
+    assert ok
+    assert worst == 0.0
     # non-identity element reverses the index set
     assert np.array_equal(sp.action.perm[1], np.arange(10)[::-1])
 

@@ -463,10 +463,10 @@ def _materialized_check(kernel, grid, count, seed):
         },
         "fixed_point_max_odd_value": float(np.max(np.abs(x1[fixed]))),
         "cross_cov_max": float(np.max(np.abs((x1 @ x2.T) / count))),
-        "ks_parts": compare_distributions(e1, e2).ks_distance,
+        "ks_parts": compare_distributions(e1, e2)["ks_distance"],
         "part_kstats": {
-            "odd": list(compare_distributions(e1, e2).kstats_a),
-            "even": list(compare_distributions(e1, e2).kstats_b),
+            "odd": compare_distributions(e1, e2)["kstats_a"],
+            "even": compare_distributions(e1, e2)["kstats_b"],
         },
     }
 
