@@ -160,13 +160,15 @@ def _run_decomposition(ctx, tols, cfg):
     }
 
 
+# both symmetry checks guard with the tolerance that their invariance gate judged
 def _run_watson_relation(ctx, tols, cfg):
     rho, n_max = float(cfg.get("rho", 1.0)), int(cfg.get("n_max", 6))
-    return watson_relation_check(ctx["kernel"], rho, n_max, tols["watson_relation"])
+    return watson_relation_check(ctx["kernel"], rho, n_max, tols["watson_relation"], tols["invariance"])
 
 
 def _run_z2(ctx, tols, cfg):
-    return z2_condition_check(ctx["kernel"], int(cfg.get("n_max", 6)), tols["z2_condition"])
+    n_max = int(cfg.get("n_max", 6))
+    return z2_condition_check(ctx["kernel"], n_max, tols["z2_condition"], tols["invariance"])
 
 
 _CUMULANT_KEYS = ("order", "analytic", "mc", "gap", "tolerance")
@@ -694,6 +696,10 @@ def load_config_file(path: str) -> dict:
     return cfg
 
 
+# the actions a grid kind can bind: reversal on each interval axis, or none; negation on a torus
+_GRID_ACTIONS = {"interval": ["reversal", "none"], "torus": ["negation"]}
+
+
 def validate_config(cfg: dict) -> list[str]:
     """All validation problems (empty list means the config is runnable)."""
     errors = field_problems(cfg, CONFIG_FIELDS)
@@ -709,30 +715,19 @@ def validate_config(cfg: dict) -> list[str]:
     kind = cfg.get("grid", {}).get("kind", "interval")
     ns = _grid_axes(cfg)
 
-    def needing(flag: str) -> list[str]:
-        return [c for c in checks if getattr(CHECKS[c], flag)]
-
     basis, d = cfg.get("grid", {}).get("basis"), len(ns)
     if basis is not None and (kind != "torus" or [len(row) for row in basis] != [d] * d):
         errors.append(f"grid/basis: only a torus grid reads it, one row of {d} numbers per axis")
-    elif basis is not None:
-        try:
-            Lattice(np.asarray(basis, dtype=float))
-        except KernelError as exc:
-            errors.append(f"grid/basis: {exc}")
     if kind == "torus":
         if kname != TORUS_KERNEL:
             errors.append(f"kernel/name: torus grids support the {TORUS_KERNEL} kernel")
     else:
-        if needing("torus"):
-            errors.append(f"checks: {needing('torus')} need a torus grid")
         dim = getattr(BUILTINS.get(kname), "dim", len(ns))
         if len(ns) != dim:
             errors.append(f"grid/n: kernel {kname!r} needs a {dim}-d grid")
         if len(ns) > 2:
             errors.append("grid/n: interval grids support at most 2 axes")
 
-    # the interval grid binds reversal (or nothing), the torus grid negation;
     # a user_matrix file's group is its action, which only "none" can drop
     action = cfg.get("action", {}).get("name")
     if kname == "user_matrix":
@@ -741,15 +736,16 @@ def validate_config(cfg: dict) -> list[str]:
                 f"action/name: a user_matrix kernel takes its file's action or 'none', "
                 f"not {action!r}"
             )
-    else:
-        allowed = ["negation"] if kind == "torus" else ["reversal", "none"]
-        if action is not None and action not in allowed:
-            errors.append(f"action/name: a {kind} grid takes {allowed}, not {action!r}")
-    if action == "none" and needing("action"):
-        errors.append(f"checks: {needing('action')} need a bound group action (action is 'none')")
-    elif kname != "user_matrix":
-        # a torus binds negation (Z2), an interval grid reversal on each axis (Z2^d)
-        errors += _group_problems(checks, 2 if kind == "torus" else 2 ** len(ns), real=True)
+    elif action is not None and action not in _GRID_ACTIONS[kind]:
+        errors.append(f"action/name: a {kind} grid takes {_GRID_ACTIONS[kind]}, not {action!r}")
+    if kname in BUILTINS and not errors:
+        # the grid is sound: the space the run builds says what its group gives
+        try:
+            errors += _space_problems(build_space(cfg), checks, action)
+        except KernelError as exc:  # the torus lattice refuses the basis
+            errors.append(f"grid/basis: {exc}")
+        except (ValueError, MemoryError) as exc:  # a grid too large to index
+            errors.append(f"grid/n: cannot build the grid: {exc}")
 
     # each kernel param has one reader; anywhere else it would be ignored
     params = cfg["kernel"].get("params", {})
@@ -766,10 +762,11 @@ def validate_config(cfg: dict) -> list[str]:
             bound = "0 <= rho <= 1 and 0 <= lambda < 2 pi / sqrt(1 + rho)"
             errors.append(f"kernel/params/mgf_pairs/{i}: [{lam}, {rho}] needs {bound}")
 
-    if needing("seed") and "seed" not in cfg:
-        errors.append(f"seed: required by Monte Carlo checks {needing('seed')}")
+    seeded = [c for c in checks if CHECKS[c].seed]
+    if seeded and "seed" not in cfg:
+        errors.append(f"seed: required by Monte Carlo checks {seeded}")
 
-    for name in needing("axes"):
+    for name in [c for c in checks if CHECKS[c].axes]:
         axes = CHECKS[name].axes
         if kname != law_kernel(axes):
             errors.append(f"kernel/name: {name} runs the {law_kernel(axes)!r} kernel only")
@@ -778,16 +775,27 @@ def validate_config(cfg: dict) -> list[str]:
     return errors
 
 
-def _group_problems(checks, order: int, real: bool) -> list[str]:
-    """What the named checks need of the bound group that a group of this
-    ``order``, with real characters or not, does not give."""
+def _space_problems(space, checks, action: Optional[str]) -> list[str]:
+    """What the named checks need of ``space``, a built-in grid or a kernel file's, that
+    it does not give: a bound group action, of the order and with the real characters
+    their records ask for, and a torus grid.  ``action`` is the config's ``action/name``."""
+    checks = sorted(set(checks))
+    needs = [name for name in checks if CHECKS[name].action]
     problems = []
-    for name in checks:
-        check = CHECKS[name]
-        if check.order is not None and check.order != order:
-            problems.append(f"checks: {name} needs a {check.order}-element group, not order {order}")
-        if check.real and not real:
-            problems.append(f"checks: {name} needs real-valued characters, not complex ones")
+    if needs and space.action is None:
+        unbound = "action is 'none'" if action == "none" else "the kernel file has none"
+        problems.append(f"checks: {needs} need a bound group action ({unbound})")
+    elif needs:
+        group = space.action.group
+        for name in needs:
+            order, real = CHECKS[name].order, CHECKS[name].real
+            if order not in (None, group.order):
+                problems.append(f"checks: {name} needs a {order}-element group, not order {group.order}")
+            if real and not group.table.real_valued():
+                problems.append(f"checks: {name} needs real-valued characters, not complex ones")
+    torus = [name for name in checks if CHECKS[name].torus]
+    if torus and not isinstance(space, TorusGrid):
+        problems.append(f"checks: {torus} need a torus grid")
     return problems
 
 
@@ -844,28 +852,21 @@ def load_user_matrix(cfg: dict) -> Kernel:
     """The kernel file of a ``user_matrix`` config, with ``grid`` and ``action`` applied.
 
     The file's space is the grid: a ``grid`` must count as many points, and
-    ``action: none`` drops the file's group action.  Checks that need an
-    action are rejected for a file without one, and for a group without the
-    order or the real characters their record asks for.
+    ``action: none`` drops the file's group action before the kernel is built.
+    The checks' needs of that space are judged as a built-in grid's.
     """
+    action = cfg.get("action", {}).get("name")
     try:
-        kernel = iio.load_kernel(cfg["kernel"]["params"]["path"])
+        kernel = iio.load_kernel(cfg["kernel"]["params"]["path"], action=action != "none")
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"kernel/params/path: {exc}") from exc
     if "grid" in cfg and int(np.prod(_grid_axes(cfg))) != kernel.size:
         raise ConfigError(
             f"grid/n: {cfg['grid']['n']} does not count the {kernel.size} points of the kernel file"
         )
-    if cfg.get("action", {}).get("name") == "none":
-        kernel = replace(kernel, space=replace(kernel.space, action=None))
-    needs = [c for c in cfg["checks"] if CHECKS[c].action]
-    if kernel.space.action is None and needs:
-        raise ConfigError(f"checks: {needs} need a group action; the kernel file has none")
-    if needs:
-        group = kernel.space.action.group
-        problems = _group_problems(needs, group.order, group.table.real_valued())
-        if problems:
-            raise ConfigError("; ".join(problems))
+    problems = _space_problems(kernel.space, cfg["checks"], action)
+    if problems:
+        raise ConfigError("; ".join(problems))
     return kernel
 
 

@@ -100,11 +100,11 @@ def _block_traces(kernel: Kernel, n_max: int) -> dict:
     return {k: tuple(float(np.sum(ev**n)) for n in range(1, n_max + 1)) for k, ev in spectra.items()}
 
 
-def _invariant_action(kernel: Kernel):
+def _invariant_action(kernel: Kernel, tol: float):
     """The bound action, once it preserves the kernel (``kernel.invariance_dev`` at most
-    ``INVARIANCE_TOL``), as both checks need; the space checked the weights."""
+    ``tol``), as both checks need; the space checked the weights."""
     dev = kernel.invariance_dev  # raises KernelError when there is no action
-    if not dev <= INVARIANCE_TOL:
+    if not dev <= tol:
         raise KernelError(f"kernel is not invariant under the action (dev {dev:.3e})")
     return kernel.space.action
 
@@ -114,7 +114,9 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1e-3) -> dict:
+def watson_relation_check(
+    kernel: Kernel, rho: float, n_max: int, tol: float = 1e-3, invariance_tol: float = INVARIANCE_TOL
+) -> dict:
     """Check the two equal-trace conditions behind the duplication identity.
 
     For every irrep pi and order n, condition II asks that the projected
@@ -126,7 +128,7 @@ def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1
     block spectra (``kernel.irrep_spectra``), the nonzero spectra of the
     projections R_pi; no m x m projection is built.  ``full_traces`` come
     from the kernel's own spectrum.  A kernel the action moves raises
-    :class:`KernelError` (``kernel.invariance_dev`` above ``INVARIANCE_TOL``).
+    :class:`KernelError` (``kernel.invariance_dev`` above ``invariance_tol``).
 
     Returns the JSON-ready report.  Each ``per_irrep`` entry holds, for
     n = 1..n_max, the irrep's ``traces`` tr_n(R_pi), its ``cumulants`` by the
@@ -135,7 +137,7 @@ def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1
     the other irreps.  Orders with K(n,rho) = 0 are vacuous
     (``vacuous_orders``) and excluded from the ``verdicts``.
     """
-    table = character_table(_invariant_action(kernel).group)
+    table = character_table(_invariant_action(kernel, invariance_tol).group)
     if not table.real_valued():
         raise GroupError("equal-trace conditions need real-valued characters")
 
@@ -172,7 +174,9 @@ def watson_relation_check(kernel: Kernel, rho: float, n_max: int, tol: float = 1
     }
 
 
-def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> dict:
+def z2_condition_check(
+    kernel: Kernel, n_max: int, tol: float = 1e-8, invariance_tol: float = INVARIANCE_TOL
+) -> dict:
     """Evaluate the vanishing criterion for an order-2 action.
 
     The functional pair built from an invariant kernel splits into
@@ -184,14 +188,14 @@ def z2_condition_check(kernel: Kernel, n_max: int, tol: float = 1e-8) -> dict:
     integral is tr(S^n P_g) = sum_pi chi_pi(g) tr(B_pi^n) by character
     orthogonality (Serre, section 2), over the kernel's block spectra
     (``kernel.irrep_spectra``): on Z2, bitwise watson_relation_check's
-    traces[trivial] - traces[sign].  A kernel the action moves raises
-    :class:`KernelError`, as in :func:`watson_relation_check`, since S must
-    commute with P_g.
+    traces[trivial] - traces[sign].  A kernel the action moves by more than
+    ``invariance_tol`` raises :class:`KernelError`, as in
+    :func:`watson_relation_check`, since S must commute with P_g.
 
     Returns ``{"values", "tol", "ok"}``: the integrals for n = 1..n_max, and
     ``ok`` when each is at most ``tol`` in absolute value.
     """
-    action = _invariant_action(kernel)
+    action = _invariant_action(kernel, invariance_tol)
     if action.group.order != 2:
         raise GroupError(f"criterion needs a 2-element group, got order {action.group.order}")
     table = character_table(action.group)

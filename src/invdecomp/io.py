@@ -16,6 +16,7 @@ measure-preserving action.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Union
 
@@ -37,29 +38,21 @@ def _read_payload(path: Path, fmt: str, shape: tuple) -> np.ndarray:
     return data.reshape(shape)
 
 
-def space_from_dict(d: dict) -> IndexSpace:
-    """Index space of a kernel file; :class:`IndexSpace` checks that its group action
-    preserves the weights."""
-    action = None
-    if "group" in d:
-        group, action = group_from_dict(d["group"])
-        if group.table is None:
-            raise KernelError("space/group: the group must list its irreps")
-    return IndexSpace(
-        points=np.asarray(d["points"], dtype=float),
-        weights=np.asarray(d["weights"], dtype=float),
-        action=action,
-        name=d.get("name", ""),
-    )
-
-
-def load_kernel(header_path: PathLike) -> Kernel:
+def load_kernel(header_path: PathLike, action: bool = True) -> Kernel:
+    """The kernel of a file; with ``action=False`` its space checks the group, then drops it."""
     hpath = Path(header_path)
     header = json.loads(hpath.read_text())
     if header.get("kind") != "kernel":
         raise KernelError(f"{hpath} is not a kernel header")
-    space = space_from_dict(header["space"])
+    d = header["space"]
+    bound = None
+    if "group" in d:
+        group, bound = group_from_dict(d["group"])
+        if group.table is None:
+            raise KernelError("space/group: the group must list its irreps")
+    weights = np.asarray(d["weights"], dtype=float)
+    space = IndexSpace(np.asarray(d["points"], dtype=float), weights, bound, name=d.get("name", ""))
     mat = _read_payload(
         hpath.with_name(header["payload"]), header["format"], tuple(header["shape"])
     )
-    return Kernel(space, mat, name=header.get("name", ""))
+    return Kernel(space if action else replace(space, action=None), mat, name=header.get("name", ""))

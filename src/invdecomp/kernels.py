@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
-INVARIANCE_TOL = 1e-9  # check_invariance's default, and the tolerance of the symmetry checks' guards
+INVARIANCE_TOL = 1e-9  # check_invariance's default; the symmetry checks' guard unless given the run's
 CHUNK = 1 << 16  # doubles per array of every streamed or row-chunked pass: 512 KiB, cache-sized
 
 

@@ -256,6 +256,55 @@ def test_validate_rejects_config_that_would_be_ignored(tmp_path, overrides):
     assert main(["validate", str(cfg)]) == 2
 
 
+_TORUS_4X4 = {"kernel": {"name": "torus_watson"}, "grid": {"kind": "torus", "n": [4, 4]}}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {
+                "kernel": {"name": "sheet_compensated"},
+                "grid": {"n": [8, 8]},
+                "checks": ["z2_condition"],
+            },
+            "checks: z2_condition needs a 2-element group, not order 4",
+        ),
+        (
+            {"action": {"name": "none"}, "checks": ["decomposition"]},
+            "checks: ['decomposition'] need a bound group action (action is 'none')",
+        ),
+        ({"checks": ["torus_watson"], "seed": 1}, "checks: ['torus_watson'] need a torus grid"),
+        (
+            dict(_TORUS_4X4, action={"name": "reversal"}, checks=["stationarity"]),
+            "action/name: a torus grid takes ['negation'], not 'reversal'",
+        ),
+    ],
+    ids=["group-order", "action-none", "torus-check-on-interval", "reversal-on-torus"],
+)
+def test_validate_and_run_reject_what_the_builtin_space_cannot_serve(
+    tmp_path, capsys, overrides, message
+):
+    """validate and run reject a built-in kernel's config with the one same message."""
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **overrides)
+    assert main(["validate", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_grid_too_large_to_index_exits_2(tmp_path, capsys, command):
+    """The shape pass takes any integer n >= 2; building the space refuses this one."""
+    cfg = write_config(tmp_path, grid={"n": 2**64 - 1}, output={"dir": str(tmp_path / "out")})
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: grid/n: cannot build the grid: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _torus_config(params=None, n=(16,), checks=("stationarity", "torus_watson")):
     kernel = {"name": "torus_watson"}
     if params is not None:
@@ -706,6 +755,58 @@ def test_user_matrix_action_none_drops_the_files_action(tmp_path, kernel_file):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "eigenspace_invariance" not in report["checks"]["spectrum"]
     assert "canonical" not in report["checks"]["spectrum"]
+
+
+def test_user_matrix_action_none_takes_one_psd_check(tmp_path, monkeypatch, kernel_file):
+    """The bridge kernel is not circulant, so its PSD check is a dense eigvalsh; the
+    file's action is dropped before the kernel is built, so the load makes one."""
+    path = kernel_file(builtin_kernel("bridge", make_interval_grid(16)).matrix)
+    cfg_path = _user_matrix_config(tmp_path, path, action={"name": "none"}, checks=["spectrum"])
+    cfg = json.loads(cfg_path.read_text())
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    kernel = cli.build_kernel(cfg)
+    assert kernel.space.action is None
+    assert calls == [(16, 16)]
+
+
+def _watson32_moved_by(kernel_file, dev):
+    k = builtin_kernel("watson", make_interval_grid(32)).matrix.copy()
+    k[0, 0] += dev
+    return kernel_file(k)
+
+
+@pytest.mark.parametrize(
+    "invariance, code, statuses",
+    [(1e-8, 0, ["passed"] * 3), (None, 1, ["failed", "skipped", "skipped"])],
+    ids=["configured-1e-8", "default-1e-10"],
+)
+def test_symmetry_guards_judge_by_the_runs_invariance_tolerance(
+    tmp_path, kernel_file, invariance, code, statuses
+):
+    """A kernel the reversal moves by 5e-9 passes an invariance gate of 1e-8, and then
+    watson_relation and z2_condition guard with the same 1e-8, not a fixed 1e-9."""
+    tolerances = {"watson_relation": 1e-2, "z2_condition": 1e-3}  # what 32 points can meet
+    if invariance is not None:
+        tolerances["invariance"] = invariance
+    cfg = _user_matrix_config(
+        tmp_path,
+        _watson32_moved_by(kernel_file, 5e-9),
+        grid={"kind": "interval", "n": 32},
+        checks=["invariance", "watson_relation", "z2_condition"],
+        tolerances=tolerances,
+    )
+    assert main(["run", str(cfg)]) == code
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    names = ("invariance", "watson_relation", "z2_condition")
+    assert [checks[name]["status"] for name in names] == statuses
+    assert checks["invariance"]["deviation"] == pytest.approx(5e-9, rel=1e-6)
 
 
 def test_user_matrix_without_a_group_rejects_checks_that_need_one(tmp_path, capsys, kernel_file):

@@ -1,5 +1,6 @@
 """The proof tools in ``tools/`` run against the package in ``src/``."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -35,6 +36,35 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
     assert "heap peak" in run.stderr
+
+
+def test_preset_digests_prints_the_runs_no_preset_reaches():
+    names = [
+        "user-matrix-watson16",
+        "user-matrix-action-none",
+        "cumulants-watson64",
+        "rejected-z2-on-two-axes",
+    ]
+    run = _tool("preset_digests.py", *names)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = run.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:4]] == [
+        ["user-matrix-watson16", "exit=1"],  # watson_relation and z2_condition fail on 16 points
+        ["user-matrix-action-none", "exit=0"],
+        ["cumulants-watson64", "exit=0"],
+        ["rejected-z2-on-two-axes", "exit=2"],
+    ]
+    assert [f.split("=")[0] for f in lines[0].split()[2:]] == [
+        "report.json",
+        "watson_relation.csv",
+        "z2_condition.csv",
+    ]
+    assert [f.split("=")[0] for f in lines[1].split()[2:]] == ["report.json", "spectrum.csv"]
+    assert [f.split("=")[0] for f in lines[2].split()[2:]] == ["report.json", "cumulants.csv"]
+    stderr = b"config error: checks: z2_condition needs a 2-element group, not order 4\n"
+    assert lines[3].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
+    assert len(lines) == 7
+    assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr
 
 
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):

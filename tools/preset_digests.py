@@ -1,25 +1,30 @@
-"""Print one digest line per preset, to prove that a refactor leaves every report unchanged.
+"""Print one digest line per run, to prove that a refactor leaves every report unchanged.
 
 Usage, from the root of a checkout:
 
-    python3 tools/preset_digests.py [PRESET ...]
+    python3 tools/preset_digests.py [RUN ...]
 
-Every preset of ``invdecomp.cli.PRESETS`` (or only those named) runs through
-``invdecomp.cli.main`` into a temporary directory, with one sampling worker
-and one BLAS thread.  Each line gives the preset, its exit code, the sha256 of
-its ``report.json`` and the sha256 of each CSV table, in name order.  The
-report is hashed without its ``generated_at`` timestamp and without its
-``version``, re-serialized exactly as the program writes it, so a version bump
-does not change the digest; compare the version separately.
+Every preset of ``invdecomp.cli.PRESETS``, then every run of ``EXTRA_RUNS``
+(or only those named) runs through ``invdecomp.cli.main`` into a temporary
+directory, with one sampling worker and one BLAS thread.  ``EXTRA_RUNS`` are
+the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
+points with its Z2 reversal group, the same file under ``action: none``, a
+``cumulants`` run, and a config that ``run`` rejects with exit 2.  Each line
+gives the run's name, its exit code, the sha256 of its ``report.json`` and the
+sha256 of each CSV table, in name order; a run that writes no report gives
+the sha256 of its stderr instead.  The report is hashed without its
+``generated_at`` timestamp and without its ``version``, re-serialized exactly
+as the program writes it, so a version bump does not change the digest;
+compare the version separately.
 
 The line ``rng_contract=<name>`` then names ``invdecomp.sampling.RNG_CONTRACT``,
 the keying rule of the seeded presets' samples, ``src_lines=<N>`` counts the
 lines of ``src/invdecomp/*.py``, and the last line, ``code_lines=<N>``, those of
 its lines that are not blank, not a comment alone and not in a docstring.  Run
-the script on two checkouts and diff the outputs: equal preset lines mean
-byte-identical reports and tables, and the last three lines compare the
+the script on two checkouts and diff the outputs: equal run lines mean
+byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.
-Each preset's wall seconds go to stderr, so stdout stays diff-able, with its
+Each run's wall seconds go to stderr, so stdout stays diff-able, with its
 heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
 isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
@@ -31,7 +36,7 @@ each torus factor (``torus.fourier_factor``) applies axis by axis, with the
 columns per chunk that the torus check streams it (for example
 ``fourier(axes 11x21, chunk 64) x1``).  The heap peak is the
 largest ``tracemalloc`` total (numpy's arrays included) over a second,
-traced run of the preset, so that tracing does not slow the timed run.  That traced run
+traced copy of the run, so that tracing does not slow the timed one.  That traced copy
 also gives each check's seconds and heap peak (for example
 ``spectrum 0.14 s 25.3 MiB``): the check's wall time under tracing, and the
 largest traced total while it ran, which includes what the run held before.
@@ -167,12 +172,101 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(preset: str) -> str:
+def _write_json(path: Path, data: dict) -> str:
+    path.write_text(json.dumps(data))
+    return path.name
+
+
+def _watson16_file(tmp: Path) -> str:
+    """A kernel file of ``watson`` on the 16 midpoints of [0, 1], uniform weights
+    and the reversal group with its irreps: a CSV payload in ``%.17g`` and a
+    JSON header, both in ``tmp``.  Returns the header's name."""
+    m = 16
+    t = (np.arange(m) + 0.5) / m
+    # the record's formula, not a Kernel, so that writing the file adds no spectrum path
+    matrix = kernels.BUILTINS["watson"].axis(t[:, None], t[None, :])
+    np.savetxt(tmp / "watson16.csv", matrix, fmt="%.17g", delimiter=",")
+    group = {
+        "order": 2,
+        "identity": 0,
+        "name": "Z2",
+        "mul": [0, 1, 1, 0],
+        "inv": [0, 1],
+        "perm": list(range(m)) + list(range(m - 1, -1, -1)),
+        "npoints": m,
+        "irreps": [
+            {"label": "triv", "dim": 1, "re": [1.0, 1.0], "im": [0.0, 0.0]},
+            {"label": "sign", "dim": 1, "re": [1.0, -1.0], "im": [0.0, 0.0]},
+        ],
+    }
+    space = {
+        "points": [[(i + 0.5) / m] for i in range(m)],
+        "weights": [1.0 / m] * m,
+        "name": f"interval[{m}]",
+        "group": group,
+    }
+    header = {"kind": "kernel", "name": "watson16", "shape": [m, m], "format": "csv"}
+    return _write_json(tmp / "watson16.json", dict(header, payload="watson16.csv", space=space))
+
+
+def _user_matrix(checks: list, **overrides):
+    def config(tmp: Path) -> list[str]:
+        kernel = {"name": "user_matrix", "params": {"path": _watson16_file(tmp)}}
+        cfg = dict(name="user-matrix", kernel=kernel, grid={"n": 16}, checks=checks, **overrides)
+        return [_write_json(tmp / "config.json", cfg)]
+
+    return config
+
+
+def _config(cfg: dict):
+    return lambda tmp: [_write_json(tmp / "config.json", cfg)]
+
+
+# name -> the arguments of ``invdecomp run`` that it takes, given the directory it runs in
+EXTRA_RUNS = {
+    "user-matrix-watson16": _user_matrix(
+        ["invariance", "decomposition", "watson_relation", "z2_condition"]
+    ),
+    "user-matrix-action-none": _user_matrix(["spectrum"], action={"name": "none"}),
+    "cumulants-watson64": _config(
+        {
+            "name": "cumulants",
+            "kernel": {"name": "watson"},
+            "grid": {"n": 64},
+            "samples": 2000,
+            "seed": 64,
+            "checks": ["cumulants"],
+        }
+    ),
+    "rejected-z2-on-two-axes": _config(
+        {
+            "name": "rejected",
+            "kernel": {"name": "sheet_compensated"},
+            "grid": {"n": [8, 8]},
+            "checks": ["z2_condition"],
+        }
+    ),
+}
+
+
+def _run_args(name: str, tmp: Path) -> list[str]:
+    return ["--preset", name] if name in cli.PRESETS else EXTRA_RUNS[name](tmp)
+
+
+def digest(name: str) -> str:
+    """The digest line of the preset or extra run ``name``; it runs in a temporary
+    directory, so that a kernel file's relative path stays out of the report."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["run", "--preset", preset, "--out", str(out)])
-        fields = [preset, f"exit={code}"]
+        out = Path(tmp, "out")
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", *_run_args(name, Path(tmp)), "--out", str(out)])
+        finally:
+            os.chdir(cwd)
+        fields = [name, f"exit={code}"]
         path = out / "report.json"
         if path.exists():
             report = json.loads(path.read_text())
@@ -181,15 +275,17 @@ def digest(preset: str) -> str:
             # the writer's own serialization, so the digest is that of the bytes
             text = json.dumps(report, sort_keys=True, indent=1)
             fields.append(f"report.json={_sha(text.encode())}")
+        else:
+            fields.append(f"stderr={_sha(err.getvalue().encode())}")
         fields += [f"{csv.name}={_sha(csv.read_bytes())}" for csv in sorted(out.glob("*.csv"))]
     return " ".join(fields)
 
 
-def traced_run(preset: str) -> tuple[float, list[str]]:
-    """The largest traced heap of one more run of ``preset``, in MiB, and
-    ``name <s> s <MiB> MiB`` for each check it ran, in run order.
+def traced_run(name: str) -> tuple[float, list[str]]:
+    """The largest traced heap of one more run of ``name``, in MiB, and
+    ``<check> <s> s <MiB> MiB`` for each check it ran, in run order.
 
-    Each ``cli.CHECKS[name].run`` is wrapped for this run only: it records
+    Each check's ``cli.CHECKS`` run is wrapped for this run only: it records
     its wall seconds and the traced heap's peak while it ran (what the run
     already held included). It restarts the peak as it starts, so the run's
     peak is the largest of the peaks read before each restart and at the end.
@@ -215,9 +311,9 @@ def traced_run(preset: str) -> tuple[float, list[str]]:
 
     tracemalloc.start()
     try:
-        for name, check in saved.items():
-            cli.CHECKS[name] = dataclasses.replace(check, run=timed(name, check.run))
-        digest(preset)
+        for key, check in saved.items():
+            cli.CHECKS[key] = dataclasses.replace(check, run=timed(key, check.run))
+        digest(name)
         return max(top, tracemalloc.get_traced_memory()[1]) / 2**20, checks
     finally:
         tracemalloc.stop()
@@ -225,10 +321,10 @@ def traced_run(preset: str) -> tuple[float, list[str]]:
 
 
 def main(argv: list[str]) -> int:
-    names = argv or list(cli.PRESETS)
-    unknown = [n for n in names if n not in cli.PRESETS]
+    names = argv or [*cli.PRESETS, *EXTRA_RUNS]
+    unknown = [n for n in names if n not in cli.PRESETS and n not in EXTRA_RUNS]
     if unknown:
-        print(f"unknown presets: {unknown}", file=sys.stderr)
+        print(f"unknown runs: {unknown}", file=sys.stderr)
         return 2
     for name in names:
         t0 = time.perf_counter()
