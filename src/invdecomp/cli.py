@@ -737,7 +737,8 @@ def validate_config(cfg: dict) -> list[str]:
                 f"not {action!r}"
             )
     elif action is not None and action not in _GRID_ACTIONS[kind]:
-        errors.append(f"action/name: a {kind} grid takes {_GRID_ACTIONS[kind]}, not {action!r}")
+        article = "an" if kind[0] in "aeiou" else "a"
+        errors.append(f"action/name: {article} {kind} grid takes {_GRID_ACTIONS[kind]}, not {action!r}")
     if kname in BUILTINS and not errors:
         # the grid is sound: the space the run builds says what its group gives
         try:
@@ -839,10 +840,7 @@ def build_space(cfg: dict):
     if grid.get("kind", "interval") == "torus":
         basis = np.asarray(grid.get("basis", np.eye(len(ns))), dtype=float)
         return torus_grid(Lattice(basis), ns)
-    if len(ns) == 1:
-        space = make_interval_grid(ns[0])
-    else:
-        space = make_product_grid([make_interval_grid(k) for k in ns])
+    space = make_product_grid([make_interval_grid(k) for k in ns])
     if cfg.get("action", {}).get("name") == "none":
         space = replace(space, action=None)
     return space

@@ -175,18 +175,6 @@ class CharacterTable:
     def __len__(self) -> int:
         return len(self.irreps)
 
-    def __getitem__(self, key) -> Irrep:
-        if isinstance(key, str):
-            for p in self.irreps:
-                if p.label == key:
-                    return p
-            raise KeyError(key)
-        return self.irreps[key]
-
-    @property
-    def labels(self) -> list[str]:
-        return [p.label for p in self.irreps]
-
     def real_valued(self) -> bool:
         """True when every character in the table is real."""
         return all(p.real_valued for p in self.irreps)

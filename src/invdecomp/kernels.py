@@ -24,12 +24,13 @@ torus grid its own lattice index group.  A kernel that is bitwise circulant
 over that group (``Kernel.stationarity_spread`` 0) on equal weights has the
 group's characters as eigenvectors (Wood and Chan, 1994), so its spectrum
 is the DFT of its lag profile (``Kernel.dft``); any other kernel
-takes the dense ``eigvalsh`` of the symmetric matrix.  The watson kernel,
-the compensated bridge, is the stationary circle process: on a power-of-two
-midpoint grid it is bitwise circulant and takes the DFT.  The kernel keeps
-the ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its
-power sums, and ``invdecomp.sampling`` draws the law checks' functionals
-from it.
+takes the dense ``eigvalsh`` of the symmetric matrix.  :func:`_stationary`
+builds every stationary kernel from its lag column, so each stationary
+built-in, such as the watson kernel (the compensated bridge, the stationary
+circle process), is bitwise circulant on every midpoint grid and takes the
+DFT.  The kernel keeps the ascending spectrum as ``Kernel.eigenvalues``; the
+trace powers are its power sums, and ``invdecomp.sampling`` draws the law
+checks' functionals from it.
 :func:`weighted_eigh` is the one eigenvector solve, shared by the
 Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
 solves the same matrix restricted to each real character's isotypic
@@ -311,6 +312,15 @@ def _circulant(profile: np.ndarray, shape: tuple) -> np.ndarray:
     return view.copy().reshape(math.prod(shape), -1)
 
 
+def _stationary(column: np.ndarray, space: IndexSpace, name: str) -> Kernel:
+    """The stationary kernel of the lag column p = K[:, 0]: K[s, t] = (p_b + p_-b) / 2 at the
+    lag b = (s - t) mod ``space.shape``, by :func:`_circulant`.  That is bitwise the
+    (C + C^T) / 2 that a :class:`Kernel` stores for the circulant C of p, and bitwise symmetric,
+    so the Kernel keeps it as its one m x m array."""
+    even = (column + column[_negation(space.shape)]) / 2
+    return Kernel(space, _circulant(even, space.shape), name=name)
+
+
 def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
     """Max spread of ``matrix`` entries over the classes of equal lag (s - t) mod ``shape``.
 
@@ -381,10 +391,12 @@ def _circle_profile(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Builtin:
     """One built-in kernel: ``axis(s, t)``, its one-axis covariance on [0, 1],
-    is multiplied over the ``dim`` axes of an interval grid."""
+    is multiplied over the ``dim`` axes of an interval grid.  A ``stationary`` one
+    depends on (s - t) mod 1 alone, so on a midpoint grid it is circulant."""
 
     axis: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dim: int
+    stationary: bool = False
     grids: tuple = ("interval",)  # the grid kinds it runs on
     tied: Optional[str] = None  # its tied-down partner in Watson's duplication law
     oracle: Optional[tuple] = None  # continuum spectrum on [0, 1]: (k -> lambda_k, multiplicity)
@@ -393,11 +405,14 @@ class Builtin:
 BUILTINS = {
     "bridge": Builtin(_bridge, 1, oracle=(lambda k: 1.0 / (np.pi**2 * k**2), 1)),
     "watson": Builtin(  # the compensated bridge, diagonal identically 1/12
-        _compensated_bridge, 1, tied="bridge", oracle=(lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2)
+        _compensated_bridge, 1, stationary=True, tied="bridge",
+        oracle=(lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2),
     ),
     "sheet_tied": Builtin(_bridge, 2),
-    "sheet_compensated": Builtin(_compensated_bridge, 2, tied="sheet_tied"),
-    "torus_watson": Builtin(lambda s, t: _circle_profile(s - t), 1, grids=("interval", "torus")),
+    "sheet_compensated": Builtin(_compensated_bridge, 2, stationary=True, tied="sheet_tied"),
+    "torus_watson": Builtin(
+        lambda s, t: _circle_profile(s - t), 1, stationary=True, grids=("interval", "torus")
+    ),
 }
 TORUS_KERNEL = next(name for name, b in BUILTINS.items() if "torus" in b.grids)
 
@@ -410,13 +425,20 @@ def law_kernel(dim: int) -> str:
 def builtin_kernel(name: str, space: IndexSpace) -> Kernel:
     """Construct a named covariance kernel on ``space``: the :data:`BUILTINS` record's
     one-axis covariance, multiplied over the record's ``dim`` axes of ``space`` in axis order.
+
+    A stationary record on bitwise the midpoint grid of ``space.shape`` is evaluated on the
+    lag column alone and copied by :func:`_stationary`; any other, on every pair of points.
     """
     if name not in BUILTINS:
         raise KernelError(f"unknown kernel {name!r}")
     rec = BUILTINS[name]
     if space.dim != rec.dim:
         raise KernelError(f"{name} kernel needs a {rec.dim}-d space")
-    factors = (rec.axis(x[:, None], x[None, :]) for x in space.points.T)
+    shape, points = space.shape, space.points
+    midpoints = (np.indices(shape).reshape(len(shape), -1).T + 0.5) / shape
+    if rec.stationary and np.array_equal(points, midpoints):
+        return _stationary(reduce(np.multiply, (rec.axis(x, x[0]) for x in points.T)), space, name)
+    factors = (rec.axis(x[:, None], x[None, :]) for x in points.T)
     return Kernel(space, reduce(np.multiply, factors), name=name)
 
 

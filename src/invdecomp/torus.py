@@ -7,8 +7,8 @@ even parts about negation yields two uncorrelated (hence independent)
 Gaussian processes whose quadratic functionals can be compared in law.
 
 A stationary kernel on a grid torus depends on t - s alone, so it is
-(block-)circulant: the kernels are built from their m lag values by one
-strided copy (``kernels._circulant``).  The DFT of those m lag values is
+(block-)circulant: ``kernels._stationary``, the builder of every stationary
+kernel, copies its m lag values into the matrix.  The DFT of those values is
 the kernel's spectrum.  The PSD check of a bitwise circulant kernel
 reads its eigenvalues from it and stores its stationarity spread, by the
 one rule that ``invdecomp.kernels`` applies on every grid, and
@@ -44,8 +44,8 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     _circle_profile,
-    _circulant,
     _negation,
+    _stationary,
 )
 from invdecomp.sampling import (
     BLOCK,
@@ -279,20 +279,12 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
     )
 
 
-def _stationary(profile: np.ndarray, grid: TorusGrid, name: str) -> Kernel:
-    """K[s, t] = (p_b + p_-b) / 2 at the lag b = s - t, for p_b the profile at grid point b:
-    bitwise the (C + C^T) / 2 that a :class:`Kernel` stores for the circulant C of p, and
-    bitwise symmetric, so the Kernel keeps it as its one m x m array."""
-    even = (profile + profile[_negation(grid.shape)]) / 2
-    return Kernel(grid, _circulant(even, grid.shape), name=name)
-
-
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
 
     The sum is evaluated once per lag, as one product of the m x p cosines
     of the p dual vectors on the grid points, and copied into the m x m
-    matrix by :func:`_stationary`; the result is exactly stationary.
+    matrix by ``kernels._stationary``; the result is exactly stationary.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
@@ -307,14 +299,12 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     (``kernels._circle_profile``), multiplied across axes.  On the unit
     circle this is the compensated bridge covariance
     min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is
-    evaluated on the m lags and copied into the matrix by :func:`_stationary`,
-    so the matrix is exactly circulant per axis.
+    evaluated on the m lags, the fractional coordinates, and copied into the
+    matrix by ``kernels._stationary``, so it is exactly circulant per axis.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    shape = np.array(grid.shape)
-    u = np.rint(grid.frac * shape).astype(np.int64) / shape
-    return _stationary(_circle_profile(u).prod(axis=1), grid, TORUS_KERNEL)
+    return _stationary(_circle_profile(grid.frac).prod(axis=1), grid, TORUS_KERNEL)
 
 
 @dataclass(frozen=True, eq=False)

@@ -279,8 +279,18 @@ _TORUS_4X4 = {"kernel": {"name": "torus_watson"}, "grid": {"kind": "torus", "n":
             dict(_TORUS_4X4, action={"name": "reversal"}, checks=["stationarity"]),
             "action/name: a torus grid takes ['negation'], not 'reversal'",
         ),
+        (
+            {"action": {"name": "negation"}, "checks": ["invariance"]},
+            "action/name: an interval grid takes ['reversal', 'none'], not 'negation'",
+        ),
     ],
-    ids=["group-order", "action-none", "torus-check-on-interval", "reversal-on-torus"],
+    ids=[
+        "group-order",
+        "action-none",
+        "torus-check-on-interval",
+        "reversal-on-torus",
+        "negation-on-interval",
+    ],
 )
 def test_validate_and_run_reject_what_the_builtin_space_cannot_serve(
     tmp_path, capsys, overrides, message

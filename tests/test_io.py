@@ -41,7 +41,7 @@ def test_kernel_round_trip_preserves_action(kernel_file, watson16):
     assert np.array_equal(
         loaded.space.action.group.mul, watson16.space.action.group.mul
     )
-    assert character_table(loaded.space.action.group).labels == ["triv", "sign"]
+    assert [p.label for p in character_table(loaded.space.action.group)] == ["triv", "sign"]
 
 
 def test_kernel_header_contents(kernel_file, watson16):

@@ -1,5 +1,6 @@
 """Grids, built-in covariance kernels, projections, and contraction powers."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -134,13 +135,63 @@ _CLOSED = {
 }
 
 
+_STATIONARY = [name for name, b in BUILTINS.items() if b.stationary]
+
+
+def _closed_form(name, space):
+    x = space.points
+    return _CLOSED[name](x[:, None, :], x[None, :, :]).prod(axis=-1)
+
+
 @pytest.mark.parametrize("name", list(BUILTINS))
 def test_builtin_is_its_closed_form_bitwise(name):
-    """A registered kernel is its closed form on each axis, multiplied in axis order."""
-    space = make_product_grid([make_interval_grid(n) for n in (12, 7)[: BUILTINS[name].dim]])
-    x = space.points
-    want = _CLOSED[name](x[:, None, :], x[None, :, :]).prod(axis=-1)
+    """A registered kernel is its closed form on each axis, multiplied in axis order:
+    a stationary one on a power-of-two grid, where its lag-column copy is exact."""
+    rec = BUILTINS[name]
+    sizes = (16, 8) if rec.stationary else (12, 7)
+    space = make_product_grid([make_interval_grid(n) for n in sizes[: rec.dim]])
+    want = _closed_form(name, space)
     assert np.array_equal(builtin_kernel(name, space).matrix, (want + want.T) / 2)
+
+
+@pytest.mark.parametrize("name", _STATIONARY)
+def test_stationary_builtin_is_the_circulant_of_its_closed_form_lag_column(name):
+    """Off the powers of two a stationary record is copied from the closed form's lag
+    column: exactly circulant, within roundoff of the closed form, and its spectrum is
+    the DFT, with no eigvalsh."""
+    space = make_product_grid([make_interval_grid(n) for n in (12, 7)[: BUILTINS[name].dim]])
+    want = _closed_form(name, space)
+    column = want[:, 0]
+    even = (column + column[kernels._negation(space.shape)]) / 2
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        kernel = builtin_kernel(name, space)
+    assert np.array_equal(kernel.matrix, kernels._circulant(even, space.shape))
+    assert np.max(np.abs(kernel.matrix - (want + want.T) / 2)) <= 2e-16
+    assert kernel.stationarity_spread == 0.0
+
+
+@pytest.mark.parametrize("name", _STATIONARY)
+def test_stationary_builtin_is_circulant_on_every_small_midpoint_grid(name):
+    """2 to 64 points on one axis, 2 to 12 per axis on two: stationarity spread 0 and the
+    DFT spectrum, whatever the sizes' factors."""
+    sizes = range(2, 65) if BUILTINS[name].dim == 1 else range(2, 13)
+    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+        for shape in itertools.product(sizes, repeat=BUILTINS[name].dim):
+            kernel = builtin_kernel(name, make_product_grid([make_interval_grid(n) for n in shape]))
+            assert kernel.stationarity_spread == 0.0, shape
+
+
+@pytest.mark.parametrize("name", _STATIONARY)
+def test_stationary_builtin_off_the_midpoints_is_its_dense_closed_form(name):
+    """The lag-column copy is gated on bitwise midpoints: on sorted random points, where
+    the kernel is not circulant, every pair is evaluated."""
+    rng = np.random.default_rng(5)
+    axes = [np.sort(rng.uniform(size=n)) for n in (12, 7)[: BUILTINS[name].dim]]
+    space = make_product_grid([IndexSpace(a, np.full(a.size, 1.0 / a.size)) for a in axes])
+    want = _closed_form(name, space)
+    kernel = builtin_kernel(name, space)
+    assert np.array_equal(kernel.matrix, (want + want.T) / 2)
+    assert kernel.stationarity_spread > 0.0
 
 
 @pytest.mark.parametrize("name", list(BUILTINS))
@@ -535,7 +586,7 @@ def test_irrep_spectra_power_sums_are_the_block_traces(build):
     table = character_table(kernel.space.action.group)
     spectra = irrep_spectra(kernel, table)
     blocks = decompose_kernel(kernel, table)
-    assert list(spectra) == table.labels
+    assert list(spectra) == [p.label for p in table]
     assert sum(len(ev) for ev in spectra.values()) == kernel.size
     for label, ev in spectra.items():
         assert np.all(np.diff(ev) >= 0)

@@ -122,8 +122,9 @@ def test_kernel_projection_is_idempotent(kind, data, seed):
                 if r is not p:
                     assert np.abs(project_path(block, space.action, r)).max() < TOL
     if table.real_valued():
+        irreps = {p.label: p for p in table}
         for label, block in decompose_kernel(kernel, table).items():
-            p = table[label]
+            p = irreps[label]
             assert np.abs(project_kernel(block, p, p) - block.matrix).max() < TOL
 
 

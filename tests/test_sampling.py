@@ -384,6 +384,18 @@ def test_tied_pair_functional_golden_digest():
     assert np.all(np.abs(j[BLOCK:] - want) <= 8 * np.finfo(float).eps * scale)
 
 
+def test_watson_1000_pair_functional_golden_digest():
+    """Pins the samples of a grid whose size is not a power of two: watson[1000], built
+    from its lag column, is exactly circulant, so its DFT spectrum has 499 tied pairs and
+    2 singles, and the pairs draw exponentials."""
+    kernel = builtin_kernel("watson", make_interval_grid(1000))
+    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
+    assert (pairs.size, single.size) == (499, 2)
+    j = pair_functional(kernel, 0.5, 5000, 1000)
+    digest = hashlib.sha256(j.astype("<f8").tobytes()).hexdigest()
+    assert digest == "150239e4714835a0f6d2d4ef45fb7d933376d97e5ab4efccb4b660cbed8f6ffa"
+
+
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(
     kernel=st.one_of(

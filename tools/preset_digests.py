@@ -9,7 +9,9 @@ Every preset of ``invdecomp.cli.PRESETS``, then every run of ``EXTRA_RUNS``
 directory, with one sampling worker and one BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
-``cumulants`` run, and a config that ``run`` rejects with exit 2.  Each line
+``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
+12 x 12 (grids whose sizes are not powers of two), and a config that ``run``
+rejects with exit 2.  Each line
 gives the run's name, its exit code, the sha256 of its ``report.json`` and the
 sha256 of each CSV table, in name order; a run that writes no report gives
 the sha256 of its stderr instead.  The report is hashed without its
@@ -236,6 +238,27 @@ EXTRA_RUNS = {
             "samples": 2000,
             "seed": 64,
             "checks": ["cumulants"],
+        }
+    ),
+    "watson1000": _config(
+        {
+            "name": "watson1000",
+            "kernel": {"name": "watson"},
+            "grid": {"n": 1000},
+            "samples": 2000,
+            "seed": 1000,
+            "checks": ["invariance", "watson_relation", "z2_condition", "duplication"],
+            "tolerances": {"z2_condition": 1e-6},
+        }
+    ),
+    "quadruplication-12x12": _config(
+        {
+            "name": "quadruplication-12x12",
+            "kernel": {"name": "sheet_compensated"},
+            "grid": {"n": [12, 12]},
+            "samples": 2000,
+            "seed": 144,
+            "checks": ["quadruplication"],
         }
     ),
     "rejected-z2-on-two-axes": _config(
