@@ -61,7 +61,11 @@ functionals under any parallelism degree.
 The statistics of the in-law checks, Smirnov's two-sample KS distance
 (:func:`ks_statistic`) and Fisher's k-statistics (:func:`kstat`), are
 computed in numpy, term for term as scipy 1.17.1's ``ks_2samp`` and
-``kstat`` compute them, so their values are bitwise scipy's.
+``kstat`` compute them, so their values are bitwise scipy's.  The KS
+distance is one more ``CHUNK``-bounded pass: it evaluates both empirical
+CDFs ``CHUNK`` sample points at a time and keeps their difference's running
+max and min, which are exact, so it holds the two sorted samples and a few
+chunks, never their concatenation.
 """
 
 from __future__ import annotations
@@ -396,17 +400,25 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Smirnov's two-sample KS distance, sup_x |F_a(x) - F_b(x)| of the empirical CDFs.
 
     Both CDFs are evaluated at every sample point (right-continuous, so ties
-    count fully).  When both sizes are at most ``KS_EXACT_MAX`` the distance
-    is rounded to the nearest multiple of 1/lcm(n_a, n_b), the lattice it
-    lives on, as the exact mode of ``scipy.stats.ks_2samp`` rounds it; so
-    the value is bitwise ``ks_2samp(a, b).statistic``.
+    count fully), ``CHUNK`` points at a time, keeping a running max and min
+    of their difference; so the call holds sorted copies of both samples
+    and a few chunks.  When both sizes are at most ``KS_EXACT_MAX`` the
+    distance is rounded to the nearest multiple of 1/lcm(n_a, n_b), the
+    lattice it lives on, as the exact mode of ``scipy.stats.ks_2samp``
+    rounds it; so the value is bitwise ``ks_2samp(a, b).statistic``.
     """
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.size, b.size
-    both = np.concatenate([a, b])
-    diffs = np.searchsorted(a, both, side="right") / n1 - np.searchsorted(b, both, side="right") / n2
+    if n1 == 0 or n2 == 0:
+        raise ValueError(f"both samples must be non-empty, got {n1} and {n2} points")
+    hi, lo = -np.inf, np.inf
+    for pts in (a, b):
+        for i in range(0, pts.size, CHUNK):
+            diffs = np.searchsorted(a, pts[i : i + CHUNK], side="right") / n1
+            diffs -= np.searchsorted(b, pts[i : i + CHUNK], side="right") / n2
+            hi, lo = max(hi, diffs.max()), min(lo, diffs.min())
     # max keeps its first argument on a tie, as scipy keeps max(diffs): a zero distance is +0.0
-    d = max(diffs.max(), np.clip(-diffs.min(), 0, 1))
+    d = max(hi, np.clip(-lo, 0, 1))
     if max(n1, n2) <= KS_EXACT_MAX:
         lcm = (n1 // math.gcd(n1, n2)) * n2
         d = int(np.round(d * lcm)) * 1.0 / lcm

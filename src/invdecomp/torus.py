@@ -313,8 +313,7 @@ class FourierFactor:
 
     Column j is ``scale[j] * (sin if sine[j] else cos)(2 pi <b, a/n>)`` on grid
     point a, for the kept index b = ``index[j]``.  ``l @ xi`` multiplies it
-    into an (r, ncols) operand; ``np.asarray`` gives the matrix, a reference
-    that the product never builds.
+    into an (r, ncols) operand without building the matrix.
 
     A cosine column is Re e^{i theta_b}; a sine column's index is the larger
     of b and -b, and sin theta_b = -sin theta_{-b} = Re i e^{i theta_{-b}}.
@@ -338,17 +337,6 @@ class FourierFactor:
     @property
     def shape(self) -> tuple[int, int]:
         return (math.prod(self.grid_shape), self.sine.size)
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """The m x r matrix, read-only; built only when asked for."""
-        cos, sin = _characters(self.grid_shape, self.index)
-        l = np.where(self.sine, sin, cos) * self.scale
-        l.setflags(write=False)
-        return l
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.dense, dtype=dtype, copy=copy)
 
     @cached_property
     def _axes(self) -> tuple[np.ndarray, tuple[int, ...], list[np.ndarray]]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from invdecomp.groups import character_table, project_path
 from invdecomp.io import load_kernel
 from invdecomp.kernels import (
     BUILTINS,
+    CHUNK,
     IndexSpace,
     builtin_kernel,
     decompose_kernel,
@@ -839,6 +841,9 @@ def _two_samples(n1, n2, kind, seed=11):
         (2000, 700, "integers"),
         (20_000, 20_000, "ties"),
         (20_000, 20_000, "same"),  # distance zero, unsnapped: its sign must be +
+        (2 * CHUNK + 3, CHUNK - 1, "ties"),  # unequal sizes on both sides of CHUNK
+        (150_000, 150_000, "integers"),  # tie runs of about 30k straddle the chunk edges
+        (CHUNK + 1, CHUNK + 1, "same"),  # distance zero over two chunks: its sign must be +
     ],
 )
 def test_statistics_are_bitwise_scipys(n1, n2, kind):
@@ -855,6 +860,28 @@ def test_statistics_are_bitwise_scipys(n1, n2, kind):
         assert cmp_["ks_distance"] == ks_2samp(a, b).statistic
         assert cmp_["kstats_a"] == [kstat(a, n) for n in (1, 2, 3, 4)]
         assert cmp_["kstats_b"] == [kstat(b, n) for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_ks_statistic_refuses_an_empty_sample(empty_first):
+    pair = (np.array([]), np.ones(20_000))
+    with pytest.raises(ValueError, match="both samples must be non-empty"):
+        ks_statistic(*(pair if empty_first else pair[::-1]))
+
+
+def test_ks_statistic_holds_its_sorted_copies_and_a_few_chunks():
+    """On 100,000 points a side the KS distance peaks within its two sorted
+    copies, 8 (n1 + n2) bytes, and 4 x ``CHUNK`` doubles (3.53 MiB) above its
+    entry: it evaluates the CDFs ``CHUNK`` points at a time."""
+    a, b = _two_samples(100_000, 100_000, "continuous")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ks_statistic(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (a.size + b.size) + 4 * 8 * CHUNK
 
 
 def test_kstat_takes_orders_one_to_four():
