@@ -160,20 +160,23 @@ def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: in
     column k of ``l`` carries in ascending order.  The chunks' normals are
     read in turn from the block's one generator, so they are bitwise those of
     one fill of the whole block, and only one chunk of them is held.
-    Yields (first column, m x ncols paths).  Every path sampler draws through
-    here, so every ensemble follows ``RNG_CONTRACT`` and the coordinate rule.
+    Yields (first column, m x ncols paths, ncols x r normals), the paths
+    being ``l`` times the normals' transpose; the normals are one buffer,
+    refilled for the next chunk, so a caller that keeps them copies them.
+    Every path sampler draws through here, so every ensemble follows
+    ``RNG_CONTRACT`` and the coordinate rule.
     """
     normals = _block_generator(seed, stream, a)
     xi = np.empty((min(width, b - a), l.shape[1]))
     for c in range(a, b, width):
         chunk = xi[: min(width, b - c)]
         normals.standard_normal(out=chunk)
-        yield c, l @ chunk.T
+        yield c, l @ chunk.T, chunk
 
 
 def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndarray:
-    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, as one chunk of
-    :func:`draw_chunks`: one block of the contract."""
+    """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, as the paths of
+    one chunk of :func:`draw_chunks`: one block of the contract."""
     return next(draw_chunks(l, seed, stream, a, b, b - a))[1]
 
 

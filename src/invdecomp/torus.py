@@ -21,9 +21,11 @@ applies its columns by one matrix product per axis.
 
 :func:`torus_watson_check` streams its samples: each block of the
 sampling contract is drawn, split and reduced :func:`_chunk_width` columns
-at a time (64 at m = 1024, 256 up to m = 256), so its working set is
-O(m ``SPLIT_COLUMNS``) on top of its factor, never m x ``BLOCK``, and the
-kernel it assembles is released before the first draw.
+at a time (64 at m = 1024, 256 up to m = 256), and takes its odd/even
+cross-covariance from the Gram of the factor's sine and cosine normals, so
+its working set is O(r ``SPLIT_COLUMNS`` + m width) on top of its rank-r
+factor, never m x ``BLOCK``; the kernel it assembles is released before the
+first draw.
 """
 
 from __future__ import annotations
@@ -485,30 +487,40 @@ def torus_watson_check(
     :func:`invdecomp.sampling.sample` draws it, but ``width`` =
     :func:`_chunk_width` (m) columns at a time (``draw_chunks``).  Each chunk
     is split by :func:`parity_decompose` and reduced to its three energies per
-    sample and its odd values at the fixed points, and its odd rows (one per
-    +-pair of non-fixed points) and even rows (one per +-orbit) are copied into
-    two (m/2) x ``SPLIT_COLUMNS`` buffers; the cross-covariance takes one
-    product of those buffers per ``SPLIT_COLUMNS`` columns, whatever the width.
-    So a worker holds one chunk's normals, paths, parts and their temporaries
-    (under 8 m ``width`` doubles), the two buffers (m ``SPLIT_COLUMNS``) and
-    its block's m/2 x m/2 cross-covariance partial.  The factor holds its
-    per-axis matrices, and a chunk's product at most two of its partial
-    products at once, each at most 2 m doubles per column, which the chunk's
-    paths and parts then replace.  The factor and the even part's expansion
-    (:func:`_basis_quadratics`, ``width`` rows at a time) are taken before the
-    first draw, and an assembled kernel is then released, so the check holds
-    no m x m array while it samples, and one worker's check stays below one
-    m x m matrix plus m (``SPLIT_COLUMNS`` + 8 ``width``) doubles.
+    sample and its odd values at the fixed points.  The cross-covariance never
+    reads the parts: the factor's sine columns are odd and its cosine columns
+    even, so the parts of x = L xi are x1 = L_sin xi_sin and x2 = L_cos xi_cos,
+    and x1 x2^T = L_sin G L_cos^T for the Gram G = sum xi_sin xi_cos^T of the
+    normals.  Each chunk's sine and cosine normals are copied into two
+    ``SPLIT_COLUMNS`` x r_sin and x r_cos buffers, and G takes one product of
+    those per ``SPLIT_COLUMNS`` columns, whatever the width: 2 r_sin r_cos
+    flops a column, against 2 (m/2)^2 for the parts' product, and r <= m.
+    After the draws L_sin and L_cos are read from ``l`` applied to the
+    identity ``width`` columns at a time, the apply the paths take (so L, m r
+    doubles, is held but no r x r identity), and the cross-covariance is
+    L_sin G L_cos^T over one odd row per +-pair of non-fixed points and one
+    even row per +-orbit.  So a worker holds one chunk's normals, paths,
+    parts and their temporaries (under 8 m ``width`` doubles), the two
+    buffers (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.
+    The factor holds its per-axis matrices, and a chunk's product at most two
+    of its partial products at once, each at most 2 m doubles per column,
+    which the chunk's paths and parts then replace.  The factor and the even
+    part's expansion (:func:`_basis_quadratics`, ``width`` rows at a time) are
+    taken before the first draw (the expansion holds at most two m x r
+    arrays), and an assembled kernel is then released, so the check holds no
+    m x m array while it samples, and one worker's check stays below one
+    m x m matrix plus (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles.
 
-    The per-block cross-covariance partials are added in block order, so
-    every field is bitwise independent of the worker count.  Every field but
-    ``cross_cov_max`` (summed in another order, over one point per +-orbit)
-    is bitwise that of the materialized ensemble wherever BLAS computes a
-    chunk's columns as it does in the whole block: on OpenBLAS in every
-    full block, and in a partial one a multiple of 8 columns wide
-    (elsewhere to roundoff in its last columns, as ``RNG_CONTRACT``
-    allows; on a grid of two or more axes those can reach into the chunk
-    before the last, since a product's columns run over a box axis too).
+    The per-block Gram partials are added in block order, so every field is
+    bitwise independent of the worker count.  Every field but
+    ``cross_cov_max`` (from the normals' Gram, so equal to the materialized
+    x1 x2^T to roundoff) is bitwise that of the materialized ensemble
+    wherever BLAS computes a chunk's columns as it does in the whole block:
+    on OpenBLAS in every full block, and in a partial one a multiple of 8
+    columns wide (elsewhere to roundoff in its last columns, as
+    ``RNG_CONTRACT`` allows; on a grid of two or more axes those can reach
+    into the chunk before the last, since a product's columns run over a box
+    axis too).
     """
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)
@@ -536,21 +548,22 @@ def torus_watson_check(
     w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
-    # x1[neg] = -x1 bitwise and x1 is 0 at the fixed points, and x2[neg] = x2
-    # to 1 ulp, so one row of x1 per +-orbit of the other points, and one of
-    # x2 per orbit, carry all of x1 x2^T
+    # x1 is odd and 0 at the fixed points and x2 is even, so one row of x1 per
+    # +-orbit of the other points, and one of x2 per orbit, carry all of x1 x2^T
     half = np.flatnonzero(np.arange(grid.size) < neg)
     orbits = np.flatnonzero(np.arange(grid.size) <= neg)
+    sine = l.sine
+    n_sin, n_cos = np.count_nonzero(sine), np.count_nonzero(~sine)
     e, e1, e2, odd_fixed = (np.empty(count) for _ in range(4))
-    partials: dict = {}  # block start -> the block's x1 x2^T rows
+    partials: dict = {}  # block start -> the block's sine x cosine Gram of the normals
 
     def run(blk):
         a, b = blk
-        # the odd rows and even rows of the block's current SPLIT_COLUMNS slice
-        odd = np.empty((half.size, SPLIT_COLUMNS))
-        even = np.empty((orbits.size, SPLIT_COLUMNS))
-        cross = np.zeros((half.size, orbits.size))
-        for c, x in draw_chunks(l, seed, 0, a, b, width):
+        # the sine and cosine normals of the block's current SPLIT_COLUMNS slice
+        odd = np.empty((SPLIT_COLUMNS, n_sin))
+        even = np.empty((SPLIT_COLUMNS, n_cos))
+        gram = np.zeros((n_sin, n_cos))
+        for c, x, xi in draw_chunks(l, seed, 0, a, b, width):
             part = PathEnsemble(space=grid, samples=x, seed=seed)
             x1, x2 = (p.samples for p in parity_decompose(part))
             out = slice(c, c + x.shape[1])
@@ -560,21 +573,27 @@ def torus_watson_check(
             odd_fixed[out] = np.max(np.abs(x1[fixed]), axis=0, initial=0.0)
             j = (c - a) % SPLIT_COLUMNS
             k = j + x.shape[1]
-            odd[:, j:k] = x1[half]
-            even[:, j:k] = x2[orbits]
+            odd[j:k] = xi[:, sine]
+            even[j:k] = xi[:, ~sine]
             if k == SPLIT_COLUMNS or out.stop == b:  # the slice is full, or the block ends
-                cross += odd[:, :k] @ even[:, :k].T
-        partials[a] = cross
+                gram += odd[:k].T @ even[:k]
+        partials[a] = gram
 
     # waves of one block per worker, each added in block order, keep the
     # sums independent of the worker count and at most one partial per worker
     blocks, step = _blocks(count), worker_count()
-    cross = np.zeros((half.size, orbits.size))
+    gram = np.zeros((n_sin, n_cos))
     for i in range(0, len(blocks), step):
         wave = blocks[i : i + step]
         _parallel(wave, run)
         for a, _ in wave:
-            cross += partials.pop(a)
+            gram += partials.pop(a)
+    # x1 = L_sin xi_sin and x2 = L_cos xi_cos, so x1 x2^T = L_sin (sum xi_sin xi_cos^T) L_cos^T;
+    # the columns of L are those of the apply the paths take, width identity columns at a time
+    cols = np.empty((grid.size, sine.size))
+    for j in range(0, sine.size, width):
+        cols[:, j : j + width] = l @ np.eye(sine.size, min(width, sine.size - j), -j)
+    cross = cols[np.ix_(half, sine)] @ gram @ cols[np.ix_(orbits, ~sine)].T
 
     # the unhalved parts 2 x1, 2 x2 have energies 4 e1, 4 e2, bitwise
     u1, u2 = 4.0 * e1, 4.0 * e2

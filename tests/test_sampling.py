@@ -698,9 +698,21 @@ def test_chunked_draw_is_draw_block_bitwise(make_factor, a, b):
     l = make_factor()
     width = _chunk_width(l.shape[0])
     chunks = list(draw_chunks(l, 13, 0, a, b, width))
-    assert [c for c, _ in chunks] == list(range(a, b, width))
+    assert [c for c, _, _ in chunks] == list(range(a, b, width))
     assert chunks[-1][1].shape == (l.shape[0], (b - a) % width or width)
-    assert np.array_equal(np.hstack([x for _, x in chunks]), draw_block(l, 13, 0, a, b))
+    assert np.array_equal(np.hstack([x for _, x, _ in chunks]), draw_block(l, 13, 0, a, b))
+
+
+@pytest.mark.parametrize("a, b", [(0, BLOCK), (BLOCK, BLOCK + 1000)], ids=["full", "partial"])
+def test_chunked_draw_yields_the_normals_of_each_chunk(a, b):
+    """Each chunk comes with its normals, the rows of the block's one fill in turn,
+    and its paths are the factor times their transpose."""
+    l = fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32)))
+    want = np.empty((b - a, l.shape[1]))
+    _fill_normals(want, 13, 0, a)
+    for c, x, xi in draw_chunks(l, 13, 0, a, b, _chunk_width(l.shape[0])):
+        assert np.array_equal(xi, want[c - a : c - a + x.shape[1]])
+        assert np.array_equal(x, l @ xi.T)
 
 
 def test_chunked_draw_of_a_partial_block_is_draw_block_to_roundoff():
@@ -710,7 +722,7 @@ def test_chunked_draw_of_a_partial_block_is_draw_block_to_roundoff():
     l = fourier_factor(torus_watson(torus_grid(Lattice(np.eye(2)), 32)))
     width = _chunk_width(l.shape[0])
     a, b = BLOCK, BLOCK + 2 * width + 3
-    got = np.hstack([x for _, x in draw_chunks(l, 13, 0, a, b, width)])
+    got = np.hstack([x for _, x, _ in draw_chunks(l, 13, 0, a, b, width)])
     want = draw_block(l, 13, 0, a, b)
     assert np.array_equal(got[:, : 2 * width], want[:, : 2 * width])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())

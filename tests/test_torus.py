@@ -25,6 +25,7 @@ from invdecomp.kernels import Kernel, KernelError
 from invdecomp.sampling import (
     BLOCK,
     CHUNK,
+    _block_generator,
     compare_distributions,
     draw_chunks,
     ks_statistic,
@@ -317,6 +318,35 @@ def test_characters_are_those_of_the_index_group():
     assert np.max(np.abs(cos + 1j * sin - want)) <= 1e-14
 
 
+# the self-conjugate indices (b = -b) each factor keeps: the zero index, and on a
+# full-rank factor every b with 2 b = 0, whose coordinates are 0 or, on an even axis, n_k/2
+SELF_CONJUGATE = {"2d6x6-cut2": 1, "2d16x16-full": 4, "skew12x10-cut3": 1, "skew7x6-full": 2, "1d256": 2}
+PARITY_FACTORS = {name: (FACTORS[name], n) for name, n in SELF_CONJUGATE.items()} | {
+    "1d15-full": (([[1.0]], 15, None), 1),
+    "3d5x7x3-full": ((np.eye(3), [5, 7, 3], None), 1),
+}
+
+
+@pytest.mark.parametrize("case, self_conjugate", PARITY_FACTORS.values(), ids=list(PARITY_FACTORS))
+def test_fourier_factor_sine_columns_are_odd_and_cosine_columns_even(case, self_conjugate):
+    """What the torus check's cross-covariance rests on: applied to the identity, the
+    factor's sine columns are odd and its cosine columns even under the grid's
+    negation, to ten ulp of each column's scale, so the odd part of L xi is
+    L_sin xi_sin and the even part L_cos xi_cos.  A self-conjugate index (b = -b)
+    gives a cosine column of +-1 times its scale."""
+    kernel = _torus_kernel(*case)
+    l = fourier_factor(kernel)
+    cols = l @ np.eye(l.shape[1])
+    neg, sine = kernel.space.action.perm[1], l.sine
+    tol = 10 * ULP * l.scale
+    assert np.all(np.abs(cols[neg][:, sine] + cols[:, sine]) <= tol[sine])
+    assert np.all(np.abs(cols[neg][:, ~sine] - cols[:, ~sine]) <= tol[~sine])
+    selfconj = np.all(2 * l.index % l.grid_shape == 0, axis=1)
+    assert np.count_nonzero(selfconj) == self_conjugate
+    assert not np.any(sine[selfconj])
+    assert np.all(np.abs(np.abs(cols[:, selfconj]) - l.scale[selfconj]) <= tol[selfconj])
+
+
 # -------------------------------------------------------------------- parity
 
 
@@ -417,7 +447,7 @@ def test_torus_watson_check_golden_digest():
     rep = torus_watson_check(spec, grid, 1000, seed=1961)
     assert rep["ok"]
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-    assert digest == "02b10224ebc4a1910c347471422fdf0f36385a14d13211510c70f62e0b4efb6a"
+    assert digest == "0c66c03375928e6d04f9426712a8c7ffeedd32025abed3b9877ae1b74e26ea5b"
 
 
 def test_torus_watson_check_golden_digest_16x16():
@@ -425,9 +455,10 @@ def test_torus_watson_check_golden_digest_16x16():
     torus at cutoff 5 the factor applies a 6 x 11 box axis by axis, with the
     column order of the digest above.
 
-    ``cross_cov_max`` is left out of the digest: its product of the parts
-    sums in an order that OpenBLAS picks by its thread count (here the last
-    digit moves between one and two threads, with bitwise equal paths).
+    ``cross_cov_max`` is left out of the digest: its Gram and factor products
+    sum in an order that OpenBLAS picks by its thread count (here the last
+    digit moves, 4.949688816968446e-4 at one thread and ...445 at two, with
+    bitwise equal paths).
     """
     grid = torus_grid(Lattice(np.eye(2)), 16)
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, 5)
@@ -487,25 +518,59 @@ def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
 
 
 def test_streamed_cross_covariance_sums_split_slices_in_order_bitwise():
-    """Drawing a chunk of columns at a time leaves the cross-covariance's summation as it
-    was: one product per SPLIT_COLUMNS slice of each block, added in order."""
+    """The cross-covariance is summed from the normals: per block, one product of the
+    sine normals' transpose and the cosine normals per SPLIT_COLUMNS slice, added in
+    order, whatever the chunk width, then the blocks in order, then
+    L_sin[half] G L_cos[orbits]^T / count with the factor's columns from ``l`` applied
+    to the identity."""
     grid = torus_grid(Lattice(np.eye(2)), 16)
     kernel = torus_watson(grid)
     count = BLOCK + 1000  # a partial block, whose last slice is partial too
-    # at seed 0 slices of 64, 128, 512 or BLOCK columns each give another maximum
-    rep = torus_watson_check(kernel, grid, count, seed=0)
-    ens = sample(kernel, count, 0, factor=fourier_factor(kernel))
-    x1, x2 = (p.samples for p in parity_decompose(ens))
+    # at seed 16 slices of 64, 128, 256 (the chunk width), 512 or BLOCK columns each
+    # give another maximum
+    rep = torus_watson_check(kernel, grid, count, seed=16)
+    l = fourier_factor(kernel)
+    sine = l.sine
+    gram = np.zeros((np.count_nonzero(sine), np.count_nonzero(~sine)))
+    for a in range(0, count, BLOCK):
+        xi = np.empty((min(BLOCK, count - a), l.shape[1]))
+        _block_generator(16, 0, a).standard_normal(out=xi)
+        block = np.zeros_like(gram)
+        for c in range(0, xi.shape[0], SPLIT_COLUMNS):
+            cols = slice(c, c + SPLIT_COLUMNS)
+            block += xi[cols][:, sine].T @ xi[cols][:, ~sine]
+        gram += block
     neg, points = grid.action.perm[1], np.arange(grid.size)
     half, orbits = np.flatnonzero(points < neg), np.flatnonzero(points <= neg)
-    cross = np.zeros((half.size, orbits.size))
-    for a in range(0, count, BLOCK):
-        block = np.zeros_like(cross)
-        for c in range(a, min(a + BLOCK, count), SPLIT_COLUMNS):
-            cols = slice(c, min(c + SPLIT_COLUMNS, a + BLOCK, count))
-            block += x1[half, cols] @ x2[orbits, cols].T
-        cross += block
+    columns = l @ np.eye(l.shape[1])
+    cross = columns[np.ix_(half, sine)] @ gram @ columns[np.ix_(orbits, ~sine)].T
     assert rep["cross_cov_max"] == float(np.max(np.abs(cross / count)))
+
+
+# a rank-deficient kernel on a skew lattice, and a full-rank one on the circle
+GRAM_CASES = {
+    "skew8x6-cut2": (([[1.0, 0.4], [0.0, 1.0]], [8, 6], 2), False),
+    "1d64-full": (([[1.0]], 64, None), True),
+}
+
+
+@pytest.mark.parametrize("case, full_rank", GRAM_CASES.values(), ids=list(GRAM_CASES))
+def test_gram_cross_covariance_is_the_materialized_product(case, full_rank, monkeypatch):
+    """``cross_cov_max`` from the normals' Gram agrees with the materialized
+    x1 @ x2.T to rel 1e-12, and every other field of the report is that of the
+    materialized ensemble bitwise; the report is bitwise the same at 1 and 2 workers."""
+    kernel = _torus_kernel(*case)
+    assert (fourier_factor(kernel).shape[1] == kernel.size) == full_rank
+    count = 2 * BLOCK + 40  # two workers draw the two full blocks at once
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("INVDECOMP_THREADS", workers)
+        reports.append(torus_watson_check(kernel, kernel.space, count, seed=17))
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    ref = _materialized_check(kernel, kernel.space, count, 17)
+    assert reports[0]["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
+    for key, val in ref.items():
+        assert reports[0][key] == val, key
 
 
 def test_check_part_energies_have_the_law_of_the_eigh_factor_parts():
@@ -592,16 +657,17 @@ def test_streamed_check_never_holds_the_ensemble():
 def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     """The check's peak allocation, kernel assembled inside it, at m = 1024.
 
-    Bounded by two kernel matrices -- the assembled kernel, the factor (m x r,
-    r <= m) and the two (m/2 x m/2) cross-covariance sums -- plus
-    3 m SPLIT_COLUMNS doubles: the worker's odd and even slice buffers (one)
-    and one DRAW-column chunk's paths, parts and normals (under two).  A
-    whole drawn block (4 m SPLIT_COLUMNS doubles) does not fit.
+    Bounded by two kernel matrices -- the assembled kernel before the draws,
+    the factor's m x r columns (r <= m) and the m/2 x m/2 cross-covariance
+    after them -- plus SPLIT_COLUMNS r doubles, the worker's sine and cosine
+    normal buffers, and 2 m SPLIT_COLUMNS doubles for one chunk's paths, parts
+    and normals.  A whole drawn block (4 m SPLIT_COLUMNS doubles) on top of the
+    kernel does not fit.
     """
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     grid = torus_grid(Lattice(np.eye(2)), 32)
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, 10)
-    m = grid.size
+    m, r = grid.size, fourier_factor(assemble_kernel(spec, grid)).shape[1]
     tracemalloc.start()
     try:
         rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
@@ -609,7 +675,30 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep["ok"]
-    assert peak < (2 * m * m + 3 * m * SPLIT_COLUMNS) * 8
+    assert r < m
+    assert peak < (2 * m * m + SPLIT_COLUMNS * r + 2 * m * SPLIT_COLUMNS) * 8
+
+
+def test_full_rank_check_takes_the_factor_columns_a_chunk_at_a_time(monkeypatch):
+    """At m = r = 1024 the check's peak allocation, its kernel given, stays below
+    2 m r + 8 m width doubles: the factor's m x r columns, their odd and even row
+    gathers (m r / 2 together), the m/2 x r_cos partial product and the m/2 x m/2
+    cross-covariance (m r / 2 together), and one chunk's eight m-row arrays.  The
+    columns are applied ``width`` identity columns at a time; the whole r x r
+    identity and the apply's partial products at r columns do not fit."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    kernel = _torus_kernel(np.eye(2), 32)
+    m, width = kernel.size, _chunk_width(kernel.size)
+    r = fourier_factor(kernel).shape[1]
+    tracemalloc.start()
+    try:
+        rep = torus_watson_check(kernel, kernel.space, BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"]
+    assert r == m
+    assert peak < (2 * m * r + 8 * m * width) * 8
 
 
 @pytest.mark.parametrize(
@@ -648,12 +737,13 @@ def test_torus_report_does_not_depend_on_the_chunk_width(spec32, monkeypatch):
 
 def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
     """The check's peak allocation at m = 1024 is below two kernel matrices, the
-    worker's odd and even slice buffers (m SPLIT_COLUMNS doubles) and eight m-row
-    arrays of one chunk's width: normals, partial products, paths, parts and
-    their squares and gathers.  A chunk of BLOCK // 16 columns does not fit."""
+    worker's sine and cosine normal buffers (SPLIT_COLUMNS r doubles) and eight
+    m-row arrays of one chunk's width: normals, partial products, paths, parts
+    and their squares and gathers.  A chunk of BLOCK // 16 columns does not fit."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     spec, grid = spec32
     m, width = grid.size, _chunk_width(grid.size)
+    r = fourier_factor(assemble_kernel(spec, grid)).shape[1]
     tracemalloc.start()
     try:
         rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
@@ -661,18 +751,19 @@ def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep["ok"]
-    assert peak < (2 * m * m + m * SPLIT_COLUMNS + 8 * m * width) * 8
+    assert peak < (2 * m * m + SPLIT_COLUMNS * r + 8 * m * width) * 8
 
 
 def test_spec_driven_check_holds_no_kernel_while_it_samples(spec32, monkeypatch):
     """At m = 1024 the check assembles its kernel, takes the factor and the even
     part's expansion from it and releases it: at its first draw no traced array is
-    an m x m matrix.  Its peak stays below one m x m matrix, the worker's odd and
-    even slice buffers (m SPLIT_COLUMNS doubles) and eight m-row arrays of one
+    an m x m matrix.  Its peak stays below one m x m matrix, the worker's sine and
+    cosine normal buffers (SPLIT_COLUMNS r doubles) and eight m-row arrays of one
     chunk's width."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     spec, grid = spec32
     m, width = grid.size, _chunk_width(grid.size)
+    r = fourier_factor(assemble_kernel(spec, grid)).shape[1]
     largest = []
 
     def first_draw(*args):
@@ -689,4 +780,4 @@ def test_spec_driven_check_holds_no_kernel_while_it_samples(spec32, monkeypatch)
         tracemalloc.stop()
     assert rep["ok"]
     assert 0 < largest[0] < m * m * 8
-    assert peak < (m * m + m * SPLIT_COLUMNS + 8 * m * width) * 8
+    assert peak < (m * m + SPLIT_COLUMNS * r + 8 * m * width) * 8
