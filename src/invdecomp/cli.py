@@ -35,7 +35,7 @@ from invdecomp.cumulants import (
     watson_relation_check,
     z2_condition_check,
 )
-from invdecomp.groups import character_table
+from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import (
     BUILTINS,
     TORUS_KERNEL,
@@ -46,7 +46,6 @@ from invdecomp.kernels import (
     law_kernel,
     make_interval_grid,
     make_product_grid,
-    project_kernel,
 )
 from invdecomp.sampling import (
     LAW_DEFAULTS,
@@ -133,23 +132,31 @@ def _run_stationarity(ctx, tols, cfg):
 
 
 def _run_decomposition(ctx, tols, cfg):
-    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it."""
+    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it.
+
+    Each block is :func:`invdecomp.kernels.project_kernel`'s R_{pi,sigma}, taken transposed.
+    K is bitwise its transpose, so projecting K^T (F-ordered) onto pi gives the row
+    projection's values in F order, whose transpose is R_pi^T C-ordered with no copy; it
+    serves every sigma.  The blocks are summed in that transposed frame, which K shares."""
     kernel, table = ctx["kernel"], ctx["table"]
-    tol = tols["decomposition"]
+    action, tol = kernel.space.action, tols["decomposition"]
     # summed in place, one block alive at a time; complex blocks need a complex sum
     total = np.zeros(kernel.matrix.shape, float if table.real_valued() else complex)
     shares = {}
     cross = 0.0
     for p in table:
+        rows = project_path(kernel.matrix.T, action, p).T
         for q in table:
-            mat = project_kernel(kernel, p, q)
+            block = project_path(rows, action, q)  # R_{p,q}^T
             if np.allclose(q.values, np.conj(p.values)):
-                total += mat
-                shares[p.label] = float(np.sum(np.diag(mat).real * kernel.space.weights))
+                total += block
+                shares[p.label] = float(np.sum(np.diag(block).real * kernel.space.weights))
             else:
-                cross = max(cross, float(np.max(np.abs(mat))))
-            del mat
-    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
+                cross = max(cross, float(np.max(np.abs(block, out=block).real)))
+            del block
+        del rows
+    np.subtract(total, kernel.matrix, out=total)  # K is bitwise K^T, and C-ordered
+    sum_dev = float(np.max(np.abs(total, out=total).real))
     ok = sum_dev <= tol and cross <= tol
     return {
         "ok": bool(ok),

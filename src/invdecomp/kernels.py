@@ -268,12 +268,11 @@ class Kernel:
 
     @cached_property
     def invariance_dev(self) -> float:
-        """max |K[p, p] - K| over the bound action's permutations p; the identity,
-        which deviates by exactly 0, is skipped."""
+        """max |K[p, p] - K| over the bound action's permutations p, by :func:`_moved_dev`;
+        the identity, which deviates by exactly 0, is skipped."""
         action = _action(self)
-        k = self.matrix
         perms = (action.perm[g] for g in range(action.group.order) if g != action.group.identity)
-        return max((float(np.max(np.abs(k[np.ix_(p, p)] - k))) for p in perms), default=0.0)
+        return max((_moved_dev(self.matrix, p) for p in perms), default=0.0)
 
     @cached_property
     def irrep_spectra(self) -> dict:
@@ -299,6 +298,21 @@ def _asymmetry(k: np.ndarray) -> float:
         d = k[a : a + step] - k[:, a : a + step].T
         worst = max(worst, float(np.abs(d, out=d).max()))
         del d
+    return worst
+
+
+def _moved_dev(k: np.ndarray, p: np.ndarray) -> float:
+    """max |K[p, p] - K| of a finite K, in row chunks of ``CHUNK`` doubles: each chunk's rows
+    and then columns are gathered by ``np.take`` into two buffers that every chunk reuses."""
+    m = k.shape[0]
+    step, worst = max(1, CHUNK // m), 0.0
+    rows, d = np.empty((min(step, m), m)), np.empty((min(step, m), m))
+    for a in range(0, m, step):
+        n = min(step, m - a)
+        np.take(k, p[a : a + n], axis=0, out=rows[:n], mode="clip")
+        np.take(rows[:n], p, axis=1, out=d[:n], mode="clip")
+        np.subtract(d[:n], k[a : a + n], out=d[:n])
+        worst = max(worst, float(np.abs(d[:n], out=d[:n]).max()))
     return worst
 
 
@@ -537,7 +551,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
             vals.append(np.pad(vec.transpose(0, 2, 1)[keep], pad))
             rows.append(np.pad(np.broadcast_to(idx[:, None, :], (n, size, size))[keep], pad))
         rows, vals = np.concatenate(rows), np.concatenate(vals)
-        su = sum(s[:, rows[:, a]] * vals[:, a] for a in range(width))
+        su = sum(np.take(s, rows[:, a], axis=1) * vals[:, a] for a in range(width))
         block = sum(vals[:, a, None] * su[rows[:, a]] for a in range(width))
         out[p.label] = np.linalg.eigvalsh(block)
     return out

@@ -85,22 +85,22 @@ def eigendecompose(kernel: Kernel) -> Spectrum:
     evals = evals[::-1]
     basis = vecs[:, ::-1] / np.sqrt(kernel.space.weights)[:, None]
 
-    lmax = max(float(evals[0]), 0.0)
-    clusters = []
-    start = 0
-    for i in range(len(evals) - 1):
-        gap = evals[i] - evals[i + 1]
-        scale = max(abs(float(evals[i])), lmax * 1e-15, np.finfo(float).tiny)
-        if gap / scale > CLUSTER_REL_TOL:
-            clusters.append((start, i + 1))
-            start = i + 1
-    clusters.append((start, len(evals)))
     return Spectrum(
         space=kernel.space,
         eigenvalues=np.ascontiguousarray(evals),
         basis=np.ascontiguousarray(basis),
-        clusters=tuple(clusters),
+        clusters=_clusters(evals),
     )
+
+
+def _clusters(evals: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Half-open ranges of a descending spectrum, cut after each i whose gap
+    evals[i] - evals[i + 1] exceeds ``CLUSTER_REL_TOL`` times
+    max(|evals[i]|, 1e-15 max(evals[0], 0), tiny), all gaps in one comparison."""
+    floor = max(max(float(evals[0]), 0.0) * 1e-15, np.finfo(float).tiny)
+    scale = np.maximum(np.abs(evals[:-1]), floor)
+    cuts = (np.flatnonzero((evals[:-1] - evals[1:]) / scale > CLUSTER_REL_TOL) + 1).tolist()
+    return tuple(zip([0] + cuts, cuts + [len(evals)]))
 
 
 def _slabs(clusters) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -119,9 +119,10 @@ def _slabs(clusters) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def _leak_norms(bt: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(c, k) mu-norms of the rows of v outside the span of the mu-orthonormal
     rows of bt; both are (c, k, m) stacks of c clusters of k vectors."""
-    coords = np.conj(bt) @ (v * w).transpose(0, 2, 1)  # coords[c, i, j] = <bt_i, v_j>_w
+    conj = np.conj if np.iscomplexobj(bt) or np.iscomplexobj(v) else np.asarray  # real: no copy
+    coords = conj(bt) @ (v * w).transpose(0, 2, 1)  # coords[c, i, j] = <bt_i, v_j>_w
     leak = v - coords.transpose(0, 2, 1) @ bt
-    return np.sqrt(np.abs(np.sum(np.conj(leak) * leak * w, axis=2)).real)
+    return np.sqrt(np.abs(np.sum(conj(leak) * leak * w, axis=2)).real)
 
 
 def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> dict:

@@ -441,7 +441,9 @@ def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec
     on the columns.  The weighted, normalized cos and sin vectors of every
     nonzero dual vector are stacked as the columns of one matrix B, and all
     the quadratic forms are the column sums of B * (cov @ B).  cov and
-    cov @ B are built :func:`_chunk_width` rows at a time, so cov is never held.
+    cov @ B are built :func:`_chunk_width` rows at a time, so neither is ever
+    held whole, and each chunk's rows of B * (cov @ B) are added into the sums
+    one row at a time, in row order, as ``np.sum(axis=0)`` adds them.
     """
     w, neg, rows = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
     b = spec.vectors[np.any(spec.vectors, axis=1)]
@@ -449,12 +451,13 @@ def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec
     nrm = np.sqrt(w @ (basis * basis))
     basis /= np.where(nrm > 0, nrm, np.inf)  # a vector of norm 0 reads 0
     basis *= w[:, None]
-    cov_basis = np.empty_like(basis)
+    q = np.zeros(basis.shape[1])
     for i in range(0, grid.size, rows):
         chunk = matrix[i : i + rows]
-        cov_basis[i : i + rows] = 0.5 * (chunk + chunk[:, neg]) @ basis
-    cov_basis *= basis
-    q = np.sum(cov_basis, axis=0)
+        part = 0.5 * (chunk + chunk[:, neg]) @ basis
+        part *= basis[i : i + rows]
+        for row in part:
+            q += row
     return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
 
 

@@ -653,14 +653,19 @@ def _z3_rotation(m: int) -> dict:
     }
 
 
+def _circle_z3_file(kernel_file):
+    """The stationary circle kernel on 12 points, with Z3 rotating them by 4."""
+    u = np.arange(12) / 12
+    lag = np.mod(u[:, None] - u[None, :], 1.0)
+    return kernel_file((lag - 0.5) ** 2 / 2 - 1.0 / 24, group=_z3_rotation(12))
+
+
 def test_decomposition_pairs_complex_characters_with_their_conjugates(
     tmp_path, kernel_file
 ):
     """An invariant kernel splits into the (pi, conj pi) blocks; with the
     complex characters of Z3 these are not the (pi, pi) blocks."""
-    u = np.arange(12) / 12
-    lag = np.mod(u[:, None] - u[None, :], 1.0)
-    path = kernel_file((lag - 0.5) ** 2 / 2 - 1.0 / 24, group=_z3_rotation(12))
+    path = _circle_z3_file(kernel_file)
     cfg = _user_matrix_config(
         tmp_path, path, grid={"kind": "interval", "n": 12}, checks=["decomposition"]
     )
@@ -674,13 +679,72 @@ def test_decomposition_pairs_complex_characters_with_their_conjugates(
     assert sum(shares.values()) == pytest.approx(1.0 / 12, rel=1e-12)
 
 
-def test_decomposition_fails_a_kernel_the_group_moves(kernel_file):
+def _moved_z3(kernel_file):
     a = np.random.default_rng(3).normal(size=(12, 12))
-    kernel = load_kernel(kernel_file(a @ a.T / 12, group=_z3_rotation(12)))
+    return load_kernel(kernel_file(a @ a.T / 12, group=_z3_rotation(12)))
+
+
+def _moved_z2(kernel_file):
+    a = np.random.default_rng(11).normal(size=(15, 15))
+    return load_kernel(kernel_file(a @ a.T / 15))
+
+
+def test_decomposition_fails_a_kernel_the_group_moves(kernel_file):
+    kernel = _moved_z3(kernel_file)
     ctx = {"kernel": kernel, "table": character_table(kernel.space.action.group)}
     rep = CHECKS["decomposition"].run(ctx, DEFAULT_TOLERANCES, {})
     assert not rep["ok"]
     assert rep["max_cross_projection"] > 1e-3
+
+
+def _decomposition_per_pair(kernel, table, tol):
+    """The decomposition check's report as one ``project_kernel`` call per irrep pair
+    computes it, each block in its own frame."""
+    total = np.zeros(kernel.matrix.shape, float if table.real_valued() else complex)
+    shares, cross = {}, 0.0
+    for p in table:
+        for q in table:
+            mat = kernels.project_kernel(kernel, p, q)
+            if np.allclose(q.values, np.conj(p.values)):
+                total += mat
+                shares[p.label] = float(np.sum(np.diag(mat).real * kernel.space.weights))
+            else:
+                cross = max(cross, float(np.max(np.abs(mat))))
+    sum_dev = float(np.max(np.abs(total - kernel.matrix)))
+    return {
+        "ok": bool(sum_dev <= tol and cross <= tol),
+        "sum_deviation": sum_dev,
+        "max_cross_projection": cross,
+        "tolerance": tol,
+        "component_trace": shares,
+    }
+
+
+def _circle_z3(kernel_file):
+    return load_kernel(_circle_z3_file(kernel_file))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda _: builtin_kernel("watson", make_interval_grid(64)),
+        lambda _: builtin_kernel("sheet_compensated", cli.build_space({"grid": {"n": [8, 8]}})),
+        _circle_z3,
+        _moved_z3,
+        _moved_z2,
+    ],
+    ids=["watson64-z2", "sheet8x8-z2xz2", "circle12-z3-complex", "moved-z3", "moved-z2"],
+)
+def test_decomposition_report_is_bitwise_the_per_pair_projections(kernel_file, build):
+    """Projecting each irrep's rows once and summing the blocks transposed gives,
+    key for key and bitwise, the report of one ``project_kernel`` call per pair."""
+    kernel = build(kernel_file)
+    table = character_table(kernel.space.action.group)
+    rep = CHECKS["decomposition"].run({"kernel": kernel, "table": table}, DEFAULT_TOLERANCES, {})
+    want = _decomposition_per_pair(kernel, table, DEFAULT_TOLERANCES["decomposition"])
+    assert json.dumps(rep) == json.dumps(want)
+    moved = build in (_moved_z3, _moved_z2)
+    assert (rep["max_cross_projection"] > 1e-3) == moved and rep["ok"] != moved
 
 
 def _watson16_file(kernel_file, **kwargs):

@@ -635,8 +635,9 @@ def _invariance_loop(kernel: Kernel) -> float:
 )
 def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch, build):
     """``dft``, ``invariance_dev`` and ``irrep_spectra`` are each computed at most once
-    per kernel, and are bitwise what their functions give."""
-    counts = {"dft": 0, "irrep_spectra": 0, "ix_": 0}
+    per kernel, and are bitwise what their functions give; ``invariance_dev`` takes one
+    chunked pass (``_moved_dev``) per group element but the identity."""
+    counts = {"dft": 0, "irrep_spectra": 0, "moved_dev": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -649,13 +650,13 @@ def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch,
     monkeypatch.setattr(kernels, "irrep_spectra", counted("irrep_spectra", irrep_spectra))
     kernel = build()
     took_dft = counts["dft"]  # the PSD check's, on the circulant path
-    monkeypatch.setattr(np, "ix_", counted("ix_", np.ix_))
+    monkeypatch.setattr(kernels, "_moved_dev", counted("moved_dev", kernels._moved_dev))
     for _ in range(2):
         lam, spec = kernel.dft
         dev = kernel.invariance_dev
         spectra = kernel.irrep_spectra
     order = kernel.space.action.group.order
-    assert counts == {"dft": 1, "irrep_spectra": 1, "ix_": order - 1}
+    assert counts == {"dft": 1, "irrep_spectra": 1, "moved_dev": order - 1}
     assert took_dft == (kernel.stationarity_spread == 0.0)
     want = kernels._dft_spectrum(kernel.matrix, kernel.space)
     assert np.array_equal(lam, want[0]) and np.array_equal(spec, want[1])
@@ -665,6 +666,31 @@ def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch,
     want = irrep_spectra(kernel, table)
     assert list(spectra) == list(want)
     assert all(np.array_equal(spectra[lab], want[lab]) for lab in want)
+
+
+def _moved_in_the_last_rows(m: int) -> Kernel:
+    """watson on m points with K[m-1, m-2] = K[m-2, m-1] raised by 1e-6, which the
+    reversal maps to K[1, 0] = K[0, 1]: the deviation sits in the first and last rows."""
+    k = builtin_kernel("watson", make_interval_grid(m)).matrix.copy()
+    k[m - 1, m - 2] += 1e-6
+    k[m - 2, m - 1] += 1e-6
+    return Kernel(make_interval_grid(m), k, name="moved")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _random_psd(_product(20, 15), 7), lambda: _moved_in_the_last_rows(1000)],
+    ids=["z2xz2-300", "z2-1000-last-rows"],
+)
+def test_invariance_dev_in_row_chunks_is_the_whole_matrix_deviation_bitwise(build):
+    """The chunked pass equals the whole-matrix ``np.ix_`` loop bitwise on kernels the
+    group moves, with several row chunks and a partial last one."""
+    kernel = build()
+    step = kernels.CHUNK // kernel.size
+    assert kernel.size > step and kernel.size % step != 0
+    dev = kernels.Kernel.invariance_dev.func(kernel)
+    assert dev > 0
+    assert dev == _invariance_loop(kernel)
 
 
 def test_a_kernel_without_an_action_has_no_invariance_or_isotypic_spectra():

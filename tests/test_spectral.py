@@ -109,6 +109,74 @@ def test_clusters_partition_spectrum(watson512):
     assert edges[-1] == 512
 
 
+def _cluster_loop(evals):
+    """The clusters of a descending spectrum, one gap at a time (the 0.8.10 loop)."""
+    lmax = max(float(evals[0]), 0.0)
+    clusters, start = [], 0
+    for i in range(len(evals) - 1):
+        gap = evals[i] - evals[i + 1]
+        scale = max(abs(float(evals[i])), lmax * 1e-15, np.finfo(float).tiny)
+        if gap / scale > spectral.CLUSTER_REL_TOL:
+            clusters.append((start, i + 1))
+            start = i + 1
+    clusters.append((start, len(evals)))
+    return tuple(clusters)
+
+
+def _at_the_tolerance():
+    """[1, c] for the 13 floats c nearest 1 - CLUSTER_REL_TOL: relative gaps within a
+    few ulps of the tolerance, on both sides of it."""
+    c = 1.0 - spectral.CLUSTER_REL_TOL
+    for _ in range(6):
+        c = np.nextafter(c, 2.0)
+    out = []
+    for _ in range(13):
+        out.append([1.0, c])
+        c = np.nextafter(c, 0.0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "evals",
+    [
+        [0.5],
+        [3.0, 3.0, 3.0, 2.0, 2.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [2.0, 1.0, 1e-17, 0.0, -1e-17, -3e-17, -3e-17],
+        [-1e-17, -2e-17, -2e-17],
+        [1.0, 1e-15, 0.9e-15, 1e-16, 1e-300, 0.0],
+        *_at_the_tolerance(),
+    ],
+)
+def test_vectorized_clusters_are_the_gap_loops(evals):
+    evals = np.array(evals)
+    got = spectral._clusters(evals)
+    assert got == _cluster_loop(evals)
+    assert all(type(i) is int for c in got for i in c)
+
+
+def test_tolerance_cases_fall_on_both_sides_of_the_gap():
+    cuts = [len(spectral._clusters(np.array(e))) for e in _at_the_tolerance()]
+    assert cuts[0] == 1 and cuts[-1] == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(-1e-12, 1e3, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 1.0, 1.0 - 1e-6, 1e-300, -1e-17]),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_vectorized_clusters_are_the_gap_loops_on_any_descending_spectrum(values):
+    evals = np.sort(np.array(values))[::-1]
+    assert spectral._clusters(evals) == _cluster_loop(evals)
+
+
 # -------------------------------------------------------------- invariance
 
 
@@ -395,13 +463,13 @@ def test_spectrum_check_holds_one_slab_beyond_its_bases(watson1024):
 
 
 def test_decomposition_check_holds_one_block_at_a_time():
-    """Five m x m blocks at m = 1024 (six at 0.7.2, seven with a C-ordered copy
+    """Four m x m blocks at m = 1024 (six at 0.7.2, seven with a C-ordered copy
     added alone): the sum, the C-ordered row projection, and the column
-    projection's output, gathered term and product."""
+    projection's output and gathered term; the deviation is taken in place."""
     kernel = builtin_kernel("watson", make_interval_grid(1024))
     ctx = {"kernel": kernel, "table": character_table(kernel.space.action.group)}
     run = lambda: CHECKS["decomposition"].run(ctx, DEFAULT_TOLERANCES, {})
-    assert _heap_peak_above_start(run) <= 5 * kernel.matrix.nbytes + 2**20
+    assert _heap_peak_above_start(run) <= 4 * kernel.matrix.nbytes + 2**20
 
 
 def test_wrong_table_fails_like_the_per_cluster_loops():

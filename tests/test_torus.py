@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invdecomp import kernels
+from invdecomp import kernels, torus
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
 from invdecomp.sampling import (
@@ -677,6 +677,35 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     assert rep["ok"]
     assert r < m
     assert peak < (2 * m * m + SPLIT_COLUMNS * r + 2 * m * SPLIT_COLUMNS) * 8
+
+
+def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkeypatch):
+    """Before its first draw the check, kernel assembled inside it, holds the m x m
+    kernel, the expansion's m x 2p basis and one more array of that size (the cosines
+    and sines it is stacked from, or its squares), and one chunk's rows: each chunk's
+    quadratic forms are added into their sums as they are made, so no third m x 2p
+    array (16.0 MiB at 32 x 32, cutoff 10, in 0.8.10; 14.9 MiB in 0.8.11)."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    grid = torus_grid(Lattice(np.eye(2)), 32)
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, 10)
+    m, width = grid.size, _chunk_width(grid.size)
+    basis = 2 * np.count_nonzero(np.any(spec.vectors, axis=1))
+
+    class FirstDraw(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(torus, "draw_chunks", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstDraw):
+            torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (m * m + 2 * m * basis + m * width) * 8
 
 
 def test_full_rank_check_takes_the_factor_columns_a_chunk_at_a_time(monkeypatch):

@@ -10,8 +10,9 @@ directory, with one sampling worker and one BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
 ``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
-12 x 12 (grids whose sizes are not powers of two), and a config that ``run``
-rejects with exit 2.  Each line
+12 x 12 (grids whose sizes are not powers of two), the analytic checks on
+``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
+four irreps), and a config that ``run`` rejects with exit 2.  Each line
 gives the run's name, its exit code, the sha256 of its ``report.json`` and the
 sha256 of each CSV table, in name order; a run that writes no report gives
 the sha256 of its stderr instead.  The report is hashed without its
@@ -259,6 +260,27 @@ EXTRA_RUNS = {
             "samples": 2000,
             "seed": 144,
             "checks": ["quadruplication"],
+        }
+    ),
+    # the benchmark's analytic-1d config; spectrum fails on eigenvector residuals at m = 1024
+    "analytic-watson1024": _config(
+        {
+            "name": "analytic-watson1024",
+            "kernel": {"name": "watson"},
+            "grid": {"kind": "interval", "n": 1024},
+            "rho": 0.5,
+            "n_max": 6,
+            "checks": ["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"],
+            "tolerances": {"z2_condition": 1e-6},
+        }
+    ),
+    # Z2 x Z2, four irreps; watson_relation fails at 12 x 12
+    "analytic-sheet12x12": _config(
+        {
+            "name": "analytic-sheet12x12",
+            "kernel": {"name": "sheet_compensated"},
+            "grid": {"n": [12, 12]},
+            "checks": ["invariance", "decomposition", "spectrum", "watson_relation"],
         }
     ),
     "rejected-z2-on-two-axes": _config(
