@@ -85,9 +85,10 @@ class Check:
     ``run(ctx, tols, cfg)`` returns a JSON-ready report with an ``ok`` flag;
     ``headline(report)`` is its one-line summary and ``rows(report, ctx)``
     the cells of its CSV table, if it has one.  The flags name what the
-    config must provide; ``axes`` pins an in-law check's grid and, through
-    ``kernels.law_kernel``, its kernel.  Every check runs on the run's one
-    kernel, ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
+    config must provide; an in-law check's grid dimension is its place in
+    ``sampling.LAW_DEFAULTS``, which also names its kernel through
+    ``kernels.law_kernel``.  Every check runs on the run's one kernel,
+    ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
     """
 
     run: Callable[[dict, dict, dict], dict]
@@ -99,7 +100,6 @@ class Check:
     order: Optional[int] = None  # needs a bound group of exactly this order
     real: bool = False  # needs a bound group with real-valued characters
     torus: bool = False  # needs a torus grid
-    axes: Optional[int] = None  # in-law check: this many equal interval axes, law_kernel(axes)
     csv: Optional[str] = None  # table file name
     header: str = ""
     rows: Optional[Callable[[dict, dict], list]] = None
@@ -441,7 +441,6 @@ CHECKS = {
         tolerances={"duplication": 0.01},
         headline=_law_headline,
         seed=True,
-        axes=1,
         csv="duplication.csv",
         header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
         rows=_law_rows,
@@ -451,7 +450,6 @@ CHECKS = {
         tolerances={"quadruplication": 0.015},
         headline=_law_headline,
         seed=True,
-        axes=2,
         csv="quadruplication.csv",
         header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
         rows=_law_rows,
@@ -774,8 +772,9 @@ def validate_config(cfg: dict) -> list[str]:
     if seeded and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {seeded}")
 
-    for name in [c for c in checks if CHECKS[c].axes]:
-        axes = CHECKS[name].axes
+    for axes, name in enumerate(LAW_DEFAULTS, start=1):
+        if name not in checks:
+            continue
         if kname != law_kernel(axes):
             errors.append(f"kernel/name: {name} runs the {law_kernel(axes)!r} kernel only")
         if kind != "interval" or len(ns) != axes or len(set(ns)) != 1:

@@ -50,6 +50,7 @@ from numpy.lib.stride_tricks import as_strided
 from invdecomp.groups import (
     GroupAction,
     Irrep,
+    _as_readonly,
     character_table,
     check_action,
     cyclic_group,
@@ -85,11 +86,6 @@ CHUNK = 1 << 16  # doubles per array of every streamed or row-chunked pass: 512 
 
 class KernelError(ValueError):
     """Raised for malformed spaces, kernels, or incompatible operands."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +133,8 @@ class IndexSpace:
         if math.prod(shape) != pts.shape[0] or min(shape) < 1:
             raise KernelError(f"index shape {shape} does not count {pts.shape[0]} points")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "points", _readonly(pts))
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "points", _as_readonly(pts))
+        object.__setattr__(self, "weights", _as_readonly(w))
 
     @property
     def size(self) -> int:
@@ -244,7 +240,7 @@ class Kernel:
         sym = _asymmetry(k)
         if sym > PSD_TOL:
             raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
-        object.__setattr__(self, "matrix", _readonly(k if sym == 0.0 else (k + k.T) / 2))
+        object.__setattr__(self, "matrix", _as_readonly(k if sym == 0.0 else (k + k.T) / 2))
         object.__setattr__(self, "stationarity_spread", _lag_spread(self.matrix, self.space.shape))
         w = self.space.weights
         if self.stationarity_spread == 0.0 and np.all(w == w[0]):
@@ -254,7 +250,7 @@ class Kernel:
         floor = -PSD_TOL * max(float(w.max()), float(evals[-1]))
         if evals[0] < floor:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
-        object.__setattr__(self, "eigenvalues", _readonly(evals))
+        object.__setattr__(self, "eigenvalues", _as_readonly(evals))
 
     @property
     def size(self) -> int:
@@ -264,7 +260,7 @@ class Kernel:
     def dft(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_dft_spectrum` of the matrix, in index order, read-only: the spectrum of a
         circulant K."""
-        return tuple(_readonly(a) for a in _dft_spectrum(self.matrix, self.space))
+        return tuple(_as_readonly(a) for a in _dft_spectrum(self.matrix, self.space))
 
     @cached_property
     def invariance_dev(self) -> float:

@@ -4,7 +4,7 @@ The eigenproblem solved here is the discrete Fredholm equation
 ``K diag(w) f = lambda f`` with eigenvectors orthonormal under the weighted
 inner product ``<f, g>_w = sum_i f_i g_i w_i``.  When the kernel is invariant
 under a group action, each eigenvalue cluster spans a representation of the
-group and splits canonically into character-projected sub-bases.
+group and splits canonically into character-projected sub-spaces.
 
 :func:`check_eigenspace_invariance` and :func:`canonical_decomposition`
 work on slabs: clusters of one width k, in cluster order, at most
@@ -154,12 +154,12 @@ def check_eigenspace_invariance(spectrum: Spectrum, tol: float = 1e-8) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class ClusterSplit:
-    """Canonical decomposition of one eigenvalue cluster."""
+    """Canonical decomposition of one eigenvalue cluster: the dimension of
+    each isotypic piece and the worst leakage; no sub-bases are kept."""
 
     index_range: tuple[int, int]
     eigenvalue: float
     dims: dict          # irrep label -> dimension of the projected sub-space
-    bases: dict         # irrep label -> mu-orthonormal sub-basis (labels with dim > 0)
     max_residual: float  # worst off-cluster leakage among projected vectors
 
 
@@ -171,11 +171,12 @@ def canonical_decomposition(
     """Split every eigenvalue cluster by character projections.
 
     Projects each cluster basis vector with every irrep, verifies the images
-    stay inside the cluster span, orthonormalizes the nonzero images, and
-    checks the dimensions add back to the cluster multiplicity.  Clusters are
-    processed a slab at a time (see the module docstring); a slab that starts
-    after a failing cluster is skipped, and DecompositionError names the
-    first failing cluster in cluster order.
+    stay inside the cluster span, counts each image's dimension from its
+    weighted singular values alone, and checks the dimensions add back to
+    the cluster multiplicity.  Clusters are processed a slab at a time (see
+    the module docstring); a slab that starts after a failing cluster is
+    skipped, and DecompositionError names the first failing cluster in
+    cluster order.
     """
     action = spectrum.space.action
     if action is None:
@@ -183,7 +184,7 @@ def canonical_decomposition(
     clusters = spectrum.clusters
     w = spectrum.space.weights
     sw = np.sqrt(w)
-    dims, bases = [{} for _ in clusters], [{} for _ in clusters]
+    ranks = np.zeros((len(clusters), len(table)), dtype=int)  # cluster x irrep dimensions
     residual = np.zeros(len(clusters))
     failed = len(clusters)  # the first failing cluster found so far
     for ids, cols in _slabs(clusters):
@@ -191,36 +192,29 @@ def canonical_decomposition(
             continue
         c, k = cols.shape
         block = spectrum.basis[:, cols.ravel()]
-        total = np.zeros(c, dtype=int)
-        for p in table:
+        for j, p in enumerate(table):
             img = project_path(block, action, p)
             leak = _leak_norms(block.T.reshape(c, k, -1), img.T.reshape(c, k, -1), w)
             residual[ids] = np.maximum(residual[ids], leak.max(axis=1))
-            # mu-orthonormal basis of each image span via the weighted SVD.
+            # Rank of each image span from the weighted singular values.
             # Cluster columns are mu-unit vectors and the projection is
             # idempotent, so singular values sit near 0 or 1: an absolute
             # threshold separates them.
-            u, s, _ = np.linalg.svd(
-                (sw[:, None] * img).reshape(-1, c, k).transpose(1, 0, 2), full_matrices=False
-            )
-            ranks = np.sum(s > 1e-6, axis=1)
-            total += ranks
-            for i, rank, ui in zip(ids, ranks.tolist(), u):
-                dims[i][p.label] = rank
-                if rank:
-                    bases[i][p.label] = ui[:, :rank] / sw[:, None]
-        bad = ids[(total != k) | (residual[ids] > tol)]
+            s = np.linalg.svd((sw[:, None] * img).reshape(-1, c, k).transpose(1, 0, 2), compute_uv=False)
+            ranks[ids, j] = np.sum(s > 1e-6, axis=1)
+        bad = ids[(ranks[ids].sum(axis=1) != k) | (residual[ids] > tol)]
         if bad.size:
             failed = min(failed, int(bad[0]))
     if failed < len(clusters):
         a, b = clusters[failed]
         raise DecompositionError(
-            f"cluster {a}:{b} split into {sum(dims[failed].values())} dims (expected {b - a}), "
+            f"cluster {a}:{b} split into {ranks[failed].sum()} dims (expected {b - a}), "
             f"max residual {residual[failed]:.3e}"
         )
+    labels = [p.label for p in table]
     return [
-        ClusterSplit((a, b), float(spectrum.eigenvalues[a]), dims[i], bases[i], float(residual[i]))
-        for i, (a, b) in enumerate(clusters)
+        ClusterSplit((a, b), float(spectrum.eigenvalues[a]), dict(zip(labels, r)), res)
+        for (a, b), r, res in zip(clusters, ranks.tolist(), residual.tolist())
     ]
 
 

@@ -1,6 +1,8 @@
 """Command-line runner: config validation, exit codes, reports, presets."""
 
 import functools
+import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -202,6 +204,46 @@ def test_the_validator_and_the_kernel_registry_agree():
                         assert built[name, kind, layout].name == name
     grids = {(name, kind) for name, rec in kernels.BUILTINS.items() for kind in rec.grids}
     assert {(name, kind) for name, kind, _ in built} == grids
+
+
+def _validator_outputs():
+    """``validate_config``'s output, as JSON, for every built-in kernel and
+    ``user_matrix`` x grid kind x axis layout x check list (each check alone,
+    then all), crossed with every action (absent, reversal, negation, none) and
+    ``grid.basis`` (absent, d x d, d + 1 rows), and with every action and
+    ``kernel.params`` (a cutoff that aliases on 4-point axes, a path)."""
+    actions = [None, "reversal", "negation", "none"]
+    variants = [
+        *itertools.product(actions, ["absent", "d x d", "wrong size"], [None]),
+        *itertools.product(actions, ["absent"], [{"cutoff": 2}, {"path": "k.json"}]),
+    ]
+    for name, kind, n, checks, (action, basis, params) in itertools.product(
+        [*kernels.BUILTINS, "user_matrix"],
+        ("interval", "torus"),
+        _LAYOUTS.values(),
+        [[c] for c in CHECKS] + [list(CHECKS)],
+        variants,
+    ):
+        d = len(n) if isinstance(n, list) else 1
+        cfg = {"kernel": {"name": name}, "grid": {"kind": kind, "n": n}, "checks": checks, "seed": 1}
+        if action is not None:
+            cfg["action"] = {"name": action}
+        if basis == "d x d":
+            cfg["grid"]["basis"] = (np.eye(d) + np.eye(d, k=-1) / 2).tolist()
+        elif basis == "wrong size":
+            cfg["grid"]["basis"] = np.eye(d + 1).tolist()
+        if params is not None:
+            cfg["kernel"]["params"] = params
+        yield json.dumps(validate_config(cfg))
+
+
+def test_every_validator_message_is_pinned():
+    """11,520 configs, 854 distinct outputs, one digest: a validator refactor
+    must keep every message and its order (the digest of version 0.8.11)."""
+    outputs = list(_validator_outputs())
+    assert (len(outputs), len(set(outputs))) == (11520, 854)
+    digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+    assert digest == "ebe143ee28ca1bf9900e1266a2de998a0549cf14401d028b221baa9da47c3b8f"
 
 
 @pytest.mark.parametrize(

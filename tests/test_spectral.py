@@ -6,8 +6,12 @@ lambda_k = 1/(4 pi^2 k^2) for the compensated one.  The midpoint-rule
 discretization converges at rate k^2/n^2, which the tests pin down.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -216,13 +220,22 @@ def test_bridge_parity_alternates(bridge512, table512):
 
 
 def test_canonical_split_bases_have_symmetry(watson512, table512):
+    """Each watson cluster holds one even and one odd eigenfunction: the
+    character projections of its basis columns are reversal-even and -odd,
+    and each spans one mu-unit direction (weighted singular values 1 and 0)."""
     splits = canonical_decomposition(watson512, table512)
+    action, sw = watson512.space.action, np.sqrt(watson512.space.weights)
     rev = np.arange(512)[::-1]
     for s in splits[:5]:
-        even = s.bases["triv"][:, 0]
-        odd = s.bases["sign"][:, 0]
+        a, b = s.index_range
+        block = watson512.basis[:, a:b]
+        parts = {p.label: project_path(block, action, p) for p in table512}
+        even, odd = parts["triv"], parts["sign"]
         assert np.abs(even[rev] - even).max() < 1e-10
         assert np.abs(odd[rev] + odd).max() < 1e-10
+        for img in (even, odd):
+            sv = np.linalg.svd(sw[:, None] * img, compute_uv=False)
+            assert np.abs(sv - [1.0, 0.0]).max() < 1e-10
 
 
 def test_deep_spectrum_needs_looser_tol(bridge512, table512):
@@ -305,14 +318,15 @@ def _reference_invariance(spectrum):
 
 
 def _reference_canonical(spectrum, table, tol):
-    """(index range, dims, bases, residual) per cluster, one cluster at a time;
-    raises at the first failing cluster (the 0.7.2 loop)."""
+    """(index range, dims, residual) per cluster, one cluster at a time, each
+    dimension the rank of a full SVD (singular vectors computed); raises at the
+    first failing cluster (the 0.7.2 loop, less its sub-bases)."""
     action = spectrum.space.action
     w = spectrum.space.weights
     splits = []
     for a, b in spectrum.clusters:
         block = spectrum.basis[:, a:b]
-        dims, bases = {}, {}
+        dims = {}
         residual = 0.0
         total = 0
         for p in table:
@@ -321,18 +335,16 @@ def _reference_canonical(spectrum, table, tol):
             if float(np.max(norms)) > 0:
                 leak = img - block @ _mu_coords(block, w, img)
                 residual = max(residual, float(np.max(_mu_norms(leak, w))))
-            u, s, _ = np.linalg.svd(np.sqrt(w)[:, None] * img, full_matrices=False)
+            _, s, _ = np.linalg.svd(np.sqrt(w)[:, None] * img, full_matrices=False)
             rank = int(np.sum(s > 1e-6))
             dims[p.label] = rank
-            if rank:
-                bases[p.label] = u[:, :rank] / np.sqrt(w)[:, None]
             total += rank
         if total != b - a or residual > tol:
             raise DecompositionError(
                 f"cluster {a}:{b} split into {total} dims (expected {b - a}), "
                 f"max residual {residual:.3e}"
             )
-        splits.append(((a, b), dims, bases, residual))
+        splits.append(((a, b), dims, residual))
     return splits
 
 
@@ -392,24 +404,18 @@ def _assert_like_reference(spectrum, table, tol):
         assert str(got.value) == str(exc)
         return
     got = canonical_decomposition(spectrum, table, tol=tol)
-    w = spectrum.space.weights
     assert [s.index_range for s in got] == [r[0] for r in want]
-    for split, (_, dims, bases, residual) in zip(got, want):
+    for split, (_, dims, residual) in zip(got, want):
         assert split.dims == dims
         assert abs(split.max_residual - residual) <= 1e-14
-        assert split.bases.keys() == bases.keys()
-        for label, ref in bases.items():
-            b = split.bases[label]
-            proj = lambda x: (x @ np.conj(x).T) * w
-            assert np.abs(proj(b) - proj(ref)).max() <= 1e-12
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(kernel=CASES, slab=st.sampled_from([1, 2, 3, 5, 256]), tol=st.sampled_from([1e-8, 1e-13]))
 def test_slabs_match_the_per_cluster_loops(kernel, slab, tol):
-    """Residuals, dims, projectors onto the split bases, and the first failing
-    cluster with its message, against the cluster-by-cluster loops; a small
-    SLAB puts wide clusters alone in a slab wider than SLAB."""
+    """Index ranges, dims, residuals, and the first failing cluster with its
+    message, against the cluster-by-cluster loops; a small SLAB puts wide
+    clusters alone in a slab wider than SLAB."""
     table = character_table(kernel.space.action.group)
     with mock.patch.object(spectral, "SLAB", slab):
         _assert_like_reference(eigendecompose(kernel), table, tol)
@@ -438,6 +444,43 @@ def test_slabs_match_the_per_cluster_loops_at_watson1024(watson1024):
     _assert_like_reference(watson1024, table, 1e-8)
 
 
+@pytest.mark.parametrize("case", ["watson512", "watson1024", "sheet_compensated12x12"])
+def test_singular_value_ranks_are_the_full_svd_ranks(case, request):
+    """The split counts each irrep's dimension from singular values alone; the
+    reference loop takes them from a full SVD.  The gate is opened (tol = inf)
+    so that every cluster is compared, failing residuals included."""
+    if case.startswith("sheet"):  # Z2 x Z2, four irreps
+        spectrum = eigendecompose(_sheet_case("sheet_compensated", 12, 12))
+    else:
+        spectrum = request.getfixturevalue(case)
+    table = character_table(spectrum.space.action.group)
+    got = canonical_decomposition(spectrum, table, tol=np.inf)
+    want = _reference_canonical(spectrum, table, np.inf)
+    assert [(s.index_range, s.dims) for s in got] == [(r, dims) for r, dims, _ in want]
+
+
+def test_first_failing_cluster_at_watson1024_on_one_blas_thread():
+    """The spectrum check's finding at m = 1024 with the bundled OpenBLAS on one
+    thread, in a new interpreter so that the thread count holds from the start."""
+    code = """
+from invdecomp.groups import character_table
+from invdecomp.kernels import builtin_kernel, make_interval_grid
+from invdecomp.spectral import DecompositionError, canonical_decomposition, eigendecompose
+spectrum = eigendecompose(builtin_kernel("watson", make_interval_grid(1024)))
+try:
+    canonical_decomposition(spectrum, character_table(spectrum.space.action.group))
+except DecompositionError as exc:
+    print(exc)
+"""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "cluster 870:872 split into 2 dims (expected 2), max residual 1.026e-08"
+
+
 def _heap_peak_above_start(fn):
     tracemalloc.start()
     try:
@@ -449,9 +492,9 @@ def _heap_peak_above_start(fn):
 
 
 def test_spectrum_check_holds_one_slab_beyond_its_bases(watson1024):
-    """At m = 1024 the split bases take m^2 doubles; the slab work on top of
-    them stays within 8 blocks of SLAB = 256 columns (11 MiB measured, 44 MiB
-    for the whole basis in one slab)."""
+    """At m = 1024 the split keeps no bases, so the two steps hold the slab
+    work alone: within 8 blocks of SLAB = 256 columns (10.1 MiB measured,
+    44 MiB for the whole basis in one slab)."""
     m = watson1024.size
     table = character_table(watson1024.space.action.group)
 
@@ -459,7 +502,7 @@ def test_spectrum_check_holds_one_slab_beyond_its_bases(watson1024):
         check_eigenspace_invariance(watson1024)
         canonical_decomposition(watson1024, table, tol=1e-5)
 
-    assert _heap_peak_above_start(run) <= (m * m + 8 * 256 * m) * 8
+    assert _heap_peak_above_start(run) <= 8 * 256 * m * 8
 
 
 def test_decomposition_check_holds_one_block_at_a_time():

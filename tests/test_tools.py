@@ -47,12 +47,14 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         "quadruplication-12x12",
         "analytic-watson1024",
         "analytic-sheet12x12",
+        "torus-sheared-12x10",
+        "rejected-duplication-on-torus",
         "rejected-z2-on-two-axes",
     ]
     run = _tool("preset_digests.py", *names)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = run.stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:8]] == [
+    assert [line.split()[:2] for line in lines[:10]] == [
         ["user-matrix-watson16", "exit=1"],  # watson_relation and z2_condition fail on 16 points
         ["user-matrix-action-none", "exit=0"],
         ["cumulants-watson64", "exit=0"],
@@ -61,6 +63,8 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         ["quadruplication-12x12", "exit=1"],
         ["analytic-watson1024", "exit=1"],  # spectrum: eigenvector residuals at m = 1024
         ["analytic-sheet12x12", "exit=1"],  # watson_relation fails at 12 x 12
+        ["torus-sheared-12x10", "exit=0"],
+        ["rejected-duplication-on-torus", "exit=2"],
         ["rejected-z2-on-two-axes", "exit=2"],
     ]
     assert [f.split("=")[0] for f in lines[0].split()[2:]] == [
@@ -88,15 +92,23 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         "spectrum.csv",
         "watson_relation.csv",
     ]
+    assert [f.split("=")[0] for f in lines[7].split()[2:]] == ["report.json", "torus_conventions.csv"]
+    stderr = (
+        b"config error: kernel/name: duplication runs the 'watson' kernel only; "
+        b"grid/n: duplication needs 1 equal interval axes\n"
+    )
+    assert lines[8].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
     stderr = b"config error: checks: z2_condition needs a 2-element group, not order 4\n"
-    assert lines[7].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    assert len(lines) == 11
+    assert lines[9].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
+    assert len(lines) == 13
     # the stationary kernels off the powers of two take the DFT; their tied partners stay dense
     assert "spectra: dft(1000) x1, dense(1000) x1;" in run.stderr
     assert "spectra: dft(12x12) x1, dense(144) x1;" in run.stderr
     # the analytic runs take the spectrum check's one dense eigh and one isotypic split
     assert "eigh(1024x1024) x1, eigh(512x2x2) x2, eigvalsh(512x512) x2; irrep_spectra x1" in run.stderr
     assert "eigh(144x144) x1, eigh(36x4x4) x4, eigvalsh(36x36) x4; irrep_spectra x1" in run.stderr
+    # the sheared torus takes the DFT gate twice and one axis-wise Fourier factor
+    assert "spectra: dft(12x10) x2, fourier(axes 4x7, chunk 256) x1;" in run.stderr
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr
 
 

@@ -12,7 +12,9 @@ points with its Z2 reversal group, the same file under ``action: none``, a
 ``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
-four irreps), and a config that ``run`` rejects with exit 2.  Each line
+four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
+passes a ``grid.basis``), and two configs that ``run`` rejects with exit 2, one
+of them through the in-law checks' grid and kernel rule.  Each line
 gives the run's name, its exit code, the sha256 of its ``report.json`` and the
 sha256 of each CSV table, in name order; a run that writes no report gives
 the sha256 of its stderr instead.  The report is hashed without its
@@ -281,6 +283,27 @@ EXTRA_RUNS = {
             "kernel": {"name": "sheet_compensated"},
             "grid": {"n": [12, 12]},
             "checks": ["invariance", "decomposition", "spectrum", "watson_relation"],
+        }
+    ),
+    # no preset passes a torus basis
+    "torus-sheared-12x10": _config(
+        {
+            "name": "torus-sheared-12x10",
+            "kernel": {"name": "torus_watson", "params": {"cutoff": 3}},
+            "grid": {"kind": "torus", "n": [12, 10], "basis": [[1.0, 0.0], [0.5, 1.0]]},
+            "samples": 2000,
+            "seed": 1210,
+            "checks": ["stationarity", "torus_watson"],
+        }
+    ),
+    # rejected by the in-law rule: duplication needs watson on one interval axis
+    "rejected-duplication-on-torus": _config(
+        {
+            "name": "rejected-duplication-on-torus",
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [16]},
+            "seed": 1,
+            "checks": ["duplication"],
         }
     ),
     "rejected-z2-on-two-axes": _config(
