@@ -287,10 +287,10 @@ def _run_spectrum(ctx, tols, cfg):
 
 
 def _run_torus_watson(ctx, tols, cfg):
-    # the check reads row 0 of the run's kernel alone and is the last in CHECKS:
-    # the kernel is released before the check assembles its truncation
+    # the check reads row 0 of the run's kernel alone, with no m x m array, and is the last
+    # in CHECKS, so the kernel is released here
     space = ctx["kernel"].space
-    profile = ctx.pop("kernel").matrix[0].copy()
+    profile = ctx.pop("kernel").rows(0, 1)[0]
     cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(profile, space, cutoff)
     count = int(cfg.get("samples", 20_000))

@@ -2,10 +2,12 @@
 
 An :class:`IndexSpace` is a finite quadrature rule (points, weights) with an
 optional group action by permutations.  A :class:`Kernel` is a symmetric PSD
-matrix over such a space.  The operations here are the kernel-side analogues
-of path projection: projecting a kernel onto a pair of characters,
-chaining a kernel's weighted contractions, and checking invariance under
-the action.  What a kernel knows about itself is computed once, by the
+matrix over such a space, stored as that m x m matrix or, for a stationary
+kernel, as its m lags (``Kernel.lags``), from which the matrix is built only
+when ``Kernel.matrix`` is first read.  The operations here are the
+kernel-side analogues of path projection: projecting a kernel onto a pair
+of characters, chaining a kernel's weighted contractions, and checking
+invariance under the action.  What a kernel knows about itself is computed once, by the
 kernel: its spectrum and stationarity spread by its PSD check, and its DFT
 (``Kernel.dft``), invariance deviation (``Kernel.invariance_dev``) and
 isotypic spectra (``Kernel.irrep_spectra``) when first read.
@@ -25,12 +27,13 @@ over that group (``Kernel.stationarity_spread`` 0) on equal weights has the
 group's characters as eigenvectors (Wood and Chan, 1994), so its spectrum
 is the DFT of its lag profile (``Kernel.dft``); any other kernel
 takes the dense ``eigvalsh`` of the symmetric matrix.  :func:`_stationary`
-builds every stationary kernel from its lag column, so each stationary
-built-in, such as the watson kernel (the compensated bridge, the stationary
-circle process), is bitwise circulant on every midpoint grid and takes the
-DFT.  The kernel keeps the ascending spectrum as ``Kernel.eigenvalues``; the
-trace powers are its power sums, and ``invdecomp.sampling`` draws the law
-checks' functionals from it.
+builds every stationary kernel from its lag column and keeps that column
+alone, so each stationary built-in, such as the watson kernel (the
+compensated bridge, the stationary circle process), is bitwise circulant on
+every midpoint grid by construction and takes the DFT; ``Kernel.rows`` and
+``Kernel.dft`` read its column, not its matrix.  The kernel keeps the
+ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
+sums, and ``invdecomp.sampling`` draws the law checks' functionals from it.
 :func:`weighted_eigh` is the one eigenvector solve, shared by the
 Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
 solves the same matrix restricted to each real character's isotypic
@@ -204,15 +207,20 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
 class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
-    A matrix with a non-finite entry or an asymmetry above ``PSD_TOL`` is rejected.  The
-    matrix is stored as (K + K^T) / 2; a bitwise symmetric, C-ordered float64 one, which
-    equals it bitwise, is kept itself, not copied, and made read-only.
+    ``Kernel(space, matrix, name)`` stores a dense kernel: a matrix with a non-finite entry or
+    an asymmetry above ``PSD_TOL`` is rejected.  The matrix is stored as (K + K^T) / 2; a
+    bitwise symmetric, C-ordered float64 one, which equals it bitwise, is kept itself, not
+    copied, and made read-only.  :func:`_stationary` stores a lag kernel: ``lags`` holds the
+    m values of its even profile p, finite, and K[s, t] = p[(s - t) mod ``space.shape``].
+    Its ``matrix`` is built by :func:`_circulant` when first read, and kept; :meth:`rows`
+    and ``dft`` never build it.
 
     The PSD check computes, once per kernel:
 
     * ``stationarity_spread``, the largest spread of K's entries over a
       class of equal lag (s - t) mod ``space.shape`` (:func:`_lag_spread`),
       which is 0 exactly when K is bitwise circulant over the index group;
+      a lag kernel's is 0 with no pass over the matrix;
     * ``eigenvalues``, the ascending spectrum of the weighted operator
       diag(w) K.  The gate is bitwise: a circulant K on equal weights has
       the characters of the index group as eigenvectors, so its spectrum is
@@ -229,19 +237,24 @@ class Kernel:
     name: str = ""
     stationarity_spread: float = field(init=False, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    lags: Optional[np.ndarray] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = np.ascontiguousarray(self.matrix, dtype=float)
+        dense = self.lags is None
+        k = np.ascontiguousarray(self.matrix, dtype=float) if dense else self.lags
         m = self.space.size
-        if k.shape != (m, m):
+        if k.shape != ((m, m) if dense else (m,)):
             raise KernelError(f"matrix must be ({m}, {m}), got {k.shape}")
         if not np.isfinite([k.min(), k.max()]).all():
             raise KernelError("matrix has non-finite entries")
-        sym = _asymmetry(k)
-        if sym > PSD_TOL:
-            raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
-        object.__setattr__(self, "matrix", _as_readonly(k if sym == 0.0 else (k + k.T) / 2))
-        object.__setattr__(self, "stationarity_spread", _lag_spread(self.matrix, self.space.shape))
+        if dense:
+            sym = _asymmetry(k)
+            if sym > PSD_TOL:
+                raise KernelError(f"matrix not symmetric (dev {sym:.3e})")
+            object.__setattr__(self, "matrix", _as_readonly(k if sym == 0.0 else (k + k.T) / 2))
+        # a lag kernel is circulant by construction
+        spread = _lag_spread(self.matrix, self.space.shape) if dense else 0.0
+        object.__setattr__(self, "stationarity_spread", spread)
         w = self.space.weights
         if self.stationarity_spread == 0.0 and np.all(w == w[0]):
             evals = np.sort(self.dft[0])
@@ -252,15 +265,34 @@ class Kernel:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
         object.__setattr__(self, "eigenvalues", _as_readonly(evals))
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: a lag kernel's matrix, built once
+        lags = self.__dict__.get("lags")
+        if name != "matrix" or lags is None:
+            raise AttributeError(f"'Kernel' object has no attribute {name!r}")
+        matrix = _as_readonly(_circulant(lags, self.space.shape))
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
+
     @property
     def size(self) -> int:
         return self.space.size
 
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a, ..., b-1 of the matrix (those below m); a lag kernel's are gathered from
+        ``lags``, bitwise those of its ``matrix``."""
+        if self.lags is None:
+            return self.matrix[a:b]
+        shape = self.space.shape
+        s = np.unravel_index(np.arange(a, min(b, self.size)), shape)
+        return _lag_view(self.lags, shape)[s].reshape(len(s[0]), -1)
+
     @cached_property
     def dft(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_dft_spectrum` of the matrix, in index order, read-only: the spectrum of a
-        circulant K."""
-        return tuple(_as_readonly(a) for a in _dft_spectrum(self.matrix, self.space))
+        circulant K.  A lag kernel's column 0 is its ``lags``."""
+        matrix = self.matrix if self.lags is None else self.lags[:, None]
+        return tuple(_as_readonly(a) for a in _dft_spectrum(matrix, self.space))
 
     @cached_property
     def invariance_dev(self) -> float:
@@ -312,23 +344,30 @@ def _moved_dev(k: np.ndarray, p: np.ndarray) -> float:
     return worst
 
 
-def _circulant(profile: np.ndarray, shape: tuple) -> np.ndarray:
-    """The m x m matrix K[s, t] = profile[(s - t) mod ``shape``], row-major in s and t: one copy
-    of a strided view of the profile doubled along every axis (:func:`_lag_spread`'s layout),
-    in which entry [s, t] sits at shape + s - t."""
+def _lag_view(profile: np.ndarray, shape: tuple) -> np.ndarray:
+    """The read-only (shape, shape) view K[s, t] = profile[(s - t) mod ``shape``], row-major in s
+    and t: a strided view of the profile doubled along every axis (:func:`_lag_spread`'s
+    layout), in which entry [s, t] sits at shape + s - t."""
     tiled = np.tile(np.reshape(profile, shape), (2,) * len(shape))
     st, start = tiled.strides, tuple(slice(n, None) for n in shape)
-    view = as_strided(tiled[start], shape + shape, st + tuple(-s for s in st), writeable=False)
-    return view.copy().reshape(math.prod(shape), -1)
+    return as_strided(tiled[start], shape + shape, st + tuple(-s for s in st), writeable=False)
+
+
+def _circulant(profile: np.ndarray, shape: tuple) -> np.ndarray:
+    """The m x m matrix K[s, t] = profile[(s - t) mod ``shape``]: one copy of :func:`_lag_view`."""
+    return _lag_view(profile, shape).copy().reshape(math.prod(shape), -1)
 
 
 def _stationary(column: np.ndarray, space: IndexSpace, name: str) -> Kernel:
-    """The stationary kernel of the lag column p = K[:, 0]: K[s, t] = (p_b + p_-b) / 2 at the
-    lag b = (s - t) mod ``space.shape``, by :func:`_circulant`.  That is bitwise the
-    (C + C^T) / 2 that a :class:`Kernel` stores for the circulant C of p, and bitwise symmetric,
-    so the Kernel keeps it as its one m x m array."""
+    """The lag kernel of the lag column p = K[:, 0]: K[s, t] = (p_b + p_-b) / 2 at the lag
+    b = (s - t) mod ``space.shape``, bitwise the (C + C^T) / 2 that a :class:`Kernel` stores
+    for the circulant C of p.  It is made without ``Kernel.__init__``, which takes a matrix,
+    and checked by the class's ``__post_init__``, as every kernel is."""
+    kernel = object.__new__(Kernel)
     even = (column + column[_negation(space.shape)]) / 2
-    return Kernel(space, _circulant(even, space.shape), name=name)
+    vars(kernel).update(space=space, name=name, lags=_as_readonly(even))
+    kernel.__post_init__()
+    return kernel
 
 
 def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
@@ -437,7 +476,8 @@ def builtin_kernel(name: str, space: IndexSpace) -> Kernel:
     one-axis covariance, multiplied over the record's ``dim`` axes of ``space`` in axis order.
 
     A stationary record on bitwise the midpoint grid of ``space.shape`` is evaluated on the
-    lag column alone and copied by :func:`_stationary`; any other, on every pair of points.
+    lag column alone and kept as its lags by :func:`_stationary`; any other, on every pair of
+    points.
     """
     if name not in BUILTINS:
         raise KernelError(f"unknown kernel {name!r}")

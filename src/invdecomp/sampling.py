@@ -162,7 +162,8 @@ def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: in
     one fill of the whole block, and only one chunk of them is held.
     Yields (first column, m x ncols paths, ncols x r normals), the paths
     being ``l`` times the normals' transpose; the normals are one buffer,
-    refilled for the next chunk, so a caller that keeps them copies them.
+    refilled for the next chunk, so a caller that keeps them copies them (and
+    the paths too, when ``l`` refills one buffer with its products).
     Every path sampler draws through here, so every ensemble follows
     ``RNG_CONTRACT`` and the coordinate rule.
     """

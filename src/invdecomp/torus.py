@@ -8,8 +8,9 @@ Gaussian processes whose quadratic functionals can be compared in law.
 
 A stationary kernel on a grid torus depends on t - s alone, so it is
 (block-)circulant: ``kernels._stationary``, the builder of every stationary
-kernel, copies its m lag values into the matrix.  The DFT of those values is
-the kernel's spectrum.  The PSD check of a bitwise circulant kernel
+kernel, keeps its m lag values (``Kernel.lags``), and the m x m matrix is
+built from them only if it is read.  The DFT of those values is the
+kernel's spectrum.  The PSD check of a bitwise circulant kernel
 reads its eigenvalues from it and stores its stationarity spread, by the
 one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT (``Kernel.dft``, taken once)
@@ -24,16 +25,17 @@ sampling contract is drawn, split and reduced :func:`_chunk_width` columns
 at a time (64 at m = 1024, 256 up to m = 256), and takes its odd/even
 cross-covariance from the Gram of the factor's sine and cosine normals, so
 its working set is O(r ``SPLIT_COLUMNS`` + m width) on top of its rank-r
-factor, never m x ``BLOCK``; the kernel it assembles is released before the
-first draw.
+factor, never m x ``BLOCK``, in buffers that each worker allocates once.  It
+reads its kernel's rows a chunk at a time (``Kernel.rows``), so the torus path
+builds no m x m array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -221,12 +223,14 @@ def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np
     each index b (columns) of the (r, d) ``index``.
 
     The turns b_k a_k mod n_k are taken in integers, so an index and its
-    aliases b + n_k e_k give bitwise equal characters.
+    aliases b + n_k e_k give bitwise equal characters.  Axis k's n_k x r turns
+    are added in axis order by broadcasting, into one m x r array.
     """
-    points = np.indices(shape).reshape(len(shape), -1)
-    theta = np.zeros((points.shape[1], len(index)))
-    for a, b, n in zip(points, np.asarray(index).T, shape):
-        theta += np.multiply.outer(a, b) % n / n
+    d, theta = len(shape), 0.0
+    for k, (b, n) in enumerate(zip(np.asarray(index).T, shape)):
+        turns = np.multiply.outer(np.arange(n), b) % n / n
+        theta = theta + turns.reshape((1,) * k + (n,) + (1,) * (d - k - 1) + (len(b),))
+    theta = np.reshape(theta, (math.prod(shape), len(index)))
     theta *= 2.0 * np.pi
     return np.cos(theta), np.sin(theta, out=theta)
 
@@ -278,8 +282,8 @@ def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
 
     The sum is evaluated once per lag, as one product of the m x p cosines
-    of the p dual vectors on the grid points, and copied into the m x m
-    matrix by ``kernels._stationary``; the result is exactly stationary.
+    of the p dual vectors on the grid points, and kept as the kernel's lags
+    by ``kernels._stationary``; the result is exactly stationary.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
@@ -294,8 +298,9 @@ def torus_watson(grid: TorusGrid) -> Kernel:
     (``kernels._circle_profile``), multiplied across axes.  On the unit
     circle this is the compensated bridge covariance
     min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is
-    evaluated on the m lags, the fractional coordinates, and copied into the
-    matrix by ``kernels._stationary``, so it is exactly circulant per axis.
+    evaluated on the m lags, the fractional coordinates, and kept as the
+    kernel's lags by ``kernels._stationary``, so it is exactly circulant per
+    axis.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
@@ -328,6 +333,7 @@ class FourierFactor:
     index: np.ndarray  # (r, d) integer coordinates of the kept indices, in column order
     sine: np.ndarray  # (r,) bool: column j is a sine
     scale: np.ndarray  # (r,) the column norms sqrt(c_b lambda_b / (w m))
+    work: Optional[dict] = field(default=None, repr=False)  # a worker's buffers, refilled by each @
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -349,16 +355,35 @@ class FourierFactor:
         return place, box, mats
 
     def __matmul__(self, xi: np.ndarray) -> np.ndarray:
-        """The (m, ncols) product with the (r, ncols) ``xi``, one matrix product per axis."""
+        """The (m, ncols) product with the (r, ncols) ``xi``, one matrix product per axis.
+
+        With ``work`` (a worker's copy, ``replace(l, work={})``), the coefficients and the
+        partial products take its buffers 0 and 1 in turn and the paths its ``"paths"``
+        buffer, allocated once, so each product's paths overwrite the last one's."""
         ncols = xi.shape[1]
         place, box, mats = self._axes
-        z = np.zeros((2 * math.prod(box), ncols))
+        z = _reuse(self.work, 0, (2 * math.prod(box), ncols))
+        z.fill(0.0)
         z[place] = self.scale[:, None] * xi
         lead = 1  # the points of the axes done, which batch the products
         for k, a in enumerate(mats):
-            z = a @ z.reshape(lead, a.shape[1], math.prod(box[k + 1 :]) * ncols)
+            rest = math.prod(box[k + 1 :]) * ncols
+            key = "paths" if k == len(mats) - 1 else (k + 1) % 2
+            out = _reuse(self.work, key, (lead, a.shape[0], rest))
+            z = np.matmul(a, z.reshape(lead, a.shape[1], rest), out=out)
             lead *= self.grid_shape[k]
         return z.reshape(lead, ncols)
+
+
+def _reuse(work: Optional[dict], key, shape: tuple) -> np.ndarray:
+    """A C-ordered ``shape`` array over the first doubles of the flat buffer ``work[key]``,
+    allocated, or replaced by a larger one, when it cannot hold them; new when ``work`` is None."""
+    n = math.prod(shape)
+    if work is None:
+        return np.empty(shape)
+    if key not in work or work[key].size < n:
+        work[key] = np.empty(n)
+    return work[key][:n].reshape(shape)
 
 
 def fourier_factor(kernel: Kernel) -> FourierFactor:
@@ -406,7 +431,9 @@ def stationarity_spread(kernel: Kernel) -> float:
     return kernel.stationarity_spread
 
 
-def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
+def parity_decompose(
+    ensemble: PathEnsemble, out: Optional[tuple] = None
+) -> tuple[PathEnsemble, PathEnsemble]:
     """Odd/even split about negation: X1 = (X - X o neg)/2, X2 = X - X1.
 
     X1 + X2 recovers X up to one rounding of the complement (exact in real
@@ -414,41 +441,46 @@ def parity_decompose(ensemble: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble
     bitwise at the fixed points of the negation -- the grid images of 0 and
     the half-lattice vector -- so X2 equals X there exactly.  On the circle
     the parts are precisely the sign- and trivial-character projections of
-    the two-element reflection group.
+    the two-element reflection group.  ``out``, two writable arrays of the
+    samples' shape, receives X1 and X2 in place of new arrays.
     """
     action = ensemble.space.action
     if action is None or action.group.order != 2:
         raise KernelError("space carries no order-2 negation action")
     neg = action.perm[1 - action.group.identity]
     x = ensemble.samples
-    x1 = (x - x[neg]) / 2.0
-    x2 = x - x1
+    x1, x2 = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
+    np.take(x, neg, axis=0, out=x1, mode="clip")  # "raise" would buffer the gather
+    np.subtract(x, x1, out=x1)
+    np.divide(x1, 2.0, out=x1)
+    np.subtract(x, x1, out=x2)
     mk = lambda s: PathEnsemble(space=ensemble.space, samples=s, seed=ensemble.seed)
     return mk(x1), mk(x2)
 
 
-def _basis_quadratics(matrix: np.ndarray, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
+def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
     """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part of a path covariance.
 
-    The even part of ``matrix`` is cov = (K + K o neg) / 2, negation acting
+    ``rows(a, b)`` gives rows a, ..., b-1 of the covariance K, as ``Kernel.rows``
+    does.  The even part of K is cov = (K + K o neg) / 2, negation acting
     on the columns.  The weighted, normalized cos and sin vectors of every
     nonzero dual vector are stacked as the columns of one matrix B, and all
-    the quadratic forms are the column sums of B * (cov @ B).  cov and
-    cov @ B are built :func:`_chunk_width` rows at a time, so neither is ever
-    held whole, and each chunk's rows of B * (cov @ B) are added into the sums
-    one row at a time, in row order, as ``np.sum(axis=0)`` adds them.
+    the quadratic forms are the column sums of B * (cov @ B).  K, cov and
+    cov @ B are read or built :func:`_chunk_width` rows at a time, so none is
+    ever held whole, and each chunk's rows of B * (cov @ B) are added into the
+    sums one row at a time, in row order, as ``np.sum(axis=0)`` adds them.
     """
-    w, neg, rows = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
+    w, neg, step = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
     b = spec.vectors[np.any(spec.vectors, axis=1)]
     basis = np.hstack(_characters(grid.shape, b))
     nrm = np.sqrt(w @ (basis * basis))
     basis /= np.where(nrm > 0, nrm, np.inf)  # a vector of norm 0 reads 0
     basis *= w[:, None]
     q = np.zeros(basis.shape[1])
-    for i in range(0, grid.size, rows):
-        chunk = matrix[i : i + rows]
+    for i in range(0, grid.size, step):
+        chunk = rows(i, i + step)
         part = 0.5 * (chunk + chunk[:, neg]) @ basis
-        part *= basis[i : i + rows]
+        part *= basis[i : i + step]
         for row in part:
             q += row
     return {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
@@ -495,17 +527,20 @@ def torus_watson_check(
     identity ``width`` columns at a time, the apply the paths take (so L, m r
     doubles, is held but no r x r identity), and the cross-covariance is
     L_sin G L_cos^T over one odd row per +-pair of non-fixed points and one
-    even row per +-orbit.  So a worker holds one chunk's normals, paths,
-    parts and their temporaries (under 8 m ``width`` doubles), the two
-    buffers (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.
-    The factor holds its per-axis matrices, and a chunk's product at most two
-    of its partial products at once, each at most 2 m doubles per column,
-    which the chunk's paths and parts then replace.  The factor and the even
-    part's expansion (:func:`_basis_quadratics`, ``width`` rows at a time) are
-    taken before the first draw (the expansion holds at most two m x r
-    arrays), and an assembled kernel is then released, so the check holds no
-    m x m array while it samples, and one worker's check stays below one
-    m x m matrix plus (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles.
+    even row per +-orbit.  So a worker holds one chunk's normals, the
+    factor's coefficients and partial products (each at most 2 m doubles per
+    column), the paths and the two parts, whose buffers also take the
+    squares (under 8 m ``width`` doubles), the two buffers
+    (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.  All
+    but the normals and the Gram are the worker's buffers
+    (``FourierFactor.work``), allocated by its first block and refilled by
+    every chunk after, so a sampling wave after the first touches no fresh
+    page.  The factor and the even part's expansion
+    (:func:`_basis_quadratics`, ``width`` rows of ``Kernel.rows`` at a time,
+    at most two m x r arrays) are taken before the first draw, and the kernel
+    is released.  A lag kernel, as ``assemble_kernel`` and ``torus_watson``
+    build, never builds its matrix, so one worker's check stays below
+    (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel.
 
     The per-block Gram partials are added in block order, so every field is
     bitwise independent of the worker count.  Every field but
@@ -539,7 +574,7 @@ def torus_watson_check(
     if count < 1:
         raise ValueError("count must be >= 1")
     l = fourier_factor(kernel)
-    q = _basis_quadratics(kernel.matrix, grid, spec) if spec is not None else None
+    q = _basis_quadratics(kernel.rows, grid, spec) if spec is not None else None
     del kernel  # an assembled kernel is not held while the check samples
     w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
@@ -553,20 +588,30 @@ def torus_watson_check(
     e, e1, e2, odd_fixed = (np.empty(count) for _ in range(4))
     partials: dict = {}  # block start -> the block's sine x cosine Gram of the normals
 
+    spare: list = []  # each worker's copy of the factor and its buffers, for every block it draws
+
     def run(blk):
         a, b = blk
+        try:
+            lw = spare.pop()
+        except IndexError:  # the worker's first block
+            lw = replace(l, work={})
+        work = lw.work
         # the sine and cosine normals of the block's current SPLIT_COLUMNS slice
-        odd = np.empty((SPLIT_COLUMNS, n_sin))
-        even = np.empty((SPLIT_COLUMNS, n_cos))
+        odd = _reuse(work, "odd", (SPLIT_COLUMNS, n_sin))
+        even = _reuse(work, "even", (SPLIT_COLUMNS, n_cos))
         gram = np.zeros((n_sin, n_cos))
-        for c, x, xi in draw_chunks(l, seed, 0, a, b, width):
-            part = PathEnsemble(space=grid, samples=x, seed=seed)
-            x1, x2 = (p.samples for p in parity_decompose(part))
+        for c, x, xi in draw_chunks(lw, seed, 0, a, b, width):
             out = slice(c, c + x.shape[1])
-            e[out] = w @ (x**2)
-            e1[out] = w @ (x1**2)
-            e2[out] = w @ (x2**2)
+            # the squares go into the parts' buffers: x's before the split fills them, and
+            # each part's over the part once nothing else reads it
+            e[out] = w @ np.square(x, out=_reuse(work, "x2", x.shape))
+            part = PathEnsemble(space=grid, samples=x, seed=seed)
+            parts = tuple(_reuse(work, key, x.shape) for key in ("x1", "x2"))
+            x1, x2 = (p.samples for p in parity_decompose(part, out=parts))
             odd_fixed[out] = np.max(np.abs(x1[fixed]), axis=0, initial=0.0)
+            e1[out] = w @ np.square(x1, out=_reuse(work, "x1", x.shape))
+            e2[out] = w @ np.square(x2, out=_reuse(work, "x2", x.shape))
             j = (c - a) % SPLIT_COLUMNS
             k = j + x.shape[1]
             odd[j:k] = xi[:, sine]
@@ -574,6 +619,7 @@ def torus_watson_check(
             if k == SPLIT_COLUMNS or out.stop == b:  # the slice is full, or the block ends
                 gram += odd[:k].T @ even[:k]
         partials[a] = gram
+        spare.append(lw)
 
     # waves of one block per worker, each added in block order, keep the
     # sums independent of the worker count and at most one partial per worker
@@ -584,12 +630,15 @@ def torus_watson_check(
         _parallel(wave, run)
         for a, _ in wave:
             gram += partials.pop(a)
+    spare.clear()  # the workers' buffers go before the factor's columns are read
     # x1 = L_sin xi_sin and x2 = L_cos xi_cos, so x1 x2^T = L_sin (sum xi_sin xi_cos^T) L_cos^T;
     # the columns of L are those of the apply the paths take, width identity columns at a time
     cols = np.empty((grid.size, sine.size))
     for j in range(0, sine.size, width):
         cols[:, j : j + width] = l @ np.eye(sine.size, min(width, sine.size - j), -j)
-    cross = cols[np.ix_(half, sine)] @ gram @ cols[np.ix_(orbits, ~sine)].T
+    l_sin, l_cos = cols[np.ix_(half, sine)], cols[np.ix_(orbits, ~sine)]
+    del cols  # released before the products
+    cross = l_sin @ gram @ l_cos.T
 
     res_halved_sum = float(np.max(np.abs(e - (e1 + e2))))
     conventions = {
@@ -600,7 +649,8 @@ def torus_watson_check(
     }
     satisfied = [k for k, v in conventions.items() if v <= split_tol]
 
-    cross_max = float(np.max(np.abs(cross / count), initial=0.0))
+    cross /= count
+    cross_max = float(np.max(np.abs(cross, out=cross), initial=0.0))
     cross_tol = 4.0 / np.sqrt(count)
     fixed_dev = float(np.max(odd_fixed))
 

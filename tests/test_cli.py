@@ -1171,6 +1171,42 @@ def test_torus_run_releases_its_kernel_before_the_check_samples(monkeypatch):
     assert {k: v for k, v in results["torus_watson"].items() if k in report} == report
 
 
+def test_torus_run_holds_no_m_by_m_array(tmp_path, monkeypatch):
+    """An in-process run of the benchmark's torus-2d config (32 x 32, cutoff 10), 2,000
+    samples: the run's kernel and the check's truncation keep their m lags alone, so no
+    torus kernel builds its matrix and the traced heap peaks below one m x m matrix
+    (15.3 MiB when both were m x m arrays)."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": "torus_watson", "params": {"cutoff": 10}},
+        grid={"kind": "torus", "n": [32, 32]},
+        samples=2000,
+        seed=31,
+        checks=["stationarity", "torus_watson"],
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "warm")]) == 0  # imports and caches
+    built = []
+    post_init = Kernel.__post_init__
+
+    def kept(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Kernel, "__post_init__", kept)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    m = 32 * 32
+    assert [k.name for k in built] == [kernels.TORUS_KERNEL, "torus_fourier"]
+    assert all("matrix" not in vars(k) for k in built)
+    assert peak < m * m * 8
+
+
 def test_mgf_preset_tables(tmp_path):
     cfg = write_config(
         tmp_path,

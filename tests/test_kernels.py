@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invdecomp import kernels
+from invdecomp import kernels, torus
 from invdecomp.groups import character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
     BUILTINS,
@@ -34,7 +34,7 @@ from invdecomp.kernels import (
     weighted_traces,
 )
 from invdecomp.sampling import LAW_DEFAULTS
-from invdecomp.torus import Lattice, torus_grid, torus_watson
+from invdecomp.torus import Lattice, assemble_kernel, fourier_kl, torus_grid, torus_watson
 
 
 # ------------------------------------------------------------------- grids
@@ -192,6 +192,71 @@ def test_stationary_builtin_off_the_midpoints_is_its_dense_closed_form(name):
     kernel = builtin_kernel(name, space)
     assert np.array_equal(kernel.matrix, (want + want.T) / 2)
     assert kernel.stationarity_spread > 0.0
+
+
+def _torus(shape, basis=None):
+    return torus_grid(Lattice(np.eye(len(shape)) if basis is None else np.array(basis)), shape)
+
+
+# every stationary built-in, on grids of one and two axes, sizes powers of two or not
+_LAG_KERNELS = {
+    "watson-256": lambda: builtin_kernel("watson", make_interval_grid(256)),
+    "watson-1000": lambda: builtin_kernel("watson", make_interval_grid(1000)),
+    "sheet-12x12": lambda: builtin_kernel("sheet_compensated", _product(12, 12)),
+    "sheet-32x32": lambda: builtin_kernel("sheet_compensated", _product(32, 32)),
+    "torus-16": lambda: torus_watson(_torus((16,))),
+    "torus-6x6": lambda: torus_watson(_torus((6, 6))),
+    "torus-sheared-12x10": lambda: torus_watson(_torus((12, 10), [[1.0, 0.0], [0.5, 1.0]])),
+    "torus-32x32": lambda: torus_watson(_torus((32, 32))),
+}
+
+
+@pytest.mark.parametrize("build", list(_LAG_KERNELS.values()), ids=list(_LAG_KERNELS))
+def test_a_lag_kernel_is_the_dense_kernel_of_its_circulant_bitwise(build):
+    """A stationary built-in keeps only its m lags; its row blocks, DFT, spectrum and
+    spread are bitwise those of the dense Kernel of the circulant of its lags, with no
+    m x m array until ``matrix`` is read, and then that Kernel's matrix."""
+    kernel = build()
+    assert kernel.lags.shape == (kernel.size,) and not kernel.lags.flags.writeable
+    dense = Kernel(kernel.space, kernels._circulant(kernel.lags, kernel.space.shape))
+    m = kernel.size
+    for step in (1, 7, 64):
+        for a in range(0, m, step):
+            assert np.array_equal(kernel.rows(a, a + step), dense.matrix[a : a + step]), (step, a)
+    assert np.array_equal(kernel.rows(0, 1)[0], kernel.lags)
+    for got, want in zip(kernel.dft, dense.dft):
+        assert np.array_equal(got, want)
+    assert np.array_equal(kernel.eigenvalues, dense.eigenvalues)
+    assert kernel.stationarity_spread == dense.stationarity_spread == 0.0
+    assert "matrix" not in vars(kernel)
+    assert np.array_equal(kernel.matrix, dense.matrix)
+    assert kernel.matrix is kernel.matrix and not kernel.matrix.flags.writeable
+
+
+def test_a_lag_kernel_with_a_negative_fourier_coefficient_is_not_psd():
+    """A cosine truncation with one negative coefficient: the lag kernel and the dense
+    kernel of its circulant raise the same PSD error."""
+    grid = _torus((8, 8))
+    spec = fourier_kl(torus_watson(grid).lags, grid, 3)
+    coeffs = spec.fourier_coeffs.copy()
+    coeffs[2] = -0.5 * np.max(coeffs)
+    spec = replace(spec, fourier_coeffs=coeffs)
+    with pytest.raises(KernelError, match=r"^matrix not PSD \(min eigenvalue -") as lag:
+        assemble_kernel(spec, grid)
+    profile = torus._characters(grid.shape, spec.vectors)[0] @ coeffs
+    even = (profile + profile[kernels._negation(grid.shape)]) / 2
+    with pytest.raises(KernelError) as dense:
+        Kernel(grid, kernels._circulant(even, grid.shape))
+    assert str(lag.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_lag_kernel_rejects_a_non_finite_profile(bad):
+    space = make_interval_grid(16)
+    profile = builtin_kernel("watson", space).lags.copy()
+    profile[3] = bad
+    with pytest.raises(KernelError, match="^matrix has non-finite entries$"):
+        kernels._stationary(profile, space, "bad")
 
 
 @pytest.mark.parametrize("name", list(BUILTINS))

@@ -36,6 +36,9 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
     assert "heap peak" in run.stderr
+    for name in ("torus-1d", "torus-2d"):  # the timed run's CPU seconds and page faults
+        line = next(line for line in run.stderr.splitlines() if line.startswith(f"{name} "))
+        assert " s user, " in line and " s sys, " in line and " minor faults), heap peak " in line
 
 
 def test_preset_digests_prints_the_runs_no_preset_reaches():

@@ -127,17 +127,24 @@ def test_stationarity_spread_detects_non_stationary(circle16):
 
 
 def test_stationarity_spread_is_computed_once_per_kernel(monkeypatch):
-    """The PSD check stores the spread; the torus check and stationarity_spread read it."""
+    """The PSD check stores the spread; the torus check and stationarity_spread read it.
+    A lag kernel (torus_watson's and the check's assembled one) is circulant by
+    construction and takes no spread pass; a dense kernel of the same matrix, as a
+    ``user_matrix`` file gives, takes one."""
     calls = []
     real = kernels._lag_spread
     counted = lambda k, shape: calls.append(shape) or real(k, shape)
     monkeypatch.setattr(kernels, "_lag_spread", counted)
     grid = torus_grid(Lattice(np.eye(2)), 6)
     kernel = torus_watson(grid)
-    rep = torus_watson_check(fourier_kl(kernel.matrix[0], grid, 2), grid, 1000, seed=3)
+    rep = torus_watson_check(fourier_kl(kernel.rows(0, 1)[0], grid, 2), grid, 1000, seed=3)
     assert rep["stationarity_spread"] == stationarity_spread(kernel) == 0.0
     assert kernel.stationarity_spread == 0.0
-    assert calls == [(6, 6)] * 2  # torus_watson's kernel and the assembled one
+    assert calls == []
+    dense = Kernel(grid, np.array(kernel.matrix))
+    assert stationarity_spread(dense) == 0.0
+    assert stationarity_spread(dense) == 0.0
+    assert calls == [(6, 6)]
 
 
 # --------------------------------------------------------- fourier analysis

@@ -29,8 +29,10 @@ its lines that are not blank, not a comment alone and not in a docstring.  Run
 the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.
-Each run's wall seconds go to stderr, so stdout stays diff-able, with its
-heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
+Each run's wall seconds go to stderr, so stdout stays diff-able, with the
+user and sys CPU seconds and the minor page faults (``ru_minflt``) of the
+same timed run (for example ``0.55 s (0.47 s user, 0.07 s sys, 6398 minor
+faults)``), its heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
 isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
 once when a check first reads ``Kernel.irrep_spectra`` (for example
@@ -61,6 +63,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -395,11 +398,15 @@ def main(argv: list[str]) -> int:
         print(f"unknown runs: {unknown}", file=sys.stderr)
         return 2
     for name in names:
-        t0 = time.perf_counter()
+        t0, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
         with eig_calls() as calls, isotypic_splits() as splits:
             with spectrum_paths() as paths, factor_paths() as factors:
                 line = digest(name)
-        seconds = time.perf_counter() - t0
+        seconds, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
+        cpu = (
+            f"{after.ru_utime - before.ru_utime:.2f} s user, {after.ru_stime - before.ru_stime:.2f} s sys, "
+            f"{after.ru_minflt - before.ru_minflt} minor faults"
+        )
         peak, checks = traced_run(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
@@ -407,7 +414,7 @@ def main(argv: list[str]) -> int:
         spectra = Counter(paths + factors)
         spectra = ", ".join(f"{path} x{n}" for path, n in spectra.items()) or "none"
         print(
-            f"{name} {seconds:.2f} s, heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
+            f"{name} {seconds:.2f} s ({cpu}), heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
             f"checks: {', '.join(checks)}",
             file=sys.stderr,
             flush=True,
