@@ -35,7 +35,7 @@ from invdecomp.cumulants import (
     watson_relation_check,
     z2_condition_check,
 )
-from invdecomp.groups import character_table, project_path
+from invdecomp.groups import character_table
 from invdecomp.kernels import (
     BUILTINS,
     TORUS_KERNEL,
@@ -43,6 +43,7 @@ from invdecomp.kernels import (
     KernelError,
     builtin_kernel,
     check_invariance,
+    decomposition_check,
     law_kernel,
     make_interval_grid,
     make_product_grid,
@@ -132,39 +133,7 @@ def _run_stationarity(ctx, tols, cfg):
 
 
 def _run_decomposition(ctx, tols, cfg):
-    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it.
-
-    Each block is :func:`invdecomp.kernels.project_kernel`'s R_{pi,sigma}, taken transposed.
-    K is bitwise its transpose, so projecting K^T (F-ordered) onto pi gives the row
-    projection's values in F order, whose transpose is R_pi^T C-ordered with no copy; it
-    serves every sigma.  The blocks are summed in that transposed frame, which K shares."""
-    kernel, table = ctx["kernel"], ctx["table"]
-    action, tol = kernel.space.action, tols["decomposition"]
-    # summed in place, one block alive at a time; complex blocks need a complex sum
-    total = np.zeros(kernel.matrix.shape, float if table.real_valued() else complex)
-    shares = {}
-    cross = 0.0
-    for p in table:
-        rows = project_path(kernel.matrix.T, action, p).T
-        for q in table:
-            block = project_path(rows, action, q)  # R_{p,q}^T
-            if np.allclose(q.values, np.conj(p.values)):
-                total += block
-                shares[p.label] = float(np.sum(np.diag(block).real * kernel.space.weights))
-            else:
-                cross = max(cross, float(np.max(np.abs(block, out=block).real)))
-            del block
-        del rows
-    np.subtract(total, kernel.matrix, out=total)  # K is bitwise K^T, and C-ordered
-    sum_dev = float(np.max(np.abs(total, out=total).real))
-    ok = sum_dev <= tol and cross <= tol
-    return {
-        "ok": bool(ok),
-        "sum_deviation": sum_dev,
-        "max_cross_projection": cross,
-        "tolerance": tol,
-        "component_trace": shares,
-    }
+    return decomposition_check(ctx["kernel"], ctx["table"], tols["decomposition"])
 
 
 # both symmetry checks guard with the tolerance that their invariance gate judged
@@ -290,7 +259,7 @@ def _run_torus_watson(ctx, tols, cfg):
     # the check reads row 0 of the run's kernel alone, with no m x m array, and is the last
     # in CHECKS, so the kernel is released here
     space = ctx["kernel"].space
-    profile = ctx.pop("kernel").rows(0, 1)[0]
+    profile = ctx.pop("kernel").rows([0])[0]
     cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(profile, space, cutoff)
     count = int(cfg.get("samples", 20_000))

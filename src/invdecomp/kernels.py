@@ -4,13 +4,18 @@ An :class:`IndexSpace` is a finite quadrature rule (points, weights) with an
 optional group action by permutations.  A :class:`Kernel` is a symmetric PSD
 matrix over such a space, stored as that m x m matrix or, for a stationary
 kernel, as its m lags (``Kernel.lags``), from which the matrix is built only
-when ``Kernel.matrix`` is first read.  The operations here are the
-kernel-side analogues of path projection: projecting a kernel onto a pair
-of characters, chaining a kernel's weighted contractions, and checking
-invariance under the action.  What a kernel knows about itself is computed once, by the
+when ``Kernel.matrix`` is first read; no runner check reads it.  The operations
+here are the kernel-side analogues of path projection: projecting a kernel onto
+a pair of characters, checking that the blocks sum back to it
+(:func:`decomposition_check`), chaining a kernel's weighted contractions, and
+checking invariance under the action.  What a kernel knows about itself is computed once, by the
 kernel: its spectrum and stationarity spread by its PSD check, and its DFT
 (``Kernel.dft``), invariance deviation (``Kernel.invariance_dev``) and
-isotypic spectra (``Kernel.irrep_spectra``) when first read.
+isotypic spectra (``Kernel.irrep_spectra``) when first read.  Every pass of
+the checks reads the kernel through ``Kernel.rows``, ``CHUNK`` doubles of rows
+at a time, into buffers it allocates once per call, so the only m x m arrays
+they make are :func:`weighted_symmetric`'s, the ``eigh`` input, and what ``eigh``
+returns.
 
 Each built-in kernel is one :class:`Builtin` record of :data:`BUILTINS`,
 which the builder, the config validator, the ``spectrum`` check's oracle
@@ -75,6 +80,7 @@ __all__ = [
     "check_invariance",
     "project_kernel",
     "decompose_kernel",
+    "decomposition_check",
     "irrep_spectra",
     "contract_power",
     "weighted_traces",
@@ -212,8 +218,8 @@ class Kernel:
     bitwise symmetric, C-ordered float64 one, which equals it bitwise, is kept itself, not
     copied, and made read-only.  :func:`_stationary` stores a lag kernel: ``lags`` holds the
     m values of its even profile p, finite, and K[s, t] = p[(s - t) mod ``space.shape``].
-    Its ``matrix`` is built by :func:`_circulant` when first read, and kept; :meth:`rows`
-    and ``dft`` never build it.
+    Its ``matrix`` is built by :func:`_circulant` when first read, and kept; no runner check
+    reads it, and :meth:`rows` and ``dft`` never build it.
 
     The PSD check computes, once per kernel:
 
@@ -278,14 +284,19 @@ class Kernel:
     def size(self) -> int:
         return self.space.size
 
-    def rows(self, a: int, b: int) -> np.ndarray:
-        """Rows a, ..., b-1 of the matrix (those below m); a lag kernel's are gathered from
-        ``lags``, bitwise those of its ``matrix``."""
+    def rows(self, index: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows ``index`` (ints) of the matrix, a (len(index), m) array, written into ``out``
+        when given: taken from a dense kernel's matrix, and copied one at a time from a lag
+        kernel's :func:`_lag_view`, bitwise the rows of its ``matrix``, which is not built."""
+        if out is None:
+            out = np.empty((len(index), self.size))
         if self.lags is None:
-            return self.matrix[a:b]
+            return np.take(self.matrix, index, axis=0, out=out, mode="clip")
         shape = self.space.shape
-        s = np.unravel_index(np.arange(a, min(b, self.size)), shape)
-        return _lag_view(self.lags, shape)[s].reshape(len(s[0]), -1)
+        view = _lag_view(self.lags, shape)
+        for row, s in zip(out.reshape((len(out),) + shape), zip(*np.unravel_index(index, shape))):
+            row[...] = view[s]  # a basic index: a view, copied with no temporary
+        return out
 
     @cached_property
     def dft(self) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +311,7 @@ class Kernel:
         the identity, which deviates by exactly 0, is skipped."""
         action = _action(self)
         perms = (action.perm[g] for g in range(action.group.order) if g != action.group.identity)
-        return max((_moved_dev(self.matrix, p) for p in perms), default=0.0)
+        return max((_moved_dev(self, p) for p in perms), default=0.0)
 
     @cached_property
     def irrep_spectra(self) -> dict:
@@ -329,19 +340,31 @@ def _asymmetry(k: np.ndarray) -> float:
     return worst
 
 
-def _moved_dev(k: np.ndarray, p: np.ndarray) -> float:
-    """max |K[p, p] - K| of a finite K, in row chunks of ``CHUNK`` doubles: each chunk's rows
-    and then columns are gathered by ``np.take`` into two buffers that every chunk reuses."""
-    m = k.shape[0]
+def _moved_dev(kernel: Kernel, p: np.ndarray) -> float:
+    """max |K[p, p] - K| of a finite K, in row chunks of ``CHUNK`` doubles read by
+    ``Kernel.rows``: each chunk's rows p[a:b] and a:b, and then the columns p of the first,
+    go into three buffers that every chunk reuses."""
+    m = kernel.size
     step, worst = max(1, CHUNK // m), 0.0
-    rows, d = np.empty((min(step, m), m)), np.empty((min(step, m), m))
+    moved, own, d = (np.empty((min(step, m), m)) for _ in range(3))
     for a in range(0, m, step):
         n = min(step, m - a)
-        np.take(k, p[a : a + n], axis=0, out=rows[:n], mode="clip")
-        np.take(rows[:n], p, axis=1, out=d[:n], mode="clip")
-        np.subtract(d[:n], k[a : a + n], out=d[:n])
+        kernel.rows(p[a : a + n], out=moved[:n])
+        np.take(moved[:n], p, axis=1, out=d[:n], mode="clip")
+        np.subtract(d[:n], kernel.rows(np.arange(a, a + n), out=own[:n]), out=d[:n])
         worst = max(worst, float(np.abs(d[:n], out=d[:n]).max()))
     return worst
+
+
+def _reuse(work: Optional[dict], key, shape: tuple) -> np.ndarray:
+    """A C-ordered ``shape`` array over the first doubles of the flat buffer ``work[key]``,
+    allocated, or replaced by a larger one, when it cannot hold them; new when ``work`` is None."""
+    n = math.prod(shape)
+    if work is None:
+        return np.empty(shape)
+    if key not in work or work[key].size < n:
+        work[key] = np.empty(n)
+    return work[key][:n].reshape(shape)
 
 
 def _lag_view(profile: np.ndarray, shape: tuple) -> np.ndarray:
@@ -535,6 +558,67 @@ def decompose_kernel(kernel: Kernel, table) -> dict:
     }
 
 
+def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
+    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it.
+
+    Reports the largest deviation of the sum of the (pi, conj pi) blocks from K
+    (``sum_deviation``), the largest entry of any other block
+    (``max_cross_projection``), each block's weighted trace (``component_trace``), and
+    whether both maxima are at most ``tol``.  Each block is :func:`project_kernel`'s
+    R_{pi,sigma}, taken transposed, ``CHUNK`` doubles of rows at a time.  K is bitwise its
+    transpose, so rows J of R_pi^T (columns J of the projection of K's rows onto pi) are the
+    character sum of the rows inv_g[J] of K, which ``Kernel.rows`` reads, and projecting
+    their columns onto each sigma gives rows J of R_{pi,sigma}^T.  Both sums run in
+    :func:`invdecomp.groups.project_path`'s order, into buffers allocated once, so every
+    entry is bitwise the whole-matrix one.  The surviving blocks are summed in that
+    transposed frame, which K shares, and their diagonals are collected across the row
+    blocks, so that each trace is summed once.
+    """
+    action, m, w = _action(kernel), kernel.size, kernel.space.weights
+    order, inv_perm = action.group.order, action.perm[action.group.inv]
+    step = max(1, CHUNK // m)
+    k_rows = np.empty((min(step, m), m))
+    # complex characters need complex blocks; a real pair's values are the same in either
+    dtype = float if table.real_valued() else complex
+    r_p, term, block, total = (np.empty_like(k_rows, dtype) for _ in range(4))
+    diags, cross, sum_dev = {}, 0.0, 0.0
+
+    def character_sum(out, irrep, gather):
+        # (d / |G|) sum_g chi(g) gather(g), added as project_path adds it
+        chi = irrep.values.real if irrep.real_valued else irrep.values
+        np.multiply(chi[0], gather(0), out=out)
+        for g in range(1, order):
+            out += np.multiply(chi[g], gather(g), out=term[: len(out)])
+        out *= irrep.dim / order
+        return out
+
+    for a in range(0, m, step):
+        n = min(step, m - a)
+        diag = (np.arange(n), a + np.arange(n))  # the diagonal entries of rows a, ..., a+n-1
+        tot = total[:n]
+        tot.fill(0.0)
+        for p in table:
+            gather = lambda g: kernel.rows(inv_perm[g][a : a + n], out=k_rows[:n])
+            rows = character_sum(r_p[:n], p, gather)
+            for q in table:
+                take = lambda g: np.take(rows, inv_perm[g], axis=1, out=term[:n], mode="clip")
+                blk = character_sum(block[:n], q, take)  # rows a, ..., a+n-1 of R_{p,q}^T
+                if np.allclose(q.values, np.conj(p.values)):
+                    tot += blk
+                    diags.setdefault(p.label, np.empty(m))[a : a + n] = blk[diag].real
+                else:
+                    cross = max(cross, float(np.max(np.abs(blk, out=blk).real)))
+        np.subtract(tot, kernel.rows(np.arange(a, a + n), out=k_rows[:n]), out=tot)
+        sum_dev = max(sum_dev, float(np.max(np.abs(tot, out=tot).real)))
+    return {
+        "ok": bool(sum_dev <= tol and cross <= tol),
+        "sum_deviation": sum_dev,
+        "max_cross_projection": cross,
+        "tolerance": tol,
+        "component_trace": {label: float(np.sum(d * w)) for label, d in diags.items()},
+    }
+
+
 def irrep_spectra(kernel: Kernel, table) -> dict:
     """Ascending spectrum of each isotypic block B_pi, keyed by irrep label.
 
@@ -552,29 +636,34 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     eigenvalue 1 of the orbit's local projector, found by one batched
     ``eigh`` per orbit size.  For a 1-dim character that is
     sum_g chi(g) e_{g.i}, normalized, when chi is trivial on the stabilizer
-    of i, and nothing otherwise.  S U_pi comes from gathered columns of S
-    and U_pi^T (S U_pi) from gathered rows, in O(|G| m^2).
+    of i, and nothing otherwise.  B_pi is built ``CHUNK`` doubles of its rows
+    at a time: row k of U_pi^T (S U_pi) adds the rows of S U_pi at the points of
+    column k, and those take gathered columns of the same rows of S, which
+    ``Kernel.rows`` reads and which are scaled as :func:`weighted_symmetric`
+    scales them.  So neither K, S nor the m x m_pi S U_pi is held, each sum
+    runs in the order of the whole-matrix products, and B_pi is bitwise theirs.
     """
     action = _action(kernel)
     if not table.real_valued():
         raise KernelError("diagonal blocks are kernels only for real characters")
-    perm, order = action.perm, action.group.order
+    perm, order, m = action.perm, action.group.order, kernel.size
     # the orbits of each size as a (count, size) index array; pos = place in its orbit
     rep = perm.min(axis=0)
     pts = np.argsort(rep, kind="stable")
     _, starts, sizes = np.unique(rep[pts], return_index=True, return_counts=True)
-    pos = np.empty(kernel.size, dtype=np.intp)
+    pos = np.empty(m, dtype=np.intp)
     orbits = []
     for size in np.flatnonzero(np.bincount(sizes)):  # ascending; np.unique would import numpy.ma
         idx = pts[starts[sizes == size][:, None] + np.arange(size)]
         pos[idx] = np.arange(size)
         orbits.append(idx)
     width = orbits[-1].shape[1]
-    s = weighted_symmetric(kernel)
+    rw, step = np.sqrt(kernel.space.weights), max(1, CHUNK // m)
+    srows, work = np.empty((min(step, m), m)), {}
     out = {}
     for p in table:
         coef = p.values.real * (p.dim / order)
-        rows, vals = [], []
+        points, vals = [], []
         for idx in orbits:
             n, size = idx.shape
             # local[o, a, b] = P[idx[o, a], idx[o, b]] = sum over g with g.idx[o, b] = idx[o, a]
@@ -585,10 +674,27 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
             keep = lam > 0.5
             pad = ((0, 0), (0, width - size))
             vals.append(np.pad(vec.transpose(0, 2, 1)[keep], pad))
-            rows.append(np.pad(np.broadcast_to(idx[:, None, :], (n, size, size))[keep], pad))
-        rows, vals = np.concatenate(rows), np.concatenate(vals)
-        su = sum(np.take(s, rows[:, a], axis=1) * vals[:, a] for a in range(width))
-        block = sum(vals[:, a, None] * su[rows[:, a]] for a in range(width))
+            points.append(np.pad(np.broadcast_to(idx[:, None, :], (n, size, size))[keep], pad))
+        # column k of U_pi is vals[k, a] at the point points[k, a], a < width
+        points, vals = np.concatenate(points), np.concatenate(vals)
+        n_pi = len(points)
+        block = _reuse(work, "block", (n_pi, n_pi))
+        block.fill(0.0)
+        for c in range(0, n_pi, step):
+            nc = min(step, n_pi - c)
+            su, term = (_reuse(work, key, (nc, n_pi)) for key in ("su", "term"))
+            for a in range(width):
+                # rows r of S, rounded as weighted_symmetric rounds them, then rows r of S U_pi
+                r = points[c : c + nc, a]
+                s = kernel.rows(r, out=srows[:nc])
+                np.multiply(rw[r, None], s, out=s)
+                s *= rw[None, :]
+                su.fill(0.0)
+                for b in range(width):
+                    np.take(s, points[:, b], axis=1, out=term, mode="clip")
+                    su += np.multiply(term, vals[:, b], out=term)
+                su *= vals[c : c + nc, a, None]
+                block[c : c + nc] += su
         out[p.label] = np.linalg.eigvalsh(block)
     return out
 
@@ -606,9 +712,16 @@ def contract_power(kernel: Kernel, n: int) -> np.ndarray:
 
 
 def weighted_symmetric(kernel: Kernel) -> np.ndarray:
-    """sqrt(w) K sqrt(w): symmetric, and similar to the weighted operator diag(w) K."""
-    rw = np.sqrt(kernel.space.weights)
-    out = rw[:, None] * kernel.matrix
+    """sqrt(w) K sqrt(w): symmetric, and similar to the weighted operator diag(w) K.
+
+    ``Kernel.rows`` fills it ``CHUNK`` doubles of rows at a time, each row block is scaled by
+    the sqrt(w) of its rows, and then every column by sqrt(w): the two roundings of
+    (sqrt(w)[:, None] * K) * sqrt(w)[None, :], with no m x m array but the result."""
+    rw, m = np.sqrt(kernel.space.weights), kernel.size
+    out, step = np.empty((m, m)), max(1, CHUNK // m)
+    for a in range(0, m, step):
+        rows = kernel.rows(np.arange(a, min(a + step, m)), out=out[a : a + step])
+        np.multiply(rw[a : a + step, None], rows, out=rows)
     out *= rw[None, :]
     return out
 

@@ -517,14 +517,16 @@ def law_check(
         known = sorted(name for name, b in BUILTINS.items() if b.tied)
         raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {known})")
     space = kernel.space
+    # the tied-down kernel is dense; only its spectrum is read, so its matrix is not held
     tied = builtin_kernel(partner, space)
+    mu, kap_tied = _clip_spectrum(tied.eigenvalues), analytic_cumulants(tied, rho, 8)
+    del tied
     copies = 2**space.dim
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    mu = _clip_spectrum(tied.eigenvalues)
     rhs = _chi2_sum(mu[:0], np.tile(mu, copies // 2) / copies**2, rho, count, seed, (2, 3), (2, 3))
     kap_l = analytic_cumulants(kernel, rho, 8)
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
-    kap_r = copies * float(copies**2) ** -np.arange(1, 9) * analytic_cumulants(tied, rho, 8)
+    kap_r = copies * float(copies**2) ** -np.arange(1, 9) * kap_tied
     cmp_ = compare_distributions(lhs, rhs)
     noise = 5.0 * np.sqrt(kstat_variances(kap_l, count) + kstat_variances(kap_r, count))
     tol = noise + np.abs(kap_l[:4] - kap_r[:4])

@@ -16,7 +16,7 @@ one rule that ``invdecomp.kernels`` applies on every grid, and
 :func:`fourier_factor` builds from the same DFT (``Kernel.dft``, taken once)
 the factor that samples the kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
 stationary is still solved densely.  The factor's columns are characters of
-the grid's index group; :func:`_characters` evaluates every character here,
+the grid's index group; :func:`_angles` gives every character's phases here,
 and a :class:`FourierFactor` folds each sine onto its cosine partner and
 applies its columns by one matrix product per axis.
 
@@ -48,6 +48,7 @@ from invdecomp.kernels import (
     KernelError,
     _circle_profile,
     _negation,
+    _reuse,
     _stationary,
 )
 from invdecomp.sampling import (
@@ -218,9 +219,9 @@ class TorusKernelSpec:
         }
 
 
-def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi <b, a/n> on every grid point a (rows, row-major) for
-    each index b (columns) of the (r, d) ``index``.
+def _angles(shape: Sequence[int], index: np.ndarray) -> np.ndarray:
+    """2 pi <b, a/n> on every grid point a (rows, row-major) for each index b
+    (columns) of the (r, d) ``index``.
 
     The turns b_k a_k mod n_k are taken in integers, so an index and its
     aliases b + n_k e_k give bitwise equal characters.  Axis k's n_k x r turns
@@ -232,6 +233,12 @@ def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np
         theta = theta + turns.reshape((1,) * k + (n,) + (1,) * (d - k - 1) + (len(b),))
     theta = np.reshape(theta, (math.prod(shape), len(index)))
     theta *= 2.0 * np.pi
+    return theta
+
+
+def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of :func:`_angles`: the real characters of each index b."""
+    theta = _angles(shape, index)
     return np.cos(theta), np.sin(theta, out=theta)
 
 
@@ -282,12 +289,13 @@ def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
 
     The sum is evaluated once per lag, as one product of the m x p cosines
-    of the p dual vectors on the grid points, and kept as the kernel's lags
-    by ``kernels._stationary``; the result is exactly stationary.
+    of the p dual vectors on the grid points (no sines are taken), and kept as
+    the kernel's lags by ``kernels._stationary``; the result is exactly stationary.
     """
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    profile = _characters(grid.shape, spec.vectors)[0] @ spec.fourier_coeffs
+    cos = _angles(grid.shape, spec.vectors)
+    profile = np.cos(cos, out=cos) @ spec.fourier_coeffs
     return _stationary(profile, grid, "torus_fourier")
 
 
@@ -375,17 +383,6 @@ class FourierFactor:
         return z.reshape(lead, ncols)
 
 
-def _reuse(work: Optional[dict], key, shape: tuple) -> np.ndarray:
-    """A C-ordered ``shape`` array over the first doubles of the flat buffer ``work[key]``,
-    allocated, or replaced by a larger one, when it cannot hold them; new when ``work`` is None."""
-    n = math.prod(shape)
-    if work is None:
-        return np.empty(shape)
-    if key not in work or work[key].size < n:
-        work[key] = np.empty(n)
-    return work[key][:n].reshape(shape)
-
-
 def fourier_factor(kernel: Kernel) -> FourierFactor:
     """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
 
@@ -452,7 +449,7 @@ def parity_decompose(
     x1, x2 = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
     np.take(x, neg, axis=0, out=x1, mode="clip")  # "raise" would buffer the gather
     np.subtract(x, x1, out=x1)
-    np.divide(x1, 2.0, out=x1)
+    np.multiply(x1, 0.5, out=x1)  # x / 2 and x * 0.5 round the same real number
     np.subtract(x, x1, out=x2)
     mk = lambda s: PathEnsemble(space=ensemble.space, samples=s, seed=ensemble.seed)
     return mk(x1), mk(x2)
@@ -461,7 +458,7 @@ def parity_decompose(
 def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
     """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part of a path covariance.
 
-    ``rows(a, b)`` gives rows a, ..., b-1 of the covariance K, as ``Kernel.rows``
+    ``rows(index)`` gives the rows ``index`` of the covariance K, as ``Kernel.rows``
     does.  The even part of K is cov = (K + K o neg) / 2, negation acting
     on the columns.  The weighted, normalized cos and sin vectors of every
     nonzero dual vector are stacked as the columns of one matrix B, and all
@@ -478,7 +475,7 @@ def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) ->
     basis *= w[:, None]
     q = np.zeros(basis.shape[1])
     for i in range(0, grid.size, step):
-        chunk = rows(i, i + step)
+        chunk = rows(np.arange(i, min(i + step, grid.size)))
         part = 0.5 * (chunk + chunk[:, neg]) @ basis
         part *= basis[i : i + step]
         for row in part:
@@ -584,7 +581,8 @@ def torus_watson_check(
     half = np.flatnonzero(np.arange(grid.size) < neg)
     orbits = np.flatnonzero(np.arange(grid.size) <= neg)
     sine = l.sine
-    n_sin, n_cos = np.count_nonzero(sine), np.count_nonzero(~sine)
+    sin_cols, cos_cols = np.flatnonzero(sine), np.flatnonzero(~sine)
+    n_sin, n_cos = len(sin_cols), len(cos_cols)
     e, e1, e2, odd_fixed = (np.empty(count) for _ in range(4))
     partials: dict = {}  # block start -> the block's sine x cosine Gram of the normals
 
@@ -614,8 +612,8 @@ def torus_watson_check(
             e2[out] = w @ np.square(x2, out=_reuse(work, "x2", x.shape))
             j = (c - a) % SPLIT_COLUMNS
             k = j + x.shape[1]
-            odd[j:k] = xi[:, sine]
-            even[j:k] = xi[:, ~sine]
+            np.take(xi, sin_cols, axis=1, out=odd[j:k], mode="clip")
+            np.take(xi, cos_cols, axis=1, out=even[j:k], mode="clip")
             if k == SPLIT_COLUMNS or out.stop == b:  # the slice is full, or the block ends
                 gram += odd[:k].T @ even[:k]
         partials[a] = gram

@@ -18,7 +18,7 @@ from invdecomp.cli import (
     resolve_tolerances,
     validate_config,
 )
-from invdecomp.groups import character_table
+from invdecomp.groups import character_table, project_path
 from invdecomp.io import load_kernel
 from invdecomp.kernels import Kernel, builtin_kernel, irrep_spectra, make_interval_grid
 from invdecomp.sampling import RNG_CONTRACT, duplication_check, quadruplication_check
@@ -789,6 +789,142 @@ def test_decomposition_report_is_bitwise_the_per_pair_projections(kernel_file, b
     assert (rep["max_cross_projection"] > 1e-3) == moved and rep["ok"] != moved
 
 
+# The whole-matrix passes that the streamed ones replaced, kept as their oracles: each reads
+# ``kernel.matrix`` and holds every m x m array at once.
+
+
+def _whole_invariance_dev(kernel):
+    k, action, dev = kernel.matrix, kernel.space.action, 0.0
+    for g in range(action.group.order):
+        if g != action.group.identity:
+            p = action.perm[g]
+            dev = max(dev, float(np.max(np.abs(k[np.ix_(p, p)] - k))))
+    return dev
+
+
+def _whole_weighted_symmetric(kernel):
+    rw = np.sqrt(kernel.space.weights)
+    out = rw[:, None] * kernel.matrix
+    out *= rw[None, :]
+    return out
+
+
+def _whole_irrep_spectra(kernel, table):
+    action = kernel.space.action
+    perm, order = action.perm, action.group.order
+    rep = perm.min(axis=0)
+    pts = np.argsort(rep, kind="stable")
+    _, starts, sizes = np.unique(rep[pts], return_index=True, return_counts=True)
+    pos = np.empty(kernel.size, dtype=np.intp)
+    orbits = []
+    for size in np.flatnonzero(np.bincount(sizes)):
+        idx = pts[starts[sizes == size][:, None] + np.arange(size)]
+        pos[idx] = np.arange(size)
+        orbits.append(idx)
+    width = orbits[-1].shape[1]
+    s = _whole_weighted_symmetric(kernel)
+    out = {}
+    for p in table:
+        coef = p.values.real * (p.dim / order)
+        rows, vals = [], []
+        for idx in orbits:
+            n, size = idx.shape
+            local = np.zeros((n, size, size))
+            for g in range(order):
+                local[np.arange(n)[:, None], pos[perm[g][idx]], np.arange(size)] += coef[g]
+            lam, vec = np.linalg.eigh(local)
+            keep = lam > 0.5
+            pad = ((0, 0), (0, width - size))
+            vals.append(np.pad(vec.transpose(0, 2, 1)[keep], pad))
+            rows.append(np.pad(np.broadcast_to(idx[:, None, :], (n, size, size))[keep], pad))
+        rows, vals = np.concatenate(rows), np.concatenate(vals)
+        su = sum(np.take(s, rows[:, a], axis=1) * vals[:, a] for a in range(width))
+        block = sum(vals[:, a, None] * su[rows[:, a]] for a in range(width))
+        out[p.label] = np.linalg.eigvalsh(block)
+    return out
+
+
+def _whole_decomposition(kernel, table, tol):
+    action = kernel.space.action
+    total = np.zeros(kernel.matrix.shape, float if table.real_valued() else complex)
+    shares, cross = {}, 0.0
+    for p in table:
+        rows = project_path(kernel.matrix.T, action, p).T
+        for q in table:
+            block = project_path(rows, action, q)
+            if np.allclose(q.values, np.conj(p.values)):
+                total += block
+                shares[p.label] = float(np.sum(np.diag(block).real * kernel.space.weights))
+            else:
+                cross = max(cross, float(np.max(np.abs(block, out=block).real)))
+    np.subtract(total, kernel.matrix, out=total)
+    sum_dev = float(np.max(np.abs(total, out=total).real))
+    return {
+        "ok": bool(sum_dev <= tol and cross <= tol),
+        "sum_deviation": sum_dev,
+        "max_cross_projection": cross,
+        "tolerance": tol,
+        "component_trace": shares,
+    }
+
+
+def _moved_z3_300(kernel_file):
+    a = np.random.default_rng(5).normal(size=(300, 300))
+    return load_kernel(kernel_file(a @ a.T / 300, group=_z3_rotation(300)))
+
+
+def _torus(n):
+    return torus.torus_watson(torus.torus_grid(torus.Lattice(np.eye(2)), [n, n]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda _: builtin_kernel("watson", make_interval_grid(256)),
+        lambda _: builtin_kernel("watson", make_interval_grid(1000)),
+        lambda _: builtin_kernel("sheet_compensated", cli.build_space({"grid": {"n": [12, 12]}})),
+        lambda _: _torus(6),
+        lambda _: builtin_kernel("bridge", make_interval_grid(64)),
+        lambda _: builtin_kernel("bridge", make_interval_grid(300)),
+        _moved_z2,
+        _circle_z3,
+        _moved_z3_300,
+    ],
+    ids=[
+        "lag-watson256",
+        "lag-watson1000",
+        "lag-sheet12x12-z2xz2",
+        "lag-torus6x6",
+        "dense-bridge64",
+        "dense-bridge300",
+        "user-matrix-moved-z2",
+        "user-matrix-circle12-z3",
+        "user-matrix-moved-z3-300",
+    ],
+)
+def test_streamed_analytic_passes_are_the_whole_matrix_passes_bitwise(kernel_file, build):
+    """``invariance_dev``, ``weighted_symmetric``, ``irrep_spectra`` and the decomposition
+    report read the kernel in row blocks and are bitwise the passes over the whole matrix,
+    on lag and dense kernels, real and complex characters, one block of rows or several
+    with a partial last one (1000 and 300 points), and kernels the group moves.  No
+    streamed pass builds a lag kernel's matrix."""
+    kernel = build(kernel_file)
+    table = character_table(kernel.space.action.group)
+    dev = kernels.Kernel.invariance_dev.func(kernel)
+    sym = kernels.weighted_symmetric(kernel)
+    spectra = irrep_spectra(kernel, table) if table.real_valued() else None
+    rep = CHECKS["decomposition"].run({"kernel": kernel, "table": table}, DEFAULT_TOLERANCES, {})
+    assert "matrix" not in vars(kernel) or kernel.lags is None
+    assert dev == _whole_invariance_dev(kernel)
+    assert np.array_equal(sym, _whole_weighted_symmetric(kernel))
+    if spectra is not None:
+        want = _whole_irrep_spectra(kernel, table)
+        assert list(spectra) == list(want)
+        assert all(np.array_equal(spectra[label], want[label]) for label in want)
+    want = _whole_decomposition(kernel, table, DEFAULT_TOLERANCES["decomposition"])
+    assert json.dumps(rep) == json.dumps(want)
+
+
 def _watson16_file(kernel_file, **kwargs):
     return kernel_file(builtin_kernel("watson", make_interval_grid(16)).matrix, **kwargs)
 
@@ -1205,6 +1341,46 @@ def test_torus_run_holds_no_m_by_m_array(tmp_path, monkeypatch):
     assert [k.name for k in built] == [kernels.TORUS_KERNEL, "torus_fourier"]
     assert all("matrix" not in vars(k) for k in built)
     assert peak < m * m * 8
+
+
+def test_analytic_run_builds_no_kernel_matrix(tmp_path, monkeypatch):
+    """An in-process run of the benchmark's analytic-1d config (watson on 1,024 points, every
+    analytic check): each check reads the kernel a block of rows at a time, so the lag kernel
+    never builds its matrix, and the traced heap peaks below three m x m matrices, the
+    spectrum check's S, V and basis (40.1 MiB when the decomposition check held K and four
+    m x m temporaries)."""
+    checks = ["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"]
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": "watson"},
+        grid={"kind": "interval", "n": 1024},
+        rho=0.5,
+        n_max=6,
+        checks=checks,
+        tolerances={"z2_condition": 1e-6},
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "warm")]) == 1  # imports and caches
+    built = []
+    post_init = Kernel.__post_init__
+
+    def kept(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(Kernel, "__post_init__", kept)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1  # the spectrum check fails on its eigenvector residuals at m = 1024
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    status = {name: c["status"] for name, c in report["checks"].items()}
+    assert status == {name: "failed" if name == "spectrum" else "passed" for name in checks}
+    assert [k.name for k in built] == ["watson"] and "matrix" not in vars(built[0])
+    m = 1024
+    assert peak < 3 * m * m * 8
 
 
 def test_mgf_preset_tables(tmp_path):

@@ -35,6 +35,7 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     assert int(lines[4].split("=")[1]) < int(lines[3].split("=")[1])
     assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
+    assert run.stderr.count("; matrix x0; spectra: ") == 2  # the torus kernels keep their lags
     assert "heap peak" in run.stderr
     for name in ("torus-1d", "torus-2d"):  # the timed run's CPU seconds and page faults
         line = next(line for line in run.stderr.splitlines() if line.startswith(f"{name} "))
@@ -107,9 +108,17 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     # the stationary kernels off the powers of two take the DFT; their tied partners stay dense
     assert "spectra: dft(1000) x1, dense(1000) x1;" in run.stderr
     assert "spectra: dft(12x12) x1, dense(144) x1;" in run.stderr
-    # the analytic runs take the spectrum check's one dense eigh and one isotypic split
-    assert "eigh(1024x1024) x1, eigh(512x2x2) x2, eigvalsh(512x512) x2; irrep_spectra x1" in run.stderr
-    assert "eigh(144x144) x1, eigh(36x4x4) x4, eigvalsh(36x36) x4; irrep_spectra x1" in run.stderr
+    # the analytic runs take the spectrum check's one dense eigh and one isotypic split, and
+    # read their lag kernel by rows, building no m x m matrix
+    for eig in (
+        "eigh(1024x1024) x1, eigh(512x2x2) x2, eigvalsh(512x512) x2",
+        "eigh(144x144) x1, eigh(36x4x4) x4, eigvalsh(36x36) x4",
+    ):
+        assert f"{eig}; irrep_spectra x1; matrix x0;" in run.stderr
+    # the user_matrix kernel is dense, and watson1000's duplication builds the dense bridge
+    by_run = {line.split()[0]: line for line in run.stderr.splitlines()}
+    assert "; matrix x1; " in by_run["user-matrix-watson16"]
+    assert "; matrix x1; " in by_run["watson1000"]
     # the sheared torus takes the DFT gate twice and one axis-wise Fourier factor
     assert "spectra: dft(12x10) x2, fourier(axes 4x7, chunk 256) x1;" in run.stderr
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr

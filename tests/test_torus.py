@@ -137,7 +137,7 @@ def test_stationarity_spread_is_computed_once_per_kernel(monkeypatch):
     monkeypatch.setattr(kernels, "_lag_spread", counted)
     grid = torus_grid(Lattice(np.eye(2)), 6)
     kernel = torus_watson(grid)
-    rep = torus_watson_check(fourier_kl(kernel.rows(0, 1)[0], grid, 2), grid, 1000, seed=3)
+    rep = torus_watson_check(fourier_kl(kernel.rows([0])[0], grid, 2), grid, 1000, seed=3)
     assert rep["stationarity_spread"] == stationarity_spread(kernel) == 0.0
     assert kernel.stationarity_spread == 0.0
     assert calls == []

@@ -179,7 +179,7 @@ def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
     a = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
     cov = a @ a.T / grid.size
     even = 0.5 * (cov + cov[:, grid.action.perm[1]])
-    got = _basis_quadratics(lambda a, b: cov[a:b], grid, spec)
+    got = _basis_quadratics(lambda index: cov[index], grid, spec)
     want = looped_quadratics(even, grid, spec)
     scale = np.abs(np.array(want["cos"])).max(initial=0.0)
     for part in ("cos", "sin"):
@@ -202,7 +202,7 @@ def test_basis_quadratics_in_row_chunks_are_the_dense_product_bitwise():
     q = np.sum(basis * (even @ basis), axis=0)
     assert grid.size > _chunk_width(grid.size)
     want = {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
-    assert _basis_quadratics(lambda a, b: k[a:b], grid, spec) == want
+    assert _basis_quadratics(lambda index: k[index], grid, spec) == want
     assert _basis_quadratics(torus_watson(grid).rows, grid, spec) == want
 
 

@@ -36,7 +36,9 @@ faults)``), its heap peak, the count and matrix shapes of its ``numpy.linalg.eig
 ``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
 isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
 once when a check first reads ``Kernel.irrep_spectra`` (for example
-``irrep_spectra x1``), and the spectrum path of each
+``irrep_spectra x1``), the count of m x m kernel matrices the run built: one per
+dense ``Kernel`` and one per lag kernel whose ``matrix`` was read (for example
+``matrix x0``), and the spectrum path of each
 ``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
 ``dft(256) x1, dense(256) x1``), and the folded box of frequencies that
 each torus factor (``torus.fourier_factor``) applies axis by axis, with the
@@ -117,6 +119,30 @@ def isotypic_splits():
         yield calls
     finally:
         kernels.irrep_spectra = saved
+
+
+@contextlib.contextmanager
+def matrix_builds():
+    """Record the size of each m x m kernel matrix built in the block: a dense ``Kernel``'s,
+    at construction, and a lag kernel's, when ``Kernel.matrix`` is first read
+    (``kernels._circulant``)."""
+    sizes: list[int] = []
+    post_init, circulant = kernels.Kernel.__post_init__, kernels._circulant
+
+    def traced_post_init(kernel):
+        post_init(kernel)
+        if kernel.lags is None:
+            sizes.append(kernel.size)
+
+    def traced_circulant(profile, shape):
+        sizes.append(profile.size)
+        return circulant(profile, shape)
+
+    kernels.Kernel.__post_init__, kernels._circulant = traced_post_init, traced_circulant
+    try:
+        yield sizes
+    finally:
+        kernels.Kernel.__post_init__, kernels._circulant = post_init, circulant
 
 
 @contextlib.contextmanager
@@ -399,7 +425,7 @@ def main(argv: list[str]) -> int:
         return 2
     for name in names:
         t0, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-        with eig_calls() as calls, isotypic_splits() as splits:
+        with eig_calls() as calls, isotypic_splits() as splits, matrix_builds() as matrices:
             with spectrum_paths() as paths, factor_paths() as factors:
                 line = digest(name)
         seconds, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
@@ -410,7 +436,7 @@ def main(argv: list[str]) -> int:
         peak, checks = traced_run(name)
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
-        eig += f"; irrep_spectra x{len(splits)}"
+        eig += f"; irrep_spectra x{len(splits)}; matrix x{len(matrices)}"
         spectra = Counter(paths + factors)
         spectra = ", ".join(f"{path} x{n}" for path, n in spectra.items()) or "none"
         print(
