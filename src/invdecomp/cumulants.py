@@ -7,8 +7,8 @@ and cross-covariance rho*K, the functional J = sum_i Z1[i] Z2[i] w_i has
     kappa_n = c_n * K(n, rho) * 2^{-n} * tr((D K)^n),   n >= 2,
 
 with D = diag(weights), c_n = 2^(n-1) (n-1)! the classical quadratic-form
-cumulant coefficient, and K(n, rho) the even/odd binomial sums implemented
-in :func:`k_coeff`.  The module also provides a closed-form/spectral MGF
+cumulant coefficient, and K(n, rho) = (1+rho)^n + (-1)^n (1-rho)^n
+(:func:`k_coeff`).  The module also provides a closed-form/spectral MGF
 cross-check for the circle kernel and two symmetry checks on the kernel's
 isotypic spectra (``Kernel.irrep_spectra``): equal power sums across irreps
 and, by character orthogonality, the Z/2 reflection criterion.  Both read
@@ -21,7 +21,7 @@ array, and the two checks return the JSON-ready dicts the runner writes.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -39,32 +39,17 @@ __all__ = [
 
 
 def k_coeff(n: int, rho: float) -> float:
-    """Correlation-dependent cumulant coefficient K(n, rho).
+    """Correlation-dependent cumulant coefficient K(n, rho) = (1+rho)^n + (-1)^n (1-rho)^n.
 
-    Evaluated exactly by its three cases:
-
-    * K(1, rho) = 2 rho;
-    * n even:  2 sum_{j<n/2} C(n-1, 2j) rho^(2j)
-             + 2 sum_{j<n/2} C(n-1, 2j+1) rho^(2j+2);
-    * n odd:   2 sum_{j<=(n-1)/2} C(n-1, 2j) rho^(2j+1)
-             + 2 sum_{j<=(n-3)/2} C(n-1, 2j+1) rho^(2j+1).
-
-    Equivalently (1+rho)^n + (-1)^n (1-rho)^n; K(n, 1) = 2^n, even orders
-    are strictly positive, and odd orders vanish iff rho = 0.
+    Twice the sum of C(n, k) rho^k over k = n (mod 2): K(1, rho) = 2 rho,
+    K(n, 1) = 2^n, even orders are strictly positive, and odd orders vanish
+    iff rho = 0.  Exact at every dyadic rho such as 0, 1/2 and 1.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if n == 1:
-        return 2.0 * rho
-    if n % 2 == 0:
-        even = sum(comb(n - 1, 2 * j) * rho ** (2 * j) for j in range(n // 2))
-        odd = sum(comb(n - 1, 2 * j + 1) * rho ** (2 * j + 2) for j in range(n // 2))
-    else:
-        even = sum(comb(n - 1, 2 * j) * rho ** (2 * j + 1) for j in range((n - 1) // 2 + 1))
-        odd = sum(comb(n - 1, 2 * j + 1) * rho ** (2 * j + 1) for j in range((n - 3) // 2 + 1))
-    return 2.0 * (even + odd)
+    return float((1.0 + rho) ** n + (-1) ** n * (1.0 - rho) ** n)
 
 
 def cumulant_coefficient(n: int) -> float:

@@ -300,10 +300,9 @@ class Kernel:
 
     @cached_property
     def dft(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_dft_spectrum` of the matrix, in index order, read-only: the spectrum of a
-        circulant K.  A lag kernel's column 0 is its ``lags``."""
-        matrix = self.matrix if self.lags is None else self.lags[:, None]
-        return tuple(_as_readonly(a) for a in _dft_spectrum(matrix, self.space))
+        """:func:`_dft_spectrum` of column 0, in index order, read-only: the spectrum of a
+        circulant K.  Column 0 is bitwise row 0, which ``rows`` reads without the matrix."""
+        return tuple(_as_readonly(a) for a in _dft_spectrum(self.rows([0])[0], self.space))
 
     @cached_property
     def invariance_dev(self) -> float:
@@ -430,8 +429,8 @@ def _negation(shape: tuple) -> np.ndarray:
     return np.ravel_multi_index(tuple((-ints) % np.array(shape)[:, None]), shape)
 
 
-def _dft_spectrum(matrix: np.ndarray, space: IndexSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, spec) of a circulant kernel matrix on ``space``, in index order.
+def _dft_spectrum(column: np.ndarray, space: IndexSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, spec) of a circulant kernel on ``space`` with column 0 ``column``, in index order.
 
     spec_b = Re DFT(K[:, 0])_b on ``space.shape``, averaged with spec_-b so a
     +-pair shares its value bitwise, -b taken mod the shape (not from the
@@ -439,7 +438,7 @@ def _dft_spectrum(matrix: np.ndarray, space: IndexSpace) -> tuple[np.ndarray, np
     lambda_b = w spec_b is the eigenvalue of diag(w) K on the character of
     index b, for the equal weights w.
     """
-    spec = np.fft.fftn(matrix[:, 0].reshape(space.shape)).real.ravel()
+    spec = np.fft.fftn(column.reshape(space.shape)).real.ravel()
     spec = (spec + spec[_negation(space.shape)]) / 2.0
     return space.weights[0] * spec, spec
 

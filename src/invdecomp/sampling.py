@@ -51,12 +51,15 @@ row-major, h = 2^(d-1) on [0, 1]^d; exponential j*r + k adds to the k-th
 ascending kept eigenvalue of the tied-down kernel.  No second stream is
 drawn at rho = 1.
 
-All heavy numerics run over these blocks regardless of how many worker
-threads are active.  Threads are opt-in: sampling runs in one worker unless
-the ``INVDECOMP_THREADS`` environment variable holds a positive integer,
-which then sets the pool size.  Workers only distribute whole blocks, so
-identical (kernel, count, seed) inputs give bit-identical ensembles and
-functionals under any parallelism degree.
+All heavy numerics run over these blocks, through one runner,
+:func:`_each_block`, whatever the number of worker threads: workers take
+waves of one block each, each keeps one ``work`` dict for its buffers from
+its first block to its last, and the blocks' results come back in block
+order, so a sum over blocks is added in one order.  Threads are opt-in:
+sampling runs in one worker unless the ``INVDECOMP_THREADS`` environment
+variable holds a positive integer, which then sets the pool size.  Workers
+only distribute whole blocks, so identical (kernel, count, seed) inputs give
+bit-identical ensembles and functionals under any parallelism degree.
 
 The statistics of the in-law checks, Smirnov's two-sample KS distance
 (:func:`ks_statistic`) and Fisher's k-statistics (:func:`kstat`), are
@@ -181,19 +184,24 @@ def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndar
     return next(draw_chunks(l, seed, stream, a, b, b - a))[1]
 
 
-def _blocks(count: int) -> list[tuple[int, int]]:
-    return [(a, min(a + BLOCK, count)) for a in range(0, count, BLOCK)]
+def _each_block(count: int, fn):
+    """Yields ``fn(a, b, work)`` for each block a, ..., b-1 of ``count`` columns, in block order.
 
-
-def _parallel(tasks, fn) -> None:
-    workers = worker_count()
-    if workers == 1 or len(tasks) <= 1:
-        for t in tasks:
-            fn(t)
+    The one runner of the samplers.  Workers take waves of one block each, and
+    worker i keeps its ``work`` dict, for the buffers it reuses, from its first
+    block to its last.  A wave starts once the caller has taken the last one's
+    results, so at most one result per worker is alive.
+    """
+    blocks = [(a, min(a + BLOCK, count)) for a in range(0, count, BLOCK)]
+    works = [{} for _ in range(min(worker_count(), len(blocks)))]
+    if len(works) <= 1:  # one worker, or no block
+        for a, b in blocks:
+            yield fn(a, b, works[0])
         return
     from concurrent.futures import ThreadPoolExecutor  # here, so one-worker runs never import it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, tasks))
+    with ThreadPoolExecutor(max_workers=len(works)) as pool:
+        for i in range(0, len(blocks), len(works)):
+            yield from pool.map(lambda blk, work: fn(*blk, work), blocks[i : i + len(works)], works)
 
 
 def _clip_spectrum(evals: np.ndarray) -> np.ndarray:
@@ -261,11 +269,10 @@ def sample(
     l = covariance_factor(kernel) if factor is None else factor
     out = np.empty((kernel.size, count))
 
-    def run(blk):
-        a, b = blk
+    def run(a, b, work):
         out[:, a:b] = draw_block(l, seed, stream, a, b)
 
-    _parallel(_blocks(count), run)
+    list(_each_block(count, run))
     return PathEnsemble(space=kernel.space, samples=out, seed=seed)
 
 
@@ -310,8 +317,7 @@ def _chi2_sum(
     rows = max(16, CHUNK // max(1, pairs.size) // 16 * 16)
     out = np.zeros(count)
 
-    def run(blk):
-        a, b = blk
+    def run(a, b, work):
         if single.size:
             xi = np.empty((b - a, single.size))
             _block_generator(seed, streams[0], a).standard_normal(out=xi)
@@ -334,7 +340,7 @@ def _chi2_sum(
                     jc -= (1.0 - rho) * (chunk @ pairs)
                 out[c : c + chunk.shape[0]] += jc
 
-    _parallel(_blocks(count), run)
+    list(_each_block(count, run))
     return out
 
 

@@ -25,7 +25,8 @@ sampling contract is drawn, split and reduced :func:`_chunk_width` columns
 at a time (64 at m = 1024, 256 up to m = 256), and takes its odd/even
 cross-covariance from the Gram of the factor's sine and cosine normals, so
 its working set is O(r ``SPLIT_COLUMNS`` + m width) on top of its rank-r
-factor, never m x ``BLOCK``, in buffers that each worker allocates once.  It
+factor, never m x ``BLOCK``, in buffers that each worker of the sampling
+runner (``invdecomp.sampling._each_block``) allocates once.  It
 reads its kernel's rows a chunk at a time (``Kernel.rows``), so the torus path
 builds no m x m array.
 """
@@ -54,13 +55,11 @@ from invdecomp.kernels import (
 from invdecomp.sampling import (
     BLOCK,
     PathEnsemble,
-    _blocks,
     _clip_spectrum,
-    _parallel,
+    _each_block,
     compare_distributions,
     draw_chunks,
     null_ks_critical,
-    worker_count,
 )
 
 __all__ = [
@@ -242,11 +241,12 @@ def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np
     return np.cos(theta), np.sin(theta, out=theta)
 
 
-def _dual_reps(dim: int, cutoff: int) -> list[tuple[int, ...]]:
-    # one representative per {b, -b} pair, |b_i| <= cutoff, zero first: row-major order is
-    # lexicographic, so the rows after the middle one, zero, have a positive first nonzero entry
+def _dual_reps(dim: int, cutoff: int) -> np.ndarray:
+    # one representative per {b, -b} pair, |b_i| <= cutoff, zero first, as (p, dim) rows:
+    # row-major order is lexicographic, so the rows after the middle one, zero, have a
+    # positive first nonzero entry
     ints = np.indices((2 * cutoff + 1,) * dim).reshape(dim, -1).T - cutoff
-    return list(map(tuple, ints[len(ints) // 2 :].tolist()))
+    return ints[len(ints) // 2 :]
 
 
 def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernelSpec:
@@ -263,7 +263,7 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
     k = np.asarray(profile, dtype=float)
     if k.shape != (grid.size,):
         raise KernelError("profile must be sampled on the grid")
-    vectors = np.array(_dual_reps(grid.dim, cutoff), dtype=int)
+    vectors = _dual_reps(grid.dim, cutoff)
     aliased = vectors[np.any(2 * np.abs(vectors) >= grid.shape, axis=1)]
     if aliased.size:
         raise KernelError(f"dual vector {tuple(map(int, aliased[0]))} aliases on grid {grid.shape} (Nyquist)")
@@ -529,17 +529,19 @@ def torus_watson_check(
     column), the paths and the two parts, whose buffers also take the
     squares (under 8 m ``width`` doubles), the two buffers
     (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.  All
-    but the normals and the Gram are the worker's buffers
-    (``FourierFactor.work``), allocated by its first block and refilled by
-    every chunk after, so a sampling wave after the first touches no fresh
-    page.  The factor and the even part's expansion
+    but the normals and the Gram are the buffers of the worker's copy of the
+    factor (``FourierFactor.work``), which its first block makes and keeps in
+    the runner's ``work`` (``sampling._each_block``) and every chunk after
+    refills, so a block after a worker's first touches no fresh page.  The
+    factor and the even part's expansion
     (:func:`_basis_quadratics`, ``width`` rows of ``Kernel.rows`` at a time,
     at most two m x r arrays) are taken before the first draw, and the kernel
     is released.  A lag kernel, as ``assemble_kernel`` and ``torus_watson``
     build, never builds its matrix, so one worker's check stays below
     (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel.
 
-    The per-block Gram partials are added in block order, so every field is
+    The runner returns the blocks' Gram partials in block order, and each is
+    added, and released, before the next wave of blocks draws, so every field is
     bitwise independent of the worker count.  Every field but
     ``cross_cov_max`` (from the normals' Gram, so equal to the materialized
     x1 x2^T to roundoff) is bitwise that of the materialized ensemble
@@ -584,17 +586,12 @@ def torus_watson_check(
     sin_cols, cos_cols = np.flatnonzero(sine), np.flatnonzero(~sine)
     n_sin, n_cos = len(sin_cols), len(cos_cols)
     e, e1, e2, odd_fixed = (np.empty(count) for _ in range(4))
-    partials: dict = {}  # block start -> the block's sine x cosine Gram of the normals
 
-    spare: list = []  # each worker's copy of the factor and its buffers, for every block it draws
-
-    def run(blk):
-        a, b = blk
-        try:
-            lw = spare.pop()
-        except IndexError:  # the worker's first block
-            lw = replace(l, work={})
-        work = lw.work
+    def run(a, b, work):
+        if not work:  # the worker's first block: its copy of the factor, kept for the rest
+            work["factor"] = replace(l, work={})
+        lw = work["factor"]
+        work = lw.work  # the copy's buffers
         # the sine and cosine normals of the block's current SPLIT_COLUMNS slice
         odd = _reuse(work, "odd", (SPLIT_COLUMNS, n_sin))
         even = _reuse(work, "even", (SPLIT_COLUMNS, n_cos))
@@ -616,19 +613,13 @@ def torus_watson_check(
             np.take(xi, cos_cols, axis=1, out=even[j:k], mode="clip")
             if k == SPLIT_COLUMNS or out.stop == b:  # the slice is full, or the block ends
                 gram += odd[:k].T @ even[:k]
-        partials[a] = gram
-        spare.append(lw)
+        return gram
 
-    # waves of one block per worker, each added in block order, keep the
-    # sums independent of the worker count and at most one partial per worker
-    blocks, step = _blocks(count), worker_count()
+    # the blocks' Gram partials, added in block order; each goes before the next block draws
     gram = np.zeros((n_sin, n_cos))
-    for i in range(0, len(blocks), step):
-        wave = blocks[i : i + step]
-        _parallel(wave, run)
-        for a, _ in wave:
-            gram += partials.pop(a)
-    spare.clear()  # the workers' buffers go before the factor's columns are read
+    for part in _each_block(count, run):
+        gram += part
+        del part
     # x1 = L_sin xi_sin and x2 = L_cos xi_cos, so x1 x2^T = L_sin (sum xi_sin xi_cos^T) L_cos^T;
     # the columns of L are those of the apply the paths take, width identity columns at a time
     cols = np.empty((grid.size, sine.size))

@@ -727,7 +727,7 @@ def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch,
     order = kernel.space.action.group.order
     assert counts == {"dft": 1, "irrep_spectra": 1, "moved_dev": order - 1}
     assert took_dft == (kernel.stationarity_spread == 0.0)
-    want = kernels._dft_spectrum(kernel.matrix, kernel.space)
+    want = kernels._dft_spectrum(kernel.matrix[:, 0], kernel.space)
     assert np.array_equal(lam, want[0]) and np.array_equal(spec, want[1])
     assert dev == _invariance_loop(kernel)
     assert check_invariance(kernel, tol=dev) == (True, dev)

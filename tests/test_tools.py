@@ -124,6 +124,19 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr
 
 
+def test_preset_digests_two_worker_lines_equal_the_serial_lines():
+    """The multi-block presets at two sampling workers, drawn in waves of two blocks,
+    give the serial runs' exit codes and digests."""
+    names = ["watson-duplication", "torus-2d", "watson-duplication-2workers", "torus-2d-2workers"]
+    run = _tool("preset_digests.py", *names)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert [fields[0] for fields in lines[:4]] == names
+    assert lines[2][1:] == lines[0][1:] and lines[3][1:] == lines[1][1:]
+    assert lines[0][1] == "exit=0" and lines[1][1] == "exit=0"
+    assert len(lines) == 7
+
+
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
     assert main(["run", "--preset", "torus-2d", "--out", str(tmp_path)]) == 0
     report = tmp_path / "report.json"

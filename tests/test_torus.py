@@ -686,6 +686,29 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     assert peak < (2 * m * m + SPLIT_COLUMNS * r + 2 * m * SPLIT_COLUMNS) * 8
 
 
+@pytest.mark.parametrize("dim, n, cutoff", [(2, 32, 10), (1, 256, 40)], ids=["32x32", "256"])
+def test_more_blocks_grow_the_heap_peak_by_the_per_sample_arrays_alone(dim, n, cutoff, monkeypatch):
+    """Two more blocks raise the check's peak allocation by its four per-sample
+    arrays (e, e1, e2 and the odd values at the fixed points) and 32 KiB at most.
+    Each block's r_sin x r_cos Gram partial (389 KB at 32 x 32, cutoff 10) is
+    released before the next block draws, and the worker keeps its factor copy
+    across its blocks: a copy made per block recomputes ``FourierFactor._axes``
+    while the worker's buffers are held (+0.7 MB on the 256-point circle at
+    cutoff 40, the torus-1d preset's)."""
+    monkeypatch.setenv("INVDECOMP_THREADS", "1")
+    grid = torus_grid(Lattice(np.eye(dim)), n)
+    spec = fourier_kl(torus_watson(grid).matrix[0], grid, cutoff)
+    peaks = []
+    for blocks in (1, 3):
+        tracemalloc.start()
+        try:
+            assert torus_watson_check(spec, grid, blocks * BLOCK, seed=1)["ok"]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 4 * 2 * BLOCK * 8 + 32 * 1024
+
+
 def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkeypatch):
     """Before its first draw the check, kernel assembled inside it, holds the m x m
     kernel, the expansion's m x 2p basis and one more array of that size (the cosines

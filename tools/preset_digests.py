@@ -6,15 +6,19 @@ Usage, from the root of a checkout:
 
 Every preset of ``invdecomp.cli.PRESETS``, then every run of ``EXTRA_RUNS``
 (or only those named) runs through ``invdecomp.cli.main`` into a temporary
-directory, with one sampling worker and one BLAS thread.  ``EXTRA_RUNS`` are
+directory, with one sampling worker (two in the two-worker runs below) and one
+BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
 ``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
 four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
-passes a ``grid.basis``), and two configs that ``run`` rejects with exit 2, one
-of them through the in-law checks' grid and kernel rule.  Each line
+passes a ``grid.basis``), two configs that ``run`` rejects with exit 2, one
+of them through the in-law checks' grid and kernel rule, and the
+``watson-duplication`` and ``torus-2d`` presets at two sampling workers
+(``TWO_WORKERS``: ``watson-duplication-2workers``, ``torus-2d-2workers``),
+which the sampling runner draws in waves of two blocks.  Each line
 gives the run's name, its exit code, the sha256 of its ``report.json`` and the
 sha256 of each CSV table, in name order; a run that writes no report gives
 the sha256 of its stderr instead.  The report is hashed without its
@@ -28,7 +32,8 @@ lines of ``src/invdecomp/*.py``, and the last line, ``code_lines=<N>``, those of
 its lines that are not blank, not a comment alone and not in a docstring.  Run
 the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
-contract and the code size.
+contract and the code size.  A two-worker line must equal its preset's line after
+the name; when both ran and they differ, the script says so on stderr and exits 1.
 Each run's wall seconds go to stderr, so stdout stays diff-able, with the
 user and sys CPU seconds and the minor page faults (``ru_minflt``) of the
 same timed run (for example ``0.55 s (0.47 s user, 0.07 s sys, 6398 minor
@@ -151,9 +156,9 @@ def spectrum_paths():
     paths: list[str] = []
     post_init, dft = kernels.Kernel.__post_init__, kernels._dft_spectrum
 
-    def traced_dft(matrix, space):
+    def traced_dft(column, space):
         paths.append(f"dft({'x'.join(str(n) for n in space.shape)})")
-        return dft(matrix, space)
+        return dft(column, space)
 
     def traced_post_init(kernel):
         n = len(paths)
@@ -346,6 +351,12 @@ EXTRA_RUNS = {
 }
 
 
+# the multi-block presets again at two sampling workers, run by the runner's waves: each
+# line's fields must equal the preset's serial line
+TWO_WORKERS = {f"{name}-2workers": name for name in ("watson-duplication", "torus-2d")}
+EXTRA_RUNS.update({run: lambda tmp, name=name: ["--preset", name] for run, name in TWO_WORKERS.items()})
+
+
 def _run_args(name: str, tmp: Path) -> list[str]:
     return ["--preset", name] if name in cli.PRESETS else EXTRA_RUNS[name](tmp)
 
@@ -358,11 +369,13 @@ def digest(name: str) -> str:
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(tmp)
+        os.environ["INVDECOMP_THREADS"] = "2" if name in TWO_WORKERS else "1"
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(["run", *_run_args(name, Path(tmp)), "--out", str(out)])
         finally:
             os.chdir(cwd)
+            os.environ["INVDECOMP_THREADS"] = "1"
         fields = [name, f"exit={code}"]
         path = out / "report.json"
         if path.exists():
@@ -423,6 +436,7 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown runs: {unknown}", file=sys.stderr)
         return 2
+    lines = {}
     for name in names:
         t0, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
         with eig_calls() as calls, isotypic_splits() as splits, matrix_builds() as matrices:
@@ -446,11 +460,15 @@ def main(argv: list[str]) -> int:
             flush=True,
         )
         print(line, flush=True)
+        lines[name] = line.split()[1:]
+    differ = [n for n, p in TWO_WORKERS.items() if n in lines and p in lines and lines[n] != lines[p]]
+    if differ:
+        print(f"runs that differ from their serial preset: {differ}", file=sys.stderr)
     texts = [path.read_text() for path in (SRC / "invdecomp").glob("*.py")]
     print(f"rng_contract={RNG_CONTRACT}")
     print(f"src_lines={sum(len(text.splitlines()) for text in texts)}")
     print(f"code_lines={sum(map(code_lines, texts))}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
