@@ -162,13 +162,12 @@ def _run_cumulants(ctx, tols, cfg):
     noise = 5.0 * np.sqrt(kstat_variances(ana, count))
     rel = tols["cumulants"]
     rows = []
-    ok = True
     for i in range(3):
         tol_i = max(rel[i] * abs(ana[i]), float(noise[i]))
         gap = abs(mc[i] - float(ana[i]))
         rows.append(dict(zip(_CUMULANT_KEYS, (i + 1, float(ana[i]), mc[i], gap, tol_i))))
-        ok = ok and gap <= tol_i
-    return {"ok": bool(ok), "rho": rho, "count": count, "seed": seed, "orders": rows}
+    ok = all(o["gap"] <= o["tolerance"] for o in rows)
+    return {"ok": ok, "rho": rho, "count": count, "seed": seed, "orders": rows}
 
 
 def _run_mgf(ctx, tols, cfg):
@@ -181,7 +180,6 @@ def _run_mgf(ctx, tols, cfg):
     rel_tol = tols["mgf"]
     mc_tol = tols["mgf_mc"]
     rows = []
-    ok = True
     for i, (lam, rho) in enumerate(pairs):
         closed, spectral = mgf_watson(float(lam), float(rho))
         rel = abs(closed - spectral) / abs(closed)
@@ -191,9 +189,8 @@ def _run_mgf(ctx, tols, cfg):
         mc_rel = abs(mc - spectral) / abs(spectral)
         row = (float(lam), float(rho), closed, spectral, rel, mc, mc_rel)
         rows.append(dict(zip(_MGF_KEYS, row)))
-        ok = ok and rel <= rel_tol and mc_rel <= mc_tol
     return {
-        "ok": bool(ok),
+        "ok": all(p["rel_gap"] <= rel_tol and p["mc_rel_gap"] <= mc_tol for p in rows),
         "count": count,
         "seed": seed,
         "tolerance": rel_tol,
@@ -404,25 +401,19 @@ CHECKS = {
         header="lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap",
         rows=lambda r, ctx: [[_fmt(p[k]) for k in _MGF_KEYS] for p in r["pairs"]],
     ),
-    # the two in-law checks run the run's kernel against its tied-down partner
-    "duplication": Check(
-        run=partial(_run_law, "duplication"),
-        tolerances={"duplication": 0.01},
-        headline=_law_headline,
-        seed=True,
-        csv="duplication.csv",
-        header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
-        rows=_law_rows,
-    ),
-    "quadruplication": Check(
-        run=partial(_run_law, "quadruplication"),
-        tolerances={"quadruplication": 0.015},
-        headline=_law_headline,
-        seed=True,
-        csv="quadruplication.csv",
-        header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
-        rows=_law_rows,
-    ),
+    # the in-law checks, in LAW_DEFAULTS order, run the run's kernel against its tied-down partner
+    **{
+        name: Check(
+            run=partial(_run_law, name),
+            tolerances={name: ks_tol},
+            headline=_law_headline,
+            seed=True,
+            csv=f"{name}.csv",
+            header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
+            rows=_law_rows,
+        )
+        for name, ks_tol in zip(LAW_DEFAULTS, (0.01, 0.015))
+    },
     "torus_watson": Check(
         run=_run_torus_watson,
         tolerances={"torus_split": 1e-10},
@@ -568,7 +559,6 @@ def field_problems(value, field: Field, path: str = "") -> list[str]:
 PRESETS = {
     # classical duplication of the compensated-bridge functional
     "watson-duplication": {
-        "name": "watson-duplication",
         "kernel": {"name": "watson"},
         "grid": {"kind": "interval", "n": 256},
         "rho": 1.0,
@@ -578,7 +568,6 @@ PRESETS = {
     },
     # the same identity for a correlated pair
     "polarized-watson": {
-        "name": "polarized-watson",
         "kernel": {"name": "watson"},
         "grid": {"kind": "interval", "n": 256},
         "rho": 0.5,
@@ -589,7 +578,6 @@ PRESETS = {
     },
     # product-space analogue on the unit square
     "quadruplication": {
-        "name": "quadruplication",
         "kernel": {"name": "sheet_compensated"},
         "grid": {"kind": "interval", "n": [32, 32]},
         "rho": 0.5,
@@ -599,7 +587,6 @@ PRESETS = {
     },
     # reflected-diagonal vanishing integrals of contraction powers
     "prop9-watson": {
-        "name": "prop9-watson",
         "kernel": {"name": "watson"},
         "grid": {"kind": "interval", "n": 1024},
         "n_max": 6,
@@ -608,7 +595,6 @@ PRESETS = {
     },
     # closed-form mgf vs spectral product vs Monte Carlo
     "mgf-check": {
-        "name": "mgf-check",
         "kernel": {"name": "watson"},
         "grid": {"kind": "interval", "n": 64},
         "samples": 100_000,
@@ -617,21 +603,18 @@ PRESETS = {
     },
     # KL spectrum of the tied-down kernel
     "kl-bridge": {
-        "name": "kl-bridge",
         "kernel": {"name": "bridge"},
         "grid": {"kind": "interval", "n": 256},
         "checks": ["invariance", "spectrum"],
     },
     # KL spectrum + character split of the compensated kernel
     "kl-watson": {
-        "name": "kl-watson",
         "kernel": {"name": "watson"},
         "grid": {"kind": "interval", "n": 256},
         "checks": ["invariance", "decomposition", "spectrum"],
     },
     # stationary circle kernel: parity identities and part laws
     "torus-1d": {
-        "name": "torus-1d",
         "kernel": {"name": "torus_watson", "params": {"cutoff": 40}},
         "grid": {"kind": "torus", "n": [256]},
         "samples": 20_000,
@@ -640,7 +623,6 @@ PRESETS = {
     },
     # two-dimensional flat torus, product profile
     "torus-2d": {
-        "name": "torus-2d",
         "kernel": {"name": "torus_watson", "params": {"cutoff": 5}},
         "grid": {"kind": "torus", "n": [16, 16]},
         "samples": 10_000,
@@ -648,6 +630,8 @@ PRESETS = {
         "checks": ["stationarity", "torus_watson"],
     },
 }
+# a preset is named by its key
+PRESETS = {name: {"name": name, **cfg} for name, cfg in PRESETS.items()}
 
 
 # ---------------------------------------------------------------------------

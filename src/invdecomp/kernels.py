@@ -196,15 +196,10 @@ def make_product_grid(spaces: Sequence[IndexSpace]) -> IndexSpace:
     w = np.repeat(mid.weights, m2) * np.tile(last.weights, m1)
     action = None
     if mid.action is not None and last.action is not None:
+        perm1, perm2 = mid.action.perm, last.action.perm
+        perm = perm1[:, None, :, None] * m2 + perm2[None, :, None, :]
         grp = direct_product(mid.action.group, last.action.group)
-        n1, n2 = mid.action.group.order, last.action.group.order
-        perm = np.empty((n1 * n2, m1 * m2), dtype=np.intp)
-        for g1 in range(n1):
-            for g2 in range(n2):
-                perm[g1 * n2 + g2] = (
-                    mid.action.perm[g1][:, None] * m2 + last.action.perm[g2][None, :]
-                ).ravel()
-        action = GroupAction(grp, perm)
+        action = GroupAction(grp, perm.reshape(grp.order, m1 * m2))
     name = " x ".join(s.name or "?" for s in spaces)
     return IndexSpace(pts, w, action, name=name, shape=mid.shape + last.shape)
 
@@ -287,7 +282,10 @@ class Kernel:
     def rows(self, index: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Rows ``index`` (ints) of the matrix, a (len(index), m) array, written into ``out``
         when given: taken from a dense kernel's matrix, and copied one at a time from a lag
-        kernel's :func:`_lag_view`, bitwise the rows of its ``matrix``, which is not built."""
+        kernel's :func:`_lag_view`, bitwise the rows of its ``matrix``, which is not built.
+        An index outside 0..m-1 raises :class:`KernelError` for either kind."""
+        if len(index) and not 0 <= np.min(index) <= np.max(index) < self.size:
+            raise KernelError(f"row index out of range for a kernel of size {self.size}")
         if out is None:
             out = np.empty((len(index), self.size))
         if self.lags is None:

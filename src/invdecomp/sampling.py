@@ -51,13 +51,11 @@ row-major, h = 2^(d-1) on [0, 1]^d; exponential j*r + k adds to the k-th
 ascending kept eigenvalue of the tied-down kernel.  No second stream is
 drawn at rho = 1.
 
-All heavy numerics run over these blocks, through one runner,
-:func:`_each_block`, whatever the number of worker threads: workers take
-waves of one block each, each keeps one ``work`` dict for its buffers from
-its first block to its last, and the blocks' results come back in block
-order, so a sum over blocks is added in one order.  Threads are opt-in:
-sampling runs in one worker unless the ``INVDECOMP_THREADS`` environment
-variable holds a positive integer, which then sets the pool size.  Workers
+All heavy numerics run over these blocks through one runner,
+:func:`_each_block`, which states how workers take the blocks, keep their
+buffers and return the results.  Threads are opt-in: sampling runs in one
+worker unless the ``INVDECOMP_THREADS`` environment variable holds a
+positive integer, which then sets the pool size.  Workers
 only distribute whole blocks, so identical (kernel, count, seed) inputs give
 bit-identical ensembles and functionals under any parallelism degree.
 
@@ -187,10 +185,13 @@ def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndar
 def _each_block(count: int, fn):
     """Yields ``fn(a, b, work)`` for each block a, ..., b-1 of ``count`` columns, in block order.
 
-    The one runner of the samplers.  Workers take waves of one block each, and
-    worker i keeps its ``work`` dict, for the buffers it reuses, from its first
-    block to its last.  A wave starts once the caller has taken the last one's
-    results, so at most one result per worker is alive.
+    The one runner of the samplers, and the one statement of its worker rule.
+    Workers take waves of one block each, and worker i keeps its ``work``
+    dict, for the buffers it reuses, from its first block to its last, so a
+    block after a worker's first touches no fresh page.  A wave starts once
+    the caller has taken the last one's results, so at most one result per
+    worker is alive, and the results come back in block order, so a sum over
+    blocks is added in one order whatever the worker count.
     """
     blocks = [(a, min(a + BLOCK, count)) for a in range(0, count, BLOCK)]
     works = [{} for _ in range(min(worker_count(), len(blocks)))]
@@ -370,6 +371,8 @@ def pair_functional(
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if not all(0 <= s < EXP_STREAM for s in streams):
         raise ValueError(f"streams must be in [0, {EXP_STREAM}), got {streams}")
     pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))

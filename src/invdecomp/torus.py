@@ -25,8 +25,8 @@ sampling contract is drawn, split and reduced :func:`_chunk_width` columns
 at a time (64 at m = 1024, 256 up to m = 256), and takes its odd/even
 cross-covariance from the Gram of the factor's sine and cosine normals, so
 its working set is O(r ``SPLIT_COLUMNS`` + m width) on top of its rank-r
-factor, never m x ``BLOCK``, in buffers that each worker of the sampling
-runner (``invdecomp.sampling._each_block``) allocates once.  It
+factor, never m x ``BLOCK``, in per-worker buffers
+(``invdecomp.sampling._each_block``).  It
 reads its kernel's rows a chunk at a time (``Kernel.rows``), so the torus path
 builds no m x m array.
 """
@@ -365,9 +365,10 @@ class FourierFactor:
     def __matmul__(self, xi: np.ndarray) -> np.ndarray:
         """The (m, ncols) product with the (r, ncols) ``xi``, one matrix product per axis.
 
-        With ``work`` (a worker's copy, ``replace(l, work={})``), the coefficients and the
-        partial products take its buffers 0 and 1 in turn and the paths its ``"paths"``
-        buffer, allocated once, so each product's paths overwrite the last one's."""
+        With ``work`` (a worker's copy, ``replace(l, work={})``, kept as
+        ``sampling._each_block`` says), the coefficients and the partial products take its
+        buffers 0 and 1 in turn and the paths its ``"paths"`` buffer, so each product's
+        paths overwrite the last one's."""
         ncols = xi.shape[1]
         place, box, mats = self._axes
         z = _reuse(self.work, 0, (2 * math.prod(box), ncols))
@@ -530,19 +531,17 @@ def torus_watson_check(
     squares (under 8 m ``width`` doubles), the two buffers
     (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.  All
     but the normals and the Gram are the buffers of the worker's copy of the
-    factor (``FourierFactor.work``), which its first block makes and keeps in
-    the runner's ``work`` (``sampling._each_block``) and every chunk after
-    refills, so a block after a worker's first touches no fresh page.  The
-    factor and the even part's expansion
+    factor (``FourierFactor.work``), kept in the runner's ``work``
+    (``sampling._each_block``).  The factor and the even part's expansion
     (:func:`_basis_quadratics`, ``width`` rows of ``Kernel.rows`` at a time,
     at most two m x r arrays) are taken before the first draw, and the kernel
     is released.  A lag kernel, as ``assemble_kernel`` and ``torus_watson``
     build, never builds its matrix, so one worker's check stays below
     (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel.
 
-    The runner returns the blocks' Gram partials in block order, and each is
-    added, and released, before the next wave of blocks draws, so every field is
-    bitwise independent of the worker count.  Every field but
+    The blocks' Gram partials are added in block order, each before the next
+    wave draws (``sampling._each_block``), so every field is bitwise
+    independent of the worker count.  Every field but
     ``cross_cov_max`` (from the normals' Gram, so equal to the materialized
     x1 x2^T to roundoff) is bitwise that of the materialized ensemble
     wherever BLAS computes a chunk's columns as it does in the whole block:
@@ -668,8 +667,7 @@ def torus_watson_check(
             "sin_quadratics_max": float(np.max(q["sin"])) if q["sin"] else 0.0,
         }
     report["ok"] = bool(
-        "halved_sum" in satisfied
-        and "unhalved_quarter" in satisfied
+        "halved_sum" in satisfied  # and so "unhalved_quarter", its bitwise copy
         and cross_max <= cross_tol
         and cmp_["ks_distance"] < ks_tol
         and fixed_dev <= split_tol

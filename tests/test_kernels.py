@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invdecomp import kernels, torus
-from invdecomp.groups import character_table, cyclic_group, group_from_dict
+from invdecomp.groups import GroupAction, character_table, cyclic_group, group_from_dict
 from invdecomp.kernels import (
     BUILTINS,
     TORUS_KERNEL,
@@ -61,6 +61,45 @@ def test_product_grid():
     assert np.allclose(sp.weights, 1.0 / 6)
     assert abs(sp.weights.sum() - 1.0) < 1e-15
     assert sp.action.group.order == 4  # Z2 x Z2
+
+
+def _rotation_space(n: int) -> IndexSpace:
+    """n equally weighted points on a circle, with the rotations of Z_n acting on them."""
+    group = cyclic_group(n)
+    perm = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # perm[g, i] = i + g mod n
+    points = np.arange(n, dtype=float)[:, None]
+    return IndexSpace(points, np.full(n, 1.0 / n), GroupAction(group, perm), name=f"Z{n}")
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda: [make_interval_grid(2), make_interval_grid(2)],
+        lambda: [_rotation_space(3), make_interval_grid(4)],
+        lambda: [make_interval_grid(3), make_interval_grid(2), make_interval_grid(4)],
+    ],
+    ids=["z2xz2", "z3-rotation-x-interval", "three-intervals"],
+)
+def test_product_grid_action_rows_are_the_coordinatewise_permutations(factors):
+    """Row (g1, .., gk) of the product action, encoded row-major as in ``direct_product``,
+    moves point (i1, .., ik) to (g1 i1, .., gk ik), also row-major: bitwise these rows."""
+    spaces = factors()
+    perms = [sp.action.perm for sp in spaces]
+    sizes = [sp.size for sp in spaces]
+    points = list(itertools.product(*map(range, sizes)))
+
+    def moved(gs, idx):  # the factor coordinates of point idx under element gs
+        return [p[g, i] for p, g, i in zip(perms, gs, idx)]
+
+    want = np.array(
+        [
+            [np.ravel_multi_index(moved(gs, idx), sizes) for idx in points]
+            for gs in itertools.product(*(range(len(p)) for p in perms))
+        ],
+        dtype=np.intp,
+    )
+    got = make_product_grid(spaces).action.perm
+    assert got.dtype == np.intp and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- built-ins
@@ -235,6 +274,15 @@ def test_a_lag_kernel_is_the_dense_kernel_of_its_circulant_bitwise(build):
     assert "matrix" not in vars(kernel)
     assert np.array_equal(kernel.matrix, dense.matrix)
     assert kernel.matrix is kernel.matrix and not kernel.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["bridge", "watson"])  # a dense kernel and a lag kernel
+@pytest.mark.parametrize("index", [8, -1])
+def test_rows_rejects_an_index_outside_the_kernel(name, index):
+    kernel = builtin_kernel(name, make_interval_grid(8))
+    assert (kernel.lags is None) == (name == "bridge")
+    with pytest.raises(KernelError, match="row index out of range"):
+        kernel.rows([0, index])
 
 
 def test_a_lag_kernel_with_a_negative_fourier_coefficient_is_not_psd():

@@ -418,6 +418,13 @@ def test_pair_functional_streams_leave_room_for_the_exponentials(watson32):
         pair_functional(watson32, 1.0, 10, seed=1, streams=(0, EXP_STREAM))
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_pair_functional_rejects_a_count_below_1(watson32, count):
+    """As ``sample`` and ``torus_watson_check`` do, before any allocation."""
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        pair_functional(watson32, 0.5, count, seed=1)
+
+
 # ------------------------------------------- chi^2 right side of the law check
 
 

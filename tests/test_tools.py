@@ -33,6 +33,10 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     assert lines[3].startswith("src_lines=")
     assert lines[4].startswith("code_lines=")
     assert int(lines[4].split("=")[1]) < int(lines[3].split("=")[1])
+    # stderr splits code_lines by module, and the parts add up to the footer's total
+    by_module = run.stderr.split("code_lines by module: ", 1)[1].splitlines()[0].split(", ")
+    assert "cli.py" in by_module[0] and any(part.startswith("torus.py ") for part in by_module)
+    assert sum(int(part.split()[1]) for part in by_module) == int(lines[4].split("=")[1])
     assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
     assert run.stderr.count("; matrix x0; spectra: ") == 2  # the torus kernels keep their lags

@@ -29,7 +29,9 @@ compare the version separately.
 The line ``rng_contract=<name>`` then names ``invdecomp.sampling.RNG_CONTRACT``,
 the keying rule of the seeded presets' samples, ``src_lines=<N>`` counts the
 lines of ``src/invdecomp/*.py``, and the last line, ``code_lines=<N>``, those of
-its lines that are not blank, not a comment alone and not in a docstring.  Run
+its lines that are not blank, not a comment alone and not in a docstring; stderr
+gives that count per module, largest first (for example ``code_lines by module:
+cli.py 824, kernels.py 413, ...``).  Run
 the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.  A two-worker line must equal its preset's line after
@@ -464,10 +466,12 @@ def main(argv: list[str]) -> int:
     differ = [n for n, p in TWO_WORKERS.items() if n in lines and p in lines and lines[n] != lines[p]]
     if differ:
         print(f"runs that differ from their serial preset: {differ}", file=sys.stderr)
-    texts = [path.read_text() for path in (SRC / "invdecomp").glob("*.py")]
+    texts = {path.name: path.read_text() for path in (SRC / "invdecomp").glob("*.py")}
+    modules = sorted(((code_lines(text), name) for name, text in texts.items()), reverse=True)
+    print("code_lines by module: " + ", ".join(f"{name} {n}" for n, name in modules), file=sys.stderr)
     print(f"rng_contract={RNG_CONTRACT}")
-    print(f"src_lines={sum(len(text.splitlines()) for text in texts)}")
-    print(f"code_lines={sum(map(code_lines, texts))}")
+    print(f"src_lines={sum(len(text.splitlines()) for text in texts.values())}")
+    print(f"code_lines={sum(n for n, _ in modules)}")
     return 1 if differ else 0
 
 
