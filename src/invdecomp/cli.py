@@ -16,6 +16,8 @@ grid and group), the runner and the report writers all read the records.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import math
 import sys
@@ -41,6 +43,7 @@ from invdecomp.kernels import (
     TORUS_KERNEL,
     Kernel,
     KernelError,
+    _openblas,
     builtin_kernel,
     check_invariance,
     decomposition_check,
@@ -928,6 +931,29 @@ def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -
     print("\n".join(lines))
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread, and then restore the previous count.
+
+    A dense LAPACK solve's last bits depend on the thread count, and the reports read them, so
+    a run's report would depend on the host's thread count.  Without the bundled library's
+    thread calls (:func:`invdecomp.kernels._openblas`) the count is left as it is, and a note
+    on stderr says so."""
+    lib = _openblas()
+    get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+    if get is None or put is None:
+        print("note: the BLAS thread count cannot be set; a report may follow it", file=sys.stderr)
+        yield
+        return
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def run_command(args) -> int:
     if args.preset is None and args.config is None:
         print("config error: give a config file or --preset", file=sys.stderr)
@@ -960,7 +986,8 @@ def run_command(args) -> int:
         return 2
 
     try:
-        results, out_parts = execute_checks(cfg, tols)
+        with one_blas_thread():
+            results, out_parts = execute_checks(cfg, tols)
     except (ConfigError, KernelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,9 @@ kernel: its spectrum and stationarity spread by its PSD check, and its DFT
 (``Kernel.dft``), invariance deviation (``Kernel.invariance_dev``) and
 isotypic spectra (``Kernel.irrep_spectra``) when first read.  Every pass of
 the checks reads the kernel through ``Kernel.rows``, ``CHUNK`` doubles of rows
-at a time, into buffers it allocates once per call, so the only m x m arrays
-they make are :func:`weighted_symmetric`'s, the ``eigh`` input, and what ``eigh``
-returns.
+at a time, into buffers it allocates once per call, so the only m x m array
+they make is :func:`weighted_symmetric`'s S, which the solve overwrites with its
+eigenvectors, beside the solve's workspace.
 
 Each built-in kernel is one :class:`Builtin` record of :data:`BUILTINS`,
 which the builder, the config validator, the ``spectrum`` check's oracle
@@ -40,16 +40,24 @@ every midpoint grid by construction and takes the DFT; ``Kernel.rows`` and
 ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
 sums, and ``invdecomp.sampling`` draws the law checks' functionals from it.
 :func:`weighted_eigh` is the one eigenvector solve, shared by the
-Karhunen-Loeve spectrum and the covariance factor.  :func:`irrep_spectra`
+Karhunen-Loeve spectrum and the covariance factor.  It and the PSD check's
+dense spectrum are one solve, :func:`_syevd`: LAPACK's dsyevd from the
+OpenBLAS that numpy's wheel ships, called in place on the buffer of S.
+:func:`weighted_symmetric` fills that buffer with S^T row-major, that is S
+column-major, and dsyevd reads its lower triangle, as ``np.linalg.eigh`` and
+``eigvalsh`` read theirs, so the results are numpy's bitwise even where S is
+not bitwise symmetric.  :func:`irrep_spectra`
 solves the same matrix restricted to each real character's isotypic
 subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -260,7 +268,7 @@ class Kernel:
         if self.stationarity_spread == 0.0 and np.all(w == w[0]):
             evals = np.sort(self.dft[0])
         else:
-            evals = np.linalg.eigvalsh(weighted_symmetric(self))
+            evals = _syevd(weighted_symmetric(self), vectors=False)
         floor = -PSD_TOL * max(float(w.max()), float(evals[-1]))
         if evals[0] < floor:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
@@ -711,25 +719,84 @@ def contract_power(kernel: Kernel, n: int) -> np.ndarray:
 def weighted_symmetric(kernel: Kernel) -> np.ndarray:
     """sqrt(w) K sqrt(w): symmetric, and similar to the weighted operator diag(w) K.
 
-    ``Kernel.rows`` fills it ``CHUNK`` doubles of rows at a time, each row block is scaled by
-    the sqrt(w) of its rows, and then every column by sqrt(w): the two roundings of
-    (sqrt(w)[:, None] * K) * sqrt(w)[None, :], with no m x m array but the result."""
+    It is the F-ordered transpose of a C-ordered buffer that holds S^T: ``Kernel.rows`` fills
+    the buffer ``CHUNK`` doubles of rows at a time, each row block is scaled by sqrt(w) over
+    its columns and then by the sqrt(w) of its rows.  K is bitwise symmetric, so entry
+    [i, j] is (sqrt(w)_i K[i, j]) sqrt(w)_j bitwise, the two roundings of
+    (sqrt(w)[:, None] * K) * sqrt(w)[None, :], and the buffer holds S column-major, as
+    LAPACK reads it (:func:`_syevd`), with no m x m array but the result."""
     rw, m = np.sqrt(kernel.space.weights), kernel.size
     out, step = np.empty((m, m)), max(1, CHUNK // m)
     for a in range(0, m, step):
         rows = kernel.rows(np.arange(a, min(a + step, m)), out=out[a : a + step])
+        rows *= rw[None, :]
         np.multiply(rw[a : a + step, None], rows, out=rows)
-    out *= rw[None, :]
-    return out
+    return out.T
+
+
+@cache
+def _openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS that numpy's wheel ships in ``numpy.libs`` and ``np.linalg`` calls, with
+    64-bit integers and its symbols prefixed ``scipy_``; None when numpy ships no such
+    library or it lacks ``scipy_dsyevd_64_``, as a numpy built on a system LAPACK does."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(n for n in sorted(os.listdir(libs)) if n.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        syevd = lib.scipy_dsyevd_64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    i64, ptr, size = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_size_t
+    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO and the two strings' lengths
+    syevd.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64, size, size]
+    syevd.restype = None
+    return lib
+
+
+def _syevd(s: np.ndarray, vectors: bool):
+    """The ascending eigenvalues of the symmetric F-ordered ``s`` (as :func:`weighted_symmetric`
+    returns it) and, with ``vectors``, its eigenvectors: ``np.linalg.eigvalsh(s)`` or
+    ``np.linalg.eigh(s)``, bitwise at the same BLAS thread count.
+
+    Both are LAPACK's dsyevd on the lower triangle of a column-major copy of ``s``, with the
+    queried workspace; this calls :func:`_openblas`'s dsyevd in place on the C-ordered buffer
+    ``s.T``, which holds ``s`` column-major, so the solve holds ``s`` and the workspace
+    (2 m^2 + 6 m + 1 doubles for vectors, 2 m + 1 without) and no copy, and the eigenvectors
+    overwrite ``s``: they are returned as ``s`` itself.  The lower triangle of a buffer
+    holding ``s`` row-major would be its upper triangle, which is not bitwise the lower one
+    when ``s`` is not bitwise symmetric.  A nonzero ``info`` raises ``LinAlgError``, as
+    numpy does.  Without the library numpy solves a copy."""
+    lib = _openblas()
+    if lib is None:
+        return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)
+    a, m = s.T, len(s)
+    if a.shape != (m, m) or a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("need an F-ordered float64 square matrix")
+    syevd, jobz = lib.scipy_dsyevd_64_, b"V" if vectors else b"N"
+    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
+    evals, work, iwork = np.empty(m), np.empty(1), np.empty(1, np.int64)
+
+    def call(lwork: int, liwork: int) -> None:
+        lw, liw = ctypes.c_int64(lwork), ctypes.c_int64(liwork)
+        syevd(jobz, b"L", n, a.ctypes, n, evals.ctypes, work.ctypes, lw, iwork.ctypes, liw, info, 1, 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
+
+    call(-1, -1)  # the workspace query
+    lwork, liwork = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(lwork), np.empty(liwork, np.int64)
+    call(lwork, liwork)
+    return (evals, s) if vectors else evals
 
 
 def weighted_eigh(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs (lambda, V) of :func:`weighted_symmetric`.
+    """Ascending eigenpairs (lambda, V) of :func:`weighted_symmetric`, by :func:`_syevd` in
+    place: V is F-ordered, in the buffer S was built in, and bitwise ``np.linalg.eigh(S)``'s.
 
     lambda is the spectrum of diag(w) K; the columns of V / sqrt(w) are its
     eigenfunctions, orthonormal in the weighted inner product.
     """
-    return np.linalg.eigh(weighted_symmetric(kernel))
+    return _syevd(weighted_symmetric(kernel), vectors=True)
 
 
 def weighted_traces(kernel: Kernel, n_max: int) -> np.ndarray:

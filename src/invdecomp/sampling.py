@@ -234,7 +234,8 @@ def covariance_factor(kernel: Kernel) -> np.ndarray:
     """
     evals, vecs = weighted_eigh(kernel)
     lam, m = _clip_spectrum(evals), kernel.size
-    return vecs[:, m - lam.size :] * np.sqrt(lam) / np.sqrt(kernel.space.weights)[:, None]
+    out = np.multiply(vecs[:, m - lam.size :], np.sqrt(lam), out=np.empty((m, lam.size)))
+    return np.divide(out, np.sqrt(kernel.space.weights)[:, None], out=out)
 
 
 @dataclass(frozen=True, eq=False)

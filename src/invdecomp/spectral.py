@@ -83,12 +83,12 @@ def eigendecompose(kernel: Kernel) -> Spectrum:
     """
     evals, vecs = weighted_eigh(kernel)
     evals = evals[::-1]
-    basis = vecs[:, ::-1] / np.sqrt(kernel.space.weights)[:, None]
+    basis = np.divide(vecs[:, ::-1], np.sqrt(kernel.space.weights)[:, None], out=np.empty(vecs.shape))
 
     return Spectrum(
         space=kernel.space,
         eigenvalues=np.ascontiguousarray(evals),
-        basis=np.ascontiguousarray(basis),
+        basis=basis,
         clusters=_clusters(evals),
     )
 

@@ -551,6 +551,8 @@ def torus_watson_check(
     into the chunk before the last, since a product's columns run over a box
     axis too).
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if isinstance(spec_or_kernel, TorusKernelSpec):
         kernel = assemble_kernel(spec_or_kernel, grid)
         spec = spec_or_kernel
@@ -569,8 +571,6 @@ def torus_watson_check(
         report["error"] = "kernel is not stationary on the torus"
         return report
 
-    if count < 1:
-        raise ValueError("count must be >= 1")
     l = fourier_factor(kernel)
     q = _basis_quadratics(kernel.rows, grid, spec) if spec is not None else None
     del kernel  # an assembled kernel is not held while the check samples

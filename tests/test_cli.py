@@ -4,7 +4,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1010,22 +1014,23 @@ def test_user_matrix_action_none_drops_the_files_action(tmp_path, kernel_file):
 
 
 def test_user_matrix_action_none_takes_one_psd_check(tmp_path, monkeypatch, kernel_file):
-    """The bridge kernel is not circulant, so its PSD check is a dense eigvalsh; the
-    file's action is dropped before the kernel is built, so the load makes one."""
+    """The bridge kernel is not circulant, so its PSD check is a dense solve for
+    eigenvalues alone (``kernels._syevd``); the file's action is dropped before the
+    kernel is built, so the load makes one."""
     path = kernel_file(builtin_kernel("bridge", make_interval_grid(16)).matrix)
     cfg_path = _user_matrix_config(tmp_path, path, action={"name": "none"}, checks=["spectrum"])
     cfg = json.loads(cfg_path.read_text())
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    syevd = kernels._syevd
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(s, vectors):
+        calls.append((np.shape(s), vectors))
+        return syevd(s, vectors)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(kernels, "_syevd", counted)
     kernel = cli.build_kernel(cfg)
     assert kernel.space.action is None
-    assert calls == [(16, 16)]
+    assert calls == [((16, 16), False)]
 
 
 def _watson32_moved_by(kernel_file, dev):
@@ -1224,6 +1229,61 @@ def test_report_does_not_depend_on_the_output_directory(tmp_path):
     assert reports[0] == reports[1]
 
 
+def _fresh_run(code: str, **env) -> str:
+    """Standard output of ``code`` in a new interpreter that imports this package, with one
+    sampling worker and the given environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, INVDECOMP_THREADS="1", **env)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize("preset", ["kl-watson", "watson-duplication"])
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path, preset):
+    """A preset run in processes started at one and at two OpenBLAS threads writes the same
+    report and tables: the run solves at one thread (``cli.one_blas_thread``), and the
+    spectrum check's eigenvectors and the tied-down kernel's eigenvalues, which the reports
+    read, depend on the thread count."""
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        code = f"import invdecomp.cli as cli; cli.main(['run', '--preset', {preset!r}, '--out', {str(out)!r}])"
+        _fresh_run(code, OPENBLAS_NUM_THREADS=threads)
+        report = json.loads((out / "report.json").read_text())
+        report.pop("generated_at")
+        tables = {f.name: f.read_text() for f in sorted(out.glob("*.csv"))}
+        digests.append((json.dumps(report, sort_keys=True), tables))
+    assert digests[0] == digests[1]
+
+
+def test_one_blas_thread_pins_the_count_and_restores_it(capsys, monkeypatch):
+    """The run's block sees one OpenBLAS thread and the caller's count comes back, also when
+    the block raises; without the library's thread calls the count is left alone and stderr
+    says so."""
+    lib = kernels._openblas()
+    if lib is not None:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        threads = get()
+        try:
+            put(2)
+            with cli.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+            with pytest.raises(KeyError), cli.one_blas_thread():
+                raise KeyError
+            assert get() == 2
+        finally:
+            put(threads)
+        assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    with cli.one_blas_thread():
+        pass
+    assert capsys.readouterr().err.startswith("note: the BLAS thread count cannot be set")
+
+
 @pytest.mark.parametrize("seed", [None, 5])
 def test_seeded_reports_name_the_rng_contract(tmp_path, seed):
     """A report names the keying rule of its samples exactly when the summary names a seed."""
@@ -1265,6 +1325,7 @@ def test_torus_presets_run_no_eigendecomposition(tmp_path, monkeypatch, preset):
 
     monkeypatch.setattr(np.linalg, "eigh", disabled)
     monkeypatch.setattr(np.linalg, "eigvalsh", disabled)
+    monkeypatch.setattr(kernels, "_syevd", disabled)
     assert main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert {c["status"] for c in report["checks"].values()} == {"passed"}
@@ -1346,9 +1407,9 @@ def test_torus_run_holds_no_m_by_m_array(tmp_path, monkeypatch):
 def test_analytic_run_builds_no_kernel_matrix(tmp_path, monkeypatch):
     """An in-process run of the benchmark's analytic-1d config (watson on 1,024 points, every
     analytic check): each check reads the kernel a block of rows at a time, so the lag kernel
-    never builds its matrix, and the traced heap peaks below three m x m matrices, the
-    spectrum check's S, V and basis (40.1 MiB when the decomposition check held K and four
-    m x m temporaries)."""
+    never builds its matrix, and the traced heap peaks in the spectrum check's in-place solve,
+    which holds S and dsyevd's workspace and no copy of S (40.1 MiB when the decomposition
+    check held K and four m x m temporaries)."""
     checks = ["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"]
     cfg = write_config(
         tmp_path,
@@ -1380,7 +1441,45 @@ def test_analytic_run_builds_no_kernel_matrix(tmp_path, monkeypatch):
     assert status == {name: "failed" if name == "spectrum" else "passed" for name in checks}
     assert [k.name for k in built] == ["watson"] and "matrix" not in vars(built[0])
     m = 1024
-    assert peak < 3 * m * m * 8
+    # S, and the workspace dsyevd's query asks for with eigenvectors: LAPACK's minimum,
+    # 2 m^2 + 6 m + 1 doubles and 5 m + 3 integers (numpy's fallback: its V and then the
+    # basis, for its own buffers are not traced); 512 KiB for all the run holds besides
+    work = 2 * m * m + 6 * m + 1 + 5 * m + 3 if kernels._openblas() is not None else 2 * m * m
+    assert peak < (m * m + work) * 8 + (1 << 19)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS and VmHWM")
+def test_analytic_run_peak_rss_stays_below_four_matrices(tmp_path):
+    """The analytic-1d config in a new process: its resident peak (VmHWM) rises above the
+    resident size after import by less than four m x m matrices, 32 MiB at m = 1024.  The
+    in-place solve holds S and dsyevd's workspace, three matrices; it read about 28 MiB, and
+    numpy's ``eigh``, which also held a copy of S and returned V beside it, about 44 MiB."""
+    cfg = write_config(
+        tmp_path,
+        kernel={"name": "watson"},
+        grid={"kind": "interval", "n": 1024},
+        rho=0.5,
+        n_max=6,
+        checks=["invariance", "decomposition", "spectrum", "watson_relation", "z2_condition"],
+        tolerances={"z2_condition": 1e-6},
+    )
+    code = f"""
+import contextlib, io
+import invdecomp.cli as cli
+
+def kib(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(key + ":"))
+
+rss = kib("VmRSS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+print(code, kib("VmHWM") - rss)
+"""
+    code, rise = map(int, _fresh_run(code, OPENBLAS_NUM_THREADS="1").split())
+    assert code == 1  # the spectrum check fails on its eigenvector residuals at m = 1024
+    m = 1024
+    assert rise * 1024 < 4 * m * m * 8
 
 
 def test_mgf_preset_tables(tmp_path):

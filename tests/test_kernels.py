@@ -1,11 +1,16 @@
 """Grids, built-in covariance kernels, projections, and contraction powers."""
 
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,7 +38,8 @@ from invdecomp.kernels import (
     weighted_symmetric,
     weighted_traces,
 )
-from invdecomp.sampling import LAW_DEFAULTS
+from invdecomp.sampling import LAW_DEFAULTS, covariance_factor
+from invdecomp.spectral import eigendecompose
 from invdecomp.torus import Lattice, assemble_kernel, fourier_kl, torus_grid, torus_watson
 
 
@@ -202,7 +208,7 @@ def test_stationary_builtin_is_the_circulant_of_its_closed_form_lag_column(name)
     want = _closed_form(name, space)
     column = want[:, 0]
     even = (column + column[kernels._negation(space.shape)]) / 2
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         kernel = builtin_kernel(name, space)
     assert np.array_equal(kernel.matrix, kernels._circulant(even, space.shape))
     assert np.max(np.abs(kernel.matrix - (want + want.T) / 2)) <= 2e-16
@@ -214,7 +220,7 @@ def test_stationary_builtin_is_circulant_on_every_small_midpoint_grid(name):
     """2 to 64 points on one axis, 2 to 12 per axis on two: stationarity spread 0 and the
     DFT spectrum, whatever the sizes' factors."""
     sizes = range(2, 65) if BUILTINS[name].dim == 1 else range(2, 13)
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         for shape in itertools.product(sizes, repeat=BUILTINS[name].dim):
             kernel = builtin_kernel(name, make_product_grid([make_interval_grid(n) for n in shape]))
             assert kernel.stationarity_spread == 0.0, shape
@@ -459,6 +465,74 @@ def test_random_kernel_not_invariant(grid64):
     assert not ok and dev > 1e-3
 
 
+# --------------------------------------------------------- in-place solve
+
+_SOLVE = """
+import json, sys
+import numpy as np
+from invdecomp import kernels
+from invdecomp.io import load_kernel
+from invdecomp.kernels import builtin_kernel, make_interval_grid, weighted_eigh, weighted_symmetric
+
+case, path = sys.argv[1:]
+if case == "fallback":
+    kernels._openblas = lambda: None  # as on a numpy that ships no OpenBLAS
+kernel = builtin_kernel("watson", make_interval_grid(1024)) if case == "watson1024" else load_kernel(path)
+s = weighted_symmetric(kernel)
+lam, vec = np.linalg.eigh(s)
+got_lam, got_vec = weighted_eigh(kernel)
+evals = kernels._syevd(weighted_symmetric(kernel), vectors=False)
+print(json.dumps({
+    "bundled": kernels._openblas() is not None,
+    "symmetric": bool(np.array_equal(s, s.T)),
+    "eigh": bool(np.array_equal(got_lam, lam) and np.array_equal(got_vec, vec)),
+    "eigvalsh": bool(np.array_equal(evals, np.linalg.eigvalsh(s))),
+}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", ["watson1024", "user-matrix-nonuniform", "fallback"])
+def test_in_place_solve_is_numpys_bitwise(kernel_file, case, threads):
+    """``weighted_eigh`` and the PSD check's solve give ``np.linalg.eigh`` and ``eigvalsh``
+    of ``weighted_symmetric`` bitwise, in a process at one or two OpenBLAS threads: on the
+    watson kernel at 1,024 points, on a ``user_matrix`` bridge with non-uniform weights,
+    whose S is not bitwise symmetric (so the triangle LAPACK reads matters), and on that
+    kernel through numpy, with the bundled library taken away."""
+    if case != "fallback" and kernels._openblas() is None:
+        pytest.skip("numpy ships no bundled OpenBLAS")
+    m = 256
+    t = (np.arange(m) + 0.5) / m
+    weights = (1.0 + np.arange(m) % 3) / (2.0 * m)
+    path = kernel_file(np.minimum.outer(t, t) - np.outer(t, t), weights=weights, group=None)
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run(
+        [sys.executable, "-c", _SOLVE, case, str(path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    want = {"bundled": case != "fallback", "symmetric": case == "watson1024", "eigh": True, "eigvalsh": True}
+    assert json.loads(out.stdout) == want
+
+
+def test_in_place_solve_raises_as_numpy_does():
+    """A solve that does not converge (dsyevd's info > 0, here on NaN entries) raises
+    numpy's ``LinAlgError``, with or without eigenvectors."""
+    for vectors in (True, False):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            kernels._syevd(np.full((4, 4), np.nan, order="F"), vectors)
+
+
+def test_in_place_solve_results_are_c_ordered(bridge64):
+    """The solve's V sits F-ordered in S's buffer; the spectrum basis and the covariance
+    factor are written into C-ordered arrays, as they were when numpy returned V."""
+    _, vec = kernels.weighted_eigh(bridge64)
+    assert vec.flags.f_contiguous
+    assert eigendecompose(bridge64).basis.flags.c_contiguous
+    assert covariance_factor(bridge64).flags.c_contiguous
+
+
 # ------------------------------------------------------ stationary spectrum
 
 PROPS = settings(derandomize=True, max_examples=12, deadline=None)
@@ -495,7 +569,7 @@ def _circulant(shape, seed):
 
 
 def _dense_path_raises(*args, **kwargs):
-    raise AssertionError("dense eigvalsh on the DFT path")
+    raise AssertionError("dense solve on the DFT path")
 
 
 @PROPS
@@ -507,7 +581,7 @@ def test_circulant_kernel_spectrum_is_the_dft_on_interval_and_product_grids(shap
     it to m eps lambda_max, the roundoff of the dense solve."""
     space = _grid(shape)
     assert space.shape == shape
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         kernel = Kernel(space, _circulant(shape, seed))
     assert kernel.stationarity_spread == 0.0
     dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
@@ -520,7 +594,7 @@ def test_circulant_kernel_spectrum_is_the_dft_on_interval_and_product_grids(shap
 )
 def test_compensated_builtins_take_the_dft_spectrum_on_power_of_two_grids(name, shape):
     """On 2^k midpoints the compensated bridge is bitwise circulant: the circle process."""
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         kernel = builtin_kernel(name, _grid(shape))
     dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
     tol = kernel.size * np.finfo(float).eps * dense[-1]

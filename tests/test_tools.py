@@ -41,6 +41,10 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     assert "dft(16x16) x2" in run.stderr
     assert run.stderr.count("; matrix x0; spectra: ") == 2  # the torus kernels keep their lags
     assert "heap peak" in run.stderr
+    # the solver path, once, first
+    solver = run.stderr.splitlines()[0]
+    assert solver.startswith("eigensolver: bundled dsyevd (") or solver == "eigensolver: numpy fallback"
+    assert run.stderr.count("eigensolver: ") == 1
     for name in ("torus-1d", "torus-2d"):  # the timed run's CPU seconds and page faults
         line = next(line for line in run.stderr.splitlines() if line.startswith(f"{name} "))
         assert " s user, " in line and " s sys, " in line and " minor faults), heap peak " in line

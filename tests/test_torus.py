@@ -441,6 +441,23 @@ def test_torus_watson_check_is_deterministic(kernel16, circle16):
     assert a == b
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_torus_watson_check_rejects_a_bad_count_before_the_stationarity_gate(
+    kernel16, circle16, count
+):
+    """A kernel that fails the stationarity gate still raises for a count below 1, as a
+    stationary one does, and returns no report that records the count."""
+    moved = kernel16.matrix.copy()
+    moved[0, 1] = moved[1, 0] = moved[0, 1] + 1e-3
+    kernel = Kernel(circle16, moved, "moved")
+    assert kernel.stationarity_spread > 1e-10
+    assert torus_watson_check(kernel, circle16, 10, seed=1)["ok"] is False
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        torus_watson_check(kernel, circle16, count, seed=1)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        torus_watson_check(kernel16, circle16, count, seed=1)
+
+
 def test_torus_watson_check_golden_digest():
     """Pins which normal drives which column of ``fourier_factor``, ties included.
 

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invdecomp import kernels
 from invdecomp.kernels import Kernel, KernelError, _circulant, weighted_symmetric
 from invdecomp.sampling import _clip_spectrum
 from invdecomp.torus import (
@@ -268,7 +269,7 @@ def test_fourier_factor_axis_products_are_the_matrix_product(kernel, seed):
 
 
 def _dense_path_raises(*args, **kwargs):
-    raise AssertionError("dense eigvalsh on the DFT path")
+    raise AssertionError("dense solve on the DFT path")
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -280,7 +281,7 @@ def _dense_path_raises(*args, **kwargs):
 def test_stationary_kernel_spectrum_is_the_dft_of_its_profile(kernel):
     """An exactly stationary kernel's PSD check runs no eigvalsh and agrees with it
     to m eps lambda_max, the roundoff of the dense solve."""
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         evals = Kernel(kernel.space, kernel.matrix).eigenvalues
     dense = np.linalg.eigvalsh(weighted_symmetric(kernel))
     assert np.array_equal(evals, kernel.eigenvalues)
@@ -312,7 +313,7 @@ def test_stationary_indefinite_profile_is_rejected_on_the_dft_path(kernel):
     makes the constant mode's eigenvalue negative: the DFT path rejects it with
     the PSD check's message and the dense minimum eigenvalue."""
     mat = kernel.matrix - 2.0 * np.max(np.abs(kernel.matrix))
-    with mock.patch.object(np.linalg, "eigvalsh", _dense_path_raises):
+    with mock.patch.object(kernels, "_syevd", _dense_path_raises):
         with pytest.raises(KernelError, match=r"not PSD \(min eigenvalue -") as err:
             Kernel(kernel.space, mat)
     rw = np.sqrt(kernel.space.weights)

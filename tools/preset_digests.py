@@ -36,11 +36,13 @@ the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.  A two-worker line must equal its preset's line after
 the name; when both ran and they differ, the script says so on stderr and exits 1.
-Each run's wall seconds go to stderr, so stdout stays diff-able, with the
+A first stderr line names the eigensolver: ``bundled dsyevd (<library>)`` or
+``numpy fallback``.  Each run's wall seconds go to stderr, so stdout stays diff-able, with the
 user and sys CPU seconds and the minor page faults (``ru_minflt``) of the
 same timed run (for example ``0.55 s (0.47 s user, 0.07 s sys, 6398 minor
 faults)``), its heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
-``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), the count of its
+``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), an in-place solve of
+``kernels._syevd`` counted under the name of the numpy call it replaces, the count of its
 isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
 once when a check first reads ``Kernel.irrep_spectra`` (for example
 ``irrep_spectra x1``), the count of m x m kernel matrices the run built: one per
@@ -91,24 +93,38 @@ from invdecomp.sampling import RNG_CONTRACT  # noqa: E402
 
 @contextlib.contextmanager
 def eig_calls():
-    """Record ``name(shape)`` for each ``numpy.linalg.eigh``/``eigvalsh`` call in the block."""
+    """Record ``name(shape)`` for each ``numpy.linalg.eigh``/``eigvalsh`` call in the block,
+    and for each in-place solve of ``kernels._syevd`` under the name of the numpy call it
+    replaces: ``eigh`` with eigenvectors, ``eigvalsh`` without.  Without the bundled
+    library ``_syevd`` calls numpy, which is counted there."""
     calls: list[str] = []
     saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+    syevd = kernels._syevd
+
+    def record(name, a):
+        calls.append(f"{name}({'x'.join(str(n) for n in np.shape(a))})")
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
-            calls.append(f"{name}({'x'.join(str(n) for n in np.shape(a))})")
+            record(name, a)
             return fn(a, *args, **kwargs)
 
         return call
 
+    def counted_syevd(s, vectors):
+        if kernels._openblas() is not None:  # the fallback's numpy call counts itself
+            record("eigh" if vectors else "eigvalsh", s)
+        return syevd(s, vectors)
+
     for name, fn in saved.items():
         setattr(np.linalg, name, counted(name, fn))
+    kernels._syevd = counted_syevd
     try:
         yield calls
     finally:
         for name, fn in saved.items():
             setattr(np.linalg, name, fn)
+        kernels._syevd = syevd
 
 
 @contextlib.contextmanager
@@ -438,6 +454,9 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown runs: {unknown}", file=sys.stderr)
         return 2
+    lib = kernels._openblas()
+    solver = f"bundled dsyevd ({Path(lib._name).name})" if lib is not None else "numpy fallback"
+    print(f"eigensolver: {solver}", file=sys.stderr)
     lines = {}
     for name in names:
         t0, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
