@@ -718,7 +718,10 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append(f"kernel/params/{key}: only the {reader} check reads it")
     cutoff = _torus_cutoff(cfg)
     if "torus_watson" in checks and kind == "torus" and 2 * cutoff >= min(ns):
-        errors.append(f"kernel/params/cutoff: {cutoff} aliases; 2 * cutoff must be < {min(ns)}")
+        if "cutoff" in params:
+            errors.append(f"kernel/params/cutoff: {cutoff} aliases; 2 * cutoff must be < {min(ns)}")
+        else:  # the default cutoff aliases only below 3 points
+            errors.append(f"grid/n: torus_watson needs at least 3 points on every torus axis, not {min(ns)}")
     for i, (lam, rho) in enumerate(params.get("mgf_pairs", [])):
         if not (0.0 <= rho <= 1.0 and 0.0 <= lam < 2.0 * np.pi / np.sqrt(1.0 + rho)):
             bound = "0 <= rho <= 1 and 0 <= lambda < 2 pi / sqrt(1 + rho)"
@@ -962,14 +965,10 @@ def run_command(args) -> int:
         cfg: dict = {}
         if args.preset is not None:
             if args.preset not in PRESETS:
-                raise ConfigError(
-                    f"unknown preset {args.preset!r} (see `invdecomp list-presets`)"
-                )
+                raise ConfigError(f"unknown preset {args.preset!r} (see `invdecomp list-presets`)")
             cfg.update(json.loads(json.dumps(PRESETS[args.preset])))
         if args.config is not None:
-            overlay = load_config_file(args.config)
-            for key, val in overlay.items():
-                cfg[key] = val
+            cfg.update(load_config_file(args.config))
         if args.seed is not None:
             cfg["seed"] = args.seed
 

@@ -10,13 +10,9 @@ with D = diag(weights), c_n = 2^(n-1) (n-1)! the classical quadratic-form
 cumulant coefficient, and K(n, rho) = (1+rho)^n + (-1)^n (1-rho)^n
 (:func:`k_coeff`).  The module also provides a closed-form/spectral MGF
 cross-check for the circle kernel and two symmetry checks on the kernel's
-isotypic spectra (``Kernel.irrep_spectra``): equal power sums across irreps
-and, by character orthogonality, the Z/2 reflection criterion.  Both read
-the kernel's cached invariance deviation and spectra, so a run that makes
-both checks computes each once.
-
-Every result is plain data: :func:`analytic_cumulants` returns a read-only
-array, and the two checks return the JSON-ready dicts the runner writes.
+isotypic spectra (``Kernel.irrep_spectra``, computed once per kernel): equal
+power sums across irreps and, by character orthogonality, the Z/2 reflection
+criterion.
 """
 
 from __future__ import annotations

@@ -1,54 +1,25 @@
 """Quadrature index spaces, covariance kernels, and their symmetry algebra.
 
-An :class:`IndexSpace` is a finite quadrature rule (points, weights) with an
-optional group action by permutations.  A :class:`Kernel` is a symmetric PSD
-matrix over such a space, stored as that m x m matrix or, for a stationary
-kernel, as its m lags (``Kernel.lags``), from which the matrix is built only
-when ``Kernel.matrix`` is first read; no runner check reads it.  The operations
-here are the kernel-side analogues of path projection: projecting a kernel onto
-a pair of characters, checking that the blocks sum back to it
-(:func:`decomposition_check`), chaining a kernel's weighted contractions, and
-checking invariance under the action.  What a kernel knows about itself is computed once, by the
-kernel: its spectrum and stationarity spread by its PSD check, and its DFT
-(``Kernel.dft``), invariance deviation (``Kernel.invariance_dev``) and
-isotypic spectra (``Kernel.irrep_spectra``) when first read.  Every pass of
-the checks reads the kernel through ``Kernel.rows``, ``CHUNK`` doubles of rows
-at a time, into buffers it allocates once per call, so the only m x m array
-they make is :func:`weighted_symmetric`'s S, which the solve overwrites with its
-eigenvectors, beside the solve's workspace.
+An :class:`IndexSpace` is a finite quadrature rule (points, weights) with an optional
+group action by permutations, read as the cyclic index group Z_n1 x ... x Z_nd of its
+``shape``, row-major.  A :class:`Kernel` is a symmetric PSD matrix over such a space,
+stored as that m x m matrix or, for a stationary kernel, as its m lags (``Kernel.lags``);
+each built-in is one :class:`Builtin` record of :data:`BUILTINS`.  The operations here are
+the kernel-side analogues of path projection: projecting a kernel onto a pair of
+characters, checking that the blocks sum back to it (:func:`decomposition_check`), their
+spectra (:func:`irrep_spectra`), and invariance under the action.
 
-Each built-in kernel is one :class:`Builtin` record of :data:`BUILTINS`,
-which the builder, the config validator, the ``spectrum`` check's oracle
-and the in-law checks (:func:`law_kernel`) read.
+The weighted operator diag(w) K is solved through the similar symmetric matrix
+S = sqrt(w) K sqrt(w), formed only by :func:`weighted_symmetric`.  A kernel that is
+bitwise circulant over its index group on equal weights has the group's characters as
+eigenvectors (Wood and Chan, 1994), so its spectrum is the DFT of its lag profile
+(``Kernel.dft``); any other takes the dense spectrum of S.  :func:`_syevd` is the one
+dense solve, of the PSD check's spectrum and of :func:`weighted_eigh`: LAPACK's dsyevd in
+place on the buffer of S, bitwise numpy's ``eigvalsh`` and ``eigh``.
 
-The weighted operator ``diag(w) K`` is solved through the similar symmetric
-matrix ``sqrt(w) K sqrt(w)``, formed only by :func:`weighted_symmetric`.
-Each :class:`Kernel` takes its spectrum once, in its PSD check, by one rule
-for every grid.  Every space reads its points
-as a cyclic index group Z_n1 x ... x Z_nd of its ``shape``, row-major: an
-interval grid is Z_n, a product grid the product of its factors' groups, a
-torus grid its own lattice index group.  A kernel that is bitwise circulant
-over that group (``Kernel.stationarity_spread`` 0) on equal weights has the
-group's characters as eigenvectors (Wood and Chan, 1994), so its spectrum
-is the DFT of its lag profile (``Kernel.dft``); any other kernel
-takes the dense ``eigvalsh`` of the symmetric matrix.  :func:`_stationary`
-builds every stationary kernel from its lag column and keeps that column
-alone, so each stationary built-in, such as the watson kernel (the
-compensated bridge, the stationary circle process), is bitwise circulant on
-every midpoint grid by construction and takes the DFT; ``Kernel.rows`` and
-``Kernel.dft`` read its column, not its matrix.  The kernel keeps the
-ascending spectrum as ``Kernel.eigenvalues``; the trace powers are its power
-sums, and ``invdecomp.sampling`` draws the law checks' functionals from it.
-:func:`weighted_eigh` is the one eigenvector solve, shared by the
-Karhunen-Loeve spectrum and the covariance factor.  It and the PSD check's
-dense spectrum are one solve, :func:`_syevd`: LAPACK's dsyevd from the
-OpenBLAS that numpy's wheel ships, called in place on the buffer of S.
-:func:`weighted_symmetric` fills that buffer with S^T row-major, that is S
-column-major, and dsyevd reads its lower triangle, as ``np.linalg.eigh`` and
-``eigvalsh`` read theirs, so the results are numpy's bitwise even where S is
-not bitwise symmetric.  :func:`irrep_spectra`
-solves the same matrix restricted to each real character's isotypic
-subspace, one m_pi x m_pi block per irrep, for the per-irrep traces.
+Every pass of the checks reads a kernel through ``Kernel.rows``, ``CHUNK`` doubles of rows
+at a time, so the only m x m array a check makes is S, which the solve overwrites with its
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -217,28 +188,17 @@ class Kernel:
     """Symmetric positive semi-definite matrix over an index space.
 
     ``Kernel(space, matrix, name)`` stores a dense kernel: a matrix with a non-finite entry or
-    an asymmetry above ``PSD_TOL`` is rejected.  The matrix is stored as (K + K^T) / 2; a
-    bitwise symmetric, C-ordered float64 one, which equals it bitwise, is kept itself, not
-    copied, and made read-only.  :func:`_stationary` stores a lag kernel: ``lags`` holds the
-    m values of its even profile p, finite, and K[s, t] = p[(s - t) mod ``space.shape``].
-    Its ``matrix`` is built by :func:`_circulant` when first read, and kept; no runner check
-    reads it, and :meth:`rows` and ``dft`` never build it.
+    an asymmetry above ``PSD_TOL`` is rejected, and the matrix is stored as (K + K^T) / 2 (a
+    bitwise symmetric, C-ordered float64 one is kept itself, read-only).  :func:`_stationary`
+    stores a lag kernel: ``lags`` holds the m values of its even profile p, and
+    K[s, t] = p[(s - t) mod ``space.shape``]; its ``matrix`` is built by :func:`_circulant`
+    when first read, and :meth:`rows` and ``dft`` never build it.
 
-    The PSD check computes, once per kernel:
-
-    * ``stationarity_spread``, the largest spread of K's entries over a
-      class of equal lag (s - t) mod ``space.shape`` (:func:`_lag_spread`),
-      which is 0 exactly when K is bitwise circulant over the index group;
-      a lag kernel's is 0 with no pass over the matrix;
-    * ``eigenvalues``, the ascending spectrum of the weighted operator
-      diag(w) K.  The gate is bitwise: a circulant K on equal weights has
-      the characters of the index group as eigenvectors, so its spectrum is
-      ``dft[0]``, sorted; any other K takes the dense ``eigvalsh`` of
-      sqrt(w) K sqrt(w), which by Sylvester's law of inertia is PSD exactly
-      when K is.
-
-    The other derived values are cached properties, computed when first read:
-    ``dft``, ``invariance_dev`` and ``irrep_spectra``.
+    The PSD check computes, once per kernel, ``stationarity_spread`` (:func:`_lag_spread`; 0
+    for a lag kernel, with no pass) and ``eigenvalues``, the ascending spectrum of diag(w) K:
+    ``dft[0]`` sorted when the spread is 0 on equal weights, else the dense spectrum of
+    sqrt(w) K sqrt(w), which by Sylvester's law of inertia is PSD exactly when K is.
+    ``dft``, ``invariance_dev`` and ``irrep_spectra`` are computed when first read.
     """
 
     space: IndexSpace
@@ -374,8 +334,8 @@ def _reuse(work: Optional[dict], key, shape: tuple) -> np.ndarray:
 
 def _lag_view(profile: np.ndarray, shape: tuple) -> np.ndarray:
     """The read-only (shape, shape) view K[s, t] = profile[(s - t) mod ``shape``], row-major in s
-    and t: a strided view of the profile doubled along every axis (:func:`_lag_spread`'s
-    layout), in which entry [s, t] sits at shape + s - t."""
+    and t: a strided view of the profile doubled along every axis, in which entry [s, t] sits
+    at shape + s - t.  It holds the doubled profile, 2^d m values, and no m x m array."""
     tiled = np.tile(np.reshape(profile, shape), (2,) * len(shape))
     st, start = tiled.strides, tuple(slice(n, None) for n in shape)
     return as_strided(tiled[start], shape + shape, st + tuple(-s for s in st), writeable=False)
@@ -399,33 +359,23 @@ def _stationary(column: np.ndarray, space: IndexSpace, name: str) -> Kernel:
 
 
 def _lag_spread(matrix: np.ndarray, shape: tuple) -> float:
-    """Max spread of ``matrix`` entries over the classes of equal lag (s - t) mod ``shape``.
+    """Max spread of ``matrix`` entries over the classes of equal lag (s - t) mod ``shape``:
+    0 exactly when the matrix is bitwise circulant over the index group.
 
-    With the column index doubled periodically along every axis, the
-    entries K[s, s + c] of lag -c sit at one stride pattern, so each row
-    chunk is read through one strided view, and the per-lag max and min
-    are kept across chunks of about ``CHUNK`` doubles, one held at a time.
-    Max and min are exact, so the spread is that of any other grouping of
-    the classes.
-    """
-    d, m = len(shape), matrix.shape[0]
-    k = matrix.reshape(shape + shape)
-    axes = tuple(range(d))
-    step = max(1, CHUNK // (2**d * m * (m // shape[0])))  # rows of the first axis
+    Row s of ``_lag_view(arange(m), shape)`` holds, at lag b, the column of row s with lag b,
+    so each row is gathered by lag into a buffer of ``CHUNK`` doubles, and the per-lag max
+    and min are kept across buffers: the pass holds about one ``CHUNK``.  Max and min are
+    exact, so the spread does not depend on the order the entries are read in."""
+    m = matrix.shape[0]
+    view, step = _lag_view(np.arange(m), shape), max(1, CHUNK // m)
+    buf = np.empty((min(step, m),) + shape)
     hi, lo = np.full(shape, -np.inf), np.full(shape, np.inf)
-    for a in range(0, shape[0], step):
-        tiled = np.tile(k[a : a + step], (1,) * d + (2,) * d)
-        st = tiled.strides
-        # view[s, c] = tiled[s, (a + s_1 + c_1, s_2 + c_2, ...)] = K[a + s, a + s + c]
-        view = as_strided(
-            tiled[(slice(None),) * d + (slice(a, None),)],
-            shape=tiled.shape[:d] + shape,
-            strides=tuple(st[i] + st[d + i] for i in axes) + st[d:],
-            writeable=False,
-        )
-        np.maximum(hi, view.max(axis=axes), out=hi)
-        np.minimum(lo, view.min(axis=axes), out=lo)
-        del tiled, view  # the next chunk is built with this one released
+    for a in range(0, m, step):
+        n = min(step, m - a)
+        for row, s in zip(buf, range(a, a + n)):
+            np.take(matrix[s], view[np.unravel_index(s, shape)], out=row, mode="clip")
+        np.maximum(hi, buf[:n].max(axis=0), out=hi)
+        np.minimum(lo, buf[:n].min(axis=0), out=lo)
     return float(np.max(hi - lo, initial=0.0))
 
 
@@ -567,17 +517,12 @@ def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
     """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it.
 
     Reports the largest deviation of the sum of the (pi, conj pi) blocks from K
-    (``sum_deviation``), the largest entry of any other block
-    (``max_cross_projection``), each block's weighted trace (``component_trace``), and
-    whether both maxima are at most ``tol``.  Each block is :func:`project_kernel`'s
-    R_{pi,sigma}, taken transposed, ``CHUNK`` doubles of rows at a time.  K is bitwise its
-    transpose, so rows J of R_pi^T (columns J of the projection of K's rows onto pi) are the
-    character sum of the rows inv_g[J] of K, which ``Kernel.rows`` reads, and projecting
-    their columns onto each sigma gives rows J of R_{pi,sigma}^T.  Both sums run in
-    :func:`invdecomp.groups.project_path`'s order, into buffers allocated once, so every
-    entry is bitwise the whole-matrix one.  The surviving blocks are summed in that
-    transposed frame, which K shares, and their diagonals are collected across the row
-    blocks, so that each trace is summed once.
+    (``sum_deviation``), the largest entry of any other block (``max_cross_projection``), each
+    block's weighted trace (``component_trace``), and whether both maxima are at most ``tol``.
+    Each block is :func:`project_kernel`'s R_{pi,sigma}, built transposed (K is bitwise
+    symmetric) ``CHUNK`` doubles of rows at a time from the rows of K that ``Kernel.rows``
+    reads, with both character sums in :func:`invdecomp.groups.project_path`'s order, so every
+    entry is bitwise the whole-matrix one.
     """
     action, m, w = _action(kernel), kernel.size, kernel.space.weights
     order, inv_perm = action.group.order, action.perm[action.group.inv]
@@ -625,28 +570,20 @@ def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
 
 
 def irrep_spectra(kernel: Kernel, table) -> dict:
-    """Ascending spectrum of each isotypic block B_pi, keyed by irrep label.
+    """Ascending spectrum of each isotypic block B_pi = U_pi^T S U_pi, keyed by irrep label.
 
-    For a real character the matrix P of :func:`project_path` is an
-    orthogonal projector that acts orbit by orbit, so it commutes with
-    diag(sqrt(w)) when the action preserves the weights.  With U_pi an
+    For a real character the projector P of :func:`project_path` acts orbit by orbit, so it
+    commutes with diag(sqrt(w)) when the action preserves the weights; with U_pi an
     orthonormal basis of its range and S = :func:`weighted_symmetric`,
-    sqrt(w) R_{pi,pi} sqrt(w) = P S P = U_pi B_pi U_pi^T for
-    B_pi = U_pi^T S U_pi.  B_pi thus has the nonzero spectrum of
-    diag(w) R_{pi,pi}, and its power sums are the :func:`weighted_traces` of
-    :func:`decompose_kernel`'s blocks, for any kernel, invariant or not.
-    B_pi is m_pi x m_pi, and the m_pi add up to m.
+    sqrt(w) R_{pi,pi} sqrt(w) = P S P = U_pi B_pi U_pi^T.  So B_pi, m_pi x m_pi with the m_pi
+    adding up to m, has the nonzero spectrum of diag(w) R_{pi,pi}, and its power sums are the
+    :func:`weighted_traces` of :func:`decompose_kernel`'s blocks, for any kernel.
 
-    Each column of U_pi lives on one orbit: it is an eigenvector of
-    eigenvalue 1 of the orbit's local projector, found by one batched
-    ``eigh`` per orbit size.  For a 1-dim character that is
-    sum_g chi(g) e_{g.i}, normalized, when chi is trivial on the stabilizer
-    of i, and nothing otherwise.  B_pi is built ``CHUNK`` doubles of its rows
-    at a time: row k of U_pi^T (S U_pi) adds the rows of S U_pi at the points of
-    column k, and those take gathered columns of the same rows of S, which
-    ``Kernel.rows`` reads and which are scaled as :func:`weighted_symmetric`
-    scales them.  So neither K, S nor the m x m_pi S U_pi is held, each sum
-    runs in the order of the whole-matrix products, and B_pi is bitwise theirs.
+    Each column of U_pi lives on one orbit: an eigenvector of eigenvalue 1 of the orbit's
+    local projector, one batched ``eigh`` per orbit size.  B_pi is built ``CHUNK`` doubles of
+    rows at a time from rows of S that ``Kernel.rows`` reads and that are scaled as
+    :func:`weighted_symmetric` scales them, so neither K, S nor S U_pi is held, and each sum
+    runs in the order of the whole-matrix products, so B_pi is bitwise theirs.
     """
     action = _action(kernel)
     if not table.real_valued():
@@ -719,12 +656,11 @@ def contract_power(kernel: Kernel, n: int) -> np.ndarray:
 def weighted_symmetric(kernel: Kernel) -> np.ndarray:
     """sqrt(w) K sqrt(w): symmetric, and similar to the weighted operator diag(w) K.
 
-    It is the F-ordered transpose of a C-ordered buffer that holds S^T: ``Kernel.rows`` fills
-    the buffer ``CHUNK`` doubles of rows at a time, each row block is scaled by sqrt(w) over
-    its columns and then by the sqrt(w) of its rows.  K is bitwise symmetric, so entry
-    [i, j] is (sqrt(w)_i K[i, j]) sqrt(w)_j bitwise, the two roundings of
-    (sqrt(w)[:, None] * K) * sqrt(w)[None, :], and the buffer holds S column-major, as
-    LAPACK reads it (:func:`_syevd`), with no m x m array but the result."""
+    It is the F-ordered transpose of a C-ordered buffer that ``Kernel.rows`` fills ``CHUNK``
+    doubles of rows at a time, so it holds S column-major, as LAPACK reads it (:func:`_syevd`),
+    with no m x m array but the result.  K is bitwise symmetric, so entry [i, j] is bitwise
+    that of (sqrt(w)[:, None] * K) * sqrt(w)[None, :].
+    """
     rw, m = np.sqrt(kernel.space.weights), kernel.size
     out, step = np.empty((m, m)), max(1, CHUNK // m)
     for a in range(0, m, step):
@@ -758,14 +694,13 @@ def _syevd(s: np.ndarray, vectors: bool):
     returns it) and, with ``vectors``, its eigenvectors: ``np.linalg.eigvalsh(s)`` or
     ``np.linalg.eigh(s)``, bitwise at the same BLAS thread count.
 
-    Both are LAPACK's dsyevd on the lower triangle of a column-major copy of ``s``, with the
-    queried workspace; this calls :func:`_openblas`'s dsyevd in place on the C-ordered buffer
-    ``s.T``, which holds ``s`` column-major, so the solve holds ``s`` and the workspace
-    (2 m^2 + 6 m + 1 doubles for vectors, 2 m + 1 without) and no copy, and the eigenvectors
-    overwrite ``s``: they are returned as ``s`` itself.  The lower triangle of a buffer
-    holding ``s`` row-major would be its upper triangle, which is not bitwise the lower one
-    when ``s`` is not bitwise symmetric.  A nonzero ``info`` raises ``LinAlgError``, as
-    numpy does.  Without the library numpy solves a copy."""
+    Both are LAPACK's dsyevd on the lower triangle of a column-major copy of ``s``; this calls
+    :func:`_openblas`'s dsyevd in place on the C-ordered buffer ``s.T``, which holds ``s``
+    column-major, so it reads the same triangle even where ``s`` is not bitwise symmetric.
+    The solve holds ``s`` and dsyevd's queried workspace and no copy, and the eigenvectors
+    overwrite ``s``, which is returned.  A nonzero ``info`` raises ``LinAlgError``, as numpy
+    does.  Without the library numpy solves a copy.
+    """
     lib = _openblas()
     if lib is None:
         return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)

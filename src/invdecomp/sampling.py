@@ -1,72 +1,47 @@
 """Seeded Gaussian ensembles, pair functionals, and the duplication-law check.
 
-:func:`law_check` states Watson's duplication law once for Z2^d on
-[0, 1]^d and runs it on the kernel it is given; the runner passes the kernel
-it built.  :func:`duplication_check` (d = 1) and
+:func:`law_check` states Watson's duplication law once for Z2^d on [0, 1]^d and runs it on
+the kernel it is given; :func:`duplication_check` (d = 1) and
 :func:`quadruplication_check` (d = 2) build that kernel from a config.
 
 Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
-The sample axis is cut into fixed blocks of ``BLOCK`` columns.  Block b
-(columns b*BLOCK, ..., b*BLOCK + BLOCK - 1) of an ensemble is drawn from
-one SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream, b))``
-(:func:`_block_generator`), numpy's pattern for independent parallel
-streams, in row-major order: the generator's first r normals are the block's
-first column, the next r its second, and so on, r being the rank the sampler
-keeps (below).  A shorter last block takes a prefix of its generator's draw,
-so the normals behind the first k columns are the same in every draw of at
-least k columns with the same seed and stream.  A block drawn in chunks,
-read in turn from its one generator (:func:`draw_chunks`, :func:`_chi2_sum`;
-about ``CHUNK`` doubles per streamed array), gets the same variates as when
-it is drawn at once.  The samples agree bitwise over full blocks, and to
-roundoff in a partial one, where BLAS may pick another kernel for another
-column count.  ``BLOCK`` is part of the contract: changing it changes the
-samples.  This is the fourth contract (``-v4``).
+The sample axis is cut into blocks of ``BLOCK`` columns.  Block b of an ensemble is drawn
+from one SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(stream, b))``
+(:func:`_block_generator`), row-major: its first r normals are the block's first column,
+the next r its second, and so on.  A shorter last block takes a prefix of that draw, so the
+first k columns are the same in every draw of at least k columns with the same seed and
+stream, and a block drawn in chunks from its one generator (:func:`draw_chunks`,
+:func:`_chi2_sum`) gets the variates of one fill.  The samples agree bitwise over full
+blocks, and to roundoff in a partial one, where BLAS may pick another kernel for another
+column count.  Changing ``BLOCK`` changes the samples.
 
-A column holds r normals, one per eigenvalue that :func:`_clip_spectrum`
-keeps of the weighted spectrum: normal k is the coordinate on the k-th kept
-eigenvalue in ascending order, the Karhunen-Loeve coordinates.  Every
-sampler reads the normals this way.  The path samplers draw through
-:func:`draw_chunks`, which applies an m x r factor to r x ncols normals:
-``sample`` each block at once (:func:`draw_block`) with the factor of
-:func:`covariance_factor`, and the streamed torus parity check
-(``invdecomp.torus.torus_watson_check``, stream 0) each block in chunks with
-that of ``invdecomp.torus.fourier_factor``, whose columns are the cos/sin
-characters of the torus, applied axis by axis.
+A column holds r normals, one per eigenvalue that :func:`_clip_spectrum` keeps: normal k is
+the Karhunen-Loeve coordinate on the k-th kept eigenvalue, ascending, in every sampler.
+The path samplers apply an m x r factor to them through :func:`draw_chunks`: ``sample``
+that of :func:`covariance_factor`, and the torus parity check
+(``invdecomp.torus.torus_watson_check``, stream 0) that of
+``invdecomp.torus.fourier_factor``.
 
-Both sides of a law check are weighted chi^2 sums over a kept spectrum, drawn
-with no paths by one sampler, :func:`_chi2_sum`: a weight of one degree of
-freedom reads normals, and a weight of two reads standard exponentials, since
-chi^2_2 = 2 Exp(1), with the same per-block keying.  :func:`pair_functional`
-splits the kept spectrum into runs of bitwise-equal values (never equal
-within a tolerance); a run of L values lambda gives L // 2 pairs and, for odd
-L, one leftover.  The leftovers, ascending, take the normals above: normal k
-of a column on stream s = ``streams[0]`` (and ``streams[1]``) belongs to the
-k-th leftover.  The pairs, ascending, take one exponential per column on
-stream s + ``EXP_STREAM`` (2^15), row-major, so ``streams`` must lie below
-2^15, and these ids never meet the streams 0 to 3 of the law check.  The
-right side of :func:`law_check` has pairs only: stream 2 holds G^A and
-stream 3 G^B.  A column takes h*r exponentials of its block's stream,
-row-major, h = 2^(d-1) on [0, 1]^d; exponential j*r + k adds to the k-th
-ascending kept eigenvalue of the tied-down kernel.  No second stream is
-drawn at rho = 1.
+Both sides of a law check are weighted chi^2 sums over a kept spectrum, drawn with no
+paths by :func:`_chi2_sum`: a weight of one degree of freedom reads normals, and a weight
+of two reads standard exponentials (chi^2_2 = 2 Exp(1)), keyed per block alike.
+:func:`pair_functional` splits the kept spectrum into runs of bitwise-equal values; a run
+of L values gives L // 2 pairs and, for odd L, one leftover.  Leftover k, ascending, takes
+normal k of stream ``streams[0]`` (and ``streams[1]``); pair k, ascending, takes
+exponential k of stream s + ``EXP_STREAM`` (2^15), so ``streams`` lie below 2^15 and never
+meet the law check's streams 0 to 3.  The right side of :func:`law_check` has pairs only,
+G^A on stream 2 and G^B on stream 3: a column takes h*r exponentials, h = 2^(d-1), and
+exponential j*r + k weights the k-th ascending kept eigenvalue of the tied-down kernel.
+No second stream is drawn at rho = 1.
 
-All heavy numerics run over these blocks through one runner,
-:func:`_each_block`, which states how workers take the blocks, keep their
-buffers and return the results.  Threads are opt-in: sampling runs in one
-worker unless the ``INVDECOMP_THREADS`` environment variable holds a
-positive integer, which then sets the pool size.  Workers
-only distribute whole blocks, so identical (kernel, count, seed) inputs give
-bit-identical ensembles and functionals under any parallelism degree.
+Every sampler runs its blocks through :func:`_each_block`, in one worker unless
+``INVDECOMP_THREADS`` holds a positive integer, the pool size.  Workers take whole blocks,
+so equal (kernel, count, seed) inputs give bitwise-equal ensembles and functionals at any
+worker count.
 
-The statistics of the in-law checks, Smirnov's two-sample KS distance
-(:func:`ks_statistic`) and Fisher's k-statistics (:func:`kstat`), are
-computed in numpy, term for term as scipy 1.17.1's ``ks_2samp`` and
-``kstat`` compute them, so their values are bitwise scipy's.  The KS
-distance is one more ``CHUNK``-bounded pass: it evaluates both empirical
-CDFs ``CHUNK`` sample points at a time and keeps their difference's running
-max and min, which are exact, so it holds the two sorted samples and a few
-chunks, never their concatenation.
+:func:`ks_statistic` and :func:`kstat` compute term for term as scipy 1.17.1's
+``ks_2samp`` and ``kstat``, so their values are bitwise scipy's.
 """
 
 from __future__ import annotations
@@ -121,12 +96,9 @@ KS_EXACT_MAX = 10_000  # ks_2samp's exact mode, which snaps the distance, up to 
 
 
 def worker_count() -> int:
-    """Worker pool size: the positive integer in INVDECOMP_THREADS, else 1.
-
-    Unset, empty, non-integer and non-positive values all mean one worker;
-    the machine's CPU count is never consulted.  The value changes speed
-    only, never results.
-    """
+    """Worker pool size: the positive integer in INVDECOMP_THREADS, else 1 (unset, empty,
+    non-integer or non-positive; the CPU count is never read).  It changes speed only, never
+    results."""
     try:
         n = int(os.environ.get("INVDECOMP_THREADS", ""))
     except ValueError:
@@ -135,12 +107,9 @@ def worker_count() -> int:
 
 
 def _block_generator(seed: int, stream: int, a: int) -> Generator:
-    """The generator of the block that starts at column ``a``: the one keying rule.
-
-    SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``.
-    Raises unless seed, stream id and block index fit in 64, 16 and 48 bits,
-    so that no two blocks alias.
-    """
+    """The generator of the block that starts at column ``a``, the one keying rule: SFC64 seeded
+    by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``.  Raises unless seed, stream and
+    block index fit in 64, 16 and 48 bits, so that no two blocks alias."""
     block = a // BLOCK
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
@@ -154,19 +123,12 @@ def _block_generator(seed: int, stream: int, a: int) -> Generator:
 def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: int):
     """Columns a, ..., b-1 of an ensemble with the m x r factor ``l``, ``width`` at a time.
 
-    ``l`` is an array or a factor that multiplies like one (``shape`` and
-    ``@``), such as ``invdecomp.torus.FourierFactor``.  ``a`` is the first
-    column of a block and ``b`` at most its end.  Each
-    column draws r normals, its coordinates on the r kept eigenvalues, which
-    column k of ``l`` carries in ascending order.  The chunks' normals are
-    read in turn from the block's one generator, so they are bitwise those of
-    one fill of the whole block, and only one chunk of them is held.
-    Yields (first column, m x ncols paths, ncols x r normals), the paths
-    being ``l`` times the normals' transpose; the normals are one buffer,
-    refilled for the next chunk, so a caller that keeps them copies them (and
-    the paths too, when ``l`` refills one buffer with its products).
-    Every path sampler draws through here, so every ensemble follows
-    ``RNG_CONTRACT`` and the coordinate rule.
+    ``l`` is an array or multiplies like one (``shape`` and ``@``), such as
+    ``invdecomp.torus.FourierFactor``; ``a`` is the first column of a block and ``b`` at most
+    its end.  Yields (first column, m x ncols paths ``l @ normals.T``, ncols x r normals).  The
+    chunks read the block's one generator in turn, so the normals are bitwise one fill's, and
+    one chunk of them is held: the normals (and the paths, when ``l`` refills one buffer with
+    its products) are refilled for the next chunk, so a caller that keeps them copies them.
     """
     normals = _block_generator(seed, stream, a)
     xi = np.empty((min(width, b - a), l.shape[1]))
@@ -185,13 +147,10 @@ def draw_block(l: np.ndarray, seed: int, stream: int, a: int, b: int) -> np.ndar
 def _each_block(count: int, fn):
     """Yields ``fn(a, b, work)`` for each block a, ..., b-1 of ``count`` columns, in block order.
 
-    The one runner of the samplers, and the one statement of its worker rule.
-    Workers take waves of one block each, and worker i keeps its ``work``
-    dict, for the buffers it reuses, from its first block to its last, so a
-    block after a worker's first touches no fresh page.  A wave starts once
-    the caller has taken the last one's results, so at most one result per
-    worker is alive, and the results come back in block order, so a sum over
-    blocks is added in one order whatever the worker count.
+    Workers take waves of one block each, and worker i keeps one ``work`` dict for the buffers
+    it reuses over its blocks.  A wave starts once the caller has taken the last one's results,
+    so at most one result per worker is alive, and the results come back in block order, so a
+    sum over blocks is added in one order at any worker count.
     """
     blocks = [(a, min(a + BLOCK, count)) for a in range(0, count, BLOCK)]
     works = [{} for _ in range(min(worker_count(), len(blocks)))]
@@ -208,12 +167,9 @@ def _each_block(count: int, fn):
 def _clip_spectrum(evals: np.ndarray) -> np.ndarray:
     """The kept suffix of the ascending ``evals``: those at least EIG_CLIP * lambda_max.
 
-    The one clip rule of the sampled laws, whose size r is the rank sampled:
-    :func:`covariance_factor` applies it to the eigenvalues of
-    ``weighted_eigh``, ``invdecomp.torus.fourier_factor`` to the DFT
-    spectrum, and :func:`pair_functional` and :func:`law_check` to
-    ``Kernel.eigenvalues``, so every sampler of a kernel draws a law of the
-    same rank.
+    The one clip rule, whose size r is the rank sampled: :func:`covariance_factor`,
+    ``invdecomp.torus.fourier_factor``, :func:`pair_functional` and :func:`law_check` apply it,
+    so every sampler of a kernel draws a law of the same rank.
     """
     lmax = float(evals[-1]) if evals.size else 0.0
     if lmax <= 0.0:
@@ -222,15 +178,12 @@ def _clip_spectrum(evals: np.ndarray) -> np.ndarray:
 
 
 def covariance_factor(kernel: Kernel) -> np.ndarray:
-    """The m x r Karhunen-Loeve factor L = W^-1/2 V_r diag(sqrt(lambda_r)), with L L^T = K.
+    """The m x r Karhunen-Loeve factor L = W^-1/2 V_r diag(sqrt(lambda_r)), W = diag(w), with
+    L L^T = K up to the clipped tail.
 
-    (lambda, V) = :func:`invdecomp.kernels.weighted_eigh` and W = diag(w).
-    The r eigenvalues that :func:`_clip_spectrum` keeps are the last r of the
-    ascending spectrum, and V_r, lambda_r are those columns and values, so
-    L L^T = W^-1/2 (W^1/2 K W^1/2) W^-1/2 = K up to the clipped tail.  Column
-    j of L is the j-th kept eigenfunction scaled by its sqrt(eigenvalue); a
-    kernel with nothing kept gives an (m, 0) factor.  Eigendecomposition
-    rather than Cholesky: discretized kernels are routinely rank-deficient.
+    (lambda, V) = :func:`invdecomp.kernels.weighted_eigh`, and lambda_r, V_r are the r values
+    and columns that :func:`_clip_spectrum` keeps; nothing kept gives an (m, 0) factor.
+    Eigendecomposition, not Cholesky: discretized kernels are routinely rank-deficient.
     """
     evals, vecs = weighted_eigh(kernel)
     lam, m = _clip_spectrum(evals), kernel.size
@@ -302,16 +255,12 @@ def _chi2_sum(
     """``count`` draws of sum_k single_k xi_k (rho xi_k + c eta_k)
     + sum_k pairs_k [(1+rho) E^A_k - (1-rho) E^B_k], c = sqrt(1 - rho^2).
 
-    The one sampler of the law checks' weighted chi^2 sums.  Per block, xi and
-    eta are the normals of ``streams[0]`` and ``streams[1]``, a row of
-    single.size per column, and E^A and E^B the standard exponentials of
-    ``exp_streams[0]`` and ``exp_streams[1]``, a row of pairs.size per column.
-    The exponentials are read in turn from each stream's one generator, about
-    ``CHUNK`` doubles at a time, and each chunk's row GEMV is added into the
-    block's output at once, so the block's whole draw of them is never held.
-    The variates are bitwise those of one fill, and so is the result wherever
-    BLAS computes a chunk's rows as it does in the whole block (a full block,
-    on OpenBLAS).  No second stream is drawn at rho = 1.
+    Per block, xi and eta are the normals of ``streams[0]`` and ``streams[1]``, single.size per
+    column, and E^A and E^B the standard exponentials of ``exp_streams``, pairs.size per column;
+    no second stream is drawn at rho = 1.  The exponentials are drawn and summed about ``CHUNK``
+    doubles at a time from each stream's one generator, so they are bitwise one fill's, and so
+    is the result wherever BLAS computes a chunk's rows as it does the whole block's (a full
+    block, on OpenBLAS).
     """
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     # a multiple of 16 rows, so that OpenBLAS splits and unrolls each chunk's GEMV
@@ -355,20 +304,12 @@ def pair_functional(
 ) -> np.ndarray:
     """Streamed J = sum_i w_i Z1[i] Z2[i] per sample, for Z2 = rho Z1 + sqrt(1-rho^2) Z1'.
 
-    Z1 and Z1' are independent paths with covariance K.  Drawn as
-    :func:`sample` draws them, Z1 = L xi and Z1' = L eta with the normals
-    xi, eta of one column and the factor L of :func:`covariance_factor`, the
-    functional is exactly J = sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k),
-    since L^T W L = diag(lambda_r).  So J is drawn from the kept spectrum
-    alone: O(r) per column, no paths and no eigenvectors.
-
-    Each term xi (rho xi + c eta) has the law of ((1+rho) U^2 - (1-rho) V^2) / 2,
-    so two terms with the same lambda add up, in law, to
-    lambda [(1+rho) E^A - (1-rho) E^B] with standard exponentials E, since
-    chi^2_2 = 2 Exp(1).  :func:`_tie_split` cuts the kept spectrum into the
-    pairs of its runs of bitwise-equal values and its single leftovers, and
-    :func:`_chi2_sum` draws the singles on ``streams`` and the pairs on
-    ``streams`` + ``EXP_STREAM``.
+    Z1 and Z1' are independent paths with covariance K.  With Z1 = L xi and Z1' = L eta as
+    :func:`sample` draws them, L^T W L = diag(lambda_r) makes J exactly
+    sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k): no paths and no eigenvectors.  Two
+    terms with one lambda add up, in law, to lambda [(1+rho) E^A - (1-rho) E^B] with standard
+    exponentials E, so :func:`_chi2_sum` draws :func:`_tie_split`'s pairs on ``streams`` +
+    ``EXP_STREAM`` and its leftovers on ``streams``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -411,15 +352,14 @@ def kstat(data: np.ndarray, n: int) -> float:
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    """Smirnov's two-sample KS distance, sup_x |F_a(x) - F_b(x)| of the empirical CDFs.
+    """Smirnov's two-sample KS distance sup_x |F_a(x) - F_b(x)|, bitwise
+    ``scipy.stats.ks_2samp(a, b).statistic``.
 
-    Both CDFs are evaluated at every sample point (right-continuous, so ties
-    count fully), ``CHUNK`` points at a time, keeping a running max and min
-    of their difference; so the call holds sorted copies of both samples
-    and a few chunks.  When both sizes are at most ``KS_EXACT_MAX`` the
-    distance is rounded to the nearest multiple of 1/lcm(n_a, n_b), the
-    lattice it lives on, as the exact mode of ``scipy.stats.ks_2samp``
-    rounds it; so the value is bitwise ``ks_2samp(a, b).statistic``.
+    Both right-continuous empirical CDFs are evaluated at every sample point, ``CHUNK`` points
+    at a time, keeping their difference's running max and min, which are exact; so the call
+    holds the two sorted samples and a few chunks.  When both sizes are at most
+    ``KS_EXACT_MAX`` the distance is rounded to its lattice 1/lcm(n_a, n_b), as ks_2samp's
+    exact mode rounds it.
     """
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.size, b.size
@@ -459,10 +399,8 @@ def compare_distributions(a: np.ndarray, b: np.ndarray) -> dict:
 
 
 def null_ks_critical(count: int) -> float:
-    """Null two-sample KS critical value for two samples of ``count`` each:
-    c * sqrt(2 / count) with c = 2.2, the asymptotic Kolmogorov point with
-    tail 2 exp(-2 c^2) ~ 1.25e-4, so a true null exceeds it with probability
-    about 1.25e-4 (the 99.9% point would be c ~ 1.95)."""
+    """Null two-sample KS critical value for two samples of ``count`` each: c * sqrt(2 / count)
+    with c = 2.2, which a true null exceeds with probability about 2 exp(-2 c^2) ~ 1.25e-4."""
     return 2.2 * np.sqrt(2.0 / count)
 
 
@@ -502,25 +440,18 @@ def law_check(
 ) -> dict:
     """Watson's duplication law on [0, 1]^d, for a compensated ``kernel``.
 
-    A Gaussian law invariant under Z2^d splits into 2^d parts, each with the
-    law of the tied-down functional, so the compensated functional equals in
-    law 4^-d times the sum of 2^d independent tied-down ones: duplication in
-    1-d, quadruplication on the square.  The tied-down partner that the
-    kernel's ``BUILTINS`` record names is built on ``kernel.space``.  The
-    left side is :func:`pair_functional` of ``kernel`` on streams (0, 1).
+    A Gaussian law invariant under Z2^d splits into 2^d parts, each with the law of the
+    tied-down functional, so the compensated functional equals in law 4^-d times the sum of
+    2^d independent tied-down ones.  The left side is :func:`pair_functional` of ``kernel`` on
+    streams (0, 1).  The right side is that sum in chi^2 form, exact in law with no copies
+    drawn: sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k] over the kept spectrum mu of the partner
+    that the kernel's ``BUILTINS`` record names, built on ``kernel.space``, each G_k a sum of
+    h = 2^(d-1) standard exponentials (:func:`_chi2_sum`, streams 2 and 3).  The factor 4^-d is
+    a power of 2, so exact.
 
-    The right side is drawn from its chi^2 form, exactly in law and without
-    drawing the copies.  Over the copies the U^2 and the V^2 of
-    ((1+rho) U^2 - (1-rho) V^2) / 2 add up to chi^2 variates with 2^d degrees
-    of freedom, so the sum is sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k] on
-    the tied-down kept spectrum mu, each G_k the sum of h = 2^(d-1) standard
-    exponentials: :func:`_chi2_sum` of h tiled copies of mu on streams 2
-    and 3.  Its weights take the factor 4^-d, a power of 2, so exactly.
-
-    The two sides pass when their KS distance is below ``ks_tol`` (by default
-    :func:`null_ks_critical`) and their first three k-statistic gaps are within
-    5 standard deviations of the sampling noise of both sides, plus the
-    systematic offset between the two discrete analytic cumulant sequences.
+    It passes when the KS distance is below ``ks_tol`` (by default :func:`null_ks_critical`)
+    and the first three k-statistic gaps are within 5 standard deviations of both sides'
+    sampling noise plus the offset between the two analytic cumulant sequences.
     """
     partner = getattr(BUILTINS.get(kernel.name), "tied", None)
     if partner is None:

@@ -6,14 +6,10 @@ inner product ``<f, g>_w = sum_i f_i g_i w_i``.  When the kernel is invariant
 under a group action, each eigenvalue cluster spans a representation of the
 group and splits canonically into character-projected sub-spaces.
 
-:func:`check_eigenspace_invariance` and :func:`canonical_decomposition`
-work on slabs: clusters of one width k, in cluster order, at most
-``SLAB // k`` of them (one when k > SLAB).  A slab's columns are gathered
-once; each group element is one row gather of the slab, each irrep one
-:func:`invdecomp.groups.project_path` call and one stacked SVD, so every
-cluster's SVD sees the same input as a cluster-by-cluster loop.  Beyond
-their outputs the two functions hold one slab's arrays at a time, a few
-``max(SLAB, k) * m`` blocks.  The invariance check returns a JSON-ready dict.
+:func:`check_eigenspace_invariance` and :func:`canonical_decomposition` work on slabs of clusters
+of one width k, at most ``SLAB // k`` of them (one when k > SLAB), so every cluster's SVD sees the
+input of a cluster-by-cluster loop, and beyond their outputs they hold a few
+``max(SLAB, k) * m`` blocks at a time.
 """
 
 from __future__ import annotations

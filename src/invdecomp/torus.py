@@ -6,29 +6,13 @@ eigenexpansion.  Sampling such a kernel and splitting each path into odd and
 even parts about negation yields two uncorrelated (hence independent)
 Gaussian processes whose quadratic functionals can be compared in law.
 
-A stationary kernel on a grid torus depends on t - s alone, so it is
-(block-)circulant: ``kernels._stationary``, the builder of every stationary
-kernel, keeps its m lag values (``Kernel.lags``), and the m x m matrix is
-built from them only if it is read.  The DFT of those values is the
-kernel's spectrum.  The PSD check of a bitwise circulant kernel
-reads its eigenvalues from it and stores its stationarity spread, by the
-one rule that ``invdecomp.kernels`` applies on every grid, and
-:func:`fourier_factor` builds from the same DFT (``Kernel.dft``, taken once)
-the factor that samples the kernel, so neither runs an eigendecomposition; a kernel that is not bitwise
-stationary is still solved densely.  The factor's columns are characters of
-the grid's index group; :func:`_angles` gives every character's phases here,
-and a :class:`FourierFactor` folds each sine onto its cosine partner and
-applies its columns by one matrix product per axis.
-
-:func:`torus_watson_check` streams its samples: each block of the
-sampling contract is drawn, split and reduced :func:`_chunk_width` columns
-at a time (64 at m = 1024, 256 up to m = 256), and takes its odd/even
-cross-covariance from the Gram of the factor's sine and cosine normals, so
-its working set is O(r ``SPLIT_COLUMNS`` + m width) on top of its rank-r
-factor, never m x ``BLOCK``, in per-worker buffers
-(``invdecomp.sampling._each_block``).  It
-reads its kernel's rows a chunk at a time (``Kernel.rows``), so the torus path
-builds no m x m array.
+A stationary kernel on a grid torus is (block-)circulant over the grid's index group, so
+``kernels._stationary`` keeps only its m lags, and their DFT (``Kernel.dft``) gives both
+its spectrum, which its PSD check reads, and the closed-form factor that samples it
+(:func:`fourier_factor`): neither runs an eigendecomposition.  A kernel that is not bitwise
+stationary is solved densely.  :func:`torus_watson_check` streams its samples through that
+factor :func:`_chunk_width` columns at a time and reads its kernel by ``Kernel.rows``, so
+the torus path builds no m x m array.
 """
 
 from __future__ import annotations
@@ -219,13 +203,9 @@ class TorusKernelSpec:
 
 
 def _angles(shape: Sequence[int], index: np.ndarray) -> np.ndarray:
-    """2 pi <b, a/n> on every grid point a (rows, row-major) for each index b
-    (columns) of the (r, d) ``index``.
-
-    The turns b_k a_k mod n_k are taken in integers, so an index and its
-    aliases b + n_k e_k give bitwise equal characters.  Axis k's n_k x r turns
-    are added in axis order by broadcasting, into one m x r array.
-    """
+    """2 pi <b, a/n> on every grid point a (rows, row-major) for each index b (columns) of the
+    (r, d) ``index``.  The turns b_k a_k mod n_k are taken in integers, so an index and its
+    aliases b + n_k e_k give bitwise equal characters."""
     d, theta = len(shape), 0.0
     for k, (b, n) in enumerate(zip(np.asarray(index).T, shape)):
         turns = np.multiply.outer(np.arange(n), b) % n / n
@@ -286,12 +266,8 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
 
 
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
-    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid.
-
-    The sum is evaluated once per lag, as one product of the m x p cosines
-    of the p dual vectors on the grid points (no sines are taken), and kept as
-    the kernel's lags by ``kernels._stationary``; the result is exactly stationary.
-    """
+    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid, evaluated once
+    per lag and kept as the kernel's lags by ``kernels._stationary``, so exactly stationary."""
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     cos = _angles(grid.shape, spec.vectors)
@@ -300,16 +276,10 @@ def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
 
 
 def torus_watson(grid: TorusGrid) -> Kernel:
-    """Compensated-quadratic stationary kernel, exact on the grid.
-
-    Per-axis profile phi(u) = (u - 1/2)^2/2 - 1/24 of the fractional lag
-    (``kernels._circle_profile``), multiplied across axes.  On the unit
-    circle this is the compensated bridge covariance
-    min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry.  The profile is
-    evaluated on the m lags, the fractional coordinates, and kept as the
-    kernel's lags by ``kernels._stationary``, so it is exactly circulant per
-    axis.
-    """
+    """Compensated-quadratic stationary kernel, exact on the grid: the per-axis profile
+    (u - 1/2)^2/2 - 1/24 of the fractional lag (``kernels._circle_profile``), multiplied
+    across axes and kept as the kernel's lags by ``kernels._stationary``.  On the unit circle
+    it is the compensated bridge min(s,t) - (s+t)/2 + (s-t)^2/2 + 1/12, entry for entry."""
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
     return _stationary(_circle_profile(grid.frac).prod(axis=1), grid, TORUS_KERNEL)
@@ -319,22 +289,15 @@ def torus_watson(grid: TorusGrid) -> Kernel:
 class FourierFactor:
     """The m x r factor of :func:`fourier_factor`, applied axis by axis.
 
-    Column j is ``scale[j] * (sin if sine[j] else cos)(2 pi <b, a/n>)`` on grid
-    point a, for the kept index b = ``index[j]``.  ``l @ xi`` multiplies it
-    into an (r, ncols) operand without building the matrix.
-
-    A cosine column is Re e^{i theta_b}; a sine column's index is the larger
-    of b and -b, and sin theta_b = -sin theta_{-b} = Re i e^{i theta_{-b}}.
-    So each column folds onto the smaller of its index and its negation, a
-    cosine into the re slot and a sine into the im slot.  As <b, a/n> =
-    sum_k b_k a_k / n_k, the characters then factor over the axes, as in the
-    row-column DFT: ``l @ xi`` writes each column's scaled normal into a
-    (re/im, s_1, ..., s_d) array over the box of the folded indices (their
-    distinct coordinates per axis, (c + 1) (2c + 1)^(d-1) at cutoff c) and
-    turns axis k's s_k frequencies into its n_k points by one matrix product
-    with rows (a_k, re/im) of the rotations [[C, -S], [S, C]] of
-    2 pi a_k b_k / n_k, only [C, -S] on the last axis.  The paths land as
-    (m, ncols), row-major, and agree with the matrix to roundoff.
+    Column j is ``scale[j] * (sin if sine[j] else cos)(2 pi <b, a/n>)`` on grid point a, for
+    the kept index b = ``index[j]``.  ``l @ xi`` multiplies it into an (r, ncols) operand
+    without building the matrix and agrees with the matrix to roundoff.  As in the row-column
+    DFT, each column folds onto the smaller of b and -b (a sine, since
+    sin theta_b = Re i e^{i theta_{-b}}, into the im slot); the scaled normals fill a
+    (re/im, s_1, ..., s_d) array over the box of the folded indices ((c + 1) (2c + 1)^(d-1)
+    at cutoff c), and axis k's s_k frequencies turn into its n_k points by one product with
+    the rotations [[C, -S], [S, C]] of 2 pi a_k b_k / n_k, only [C, -S] on the last axis.
+    The paths land as (m, ncols), row-major.
     """
 
     grid_shape: tuple  # (n_1, ..., n_d)
@@ -387,23 +350,17 @@ class FourierFactor:
 def fourier_factor(kernel: Kernel) -> FourierFactor:
     """The m x r Karhunen-Loeve factor of a stationary torus kernel, in closed form.
 
-    Whatever the lattice basis, a stationary kernel is circulant on the index
-    group Z_n1 x ... x Z_nd of its grid, whose characters are therefore its
-    eigenvectors (the circulant case of Wood and Chan, 1994): index b
-    has eigenvalue lambda_b = w * Re DFT(K[:, 0])_b of diag(w) K
-    (``kernel.dft``, which the kernel's PSD check already took) and
-    pairs with -b, the grid's negation of b.  Over a +-pair the two complex
-    characters give one cos and one sin column; a self-conjugate b (b = -b)
-    gives one cos column, which is +-1.  Column b of L, on grid point a, is
+    Whatever the lattice basis, a stationary kernel is circulant on its grid's index group
+    Z_n1 x ... x Z_nd, whose characters are therefore its eigenvectors (Wood and Chan, 1994):
+    index b has the eigenvalue lambda_b of ``kernel.dft`` and pairs with its negation -b.
+    Column b of L, on grid point a, is
 
         sqrt(c_b lambda_b / (w m)) * (cos if b <= -b else sin)(2 pi <b, a/n>),
 
-    c_b = 1 if b = -b else 2, so L L^T = K.  The columns are those that
-    :func:`invdecomp.sampling._clip_spectrum` keeps of the spectrum, in
-    ascending order, ties in index order, so normal k of a column is the
-    coordinate on the k-th kept eigenvalue as for every sampler.  The
-    kernel is assumed stationary (see :func:`stationarity_spread`).  The
-    factor is a :class:`FourierFactor`, which applies L axis by axis.
+    c_b = 1 if b = -b (one cos column, +-1) else 2, so L L^T = K.  The columns are those that
+    :func:`invdecomp.sampling._clip_spectrum` keeps, ascending, ties in index order, so normal
+    k is the coordinate on the k-th kept eigenvalue as in every sampler.  The kernel is
+    assumed stationary (:func:`stationarity_spread`).
     """
     grid = kernel.space
     if not isinstance(grid, TorusGrid):
@@ -418,12 +375,8 @@ def fourier_factor(kernel: Kernel) -> FourierFactor:
 
 
 def stationarity_spread(kernel: Kernel) -> float:
-    """Max spread of kernel entries over equal t-s (mod lattice) classes.
-
-    The value the kernel's PSD check computed over its grid's index shape
-    (``Kernel.stationarity_spread``); 0 exactly when the kernel is bitwise
-    circulant.
-    """
+    """``kernel.stationarity_spread`` of a kernel on a torus grid: the max spread of its entries
+    over equal t - s (mod lattice) classes, 0 exactly when it is bitwise circulant."""
     if not isinstance(kernel.space, TorusGrid):
         raise KernelError("need a torus grid")
     return kernel.stationarity_spread
@@ -434,13 +387,10 @@ def parity_decompose(
 ) -> tuple[PathEnsemble, PathEnsemble]:
     """Odd/even split about negation: X1 = (X - X o neg)/2, X2 = X - X1.
 
-    X1 + X2 recovers X up to one rounding of the complement (exact in real
-    arithmetic; <= 1 ulp of the parts' magnitude in floats).  X1 vanishes
-    bitwise at the fixed points of the negation -- the grid images of 0 and
-    the half-lattice vector -- so X2 equals X there exactly.  On the circle
-    the parts are precisely the sign- and trivial-character projections of
-    the two-element reflection group.  ``out``, two writable arrays of the
-    samples' shape, receives X1 and X2 in place of new arrays.
+    X1 + X2 recovers X to one rounding of the complement.  X1 vanishes bitwise at the fixed
+    points of the negation, so X2 equals X there.  On the circle the parts are the sign- and
+    trivial-character projections of the reflection group.  ``out``, two writable arrays of
+    the samples' shape, receives X1 and X2 in place of new arrays.
     """
     action = ensemble.space.action
     if action is None or action.group.order != 2:
@@ -457,16 +407,13 @@ def parity_decompose(
 
 
 def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
-    """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part of a path covariance.
+    """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part cov = (K + K o neg) / 2 of
+    a path covariance K, for every nonzero dual vector v.
 
-    ``rows(index)`` gives the rows ``index`` of the covariance K, as ``Kernel.rows``
-    does.  The even part of K is cov = (K + K o neg) / 2, negation acting
-    on the columns.  The weighted, normalized cos and sin vectors of every
-    nonzero dual vector are stacked as the columns of one matrix B, and all
-    the quadratic forms are the column sums of B * (cov @ B).  K, cov and
-    cov @ B are read or built :func:`_chunk_width` rows at a time, so none is
-    ever held whole, and each chunk's rows of B * (cov @ B) are added into the
-    sums one row at a time, in row order, as ``np.sum(axis=0)`` adds them.
+    ``rows(index)`` gives rows of K, as ``Kernel.rows`` does.  The forms are the column sums
+    of B * (cov @ B), B the weighted, normalized cos and sin vectors.  K, cov and cov @ B are
+    taken :func:`_chunk_width` rows at a time, never whole, and the rows are added in row
+    order, as ``np.sum(axis=0)`` adds them.
     """
     w, neg, step = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
     b = spec.vectors[np.any(spec.vectors, axis=1)]
@@ -495,70 +442,36 @@ def torus_watson_check(
 ) -> dict:
     """Sample a stationary torus kernel and audit the parity identities.
 
-    Checks, per sample: the energy split under both factor conventions
-    (halved parts X1, X2 as defined above, and the unhalved combinations
-    X(t) -+ X(-t)); independence of the parts through empirical
-    cross-covariance; and equality in law of the two part energies.  The
-    even part is expanded against both cosine and sine frequencies so the
-    two readings of its expansion are reported side by side.  The unhalved
-    parts are 2 X1 and 2 X2, whose energies are 4 e1 and 4 e2 exactly, so
-    the ``unhalved_quarter`` residual is bitwise that of ``halved_sum``: it
-    is implied by it, computed once, and reported to name the convention.
+    Checks, per sample: the energy split under both factor conventions (the halved parts
+    X1, X2 of :func:`parity_decompose`, and the unhalved X(t) -+ X(-t)); independence of the
+    parts through their empirical cross-covariance; and equality in law of the two part
+    energies.  The even part is expanded against both cosine and sine frequencies, and both
+    readings are reported.  The unhalved parts are 2 X1 and 2 X2, whose energies are 4 e1 and
+    4 e2 exactly, so ``unhalved_quarter`` is bitwise ``halved_sum``: computed once, and
+    reported to name the convention.
 
-    The kernel is sampled through its closed-form factor
-    :func:`fourier_factor`, after the stationarity gate and with no
-    eigendecomposition, r normals per column for the r eigenvalues kept.
-    Neither the ensemble nor a whole block of it is held.  Each ``BLOCK`` of
-    columns is drawn from its one generator with that factor (stream 0), as
-    :func:`invdecomp.sampling.sample` draws it, but ``width`` =
-    :func:`_chunk_width` (m) columns at a time (``draw_chunks``).  Each chunk
-    is split by :func:`parity_decompose` and reduced to its three energies per
-    sample and its odd values at the fixed points.  The cross-covariance never
-    reads the parts: the factor's sine columns are odd and its cosine columns
-    even, so the parts of x = L xi are x1 = L_sin xi_sin and x2 = L_cos xi_cos,
-    and x1 x2^T = L_sin G L_cos^T for the Gram G = sum xi_sin xi_cos^T of the
-    normals.  Each chunk's sine and cosine normals are copied into two
-    ``SPLIT_COLUMNS`` x r_sin and x r_cos buffers, and G takes one product of
-    those per ``SPLIT_COLUMNS`` columns, whatever the width: 2 r_sin r_cos
-    flops a column, against 2 (m/2)^2 for the parts' product, and r <= m.
-    After the draws L_sin and L_cos are read from ``l`` applied to the
-    identity ``width`` columns at a time, the apply the paths take (so L, m r
-    doubles, is held but no r x r identity), and the cross-covariance is
-    L_sin G L_cos^T over one odd row per +-pair of non-fixed points and one
-    even row per +-orbit.  So a worker holds one chunk's normals, the
-    factor's coefficients and partial products (each at most 2 m doubles per
-    column), the paths and the two parts, whose buffers also take the
-    squares (under 8 m ``width`` doubles), the two buffers
-    (``SPLIT_COLUMNS`` r) and its block's r_sin x r_cos Gram partial.  All
-    but the normals and the Gram are the buffers of the worker's copy of the
-    factor (``FourierFactor.work``), kept in the runner's ``work``
-    (``sampling._each_block``).  The factor and the even part's expansion
-    (:func:`_basis_quadratics`, ``width`` rows of ``Kernel.rows`` at a time,
-    at most two m x r arrays) are taken before the first draw, and the kernel
-    is released.  A lag kernel, as ``assemble_kernel`` and ``torus_watson``
-    build, never builds its matrix, so one worker's check stays below
-    (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel.
+    After the stationarity gate the kernel is sampled through :func:`fourier_factor` on stream
+    0, as :func:`invdecomp.sampling.sample` draws, but :func:`_chunk_width` (m) columns at a
+    time (``draw_chunks``); each chunk is split and reduced to its energies and its odd values
+    at the fixed points.  The cross-covariance reads the normals, not the parts: the factor's
+    sine columns are odd and its cosine columns even, so x1 x2^T = L_sin G L_cos^T for the
+    Gram G = sum xi_sin xi_cos^T, one product per ``SPLIT_COLUMNS`` columns.  The factor and
+    the even part's expansion (:func:`_basis_quadratics`) are taken before the first draw, and
+    the kernel is then released; a lag kernel never builds its matrix.  So one worker's check
+    stays below (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel and
+    never holds the ensemble or a whole block of it.
 
-    The blocks' Gram partials are added in block order, each before the next
-    wave draws (``sampling._each_block``), so every field is bitwise
-    independent of the worker count.  Every field but
-    ``cross_cov_max`` (from the normals' Gram, so equal to the materialized
-    x1 x2^T to roundoff) is bitwise that of the materialized ensemble
-    wherever BLAS computes a chunk's columns as it does in the whole block:
-    on OpenBLAS in every full block, and in a partial one a multiple of 8
-    columns wide (elsewhere to roundoff in its last columns, as
-    ``RNG_CONTRACT`` allows; on a grid of two or more axes those can reach
-    into the chunk before the last, since a product's columns run over a box
-    axis too).
+    The blocks' Gram partials are added in block order (``sampling._each_block``), so every
+    field is bitwise independent of the worker count.  Every field but ``cross_cov_max`` (the
+    materialized x1 x2^T to roundoff) is bitwise that of the materialized ensemble wherever
+    BLAS computes a chunk's columns as it does the whole block's: on OpenBLAS in every full
+    block, and in a partial one a multiple of 8 columns wide (elsewhere to roundoff in its
+    last columns, which on two or more axes can reach the chunk before the last).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(spec_or_kernel, TorusKernelSpec):
-        kernel = assemble_kernel(spec_or_kernel, grid)
-        spec = spec_or_kernel
-    else:
-        kernel = spec_or_kernel
-        spec = None
+    spec = spec_or_kernel if isinstance(spec_or_kernel, TorusKernelSpec) else None
+    kernel = spec_or_kernel if spec is None else assemble_kernel(spec, grid)
     spread = kernel.stationarity_spread
     report: dict = {
         "stationarity_spread": spread,

@@ -140,6 +140,19 @@ def test_validate_torus_check_needs_torus_grid(tmp_path, capsys):
     assert main(["validate", str(cfg)]) == 2
 
 
+def test_validate_a_two_point_torus_axis_is_the_grids_problem():
+    """The default cutoff aliases only on an axis of fewer than 3 points, so with no
+    ``kernel.params.cutoff`` the message names ``grid/n``, the key the config has."""
+    cfg = {
+        "kernel": {"name": "torus_watson"},
+        "grid": {"kind": "torus", "n": [2, 8]},
+        "checks": ["torus_watson"],
+        "seed": 1,
+    }
+    want = "grid/n: torus_watson needs at least 3 points on every torus axis, not 2"
+    assert validate_config(cfg) == [want]
+
+
 def test_validate_notes_a_ks_tolerance_below_the_noise_floor(tmp_path, capsys):
     cfg = write_config(tmp_path, checks=["duplication"], samples=2000, seed=1)
     assert main(["validate", str(cfg)]) == 0
@@ -406,9 +419,12 @@ def _mgf_config(pairs, checks=("mgf",)):
 def test_validate_rejects_kernel_params_the_run_ignores_or_cannot_honour(
     tmp_path, capsys, overrides
 ):
+    """Each rejection names the key the config has: a default cutoff that aliases, which
+    no ``kernel.params`` sets, is the grid's problem."""
     cfg = write_config(tmp_path, **overrides)
     assert main(["validate", str(cfg)]) == 2
-    assert "kernel/params" in capsys.readouterr().err
+    default = overrides == _torus_config(n=[2, 16])
+    assert ("grid/n: torus_watson" if default else "kernel/params") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -393,13 +393,20 @@ def test_chunked_asymmetry_is_the_dense_maximum(monkeypatch, m, rows):
     assert kernels._asymmetry(k) == 0.0
 
 
-@pytest.mark.parametrize("name", ["_asymmetry", "_lag_spread"])
-def test_the_row_chunked_passes_hold_two_chunks_at_most(name):
-    """At m = 1024 the asymmetry pass and the stationarity spread each peak within
-    2 x ``CHUNK`` doubles (1 MiB) above their entry: each releases a row chunk before
-    building the next (1.13 and 1.55 chunks; 2.13 and 2.55 holding two at once)."""
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        pytest.param("_asymmetry", None, id="_asymmetry"),
+        pytest.param("_lag_spread", (1024,), id="_lag_spread"),
+        pytest.param("_lag_spread", (32, 32), id="_lag_spread-32x32"),
+        pytest.param("_lag_spread", (8, 8, 16), id="_lag_spread-8x8x16"),
+    ],
+)
+def test_the_row_chunked_passes_hold_two_chunks_at_most(name, shape):
+    """At m = 1024 the asymmetry pass and the stationarity spread, on every index shape,
+    each peak within 2 x ``CHUNK`` doubles (1 MiB) above their entry."""
     k = builtin_kernel("watson", make_interval_grid(1024)).matrix
-    args = (k,) if name == "_asymmetry" else (k, (1024,))
+    args = (k,) if shape is None else (k, shape)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -37,6 +37,13 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     by_module = run.stderr.split("code_lines by module: ", 1)[1].splitlines()[0].split(", ")
     assert "cli.py" in by_module[0] and any(part.startswith("torus.py ") for part in by_module)
     assert sum(int(part.split()[1]) for part in by_module) == int(lines[4].split("=")[1])
+    # then the docstring lines per module, whose parts add up to their total; with the code
+    # lines they count no more than the source lines
+    docs, total = run.stderr.split("doc_lines by module: ", 1)[1].splitlines()[0].split("; total ")
+    docs = docs.split(", ")
+    assert {part.split()[0] for part in docs} == {part.split()[0] for part in by_module}
+    assert sum(int(part.split()[1]) for part in docs) == int(total) > 0
+    assert int(total) + int(lines[4].split("=")[1]) <= int(lines[3].split("=")[1])
     assert len(lines) == 5
     assert "dft(16x16) x2" in run.stderr
     assert run.stderr.count("; matrix x0; spectra: ") == 2  # the torus kernels keep their lags

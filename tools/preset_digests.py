@@ -31,7 +31,8 @@ the keying rule of the seeded presets' samples, ``src_lines=<N>`` counts the
 lines of ``src/invdecomp/*.py``, and the last line, ``code_lines=<N>``, those of
 its lines that are not blank, not a comment alone and not in a docstring; stderr
 gives that count per module, largest first (for example ``code_lines by module:
-cli.py 824, kernels.py 413, ...``).  Run
+cli.py 824, kernels.py 413, ...``), and then the docstring lines per module and their
+total (for example ``doc_lines by module: kernels.py 198, ...; total 816``).  Run
 the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.  A two-worker line must equal its preset's line after
@@ -211,9 +212,9 @@ def factor_paths():
         torus.fourier_factor = saved
 
 
-def code_lines(text: str) -> int:
-    """Lines of the Python source ``text`` that are not blank, not a comment alone
-    and not in the docstring of a module, class or function."""
+def doc_lines(text: str) -> set:
+    """The numbers of the lines of the Python source ``text`` that are in the docstring of a
+    module, class or function."""
     docs = set()
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -221,7 +222,13 @@ def code_lines(text: str) -> int:
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
                 if isinstance(first.value.value, str):
                     docs.update(range(first.lineno, first.end_lineno + 1))
-    lines = enumerate(text.splitlines(), start=1)
+    return docs
+
+
+def code_lines(text: str) -> int:
+    """Lines of the Python source ``text`` that are not blank, not a comment alone
+    and not in a docstring (:func:`doc_lines`)."""
+    docs, lines = doc_lines(text), enumerate(text.splitlines(), start=1)
     return sum(1 for i, line in lines if line.strip()[:1] not in ("", "#") and i not in docs)
 
 
@@ -488,6 +495,12 @@ def main(argv: list[str]) -> int:
     texts = {path.name: path.read_text() for path in (SRC / "invdecomp").glob("*.py")}
     modules = sorted(((code_lines(text), name) for name, text in texts.items()), reverse=True)
     print("code_lines by module: " + ", ".join(f"{name} {n}" for n, name in modules), file=sys.stderr)
+    docs = sorted(((len(doc_lines(text)), name) for name, text in texts.items()), reverse=True)
+    print(
+        "doc_lines by module: " + ", ".join(f"{name} {n}" for n, name in docs)
+        + f"; total {sum(n for n, _ in docs)}",
+        file=sys.stderr,
+    )
     print(f"rng_contract={RNG_CONTRACT}")
     print(f"src_lines={sum(len(text.splitlines()) for text in texts.values())}")
     print(f"code_lines={sum(n for n, _ in modules)}")
