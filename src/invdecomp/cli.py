@@ -4,7 +4,8 @@
 dependency order (a failed gate skips its dependents), and writes
 ``report.json``, per-check CSV tables, and ``summary.txt`` into the output
 directory.  Exit code 0 means every executed check passed, 1 means some
-check failed, 2 means the configuration itself was rejected.
+check failed (one that cannot allocate included), 2 means the configuration
+itself was rejected, its output directory included, before any check ran.
 
 ``CHECKS`` is the one place to add a check: its record declares the run
 function, the gate, what the config must provide, the default tolerances,
@@ -20,6 +21,7 @@ import contextlib
 import ctypes
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -850,7 +852,8 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
     """Run requested checks (plus their gates) in registry order.
 
     Returns the per-check reports and, for each check that completed with a
-    table, its CSV rows.
+    table, its CSV rows.  A check that raises ``ValueError`` or ``MemoryError``
+    fails with the error as its report; a kernel that cannot be built raises.
     """
     kernel = build_kernel(cfg)
     action = kernel.space.action
@@ -868,7 +871,7 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
             continue
         try:
             rep = check.run(ctx, tols, cfg)
-        except (KernelError, DecompositionError, ValueError) as exc:
+        except (ValueError, MemoryError) as exc:  # KernelError, GroupError and LinAlgError included
             results[name] = {"status": "failed", "error": str(exc)}
             continue
         rep["status"] = "passed" if rep.get("ok") else "failed"
@@ -958,10 +961,9 @@ def one_blas_thread():
 
 
 def run_command(args) -> int:
-    if args.preset is None and args.config is None:
-        print("config error: give a config file or --preset", file=sys.stderr)
-        return 2
     try:
+        if args.preset is None and args.config is None:
+            raise ConfigError("give a config file or --preset")
         cfg: dict = {}
         if args.preset is not None:
             if args.preset not in PRESETS:
@@ -980,11 +982,11 @@ def run_command(args) -> int:
         if args.out is not None:  # once validated, ``output`` is an object
             cfg.setdefault("output", {})["dir"] = args.out
         tols = resolve_tolerances(cfg, args.tol_scale)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        out_dir = Path(cfg.get("output", {}).get("dir") or f"out/{cfg.get('name', 'experiment')}")
+        # judged, not made: a refused run leaves no directory behind
+        base = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+            raise ConfigError(f"output/dir: {out_dir}: {base} is not a writable directory")
         with one_blas_thread():
             results, out_parts = execute_checks(cfg, tols)
     except (ConfigError, KernelError) as exc:
@@ -993,11 +995,9 @@ def run_command(args) -> int:
 
     failed = [n for n, r in results.items() if r.get("status") == "failed"]
     exit_code = 1 if failed else 0
-    out_dir = Path(cfg.get("output", {}).get("dir") or f"out/{cfg.get('name', 'experiment')}")
     write_report(cfg, results, out_parts, out_dir, tols, exit_code)
-    if failed:
-        for name in failed:
-            print(f"check failed: {name} — {_headline(name, results[name])}", file=sys.stderr)
+    for name in failed:
+        print(f"check failed: {name} — {_headline(name, results[name])}", file=sys.stderr)
     return exit_code
 
 
@@ -1030,19 +1030,14 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             cfg = load_config_file(args.config)
+            problems = validate_config(cfg)
+            if not problems and cfg["kernel"]["name"] == "user_matrix":
+                load_user_matrix(cfg)  # the file-level rules, as run applies them
         except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        problems = validate_config(cfg)
-        if not problems and cfg["kernel"]["name"] == "user_matrix":
-            # the file-level rules, as run applies them
-            try:
-                load_user_matrix(cfg)
-            except ConfigError as exc:
-                problems.append(str(exc))
+            problems = [str(exc)]
+        for p in problems:
+            print(f"config error: {p}", file=sys.stderr)
         if problems:
-            for p in problems:
-                print(f"config error: {p}", file=sys.stderr)
             return 2
         print("OK")
         for note in _noise_notes(cfg):

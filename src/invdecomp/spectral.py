@@ -61,12 +61,8 @@ class Spectrum:
         for arr in (self.eigenvalues, self.basis):
             np.asarray(arr).setflags(write=False)
 
-    @property
-    def size(self) -> int:
-        return len(self.eigenvalues)
-
     def __repr__(self) -> str:
-        return f"Spectrum(size={self.size}, clusters={len(self.clusters)})"
+        return f"Spectrum(size={len(self.eigenvalues)}, clusters={len(self.clusters)})"
 
 
 def eigendecompose(kernel: Kernel) -> Spectrum:

@@ -461,6 +461,10 @@ def torus_watson_check(
     stays below (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel and
     never holds the ensemble or a whole block of it.
 
+    So ``cross_cov_max`` measures the sine and cosine normals' sample correlation through
+    factor columns that are odd or even by construction, and nothing more: the parts'
+    independence rests on K commuting with negation, which the stationarity gate checks.
+
     The blocks' Gram partials are added in block order (``sampling._each_block``), so every
     field is bitwise independent of the worker count.  Every field but ``cross_cov_max`` (the
     materialized x1 x2^T to roundoff) is bitwise that of the materialized ensemble wherever

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,27 @@ def test_missing_config_file(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 2
 
 
+def test_run_without_config_or_preset_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == "config error: give a config file or --preset\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["sub", ""], ids=["under-a-file", "a-file"])
+def test_run_refuses_an_output_directory_it_cannot_make_before_any_check(tmp_path, capsys, sub):
+    """A regular file where the directory or an ancestor should be: exit 2, no check runs,
+    no summary, nothing made."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / sub if sub else blocker
+    assert main(["run", "--preset", "kl-watson", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: output/dir: {out}: {blocker} is not a writable directory\n"
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
+
+
 def test_validate_accepts_a_torus_basis_with_one_row_per_axis(tmp_path):
     grid = {"kind": "torus", "n": [4, 4], "basis": [[1.0, 0.0], [0.5, 1.0]]}
     cfg = write_config(tmp_path, kernel={"name": "torus_watson"}, grid=grid, checks=["stationarity"])
@@ -646,6 +668,22 @@ def test_run_failure_exit_code_and_stderr(tmp_path, capsys):
     table = (tmp_path / "out" / "watson_relation.csv").read_text().splitlines()
     assert table[0] == "irrep,n,trace,cumulant,cII_dev,cIII_dev"
     assert len(table) > 1
+
+
+def test_a_check_that_cannot_allocate_fails_and_the_run_goes_on(tmp_path, capsys, monkeypatch):
+    """numpy's failed allocation is a ``MemoryError``; raised here, never allocated for real."""
+    message = "Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)"
+
+    def cannot_allocate(ctx, tols, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(CHECKS, "decomposition", replace(CHECKS["decomposition"], run=cannot_allocate))
+    assert main(["run", "--preset", "kl-watson", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"check failed: decomposition — {message}\n"
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert checks["decomposition"] == {"status": "failed", "error": message}
+    assert checks["spectrum"]["status"] == "passed"  # the next check still runs
 
 
 def test_spectrum_compares_only_the_oracle_rows_the_grid_has(tmp_path, capsys):

@@ -495,7 +495,7 @@ def test_spectrum_check_holds_one_slab_beyond_its_bases(watson1024):
     """At m = 1024 the split keeps no bases, so the two steps hold the slab
     work alone: within 8 blocks of SLAB = 256 columns (10.1 MiB measured,
     44 MiB for the whole basis in one slab)."""
-    m = watson1024.size
+    m = len(watson1024.eigenvalues)
     table = character_table(watson1024.space.action.group)
 
     def run():

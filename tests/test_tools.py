@@ -69,11 +69,12 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         "torus-sheared-12x10",
         "rejected-duplication-on-torus",
         "rejected-z2-on-two-axes",
+        "rejected-no-config",
     ]
     run = _tool("preset_digests.py", *names)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = run.stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:10]] == [
+    assert [line.split()[:2] for line in lines[:11]] == [
         ["user-matrix-watson16", "exit=1"],  # watson_relation and z2_condition fail on 16 points
         ["user-matrix-action-none", "exit=0"],
         ["cumulants-watson64", "exit=0"],
@@ -85,6 +86,7 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         ["torus-sheared-12x10", "exit=0"],
         ["rejected-duplication-on-torus", "exit=2"],
         ["rejected-z2-on-two-axes", "exit=2"],
+        ["rejected-no-config", "exit=2"],
     ]
     assert [f.split("=")[0] for f in lines[0].split()[2:]] == [
         "report.json",
@@ -119,7 +121,9 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     assert lines[8].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
     stderr = b"config error: checks: z2_condition needs a 2-element group, not order 4\n"
     assert lines[9].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    assert len(lines) == 13
+    stderr = b"config error: give a config file or --preset\n"
+    assert lines[10].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
+    assert len(lines) == 14
     # the stationary kernels off the powers of two take the DFT; their tied partners stay dense
     assert "spectra: dft(1000) x1, dense(1000) x1;" in run.stderr
     assert "spectra: dft(12x12) x1, dense(144) x1;" in run.stderr

@@ -15,7 +15,8 @@ points with its Z2 reversal group, the same file under ``action: none``, a
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
 four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
 passes a ``grid.basis``), two configs that ``run`` rejects with exit 2, one
-of them through the in-law checks' grid and kernel rule, and the
+of them through the in-law checks' grid and kernel rule, a ``run`` given
+neither a config file nor a preset, which exits 2 too, and the
 ``watson-duplication`` and ``torus-2d`` presets at two sampling workers
 (``TWO_WORKERS``: ``watson-duplication-2workers``, ``torus-2d-2workers``),
 which the sampling runner draws in waves of two blocks.  Each line
@@ -373,6 +374,8 @@ EXTRA_RUNS = {
             "checks": ["z2_condition"],
         }
     ),
+    # neither a config file nor a preset
+    "rejected-no-config": lambda tmp: [],
 }
 
 
