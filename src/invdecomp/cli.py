@@ -960,6 +960,17 @@ def one_blas_thread():
         put(threads)
 
 
+def output_dir(cfg: dict) -> Path:
+    """The output directory of a validated ``cfg``, judged but not made, so a refused run leaves
+    no directory behind: raises ``ConfigError`` unless its nearest existing ancestor is a
+    directory the process can write.  ``run`` and ``validate`` both judge it here."""
+    out_dir = Path(cfg.get("output", {}).get("dir") or f"out/{cfg.get('name', 'experiment')}")
+    base = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"output/dir: {out_dir}: {base} is not a writable directory")
+    return out_dir
+
+
 def run_command(args) -> int:
     try:
         if args.preset is None and args.config is None:
@@ -982,11 +993,7 @@ def run_command(args) -> int:
         if args.out is not None:  # once validated, ``output`` is an object
             cfg.setdefault("output", {})["dir"] = args.out
         tols = resolve_tolerances(cfg, args.tol_scale)
-        out_dir = Path(cfg.get("output", {}).get("dir") or f"out/{cfg.get('name', 'experiment')}")
-        # judged, not made: a refused run leaves no directory behind
-        base = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
-        if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
-            raise ConfigError(f"output/dir: {out_dir}: {base} is not a writable directory")
+        out_dir = output_dir(cfg)
         with one_blas_thread():
             results, out_parts = execute_checks(cfg, tols)
     except (ConfigError, KernelError) as exc:
@@ -1031,8 +1038,10 @@ def main(argv=None) -> int:
         try:
             cfg = load_config_file(args.config)
             problems = validate_config(cfg)
-            if not problems and cfg["kernel"]["name"] == "user_matrix":
-                load_user_matrix(cfg)  # the file-level rules, as run applies them
+            if not problems:  # the output and file-level rules, as run applies them
+                output_dir(cfg)
+                if cfg["kernel"]["name"] == "user_matrix":
+                    load_user_matrix(cfg)
         except ConfigError as exc:
             problems = [str(exc)]
         for p in problems:

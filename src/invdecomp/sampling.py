@@ -14,7 +14,8 @@ first k columns are the same in every draw of at least k columns with the same s
 stream, and a block drawn in chunks from its one generator (:func:`draw_chunks`,
 :func:`_chi2_sum`) gets the variates of one fill.  The samples agree bitwise over full
 blocks, and to roundoff in a partial one, where BLAS may pick another kernel for another
-column count.  Changing ``BLOCK`` changes the samples.
+column count.  Changing ``BLOCK`` changes the samples.  :func:`_block_generator` alone loads
+``numpy.random``, at a run's first draw, so a run that draws nothing never loads it.
 
 A column holds r normals, one per eigenvalue that :func:`_clip_spectrum` keeps: normal k is
 the Karhunen-Loeve coordinate on the k-th kept eigenvalue, ascending, in every sampler.
@@ -49,10 +50,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 from invdecomp.kernels import (
     BUILTINS,
@@ -106,18 +109,26 @@ def worker_count() -> int:
     return max(1, n)
 
 
-def _block_generator(seed: int, stream: int, a: int) -> Generator:
-    """The generator of the block that starts at column ``a``, the one keying rule: SFC64 seeded
-    by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``.  Raises unless seed, stream and
-    block index fit in 64, 16 and 48 bits, so that no two blocks alias."""
-    block = a // BLOCK
+def _check_key(seed: int, stream: int, a: int) -> None:
+    """Raises unless seed, stream and the block index of column ``a`` fit in 64, 16 and 48
+    bits, so that no two blocks alias.  Integers only, so a sampler refuses a key on entry,
+    before its first expensive step."""
     if not 0 <= seed < (1 << 64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if not 0 <= stream < (1 << 16):
         raise ValueError(f"stream must be in [0, 2**16), got {stream}")
-    if not 0 <= block < (1 << 48):
+    if not 0 <= a // BLOCK < (1 << 48):
         raise ValueError("block index out of the 48-bit key range")
-    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, block))))
+
+
+def _block_generator(seed: int, stream: int, a: int) -> Generator:
+    """The generator of the block that starts at column ``a``, the one keying rule: SFC64 seeded
+    by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``, for a key :func:`_check_key`
+    accepts.  It is the only code that loads ``numpy.random``, so a run loads it at its first
+    draw and a run that draws nothing never does."""
+    _check_key(seed, stream, a)
+    from numpy.random import SFC64, Generator, SeedSequence  # here, so a run that draws nothing never imports it
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, a // BLOCK))))
 
 
 def draw_chunks(l: np.ndarray, seed: int, stream: int, a: int, b: int, width: int):
@@ -221,6 +232,7 @@ def sample(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_key(seed, stream, count - 1)
     l = covariance_factor(kernel) if factor is None else factor
     out = np.empty((kernel.size, count))
 
@@ -317,6 +329,7 @@ def pair_functional(
         raise ValueError("count must be >= 1")
     if not all(0 <= s < EXP_STREAM for s in streams):
         raise ValueError(f"streams must be in [0, {EXP_STREAM}), got {streams}")
+    _check_key(seed, streams[0], count - 1)
     pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
     exp_streams = (streams[0] + EXP_STREAM, streams[1] + EXP_STREAM)
     return _chi2_sum(single, pairs, rho, count, seed, streams, exp_streams)
@@ -453,6 +466,9 @@ def law_check(
     and the first three k-statistic gaps are within 5 standard deviations of both sides'
     sampling noise plus the offset between the two analytic cumulant sequences.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    _check_key(seed, 0, count - 1)
     partner = getattr(BUILTINS.get(kernel.name), "tied", None)
     if partner is None:
         known = sorted(name for name, b in BUILTINS.items() if b.tied)

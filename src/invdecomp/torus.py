@@ -39,6 +39,7 @@ from invdecomp.kernels import (
 from invdecomp.sampling import (
     BLOCK,
     PathEnsemble,
+    _check_key,
     _clip_spectrum,
     _each_block,
     compare_distributions,
@@ -474,6 +475,7 @@ def torus_watson_check(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_key(seed, 0, count - 1)
     spec = spec_or_kernel if isinstance(spec_or_kernel, TorusKernelSpec) else None
     kernel = spec_or_kernel if spec is None else assemble_kernel(spec, grid)
     spread = kernel.stationarity_spread

@@ -143,6 +143,37 @@ def test_isotypic_spectra_load_no_numpy_ma():
     assert _fresh_stdout(code) == "[]"
 
 
+_LOADS_NUMPY_RANDOM = "import sys; print('numpy.random' in sys.modules)"
+
+
+def test_importing_the_runner_loads_no_numpy_random():
+    """numpy.random (about 6 MiB resident, OpenSSL's libcrypto among it) loads at a run's first
+    draw, not with the package."""
+    assert _fresh_stdout("import invdecomp, invdecomp.cli; " + _LOADS_NUMPY_RANDOM) == "False"
+
+
+def test_validating_a_sampled_config_loads_no_numpy_random(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "dup",
+        "kernel": {"name": "watson"},
+        "grid": {"kind": "interval", "n": 32},
+        "checks": ["duplication"],
+        "samples": 2000,
+        "seed": 7,
+    }))
+    code = f"import invdecomp.cli as cli; assert cli.main(['validate', {str(cfg)!r}]) == 0; "
+    assert _fresh_stdout(code + _LOADS_NUMPY_RANDOM).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("preset, loaded", [("kl-watson", "False"), ("watson-duplication", "True")])
+def test_numpy_random_loads_only_in_a_run_that_draws(tmp_path, preset, loaded):
+    """kl-watson's checks are analytic; watson-duplication draws its in-law check."""
+    out = str(tmp_path / "out")
+    code = f"import invdecomp.cli as cli; cli.main(['run', '--preset', {preset!r}, '--out', {out!r}]); "
+    assert _fresh_stdout(code + _LOADS_NUMPY_RANDOM).splitlines()[-1] == loaded
+
+
 def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

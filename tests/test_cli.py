@@ -519,6 +519,19 @@ def test_run_refuses_an_output_directory_it_cannot_make_before_any_check(tmp_pat
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept"
 
 
+def test_validate_refuses_the_output_directory_run_refuses(tmp_path, capsys):
+    """``validate`` judges ``output.dir`` as ``run`` does: the same message, exit 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    cfg = write_config(tmp_path, output={"dir": str(blocker / "sub")})
+    want = f"config error: output/dir: {blocker / 'sub'}: {blocker} is not a writable directory\n"
+    for command in (["validate", str(cfg)], ["run", str(cfg)]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", want)
+    assert sorted(tmp_path.iterdir()) == sorted([blocker, cfg])
+
+
 def test_validate_accepts_a_torus_basis_with_one_row_per_axis(tmp_path):
     grid = {"kind": "torus", "n": [4, 4], "basis": [[1.0, 0.0], [0.5, 1.0]]}
     cfg = write_config(tmp_path, kernel={"name": "torus_watson"}, grid=grid, checks=["stationarity"])

@@ -50,7 +50,14 @@ from invdecomp.sampling import (
     sample,
     worker_count,
 )
-from invdecomp.torus import Lattice, _chunk_width, fourier_factor, torus_grid, torus_watson
+from invdecomp.torus import (
+    Lattice,
+    _chunk_width,
+    fourier_factor,
+    torus_grid,
+    torus_watson,
+    torus_watson_check,
+)
 
 
 def _fill_normals(out, seed, stream, a):
@@ -156,6 +163,29 @@ def test_key_accepts_its_extremes(watson32):
         sample(watson32, 3, seed=1 << 64)
     with pytest.raises(ValueError, match="stream"):
         sample(watson32, 3, seed=1, stream=1 << 16)
+
+
+def _torus_check(seed):
+    grid = torus_grid(Lattice(np.eye(1)), 8)
+    return torus_watson_check(torus_watson(grid), grid, 10, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "expensive, run",
+    [
+        ("invdecomp.sampling.covariance_factor", lambda k, seed: sample(k, 3, seed=seed)),
+        ("invdecomp.sampling._tie_split", lambda k, seed: pair_functional(k, 0.5, 3, seed=seed)),
+        ("invdecomp.sampling.builtin_kernel", lambda k, seed: law_check(k, 0.5, 1000, seed=seed)),
+        ("invdecomp.torus.fourier_factor", lambda k, seed: _torus_check(seed)),
+    ],
+    ids=["sample", "pair_functional", "law_check", "torus_watson_check"],
+)
+def test_a_sampler_refuses_an_out_of_range_seed_before_its_first_step(watson32, expensive, run):
+    """The key is judged on entry, so a seed that no block can take costs no eigh, kernel
+    build or factor first."""
+    with mock.patch(expensive, side_effect=AssertionError("ran before the key check")):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"):
+            run(watson32, 1 << 64)
 
 
 @FEW

@@ -1,6 +1,7 @@
 """The proof tools in ``tools/`` run against the package in ``src/``."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -161,3 +162,35 @@ def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
     report = tmp_path / "report.json"
     run = _tool("report_diff.py", report, report)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_bench_pairs_of_the_repo_against_itself_writes_its_record(tmp_path):
+    """One pair of one workload, both sides copies of this checkout: the record names both
+    sides, and per metric holds each side's summary and the pairs the change won."""
+    out = tmp_path / "BENCH.json"
+    run = _tool(
+        "bench_pairs.py", ROOT, ROOT, "--pairs", 1, "--seconds", 1, "--workload", "dup-1d-serial",
+        "--out", out,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    record = json.loads(out.read_text())
+    for side in ("parent", "change"):
+        assert record[side]["kind"] == "directory" and record[side]["source"] == str(ROOT)
+    assert (record["pairs"], record["seconds"], record["seed"]) == (1, 1, 1)
+    assert record["env"] == {"PYTHONDONTWRITEBYTECODE": "1"}
+    assert list(record["workloads"]) == ["dup-1d-serial"]
+    workload = record["workloads"]["dup-1d-serial"]
+    assert {"run_s", "setup_s", "peak_rss_mb", "check_pass_ratio"} <= set(workload["metrics"])
+    for metric in workload["metrics"].values():
+        assert metric["better"] in ("lower", "higher")
+        assert metric["change_better"] in (0, 1)
+        for side in ("parent", "change"):
+            summary = metric[side]
+            assert len(summary["runs"]) == 1
+            assert summary["q1"] == summary["median"] == summary["q3"] == summary["runs"][0]
+    [pair] = workload["runs"]
+    assert (pair["pair"], pair["seed"], pair["first"]) == (0, 1, "parent")
+    for side in ("parent", "change"):
+        assert pair[side]["correct"] is True
+        assert {"attempted", "failed", "machine", "host"} <= set(pair[side])
+    assert "dup-1d-serial peak_rss_mb: " in run.stderr
