@@ -54,6 +54,7 @@ from invdecomp.kernels import (
     make_product_grid,
 )
 from invdecomp.sampling import (
+    EXP_STREAM,
     LAW_DEFAULTS,
     RNG_CONTRACT,
     kstat,
@@ -493,7 +494,8 @@ CONFIG_FIELDS = Field(
                     keys={
                         "path": Field("string"),
                         "cutoff": Field("integer", lo=1),
-                        "mgf_pairs": Field("list", size=(1, None), item=_PAIR),
+                        # pair i draws on streams 2i and 2i + 1, which must lie below EXP_STREAM
+                        "mgf_pairs": Field("list", size=(1, EXP_STREAM // 2), item=_PAIR),
                     },
                 ),
             },

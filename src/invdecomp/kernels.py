@@ -19,11 +19,12 @@ place on the buffer of S, bitwise numpy's ``eigvalsh`` and ``eigh``.
 
 Every pass of the checks reads a kernel through ``Kernel.rows``, ``CHUNK`` doubles of rows
 at a time, so the only m x m array a check makes is S, which the solve overwrites with its
-eigenvectors.
+eigenvectors.  :func:`recording` lists the path a computation takes, as it takes it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -65,6 +66,7 @@ __all__ = [
     "weighted_traces",
     "weighted_symmetric",
     "weighted_eigh",
+    "recording",
 ]
 
 PSD_TOL = 1e-10
@@ -74,6 +76,30 @@ CHUNK = 1 << 16  # doubles per array of every streamed or row-chunked pass: 512 
 
 class KernelError(ValueError):
     """Raised for malformed spaces, kernels, or incompatible operands."""
+
+
+_facts: Optional[list] = None  # the list of the open recording(), if any
+
+
+@contextlib.contextmanager
+def recording():
+    """Yield a list that gains one string per fact of the computation path while the block
+    runs, in the order taken: ``eigh(<shape>)`` or ``eigvalsh(<shape>)`` per eigensolve,
+    ``irrep_spectra`` per isotypic split, ``dft(<index shape>)`` or ``dense(<m>)`` per
+    spectrum path, ``matrix`` per m x m kernel matrix built, and
+    ``fourier(axes <box>, chunk <width>)`` per torus factor.  An inner block records alone."""
+    global _facts
+    outer, _facts = _facts, []
+    try:
+        yield _facts
+    finally:
+        _facts = outer
+
+
+def _note(fact: Callable[[], str]) -> None:
+    """Append ``fact()`` to the open recording; outside one, ``fact`` is not called."""
+    if _facts is not None:
+        _facts.append(fact())
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +255,13 @@ class Kernel:
             evals = np.sort(self.dft[0])
         else:
             evals = _syevd(weighted_symmetric(self), vectors=False)
+            _note(lambda: f"dense({m})")
         floor = -PSD_TOL * max(float(w.max()), float(evals[-1]))
         if evals[0] < floor:
             raise KernelError(f"matrix not PSD (min eigenvalue {evals[0]:.3e})")
         object.__setattr__(self, "eigenvalues", _as_readonly(evals))
+        if dense:
+            _note(lambda: "matrix")
 
     def __getattr__(self, name: str):
         # reached only for an attribute the instance lacks: a lag kernel's matrix, built once
@@ -240,6 +269,7 @@ class Kernel:
         if name != "matrix" or lags is None:
             raise AttributeError(f"'Kernel' object has no attribute {name!r}")
         matrix = _as_readonly(_circulant(lags, self.space.shape))
+        _note(lambda: "matrix")
         object.__setattr__(self, "matrix", matrix)
         return matrix
 
@@ -394,6 +424,7 @@ def _dft_spectrum(column: np.ndarray, space: IndexSpace) -> tuple[np.ndarray, np
     lambda_b = w spec_b is the eigenvalue of diag(w) K on the character of
     index b, for the equal weights w.
     """
+    _note(lambda: f"dft({'x'.join(map(str, space.shape))})")
     spec = np.fft.fftn(column.reshape(space.shape)).real.ravel()
     spec = (spec + spec[_negation(space.shape)]) / 2.0
     return space.weights[0] * spec, spec
@@ -585,6 +616,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     :func:`weighted_symmetric` scales them, so neither K, S nor S U_pi is held, and each sum
     runs in the order of the whole-matrix products, so B_pi is bitwise theirs.
     """
+    _note(lambda: "irrep_spectra")
     action = _action(kernel)
     if not table.real_valued():
         raise KernelError("diagonal blocks are kernels only for real characters")
@@ -612,6 +644,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
             local = np.zeros((n, size, size))
             for g in range(order):
                 local[np.arange(n)[:, None], pos[perm[g][idx]], np.arange(size)] += coef[g]
+            _note(lambda: f"eigh({n}x{size}x{size})")
             lam, vec = np.linalg.eigh(local)
             keep = lam > 0.5
             pad = ((0, 0), (0, width - size))
@@ -637,6 +670,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
                     su += np.multiply(term, vals[:, b], out=term)
                 su *= vals[c : c + nc, a, None]
                 block[c : c + nc] += su
+        _note(lambda: f"eigvalsh({n_pi}x{n_pi})")
         out[p.label] = np.linalg.eigvalsh(block)
     return out
 
@@ -701,6 +735,7 @@ def _syevd(s: np.ndarray, vectors: bool):
     overwrite ``s``, which is returned.  A nonzero ``info`` raises ``LinAlgError``, as numpy
     does.  Without the library numpy solves a copy.
     """
+    _note(lambda: f"{'eigh' if vectors else 'eigvalsh'}({len(s)}x{len(s)})")
     lib = _openblas()
     if lib is None:
         return np.linalg.eigh(s) if vectors else np.linalg.eigvalsh(s)

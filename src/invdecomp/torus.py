@@ -33,6 +33,7 @@ from invdecomp.kernels import (
     KernelError,
     _circle_profile,
     _negation,
+    _note,
     _reuse,
     _stationary,
 )
@@ -372,7 +373,9 @@ def fourier_factor(kernel: Kernel) -> FourierFactor:
     idx = order[m - _clip_spectrum(lam[order]).size :]
     index = np.stack(np.unravel_index(idx, grid.shape), axis=1)  # the grid is row-major
     scale = np.sqrt(np.where(idx == neg[idx], 1.0, 2.0) * spec[idx] / m)
-    return FourierFactor(tuple(grid.shape), index, idx > neg[idx], scale)
+    l = FourierFactor(tuple(grid.shape), index, idx > neg[idx], scale)
+    _note(lambda: f"fourier(axes {'x'.join(map(str, l._axes[1]))}, chunk {_chunk_width(m)})")
+    return l
 
 
 def stationarity_spread(kernel: Kernel) -> float:

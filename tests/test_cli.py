@@ -1,5 +1,6 @@
 """Command-line runner: config validation, exit codes, reports, presets."""
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -26,7 +27,7 @@ from invdecomp.cli import (
 from invdecomp.groups import character_table, project_path
 from invdecomp.io import load_kernel
 from invdecomp.kernels import Kernel, builtin_kernel, irrep_spectra, make_interval_grid
-from invdecomp.sampling import RNG_CONTRACT, duplication_check, quadruplication_check
+from invdecomp.sampling import EXP_STREAM, RNG_CONTRACT, duplication_check, quadruplication_check
 
 
 def write_config(tmp_path, name="cfg", **overrides):
@@ -439,6 +440,22 @@ def test_validate_rejects_kernel_params_the_run_ignores_or_cannot_honour(
 )
 def test_validate_accepts_kernel_params_where_they_are_read(tmp_path, overrides):
     assert main(["validate", str(write_config(tmp_path, **overrides))]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_more_mgf_pairs_than_the_streams_hold_exit_2(tmp_path, capsys, command):
+    """Pair i draws on streams 2i and 2i + 1, which ``pair_functional`` keeps below
+    ``EXP_STREAM``: 16,384 pairs pass the shape pass, and one more is refused before any
+    check runs."""
+    most = _mgf_config([[0.5, 0.5]] * (EXP_STREAM // 2))
+    assert main(["validate", str(write_config(tmp_path, **most))]) == 0
+    capsys.readouterr()
+    too_many = _mgf_config([[0.5, 0.5]] * (EXP_STREAM // 2 + 1))
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **too_many)
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: kernel/params/mgf_pairs: expected length 1 to 16384, got 16385\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1682,7 +1699,43 @@ def test_every_check_reports_only_builtin_json_types(name):
     assert _non_json_values(results) == []
 
 
-# --------------------------------------------------------------- tolerances
+@pytest.mark.parametrize(
+    "preset, facts",
+    [
+        ("kl-bridge", ["eigvalsh(256x256)", "dense(256)", "matrix", "eigh(256x256)"]),
+        ("torus-2d", ["dft(16x16)", "dft(16x16)", "fourier(axes 6x11, chunk 256)"]),
+    ],
+)
+def test_a_recorded_run_lists_its_path_and_writes_what_it_writes_unrecorded(
+    tmp_path, capsys, preset, facts
+):
+    """Inside ``kernels.recording()`` a run lists its eigensolves, spectrum paths, m x m
+    matrices and torus factors in the order it takes them; its report (but for the time
+    stamp), tables, summary, stdout and stderr are those of the same run outside one."""
+    outputs = []
+    for recorded in (False, True):
+        out = tmp_path / str(recorded)
+        with kernels.recording() if recorded else contextlib.nullcontext() as got:
+            assert main(["run", "--preset", preset, "--out", str(out)]) == 0
+        files = {f.name: f.read_bytes().split(b"\n") for f in sorted(out.iterdir())}
+        files["report.json"] = [line for line in files["report.json"] if b'"generated_at"' not in line]
+        outputs.append((files, capsys.readouterr()))
+    assert got == facts
+    assert outputs[0] == outputs[1]
+
+
+def test_only_a_recording_builds_a_torus_factors_axes():
+    """A fact is formatted only inside a recording: outside one, ``fourier_factor`` leaves
+    the factor's ``_axes`` unbuilt.  An inner recording lists its own facts alone."""
+    kernel = torus.torus_watson(torus.torus_grid(torus.Lattice(np.eye(2)), 16))
+    assert "_axes" not in vars(torus.fourier_factor(kernel))
+    with kernels.recording() as outer:
+        with kernels.recording() as inner:
+            factor = torus.fourier_factor(kernel)
+        kernel.irrep_spectra
+    assert "_axes" in vars(factor)
+    assert inner == ["fourier(axes 9x16, chunk 256)"]
+    assert outer[0] == "irrep_spectra"
 
 
 def test_resolve_tolerances_scale():

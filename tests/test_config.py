@@ -20,6 +20,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.validators import extend
 
 from invdecomp.cli import CHECKS, CONFIG_FIELDS, DEFAULT_TOLERANCES, PRESETS, field_problems, validate_config
+from invdecomp.sampling import EXP_STREAM
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
@@ -43,7 +44,9 @@ CONFIG_SCHEMA = {
                     "properties": {
                         "path": {"type": "string"},
                         "cutoff": {"type": "integer", "minimum": 1},
-                        "mgf_pairs": {"type": "array", "items": _PAIR, "minItems": 1},
+                        "mgf_pairs": {
+                            "type": "array", "items": _PAIR, "minItems": 1, "maxItems": EXP_STREAM // 2
+                        },
                     },
                 },
             },
@@ -160,7 +163,8 @@ def _valid(schema):
 
 def _edges(schema) -> list:
     """Values on and just past each bound of the schema: range ends, integral floats, and
-    lists of 0 to 4 valid items (every minItems and maxItems here is at most 3)."""
+    lists of 0 to 4 valid items (every minItems and maxItems here is at most 3, but for
+    mgf_pairs' maxItems of 16,384, whose edge ``tests/test_cli.py`` checks)."""
     if "oneOf" in schema:
         return [v for sub in schema["oneOf"] for v in _edges(sub)]
     out = [_valid(schema)]

@@ -52,6 +52,9 @@ def test_preset_digests_prints_the_named_presets_and_the_footer():
     # the solver path, once, first
     solver = run.stderr.splitlines()[0]
     assert solver.startswith("eigensolver: bundled dsyevd (") or solver == "eigensolver: numpy fallback"
+    if solver != "eigensolver: numpy fallback":  # the OpenBLAS kernel family, then its build
+        family, config = solver.split(", kernel family ", 1)[1].split(", config OpenBLAS ", 1)
+        assert family and " " not in family and family in config
     assert run.stderr.count("eigensolver: ") == 1
     for name in ("torus-1d", "torus-2d"):  # the timed run's CPU seconds and page faults
         line = next(line for line in run.stderr.splitlines() if line.startswith(f"{name} "))
@@ -62,6 +65,7 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     names = [
         "user-matrix-watson16",
         "user-matrix-action-none",
+        "user-matrix-s3",
         "cumulants-watson64",
         "watson1000",
         "quadruplication-12x12",
@@ -75,9 +79,10 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     run = _tool("preset_digests.py", *names)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = run.stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:11]] == [
+    assert [line.split()[:2] for line in lines[:12]] == [
         ["user-matrix-watson16", "exit=1"],  # watson_relation and z2_condition fail on 16 points
         ["user-matrix-action-none", "exit=0"],
+        ["user-matrix-s3", "exit=1"],  # watson_relation fails on a kernel with no Watson structure
         ["cumulants-watson64", "exit=0"],
         # 2,000 samples are too few for the KS gates of duplication and quadruplication
         ["watson1000", "exit=1"],
@@ -95,36 +100,41 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         "z2_condition.csv",
     ]
     assert [f.split("=")[0] for f in lines[1].split()[2:]] == ["report.json", "spectrum.csv"]
-    assert [f.split("=")[0] for f in lines[2].split()[2:]] == ["report.json", "cumulants.csv"]
-    assert [f.split("=")[0] for f in lines[3].split()[2:]] == [
+    assert [f.split("=")[0] for f in lines[2].split()[2:]] == [
+        "report.json",
+        "spectrum.csv",
+        "watson_relation.csv",
+    ]
+    assert [f.split("=")[0] for f in lines[3].split()[2:]] == ["report.json", "cumulants.csv"]
+    assert [f.split("=")[0] for f in lines[4].split()[2:]] == [
         "report.json",
         "duplication.csv",
         "watson_relation.csv",
         "z2_condition.csv",
     ]
-    assert [f.split("=")[0] for f in lines[4].split()[2:]] == ["report.json", "quadruplication.csv"]
-    assert [f.split("=")[0] for f in lines[5].split()[2:]] == [
+    assert [f.split("=")[0] for f in lines[5].split()[2:]] == ["report.json", "quadruplication.csv"]
+    assert [f.split("=")[0] for f in lines[6].split()[2:]] == [
         "report.json",
         "spectrum.csv",
         "watson_relation.csv",
         "z2_condition.csv",
     ]
-    assert [f.split("=")[0] for f in lines[6].split()[2:]] == [
+    assert [f.split("=")[0] for f in lines[7].split()[2:]] == [
         "report.json",
         "spectrum.csv",
         "watson_relation.csv",
     ]
-    assert [f.split("=")[0] for f in lines[7].split()[2:]] == ["report.json", "torus_conventions.csv"]
+    assert [f.split("=")[0] for f in lines[8].split()[2:]] == ["report.json", "torus_conventions.csv"]
     stderr = (
         b"config error: kernel/name: duplication runs the 'watson' kernel only; "
         b"grid/n: duplication needs 1 equal interval axes\n"
     )
-    assert lines[8].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    stderr = b"config error: checks: z2_condition needs a 2-element group, not order 4\n"
     assert lines[9].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    stderr = b"config error: give a config file or --preset\n"
+    stderr = b"config error: checks: z2_condition needs a 2-element group, not order 4\n"
     assert lines[10].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    assert len(lines) == 14
+    stderr = b"config error: give a config file or --preset\n"
+    assert lines[11].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
+    assert len(lines) == 15
     # the stationary kernels off the powers of two take the DFT; their tied partners stay dense
     assert "spectra: dft(1000) x1, dense(1000) x1;" in run.stderr
     assert "spectra: dft(12x12) x1, dense(144) x1;" in run.stderr
@@ -139,6 +149,9 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     by_run = {line.split()[0]: line for line in run.stderr.splitlines()}
     assert "; matrix x1; " in by_run["user-matrix-watson16"]
     assert "; matrix x1; " in by_run["watson1000"]
+    # S3's isotypic split: 4, 3 and 14 block eigenvalues for triv, sign and std (dimension 2)
+    split = "eigvalsh(4x4) x1, eigvalsh(3x3) x1, eigvalsh(14x14) x1; irrep_spectra x1; matrix x1;"
+    assert split in by_run["user-matrix-s3"]
     # the sheared torus takes the DFT gate twice and one axis-wise Fourier factor
     assert "spectra: dft(12x10) x2, fourier(axes 4x7, chunk 256) x1;" in run.stderr
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr

@@ -10,6 +10,7 @@ directory, with one sampling worker (two in the two-worker runs below) and one
 BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
+``user_matrix`` file of S3 on 21 points (its ``std`` irrep has dimension 2), a
 ``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
@@ -38,23 +39,23 @@ the script on two checkouts and diff the outputs: equal run lines mean
 byte-identical reports, tables and rejections, and the last three lines compare the
 contract and the code size.  A two-worker line must equal its preset's line after
 the name; when both ran and they differ, the script says so on stderr and exits 1.
-A first stderr line names the eigensolver: ``bundled dsyevd (<library>)`` or
-``numpy fallback``.  Each run's wall seconds go to stderr, so stdout stays diff-able, with the
-user and sys CPU seconds and the minor page faults (``ru_minflt``) of the
-same timed run (for example ``0.55 s (0.47 s user, 0.07 s sys, 6398 minor
-faults)``), its heap peak, the count and matrix shapes of its ``numpy.linalg.eigh`` and
-``eigvalsh`` calls (for example ``eigvalsh(1024x1024) x2``), an in-place solve of
-``kernels._syevd`` counted under the name of the numpy call it replaces, the count of its
-isotypic splits, the ``kernels.irrep_spectra`` calls, which a kernel makes
-once when a check first reads ``Kernel.irrep_spectra`` (for example
-``irrep_spectra x1``), the count of m x m kernel matrices the run built: one per
-dense ``Kernel`` and one per lag kernel whose ``matrix`` was read (for example
-``matrix x0``), and the spectrum path of each
-``Kernel``'s PSD check: ``dft(<index shape>)`` or ``dense(<m>)`` (for example
-``dft(256) x1, dense(256) x1``), and the folded box of frequencies that
-each torus factor (``torus.fourier_factor``) applies axis by axis, with the
-columns per chunk that the torus check streams it (for example
-``fourier(axes 11x21, chunk 64) x1``).  The heap peak is the
+A first stderr line names the eigensolver: ``bundled dsyevd (<library>)``, with the kernel
+family that the library's OpenBLAS picked for this CPU as it loaded and its build
+configuration (``scipy_openblas_get_corename64_`` and ``scipy_openblas_get_config64_``, for
+example ``kernel family SkylakeX``), or ``numpy fallback``.  Each run's wall seconds go to
+stderr, so stdout stays diff-able, with the user and sys CPU seconds and the minor page faults
+(``ru_minflt``) of the same timed run (for example ``0.55 s (0.47 s user, 0.07 s sys, 6398
+minor faults)``), its heap peak, and the facts that ``invdecomp.kernels.recording()`` lists
+for the run: the count and matrix shapes of its eigensolves, named ``eigh`` or ``eigvalsh``
+as numpy's call of the same solve (for example ``eigvalsh(1024x1024) x2``), the count of its
+isotypic splits (``kernels.irrep_spectra``, which a kernel makes once when a check first
+reads ``Kernel.irrep_spectra``; for example ``irrep_spectra x1``), the count of m x m kernel
+matrices the run built: one per dense ``Kernel`` and one per lag kernel whose ``matrix`` was
+read (for example ``matrix x0``), and then, after ``spectra:``, the spectrum path of each
+``Kernel``'s PSD check, ``dft(<index shape>)`` or ``dense(<m>)`` (for example ``dft(256) x1,
+dense(256) x1``), and the folded box of frequencies that each torus factor
+(``torus.fourier_factor``) applies axis by axis, with the columns per chunk that the torus
+check streams it (for example ``fourier(axes 11x21, chunk 64) x1``).  The heap peak is the
 largest ``tracemalloc`` total (numpy's arrays included) over a second,
 traced copy of the run, so that tracing does not slow the timed one.  That traced copy
 also gives each check's seconds and heap peak (for example
@@ -72,9 +73,11 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import ast
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import resource
 import sys
@@ -89,128 +92,8 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from invdecomp import cli, kernels, torus  # noqa: E402
+from invdecomp import cli, kernels  # noqa: E402
 from invdecomp.sampling import RNG_CONTRACT  # noqa: E402
-
-
-@contextlib.contextmanager
-def eig_calls():
-    """Record ``name(shape)`` for each ``numpy.linalg.eigh``/``eigvalsh`` call in the block,
-    and for each in-place solve of ``kernels._syevd`` under the name of the numpy call it
-    replaces: ``eigh`` with eigenvectors, ``eigvalsh`` without.  Without the bundled
-    library ``_syevd`` calls numpy, which is counted there."""
-    calls: list[str] = []
-    saved = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
-    syevd = kernels._syevd
-
-    def record(name, a):
-        calls.append(f"{name}({'x'.join(str(n) for n in np.shape(a))})")
-
-    def counted(name, fn):
-        def call(a, *args, **kwargs):
-            record(name, a)
-            return fn(a, *args, **kwargs)
-
-        return call
-
-    def counted_syevd(s, vectors):
-        if kernels._openblas() is not None:  # the fallback's numpy call counts itself
-            record("eigh" if vectors else "eigvalsh", s)
-        return syevd(s, vectors)
-
-    for name, fn in saved.items():
-        setattr(np.linalg, name, counted(name, fn))
-    kernels._syevd = counted_syevd
-    try:
-        yield calls
-    finally:
-        for name, fn in saved.items():
-            setattr(np.linalg, name, fn)
-        kernels._syevd = syevd
-
-
-@contextlib.contextmanager
-def isotypic_splits():
-    """Record the kernel size of each ``kernels.irrep_spectra`` call in the block."""
-    calls: list[int] = []
-    saved = kernels.irrep_spectra
-
-    def counted(kernel, table):
-        calls.append(kernel.size)
-        return saved(kernel, table)
-
-    kernels.irrep_spectra = counted
-    try:
-        yield calls
-    finally:
-        kernels.irrep_spectra = saved
-
-
-@contextlib.contextmanager
-def matrix_builds():
-    """Record the size of each m x m kernel matrix built in the block: a dense ``Kernel``'s,
-    at construction, and a lag kernel's, when ``Kernel.matrix`` is first read
-    (``kernels._circulant``)."""
-    sizes: list[int] = []
-    post_init, circulant = kernels.Kernel.__post_init__, kernels._circulant
-
-    def traced_post_init(kernel):
-        post_init(kernel)
-        if kernel.lags is None:
-            sizes.append(kernel.size)
-
-    def traced_circulant(profile, shape):
-        sizes.append(profile.size)
-        return circulant(profile, shape)
-
-    kernels.Kernel.__post_init__, kernels._circulant = traced_post_init, traced_circulant
-    try:
-        yield sizes
-    finally:
-        kernels.Kernel.__post_init__, kernels._circulant = post_init, circulant
-
-
-@contextlib.contextmanager
-def spectrum_paths():
-    """Record ``dft(shape)`` or ``dense(m)`` for each ``Kernel`` PSD check in the block."""
-    paths: list[str] = []
-    post_init, dft = kernels.Kernel.__post_init__, kernels._dft_spectrum
-
-    def traced_dft(column, space):
-        paths.append(f"dft({'x'.join(str(n) for n in space.shape)})")
-        return dft(column, space)
-
-    def traced_post_init(kernel):
-        n = len(paths)
-        post_init(kernel)
-        if len(paths) == n:
-            paths.append(f"dense({kernel.size})")
-
-    kernels._dft_spectrum, kernels.Kernel.__post_init__ = traced_dft, traced_post_init
-    try:
-        yield paths
-    finally:
-        kernels._dft_spectrum, kernels.Kernel.__post_init__ = dft, post_init
-
-
-@contextlib.contextmanager
-def factor_paths():
-    """Record ``fourier(axes <box>, chunk <width>)`` for each torus factor in the block:
-    its folded box and the torus check's chunk width on its grid."""
-    paths: list[str] = []
-    saved = torus.fourier_factor
-
-    def traced(kernel):
-        l = saved(kernel)
-        box = "x".join(map(str, l._axes[1]))
-        paths.append(f"fourier(axes {box}, chunk {torus._chunk_width(l.shape[0])})")
-        return l
-
-    torus.fourier_factor = traced
-    try:
-        yield paths
-    finally:
-        torus.fourier_factor = saved
 
 
 def doc_lines(text: str) -> set:
@@ -274,10 +157,35 @@ def _watson16_file(tmp: Path) -> str:
     return _write_json(tmp / "watson16.json", dict(header, payload="watson16.csv", space=space))
 
 
-def _user_matrix(checks: list, **overrides):
+def _s3_file(tmp: Path) -> str:
+    """A kernel file of S3 on 21 points of equal weight, written as :func:`_watson16_file`
+    writes its file: S3 permutes points 0-2 as it permutes {0, 1, 2}, and each of three
+    6-point orbits by left multiplication, with its real irreps triv, sign and std (of
+    dimension 2).  The matrix is min(i, j) + 1 averaged over the group: its integer sums are
+    exact, so it is bitwise invariant, and it is PSD.  Returns the header's name."""
+    m, elems = 21, list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(elems)}
+    mul = [index[tuple(a[b[i]] for i in range(3))] for a in elems for b in elems]
+    regular = [[3 + 6 * k + mul[6 * i + h] for k in range(3) for h in range(6)] for i in range(6)]
+    perm = [list(g) + orbits for g, orbits in zip(elems, regular)]
+    base = np.minimum.outer(np.arange(m), np.arange(m)) + 1.0
+    matrix = sum(base[np.ix_(p, p)] for p in perm) / (len(elems) * m)
+    np.savetxt(tmp / "s3.csv", matrix, fmt="%.17g", delimiter=",")
+    sign = [(-1.0) ** sum(g[i] > g[j] for i in range(3) for j in range(i + 1, 3)) for g in elems]
+    std = [sum(g[i] == i for i in range(3)) - 1.0 for g in elems]  # fixed points less one
+    irreps = [("triv", 1, [1.0] * 6), ("sign", 1, sign), ("std", 2, std)]
+    irreps = [{"label": label, "dim": d, "re": re, "im": [0.0] * 6} for label, d, re in irreps]
+    inv = [index[tuple(g.index(i) for i in range(3))] for g in elems]
+    group = dict(order=6, name="S3", mul=mul, inv=inv, perm=sum(perm, []), npoints=m, irreps=irreps)
+    space = {"points": [[float(i)] for i in range(m)], "weights": [1.0 / m] * m, "name": "S3", "group": group}
+    header = {"kind": "kernel", "name": "s3", "shape": [m, m], "format": "csv"}
+    return _write_json(tmp / "s3.json", dict(header, payload="s3.csv", space=space))
+
+
+def _user_matrix(checks: list, write=_watson16_file, n=16, **overrides):
     def config(tmp: Path) -> list[str]:
-        kernel = {"name": "user_matrix", "params": {"path": _watson16_file(tmp)}}
-        cfg = dict(name="user-matrix", kernel=kernel, grid={"n": 16}, checks=checks, **overrides)
+        kernel = {"name": "user_matrix", "params": {"path": write(tmp)}}
+        cfg = dict(name="user-matrix", kernel=kernel, grid={"n": n}, checks=checks, **overrides)
         return [_write_json(tmp / "config.json", cfg)]
 
     return config
@@ -293,6 +201,10 @@ EXTRA_RUNS = {
         ["invariance", "decomposition", "watson_relation", "z2_condition"]
     ),
     "user-matrix-action-none": _user_matrix(["spectrum"], action={"name": "none"}),
+    # S3 has an irrep of dimension 2; watson_relation fails on a kernel with no Watson structure
+    "user-matrix-s3": _user_matrix(
+        ["invariance", "decomposition", "spectrum", "watson_relation"], write=_s3_file, n=21
+    ),
     "cumulants-watson64": _config(
         {
             "name": "cumulants",
@@ -465,24 +377,32 @@ def main(argv: list[str]) -> int:
         print(f"unknown runs: {unknown}", file=sys.stderr)
         return 2
     lib = kernels._openblas()
-    solver = f"bundled dsyevd ({Path(lib._name).name})" if lib is not None else "numpy fallback"
+    solver = "numpy fallback"
+    if lib is not None:
+        family, config = (getattr(lib, f"scipy_openblas_get_{key}64_") for key in ("corename", "config"))
+        family.restype = config.restype = ctypes.c_char_p
+        solver = (
+            f"bundled dsyevd ({Path(lib._name).name}), kernel family {family().decode()}, "
+            f"config {config().decode().strip()}"
+        )
     print(f"eigensolver: {solver}", file=sys.stderr)
     lines = {}
     for name in names:
         t0, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
-        with eig_calls() as calls, isotypic_splits() as splits, matrix_builds() as matrices:
-            with spectrum_paths() as paths, factor_paths() as factors:
-                line = digest(name)
+        with kernels.recording() as facts:
+            line = digest(name)
         seconds, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF)
         cpu = (
             f"{after.ru_utime - before.ru_utime:.2f} s user, {after.ru_stime - before.ru_stime:.2f} s sys, "
             f"{after.ru_minflt - before.ru_minflt} minor faults"
         )
         peak, checks = traced_run(name)
+        of = lambda *kinds: [fact for fact in facts if fact.split("(")[0] in kinds]
+        calls = of("eigh", "eigvalsh")
         counts = ", ".join(f"{call} x{n}" for call, n in Counter(calls).items())
         eig = f"{len(calls)} eigh/eigvalsh calls" + (f": {counts}" if counts else "")
-        eig += f"; irrep_spectra x{len(splits)}; matrix x{len(matrices)}"
-        spectra = Counter(paths + factors)
+        eig += f"; irrep_spectra x{len(of('irrep_spectra'))}; matrix x{len(of('matrix'))}"
+        spectra = Counter(of("dft", "dense") + of("fourier"))
         spectra = ", ".join(f"{path} x{n}" for path, n in spectra.items()) or "none"
         print(
             f"{name} {seconds:.2f} s ({cpu}), heap peak {peak:.1f} MiB, {eig}; spectra: {spectra}; "
