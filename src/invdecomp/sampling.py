@@ -24,17 +24,14 @@ that of :func:`covariance_factor`, and the torus parity check
 (``invdecomp.torus.torus_watson_check``, stream 0) that of
 ``invdecomp.torus.fourier_factor``.
 
-Both sides of a law check are weighted chi^2 sums over a kept spectrum, drawn with no
-paths by :func:`_chi2_sum`: a weight of one degree of freedom reads normals, and a weight
-of two reads standard exponentials (chi^2_2 = 2 Exp(1)), keyed per block alike.
-:func:`pair_functional` splits the kept spectrum into runs of bitwise-equal values; a run
-of L values gives L // 2 pairs and, for odd L, one leftover.  Leftover k, ascending, takes
-normal k of stream ``streams[0]`` (and ``streams[1]``); pair k, ascending, takes
-exponential k of stream s + ``EXP_STREAM`` (2^15), so ``streams`` lie below 2^15 and never
-meet the law check's streams 0 to 3.  The right side of :func:`law_check` has pairs only,
-G^A on stream 2 and G^B on stream 3: a column takes h*r exponentials, h = 2^(d-1), and
-exponential j*r + k weights the k-th ascending kept eigenvalue of the tied-down kernel.
-No second stream is drawn at rho = 1.
+Both sides of a law check are weighted chi^2 mixtures over a kept spectrum, drawn with no
+paths by :func:`_chi2_sum` from one list (c, nu) of :func:`_chi2_terms`, an entry per run of
+bitwise-equal ascending weights.  The list expands run-major: in entry order, an entry of odd
+nu reads one normal per column, and each entry reads nu // 2 standard exponentials.
+:func:`pair_functional` draws (lambda_kept, 1), its normals on ``streams`` and its
+exponentials on s + ``EXP_STREAM`` (2^15), so ``streams`` lie below 2^15 and never meet the
+law check's streams 0 to 3; the right side of :func:`law_check` draws (mu_kept / 4^d, 2^d),
+exponentials only, on streams 2 and 3.  No second stream is drawn at rho = 1.
 
 Every sampler runs its blocks through :func:`_each_block`, in one worker unless
 ``INVDECOMP_THREADS`` holds a positive integer, the pool size.  Workers take whole blocks,
@@ -96,6 +93,7 @@ LAW_DEFAULTS = {
     "quadruplication": {"grid": 32, "samples": 50_000, "rho": 0.5},
 }
 KS_EXACT_MAX = 10_000  # ks_2samp's exact mode, which snaps the distance, up to this sample size
+MIN_SAMPLES = 1000     # the fewest samples per side that compare_distributions and law_check take
 
 
 def worker_count() -> int:
@@ -243,37 +241,34 @@ def sample(
     return PathEnsemble(space=kernel.space, samples=out, seed=seed)
 
 
-def _tie_split(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pairs, single) of the ascending ``lam``, by runs of bitwise-equal values.
-
-    A run of L equal values lambda gives L // 2 entries lambda to ``pairs``
-    and, for odd L, one to ``single``; both stay ascending.  Values tie only
-    when they are equal: no tolerance, which would change the law.
-    """
-    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf))  # x - y is 0 only for x == y
-    runs = np.diff(np.append(starts, lam.size))
-    return np.repeat(lam[starts], runs // 2), lam[starts[runs % 2 == 1]]
+def _chi2_terms(weights: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """The list (c, nu) of sum_i weights_i chi^2_nu for the ascending ``weights``: one entry
+    per run of bitwise-equal values, c the value and nu times the run's length its degrees of
+    freedom.  Values tie only when they are equal: no tolerance, which would change the law."""
+    starts = np.flatnonzero(np.diff(weights, prepend=-np.inf))  # x - y is 0 only for x == y
+    return weights[starts], nu * np.diff(np.append(starts, weights.size))
 
 
 def _chi2_sum(
-    single: np.ndarray,
-    pairs: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray],
     rho: float,
     count: int,
     seed: int,
     streams: tuple[int, int],
     exp_streams: tuple[int, int],
 ) -> np.ndarray:
-    """``count`` draws of sum_k single_k xi_k (rho xi_k + c eta_k)
-    + sum_k pairs_k [(1+rho) E^A_k - (1-rho) E^B_k], c = sqrt(1 - rho^2).
+    """``count`` draws of sum_j c_j sum_(i <= nu_j) xi_ji (rho xi_ji + s eta_ji), s =
+    sqrt(1 - rho^2), for the list ``terms`` = (c, nu) of :func:`_chi2_terms`.
 
-    Per block, xi and eta are the normals of ``streams[0]`` and ``streams[1]``, single.size per
-    column, and E^A and E^B the standard exponentials of ``exp_streams``, pairs.size per column;
-    no second stream is drawn at rho = 1.  The exponentials are drawn and summed about ``CHUNK``
-    doubles at a time from each stream's one generator, so they are bitwise one fill's, and so
-    is the result wherever BLAS computes a chunk's rows as it does the whole block's (a full
-    block, on OpenBLAS).
+    Two terms of one c add up, in law, to c [(1+rho) E^A - (1-rho) E^B] (chi^2_2 = 2 Exp(1)),
+    so by the module's run-major rule entry j reads nu_j // 2 exponentials E^A and E^B of
+    ``exp_streams`` and, for odd nu_j, one normal xi and eta of ``streams``.  The exponentials
+    are drawn and summed about ``CHUNK`` doubles at a time from each stream's one generator, so
+    they are bitwise one fill's, and so is the result wherever BLAS computes a chunk's rows as
+    it does the whole block's (a full block, on OpenBLAS).
     """
+    weights, nu = terms
+    single, pairs = weights[nu % 2 == 1], np.repeat(weights, nu // 2)
     comp = np.sqrt(max(0.0, 1.0 - rho * rho))
     # a multiple of 16 rows, so that OpenBLAS splits and unrolls each chunk's GEMV
     # as it does the whole block's
@@ -318,10 +313,9 @@ def pair_functional(
 
     Z1 and Z1' are independent paths with covariance K.  With Z1 = L xi and Z1' = L eta as
     :func:`sample` draws them, L^T W L = diag(lambda_r) makes J exactly
-    sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k): no paths and no eigenvectors.  Two
-    terms with one lambda add up, in law, to lambda [(1+rho) E^A - (1-rho) E^B] with standard
-    exponentials E, so :func:`_chi2_sum` draws :func:`_tie_split`'s pairs on ``streams`` +
-    ``EXP_STREAM`` and its leftovers on ``streams``.
+    sum_k lambda_k xi_k (rho xi_k + sqrt(1-rho^2) eta_k): no paths and no eigenvectors.
+    :func:`_chi2_sum` draws it as the list (lambda_r, 1), its normals on ``streams`` and its
+    exponentials on ``streams`` + ``EXP_STREAM``.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
@@ -330,9 +324,9 @@ def pair_functional(
     if not all(0 <= s < EXP_STREAM for s in streams):
         raise ValueError(f"streams must be in [0, {EXP_STREAM}), got {streams}")
     _check_key(seed, streams[0], count - 1)
-    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
+    terms = _chi2_terms(_clip_spectrum(kernel.eigenvalues), 1)
     exp_streams = (streams[0] + EXP_STREAM, streams[1] + EXP_STREAM)
-    return _chi2_sum(single, pairs, rho, count, seed, streams, exp_streams)
+    return _chi2_sum(terms, rho, count, seed, streams, exp_streams)
 
 
 def kstat(data: np.ndarray, n: int) -> float:
@@ -399,8 +393,8 @@ def compare_distributions(a: np.ndarray, b: np.ndarray) -> dict:
     (``cumulant_gaps``)."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    if min(a.size, b.size) < 1000:
-        raise ValueError("need at least 1000 samples per side")
+    if min(a.size, b.size) < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per side")
     ka = [kstat(a, n) for n in (1, 2, 3, 4)]
     kb = [kstat(b, n) for n in (1, 2, 3, 4)]
     return {
@@ -457,17 +451,19 @@ def law_check(
     tied-down functional, so the compensated functional equals in law 4^-d times the sum of
     2^d independent tied-down ones.  The left side is :func:`pair_functional` of ``kernel`` on
     streams (0, 1).  The right side is that sum in chi^2 form, exact in law with no copies
-    drawn: sum_k mu_k [(1+rho) G^A_k - (1-rho) G^B_k] over the kept spectrum mu of the partner
-    that the kernel's ``BUILTINS`` record names, built on ``kernel.space``, each G_k a sum of
-    h = 2^(d-1) standard exponentials (:func:`_chi2_sum`, streams 2 and 3).  The factor 4^-d is
-    a power of 2, so exact.
+    drawn: the list (mu / 4^d, 2^d) over the kept spectrum mu of the partner that the
+    kernel's ``BUILTINS`` record names, built on ``kernel.space``, drawn by :func:`_chi2_sum`
+    on streams 2 and 3.  Division by a power of 2 is exact, so the ties of mu survive it.
+    ``rho``, ``count`` (at least ``MIN_SAMPLES``) and ``seed`` are judged on entry.
 
     It passes when the KS distance is below ``ks_tol`` (by default :func:`null_ks_critical`)
     and the first three k-statistic gaps are within 5 standard deviations of both sides'
     sampling noise plus the offset between the two analytic cumulant sequences.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    if count < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per side")
     _check_key(seed, 0, count - 1)
     partner = getattr(BUILTINS.get(kernel.name), "tied", None)
     if partner is None:
@@ -480,7 +476,7 @@ def law_check(
     del tied
     copies = 2**space.dim
     lhs = pair_functional(kernel, rho, count, seed, streams=(0, 1))
-    rhs = _chi2_sum(mu[:0], np.tile(mu, copies // 2) / copies**2, rho, count, seed, (2, 3), (2, 3))
+    rhs = _chi2_sum(_chi2_terms(mu / copies**2, copies), rho, count, seed, (2, 3), (2, 3))
     kap_l = analytic_cumulants(kernel, rho, 8)
     # kappa_n of the scaled sum of independent copies; the factors are powers of 2, so exact
     kap_r = copies * float(copies**2) ** -np.arange(1, 9) * kap_tied

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from invdecomp import kernels
 from invdecomp.groups import character_table
 from invdecomp.kernels import builtin_kernel, make_interval_grid
 
@@ -25,6 +30,37 @@ def bridge64(grid64):
 @pytest.fixture(scope="session")
 def z2_table(grid64):
     return character_table(grid64.action.group)
+
+
+# run first in the child of ``on_haswell``: the bundled OpenBLAS must have loaded that family
+_HASWELL_CHECK = """
+import ctypes
+from invdecomp import kernels
+corename = kernels._openblas().scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+assert corename() == b"Haswell", corename()
+"""
+
+
+@pytest.fixture(scope="session")
+def on_haswell():
+    """Runs the Python ``code`` in a new interpreter whose bundled OpenBLAS loads its AVX2
+    ``Haswell`` kernels on one thread, and returns its stdout.  ``OPENBLAS_CORETYPE`` and
+    ``OPENBLAS_NUM_THREADS`` are set in the child's environment alone, and the child asserts
+    the family first, so a value pinned through it holds on any AVX2 x86-64 host, whichever
+    family the library picks there by itself."""
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+
+    def run(code):
+        out = subprocess.run(
+            [sys.executable, "-c", _HASWELL_CHECK + code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        return out.stdout
+
+    return run
 
 
 def rng(seed=0):

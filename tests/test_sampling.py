@@ -32,9 +32,9 @@ from invdecomp.sampling import (
     KS_EXACT_MAX,
     RNG_CONTRACT,
     _chi2_sum,
+    _chi2_terms,
     _clip_spectrum,
     _block_generator,
-    _tie_split,
     compare_distributions,
     covariance_factor,
     draw_block,
@@ -174,7 +174,7 @@ def _torus_check(seed):
     "expensive, run",
     [
         ("invdecomp.sampling.covariance_factor", lambda k, seed: sample(k, 3, seed=seed)),
-        ("invdecomp.sampling._tie_split", lambda k, seed: pair_functional(k, 0.5, 3, seed=seed)),
+        ("invdecomp.sampling._chi2_terms", lambda k, seed: pair_functional(k, 0.5, 3, seed=seed)),
         ("invdecomp.sampling.builtin_kernel", lambda k, seed: law_check(k, 0.5, 1000, seed=seed)),
         ("invdecomp.torus.fourier_factor", lambda k, seed: _torus_check(seed)),
     ],
@@ -186,6 +186,19 @@ def test_a_sampler_refuses_an_out_of_range_seed_before_its_first_step(watson32, 
     with mock.patch(expensive, side_effect=AssertionError("ran before the key check")):
         with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got 18446744073709551616$"):
             run(watson32, 1 << 64)
+
+
+@pytest.mark.parametrize(
+    "rho, count, message",
+    [(1.5, 1000, r"^rho must be in \[0, 1\], got 1.5$"), (0.5, 999, r"^need at least 1000 samples per side$")],
+    ids=["rho", "count"],
+)
+def test_law_check_refuses_bad_input_before_its_first_step(watson32, rho, count, message):
+    """rho and the sample floor are judged on entry, so a run that must fail builds no dense
+    tied-down kernel and draws no sample first."""
+    with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
+        with pytest.raises(ValueError, match=message):
+            law_check(watson32, rho, count, seed=1)
 
 
 @FEW
@@ -263,7 +276,7 @@ def test_pair_functional_is_the_dense_pair_functional_exactly(make_kernel, rho):
     coordinate on the k-th kept eigenvalue.  This holds for a tie-free kept
     spectrum, which draws only normals; the kernels here are not stationary.
     """
-    assert _tie_split(_clip_spectrum(make_kernel().eigenvalues))[0].size == 0
+    assert np.all(_chi2_terms(_clip_spectrum(make_kernel().eigenvalues), 1)[1] == 1)
     kernel = make_kernel()
     count = BLOCK + 4  # straddles a block edge
     l = covariance_factor(kernel)
@@ -339,12 +352,24 @@ def _sheet_compensated(n):
     return builtin_kernel("sheet_compensated", make_product_grid([make_interval_grid(n)] * 2))
 
 
-def test_tie_split_takes_runs_of_bitwise_equal_values():
+def _expand(lam):
+    """(pairs, single) of the ascending ``lam``, as ``_chi2_sum`` expands the list (lam, 1):
+    run-major, nu // 2 exponential weights per entry and one normal weight per odd nu."""
+    c, nu = _chi2_terms(lam, 1)
+    return np.repeat(c, nu // 2), c[nu % 2 == 1]
+
+
+def test_chi2_terms_takes_runs_of_bitwise_equal_values():
     lam = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, np.nextafter(3.0, 4.0), 5.0, 5.0, 5.0, 5.0])
-    pairs, single = _tie_split(lam)
+    for nu in (1, 4):
+        c, dof = _chi2_terms(lam, nu)
+        assert c.tolist() == [1.0, 2.0, 3.0, np.nextafter(3.0, 4.0), 5.0]
+        assert dof.tolist() == [nu, 2 * nu, 3 * nu, nu, 4 * nu]
+        assert dof.sum() == nu * lam.size
+    assert [x.size for x in _chi2_terms(lam[:0], 1)] == [0, 0]
+    pairs, single = _expand(lam)
     assert pairs.tolist() == [2.0, 3.0, 5.0, 5.0]
     assert single.tolist() == [1.0, 3.0, np.nextafter(3.0, 4.0)]
-    assert [x.size for x in _tie_split(lam[:0])] == [0, 0]
 
 
 @settings(derandomize=True, max_examples=6, deadline=None)
@@ -354,7 +379,7 @@ def test_tie_split_takes_runs_of_bitwise_equal_values():
 def test_tied_pair_functional_has_the_law_of_the_all_normal_draw(kernel, rho, seed):
     """Exponential pairs against the 0.6.0 draw of two normals per pair."""
     count = 5000
-    assert _tie_split(_clip_spectrum(kernel.eigenvalues))[0].size > 0
+    assert np.any(_chi2_terms(_clip_spectrum(kernel.eigenvalues), 1)[1] > 1)
     j = pair_functional(kernel, rho, count, seed)
     ref = _all_normal_pair(kernel, rho, count, seed + 1)
     assert ks_statistic(j, ref) < null_ks_critical(count)
@@ -398,7 +423,7 @@ def test_tied_pair_functional_golden_digest():
     streams 0, 1, and the pairs 3 exponentials per column on streams 2^15 and
     2^15 + 1, one SFC64 generator per (seed, stream, block), row-major, ascending."""
     kernel = builtin_kernel("watson", make_interval_grid(8))
-    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
+    pairs, single = _expand(_clip_spectrum(kernel.eigenvalues))
     assert (pairs.size, single.size) == (3, 2)
     rho, count, seed = 0.5, BLOCK + 4, 1961
     j = pair_functional(kernel, rho, count, seed)
@@ -421,7 +446,7 @@ def test_watson_1000_pair_functional_golden_digest():
     from its lag column, is exactly circulant, so its DFT spectrum has 499 tied pairs and
     2 singles, and the pairs draw exponentials."""
     kernel = builtin_kernel("watson", make_interval_grid(1000))
-    pairs, single = _tie_split(_clip_spectrum(kernel.eigenvalues))
+    pairs, single = _expand(_clip_spectrum(kernel.eigenvalues))
     assert (pairs.size, single.size) == (499, 2)
     j = pair_functional(kernel, 0.5, 5000, 1000)
     digest = hashlib.sha256(j.astype("<f8").tobytes()).hexdigest()
@@ -438,7 +463,7 @@ def test_watson_1000_pair_functional_golden_digest():
     count=st.integers(1, BLOCK + 8),
 )
 def test_tie_free_pair_functional_is_the_all_normal_draw_bitwise(kernel, rho, count):
-    assert _tie_split(_clip_spectrum(kernel.eigenvalues))[0].size == 0
+    assert np.all(_chi2_terms(_clip_spectrum(kernel.eigenvalues), 1)[1] == 1)
     j = pair_functional(kernel, rho, count, 9)
     assert np.array_equal(j, _all_normal_pair(kernel, rho, count, 9))
 
@@ -476,7 +501,7 @@ def _law_rhs(kernel, rho, count, seed):
 def test_copies_sum_golden_digest():
     """Pins the right side's exponential streams: one SFC64 generator per (seed, block)
     on stream 2 (G^A) and 3 (G^B), h*m exponentials per column in row-major
-    order, exponential j*m + k added to the k-th ascending eigenvalue."""
+    order, run-major: exponential k*h + j added to the k-th ascending eigenvalue."""
     tied = builtin_kernel("sheet_tied", make_product_grid([make_interval_grid(3)] * 2))
     m, h, rho = tied.size, 2, 0.5
     rhs = _law_rhs(_sheet_compensated(3), rho, BLOCK + 4, seed=1961)
@@ -486,7 +511,7 @@ def test_copies_sum_golden_digest():
     }
     digest = hashlib.sha256(e[2].astype("<f8").tobytes()).hexdigest()
     assert digest == "c8a7a1d941600ef6fe0f59dbb659c365f8bb519ce4bacea476f538080bbbd94e"
-    g = {s: e[s].reshape(4, h, m).sum(axis=1) for s in e}
+    g = {s: e[s].reshape(4, m, h).sum(axis=2) for s in e}
     mu = _clip_spectrum(tied.eigenvalues)
     want = ((1 + rho) * g[2] - (1 - rho) * g[3]) @ mu / 16
     # roundoff of an h*m-term dot product, against the sum of its absolute terms
@@ -524,10 +549,10 @@ def test_copies_sum_is_worker_and_prefix_stable(kernel, rho):
 def test_law_rhs_is_the_copies_gemv_of_one_fill_bitwise(kernel, rho):
     """On full blocks the right side is ((1+rho) E^A @ mu - (1-rho) E^B @ mu) / copies^2,
     E^A and E^B one fill of each block's stream 2 and 3, mu the tied-down kept
-    spectrum tiled h = copies / 2 times."""
+    spectrum with each value repeated h = copies / 2 times, run-major."""
     tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
     copies = 2**kernel.space.dim
-    mu = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2)
+    mu = np.repeat(_clip_spectrum(tied.eigenvalues), copies // 2)
     rhs = _law_rhs(kernel, rho, 2 * BLOCK, seed=5)
     for a in (0, BLOCK):
         e = {s: np.empty((BLOCK, mu.size)) for s in (2, 3)}
@@ -545,7 +570,7 @@ def test_streamed_exponential_gemv_is_one_fill_bitwise(a, b, width, rho):
     time; the result is bitwise that of one fill of the block and one GEMV per side,
     the last chunk partial included."""
     weights = np.random.default_rng(width).random(width)
-    got = _chi2_sum(weights[:0], weights, rho, b, 13, (0, 1), (2, 3))[a:]
+    got = _chi2_sum((weights, np.full(width, 2)), rho, b, 13, (0, 1), (2, 3))[a:]
     e = np.empty((b - a, width))
     _block_generator(13, 2, a).standard_exponential(out=e)
     want = (1.0 + rho) * (e @ weights)
@@ -553,6 +578,75 @@ def test_streamed_exponential_gemv_is_one_fill_bitwise(a, b, width, rho):
         _block_generator(13, 3, a).standard_exponential(out=e)
         want -= (1.0 - rho) * (e @ weights)
     assert np.array_equal(got, want)
+
+
+def _tiled_law_rhs(kernel, rho, count, seed):
+    """The right side of versions up to 0.8.20: the tied-down kept spectrum mu tiled
+    h = copies / 2 times, copy-major, over copies^2, drawn as exponential pairs on streams
+    (2, 3)."""
+    tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
+    copies = 2**kernel.space.dim
+    weights = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2) / copies**2
+    return _chi2_sum((weights, np.full(weights.size, 2)), rho, count, seed, (2, 3), (2, 3))
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    n=st.sampled_from([4, 8]), rho=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32)
+)
+@example(n=8, rho=0.5, seed=7)
+def test_run_major_law_rhs_has_the_law_of_the_tiled_draw(n, rho, seed):
+    """The right side's exponentials moved from copy-major to run-major; the law did not."""
+    count, kernel = 5000, _sheet_compensated(n)
+    rhs = _law_rhs(kernel, rho, count, seed)
+    ref = _tiled_law_rhs(kernel, rho, count, seed + 1)
+    assert ks_statistic(rhs, ref) < null_ks_critical(count)
+
+
+class _CountedGenerator:
+    """A block generator that tallies the normals and exponentials drawn on its stream."""
+
+    def __init__(self, tally, seed, stream, a):
+        self.tally, self.stream = tally, stream
+        self.gen = _block_generator(seed, stream, a)
+
+    def standard_normal(self, out):
+        self.tally[self.stream, "normal"] += out.size
+        return self.gen.standard_normal(out=out)
+
+    def standard_exponential(self, out):
+        self.tally[self.stream, "exponential"] += out.size
+        return self.gen.standard_exponential(out=out)
+
+
+@pytest.mark.parametrize(
+    "check, want",
+    [
+        # rho = 1: one stream per side; 127 tied pairs and 2 singles on the left
+        (duplication_check, {(0, "normal"): 2, (EXP_STREAM, "exponential"): 127, (2, "exponential"): 256}),
+        # rho = 0.5: two streams per side; 510 tied pairs and 4 singles on the left
+        (
+            quadruplication_check,
+            {
+                (0, "normal"): 4,
+                (1, "normal"): 4,
+                (EXP_STREAM, "exponential"): 510,
+                (EXP_STREAM + 1, "exponential"): 510,
+                (2, "exponential"): 2048,
+                (3, "exponential"): 2048,
+            },
+        ),
+    ],
+    ids=["watson-duplication", "quadruplication"],
+)
+def test_law_checks_draw_their_variates_per_column(check, want):
+    """The variates per column, stream and kind of the preset grids and rhos: the one
+    run-major expansion draws as many as the two expansions it replaced."""
+    tally, count = {key: 0 for key in want}, 1000
+    counted = lambda seed, stream, a: _CountedGenerator(tally, seed, stream, a)
+    with mock.patch("invdecomp.sampling._block_generator", counted):
+        check({"seed": 3, "samples": count})
+    assert tally == {key: n * count for key, n in want.items()}
 
 
 def _compensated_kernels():

@@ -6,12 +6,8 @@ lambda_k = 1/(4 pi^2 k^2) for the compensated one.  The midpoint-rule
 discretization converges at rate k^2/n^2, which the tests pin down.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -459,9 +455,9 @@ def test_singular_value_ranks_are_the_full_svd_ranks(case, request):
     assert [(s.index_range, s.dims) for s in got] == [(r, dims) for r, dims, _ in want]
 
 
-def test_first_failing_cluster_at_watson1024_on_one_blas_thread():
-    """The spectrum check's finding at m = 1024 with the bundled OpenBLAS on one
-    thread, in a new interpreter so that the thread count holds from the start."""
+def test_first_failing_cluster_at_watson1024_on_one_blas_thread(on_haswell):
+    """The spectrum check's finding at m = 1024 with the bundled OpenBLAS's Haswell kernels on
+    one thread, in a new interpreter so that both hold from the start."""
     code = """
 from invdecomp.groups import character_table
 from invdecomp.kernels import builtin_kernel, make_interval_grid
@@ -472,13 +468,7 @@ try:
 except DecompositionError as exc:
     print(exc)
 """
-    src = str(Path(spectral.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    assert out.stdout.strip() == "cluster 870:872 split into 2 dims (expected 2), max residual 1.026e-08"
+    assert on_haswell(code).strip() == "cluster 970:972 split into 2 dims (expected 2), max residual 1.199e-08"
 
 
 def _heap_peak_above_start(fn):

@@ -160,14 +160,15 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
 def test_preset_digests_two_worker_lines_equal_the_serial_lines():
     """The multi-block presets at two sampling workers, drawn in waves of two blocks,
     give the serial runs' exit codes and digests."""
-    names = ["watson-duplication", "torus-2d", "watson-duplication-2workers", "torus-2d-2workers"]
+    serial = ["watson-duplication", "torus-2d", "quadruplication"]
+    names = serial + [f"{name}-2workers" for name in serial]
     run = _tool("preset_digests.py", *names)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = [line.split() for line in run.stdout.splitlines()]
-    assert [fields[0] for fields in lines[:4]] == names
-    assert lines[2][1:] == lines[0][1:] and lines[3][1:] == lines[1][1:]
-    assert lines[0][1] == "exit=0" and lines[1][1] == "exit=0"
-    assert len(lines) == 7
+    assert [fields[0] for fields in lines[:6]] == names
+    for i in range(3):
+        assert lines[i][1] == "exit=0" and lines[i + 3][1:] == lines[i][1:]
+    assert len(lines) == 9
 
 
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):

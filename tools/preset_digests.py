@@ -18,12 +18,12 @@ four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
 passes a ``grid.basis``), two configs that ``run`` rejects with exit 2, one
 of them through the in-law checks' grid and kernel rule, a ``run`` given
 neither a config file nor a preset, which exits 2 too, and the
-``watson-duplication`` and ``torus-2d`` presets at two sampling workers
-(``TWO_WORKERS``: ``watson-duplication-2workers``, ``torus-2d-2workers``),
-which the sampling runner draws in waves of two blocks.  Each line
-gives the run's name, its exit code, the sha256 of its ``report.json`` and the
-sha256 of each CSV table, in name order; a run that writes no report gives
-the sha256 of its stderr instead.  The report is hashed without its
+``watson-duplication``, ``torus-2d`` and ``quadruplication`` presets at two
+sampling workers (``TWO_WORKERS``: ``watson-duplication-2workers``,
+``torus-2d-2workers``, ``quadruplication-2workers``), which the sampling runner
+draws in waves of two blocks.  Each line gives the run's name, its exit code,
+the sha256 of its ``report.json`` and the sha256 of each CSV table, in name
+order; a run that writes no report gives the sha256 of its stderr instead.  The report is hashed without its
 ``generated_at`` timestamp and without its ``version``, re-serialized exactly
 as the program writes it, so a version bump does not change the digest;
 compare the version separately.
@@ -293,7 +293,9 @@ EXTRA_RUNS = {
 
 # the multi-block presets again at two sampling workers, run by the runner's waves: each
 # line's fields must equal the preset's serial line
-TWO_WORKERS = {f"{name}-2workers": name for name in ("watson-duplication", "torus-2d")}
+TWO_WORKERS = {
+    f"{name}-2workers": name for name in ("watson-duplication", "torus-2d", "quadruplication")
+}
 EXTRA_RUNS.update({run: lambda tmp, name=name: ["--preset", name] for run, name in TWO_WORKERS.items()})
 
 
