@@ -74,6 +74,8 @@ from invdecomp.spectral import (
 from invdecomp.torus import (
     Lattice,
     TorusGrid,
+    _basis_quadratics,
+    assemble_kernel,
     fourier_kl,
     torus_grid,
     torus_watson,
@@ -260,21 +262,20 @@ def _run_spectrum(ctx, tols, cfg):
 
 def _run_torus_watson(ctx, tols, cfg):
     # the check reads row 0 of the run's kernel alone, with no m x m array, and is the last
-    # in CHECKS, so the kernel is released here
+    # in CHECKS, so the kernel is released here; the check samples its truncation at the
+    # cutoff, a lag kernel, and so stationary by construction
     space = ctx["kernel"].space
     profile = ctx.pop("kernel").rows([0])[0]
     cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(profile, space, cutoff)
-    count = int(cfg.get("samples", 20_000))
-    seed = int(cfg["seed"])
+    kernel = assemble_kernel(spec, space)
+    q = _basis_quadratics(kernel.rows, space, spec)  # the even part's cosine and sine readings
     rep = torus_watson_check(
-        spec,
-        space,
-        count,
-        seed,
-        stationarity_tol=tols["stationarity"],
-        split_tol=tols["torus_split"],
+        kernel, space, int(cfg.get("samples", 20_000)), int(cfg["seed"]),
+        stationarity_tol=tols["stationarity"], split_tol=tols["torus_split"],
     )
+    sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
+    rep["even_part_expansion"] = {"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}
     rep["cutoff"] = cutoff
     rep["kernel_spec"] = spec.to_dict()
     return rep

@@ -10,9 +10,9 @@ A stationary kernel on a grid torus is (block-)circulant over the grid's index g
 ``kernels._stationary`` keeps only its m lags, and their DFT (``Kernel.dft``) gives both
 its spectrum, which its PSD check reads, and the closed-form factor that samples it
 (:func:`fourier_factor`): neither runs an eigendecomposition.  A kernel that is not bitwise
-stationary is solved densely.  :func:`torus_watson_check` streams its samples through that
-factor :func:`_chunk_width` columns at a time and reads its kernel by ``Kernel.rows``, so
-the torus path builds no m x m array.
+stationary is solved densely.  :func:`torus_watson_check` samples the kernel it is given
+through that factor, :func:`_chunk_width` columns at a time, so on a lag kernel the torus
+path builds no m x m array.
 """
 
 from __future__ import annotations
@@ -436,7 +436,7 @@ def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) ->
 
 
 def torus_watson_check(
-    spec_or_kernel,
+    kernel: Kernel,
     grid: TorusGrid,
     count: int,
     seed: int,
@@ -444,13 +444,12 @@ def torus_watson_check(
     split_tol: float = 1e-10,
     ks_tol: Optional[float] = None,
 ) -> dict:
-    """Sample a stationary torus kernel and audit the parity identities.
+    """Sample the stationary torus kernel ``kernel`` on ``grid`` and audit the parity identities.
 
     Checks, per sample: the energy split under both factor conventions (the halved parts
     X1, X2 of :func:`parity_decompose`, and the unhalved X(t) -+ X(-t)); independence of the
     parts through their empirical cross-covariance; and equality in law of the two part
-    energies.  The even part is expanded against both cosine and sine frequencies, and both
-    readings are reported.  The unhalved parts are 2 X1 and 2 X2, whose energies are 4 e1 and
+    energies.  The unhalved parts are 2 X1 and 2 X2, whose energies are 4 e1 and
     4 e2 exactly, so ``unhalved_quarter`` is bitwise ``halved_sum``: computed once, and
     reported to name the convention.
 
@@ -459,9 +458,8 @@ def torus_watson_check(
     time (``draw_chunks``); each chunk is split and reduced to its energies and its odd values
     at the fixed points.  The cross-covariance reads the normals, not the parts: the factor's
     sine columns are odd and its cosine columns even, so x1 x2^T = L_sin G L_cos^T for the
-    Gram G = sum xi_sin xi_cos^T, one product per ``SPLIT_COLUMNS`` columns.  The factor and
-    the even part's expansion (:func:`_basis_quadratics`) are taken before the first draw, and
-    the kernel is then released; a lag kernel never builds its matrix.  So one worker's check
+    Gram G = sum xi_sin xi_cos^T, one product per ``SPLIT_COLUMNS`` columns.  The factor is
+    taken before the first draw, and a lag kernel never builds its matrix.  So one worker's check
     stays below (2 m + ``SPLIT_COLUMNS``) r + 8 m ``width`` doubles beyond a dense kernel and
     never holds the ensemble or a whole block of it.
 
@@ -479,8 +477,6 @@ def torus_watson_check(
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_key(seed, 0, count - 1)
-    spec = spec_or_kernel if isinstance(spec_or_kernel, TorusKernelSpec) else None
-    kernel = spec_or_kernel if spec is None else assemble_kernel(spec, grid)
     spread = kernel.stationarity_spread
     report: dict = {
         "stationarity_spread": spread,
@@ -494,8 +490,6 @@ def torus_watson_check(
         return report
 
     l = fourier_factor(kernel)
-    q = _basis_quadratics(kernel.rows, grid, spec) if spec is not None else None
-    del kernel  # an assembled kernel is not held while the check samples
     w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))
@@ -582,12 +576,6 @@ def torus_watson_check(
             "part_kstats": {"odd": cmp_["kstats_a"], "even": cmp_["kstats_b"]},
         }
     )
-    if q is not None:
-        # even-part expansion: cosine reading vs (typo) sine reading
-        report["even_part_expansion"] = {
-            "cos_quadratics": q["cos"],
-            "sin_quadratics_max": float(np.max(q["sin"])) if q["sin"] else 0.0,
-        }
     report["ok"] = bool(
         "halved_sum" in satisfied  # and so "unhalved_quarter", its bitwise copy
         and cross_max <= cross_tol

@@ -1441,7 +1441,7 @@ def test_torus_run_releases_its_kernel_before_the_check_samples(monkeypatch):
         results, _ = cli.execute_checks(cfg, DEFAULT_TOLERANCES)
         held = cli.build_kernel(cfg)
         spec = torus.fourier_kl(held.matrix[0], held.space, 10)
-        report = torus.torus_watson_check(spec, held.space, 1000, 3)
+        report = torus.torus_watson_check(torus.assemble_kernel(spec, held.space), held.space, 1000, 3)
     finally:
         tracemalloc.stop()
     released, kept = heaps

@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invdecomp import kernels, torus
+from invdecomp import cli, kernels, torus
 from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError
 from invdecomp.sampling import (
@@ -128,16 +128,17 @@ def test_stationarity_spread_detects_non_stationary(circle16):
 
 def test_stationarity_spread_is_computed_once_per_kernel(monkeypatch):
     """The PSD check stores the spread; the torus check and stationarity_spread read it.
-    A lag kernel (torus_watson's and the check's assembled one) is circulant by
-    construction and takes no spread pass; a dense kernel of the same matrix, as a
-    ``user_matrix`` file gives, takes one."""
+    A lag kernel (torus_watson's and the assembled truncation the runner's check samples)
+    is circulant by construction and takes no spread pass; a dense kernel of the same
+    matrix, as a ``user_matrix`` file gives, takes one."""
     calls = []
     real = kernels._lag_spread
     counted = lambda k, shape: calls.append(shape) or real(k, shape)
     monkeypatch.setattr(kernels, "_lag_spread", counted)
     grid = torus_grid(Lattice(np.eye(2)), 6)
     kernel = torus_watson(grid)
-    rep = torus_watson_check(fourier_kl(kernel.rows([0])[0], grid, 2), grid, 1000, seed=3)
+    truncated = assemble_kernel(fourier_kl(kernel.rows([0])[0], grid, 2), grid)
+    rep = torus_watson_check(truncated, grid, 1000, seed=3)
     assert rep["stationarity_spread"] == stationarity_spread(kernel) == 0.0
     assert kernel.stationarity_spread == 0.0
     assert calls == []
@@ -426,11 +427,33 @@ def test_torus_watson_check_report(kernel16, circle16):
     assert res["unhalved_quarter"] == res["halved_sum"]
 
 
-def test_torus_watson_check_accepts_spec(kernel16, circle16):
+def _runner_report(spec, grid, count, seed):
+    """The report of the runner's torus check before its ``cutoff`` and ``kernel_spec``: the
+    check of the truncation ``spec`` assembled as a lag kernel, plus the even part's expansion
+    (``_basis_quadratics``) of that kernel."""
+    kernel = assemble_kernel(spec, grid)
+    q = torus._basis_quadratics(kernel.rows, grid, spec)
+    rep = torus_watson_check(kernel, grid, count, seed)
+    sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
+    rep["even_part_expansion"] = {"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}
+    return rep
+
+
+def test_runner_reports_the_check_of_the_assembled_truncation(kernel16, circle16):
+    """``cli._run_torus_watson`` samples the run's kernel truncated at its cutoff: its report
+    is ``torus_watson_check`` of ``assemble_kernel(spec)``, plus the even part's expansion of
+    that kernel, the cutoff and the spec."""
+    cfg = {
+        "kernel": {"name": "torus_watson", "params": {"cutoff": 7}},
+        "grid": {"kind": "torus", "n": [16]},
+        "samples": 2000,
+        "seed": 5,
+    }
+    got = cli._run_torus_watson({"kernel": kernel16}, cli.DEFAULT_TOLERANCES, cfg)
     spec = fourier_kl(kernel16.matrix[0], circle16, 7)
-    rep = torus_watson_check(spec, circle16, 2000, seed=5)
-    assert rep["ok"]
-    exp = rep["even_part_expansion"]
+    assert got == dict(_runner_report(spec, circle16, 2000, 5), cutoff=7, kernel_spec=spec.to_dict())
+    assert got["ok"]
+    exp = got["even_part_expansion"]
     assert len(exp["cos_quadratics"]) == 7
     assert exp["sin_quadratics_max"] < 1e-20
 
@@ -459,15 +482,23 @@ def test_torus_watson_check_rejects_a_bad_count_before_the_stationarity_gate(
 
 
 def _haswell_torus_check(on_haswell, n, cutoff):
-    """``torus_watson_check`` of torus_watson on the square n x n torus at ``cutoff``, seed
-    1961 and 1000 samples, run by ``on_haswell``: the report, through its JSON."""
+    """The runner's torus check of torus_watson on the square n x n torus at ``cutoff``, seed
+    1961 and 1000 samples, as ``_runner_report`` builds it, run by ``on_haswell``: the report,
+    through its JSON."""
     code = f"""
 import json
 import numpy as np
-from invdecomp.torus import Lattice, fourier_kl, torus_grid, torus_watson, torus_watson_check
+from invdecomp.torus import (
+    Lattice, _basis_quadratics, assemble_kernel, fourier_kl, torus_grid, torus_watson, torus_watson_check,
+)
 grid = torus_grid(Lattice(np.eye(2)), {n})
 spec = fourier_kl(torus_watson(grid).matrix[0], grid, {cutoff})
-print(json.dumps(torus_watson_check(spec, grid, 1000, seed=1961)))
+kernel = assemble_kernel(spec, grid)
+q = _basis_quadratics(kernel.rows, grid, spec)
+rep = torus_watson_check(kernel, grid, 1000, seed=1961)
+sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
+rep["even_part_expansion"] = {{"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}}
+print(json.dumps(rep))
 """
     return json.loads(on_haswell(code))
 
@@ -690,7 +721,7 @@ def test_streamed_check_never_holds_the_ensemble():
 
 
 def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
-    """The check's peak allocation, kernel assembled inside it, at m = 1024.
+    """The check's peak allocation, its kernel assembled in the call, at m = 1024.
 
     Bounded by two kernel matrices -- the assembled kernel before the draws,
     the factor's m x r columns (r <= m) and the m/2 x m/2 cross-covariance
@@ -705,7 +736,7 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     m, r = grid.size, fourier_factor(assemble_kernel(spec, grid)).shape[1]
     tracemalloc.start()
     try:
-        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -730,7 +761,7 @@ def test_more_blocks_grow_the_heap_peak_by_the_per_sample_arrays_alone(dim, n, c
     for blocks in (1, 3):
         tracemalloc.start()
         try:
-            assert torus_watson_check(spec, grid, blocks * BLOCK, seed=1)["ok"]
+            assert torus_watson_check(assemble_kernel(spec, grid), grid, blocks * BLOCK, seed=1)["ok"]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -738,9 +769,10 @@ def test_more_blocks_grow_the_heap_peak_by_the_per_sample_arrays_alone(dim, n, c
 
 
 def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkeypatch):
-    """Before its first draw the check, kernel assembled inside it, holds the m x m
-    kernel, the expansion's m x 2p basis and one more array of that size (the cosines
-    and sines it is stacked from, or its squares), and one chunk's rows: each chunk's
+    """Up to the check's first draw the runner's steps (the truncation assembled, its even
+    part expanded, the check called) hold at most the m x m kernel, the expansion's m x 2p
+    basis and one more array of that size (the cosines and sines it is stacked from, or its
+    squares), and one chunk's rows: each chunk's
     quadratic forms are added into their sums as they are made, so no third m x 2p
     array (16.0 MiB at 32 x 32, cutoff 10, in 0.8.10; 14.9 MiB in 0.8.11)."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
@@ -759,7 +791,7 @@ def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkey
     tracemalloc.start()
     try:
         with pytest.raises(FirstDraw):
-            torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+            _runner_report(spec, grid, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -817,9 +849,9 @@ def test_torus_report_does_not_depend_on_the_chunk_width(spec32, monkeypatch):
     spec, grid = spec32
     count = BLOCK + 104
     assert _chunk_width(grid.size) < BLOCK // 16
-    narrow = torus_watson_check(spec, grid, count, seed=5)
+    narrow = _runner_report(spec, grid, count, seed=5)
     monkeypatch.setattr("invdecomp.torus._chunk_width", lambda m: BLOCK // 16)
-    assert torus_watson_check(spec, grid, count, seed=5) == narrow
+    assert _runner_report(spec, grid, count, seed=5) == narrow
 
 
 def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
@@ -833,7 +865,7 @@ def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
     r = fourier_factor(assemble_kernel(spec, grid)).shape[1]
     tracemalloc.start()
     try:
-        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -841,12 +873,11 @@ def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
     assert peak < (2 * m * m + SPLIT_COLUMNS * r + 8 * m * width) * 8
 
 
-def test_spec_driven_check_holds_no_kernel_while_it_samples(spec32, monkeypatch):
-    """At m = 1024 the check assembles its kernel, takes the factor and the even
-    part's expansion from it and releases it: at its first draw no traced array is
-    an m x m matrix.  Its peak stays below one m x m matrix, the worker's sine and
-    cosine normal buffers (SPLIT_COLUMNS r doubles) and eight m-row arrays of one
-    chunk's width."""
+def test_check_of_an_assembled_kernel_holds_no_m_by_m_array_while_it_samples(spec32, monkeypatch):
+    """At m = 1024 the check of the assembled truncation, a lag kernel, takes the factor
+    from it: at its first draw no traced array is an m x m matrix.  Its peak stays below
+    one m x m matrix, the worker's sine and cosine normal buffers (SPLIT_COLUMNS r doubles)
+    and eight m-row arrays of one chunk's width."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     spec, grid = spec32
     m, width = grid.size, _chunk_width(grid.size)
@@ -861,7 +892,7 @@ def test_spec_driven_check_holds_no_kernel_while_it_samples(spec32, monkeypatch)
     monkeypatch.setattr("invdecomp.torus.draw_chunks", first_draw)
     tracemalloc.start()
     try:
-        rep = torus_watson_check(spec, grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
