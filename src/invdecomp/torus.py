@@ -204,22 +204,17 @@ class TorusKernelSpec:
         }
 
 
-def _angles(shape: Sequence[int], index: np.ndarray) -> np.ndarray:
-    """2 pi <b, a/n> on every grid point a (rows, row-major) for each index b (columns) of the
-    (r, d) ``index``.  The turns b_k a_k mod n_k are taken in integers, so an index and its
-    aliases b + n_k e_k give bitwise equal characters."""
+def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi <b, a/n>, the real characters, on every grid point a (rows,
+    row-major) for each index b (columns) of the (r, d) ``index``.  The turns b_k a_k mod n_k
+    are taken in integers, so an index and its aliases b + n_k e_k give bitwise equal
+    characters."""
     d, theta = len(shape), 0.0
     for k, (b, n) in enumerate(zip(np.asarray(index).T, shape)):
         turns = np.multiply.outer(np.arange(n), b) % n / n
         theta = theta + turns.reshape((1,) * k + (n,) + (1,) * (d - k - 1) + (len(b),))
     theta = np.reshape(theta, (math.prod(shape), len(index)))
     theta *= 2.0 * np.pi
-    return theta
-
-
-def _characters(shape: Sequence[int], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of :func:`_angles`: the real characters of each index b."""
-    theta = _angles(shape, index)
     return np.cos(theta), np.sin(theta, out=theta)
 
 
@@ -235,7 +230,8 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
     """Cosine expansion of a stationary even profile sampled on a torus grid.
 
     Quadrature against cos/sin(2 pi <v*|u>) for every dual representative up
-    to ``cutoff``; sine coefficients must vanish (evenness), to ``SINE_TOL``.  Stored per
+    to ``cutoff``, read from one FFT of the weighted profile at the representatives taken
+    mod the grid shape; sine coefficients must vanish (evenness), to ``SINE_TOL``.  Stored per
     vector: the operator eigenvalue a_v = fourier_coeff * vol / 2 (v != 0)
     or fourier_coeff * vol (v = 0), which for the unit circle reproduces the
     classical 1/(4 pi^2 v^2) sequence of the compensated-bridge kernel.
@@ -249,11 +245,11 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
     aliased = vectors[np.any(2 * np.abs(vectors) >= grid.shape, axis=1)]
     if aliased.size:
         raise KernelError(f"dual vector {tuple(map(int, aliased[0]))} aliases on grid {grid.shape} (Nyquist)")
-    cos, sin = _characters(grid.shape, vectors)
-    kw = k * grid.weights
+    # sum_a k_a w_a e^{-2 pi i <b, a/n>}: the cosine quadrature minus i the sine quadrature
+    quad = np.fft.fftn((k * grid.weights).reshape(grid.shape))[tuple((vectors % grid.shape).T)]
     half = np.where(np.any(vectors, axis=1), 0.5, 1.0) * grid.lattice.volume  # squared cosine norms
-    coeffs = (kw @ cos) / half
-    worst_sine = float(np.max(np.abs(kw @ sin) / half))
+    coeffs = quad.real / half
+    worst_sine = float(np.max(np.abs(quad.imag) / half))
     if worst_sine > SINE_TOL:
         raise KernelError(f"profile is not even: sine coefficient {worst_sine:.3e}")
     return TorusKernelSpec(
@@ -269,12 +265,15 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
 
 def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
     """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid, evaluated once
-    per lag and kept as the kernel's lags by ``kernels._stationary``, so exactly stationary."""
+    per lag and kept as the kernel's lags by ``kernels._stationary``, so exactly stationary.
+    The lags are one FFT of the coefficients, each split in halves between its index b and
+    -b (mod the grid shape), as cos = (e^{i theta} + e^{-i theta}) / 2."""
     if not isinstance(grid, TorusGrid):
         raise KernelError("need a torus grid")
-    cos = _angles(grid.shape, spec.vectors)
-    profile = np.cos(cos, out=cos) @ spec.fourier_coeffs
-    return _stationary(profile, grid, "torus_fourier")
+    coeffs, half = np.zeros(grid.shape), 0.5 * spec.fourier_coeffs
+    for sign in (1, -1):  # both halves of the zero vector land on it, exactly its coefficient
+        np.add.at(coeffs, tuple((sign * spec.vectors % grid.shape).T), half)
+    return _stationary(np.fft.fftn(coeffs).real.ravel(), grid, "torus_fourier")
 
 
 def torus_watson(grid: TorusGrid) -> Kernel:

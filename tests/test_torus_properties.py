@@ -142,11 +142,16 @@ def test_circulant_is_the_lag_table_gather_bitwise(shape, basis):
 @given(grid=grids(), seed=SEEDS)
 def test_assemble_kernel_is_the_symmetrized_lag_gather_bitwise(grid, seed):
     """The kernel a Kernel made of the gathered cosine sum by its symmetrizing copy,
-    now built as one bitwise symmetric matrix that the Kernel keeps."""
+    now built as one bitwise symmetric matrix that the Kernel keeps.  The cosine sum is the
+    FFT of the coefficients, each split in halves between its index b and -b."""
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
     coeffs = np.random.default_rng(seed).uniform(0.0, 1.0, len(spec.vectors))
     spec = dataclasses.replace(spec, fourier_coeffs=coeffs)
-    profile = _characters(grid.shape, spec.vectors)[0] @ coeffs
+    halves = np.zeros(grid.shape)
+    for b, c in zip(spec.vectors, coeffs):
+        halves[tuple(b % grid.shape)] += c / 2
+        halves[tuple(-b % grid.shape)] += c / 2
+    profile = np.fft.fftn(halves).real.ravel()
     want = Kernel(grid, lag_gather(profile, grid)).matrix
     assert np.array_equal(assemble_kernel(spec, grid).matrix, want)
 
