@@ -261,9 +261,9 @@ def _run_spectrum(ctx, tols, cfg):
 
 
 def _run_torus_watson(ctx, tols, cfg):
-    # the check reads row 0 of the run's kernel alone, with no m x m array, and is the last
-    # in CHECKS, so the kernel is released here; the check samples its truncation at the
-    # cutoff, a lag kernel, and so stationary by construction
+    # the truncation reads row 0 of the run's kernel alone, with no m x m array, and this
+    # check is the last in CHECKS, so the kernel is released here; the check samples the
+    # truncation, a lag kernel, and so stationary by construction
     space = ctx["kernel"].space
     profile = ctx.pop("kernel").rows([0])[0]
     cutoff = _torus_cutoff(cfg)
