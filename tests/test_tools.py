@@ -171,6 +171,17 @@ def test_preset_digests_two_worker_lines_equal_the_serial_lines():
     assert len(lines) == 9
 
 
+def test_preset_digests_reseeds_a_preset_by_an_overlay_config():
+    """A config of ``seed`` alone, overlaid on ``--preset mgf-check``, runs the preset at
+    that seed: the same check and table, other samples."""
+    run = _tool("preset_digests.py", "mgf-check", "mgf-check-seed5-overlay")
+    assert run.returncode == 0, run.stderr[-2000:]
+    preset, overlay = (line.split() for line in run.stdout.splitlines()[:2])
+    assert overlay[:2] == ["mgf-check-seed5-overlay", "exit=0"] and preset[1] == "exit=0"
+    assert [f.split("=")[0] for f in overlay[2:]] == ["report.json", "mgf.csv"]
+    assert overlay[2] != preset[2]
+
+
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
     assert main(["run", "--preset", "torus-2d", "--out", str(tmp_path)]) == 0
     report = tmp_path / "report.json"

@@ -11,7 +11,7 @@ BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
 ``user_matrix`` file of S3 on 21 points (its ``std`` irrep has dimension 2), a
-``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
+``cumulants`` run, the ``mgf-check`` preset overlaid by a config of seed 5 alone, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
 four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
@@ -288,6 +288,10 @@ EXTRA_RUNS = {
     ),
     # neither a config file nor a preset
     "rejected-no-config": lambda tmp: [],
+    # a config overlaid on a preset: the route that re-seeds a preset
+    "mgf-check-seed5-overlay": lambda tmp: [
+        _write_json(tmp / "config.json", {"seed": 5}), "--preset", "mgf-check"
+    ],
 }
 
 
