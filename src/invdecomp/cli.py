@@ -477,7 +477,6 @@ _TOLERANCES = {
     key: Field("list", size=(len(val),) * 2, item=_POSITIVE) if isinstance(val, list) else _POSITIVE
     for key, val in DEFAULT_TOLERANCES.items()
 }
-_FORMAT = Field(enum=("json", "csv"))
 _PAIR = Field("list", size=(2, 2), item=Field("number"))
 
 CONFIG_FIELDS = Field(
@@ -517,7 +516,7 @@ CONFIG_FIELDS = Field(
         "seed": Field("integer", lo=0, hi=2**64 - 1),
         "checks": Field("list", size=(1, None), item=Field(enum=tuple(CHECKS))),
         "tolerances": Field("object", keys=_TOLERANCES),
-        "output": Field("object", keys={"dir": Field("string"), "formats": Field("list", item=_FORMAT)}),
+        "output": Field("object", keys={"dir": Field("string")}),
     },
 )
 
@@ -773,7 +772,7 @@ def _space_problems(space, checks, action: Optional[str]) -> list[str]:
 def _noise_notes(cfg: dict) -> list[str]:
     """One note per in-law check whose KS tolerance is below the null KS
     critical value at its sample count: such a check can fail on noise alone."""
-    tols = resolve_tolerances(cfg, 1.0)
+    tols = resolve_tolerances(cfg)
     notes = []
     for name in LAW_DEFAULTS:
         if name not in cfg["checks"]:
@@ -788,16 +787,9 @@ def _noise_notes(cfg: dict) -> list[str]:
     return notes
 
 
-def resolve_tolerances(cfg: dict, tol_scale: float) -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(cfg.get("tolerances", {}))
-    out = {}
-    for key, val in tols.items():
-        if isinstance(val, list):
-            out[key] = [float(v) * tol_scale for v in val]
-        else:
-            out[key] = float(val) * tol_scale
-    return out
+def resolve_tolerances(cfg: dict) -> dict:
+    tols = {**DEFAULT_TOLERANCES, **cfg.get("tolerances", {})}
+    return {k: [float(x) for x in v] if isinstance(v, list) else float(v) for k, v in tols.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +895,7 @@ def write_tables(out_parts: dict, out_dir: Path) -> list[str]:
 
 def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = cfg.get("output", {}).get("formats", ["json", "csv"])
-    tables = write_tables(out_parts, out_dir) if "csv" in formats else []
+    tables = write_tables(out_parts, out_dir)
 
     # the output directory is where the report goes, not what it says, so the
     # same run written to two directories gives the same report
@@ -922,10 +913,7 @@ def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -
     }
     if "seed" in cfg:
         report["rng_contract"] = RNG_CONTRACT  # the keying rule behind the seeded samples
-    if "json" in formats:
-        (out_dir / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=1)
-        )
+    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=1))
 
     lines = [f"invdecomp {__version__} — {cfg.get('name', 'experiment')}"]
     if "seed" in cfg:
@@ -985,17 +973,13 @@ def run_command(args) -> int:
             cfg.update(json.loads(json.dumps(PRESETS[args.preset])))
         if args.config is not None:
             cfg.update(load_config_file(args.config))
-        if args.seed is not None:
-            cfg["seed"] = args.seed
 
         problems = validate_config(cfg)
-        if not np.isfinite(args.tol_scale) or args.tol_scale <= 0:
-            problems.append(f"--tol-scale: must be a positive number, not {args.tol_scale}")
         if problems:
             raise ConfigError("; ".join(problems))
         if args.out is not None:  # once validated, ``output`` is an object
             cfg.setdefault("output", {})["dir"] = args.out
-        tols = resolve_tolerances(cfg, args.tol_scale)
+        tols = resolve_tolerances(cfg)
         out_dir = output_dir(cfg)
         with one_blas_thread():
             results, out_parts = execute_checks(cfg, tols)
@@ -1021,11 +1005,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a config (or preset) and write reports")
     run_p.add_argument("config", nargs="?", default=None, help="JSON config path")
     run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--seed", type=int, default=None, help="seed override")
     run_p.add_argument("--preset", default=None, help="start from a named preset")
-    run_p.add_argument(
-        "--tol-scale", type=float, default=1.0, help="multiply all tolerances"
-    )
 
     sub.add_parser("list-presets", help="list built-in experiment presets")
 

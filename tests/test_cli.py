@@ -107,10 +107,10 @@ def test_run_rejects_a_seed_beyond_64_bits(tmp_path, capsys):
         tmp_path,
         checks=["duplication"],
         samples=2000,
-        seed=1,
+        seed=2**64,
         output={"dir": str(tmp_path / "out")},
     )
-    assert main(["run", str(cfg), "--seed", str(2**64)]) == 2
+    assert main(["run", str(cfg)]) == 2
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -123,6 +123,28 @@ def test_run_rejects_a_malformed_output_with_or_without_out(tmp_path, capsys, ou
     err = capsys.readouterr().err
     assert f"config error: output: expected an object, got {json.dumps(output)}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--tol-scale", "2"]], ids=["seed", "tol-scale"])
+def test_run_takes_no_seed_or_tol_scale_option(tmp_path, capsys, flag):
+    """The seed and the tolerances are set in the config alone: either flag is argparse's
+    usage error, exit 2, before any output directory exists."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, output={"dir": str(out)})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_output_formats(tmp_path, capsys):
+    """``output`` takes ``dir`` alone: a run always writes its report and its tables."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, output={"dir": str(out), "formats": ["json", "csv"]})
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: output/formats: unknown key (known: dir)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_unknown_check_name(tmp_path, capsys):
@@ -269,7 +291,7 @@ def test_every_validator_message_is_pinned():
     "overrides",
     [
         {"group": {"kind": "cyclic", "factors": [2]}},
-        {"output": {"formats": ["binary"]}},
+        {"output": {"formats": ["binary"]}},  # an unknown key of output, as group is of the config
         {"action": {"name": "negation"}},
         {
             "action": {"name": "reversal"},
@@ -503,14 +525,6 @@ def test_non_finite_numbers_and_float_integers_exit_2(tmp_path, capsys, command,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", ["0", "-1"])
-def test_run_rejects_a_non_positive_tol_scale(tmp_path, capsys, scale):
-    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")})
-    assert main(["run", str(cfg), "--tol-scale", scale]) == 2
-    assert "tol-scale" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_missing_config_file(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 2
 
@@ -727,17 +741,18 @@ def test_spectrum_compares_only_the_oracle_rows_the_grid_has(tmp_path, capsys):
     assert 0 < len(rows) <= 8
 
 
-@pytest.mark.parametrize(
-    "overrides, flags",
-    [({"tolerances": {"spectrum": 1e-6}}, []), ({}, ["--tol-scale", "100"])],
-    ids=["config", "tol-scale"],
-)
-def test_spectrum_tolerance_judges_the_canonical_split(tmp_path, overrides, flags):
+@pytest.mark.parametrize("preset", [None, "kl-watson"], ids=["config", "preset-overlay"])
+def test_spectrum_tolerance_judges_the_canonical_split(tmp_path, preset):
     """At m = 1024 watson's eigenvectors leak about 1e-7 under reversal: a spectrum
-    tolerance of 1e-6 passes both the eigenspace invariance and the canonical split."""
+    tolerance of 1e-6 passes both the eigenspace invariance and the canonical split,
+    set in a config of its own or in one that overlays a preset."""
     out = tmp_path / "out"
-    grid = {"kind": "interval", "n": 1024}
-    cfg = write_config(tmp_path, grid=grid, checks=["spectrum"], **overrides)
+    overrides = {"grid": {"kind": "interval", "n": 1024}, "tolerances": {"spectrum": 1e-6}}
+    if preset is None:
+        cfg, flags = write_config(tmp_path, checks=["spectrum"], **overrides), []
+    else:
+        cfg, flags = tmp_path / "overlay.json", ["--preset", preset]
+        cfg.write_text(json.dumps(overrides))
     assert main(["run", str(cfg), "--out", str(out), *flags]) == 0
     rep = json.loads((out / "report.json").read_text())["checks"]["spectrum"]
     assert rep["status"] == "passed"
@@ -1262,23 +1277,6 @@ def test_gate_is_auto_appended(tmp_path):
     assert set(report["checks"]) == {"invariance", "watson_relation"}
 
 
-def test_seed_override(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        checks=["duplication"],
-        samples=2000,
-        rho=1.0,
-        seed=1,
-        grid={"kind": "interval", "n": 32},
-        tolerances={"duplication": 0.1},  # spec-scale 0.01 needs 1e5 samples
-        output={"dir": str(tmp_path / "out")},
-    )
-    assert main(["run", str(cfg), "--seed", "99"]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["config"]["seed"] == 99
-    assert report["checks"]["duplication"]["seed"] == 99
-
-
 def test_reports_are_deterministic(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -1301,13 +1299,12 @@ def test_reports_are_deterministic(tmp_path):
 def test_report_does_not_depend_on_the_output_directory(tmp_path):
     """One preset and seed written to two directories: equal reports but for the time stamp."""
     overlay = tmp_path / "overlay.json"
-    overlay.write_text(json.dumps({"samples": 5000, "output": {"formats": ["json"]}}))
+    overlay.write_text(json.dumps({"samples": 5000, "seed": 5, "output": {}}))
     reports = []
     for out in ("first", "second/nested"):
-        args = ["run", str(overlay), "--preset", "mgf-check", "--seed", "5", "--out", str(tmp_path / out)]
-        assert main(args) == 0
+        assert main(["run", str(overlay), "--preset", "mgf-check", "--out", str(tmp_path / out)]) == 0
         report = json.loads((tmp_path / out / "report.json").read_text())
-        assert report["config"]["output"] == {"formats": ["json"]}
+        assert report["config"]["output"] == {}
         report.pop("generated_at")
         reports.append(report)
     assert reports[0] == reports[1]
@@ -1694,7 +1691,7 @@ def test_every_check_reports_only_builtin_json_types(name):
     ``json.dumps`` writes it with no fallback; a numpy scalar fails here."""
     cfg = dict(_ONE_CHECK_CONFIGS[name], name="types", checks=[name])
     assert validate_config(cfg) == []
-    results, _ = cli.execute_checks(cfg, resolve_tolerances(cfg, 1.0))
+    results, _ = cli.execute_checks(cfg, resolve_tolerances(cfg))
     assert "error" not in results[name]
     assert _non_json_values(results) == []
 
@@ -1738,24 +1735,8 @@ def test_only_a_recording_builds_a_torus_factors_axes():
     assert outer[0] == "irrep_spectra"
 
 
-def test_resolve_tolerances_scale():
-    tols = resolve_tolerances({}, 2.0)
-    assert tols["invariance"] == 2 * DEFAULT_TOLERANCES["invariance"]
-    assert tols["cumulants"] == [2 * x for x in DEFAULT_TOLERANCES["cumulants"]]
-
-
 def test_resolve_tolerances_user_overrides_then_scale():
-    tols = resolve_tolerances({"tolerances": {"z2_condition": 1e-6}}, 10.0)
-    assert tols["z2_condition"] == pytest.approx(1e-5)
-
-
-def test_tol_scale_flag_loosens_failure(tmp_path):
-    # z2 on watson at grid 512 fails at 1e-8 but passes when scaled 1000x
-    cfg = write_config(
-        tmp_path,
-        checks=["z2_condition"],
-        grid={"kind": "interval", "n": 512},
-        output={"dir": str(tmp_path / "out")},
-    )
-    assert main(["run", str(cfg)]) == 1
-    assert main(["run", str(cfg), "--tol-scale", "1000"]) == 0
+    """A config's tolerances replace the defaults they name, as floats; the rest stay."""
+    tols = resolve_tolerances({"tolerances": {"z2_condition": 1e-6, "cumulants": [1, 2, 3]}})
+    assert tols == {**DEFAULT_TOLERANCES, "z2_condition": 1e-6, "cumulants": [1.0, 2.0, 3.0]}
+    assert type(tols["cumulants"][0]) is float

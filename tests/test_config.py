@@ -100,13 +100,7 @@ CONFIG_SCHEMA = {
         "output": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "formats": {
-                    "type": "array",
-                    "items": {"enum": ["json", "csv"]},
-                },
-            },
+            "properties": {"dir": {"type": "string"}},
         },
     },
 }
