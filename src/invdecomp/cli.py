@@ -899,11 +899,8 @@ def write_report(cfg, results, out_parts, out_dir: Path, tols, exit_code: int) -
 
     # the output directory is where the report goes, not what it says, so the
     # same run written to two directories gives the same report
-    config = dict(cfg)
-    if "output" in cfg:
-        config["output"] = {k: v for k, v in cfg["output"].items() if k != "dir"}
     report = {
-        "config": config,
+        "config": dict(cfg, output={}) if "output" in cfg else cfg,
         "tolerances_effective": tols,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
