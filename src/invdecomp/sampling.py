@@ -511,8 +511,15 @@ def law_check(
 def _law_from_config(name: str, config: dict) -> dict:
     """:func:`law_check` on an n^d interval grid, d = 1 for duplication and 2 for
     quadruplication.  ``config`` gives grid (n), samples, rho, seed (required)
-    and ks_tol; the first three default to ``LAW_DEFAULTS[name]``."""
+    and ks_tol; the first three default to ``LAW_DEFAULTS[name]``.  Any other key,
+    or no seed, raises ``ValueError`` before a kernel is built."""
     defaults = LAW_DEFAULTS[name]
+    known = (*defaults, "seed", "ks_tol")
+    problems = [f"unknown key {key!r}" for key in config if key not in known]
+    if "seed" not in config:
+        problems.append("seed is required")
+    if problems:
+        raise ValueError(f"{name}_check: {'; '.join(problems)} (keys: {', '.join(known)})")
     dim = list(LAW_DEFAULTS).index(name) + 1
     space = make_product_grid([make_interval_grid(int(config.get("grid", defaults["grid"])))] * dim)
     return law_check(

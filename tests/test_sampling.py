@@ -1061,6 +1061,23 @@ def test_quadruplication_check_small():
     assert len(rep["analytic_lhs"]) == len(rep["analytic_rhs"])
 
 
+@pytest.mark.parametrize("check", [duplication_check, quadruplication_check])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"seed": 1, "sample": 5000}, "unknown key 'sample'"),
+        ({"grid": 8, "samples": 2000}, "seed is required"),
+        ({"n": 8, "tol": 0.1}, "unknown key 'n'; unknown key 'tol'; seed is required"),
+    ],
+    ids=["misspelt-samples", "no-seed", "both"],
+)
+def test_law_wrappers_refuse_keys_they_do_not_read(check, config, message, monkeypatch):
+    """A key the wrapper does not read, or no seed, raises before any kernel is built."""
+    monkeypatch.setattr("invdecomp.sampling.builtin_kernel", lambda *a: pytest.fail("kernel built"))
+    with pytest.raises(ValueError, match=f"_check: {message} \\(keys: grid, samples, rho, seed, ks_tol\\)"):
+        check(config)
+
+
 def test_duplication_check_is_deterministic():
     cfg = {"grid": 32, "samples": 2000, "rho": 1.0, "seed": 3}
     assert duplication_check(cfg) == duplication_check(cfg)
