@@ -472,7 +472,18 @@ def torus_watson_check(
     BLAS computes a chunk's columns as it does the whole block's: on OpenBLAS in every full
     block, and in a partial one a multiple of 8 columns wide (elsewhere to roundoff in its
     last columns, which on two or more axes can reach the chunk before the last).
+
+    ``grid`` must be ``kernel.space`` in shape, weights and lattice basis, else ``KernelError``.
     """
+    space = kernel.space
+    if grid is not space and not (
+        isinstance(grid, TorusGrid)
+        and isinstance(space, TorusGrid)
+        and grid.shape == space.shape
+        and np.array_equal(grid.weights, space.weights)
+        and np.array_equal(grid.lattice.basis, space.lattice.basis)
+    ):
+        raise KernelError(f"grid {grid.name} is not the kernel's space: shape, weights or basis differ")
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_key(seed, 0, count - 1)

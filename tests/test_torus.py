@@ -427,16 +427,19 @@ def test_torus_watson_check_report(kernel16, circle16):
     assert res["unhalved_quarter"] == res["halved_sum"]
 
 
-def _runner_report(spec, grid, count, seed):
-    """The report of the runner's torus check before its ``cutoff`` and ``kernel_spec``: the
-    check of the truncation ``spec`` assembled as a lag kernel, plus the even part's expansion
-    (``_basis_quadratics``) of that kernel."""
-    kernel = assemble_kernel(spec, grid)
-    q = torus._basis_quadratics(kernel.rows, grid, spec)
-    rep = torus_watson_check(kernel, grid, count, seed)
-    sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
-    rep["even_part_expansion"] = {"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}
+# the runner's torus check of ``kernel`` at ``cutoff``, less its ``cutoff`` and ``kernel_spec``
+_RUNNER_REPORT = """
+from invdecomp import cli
+
+def runner_report(kernel, cutoff, count, seed):
+    cfg = {"kernel": {"params": {"cutoff": cutoff}}, "samples": count, "seed": seed}
+    rep = cli._run_torus_watson({"kernel": kernel}, cli.DEFAULT_TOLERANCES, cfg)
+    del rep["cutoff"], rep["kernel_spec"]
     return rep
+"""
+_HERE: dict = {}
+exec(_RUNNER_REPORT, _HERE)
+_runner_report = _HERE["runner_report"]
 
 
 def test_runner_reports_the_check_of_the_assembled_truncation(kernel16, circle16):
@@ -451,11 +454,28 @@ def test_runner_reports_the_check_of_the_assembled_truncation(kernel16, circle16
     }
     got = cli._run_torus_watson({"kernel": kernel16}, cli.DEFAULT_TOLERANCES, cfg)
     spec = fourier_kl(kernel16.matrix[0], circle16, 7)
-    assert got == dict(_runner_report(spec, circle16, 2000, 5), cutoff=7, kernel_spec=spec.to_dict())
+    kernel = assemble_kernel(spec, circle16)
+    q = torus._basis_quadratics(kernel.rows, circle16, spec)
+    sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
+    want = torus_watson_check(kernel, circle16, 2000, 5)
+    want["even_part_expansion"] = {"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}
+    assert got == dict(want, cutoff=7, kernel_spec=spec.to_dict())
+    assert _runner_report(kernel16, 7, 2000, 5) == want
     assert got["ok"]
     exp = got["even_part_expansion"]
     assert len(exp["cos_quadratics"]) == 7
     assert exp["sin_quadratics_max"] < 1e-20
+
+
+@pytest.mark.parametrize(
+    "basis, n", [(2 * np.eye(1), 16), (np.eye(1), 32)], ids=["doubled-weights", "other-shape"]
+)
+def test_torus_watson_check_refuses_a_grid_that_is_not_its_kernels_space(kernel16, basis, n):
+    """The check factors ``kernel.space`` and weighs by ``grid``: on a 16-point grid of twice
+    the covolume it would pass with every energy doubled, and on 32 points fail in a product."""
+    with pytest.raises(KernelError, match="is not the kernel's space"):
+        torus_watson_check(kernel16, torus_grid(Lattice(basis), n), 1000, seed=1)
+    assert torus_watson_check(kernel16, torus_grid(Lattice(np.eye(1)), 16), 1000, seed=1)["ok"]
 
 
 def test_torus_watson_check_is_deterministic(kernel16, circle16):
@@ -483,22 +503,14 @@ def test_torus_watson_check_rejects_a_bad_count_before_the_stationarity_gate(
 
 def _haswell_torus_check(on_haswell, n, cutoff):
     """The runner's torus check of torus_watson on the square n x n torus at ``cutoff``, seed
-    1961 and 1000 samples, as ``_runner_report`` builds it, run by ``on_haswell``: the report,
+    1961 and 1000 samples, as ``_runner_report`` gives it, run by ``on_haswell``: the report,
     through its JSON."""
-    code = f"""
+    code = _RUNNER_REPORT + f"""
 import json
 import numpy as np
-from invdecomp.torus import (
-    Lattice, _basis_quadratics, assemble_kernel, fourier_kl, torus_grid, torus_watson, torus_watson_check,
-)
-grid = torus_grid(Lattice(np.eye(2)), {n})
-spec = fourier_kl(torus_watson(grid).matrix[0], grid, {cutoff})
-kernel = assemble_kernel(spec, grid)
-q = _basis_quadratics(kernel.rows, grid, spec)
-rep = torus_watson_check(kernel, grid, 1000, seed=1961)
-sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
-rep["even_part_expansion"] = {{"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}}
-print(json.dumps(rep))
+from invdecomp.torus import Lattice, torus_grid, torus_watson
+kernel = torus_watson(torus_grid(Lattice(np.eye(2)), {n}))
+print(json.dumps(runner_report(kernel, {cutoff}, 1000, 1961)))
 """
     return json.loads(on_haswell(code))
 
@@ -826,7 +838,8 @@ def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkey
     array (16.0 MiB at 32 x 32, cutoff 10, in 0.8.10; 14.9 MiB in 0.8.11)."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     grid = torus_grid(Lattice(np.eye(2)), 32)
-    spec = fourier_kl(torus_watson(grid).matrix[0], grid, 10)
+    kernel = torus_watson(grid)
+    spec = fourier_kl(kernel.rows([0])[0], grid, 10)
     m, width = grid.size, _chunk_width(grid.size)
     basis = 2 * np.count_nonzero(np.any(spec.vectors, axis=1))
 
@@ -840,7 +853,7 @@ def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkey
     tracemalloc.start()
     try:
         with pytest.raises(FirstDraw):
-            _runner_report(spec, grid, BLOCK + 100, seed=1)
+            _runner_report(kernel, 10, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -895,12 +908,12 @@ def spec32():
 def test_torus_report_does_not_depend_on_the_chunk_width(spec32, monkeypatch):
     """At m = 1024 the check draws 64 columns at a time; its report is that of the
     widest chunk, BLOCK // 16, in a partial block whose last chunk is 40 wide."""
-    spec, grid = spec32
-    count = BLOCK + 104
+    grid = spec32[1]
+    kernel, count = torus_watson(grid), BLOCK + 104
     assert _chunk_width(grid.size) < BLOCK // 16
-    narrow = _runner_report(spec, grid, count, seed=5)
+    narrow = _runner_report(kernel, 3, count, seed=5)
     monkeypatch.setattr("invdecomp.torus._chunk_width", lambda m: BLOCK // 16)
-    assert _runner_report(spec, grid, count, seed=5) == narrow
+    assert _runner_report(kernel, 3, count, seed=5) == narrow
 
 
 def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
