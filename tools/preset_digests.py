@@ -11,13 +11,15 @@ BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
 ``user_matrix`` file of S3 on 21 points (its ``std`` irrep has dimension 2), a
-``cumulants`` run, the ``mgf-check`` preset overlaid by a config of seed 5 alone, ``watson`` on 1000 points and ``sheet_compensated`` on
+``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
 four irreps), ``torus_watson`` on a sheared 12 x 10 torus (the one run that
 passes a ``grid.basis``), two configs that ``run`` rejects with exit 2, one
 of them through the in-law checks' grid and kernel rule, a ``run`` given
-neither a config file nor a preset, which exits 2 too, and the
+neither a config file nor a preset, which exits 2 too, the ``mgf-check``
+preset overlaid by a config of ``seed`` 5 alone (the route that re-seeds a
+preset), and the
 ``watson-duplication``, ``torus-2d`` and ``quadruplication`` presets at two
 sampling workers (``TWO_WORKERS``: ``watson-duplication-2workers``,
 ``torus-2d-2workers``, ``quadruplication-2workers``), which the sampling runner
