@@ -830,12 +830,12 @@ def test_more_blocks_grow_the_heap_peak_by_the_per_sample_arrays_alone(dim, n, c
 
 
 def test_even_part_expansion_holds_two_basis_arrays_before_the_first_draw(monkeypatch):
-    """Up to the check's first draw the runner's steps (the truncation assembled, its even
-    part expanded, the check called) hold at most the m x m kernel, the expansion's m x 2p
-    basis and one more array of that size (the cosines and sines it is stacked from, or its
-    squares), and one chunk's rows: each chunk's
-    quadratic forms are added into their sums as they are made, so no third m x 2p
-    array (16.0 MiB at 32 x 32, cutoff 10, in 0.8.10; 14.9 MiB in 0.8.11)."""
+    """Up to the check's first draw the runner's steps (row 0 read and truncated, the
+    truncation assembled, its even part expanded, the check called) hold at most the m x m
+    kernel, the expansion's m x 2p basis and one more array of that size (the cosines and
+    sines it is stacked from, or its squares), and one chunk's rows: each chunk's quadratic
+    forms are added into their sums as they are made, so no third m x 2p array (16.0 MiB at
+    32 x 32, cutoff 10, in 0.8.10; 14.9 MiB in 0.8.11)."""
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     grid = torus_grid(Lattice(np.eye(2)), 32)
     kernel = torus_watson(grid)
