@@ -12,10 +12,10 @@ from invdecomp.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tool(name, *args):
+def _tool(name, *args, **env):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / name), *map(str, args)],
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **env),
         capture_output=True,
         text=True,
         timeout=300,
@@ -155,6 +155,22 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     # the sheared torus takes the DFT gate twice and one axis-wise Fourier factor
     assert "spectra: dft(12x10) x2, fourier(axes 4x7, chunk 256) x1;" in run.stderr
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr
+
+
+def test_preset_digests_pins_the_z3_user_matrix_line():
+    """Z3 on 12 points has complex characters, so the decomposition check's blocks and the
+    spectrum check's cluster splits take their complex branches; all three checks pass.
+    Pinned on OpenBLAS's Haswell kernels (``OPENBLAS_CORETYPE``), whose dense solve the
+    spectrum's eigenvalues read, so the line holds on any AVX2 x86-64 host."""
+    run = _tool("preset_digests.py", "user-matrix-z3", OPENBLAS_CORETYPE="Haswell")
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "kernel family Haswell," in run.stderr.splitlines()[0]
+    assert run.stdout.splitlines()[0].split() == [
+        "user-matrix-z3",
+        "exit=0",
+        "report.json=ba661ffb9f5db73eb451df7ec9a9f2336cde94f07e5f5424015934c542234d96",
+        "spectrum.csv=5124f9bb2cd8b53caa3a499ba825c912374a22eca1104ca722ded72eebc52965",
+    ]
 
 
 def test_preset_digests_two_worker_lines_equal_the_serial_lines():

@@ -10,7 +10,8 @@ directory, with one sampling worker (two in the two-worker runs below) and one
 BLAS thread.  ``EXTRA_RUNS`` are
 the paths no preset reaches: a ``user_matrix`` kernel file of ``watson`` on 16
 points with its Z2 reversal group, the same file under ``action: none``, a
-``user_matrix`` file of S3 on 21 points (its ``std`` irrep has dimension 2), a
+``user_matrix`` file of S3 on 21 points (its ``std`` irrep has dimension 2), one of Z3
+on 12 points (its characters are complex), a
 ``cumulants`` run, ``watson`` on 1000 points and ``sheet_compensated`` on
 12 x 12 (grids whose sizes are not powers of two), the analytic checks on
 ``watson`` at 1024 points (Z2) and on ``sheet_compensated`` at 12 x 12 (Z2 x Z2,
@@ -184,6 +185,28 @@ def _s3_file(tmp: Path) -> str:
     return _write_json(tmp / "s3.json", dict(header, payload="s3.csv", space=space))
 
 
+def _z3_file(tmp: Path) -> str:
+    """A kernel file of Z3 on 12 points of equal weight, written as :func:`_s3_file` writes
+    its file: Z3 rotates each of four 3-point orbits, with its irreps triv, chi1 and chi2,
+    whose characters are complex.  The matrix is min(i, j) + 1 averaged over the group, as
+    in :func:`_s3_file`.  Returns the header's name."""
+    m, s = 12, 3**0.5 / 2
+    perm = [[3 * (i // 3) + (i + g) % 3 for i in range(m)] for g in range(3)]
+    base = np.minimum.outer(np.arange(m), np.arange(m)) + 1.0
+    matrix = sum(base[np.ix_(p, p)] for p in perm) / (3 * m)
+    np.savetxt(tmp / "z3.csv", matrix, fmt="%.17g", delimiter=",")
+    irreps = [
+        {"label": "triv", "dim": 1, "re": [1.0, 1.0, 1.0], "im": [0.0, 0.0, 0.0]},
+        {"label": "chi1", "dim": 1, "re": [1.0, -0.5, -0.5], "im": [0.0, s, -s]},
+        {"label": "chi2", "dim": 1, "re": [1.0, -0.5, -0.5], "im": [0.0, -s, s]},
+    ]
+    mul = [(a + b) % 3 for a in range(3) for b in range(3)]
+    group = dict(order=3, name="Z3", mul=mul, inv=[0, 2, 1], perm=sum(perm, []), npoints=m, irreps=irreps)
+    space = {"points": [[float(i)] for i in range(m)], "weights": [1.0 / m] * m, "name": "Z3", "group": group}
+    header = {"kind": "kernel", "name": "z3", "shape": [m, m], "format": "csv"}
+    return _write_json(tmp / "z3.json", dict(header, payload="z3.csv", space=space))
+
+
 def _user_matrix(checks: list, write=_watson16_file, n=16, **overrides):
     def config(tmp: Path) -> list[str]:
         kernel = {"name": "user_matrix", "params": {"path": write(tmp)}}
@@ -207,6 +230,8 @@ EXTRA_RUNS = {
     "user-matrix-s3": _user_matrix(
         ["invariance", "decomposition", "spectrum", "watson_relation"], write=_s3_file, n=21
     ),
+    # Z3's characters are complex, so its blocks and cluster splits take the complex branches
+    "user-matrix-z3": _user_matrix(["invariance", "decomposition", "spectrum"], write=_z3_file, n=12),
     "cumulants-watson64": _config(
         {
             "name": "cumulants",
