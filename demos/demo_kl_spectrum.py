@@ -8,19 +8,17 @@ resolves each degenerate pair into one even and one odd direction.
 
 import numpy as np
 
-from invdecomp.groups import character_table
 from invdecomp.kernels import builtin_kernel, make_interval_grid
 from invdecomp.spectral import canonical_decomposition, eigendecompose, spectrum_to_csv
 
 grid = make_interval_grid(512)
-table = character_table(grid.action.group)
 
 for name, oracle in (
     ("bridge", lambda k: 1 / (np.pi**2 * k**2)),
     ("watson", lambda k: 1 / (4 * np.pi**2 * k**2)),
 ):
     spectrum = eigendecompose(builtin_kernel(name, grid))
-    splits = canonical_decomposition(spectrum, table, tol=1e-5)
+    splits = canonical_decomposition(spectrum, tol=1e-5)
     print(f"\n{name}: first clusters (eigenvalue, oracle, labels)")
     for i, s in enumerate(splits[:6]):
         labels = "+".join(f"{l}x{d}" for l, d in sorted(s.dims.items()) if d)

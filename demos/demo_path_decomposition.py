@@ -42,7 +42,7 @@ print("covariance, and the two blocks are orthogonal as operators.")
 
 from invdecomp.kernels import decompose_kernel
 
-blocks = decompose_kernel(kernel, table)
+blocks = decompose_kernel(kernel)
 for label, block in blocks.items():
     lam = block.eigenvalues
     print(f"  block {label!r}: min eigenvalue {lam.min():.2e}, operator trace {lam.sum():.6f}")

@@ -30,7 +30,7 @@ for (v,), a in zip(spec.vectors, spec.eigenvalues):
     print(f"{v:<4} {a:.6e}   {cont:.6e}     {abs(a / cont - 1):.2e}")
 print(f"max |sine coefficient|: {spec.sine_dev:.2e}  (evenness)")
 
-report = torus_watson_check(kernel, grid, count=20_000, seed=1312)
+report = torus_watson_check(kernel, count=20_000, seed=1312)
 print(f"\nstationarity spread : {report['stationarity_spread']:.1e}")
 print(f"fixed points        : {report['fixed_point_indices']}"
       f"  (odd part there: {report['fixed_point_max_odd_value']:.1e})")

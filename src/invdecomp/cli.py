@@ -39,7 +39,6 @@ from invdecomp.cumulants import (
     watson_relation_check,
     z2_condition_check,
 )
-from invdecomp.groups import character_table
 from invdecomp.kernels import (
     BUILTINS,
     TORUS_KERNEL,
@@ -141,7 +140,7 @@ def _run_stationarity(ctx, tols, cfg):
 
 
 def _run_decomposition(ctx, tols, cfg):
-    return decomposition_check(ctx["kernel"], ctx["table"], tols["decomposition"])
+    return decomposition_check(ctx["kernel"], tols["decomposition"])
 
 
 # both symmetry checks guard with the tolerance that their invariance gate judged
@@ -240,7 +239,7 @@ def _run_spectrum(ctx, tols, cfg):
         report["eigenspace_invariance"] = inv
         ok = ok and inv["ok"]
         try:
-            splits = canonical_decomposition(spectrum, ctx["table"], tol=tols["spectrum"])
+            splits = canonical_decomposition(spectrum, tol=tols["spectrum"])
             report["canonical"] = {
                 "clusters": [
                     {
@@ -268,10 +267,10 @@ def _run_torus_watson(ctx, tols, cfg):
     profile = ctx.pop("kernel").rows([0])[0]
     cutoff = _torus_cutoff(cfg)
     spec = fourier_kl(profile, space, cutoff)
-    kernel = assemble_kernel(spec, space)
-    q = _basis_quadratics(kernel.rows, space, spec)  # the even part's cosine and sine readings
+    kernel = assemble_kernel(spec)
+    q = _basis_quadratics(kernel.rows, spec)  # the even part's cosine and sine readings
     rep = torus_watson_check(
-        kernel, space, int(cfg.get("samples", 20_000)), int(cfg["seed"]),
+        kernel, int(cfg.get("samples", 20_000)), int(cfg["seed"]),
         stationarity_tol=tols["stationarity"], split_tol=tols["torus_split"],
     )
     sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
@@ -850,10 +849,7 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
     table, its CSV rows.  A check that raises ``ValueError`` or ``MemoryError``
     fails with the error as its report; a kernel that cannot be built raises.
     """
-    kernel = build_kernel(cfg)
-    action = kernel.space.action
-    ctx = {"kernel": kernel, "table": character_table(action.group) if action is not None else None}
-    del kernel  # ctx holds the one reference, which a check may release
+    ctx = {"kernel": build_kernel(cfg)}  # the one reference, which a check may release
 
     requested = set(cfg["checks"]) | {CHECKS[c].gate for c in cfg["checks"]}
     out_parts: dict = {}

@@ -310,8 +310,8 @@ class Kernel:
 
     @cached_property
     def irrep_spectra(self) -> dict:
-        """:func:`irrep_spectra` over the character table of the bound action's group."""
-        return irrep_spectra(self, character_table(_action(self).group))
+        """:func:`irrep_spectra` of the kernel, computed once."""
+        return irrep_spectra(self)
 
     def __repr__(self) -> str:
         return f"Kernel(name={self.name!r}, size={self.size})"
@@ -530,12 +530,14 @@ def project_kernel(kernel: Kernel, pi: Irrep, sigma: Irrep) -> np.ndarray:
     return project_path(rows, action, sigma).T
 
 
-def decompose_kernel(kernel: Kernel, table) -> dict:
-    """All diagonal projections R_{pi,pi} as kernels, keyed by irrep label.
+def decompose_kernel(kernel: Kernel) -> dict:
+    """All diagonal projections R_{pi,pi} as kernels, keyed by the labels of the irreps of the
+    bound action's group.
 
     A block P K P^T with a real projection P is again a covariance; complex
     characters are rejected.
     """
+    table = character_table(_action(kernel).group)
     if not table.real_valued():
         raise KernelError("diagonal blocks are kernels only for real characters")
     return {
@@ -544,8 +546,9 @@ def decompose_kernel(kernel: Kernel, table) -> dict:
     }
 
 
-def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
-    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it.
+def decomposition_check(kernel: Kernel, tol: float) -> dict:
+    """Of an invariant kernel only the (pi, conj pi) blocks survive; they sum to it, over the
+    irreps of the bound action's group.
 
     Reports the largest deviation of the sum of the (pi, conj pi) blocks from K
     (``sum_deviation``), the largest entry of any other block (``max_cross_projection``), each
@@ -556,6 +559,7 @@ def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
     entry is bitwise the whole-matrix one.
     """
     action, m, w = _action(kernel), kernel.size, kernel.space.weights
+    table = character_table(action.group)
     order, inv_perm = action.group.order, action.perm[action.group.inv]
     step = max(1, CHUNK // m)
     k_rows = np.empty((min(step, m), m))
@@ -600,8 +604,9 @@ def decomposition_check(kernel: Kernel, table, tol: float) -> dict:
     }
 
 
-def irrep_spectra(kernel: Kernel, table) -> dict:
-    """Ascending spectrum of each isotypic block B_pi = U_pi^T S U_pi, keyed by irrep label.
+def irrep_spectra(kernel: Kernel) -> dict:
+    """Ascending spectrum of each isotypic block B_pi = U_pi^T S U_pi, keyed by the label of
+    each irrep pi of the bound action's group.
 
     For a real character the projector P of :func:`project_path` acts orbit by orbit, so it
     commutes with diag(sqrt(w)) when the action preserves the weights; with U_pi an
@@ -618,6 +623,7 @@ def irrep_spectra(kernel: Kernel, table) -> dict:
     """
     _note(lambda: "irrep_spectra")
     action = _action(kernel)
+    table = character_table(action.group)
     if not table.real_valued():
         raise KernelError("diagonal blocks are kernels only for real characters")
     perm, order, m = action.perm, action.group.order, kernel.size

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from invdecomp.groups import CharacterTable, project_path
+from invdecomp.groups import character_table, project_path
 from invdecomp.kernels import Kernel, KernelError, weighted_eigh
 
 __all__ = [
@@ -155,17 +155,13 @@ class ClusterSplit:
     max_residual: float  # worst off-cluster leakage among projected vectors
 
 
-def canonical_decomposition(
-    spectrum: Spectrum,
-    table: CharacterTable,
-    tol: float = 1e-8,
-) -> list[ClusterSplit]:
+def canonical_decomposition(spectrum: Spectrum, tol: float = 1e-8) -> list[ClusterSplit]:
     """Split every eigenvalue cluster by character projections.
 
-    Projects each cluster basis vector with every irrep, verifies the images
-    stay inside the cluster span, counts each image's dimension from its
-    weighted singular values alone, and checks the dimensions add back to
-    the cluster multiplicity.  Clusters are processed a slab at a time (see
+    Projects each cluster basis vector with every irrep of the group bound to the spectrum's
+    space, verifies the images stay inside the cluster span, counts each image's dimension
+    from its weighted singular values alone, and checks the dimensions add back to the
+    cluster multiplicity.  Clusters are processed a slab at a time (see
     the module docstring); a slab that starts after a failing cluster is
     skipped, and DecompositionError names the first failing cluster in
     cluster order.
@@ -173,6 +169,7 @@ def canonical_decomposition(
     action = spectrum.space.action
     if action is None:
         raise KernelError("no action bound to the space")
+    table = character_table(action.group)
     clusters = spectrum.clusters
     w = spectrum.space.weights
     sw = np.sqrt(w)

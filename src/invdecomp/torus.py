@@ -158,7 +158,8 @@ def torus_grid(lattice: Lattice, n_per_axis) -> TorusGrid:
 
 @dataclass(frozen=True, eq=False)
 class TorusKernelSpec:
-    """Retained Fourier data of a stationary even torus kernel.
+    """Retained Fourier data of a stationary even torus kernel on ``grid``, the torus grid
+    whose profile it expands.
 
     For each retained dual vector v* (integer coordinates in the dual basis,
     one representative per +-pair, zero vector first):
@@ -170,13 +171,12 @@ class TorusKernelSpec:
       c_0 + sum_v fourier_coeffs[i] * cos(2 pi <v*| t - s>).
     """
 
-    lattice: Lattice
+    grid: TorusGrid
     vectors: np.ndarray        # (p, n) integer dual coordinates
     eigenvalues: np.ndarray    # (p,)
     fourier_coeffs: np.ndarray  # (p,)
     sine_dev: float
     cutoff: int
-    grid_shape: tuple = ()
 
     def __post_init__(self) -> None:
         for name in ("vectors", "eigenvalues", "fourier_coeffs"):
@@ -186,11 +186,11 @@ class TorusKernelSpec:
             raise KernelError(f"negative coefficient {float(np.min(lam)):.3e}: not PSD")
 
     def to_dict(self) -> dict:
-        dual = dual_lattice(self.lattice)
+        dual = dual_lattice(self.grid.lattice)
         return {
-            "basis": [[float(x) for x in row] for row in self.lattice.basis],
+            "basis": [[float(x) for x in row] for row in self.grid.lattice.basis],
             "dual_basis": [[float(x) for x in row] for row in dual.basis],
-            "grid": [int(n) for n in self.grid_shape],
+            "grid": [int(n) for n in self.grid.shape],
             "cutoff": self.cutoff,
             "sine_dev": self.sine_dev,
             "coefficients": [
@@ -253,23 +253,21 @@ def fourier_kl(profile: np.ndarray, grid: TorusGrid, cutoff: int) -> TorusKernel
     if worst_sine > SINE_TOL:
         raise KernelError(f"profile is not even: sine coefficient {worst_sine:.3e}")
     return TorusKernelSpec(
-        lattice=grid.lattice,
+        grid=grid,
         vectors=vectors,
         eigenvalues=coeffs * half,
         fourier_coeffs=coeffs,
         sine_dev=worst_sine,
         cutoff=cutoff,
-        grid_shape=tuple(grid.shape),
     )
 
 
-def assemble_kernel(spec: TorusKernelSpec, grid: TorusGrid) -> Kernel:
-    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on the grid, evaluated once
-    per lag and kept as the kernel's lags by ``kernels._stationary``, so exactly stationary.
-    The lags are one FFT of the coefficients, each split in halves between its index b and
-    -b (mod the grid shape), as cos = (e^{i theta} + e^{-i theta}) / 2."""
-    if not isinstance(grid, TorusGrid):
-        raise KernelError("need a torus grid")
+def assemble_kernel(spec: TorusKernelSpec) -> Kernel:
+    """Stationary kernel sum_v fourier_coeff_v cos(2 pi <v*|t-s>) on ``spec.grid``, evaluated
+    once per lag and kept as the kernel's lags by ``kernels._stationary``, so exactly
+    stationary.  The lags are one FFT of the coefficients, each split in halves between its
+    index b and -b (mod the grid shape), as cos = (e^{i theta} + e^{-i theta}) / 2."""
+    grid = spec.grid
     coeffs, half = np.zeros(grid.shape), 0.5 * spec.fourier_coeffs
     for sign in (1, -1):  # both halves of the zero vector land on it, exactly its coefficient
         np.add.at(coeffs, tuple((sign * spec.vectors % grid.shape).T), half)
@@ -409,15 +407,16 @@ def parity_decompose(
     return mk(x1), mk(x2)
 
 
-def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) -> dict:
+def _basis_quadratics(rows: Callable, spec: TorusKernelSpec) -> dict:
     """Variance of <X, cos_v>_m and <X, sin_v>_m under the even part cov = (K + K o neg) / 2 of
-    a path covariance K, for every nonzero dual vector v.
+    a path covariance K on ``spec.grid``, for every nonzero dual vector v of ``spec``.
 
     ``rows(index)`` gives rows of K, as ``Kernel.rows`` does.  The forms are the column sums
     of B * (cov @ B), B the weighted, normalized cos and sin vectors.  K, cov and cov @ B are
     taken :func:`_chunk_width` rows at a time, never whole, and the rows are added in row
     order, as ``np.sum(axis=0)`` adds them.
     """
+    grid = spec.grid
     w, neg, step = grid.weights, grid.action.perm[1], _chunk_width(grid.size)
     b = spec.vectors[np.any(spec.vectors, axis=1)]
     basis = np.hstack(_characters(grid.shape, b))
@@ -436,14 +435,13 @@ def _basis_quadratics(rows: Callable, grid: TorusGrid, spec: TorusKernelSpec) ->
 
 def torus_watson_check(
     kernel: Kernel,
-    grid: TorusGrid,
     count: int,
     seed: int,
     stationarity_tol: float = 1e-10,
     split_tol: float = 1e-10,
     ks_tol: Optional[float] = None,
 ) -> dict:
-    """Sample the stationary torus kernel ``kernel`` on ``grid`` and audit the parity identities.
+    """Sample the stationary torus kernel ``kernel`` on its space and audit the parity identities.
 
     Checks, per sample: the energy split under both factor conventions (the halved parts
     X1, X2 of :func:`parity_decompose`, and the unhalved X(t) -+ X(-t)); independence of the
@@ -472,18 +470,7 @@ def torus_watson_check(
     BLAS computes a chunk's columns as it does the whole block's: on OpenBLAS in every full
     block, and in a partial one a multiple of 8 columns wide (elsewhere to roundoff in its
     last columns, which on two or more axes can reach the chunk before the last).
-
-    ``grid`` must be ``kernel.space`` in shape, weights and lattice basis, else ``KernelError``.
     """
-    space = kernel.space
-    if grid is not space and not (
-        isinstance(grid, TorusGrid)
-        and isinstance(space, TorusGrid)
-        and grid.shape == space.shape
-        and np.array_equal(grid.weights, space.weights)
-        and np.array_equal(grid.lattice.basis, space.lattice.basis)
-    ):
-        raise KernelError(f"grid {grid.name} is not the kernel's space: shape, weights or basis differ")
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_key(seed, 0, count - 1)
@@ -500,6 +487,7 @@ def torus_watson_check(
         return report
 
     l = fourier_factor(kernel)
+    grid = kernel.space
     w, width = grid.weights, _chunk_width(grid.size)
     neg = grid.action.perm[1]
     fixed = np.flatnonzero(neg == np.arange(grid.size))

@@ -64,7 +64,7 @@ def test_criterion_02_decomposition_identities():
         parts = [project_path(ens.samples, space.action, ir) for ir in table.irreps]
         assert np.abs(sum(parts) - ens.samples).max() < 1e-10, name
         # kernels: diagonal blocks sum back, off-diagonal blocks vanish
-        blocks = decompose_kernel(kern, table)
+        blocks = decompose_kernel(kern)
         total = sum(b.matrix for b in blocks.values())
         assert np.abs(total - kern.matrix).max() < 1e-10, name
         for pi in table.irreps:
@@ -172,7 +172,6 @@ def test_criterion_10_mgf_check():
 
 def test_criterion_11_kl_spectra():
     grid = make_interval_grid(1024)
-    table = character_table(grid.action.group)
     k = np.arange(1, 11)
     for name, oracle, mult in (
         ("bridge", 1.0 / (np.pi**2 * k**2), 1),
@@ -189,7 +188,7 @@ def test_criterion_11_kl_spectra():
         # full canonical decomposition: dimension sums exact everywhere;
         # residuals at the stated 1e-8 on the clusters under test (deeper
         # clusters are limited by eigensolver conditioning, not structure)
-        splits = canonical_decomposition(spec, table, tol=1e-5)
+        splits = canonical_decomposition(spec, tol=1e-5)
         assert sum(sum(s.dims.values()) for s in splits) == 1024
         assert max(s.max_residual for s in splits[:10]) <= 1e-8
 
@@ -208,7 +207,7 @@ def test_criterion_12_torus():
     assert np.abs(kern.matrix - explicit).max() < 1e-12
     spec = fourier_kl(kern.matrix[0], grid, 63)
     assert spec.sine_dev <= 1e-10
-    rep = torus_watson_check(kern, grid, 100_000, seed=1312, ks_tol=0.02)
+    rep = torus_watson_check(kern, 100_000, seed=1312, ks_tol=0.02)
     assert rep["energy_residuals"]["halved_sum"] <= 1e-10
     assert rep["ks_parts"] < 0.02
     # both factor conventions are measured and reported
@@ -236,7 +235,7 @@ def _mc_signature():
         {"grid": 8, "samples": 2500, "rho": 0.5, "seed": 4104}
     )
     g16 = torus_grid(Lattice(np.eye(1)), 16)
-    sig["torus"] = torus_watson_check(torus_watson(g16), g16, 3000, seed=5)
+    sig["torus"] = torus_watson_check(torus_watson(g16), 3000, seed=5)
     return json.dumps(sig, sort_keys=True)
 
 

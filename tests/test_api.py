@@ -124,7 +124,7 @@ def test_a_torus_check_loads_no_numpy_ma():
     code = (
         "import sys, numpy as np; from invdecomp.torus import Lattice, torus_grid, torus_watson, "
         "torus_watson_check; grid = torus_grid(Lattice(np.eye(2)), 6); "
-        "torus_watson_check(torus_watson(grid), grid, 1000, seed=1); "
+        "torus_watson_check(torus_watson(grid), 1000, seed=1); "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     assert _fresh_stdout(code) == "[]"
@@ -134,10 +134,8 @@ def test_isotypic_spectra_load_no_numpy_ma():
     """The isotypic split takes its orbit sizes by ``bincount``, not ``np.unique``,
     which imports numpy.ma."""
     code = (
-        "import sys; from invdecomp.groups import character_table; "
-        "from invdecomp.kernels import builtin_kernel, irrep_spectra, make_interval_grid; "
-        "k = builtin_kernel('watson', make_interval_grid(16)); "
-        "irrep_spectra(k, character_table(k.space.action.group)); "
+        "import sys; from invdecomp.kernels import builtin_kernel, irrep_spectra, make_interval_grid; "
+        "irrep_spectra(builtin_kernel('watson', make_interval_grid(16))); "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     assert _fresh_stdout(code) == "[]"
@@ -190,9 +188,7 @@ def _torus_spec():
 
 
 def _cluster_split():
-    kernel = _interval_watson()
-    table = invdecomp.character_table(kernel.space.action.group)
-    return invdecomp.canonical_decomposition(invdecomp.eigendecompose(kernel), table)[0]
+    return invdecomp.canonical_decomposition(invdecomp.eigendecompose(_interval_watson()))[0]
 
 
 # each frozen dataclass that holds an ndarray, built from fixed inputs

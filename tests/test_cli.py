@@ -645,9 +645,9 @@ def test_symmetry_checks_share_one_isotypic_split(tmp_path, monkeypatch, checks)
     """One irrep_spectra per run; the z2 values are the trace differences of the report."""
     calls = []
 
-    def counting(kernel, table):
+    def counting(kernel):
         calls.append(kernel.name)
-        return irrep_spectra(kernel, table)
+        return irrep_spectra(kernel)
 
     # where Kernel.irrep_spectra looks it up
     monkeypatch.setattr(kernels, "irrep_spectra", counting)
@@ -836,7 +836,7 @@ def _moved_z2(kernel_file):
 
 def test_decomposition_fails_a_kernel_the_group_moves(kernel_file):
     kernel = _moved_z3(kernel_file)
-    ctx = {"kernel": kernel, "table": character_table(kernel.space.action.group)}
+    ctx = {"kernel": kernel}
     rep = CHECKS["decomposition"].run(ctx, DEFAULT_TOLERANCES, {})
     assert not rep["ok"]
     assert rep["max_cross_projection"] > 1e-3
@@ -885,7 +885,7 @@ def test_decomposition_report_is_bitwise_the_per_pair_projections(kernel_file, b
     key for key and bitwise, the report of one ``project_kernel`` call per pair."""
     kernel = build(kernel_file)
     table = character_table(kernel.space.action.group)
-    rep = CHECKS["decomposition"].run({"kernel": kernel, "table": table}, DEFAULT_TOLERANCES, {})
+    rep = CHECKS["decomposition"].run({"kernel": kernel}, DEFAULT_TOLERANCES, {})
     want = _decomposition_per_pair(kernel, table, DEFAULT_TOLERANCES["decomposition"])
     assert json.dumps(rep) == json.dumps(want)
     moved = build in (_moved_z3, _moved_z2)
@@ -1015,8 +1015,8 @@ def test_streamed_analytic_passes_are_the_whole_matrix_passes_bitwise(kernel_fil
     table = character_table(kernel.space.action.group)
     dev = kernels.Kernel.invariance_dev.func(kernel)
     sym = kernels.weighted_symmetric(kernel)
-    spectra = irrep_spectra(kernel, table) if table.real_valued() else None
-    rep = CHECKS["decomposition"].run({"kernel": kernel, "table": table}, DEFAULT_TOLERANCES, {})
+    spectra = irrep_spectra(kernel) if table.real_valued() else None
+    rep = CHECKS["decomposition"].run({"kernel": kernel}, DEFAULT_TOLERANCES, {})
     assert "matrix" not in vars(kernel) or kernel.lags is None
     assert dev == _whole_invariance_dev(kernel)
     assert np.array_equal(sym, _whole_weighted_symmetric(kernel))
@@ -1438,7 +1438,7 @@ def test_torus_run_releases_its_kernel_before_the_check_samples(monkeypatch):
         results, _ = cli.execute_checks(cfg, DEFAULT_TOLERANCES)
         held = cli.build_kernel(cfg)
         spec = torus.fourier_kl(held.matrix[0], held.space, 10)
-        report = torus.torus_watson_check(torus.assemble_kernel(spec, held.space), held.space, 1000, 3)
+        report = torus.torus_watson_check(torus.assemble_kernel(spec), 1000, 3)
     finally:
         tracemalloc.stop()
     released, kept = heaps

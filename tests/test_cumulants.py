@@ -120,11 +120,11 @@ def test_watson_mean_is_one_twelfth(watson64):
     assert kv[0] == pytest.approx(1.0 / 12, rel=1e-14)
 
 
-def test_cumulants_additive_over_projection(watson64, z2_table):
+def test_cumulants_additive_over_projection(watson64):
     """Projections are independent, so their cumulants add order by order."""
     from invdecomp.kernels import decompose_kernel
 
-    parts = decompose_kernel(watson64, z2_table)
+    parts = decompose_kernel(watson64)
     full = analytic_cumulants(watson64, 0.7, 5)
     split = sum(analytic_cumulants(p, 0.7, 5) for p in parts.values())
     assert np.allclose(split, full, rtol=1e-12)

@@ -97,7 +97,7 @@ def test_file_without_group_has_no_action(kernel_file, watson16):
 
 def test_spectrum_csv_file(tmp_path, watson16):
     s = eigendecompose(watson16)
-    splits = canonical_decomposition(s, character_table(watson16.space.action.group))
+    splits = canonical_decomposition(s)
     path = tmp_path / "spec.csv"
     path.write_text(spectrum_to_csv(s, splits))
     lines = path.read_text().strip().splitlines()

@@ -300,7 +300,7 @@ def test_a_lag_kernel_with_a_negative_fourier_coefficient_is_not_psd():
     coeffs[2] = -0.5 * np.max(coeffs)
     spec = replace(spec, fourier_coeffs=coeffs)
     with pytest.raises(KernelError, match=r"^matrix not PSD \(min eigenvalue -") as lag:
-        assemble_kernel(spec, grid)
+        assemble_kernel(spec)
     profile = torus._characters(grid.shape, spec.vectors)[0] @ coeffs
     even = (profile + profile[kernels._negation(grid.shape)]) / 2
     with pytest.raises(KernelError) as dense:
@@ -681,8 +681,8 @@ def test_index_space_rejects_an_action_that_moves_its_weights():
 # --------------------------------------------------------------- projection
 
 
-def test_kernel_decomposition_completeness(watson64, z2_table):
-    parts = decompose_kernel(watson64, z2_table)
+def test_kernel_decomposition_completeness(watson64):
+    parts = decompose_kernel(watson64)
     assert set(parts) == {"triv", "sign"}
     total = sum(p.matrix for p in parts.values())
     assert np.abs(total - watson64.matrix).max() < 1e-14
@@ -699,23 +699,23 @@ def test_cross_projections_vanish(watson64, z2_table):
     assert np.abs(cross).max() < 1e-14
 
 
-def test_decompose_kernel_rejects_complex_characters(watson64):
+def test_decompose_kernel_rejects_complex_characters():
     with pytest.raises(KernelError, match="real characters"):
-        decompose_kernel(watson64, character_table(cyclic_group(3)))
+        decompose_kernel(_random_psd(_rotation_space(3), 0))
 
 
-def test_projected_kernels_are_orthogonal(watson64, z2_table):
+def test_projected_kernels_are_orthogonal(watson64):
     """R^triv W R^sign = 0: the parts live in orthogonal subspaces."""
-    parts = decompose_kernel(watson64, z2_table)
+    parts = decompose_kernel(watson64)
     w = watson64.space.weights
     prod = parts["triv"].matrix @ (w[:, None] * parts["sign"].matrix)
     assert np.abs(prod).max() < 1e-14
 
 
-def test_decomposition_identity_all_builtins(z2_table):
+def test_decomposition_identity_all_builtins():
     for name in ("bridge", "watson", "torus_watson"):
         k = builtin_kernel(name, make_interval_grid(48))
-        parts = decompose_kernel(k, character_table(k.space.action.group))
+        parts = decompose_kernel(k)
         total = sum(p.matrix for p in parts.values())
         assert np.abs(total - k.matrix).max() < 1e-14, name
 
@@ -782,8 +782,8 @@ def test_irrep_spectra_power_sums_are_the_block_traces(build):
     """The block spectra give decompose_kernel's per-irrep traces, also off invariance."""
     kernel = build()
     table = character_table(kernel.space.action.group)
-    spectra = irrep_spectra(kernel, table)
-    blocks = decompose_kernel(kernel, table)
+    spectra = irrep_spectra(kernel)
+    blocks = decompose_kernel(kernel)
     assert list(spectra) == [p.label for p in table]
     assert sum(len(ev) for ev in spectra.values()) == kernel.size
     for label, ev in spectra.items():
@@ -796,16 +796,16 @@ def test_irrep_spectra_block_sizes_count_the_isotypic_dimensions():
     """Z2 x Z2 on 3 x 2 points has orbits of size 2 and 4; S3 on 3 + 6 points
     holds std twice in the regular orbit and once in the natural one."""
     def sizes(space):
-        spectra = irrep_spectra(_random_psd(space, 2), character_table(space.action.group))
+        spectra = irrep_spectra(_random_psd(space, 2))
         return {lab: len(ev) for lab, ev in spectra.items()}
 
     assert sizes(_product(3, 2)) == {"triv*triv": 2, "triv*sign": 2, "sign*triv": 1, "sign*sign": 1}
     assert sizes(_s3_on_three_and_six_points()) == {"triv": 2, "sign": 1, "std": 6}
 
 
-def test_irrep_spectra_rejects_complex_characters(watson64):
+def test_irrep_spectra_rejects_complex_characters():
     with pytest.raises(KernelError, match="real characters"):
-        irrep_spectra(watson64, character_table(cyclic_group(3)))
+        irrep_spectra(_random_psd(_rotation_space(3), 0))
 
 
 # ---------------------------------------------------------- derived values
@@ -860,8 +860,7 @@ def test_derived_values_are_computed_once_and_equal_their_functions(monkeypatch,
     assert np.array_equal(lam, want[0]) and np.array_equal(spec, want[1])
     assert dev == _invariance_loop(kernel)
     assert check_invariance(kernel, tol=dev) == (True, dev)
-    table = character_table(kernel.space.action.group)
-    want = irrep_spectra(kernel, table)
+    want = irrep_spectra(kernel)
     assert list(spectra) == list(want)
     assert all(np.array_equal(spectra[lab], want[lab]) for lab in want)
 

@@ -123,7 +123,7 @@ def test_kernel_projection_is_idempotent(kind, data, seed):
                     assert np.abs(project_path(block, space.action, r)).max() < TOL
     if table.real_valued():
         irreps = {p.label: p for p in table}
-        for label, block in decompose_kernel(kernel, table).items():
+        for label, block in decompose_kernel(kernel).items():
             p = irreps[label]
             assert np.abs(project_kernel(block, p, p) - block.matrix).max() < TOL
 

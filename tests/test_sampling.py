@@ -167,7 +167,7 @@ def test_key_accepts_its_extremes(watson32):
 
 def _torus_check(seed):
     grid = torus_grid(Lattice(np.eye(1)), 8)
-    return torus_watson_check(torus_watson(grid), grid, 10, seed=seed)
+    return torus_watson_check(torus_watson(grid), 10, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ def test_worker_count_invariance(watson32, count, rho):
 def _rank_deficient():
     # the reversal-even block of the watson kernel: half of its spectrum is 0
     k = builtin_kernel("watson", make_interval_grid(16))
-    return decompose_kernel(k, character_table(k.space.action.group))["triv"]
+    return decompose_kernel(k)["triv"]
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])

@@ -18,7 +18,7 @@ from test_cli import _z3_rotation
 
 from invdecomp import spectral
 from invdecomp.cli import CHECKS, DEFAULT_TOLERANCES
-from invdecomp.groups import character_table, cyclic_group, group_from_dict, project_path
+from invdecomp.groups import character_table, group_from_dict, project_path
 from invdecomp.kernels import (
     IndexSpace,
     Kernel,
@@ -196,18 +196,18 @@ def test_eigenspace_invariance_needs_action():
 # --------------------------------------------------------- canonical split
 
 
-def test_watson_canonical_split(watson512, table512):
-    splits = canonical_decomposition(watson512, table512)
+def test_watson_canonical_split(watson512):
+    splits = canonical_decomposition(watson512)
     # every degenerate pair carries one even and one odd direction
     for s in splits[:50]:
         assert s.dims == {"triv": 1, "sign": 1}
     assert sum(sum(s.dims.values()) for s in splits) == 512
 
 
-def test_bridge_parity_alternates(bridge512, table512):
+def test_bridge_parity_alternates(bridge512):
     """sin(k pi t) is even about t=1/2 for odd k and odd for even k, so the
     simple clusters alternate between the two characters."""
-    splits = canonical_decomposition(bridge512, table512, tol=1e-6)
+    splits = canonical_decomposition(bridge512, tol=1e-6)
     got = []
     for s in splits[:12]:
         (label,) = [l for l, d in s.dims.items() if d == 1]
@@ -219,7 +219,7 @@ def test_canonical_split_bases_have_symmetry(watson512, table512):
     """Each watson cluster holds one even and one odd eigenfunction: the
     character projections of its basis columns are reversal-even and -odd,
     and each spans one mu-unit direction (weighted singular values 1 and 0)."""
-    splits = canonical_decomposition(watson512, table512)
+    splits = canonical_decomposition(watson512)
     action, sw = watson512.space.action, np.sqrt(watson512.space.weights)
     rev = np.arange(512)[::-1]
     for s in splits[:5]:
@@ -234,29 +234,23 @@ def test_canonical_split_bases_have_symmetry(watson512, table512):
             assert np.abs(sv - [1.0, 0.0]).max() < 1e-10
 
 
-def test_deep_spectrum_needs_looser_tol(bridge512, table512):
+def test_deep_spectrum_needs_looser_tol(bridge512):
     """Near the bottom of the spectrum neighboring eigenvalues are split by
     ~1e-9, so float64 eigenvectors mix and the per-cluster residual exceeds
     1e-8.  The library reports this as a decomposition failure rather than
     silently mislabeling; dimensions still sum exactly at a realistic tol."""
     with pytest.raises(DecompositionError):
-        canonical_decomposition(bridge512, table512, tol=1e-9)
-    splits = canonical_decomposition(bridge512, table512, tol=1e-5)
+        canonical_decomposition(bridge512, tol=1e-9)
+    splits = canonical_decomposition(bridge512, tol=1e-5)
     assert sum(sum(s.dims.values()) for s in splits) == 512
     assert max(s.max_residual for s in splits[:20]) < 1e-12
-
-
-def test_wrong_group_table_raises(watson512):
-    bad = character_table(cyclic_group(3))
-    with pytest.raises(DecompositionError):
-        canonical_decomposition(watson512, bad)
 
 
 # --------------------------------------------------------------------- csv
 
 
-def test_spectrum_csv_layout(watson512, table512):
-    splits = canonical_decomposition(watson512, table512)
+def test_spectrum_csv_layout(watson512):
+    splits = canonical_decomposition(watson512)
     text = spectrum_to_csv(watson512, splits)
     lines = text.strip().splitlines()
     assert lines[0] == "k,lambda,cluster_id,irrep_label"
@@ -270,8 +264,8 @@ def test_spectrum_csv_layout(watson512, table512):
     assert {line.split(",")[3] for line in lines[1:]} <= {"triv", "sign", "sign+triv"}
 
 
-def test_spectrum_csv_simple_clusters_alternate(bridge512, table512):
-    splits = canonical_decomposition(bridge512, table512, tol=1e-5)
+def test_spectrum_csv_simple_clusters_alternate(bridge512):
+    splits = canonical_decomposition(bridge512, tol=1e-5)
     lines = spectrum_to_csv(bridge512, splits).strip().splitlines()
     assert [line.split(",")[3] for line in lines[1:7]] == [
         "triv", "sign", "triv", "sign", "triv", "sign",
@@ -313,7 +307,7 @@ def _reference_invariance(spectrum):
     return per_cluster
 
 
-def _reference_canonical(spectrum, table, tol):
+def _reference_canonical(spectrum, tol):
     """(index range, dims, residual) per cluster, one cluster at a time, each
     dimension the rank of a full SVD (singular vectors computed); raises at the
     first failing cluster (the 0.7.2 loop, less its sub-bases)."""
@@ -325,7 +319,7 @@ def _reference_canonical(spectrum, table, tol):
         dims = {}
         residual = 0.0
         total = 0
-        for p in table:
+        for p in character_table(action.group):
             img = project_path(block, action, p)
             norms = _mu_norms(img, w)
             if float(np.max(norms)) > 0:
@@ -385,7 +379,7 @@ CASES = st.one_of(
 )
 
 
-def _assert_like_reference(spectrum, table, tol):
+def _assert_like_reference(spectrum, tol):
     want = _reference_invariance(spectrum)
     got = check_eigenspace_invariance(spectrum, tol=tol)
     assert len(got["per_cluster"]) == len(want)
@@ -393,13 +387,13 @@ def _assert_like_reference(spectrum, table, tol):
     assert abs(got["max_residual"] - max(want)) <= 1e-14
 
     try:
-        want = _reference_canonical(spectrum, table, tol)
+        want = _reference_canonical(spectrum, tol)
     except DecompositionError as exc:
         with pytest.raises(DecompositionError) as got:
-            canonical_decomposition(spectrum, table, tol=tol)
+            canonical_decomposition(spectrum, tol=tol)
         assert str(got.value) == str(exc)
         return
-    got = canonical_decomposition(spectrum, table, tol=tol)
+    got = canonical_decomposition(spectrum, tol=tol)
     assert [s.index_range for s in got] == [r[0] for r in want]
     for split, (_, dims, residual) in zip(got, want):
         assert split.dims == dims
@@ -412,9 +406,8 @@ def test_slabs_match_the_per_cluster_loops(kernel, slab, tol):
     """Index ranges, dims, residuals, and the first failing cluster with its
     message, against the cluster-by-cluster loops; a small SLAB puts wide
     clusters alone in a slab wider than SLAB."""
-    table = character_table(kernel.space.action.group)
     with mock.patch.object(spectral, "SLAB", slab):
-        _assert_like_reference(eigendecompose(kernel), table, tol)
+        _assert_like_reference(eigendecompose(kernel), tol)
 
 
 @pytest.mark.parametrize("slab", [3, 256])
@@ -423,7 +416,7 @@ def test_wide_cluster_matches_the_per_cluster_loops(slab):
     spectrum = eigendecompose(kernel)
     assert max(b - a for a, b in spectrum.clusters) == 19
     with mock.patch.object(spectral, "SLAB", slab):
-        _assert_like_reference(spectrum, character_table(kernel.space.action.group), 1e-8)
+        _assert_like_reference(spectrum, 1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -434,10 +427,9 @@ def watson1024():
 def test_slabs_match_the_per_cluster_loops_at_watson1024(watson1024):
     """The runner's spectrum check at m = 1024 stops at the same cluster with
     the same message; which cluster fails depends on the BLAS behind eigh."""
-    table = character_table(watson1024.space.action.group)
     with pytest.raises(DecompositionError, match=r"split into 2 dims \(expected 2\)"):
-        canonical_decomposition(watson1024, table)
-    _assert_like_reference(watson1024, table, 1e-8)
+        canonical_decomposition(watson1024)
+    _assert_like_reference(watson1024, 1e-8)
 
 
 @pytest.mark.parametrize("case", ["watson512", "watson1024", "sheet_compensated12x12"])
@@ -449,9 +441,8 @@ def test_singular_value_ranks_are_the_full_svd_ranks(case, request):
         spectrum = eigendecompose(_sheet_case("sheet_compensated", 12, 12))
     else:
         spectrum = request.getfixturevalue(case)
-    table = character_table(spectrum.space.action.group)
-    got = canonical_decomposition(spectrum, table, tol=np.inf)
-    want = _reference_canonical(spectrum, table, np.inf)
+    got = canonical_decomposition(spectrum, tol=np.inf)
+    want = _reference_canonical(spectrum, np.inf)
     assert [(s.index_range, s.dims) for s in got] == [(r, dims) for r, dims, _ in want]
 
 
@@ -459,12 +450,11 @@ def test_first_failing_cluster_at_watson1024_on_one_blas_thread(on_haswell):
     """The spectrum check's finding at m = 1024 with the bundled OpenBLAS's Haswell kernels on
     one thread, in a new interpreter so that both hold from the start."""
     code = """
-from invdecomp.groups import character_table
 from invdecomp.kernels import builtin_kernel, make_interval_grid
 from invdecomp.spectral import DecompositionError, canonical_decomposition, eigendecompose
 spectrum = eigendecompose(builtin_kernel("watson", make_interval_grid(1024)))
 try:
-    canonical_decomposition(spectrum, character_table(spectrum.space.action.group))
+    canonical_decomposition(spectrum)
 except DecompositionError as exc:
     print(exc)
 """
@@ -486,11 +476,10 @@ def test_spectrum_check_holds_one_slab_beyond_its_bases(watson1024):
     work alone: within 8 blocks of SLAB = 256 columns (10.1 MiB measured,
     44 MiB for the whole basis in one slab)."""
     m = len(watson1024.eigenvalues)
-    table = character_table(watson1024.space.action.group)
 
     def run():
         check_eigenspace_invariance(watson1024)
-        canonical_decomposition(watson1024, table, tol=1e-5)
+        canonical_decomposition(watson1024, tol=1e-5)
 
     assert _heap_peak_above_start(run) <= 8 * 256 * m * 8
 
@@ -501,14 +490,21 @@ def test_decomposition_check_holds_one_block_at_a_time():
     projection's output and gathered term; the deviation is taken in place."""
     kernel = builtin_kernel("watson", make_interval_grid(1024))
     matrix = kernel.matrix  # a lag kernel's, built before the check as a dense kernel holds it
-    ctx = {"kernel": kernel, "table": character_table(kernel.space.action.group)}
+    ctx = {"kernel": kernel}
     run = lambda: CHECKS["decomposition"].run(ctx, DEFAULT_TOLERANCES, {})
     assert _heap_peak_above_start(run) <= 4 * matrix.nbytes + 2**20
 
 
 def test_wrong_table_fails_like_the_per_cluster_loops():
-    spectrum = eigendecompose(builtin_kernel("watson", make_interval_grid(16)))
-    _assert_like_reference(spectrum, character_table(cyclic_group(3)), 1e-8)
+    """A space whose group does not fix the kernel: bridge on 15 interval points with Z3
+    rotating them by 5 bound in place of the reversal, so that group's table is the wrong
+    one for the spectrum, and its characters are complex."""
+    spectrum = eigendecompose(builtin_kernel("bridge", make_interval_grid(15)))
+    _, action = group_from_dict(_z3_rotation(15))
+    spectrum = replace(spectrum, space=replace(spectrum.space, action=action))
+    with pytest.raises(DecompositionError):
+        canonical_decomposition(spectrum)
+    _assert_like_reference(spectrum, 1e-8)
 
 
 def test_first_failure_is_in_cluster_order_across_widths():
@@ -524,7 +520,6 @@ def test_first_failure_is_in_cluster_order_across_widths():
         basis=q * np.sqrt(8),
         clusters=((0, 1), (1, 3), (3, 4), (4, 6), (6, 8)),
     )
-    table = character_table(space.action.group)
     with pytest.raises(DecompositionError, match=r"^cluster 1:3 "):
-        canonical_decomposition(spectrum, table)
-    _assert_like_reference(spectrum, table, 1e-8)
+        canonical_decomposition(spectrum)
+    _assert_like_reference(spectrum, 1e-8)

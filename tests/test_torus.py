@@ -137,8 +137,8 @@ def test_stationarity_spread_is_computed_once_per_kernel(monkeypatch):
     monkeypatch.setattr(kernels, "_lag_spread", counted)
     grid = torus_grid(Lattice(np.eye(2)), 6)
     kernel = torus_watson(grid)
-    truncated = assemble_kernel(fourier_kl(kernel.rows([0])[0], grid, 2), grid)
-    rep = torus_watson_check(truncated, grid, 1000, seed=3)
+    truncated = assemble_kernel(fourier_kl(kernel.rows([0])[0], grid, 2))
+    rep = torus_watson_check(truncated, 1000, seed=3)
     assert rep["stationarity_spread"] == stationarity_spread(kernel) == 0.0
     assert kernel.stationarity_spread == 0.0
     assert calls == []
@@ -157,7 +157,7 @@ def test_fourier_coefficients_match_closed_form(circle16, kernel16):
         assert eig == pytest.approx(a_exact(v, 16), rel=1e-12)
     assert spec.sine_dev < 1e-15
     assert spec.cutoff == 7
-    assert spec.grid_shape == (16,)
+    assert spec.grid is circle16
 
 
 def test_fourier_tends_to_continuum():
@@ -205,7 +205,7 @@ def test_fourier_rejects_shape_mismatch(circle16):
 
 def test_assemble_kernel_truncation(circle16, kernel16):
     spec = fourier_kl(kernel16.matrix[0], circle16, 7)
-    asm = assemble_kernel(spec, circle16)
+    asm = assemble_kernel(spec)
     # only the unpaired Nyquist mode v=8 is dropped
     err = np.abs(asm.matrix - kernel16.matrix).max()
     assert err == pytest.approx(a_exact(8, 16), rel=1e-10)
@@ -231,7 +231,7 @@ def _torus_kernel(basis, shape, cutoff=None):
     kernel = torus_watson(grid)
     if cutoff is None:
         return kernel
-    return assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff), grid)
+    return assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff))
 
 
 FACTORS = {
@@ -409,8 +409,8 @@ def test_parity_energy_split(kernel16, circle16):
 # ------------------------------------------------------------ bundled check
 
 
-def test_torus_watson_check_report(kernel16, circle16):
-    rep = torus_watson_check(kernel16, circle16, 2000, seed=5)
+def test_torus_watson_check_report(kernel16):
+    rep = torus_watson_check(kernel16, 2000, seed=5)
     assert rep["ok"]
     assert rep["fixed_point_indices"] == [0, 8]
     assert rep["fixed_point_max_odd_value"] == 0.0
@@ -454,10 +454,10 @@ def test_runner_reports_the_check_of_the_assembled_truncation(kernel16, circle16
     }
     got = cli._run_torus_watson({"kernel": kernel16}, cli.DEFAULT_TOLERANCES, cfg)
     spec = fourier_kl(kernel16.matrix[0], circle16, 7)
-    kernel = assemble_kernel(spec, circle16)
-    q = torus._basis_quadratics(kernel.rows, circle16, spec)
+    kernel = assemble_kernel(spec)
+    q = torus._basis_quadratics(kernel.rows, spec)
     sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
-    want = torus_watson_check(kernel, circle16, 2000, 5)
+    want = torus_watson_check(kernel, 2000, 5)
     want["even_part_expansion"] = {"cos_quadratics": q["cos"], "sin_quadratics_max": sin_max}
     assert got == dict(want, cutoff=7, kernel_spec=spec.to_dict())
     assert _runner_report(kernel16, 7, 2000, 5) == want
@@ -467,20 +467,9 @@ def test_runner_reports_the_check_of_the_assembled_truncation(kernel16, circle16
     assert exp["sin_quadratics_max"] < 1e-20
 
 
-@pytest.mark.parametrize(
-    "basis, n", [(2 * np.eye(1), 16), (np.eye(1), 32)], ids=["doubled-weights", "other-shape"]
-)
-def test_torus_watson_check_refuses_a_grid_that_is_not_its_kernels_space(kernel16, basis, n):
-    """The check factors ``kernel.space`` and weighs by ``grid``: on a 16-point grid of twice
-    the covolume it would pass with every energy doubled, and on 32 points fail in a product."""
-    with pytest.raises(KernelError, match="is not the kernel's space"):
-        torus_watson_check(kernel16, torus_grid(Lattice(basis), n), 1000, seed=1)
-    assert torus_watson_check(kernel16, torus_grid(Lattice(np.eye(1)), 16), 1000, seed=1)["ok"]
-
-
 def test_torus_watson_check_is_deterministic(kernel16, circle16):
-    a = torus_watson_check(kernel16, circle16, 1500, seed=3)
-    b = torus_watson_check(kernel16, circle16, 1500, seed=3)
+    a = torus_watson_check(kernel16, 1500, seed=3)
+    b = torus_watson_check(kernel16, 1500, seed=3)
     assert a == b
 
 
@@ -494,11 +483,11 @@ def test_torus_watson_check_rejects_a_bad_count_before_the_stationarity_gate(
     moved[0, 1] = moved[1, 0] = moved[0, 1] + 1e-3
     kernel = Kernel(circle16, moved, "moved")
     assert kernel.stationarity_spread > 1e-10
-    assert torus_watson_check(kernel, circle16, 10, seed=1)["ok"] is False
+    assert torus_watson_check(kernel, 10, seed=1)["ok"] is False
     with pytest.raises(ValueError, match="count must be >= 1"):
-        torus_watson_check(kernel, circle16, count, seed=1)
+        torus_watson_check(kernel, count, seed=1)
     with pytest.raises(ValueError, match="count must be >= 1"):
-        torus_watson_check(kernel16, circle16, count, seed=1)
+        torus_watson_check(kernel16, count, seed=1)
 
 
 def _haswell_torus_check(on_haswell, n, cutoff):
@@ -637,7 +626,7 @@ def _materialized_check(kernel, grid, count, seed):
 
 def test_streamed_check_matches_the_materialized_ensemble(kernel16, circle16):
     count = BLOCK + 36  # the second block is partial
-    rep = torus_watson_check(kernel16, circle16, count, seed=17)
+    rep = torus_watson_check(kernel16, count, seed=17)
     ref = _materialized_check(kernel16, circle16, count, 17)
     assert rep["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
     for key, val in ref.items():
@@ -655,7 +644,7 @@ def test_streamed_cross_covariance_sums_split_slices_in_order_bitwise():
     count = BLOCK + 1000  # a partial block, whose last slice is partial too
     # at seed 16 slices of 64, 128, 256 (the chunk width), 512 or BLOCK columns each
     # give another maximum
-    rep = torus_watson_check(kernel, grid, count, seed=16)
+    rep = torus_watson_check(kernel, count, seed=16)
     l = fourier_factor(kernel)
     sine = l.sine
     gram = np.zeros((np.count_nonzero(sine), np.count_nonzero(~sine)))
@@ -692,7 +681,7 @@ def test_gram_cross_covariance_is_the_materialized_product(case, full_rank, monk
     reports = []
     for workers in ("1", "2"):
         monkeypatch.setenv("INVDECOMP_THREADS", workers)
-        reports.append(torus_watson_check(kernel, kernel.space, count, seed=17))
+        reports.append(torus_watson_check(kernel, count, seed=17))
     assert json.dumps(reports[0]) == json.dumps(reports[1])
     ref = _materialized_check(kernel, kernel.space, count, 17)
     assert reports[0]["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
@@ -706,7 +695,7 @@ def test_check_part_energies_have_the_law_of_the_eigh_factor_parts():
     drawn through the eigh factor of ``covariance_factor``, on a skew lattice
     and a rank-deficient kernel."""
     grid = torus_grid(Lattice(np.array([[1.0, 0.4], [0.0, 1.0]])), [8, 6])
-    kernel = assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, 2), grid)
+    kernel = assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, 2))
     count = 20_000
     check = sample(kernel, count, seed=8, factor=fourier_factor(kernel))
     ref = sample(kernel, count, seed=9)
@@ -723,12 +712,12 @@ def test_streamed_check_does_not_depend_on_the_worker_count(kernel16, circle16, 
     blocks and then two must add up exactly as the serial run does."""
     count = 4 * BLOCK + 100
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
-    serial = torus_watson_check(kernel16, circle16, count, seed=4)
+    serial = torus_watson_check(kernel16, count, seed=4)
     monkeypatch.setenv("INVDECOMP_THREADS", "3")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = torus_watson_check(kernel16, circle16, count, seed=4)
+        threaded = torus_watson_check(kernel16, count, seed=4)
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
@@ -744,7 +733,7 @@ def cut_tori():
 def test_streamed_check_matches_the_materialized_ensemble_on_the_axis_products(cut_tori):
     count = BLOCK + 36  # the second block is partial
     for kernel in cut_tori:
-        rep = torus_watson_check(kernel, kernel.space, count, seed=17)
+        rep = torus_watson_check(kernel, count, seed=17)
         ref = _materialized_check(kernel, kernel.space, count, 17)
         assert rep["cross_cov_max"] == pytest.approx(ref.pop("cross_cov_max"), rel=1e-12)
         for key, val in ref.items():
@@ -758,11 +747,11 @@ def test_streamed_check_on_the_axis_products_does_not_depend_on_the_worker_count
     interval = sys.getswitchinterval()
     for kernel in cut_tori:
         monkeypatch.setenv("INVDECOMP_THREADS", "1")
-        serial = torus_watson_check(kernel, kernel.space, count, seed=4)
+        serial = torus_watson_check(kernel, count, seed=4)
         monkeypatch.setenv("INVDECOMP_THREADS", "3")
         sys.setswitchinterval(1e-6)
         try:
-            threaded = torus_watson_check(kernel, kernel.space, count, seed=4)
+            threaded = torus_watson_check(kernel, count, seed=4)
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial, kernel.size
@@ -774,7 +763,7 @@ def test_streamed_check_never_holds_the_ensemble():
     count = 3 * BLOCK
     tracemalloc.start()
     try:
-        torus_watson_check(kernel, grid, count, seed=1)
+        torus_watson_check(kernel, count, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -794,10 +783,10 @@ def test_streamed_check_holds_one_chunk_and_one_split_slice(monkeypatch):
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     grid = torus_grid(Lattice(np.eye(2)), 32)
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, 10)
-    m, r = grid.size, fourier_factor(assemble_kernel(spec, grid)).shape[1]
+    m, r = grid.size, fourier_factor(assemble_kernel(spec)).shape[1]
     tracemalloc.start()
     try:
-        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec), BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -822,7 +811,7 @@ def test_more_blocks_grow_the_heap_peak_by_the_per_sample_arrays_alone(dim, n, c
     for blocks in (1, 3):
         tracemalloc.start()
         try:
-            assert torus_watson_check(assemble_kernel(spec, grid), grid, blocks * BLOCK, seed=1)["ok"]
+            assert torus_watson_check(assemble_kernel(spec), blocks * BLOCK, seed=1)["ok"]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -873,7 +862,7 @@ def test_full_rank_check_takes_the_factor_columns_a_chunk_at_a_time(monkeypatch)
     r = fourier_factor(kernel).shape[1]
     tracemalloc.start()
     try:
-        rep = torus_watson_check(kernel, kernel.space, BLOCK + 100, seed=1)
+        rep = torus_watson_check(kernel, BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -924,10 +913,10 @@ def test_streamed_check_holds_one_chunk_of_the_cache_width(spec32, monkeypatch):
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     spec, grid = spec32
     m, width = grid.size, _chunk_width(grid.size)
-    r = fourier_factor(assemble_kernel(spec, grid)).shape[1]
+    r = fourier_factor(assemble_kernel(spec)).shape[1]
     tracemalloc.start()
     try:
-        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec), BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -943,7 +932,7 @@ def test_check_of_an_assembled_kernel_holds_no_m_by_m_array_while_it_samples(spe
     monkeypatch.setenv("INVDECOMP_THREADS", "1")
     spec, grid = spec32
     m, width = grid.size, _chunk_width(grid.size)
-    r = fourier_factor(assemble_kernel(spec, grid)).shape[1]
+    r = fourier_factor(assemble_kernel(spec)).shape[1]
     largest = []
 
     def first_draw(*args):
@@ -954,7 +943,7 @@ def test_check_of_an_assembled_kernel_holds_no_m_by_m_array_while_it_samples(spe
     monkeypatch.setattr("invdecomp.torus.draw_chunks", first_draw)
     tracemalloc.start()
     try:
-        rep = torus_watson_check(assemble_kernel(spec, grid), grid, BLOCK + 100, seed=1)
+        rep = torus_watson_check(assemble_kernel(spec), BLOCK + 100, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -120,7 +120,7 @@ def test_assemble_kernel_matches_the_per_vector_cosine_sum(grid, seed):
     spec = fourier_kl(torus_watson(grid).matrix[0], grid, (min(grid.shape) - 1) // 2)
     coeffs = np.random.default_rng(seed).uniform(0.0, 1.0, len(spec.vectors))
     spec = dataclasses.replace(spec, fourier_coeffs=coeffs)
-    got = assemble_kernel(spec, grid).matrix
+    got = assemble_kernel(spec).matrix
     want = dense_assemble(spec, grid)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -153,7 +153,7 @@ def test_assemble_kernel_is_the_symmetrized_lag_gather_bitwise(grid, seed):
         halves[tuple(-b % grid.shape)] += c / 2
     profile = np.fft.fftn(halves).real.ravel()
     want = Kernel(grid, lag_gather(profile, grid)).matrix
-    assert np.array_equal(assemble_kernel(spec, grid).matrix, want)
+    assert np.array_equal(assemble_kernel(spec).matrix, want)
 
 
 @PROPS
@@ -185,7 +185,7 @@ def test_basis_quadratics_match_the_per_vector_mat_vecs(grid, seed):
     a = np.random.default_rng(seed).normal(size=(grid.size, grid.size))
     cov = a @ a.T / grid.size
     even = 0.5 * (cov + cov[:, grid.action.perm[1]])
-    got = _basis_quadratics(lambda index: cov[index], grid, spec)
+    got = _basis_quadratics(lambda index: cov[index], spec)
     want = looped_quadratics(even, grid, spec)
     scale = np.abs(np.array(want["cos"])).max(initial=0.0)
     for part in ("cos", "sin"):
@@ -208,8 +208,8 @@ def test_basis_quadratics_in_row_chunks_are_the_dense_product_bitwise():
     q = np.sum(basis * (even @ basis), axis=0)
     assert grid.size > _chunk_width(grid.size)
     want = {"cos": q[: len(b)].tolist(), "sin": q[len(b) :].tolist()}
-    assert _basis_quadratics(lambda index: k[index], grid, spec) == want
-    assert _basis_quadratics(torus_watson(grid).rows, grid, spec) == want
+    assert _basis_quadratics(lambda index: k[index], spec) == want
+    assert _basis_quadratics(torus_watson(grid).rows, spec) == want
 
 
 @st.composite
@@ -224,13 +224,13 @@ def stationary_kernels(draw):
     kernel = torus_watson(grid)
     if draw(st.booleans()):
         cutoff = draw(st.integers(0, (min(shape) - 1) // 2))
-        kernel = assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff), grid)
+        kernel = assemble_kernel(fourier_kl(kernel.matrix[0], grid, cutoff))
     return kernel
 
 
 def _assembled(basis, shape, cutoff):
     grid = torus_grid(Lattice(np.array(basis, dtype=float)), shape)
-    return assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, cutoff), grid)
+    return assemble_kernel(fourier_kl(torus_watson(grid).matrix[0], grid, cutoff))
 
 
 def _factor_matrix(l):
