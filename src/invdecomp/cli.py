@@ -730,6 +730,15 @@ def validate_config(cfg: dict) -> list[str]:
             bound = "0 <= rho <= 1 and 0 <= lambda < 2 pi / sqrt(1 + rho)"
             errors.append(f"kernel/params/mgf_pairs/{i}: [{lam}, {rho}] needs {bound}")
 
+    # a top-level key that no requested check reads would be ignored too
+    for key, readers in (
+        ("rho", ("watson_relation", "cumulants", *LAW_DEFAULTS)),
+        ("n_max", ("watson_relation", "z2_condition")),
+        ("samples", ("cumulants", "mgf", *LAW_DEFAULTS, "torus_watson")),
+    ):
+        if key in cfg and not set(readers) & set(checks):
+            errors.append(f"{key}: only the {', '.join(readers)} checks read it")
+
     seeded = [c for c in checks if CHECKS[c].seed]
     if seeded and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {seeded}")

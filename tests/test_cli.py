@@ -465,6 +465,29 @@ def test_validate_accepts_kernel_params_where_they_are_read(tmp_path, overrides)
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "key, value, readers",
+    [
+        ("rho", 0.3, "watson_relation, cumulants, duplication, quadruplication"),
+        ("n_max", 3, "watson_relation, z2_condition"),
+        ("samples", 5000, "cumulants, mgf, duplication, quadruplication, torus_watson"),
+    ],
+    ids=["rho", "n_max", "samples"],
+)
+def test_a_top_level_key_no_requested_check_reads_exits_2(
+    tmp_path, capsys, command, key, value, readers
+):
+    """``rho``, ``n_max`` and ``samples`` are refused, as a kernel param is, when no requested
+    check reads them: before any check runs or any output exists, with the key and its
+    readers named.  The seed stays accepted, since the report records it."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, checks=["spectrum"], seed=1, output={"dir": str(out)}, **{key: value})
+    assert main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: only the {readers} checks read it\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_more_mgf_pairs_than_the_streams_hold_exit_2(tmp_path, capsys, command):
     """Pair i draws on streams 2i and 2i + 1, which ``pair_functional`` keeps below
     ``EXP_STREAM``: 16,384 pairs pass the shape pass, and one more is refused before any
