@@ -161,10 +161,9 @@ def canonical_decomposition(spectrum: Spectrum, tol: float = 1e-8) -> list[Clust
     Projects each cluster basis vector with every irrep of the group bound to the spectrum's
     space, verifies the images stay inside the cluster span, counts each image's dimension
     from its weighted singular values alone, and checks the dimensions add back to the
-    cluster multiplicity.  Clusters are processed a slab at a time (see
-    the module docstring); a slab that starts after a failing cluster is
-    skipped, and DecompositionError names the first failing cluster in
-    cluster order.
+    cluster multiplicity.  Clusters are processed a slab at a time (see the module
+    docstring); a slab that starts after a failing cluster is skipped, and
+    DecompositionError names the first failing cluster in cluster order.
     """
     action = spectrum.space.action
     if action is None:
