@@ -198,6 +198,23 @@ def test_preset_digests_reseeds_a_preset_by_an_overlay_config():
     assert overlay[2] != preset[2]
 
 
+def test_preset_digests_runs_every_check_at_its_defaults():
+    """Three runs give no ``rho``, ``n_max``, ``samples`` or ``cutoff``, so each check reads
+    its own defaults; every one of their checks passes."""
+    names = ["defaults-watson64", "defaults-sheet16x16", "defaults-torus64"]
+    run = _tool("preset_digests.py", *names)
+    assert run.returncode == 0, run.stderr[-2000:]
+    lines = [line.split() for line in run.stdout.splitlines()[:3]]
+    assert [fields[:2] for fields in lines] == [[name, "exit=0"] for name in names]
+    assert [[f.split("=")[0] for f in fields[2:]] for fields in lines] == [
+        ["report.json", "cumulants.csv", "duplication.csv", "mgf.csv", "watson_relation.csv"],
+        ["report.json", "quadruplication.csv"],
+        ["report.json", "torus_conventions.csv"],
+    ]
+    # the torus factor keeps the default cutoff's 31 frequencies and the constant
+    assert "fourier(axes 32, chunk 256) x1" in run.stderr
+
+
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
     assert main(["run", "--preset", "torus-2d", "--out", str(tmp_path)]) == 0
     report = tmp_path / "report.json"

@@ -20,7 +20,11 @@ passes a ``grid.basis``), two configs that ``run`` rejects with exit 2, one
 of them through the in-law checks' grid and kernel rule, a ``run`` given
 neither a config file nor a preset, which exits 2 too, the ``mgf-check``
 preset overlaid by a config of ``seed`` 5 alone (the route that re-seeds a
-preset), and the
+preset), three runs that set no ``rho``, ``n_max``, ``samples`` or ``cutoff``, so
+that each check reads its own defaults (``defaults-watson64``: the analytic and
+sampled checks on ``watson`` at 64 points; ``defaults-sheet16x16``:
+``quadruplication`` on 16 x 16; ``defaults-torus64``: ``torus_watson`` on a
+64-point torus, at cutoff 31), and the
 ``watson-duplication``, ``torus-2d`` and ``quadruplication`` presets at two
 sampling workers (``TWO_WORKERS``: ``watson-duplication-2workers``,
 ``torus-2d-2workers``, ``quadruplication-2workers``), which the sampling runner
@@ -319,6 +323,34 @@ EXTRA_RUNS = {
     "mgf-check-seed5-overlay": lambda tmp: [
         _write_json(tmp / "config.json", {"seed": 5}), "--preset", "mgf-check"
     ],
+    # no rho, n_max, samples or cutoff: every check runs at its own defaults
+    "defaults-watson64": _config(
+        {
+            "name": "defaults-watson64",
+            "kernel": {"name": "watson"},
+            "grid": {"n": 64},
+            "seed": 64,
+            "checks": ["invariance", "watson_relation", "cumulants", "mgf", "duplication"],
+        }
+    ),
+    "defaults-sheet16x16": _config(
+        {
+            "name": "defaults-sheet16x16",
+            "kernel": {"name": "sheet_compensated"},
+            "grid": {"n": [16, 16]},
+            "seed": 16,
+            "checks": ["quadruplication"],
+        }
+    ),
+    "defaults-torus64": _config(
+        {
+            "name": "defaults-torus64",
+            "kernel": {"name": "torus_watson"},
+            "grid": {"kind": "torus", "n": [64]},
+            "seed": 7,
+            "checks": ["stationarity", "torus_watson"],
+        }
+    ),
 }
 
 
