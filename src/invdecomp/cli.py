@@ -8,10 +8,11 @@ check failed (one that cannot allocate included), 2 means the configuration
 itself was rejected, its output directory included, before any check ran.
 
 ``CHECKS`` is the one place to add a check: its record declares the run
-function, the gate, what the config must provide, the default tolerances,
-the summary headline and the CSV table.  Validation (each key's type, range
-and nesting in ``CONFIG_FIELDS``, then what each check needs of the kernel,
-grid and group), the runner and the report writers all read the records.
+function, the gate, the config keys it reads with their defaults, what the
+grid must provide, the default tolerances, the summary headline and the CSV
+table.  Validation (each key's type, range and nesting in ``CONFIG_FIELDS``,
+then what each check needs of the kernel, grid and group), the runner and the
+report writers all read the records.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -92,18 +93,20 @@ class Check:
 
     ``run(ctx, tols, cfg)`` returns a JSON-ready report with an ``ok`` flag;
     ``headline(report)`` is its one-line summary and ``rows(report, ctx)``
-    the cells of its CSV table, if it has one.  The flags name what the
-    config must provide; an in-law check's grid dimension is its place in
-    ``sampling.LAW_DEFAULTS``, which also names its kernel through
-    ``kernels.law_kernel``.  Every check runs on the run's one kernel,
-    ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
+    the cells of its CSV table, if it has one.  ``reads`` maps each top-level
+    config key the check reads to its default (``None``: the config must give
+    it), and ``run`` gets the config over these defaults.  The flags name what
+    the grid must provide; an in-law check's grid dimension is its place in
+    ``sampling.LAW_DEFAULTS``, which also gives its defaults and names its
+    kernel through ``kernels.law_kernel``.  Every check runs on the run's one
+    kernel, ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
     """
 
     run: Callable[[dict, dict, dict], dict]
     tolerances: dict  # default value of each tolerance key the check owns
     headline: Callable[[dict], str]
+    reads: dict = field(default_factory=dict)  # top-level config key -> default, or None
     gate: Optional[str] = None  # check that must pass first
-    seed: bool = False  # Monte Carlo: the config must give a seed
     action: bool = False  # needs the grid's group action bound
     order: Optional[int] = None  # needs a bound group of exactly this order
     real: bool = False  # needs a bound group with real-valued characters
@@ -145,13 +148,12 @@ def _run_decomposition(ctx, tols, cfg):
 
 # both symmetry checks guard with the tolerance that their invariance gate judged
 def _run_watson_relation(ctx, tols, cfg):
-    rho, n_max = float(cfg.get("rho", 1.0)), int(cfg.get("n_max", 6))
+    rho, n_max = float(cfg["rho"]), cfg["n_max"]
     return watson_relation_check(ctx["kernel"], rho, n_max, tols["watson_relation"], tols["invariance"])
 
 
 def _run_z2(ctx, tols, cfg):
-    n_max = int(cfg.get("n_max", 6))
-    return z2_condition_check(ctx["kernel"], n_max, tols["z2_condition"], tols["invariance"])
+    return z2_condition_check(ctx["kernel"], cfg["n_max"], tols["z2_condition"], tols["invariance"])
 
 
 _CUMULANT_KEYS = ("order", "analytic", "mc", "gap", "tolerance")
@@ -160,9 +162,7 @@ _MGF_KEYS = ("lambda", "rho", "closed_form", "spectral", "rel_gap", "mc", "mc_re
 
 def _run_cumulants(ctx, tols, cfg):
     kernel = ctx["kernel"]
-    rho = float(cfg.get("rho", 1.0))
-    count = int(cfg.get("samples", 100_000))
-    seed = int(cfg["seed"])
+    rho, count, seed = float(cfg["rho"]), cfg["samples"], cfg["seed"]
     ana = analytic_cumulants(kernel, rho, 8)
     j = pair_functional(kernel, rho, count, seed, streams=(0, 1))
     mc = [kstat(j, n) for n in (1, 2, 3)]
@@ -179,8 +179,7 @@ def _run_cumulants(ctx, tols, cfg):
 
 def _run_mgf(ctx, tols, cfg):
     kernel = ctx["kernel"]
-    count = int(cfg.get("samples", 100_000))
-    seed = int(cfg["seed"])
+    count, seed = cfg["samples"], cfg["seed"]
     pairs = cfg["kernel"].get("params", {}).get(
         "mgf_pairs", [[0.5, 0.5], [1.0, 0.2], [0.3, 0.9]]
     )
@@ -270,7 +269,7 @@ def _run_torus_watson(ctx, tols, cfg):
     kernel = assemble_kernel(spec)
     q = _basis_quadratics(kernel.rows, spec)  # the even part's cosine and sine readings
     rep = torus_watson_check(
-        kernel, int(cfg.get("samples", 20_000)), int(cfg["seed"]),
+        kernel, cfg["samples"], cfg["seed"],
         stationarity_tol=tols["stationarity"], split_tol=tols["torus_split"],
     )
     sin_max = float(np.max(q["sin"])) if q["sin"] else 0.0
@@ -281,10 +280,8 @@ def _run_torus_watson(ctx, tols, cfg):
 
 
 def _run_law(name: str, ctx: dict, tols: dict, cfg: dict) -> dict:
-    """The in-law check ``name`` on the run's kernel, with the sampling module's defaults."""
-    defaults = LAW_DEFAULTS[name]
-    rho, count = float(cfg.get("rho", defaults["rho"])), int(cfg.get("samples", defaults["samples"]))
-    return law_check(ctx["kernel"], rho, count, int(cfg["seed"]), tols[name])
+    """The in-law check ``name`` on the run's kernel."""
+    return law_check(ctx["kernel"], float(cfg["rho"]), cfg["samples"], cfg["seed"], tols[name])
 
 
 def _fmt(x) -> str:
@@ -357,6 +354,7 @@ CHECKS = {
     "watson_relation": Check(
         run=_run_watson_relation,
         tolerances={"watson_relation": 1e-3},
+        reads={"rho": 1.0, "n_max": 6},
         headline=lambda r: (
             f"max cIII dev={max(d for rec in r['per_irrep'] for d in rec['cIII_dev']):.3e} "
             f"tol={r['tolerances']['cIII']:.1e}"
@@ -371,6 +369,7 @@ CHECKS = {
     "z2_condition": Check(
         run=_run_z2,
         tolerances={"z2_condition": 1e-8},
+        reads={"n_max": 6},
         headline=lambda r: f"max |value|={max(abs(v) for v in r['values']):.3e} tol={r['tol']:.1e}",
         gate="invariance",
         action=True,
@@ -384,11 +383,11 @@ CHECKS = {
     "cumulants": Check(
         run=_run_cumulants,
         tolerances={"cumulants": [0.01, 0.03, 0.10]},
+        reads={"rho": 1.0, "samples": 100_000, "seed": None},
         headline=lambda r: (
             f"worst gap/tol={max(o['gap'] / o['tolerance'] for o in r['orders']):.2f} "
             f"seed={r['seed']}"
         ),
-        seed=True,
         csv="cumulants.csv",
         header="order,analytic,mc,gap,tol",
         rows=lambda r, ctx: [
@@ -398,11 +397,11 @@ CHECKS = {
     "mgf": Check(
         run=_run_mgf,
         tolerances={"mgf": 1e-3, "mgf_mc": 0.02},
+        reads={"samples": 100_000, "seed": None},
         headline=lambda r: (
             f"max rel gap={max(p['rel_gap'] for p in r['pairs']):.2e} "
             f"(tol {r['tolerance']:.1e}), mc={max(p['mc_rel_gap'] for p in r['pairs']):.2e}"
         ),
-        seed=True,
         csv="mgf.csv",
         header="lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap",
         rows=lambda r, ctx: [[_fmt(p[k]) for k in _MGF_KEYS] for p in r["pairs"]],
@@ -413,22 +412,22 @@ CHECKS = {
             run=partial(_run_law, name),
             tolerances={name: ks_tol},
             headline=_law_headline,
-            seed=True,
+            reads={"rho": law["rho"], "samples": law["samples"], "seed": None},
             csv=f"{name}.csv",
             header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
             rows=_law_rows,
         )
-        for name, ks_tol in zip(LAW_DEFAULTS, (0.01, 0.015))
+        for (name, law), ks_tol in zip(LAW_DEFAULTS.items(), (0.01, 0.015))
     },
     "torus_watson": Check(
         run=_run_torus_watson,
         tolerances={"torus_split": 1e-10},
+        reads={"samples": 20_000, "seed": None},
         headline=lambda r: (
             f"conventions={r.get('conventions_satisfied', [])} "
             f"ks={r.get('ks_parts', float('nan')):.4f} seed={r['seed']}"
         ),
         gate="stationarity",
-        seed=True,
         torus=True,
         csv="torus_conventions.csv",
         header="convention,residual,satisfied",
@@ -731,15 +730,12 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append(f"kernel/params/mgf_pairs/{i}: [{lam}, {rho}] needs {bound}")
 
     # a top-level key that no requested check reads would be ignored too
-    for key, readers in (
-        ("rho", ("watson_relation", "cumulants", *LAW_DEFAULTS)),
-        ("n_max", ("watson_relation", "z2_condition")),
-        ("samples", ("cumulants", "mgf", *LAW_DEFAULTS, "torus_watson")),
-    ):
+    for key in ("rho", "n_max", "samples"):
+        readers = [name for name, check in CHECKS.items() if key in check.reads]
         if key in cfg and not set(readers) & set(checks):
             errors.append(f"{key}: only the {', '.join(readers)} checks read it")
 
-    seeded = [c for c in checks if CHECKS[c].seed]
+    seeded = [c for c in checks if "seed" in CHECKS[c].reads]
     if seeded and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {seeded}")
 
@@ -785,7 +781,7 @@ def _noise_notes(cfg: dict) -> list[str]:
     for name in LAW_DEFAULTS:
         if name not in cfg["checks"]:
             continue
-        count = int(cfg.get("samples", LAW_DEFAULTS[name]["samples"]))
+        count = {**CHECKS[name].reads, **cfg}["samples"]
         critical = null_ks_critical(count)
         if tols[name] < critical:
             notes.append(
@@ -870,7 +866,7 @@ def execute_checks(cfg: dict, tols: dict) -> tuple[dict, dict]:
             results[name] = {"status": "skipped", "skipped_due_to": check.gate}
             continue
         try:
-            rep = check.run(ctx, tols, cfg)
+            rep = check.run(ctx, tols, {**check.reads, **cfg})
         except (ValueError, MemoryError) as exc:  # KernelError, GroupError and LinAlgError included
             results[name] = {"status": "failed", "error": str(exc)}
             continue

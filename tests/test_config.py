@@ -291,3 +291,16 @@ def test_the_shape_pass_rejects_what_the_schema_rejects(cfg, path):
 def test_a_non_object_config_is_a_root_problem():
     assert field_problems([], CONFIG_FIELDS) == ["<root>: expected an object, got []"]
     assert validate_config("watson") == ['<root>: expected an object, got "watson"']
+
+
+def test_every_key_a_check_reads_is_a_config_key_with_a_default_that_validates():
+    """Each ``reads`` key of a ``CHECKS`` record is a top-level config key, and each default
+    but a required key's ``None`` passes that key's field, so no check runs at a default
+    that ``validate`` would refuse."""
+    read = {key for check in CHECKS.values() for key in check.reads}
+    assert read == {"rho", "n_max", "samples", "seed"}
+    for name, check in CHECKS.items():
+        for key, default in check.reads.items():
+            assert key in CONFIG_FIELDS.keys, (name, key)
+            if default is not None:
+                assert field_problems(default, CONFIG_FIELDS.keys[key], key) == [], (name, key)
