@@ -214,7 +214,8 @@ def _run_spectrum(ctx, tols, cfg):
     }
     ok = True
 
-    continuum = getattr(BUILTINS.get(kernel.name), "oracle", None)
+    # the config's kernel name: a user_matrix file's own name is free text
+    continuum = getattr(BUILTINS.get(cfg["kernel"]["name"]), "oracle", None)
     if continuum and kernel.space.dim == 1:
         oracle, mult = continuum
         rel_tol = tols["spectrum_eig"]

@@ -1135,6 +1135,18 @@ def test_user_matrix_action_none_drops_the_files_action(tmp_path, kernel_file):
     assert "canonical" not in report["checks"]["spectrum"]
 
 
+def test_spectrum_judges_a_kernel_file_named_after_a_builtin_by_no_oracle(tmp_path, kernel_file):
+    """The continuum oracle follows the config's kernel name, not the free-text name in a
+    kernel file's header: watson on 16 points, in a file that calls itself ``watson``, is a
+    ``user_matrix`` kernel, whose spectrum has no continuum to match."""
+    path = _watson16_file(kernel_file, stem="watson")
+    assert json.loads(path.read_text())["name"] == "watson"
+    cfg = _user_matrix_config(tmp_path, path, action={"name": "none"}, checks=["spectrum"])
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "oracle" not in report["checks"]["spectrum"]
+
+
 def test_user_matrix_action_none_takes_one_psd_check(tmp_path, monkeypatch, kernel_file):
     """The bridge kernel is not circulant, so its PSD check is a dense solve for
     eigenvalues alone (``kernels._syevd``); the file's action is dropped before the
