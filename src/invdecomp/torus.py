@@ -39,6 +39,7 @@ from invdecomp.kernels import (
 )
 from invdecomp.sampling import (
     BLOCK,
+    MIN_SAMPLES,
     PathEnsemble,
     _check_key,
     _clip_spectrum,
@@ -448,7 +449,8 @@ def torus_watson_check(
     parts through their empirical cross-covariance; and equality in law of the two part
     energies.  The unhalved parts are 2 X1 and 2 X2, whose energies are 4 e1 and
     4 e2 exactly, so ``unhalved_quarter`` is bitwise ``halved_sum``: computed once, and
-    reported to name the convention.
+    reported to name the convention.  ``count`` (at least ``MIN_SAMPLES``) and ``seed``
+    are judged on entry.
 
     After the stationarity gate the kernel is sampled through :func:`fourier_factor` on stream
     0, as :func:`invdecomp.sampling.sample` draws, but :func:`_chunk_width` (m) columns at a
@@ -471,8 +473,8 @@ def torus_watson_check(
     block, and in a partial one a multiple of 8 columns wide (elsewhere to roundoff in its
     last columns, which on two or more axes can reach the chunk before the last).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if count < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per side")
     _check_key(seed, 0, count - 1)
     spread = kernel.stationarity_spread
     report: dict = {

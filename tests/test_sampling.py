@@ -167,7 +167,7 @@ def test_key_accepts_its_extremes(watson32):
 
 def _torus_check(seed):
     grid = torus_grid(Lattice(np.eye(1)), 8)
-    return torus_watson_check(torus_watson(grid), 10, seed=seed)
+    return torus_watson_check(torus_watson(grid), 1000, seed=seed)
 
 
 @pytest.mark.parametrize(

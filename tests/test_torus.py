@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,21 +474,23 @@ def test_torus_watson_check_is_deterministic(kernel16, circle16):
     assert a == b
 
 
-@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("count", [999, 1, 0, -5])
 def test_torus_watson_check_rejects_a_bad_count_before_the_stationarity_gate(
     kernel16, circle16, count
 ):
-    """A kernel that fails the stationarity gate still raises for a count below 1, as a
-    stationary one does, and returns no report that records the count."""
+    """A kernel that fails the stationarity gate still raises for a count below
+    ``MIN_SAMPLES``, as a stationary one does, and returns no report that records the
+    count; a stationary one raises before it builds its factor."""
     moved = kernel16.matrix.copy()
     moved[0, 1] = moved[1, 0] = moved[0, 1] + 1e-3
     kernel = Kernel(circle16, moved, "moved")
     assert kernel.stationarity_spread > 1e-10
-    assert torus_watson_check(kernel, 10, seed=1)["ok"] is False
-    with pytest.raises(ValueError, match="count must be >= 1"):
+    assert torus_watson_check(kernel, 1000, seed=1)["ok"] is False
+    with pytest.raises(ValueError, match="^need at least 1000 samples per side$"):
         torus_watson_check(kernel, count, seed=1)
-    with pytest.raises(ValueError, match="count must be >= 1"):
-        torus_watson_check(kernel16, count, seed=1)
+    with mock.patch("invdecomp.torus.fourier_factor", side_effect=AssertionError("ran before the check")):
+        with pytest.raises(ValueError, match="^need at least 1000 samples per side$"):
+            torus_watson_check(kernel16, count, seed=1)
 
 
 def _haswell_torus_check(on_haswell, n, cutoff):
