@@ -75,11 +75,15 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         "rejected-duplication-on-torus",
         "rejected-z2-on-two-axes",
         "rejected-no-config",
+        # no rho, n_max, samples or cutoff: each check reads its own defaults
+        "defaults-watson64",
+        "defaults-sheet16x16",
+        "defaults-torus64",
     ]
     run = _tool("preset_digests.py", *names)
     assert run.returncode == 0, run.stderr[-2000:]
     lines = run.stdout.splitlines()
-    assert [line.split()[:2] for line in lines[:12]] == [
+    assert [line.split()[:2] for line in lines[:15]] == [
         ["user-matrix-watson16", "exit=1"],  # watson_relation and z2_condition fail on 16 points
         ["user-matrix-action-none", "exit=0"],
         ["user-matrix-s3", "exit=1"],  # watson_relation fails on a kernel with no Watson structure
@@ -93,6 +97,9 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
         ["rejected-duplication-on-torus", "exit=2"],
         ["rejected-z2-on-two-axes", "exit=2"],
         ["rejected-no-config", "exit=2"],
+        ["defaults-watson64", "exit=0"],
+        ["defaults-sheet16x16", "exit=0"],
+        ["defaults-torus64", "exit=0"],
     ]
     assert [f.split("=")[0] for f in lines[0].split()[2:]] == [
         "report.json",
@@ -134,7 +141,12 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     assert lines[10].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
     stderr = b"config error: give a config file or --preset\n"
     assert lines[11].split()[2:] == [f"stderr={hashlib.sha256(stderr).hexdigest()}"]
-    assert len(lines) == 15
+    assert [[f.split("=")[0] for f in line.split()[2:]] for line in lines[12:15]] == [
+        ["report.json", "cumulants.csv", "duplication.csv", "mgf.csv", "watson_relation.csv"],
+        ["report.json", "quadruplication.csv"],
+        ["report.json", "torus_conventions.csv"],
+    ]
+    assert len(lines) == 18
     # the stationary kernels off the powers of two take the DFT; their tied partners stay dense
     assert "spectra: dft(1000) x1, dense(1000) x1;" in run.stderr
     assert "spectra: dft(12x12) x1, dense(144) x1;" in run.stderr
@@ -154,6 +166,8 @@ def test_preset_digests_prints_the_runs_no_preset_reaches():
     assert split in by_run["user-matrix-s3"]
     # the sheared torus takes the DFT gate twice and one axis-wise Fourier factor
     assert "spectra: dft(12x10) x2, fourier(axes 4x7, chunk 256) x1;" in run.stderr
+    # the default cutoff on 64 points, 31, keeps 32 frequencies with the constant
+    assert "spectra: dft(64) x2, fourier(axes 32, chunk 256) x1;" in run.stderr
     assert "unknown runs" in _tool("preset_digests.py", "no-such-run").stderr
 
 
@@ -196,23 +210,6 @@ def test_preset_digests_reseeds_a_preset_by_an_overlay_config():
     assert overlay[:2] == ["mgf-check-seed5-overlay", "exit=0"] and preset[1] == "exit=0"
     assert [f.split("=")[0] for f in overlay[2:]] == ["report.json", "mgf.csv"]
     assert overlay[2] != preset[2]
-
-
-def test_preset_digests_runs_every_check_at_its_defaults():
-    """Three runs give no ``rho``, ``n_max``, ``samples`` or ``cutoff``, so each check reads
-    its own defaults; every one of their checks passes."""
-    names = ["defaults-watson64", "defaults-sheet16x16", "defaults-torus64"]
-    run = _tool("preset_digests.py", *names)
-    assert run.returncode == 0, run.stderr[-2000:]
-    lines = [line.split() for line in run.stdout.splitlines()[:3]]
-    assert [fields[:2] for fields in lines] == [[name, "exit=0"] for name in names]
-    assert [[f.split("=")[0] for f in fields[2:]] for fields in lines] == [
-        ["report.json", "cumulants.csv", "duplication.csv", "mgf.csv", "watson_relation.csv"],
-        ["report.json", "quadruplication.csv"],
-        ["report.json", "torus_conventions.csv"],
-    ]
-    # the torus factor keeps the default cutoff's 31 frequencies and the constant
-    assert "fourier(axes 32, chunk 256) x1" in run.stderr
 
 
 def test_report_diff_of_a_report_against_itself_exits_0(tmp_path):
