@@ -49,13 +49,12 @@ from invdecomp.kernels import (
     builtin_kernel,
     check_invariance,
     decomposition_check,
-    law_kernel,
     make_interval_grid,
     make_product_grid,
 )
 from invdecomp.sampling import (
     EXP_STREAM,
-    LAW_DEFAULTS,
+    LAWS,
     RNG_CONTRACT,
     kstat,
     law_check,
@@ -96,10 +95,10 @@ class Check:
     the cells of its CSV table, if it has one.  ``reads`` maps each top-level
     config key the check reads to its default (``None``: the config must give
     it), and ``run`` gets the config over these defaults.  The flags name what
-    the grid must provide; an in-law check's grid dimension is its place in
-    ``sampling.LAW_DEFAULTS``, which also gives its defaults and names its
-    kernel through ``kernels.law_kernel``.  Every check runs on the run's one
-    kernel, ``ctx["kernel"]``; the last, ``torus_watson``, releases it.
+    the grid must provide; an in-law check's record in ``sampling.LAWS`` names
+    its kernel, whose ``BUILTINS`` dimension is the grid's, and gives its
+    defaults.  Every check runs on the run's one kernel, ``ctx["kernel"]``; the
+    last, ``torus_watson``, releases it.
     """
 
     run: Callable[[dict, dict, dict], dict]
@@ -282,7 +281,7 @@ def _run_torus_watson(ctx, tols, cfg):
 
 def _run_law(name: str, ctx: dict, tols: dict, cfg: dict) -> dict:
     """The in-law check ``name`` on the run's kernel."""
-    return law_check(ctx["kernel"], float(cfg["rho"]), cfg["samples"], cfg["seed"], tols[name])
+    return law_check(name, ctx["kernel"], float(cfg["rho"]), cfg["samples"], cfg["seed"], tols[name])
 
 
 def _fmt(x) -> str:
@@ -407,7 +406,7 @@ CHECKS = {
         header="lambda,rho,closed,spectral,rel_gap,mc,mc_rel_gap",
         rows=lambda r, ctx: [[_fmt(p[k]) for k in _MGF_KEYS] for p in r["pairs"]],
     ),
-    # the in-law checks, in LAW_DEFAULTS order, run the run's kernel against its tied-down partner
+    # the in-law checks, in LAWS order, run the run's kernel against their tied-down partners
     **{
         name: Check(
             run=partial(_run_law, name),
@@ -418,7 +417,7 @@ CHECKS = {
             header="order,analytic_lhs,analytic_rhs,mc_gap,tol",
             rows=_law_rows,
         )
-        for (name, law), ks_tol in zip(LAW_DEFAULTS.items(), (0.01, 0.015))
+        for (name, law), ks_tol in zip(LAWS.items(), (0.01, 0.015))
     },
     "torus_watson": Check(
         run=_run_torus_watson,
@@ -740,11 +739,12 @@ def validate_config(cfg: dict) -> list[str]:
     if seeded and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {seeded}")
 
-    for axes, name in enumerate(LAW_DEFAULTS, start=1):
+    for name, law in LAWS.items():
         if name not in checks:
             continue
-        if kname != law_kernel(axes):
-            errors.append(f"kernel/name: {name} runs the {law_kernel(axes)!r} kernel only")
+        if kname != law["kernel"]:
+            errors.append(f"kernel/name: {name} runs the {law['kernel']!r} kernel only")
+        axes = BUILTINS[law["kernel"]].dim
         if kind != "interval" or len(ns) != axes or len(set(ns)) != 1:
             errors.append(f"grid/n: {name} needs {axes} equal interval axes")
     return errors
@@ -779,7 +779,7 @@ def _noise_notes(cfg: dict) -> list[str]:
     critical value at its sample count: such a check can fail on noise alone."""
     tols = resolve_tolerances(cfg)
     notes = []
-    for name in LAW_DEFAULTS:
+    for name in LAWS:
         if name not in cfg["checks"]:
             continue
         count = {**CHECKS[name].reads, **cfg}["samples"]

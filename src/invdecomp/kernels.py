@@ -56,7 +56,6 @@ __all__ = [
     "BUILTINS",
     "TORUS_KERNEL",
     "builtin_kernel",
-    "law_kernel",
     "check_invariance",
     "project_kernel",
     "decompose_kernel",
@@ -456,28 +455,21 @@ class Builtin:
     dim: int
     stationary: bool = False
     grids: tuple = ("interval",)  # the grid kinds it runs on
-    tied: Optional[str] = None  # its tied-down partner in Watson's duplication law
     oracle: Optional[tuple] = None  # continuum spectrum on [0, 1]: (k -> lambda_k, multiplicity)
 
 
 BUILTINS = {
     "bridge": Builtin(_bridge, 1, oracle=(lambda k: 1.0 / (np.pi**2 * k**2), 1)),
     "watson": Builtin(  # the compensated bridge, diagonal identically 1/12
-        _compensated_bridge, 1, stationary=True, tied="bridge",
-        oracle=(lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2),
+        _compensated_bridge, 1, stationary=True, oracle=(lambda k: 1.0 / (4.0 * np.pi**2 * k**2), 2)
     ),
     "sheet_tied": Builtin(_bridge, 2),
-    "sheet_compensated": Builtin(_compensated_bridge, 2, stationary=True, tied="sheet_tied"),
+    "sheet_compensated": Builtin(_compensated_bridge, 2, stationary=True),
     "torus_watson": Builtin(
         lambda s, t: _circle_profile(s - t), 1, stationary=True, grids=("interval", "torus")
     ),
 }
 TORUS_KERNEL = next(name for name, b in BUILTINS.items() if "torus" in b.grids)
-
-
-def law_kernel(dim: int) -> str:
-    """The compensated kernel of Watson's duplication law on [0, 1]^dim."""
-    return next(name for name, b in BUILTINS.items() if b.tied and b.dim == dim)
 
 
 def builtin_kernel(name: str, space: IndexSpace) -> Kernel:

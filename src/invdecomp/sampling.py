@@ -1,8 +1,8 @@
 """Seeded Gaussian ensembles, pair functionals, and the duplication-law check.
 
-:func:`law_check` states Watson's duplication law once for Z2^d on [0, 1]^d and runs it on
-the kernel it is given; :func:`duplication_check` (d = 1) and
-:func:`quadruplication_check` (d = 2) build that kernel from a config.
+:func:`law_check` states Watson's duplication law once for Z2^d on [0, 1]^d and runs the law
+it is named, a record of ``LAWS``, on the kernel it is given; :func:`duplication_check`
+(d = 1) and :func:`quadruplication_check` (d = 2) build that kernel from a config.
 
 Reproducibility contract (``RNG_CONTRACT``)
 -------------------------------------------
@@ -61,7 +61,6 @@ from invdecomp.kernels import (
     Kernel,
     KernelError,
     builtin_kernel,
-    law_kernel,
     make_interval_grid,
     make_product_grid,
     weighted_eigh,
@@ -87,10 +86,13 @@ BLOCK = 4096          # fixed work unit and RNG key unit; never depends on the w
 RNG_CONTRACT = f"sfc64-block-{BLOCK}-rowmajor-v4"  # names the keying rule of the module docstring
 EIG_CLIP = 1e-12      # relative eigenvalue floor of the sampled laws
 EXP_STREAM = 1 << 15  # stream s + EXP_STREAM holds pair_functional's tie exponentials of stream s
-# the in-law checks in order of dimension, with the defaults their wrappers and the runner read
-LAW_DEFAULTS = {
-    "duplication": {"grid": 256, "samples": 100_000, "rho": 1.0},
-    "quadruplication": {"grid": 32, "samples": 50_000, "rho": 0.5},
+# each in-law check: its compensated kernel, of BUILTINS[kernel].dim axes, that kernel's
+# tied-down partner, and the defaults of the grid, samples and rho it reads
+LAWS = {
+    "duplication": {"kernel": "watson", "tied": "bridge", "grid": 256, "samples": 100_000, "rho": 1.0},
+    "quadruplication": {
+        "kernel": "sheet_compensated", "tied": "sheet_tied", "grid": 32, "samples": 50_000, "rho": 0.5
+    },
 }
 KS_EXACT_MAX = 10_000  # ks_2samp's exact mode, which snaps the distance, up to this sample size
 MIN_SAMPLES = 1000     # the fewest samples per side that compare_distributions and law_check take
@@ -443,35 +445,38 @@ def kstat_variances(kappas: Sequence[float], count: int) -> np.ndarray:
 
 
 def law_check(
-    kernel: Kernel, rho: float, count: int, seed: int, ks_tol: Optional[float] = None
+    name: str, kernel: Kernel, rho: float, count: int, seed: int, ks_tol: Optional[float] = None
 ) -> dict:
-    """Watson's duplication law on [0, 1]^d, for a compensated ``kernel``.
+    """The in-law check ``name``, a key of ``LAWS``: Watson's duplication law on [0, 1]^d,
+    d the dimension of the law's compensated kernel, for a ``kernel`` on d axes.  The law
+    comes from the caller, never from ``kernel.name``, so a kernel file may be named freely.
 
     A Gaussian law invariant under Z2^d splits into 2^d parts, each with the law of the
     tied-down functional, so the compensated functional equals in law 4^-d times the sum of
     2^d independent tied-down ones.  The left side is :func:`pair_functional` of ``kernel`` on
     streams (0, 1).  The right side is that sum in chi^2 form, exact in law with no copies
-    drawn: the list (mu / 4^d, 2^d) over the kept spectrum mu of the partner that the
-    kernel's ``BUILTINS`` record names, built on ``kernel.space``, drawn by :func:`_chi2_sum`
-    on streams 2 and 3.  Division by a power of 2 is exact, so the ties of mu survive it.
-    ``rho``, ``count`` (at least ``MIN_SAMPLES``) and ``seed`` are judged on entry.
+    drawn: the list (mu / 4^d, 2^d) over the kept spectrum mu of the law's tied-down
+    partner, built on ``kernel.space``, drawn by :func:`_chi2_sum` on streams 2 and 3.
+    Division by a power of 2 is exact, so the ties of mu survive it.  ``name`` (else
+    ``ValueError``), ``rho``, ``count`` (at least ``MIN_SAMPLES``), ``seed`` and the kernel's
+    dimension (else ``KernelError``) are judged on entry.
 
     It passes when the KS distance is below ``ks_tol`` (by default :func:`null_ks_critical`)
     and the first three k-statistic gaps are within 5 standard deviations of both sides'
     sampling noise plus the offset between the two analytic cumulant sequences.
     """
+    if name not in LAWS:
+        raise ValueError(f"unknown law {name!r} (known: {', '.join(LAWS)})")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if count < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per side")
     _check_key(seed, 0, count - 1)
-    partner = getattr(BUILTINS.get(kernel.name), "tied", None)
-    if partner is None:
-        known = sorted(name for name, b in BUILTINS.items() if b.tied)
-        raise KernelError(f"no duplication law for kernel {kernel.name!r} (known: {known})")
-    space = kernel.space
+    space, dim = kernel.space, BUILTINS[LAWS[name]["kernel"]].dim
+    if space.dim != dim:
+        raise KernelError(f"{name} needs a {dim}-d kernel, not a {space.dim}-d one")
     # the tied-down kernel is dense; only its spectrum is read, so its matrix is not held
-    tied = builtin_kernel(partner, space)
+    tied = builtin_kernel(LAWS[name]["tied"], space)
     mu, kap_tied = _clip_spectrum(tied.eigenvalues), analytic_cumulants(tied, rho, 8)
     del tied
     copies = 2**space.dim
@@ -500,7 +505,7 @@ def law_check(
         "analytic_rhs": [float(x) for x in kap_r[:4]],
         "pass": passes,
         "ok": bool(all(passes.values())),
-        "check": list(LAW_DEFAULTS)[space.dim - 1],
+        "check": name,
         "grid": axes[0] if space.dim == 1 else axes,
         "rho": rho,
         "mean_lhs": float(np.mean(lhs)),
@@ -509,26 +514,20 @@ def law_check(
 
 
 def _law_from_config(name: str, config: dict) -> dict:
-    """:func:`law_check` on an n^d interval grid, d = 1 for duplication and 2 for
-    quadruplication.  ``config`` gives grid (n), samples, rho, seed (required)
-    and ks_tol; the first three default to ``LAW_DEFAULTS[name]``.  Any other key,
-    or no seed, raises ``ValueError`` before a kernel is built."""
-    defaults = LAW_DEFAULTS[name]
-    known = (*defaults, "seed", "ks_tol")
+    """:func:`law_check` of the law ``name`` on its compensated kernel, on an n^d interval
+    grid of the law's dimension d.  ``config`` gives grid (n), samples, rho, seed (required)
+    and ks_tol; the first three default to the law's ``LAWS`` record.  Any other key, or no
+    seed, raises ``ValueError`` before a kernel is built."""
+    known = ("grid", "samples", "rho", "seed", "ks_tol")
     problems = [f"unknown key {key!r}" for key in config if key not in known]
     if "seed" not in config:
         problems.append("seed is required")
     if problems:
         raise ValueError(f"{name}_check: {'; '.join(problems)} (keys: {', '.join(known)})")
-    dim = list(LAW_DEFAULTS).index(name) + 1
-    space = make_product_grid([make_interval_grid(int(config.get("grid", defaults["grid"])))] * dim)
-    return law_check(
-        builtin_kernel(law_kernel(dim), space),
-        float(config.get("rho", defaults["rho"])),
-        int(config.get("samples", defaults["samples"])),
-        int(config["seed"]),
-        config.get("ks_tol"),
-    )
+    cfg = {**LAWS[name], **config}
+    space = make_product_grid([make_interval_grid(int(cfg["grid"]))] * BUILTINS[cfg["kernel"]].dim)
+    rho, count, seed = float(cfg["rho"]), int(cfg["samples"]), int(cfg["seed"])
+    return law_check(name, builtin_kernel(cfg["kernel"], space), rho, count, seed, cfg.get("ks_tol"))
 
 
 def duplication_check(config: dict) -> dict:

@@ -112,7 +112,7 @@ def test_a_law_check_loads_no_numpy_ma():
     code = (
         "import sys; from invdecomp.kernels import builtin_kernel, make_interval_grid; "
         "from invdecomp.sampling import law_check; "
-        "law_check(builtin_kernel('watson', make_interval_grid(16)), 0.5, 1000, seed=1); "
+        "law_check('duplication', builtin_kernel('watson', make_interval_grid(16)), 0.5, 1000, seed=1); "
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))"
     )
     assert _fresh_stdout(code) == "[]"

@@ -31,14 +31,13 @@ from invdecomp.kernels import (
     contract_power,
     decompose_kernel,
     irrep_spectra,
-    law_kernel,
     make_interval_grid,
     make_product_grid,
     project_kernel,
     weighted_symmetric,
     weighted_traces,
 )
-from invdecomp.sampling import LAW_DEFAULTS, covariance_factor
+from invdecomp.sampling import LAWS, covariance_factor
 from invdecomp.spectral import eigendecompose
 from invdecomp.torus import Lattice, assemble_kernel, fourier_kl, torus_grid, torus_watson
 
@@ -325,18 +324,21 @@ def test_builtin_names_its_dimension_on_another_space(name):
 
 
 def test_registry_invariants():
-    """Each tied partner is a registered kernel of the same dimension, each
-    in-law check's dimension has exactly one law kernel, oracles sit on 1-d
-    kernels only, and exactly one kernel runs on torus grids."""
+    """Oracles sit on 1-d kernels only, and exactly one kernel runs on torus grids."""
     for b in BUILTINS.values():
-        assert b.tied is None or BUILTINS[b.tied].dim == b.dim
         assert b.oracle is None or b.dim == 1
         assert set(b.grids) <= {"interval", "torus"}
-    law_dims = [b.dim for b in BUILTINS.values() if b.tied]
-    assert sorted(law_dims) == list(range(1, len(LAW_DEFAULTS) + 1))
-    for dim in law_dims:
-        assert BUILTINS[law_kernel(dim)].dim == dim and BUILTINS[law_kernel(dim)].tied
     assert [n for n, b in BUILTINS.items() if "torus" in b.grids] == [TORUS_KERNEL]
+
+
+def test_each_law_names_two_builtins_of_its_own_dimension():
+    """Each in-law check's record names a compensated kernel and its tied-down partner,
+    two ``BUILTINS`` of one dimension, and no two laws share a dimension."""
+    dims = []
+    for law in LAWS.values():
+        assert BUILTINS[law["kernel"]].dim == BUILTINS[law["tied"]].dim
+        dims.append(BUILTINS[law["kernel"]].dim)
+    assert len(set(dims)) == len(LAWS)
 
 
 # ---------------------------------------------------------------- validation

@@ -20,6 +20,7 @@ from invdecomp.kernels import (
     BUILTINS,
     CHUNK,
     IndexSpace,
+    KernelError,
     builtin_kernel,
     decompose_kernel,
     make_interval_grid,
@@ -30,6 +31,7 @@ from invdecomp.sampling import (
     BLOCK,
     EXP_STREAM,
     KS_EXACT_MAX,
+    LAWS,
     RNG_CONTRACT,
     _chi2_sum,
     _chi2_terms,
@@ -175,7 +177,7 @@ def _torus_check(seed):
     [
         ("invdecomp.sampling.covariance_factor", lambda k, seed: sample(k, 3, seed=seed)),
         ("invdecomp.sampling._chi2_terms", lambda k, seed: pair_functional(k, 0.5, 3, seed=seed)),
-        ("invdecomp.sampling.builtin_kernel", lambda k, seed: law_check(k, 0.5, 1000, seed=seed)),
+        ("invdecomp.sampling.builtin_kernel", lambda k, seed: law_check("duplication", k, 0.5, 1000, seed=seed)),
         ("invdecomp.torus.fourier_factor", lambda k, seed: _torus_check(seed)),
     ],
     ids=["sample", "pair_functional", "law_check", "torus_watson_check"],
@@ -198,7 +200,48 @@ def test_law_check_refuses_bad_input_before_its_first_step(watson32, rho, count,
     tied-down kernel and draws no sample first."""
     with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
         with pytest.raises(ValueError, match=message):
-            law_check(watson32, rho, count, seed=1)
+            law_check("duplication", watson32, rho, count, seed=1)
+
+
+def test_law_check_refuses_an_unknown_law_before_its_first_step(watson32):
+    with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
+        known = r"\(known: duplication, quadruplication\)"
+        with pytest.raises(ValueError, match=rf"^unknown law 'triplication' {known}$"):
+            law_check("triplication", watson32, 0.5, 1000, seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, kernel, message",
+    [
+        ("duplication", lambda: _sheet_compensated(4), "^duplication needs a 1-d kernel, not a 2-d one$"),
+        (
+            "quadruplication",
+            lambda: builtin_kernel("watson", make_interval_grid(16)),
+            "^quadruplication needs a 2-d kernel, not a 1-d one$",
+        ),
+    ],
+    ids=["2-d-duplication", "1-d-quadruplication"],
+)
+def test_law_check_refuses_a_kernel_of_another_dimension_before_its_first_step(name, kernel, message):
+    """The law's dimension is that of its compensated kernel; a kernel of another dimension
+    is refused before the tied-down kernel is built or a sample is drawn."""
+    kernel = kernel()
+    with mock.patch("invdecomp.sampling.pair_functional", side_effect=AssertionError("drew before the check")):
+        with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
+            with pytest.raises(KernelError, match=message):
+                law_check(name, kernel, 0.5, 1000, seed=1)
+
+
+def test_law_check_takes_the_law_from_its_caller_not_the_kernel_name(kernel_file):
+    """A kernel file's name is free text: a file of watson on 64 points under another name
+    runs the duplication law, and meets it."""
+    watson = builtin_kernel("watson", make_interval_grid(64))
+    loaded = load_kernel(kernel_file(watson.matrix, stem="compensated-bridge-64"))
+    assert loaded.name == "compensated-bridge-64"
+    rep = law_check("duplication", loaded, 1.0, 2000, seed=7)
+    assert rep["check"] == "duplication" and rep["grid"] == 64 and rep["ok"]
+    builtin = law_check("duplication", watson, 1.0, 2000, seed=7)
+    np.testing.assert_allclose(rep["analytic_lhs"], builtin["analytic_lhs"], rtol=1e-12)
 
 
 @FEW
@@ -483,8 +526,18 @@ def test_pair_functional_rejects_a_count_below_1(watson32, count):
 # ------------------------------------------- chi^2 right side of the law check
 
 
+def _law_of(kernel):
+    """The in-law check whose compensated kernel has the dimension of ``kernel``."""
+    return next(name for name, law in LAWS.items() if BUILTINS[law["kernel"]].dim == kernel.space.dim)
+
+
+def _tied_of(kernel):
+    """The tied-down partner of ``kernel``'s law, on ``kernel.space``."""
+    return builtin_kernel(LAWS[_law_of(kernel)]["tied"], kernel.space)
+
+
 def _law_rhs(kernel, rho, count, seed):
-    """The right side of ``law_check(kernel, rho, count, seed)``, as law_check draws it:
+    """The right side of ``law_check(name, kernel, rho, count, seed)``, as law_check draws it:
     the sum of 2^d copies of the tied-down partner's pair functional, over 4^d:
     its ``_chi2_sum`` draw on streams (2, 3)."""
     draws = {}
@@ -494,7 +547,7 @@ def _law_rhs(kernel, rho, count, seed):
         return out
 
     with mock.patch("invdecomp.sampling._chi2_sum", chi2_sum):
-        law_check(kernel, rho, count, seed)
+        law_check(_law_of(kernel), kernel, rho, count, seed)
     return draws[(2, 3)]
 
 
@@ -550,7 +603,7 @@ def test_law_rhs_is_the_copies_gemv_of_one_fill_bitwise(kernel, rho):
     """On full blocks the right side is ((1+rho) E^A @ mu - (1-rho) E^B @ mu) / copies^2,
     E^A and E^B one fill of each block's stream 2 and 3, mu the tied-down kept
     spectrum with each value repeated h = copies / 2 times, run-major."""
-    tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
+    tied = _tied_of(kernel)
     copies = 2**kernel.space.dim
     mu = np.repeat(_clip_spectrum(tied.eigenvalues), copies // 2)
     rhs = _law_rhs(kernel, rho, 2 * BLOCK, seed=5)
@@ -584,7 +637,7 @@ def _tiled_law_rhs(kernel, rho, count, seed):
     """The right side of versions up to 0.8.20: the tied-down kept spectrum mu tiled
     h = copies / 2 times, copy-major, over copies^2, drawn as exponential pairs on streams
     (2, 3)."""
-    tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
+    tied = _tied_of(kernel)
     copies = 2**kernel.space.dim
     weights = np.tile(_clip_spectrum(tied.eigenvalues), copies // 2) / copies**2
     return _chi2_sum((weights, np.full(weights.size, 2)), rho, count, seed, (2, 3), (2, 3))
@@ -667,7 +720,7 @@ def test_copies_sum_has_the_law_of_the_sum_of_copies(kernel, rho, seed):
     """The chi^2 right side equals in law 4^-d times the sum of 2^d independent
     pair functionals of the tied-down partner, drawn one copy at a time."""
     count = 5000
-    tied = builtin_kernel(BUILTINS[kernel.name].tied, kernel.space)
+    tied = _tied_of(kernel)
     copies = 2**kernel.space.dim
     rhs = _law_rhs(kernel, rho, count, seed)
     # seed + 1: streams 2 and 3 of the same seed share the exponentials' Philox keys
