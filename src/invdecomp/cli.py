@@ -735,6 +735,13 @@ def validate_config(cfg: dict) -> list[str]:
         if key in cfg and not set(readers) & set(checks):
             errors.append(f"{key}: only the {', '.join(readers)} checks read it")
 
+    # so would a tolerance whose check does not run: neither requested nor the gate of one
+    running = set(checks) | {CHECKS[c].gate for c in checks}
+    for key in cfg.get("tolerances", {}):
+        owner = next(name for name, check in CHECKS.items() if key in check.tolerances)
+        if owner not in running:
+            errors.append(f"tolerances/{key}: only the {owner} check reads it")
+
     seeded = [c for c in checks if "seed" in CHECKS[c].reads]
     if seeded and "seed" not in cfg:
         errors.append(f"seed: required by Monte Carlo checks {seeded}")

@@ -488,6 +488,44 @@ def test_a_top_level_key_no_requested_check_reads_exits_2(
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_tolerance_whose_check_does_not_run_exits_2(tmp_path, capsys, command):
+    """A tolerance is refused, as a top-level key is, when its check is neither requested
+    nor the gate of a requested one: before any check runs or any output exists, with the
+    check that reads it named."""
+    out = tmp_path / "out"
+    tolerances = {"mgf": 0.5, "duplication": 0.2}
+    cfg = write_config(tmp_path, checks=["spectrum"], tolerances=tolerances, output={"dir": str(out)})
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tolerances/mgf: only the mgf check reads it")
+    assert "tolerances/duplication: only the duplication check reads it" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "overrides, gate",
+    [
+        (
+            {"checks": ["watson_relation"], "tolerances": {"invariance": 1e-9, "watson_relation": 1e-2}},
+            "invariance",
+        ),
+        ({**_torus_config(checks=("torus_watson",)), "tolerances": {"stationarity": 1e-9}}, "stationarity"),
+    ],
+    ids=["invariance-gates-watson_relation", "stationarity-gates-torus_watson"],
+)
+def test_a_gates_tolerance_stays_accepted_with_the_check_it_gates(tmp_path, command, overrides, gate):
+    """A gate runs with the check it gates, whose guard reads the gate's tolerance too, so
+    that tolerance is taken when only the gated check is requested."""
+    cfg = write_config(tmp_path, output={"dir": str(tmp_path / "out")}, **overrides)
+    assert main([command, str(cfg)]) == 0
+    if command == "run":
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["tolerances_effective"][gate] == 1e-9
+        assert report["checks"][gate]["status"] == "passed"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 def test_more_mgf_pairs_than_the_streams_hold_exit_2(tmp_path, capsys, command):
     """Pair i draws on streams 2i and 2i + 1, which ``pair_functional`` keeps below
     ``EXP_STREAM``: 16,384 pairs pass the shape pass, and one more is refused before any
