@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -516,14 +517,21 @@ def law_check(
 def _law_from_config(name: str, config: dict) -> dict:
     """:func:`law_check` of the law ``name`` on its compensated kernel, on an n^d interval
     grid of the law's dimension d.  ``config`` gives grid (n), samples, rho, seed (required)
-    and ks_tol; the first three default to the law's ``LAWS`` record.  Any other key, or no
-    seed, raises ``ValueError`` before a kernel is built."""
-    known = ("grid", "samples", "rho", "seed", "ks_tol")
-    problems = [f"unknown key {key!r}" for key in config if key not in known]
+    and ks_tol; the first three default to the law's ``LAWS`` record.  Any other key, no seed,
+    a grid, samples or seed that is not an integer, or a rho or ks_tol that is not a number
+    (``bool`` is neither) raises ``ValueError`` before a kernel is built."""
+    types = {"grid": Integral, "samples": Integral, "rho": Real, "seed": Integral, "ks_tol": Real}
+    problems = []
+    for key, value in config.items():
+        if key not in types:
+            problems.append(f"unknown key {key!r}")
+        elif isinstance(value, bool) or not isinstance(value, types[key]):
+            kind = "an integer" if types[key] is Integral else "a number"
+            problems.append(f"{key} must be {kind}, got {value!r}")
     if "seed" not in config:
         problems.append("seed is required")
     if problems:
-        raise ValueError(f"{name}_check: {'; '.join(problems)} (keys: {', '.join(known)})")
+        raise ValueError(f"{name}_check: {'; '.join(problems)} (keys: {', '.join(types)})")
     cfg = {**LAWS[name], **config}
     space = make_product_grid([make_interval_grid(int(cfg["grid"]))] * BUILTINS[cfg["kernel"]].dim)
     rho, count, seed = float(cfg["rho"]), int(cfg["samples"]), int(cfg["seed"])

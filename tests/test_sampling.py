@@ -1131,6 +1131,39 @@ def test_law_wrappers_refuse_keys_they_do_not_read(check, config, message, monke
         check(config)
 
 
+@pytest.mark.parametrize("check", [duplication_check, quadruplication_check])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"seed": 1, "grid": 16.7}, "grid must be an integer, got 16.7"),
+        ({"seed": 1, "samples": 2000.9}, "samples must be an integer, got 2000.9"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1, "rho": "0.5"}, "rho must be a number, got '0.5'"),
+        ({"seed": 1, "ks_tol": None}, "ks_tol must be a number, got None"),
+        ({"seed": 1, "rho": False, "n": 8}, "rho must be a number, got False; unknown key 'n'"),
+    ],
+    ids=[
+        "float-seed", "float-grid", "float-samples", "bool-seed", "string-rho", "none-ks-tol", "bool-rho"
+    ],
+)
+def test_law_wrappers_refuse_values_they_would_truncate(check, config, message, monkeypatch):
+    """A grid, samples or seed that is not an integer, or a rho or ks_tol that is not a number,
+    raises before any grid is built, where int() and float() would truncate or parse it."""
+    monkeypatch.setattr("invdecomp.sampling.make_interval_grid", lambda *a: pytest.fail("grid built"))
+    with pytest.raises(ValueError, match=f"_check: {message} \\(keys: grid, samples, rho, seed, ks_tol\\)"):
+        check(config)
+
+
+def test_law_wrappers_take_numpy_scalars():
+    """numpy integers and floats are integers and numbers, and the report holds Python ones."""
+    rep = duplication_check(
+        {"grid": np.int64(32), "samples": np.int64(2000), "rho": np.float64(1.0), "seed": np.uint64(3)}
+    )
+    assert rep == duplication_check({"grid": 32, "samples": 2000, "rho": 1.0, "seed": 3})
+    assert type(rep["count"]) is int and type(rep["seed"]) is int and type(rep["rho"]) is float
+
+
 def test_duplication_check_is_deterministic():
     cfg = {"grid": 32, "samples": 2000, "rho": 1.0, "seed": 3}
     assert duplication_check(cfg) == duplication_check(cfg)
