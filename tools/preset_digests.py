@@ -132,83 +132,71 @@ def _write_json(path: Path, data: dict) -> str:
     return path.name
 
 
+def _kernel_file(tmp: Path, name: str, matrix: np.ndarray, points, group: dict) -> str:
+    """The kernel file ``name`` in ``tmp``: ``matrix`` as a CSV payload in ``%.17g`` and a
+    JSON header whose space is the 1-d ``points``, of equal weight, under ``group``.  The
+    group gives its ``perm`` as one row per element and its ``irreps`` as (label, dim, real
+    parts, imaginary parts) of their characters.  Returns the header's name."""
+    m = len(points)
+    np.savetxt(tmp / f"{name}.csv", matrix, fmt="%.17g", delimiter=",")
+    irreps = [dict(label=label, dim=d, re=re, im=im) for label, d, re, im in group["irreps"]]
+    group = dict(group, perm=sum(group["perm"], []), npoints=m, irreps=irreps)
+    space = {"points": [[float(x)] for x in points], "weights": [1.0 / m] * m, "group": group}
+    header = {"kind": "kernel", "name": name, "shape": [m, m], "format": "csv"}
+    return _write_json(tmp / f"{name}.json", dict(header, payload=f"{name}.csv", space=space))
+
+
+def _averaged(perm: list) -> np.ndarray:
+    """min(i, j) + 1 averaged over the group whose elements move the points as the rows of
+    ``perm``: its integer sums are exact, so it is bitwise invariant, and it is PSD."""
+    m = len(perm[0])
+    base = np.minimum.outer(np.arange(m), np.arange(m)) + 1.0
+    return sum(base[np.ix_(p, p)] for p in perm) / (len(perm) * m)
+
+
 def _watson16_file(tmp: Path) -> str:
-    """A kernel file of ``watson`` on the 16 midpoints of [0, 1], uniform weights
-    and the reversal group with its irreps: a CSV payload in ``%.17g`` and a
-    JSON header, both in ``tmp``.  Returns the header's name."""
+    """``watson`` on the 16 midpoints of [0, 1] under the reversal group Z2."""
     m = 16
     t = (np.arange(m) + 0.5) / m
     # the record's formula, not a Kernel, so that writing the file adds no spectrum path
     matrix = kernels.BUILTINS["watson"].axis(t[:, None], t[None, :])
-    np.savetxt(tmp / "watson16.csv", matrix, fmt="%.17g", delimiter=",")
-    group = {
-        "order": 2,
-        "identity": 0,
-        "name": "Z2",
-        "mul": [0, 1, 1, 0],
-        "inv": [0, 1],
-        "perm": list(range(m)) + list(range(m - 1, -1, -1)),
-        "npoints": m,
-        "irreps": [
-            {"label": "triv", "dim": 1, "re": [1.0, 1.0], "im": [0.0, 0.0]},
-            {"label": "sign", "dim": 1, "re": [1.0, -1.0], "im": [0.0, 0.0]},
-        ],
-    }
-    space = {
-        "points": [[(i + 0.5) / m] for i in range(m)],
-        "weights": [1.0 / m] * m,
-        "name": f"interval[{m}]",
-        "group": group,
-    }
-    header = {"kind": "kernel", "name": "watson16", "shape": [m, m], "format": "csv"}
-    return _write_json(tmp / "watson16.json", dict(header, payload="watson16.csv", space=space))
+    irreps = [("triv", 1, [1.0, 1.0], [0.0, 0.0]), ("sign", 1, [1.0, -1.0], [0.0, 0.0])]
+    perm = [list(range(m)), list(range(m - 1, -1, -1))]
+    group = dict(order=2, name="Z2", mul=[0, 1, 1, 0], inv=[0, 1], perm=perm, irreps=irreps)
+    return _kernel_file(tmp, "watson16", matrix, t, group)
 
 
 def _s3_file(tmp: Path) -> str:
-    """A kernel file of S3 on 21 points of equal weight, written as :func:`_watson16_file`
-    writes its file: S3 permutes points 0-2 as it permutes {0, 1, 2}, and each of three
+    """S3 on 21 points: it permutes points 0-2 as it permutes {0, 1, 2}, and each of three
     6-point orbits by left multiplication, with its real irreps triv, sign and std (of
-    dimension 2).  The matrix is min(i, j) + 1 averaged over the group: its integer sums are
-    exact, so it is bitwise invariant, and it is PSD.  Returns the header's name."""
-    m, elems = 21, list(itertools.permutations(range(3)))
+    dimension 2), under the kernel :func:`_averaged`."""
+    elems = list(itertools.permutations(range(3)))
     index = {g: i for i, g in enumerate(elems)}
     mul = [index[tuple(a[b[i]] for i in range(3))] for a in elems for b in elems]
     regular = [[3 + 6 * k + mul[6 * i + h] for k in range(3) for h in range(6)] for i in range(6)]
     perm = [list(g) + orbits for g, orbits in zip(elems, regular)]
-    base = np.minimum.outer(np.arange(m), np.arange(m)) + 1.0
-    matrix = sum(base[np.ix_(p, p)] for p in perm) / (len(elems) * m)
-    np.savetxt(tmp / "s3.csv", matrix, fmt="%.17g", delimiter=",")
     sign = [(-1.0) ** sum(g[i] > g[j] for i in range(3) for j in range(i + 1, 3)) for g in elems]
     std = [sum(g[i] == i for i in range(3)) - 1.0 for g in elems]  # fixed points less one
     irreps = [("triv", 1, [1.0] * 6), ("sign", 1, sign), ("std", 2, std)]
-    irreps = [{"label": label, "dim": d, "re": re, "im": [0.0] * 6} for label, d, re in irreps]
+    irreps = [(label, d, re, [0.0] * 6) for label, d, re in irreps]
     inv = [index[tuple(g.index(i) for i in range(3))] for g in elems]
-    group = dict(order=6, name="S3", mul=mul, inv=inv, perm=sum(perm, []), npoints=m, irreps=irreps)
-    space = {"points": [[float(i)] for i in range(m)], "weights": [1.0 / m] * m, "name": "S3", "group": group}
-    header = {"kind": "kernel", "name": "s3", "shape": [m, m], "format": "csv"}
-    return _write_json(tmp / "s3.json", dict(header, payload="s3.csv", space=space))
+    group = dict(order=6, name="S3", mul=mul, inv=inv, perm=perm, irreps=irreps)
+    return _kernel_file(tmp, "s3", _averaged(perm), range(21), group)
 
 
 def _z3_file(tmp: Path) -> str:
-    """A kernel file of Z3 on 12 points of equal weight, written as :func:`_s3_file` writes
-    its file: Z3 rotates each of four 3-point orbits, with its irreps triv, chi1 and chi2,
-    whose characters are complex.  The matrix is min(i, j) + 1 averaged over the group, as
-    in :func:`_s3_file`.  Returns the header's name."""
-    m, s = 12, 3**0.5 / 2
-    perm = [[3 * (i // 3) + (i + g) % 3 for i in range(m)] for g in range(3)]
-    base = np.minimum.outer(np.arange(m), np.arange(m)) + 1.0
-    matrix = sum(base[np.ix_(p, p)] for p in perm) / (3 * m)
-    np.savetxt(tmp / "z3.csv", matrix, fmt="%.17g", delimiter=",")
+    """Z3 on 12 points: it rotates each of four 3-point orbits, with its irreps triv, chi1 and
+    chi2, whose characters are complex, under the kernel :func:`_averaged`."""
+    s = 3**0.5 / 2
+    perm = [[3 * (i // 3) + (i + g) % 3 for i in range(12)] for g in range(3)]
     irreps = [
-        {"label": "triv", "dim": 1, "re": [1.0, 1.0, 1.0], "im": [0.0, 0.0, 0.0]},
-        {"label": "chi1", "dim": 1, "re": [1.0, -0.5, -0.5], "im": [0.0, s, -s]},
-        {"label": "chi2", "dim": 1, "re": [1.0, -0.5, -0.5], "im": [0.0, -s, s]},
+        ("triv", 1, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        ("chi1", 1, [1.0, -0.5, -0.5], [0.0, s, -s]),
+        ("chi2", 1, [1.0, -0.5, -0.5], [0.0, -s, s]),
     ]
     mul = [(a + b) % 3 for a in range(3) for b in range(3)]
-    group = dict(order=3, name="Z3", mul=mul, inv=[0, 2, 1], perm=sum(perm, []), npoints=m, irreps=irreps)
-    space = {"points": [[float(i)] for i in range(m)], "weights": [1.0 / m] * m, "name": "Z3", "group": group}
-    header = {"kind": "kernel", "name": "z3", "shape": [m, m], "format": "csv"}
-    return _write_json(tmp / "z3.json", dict(header, payload="z3.csv", space=space))
+    group = dict(order=3, name="Z3", mul=mul, inv=[0, 2, 1], perm=perm, irreps=irreps)
+    return _kernel_file(tmp, "z3", _averaged(perm), range(12), group)
 
 
 def _user_matrix(checks: list, write=_watson16_file, n=16, **overrides):
