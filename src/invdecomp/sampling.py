@@ -450,7 +450,7 @@ def law_check(
 ) -> dict:
     """The in-law check ``name``, a key of ``LAWS``: Watson's duplication law on [0, 1]^d,
     d the dimension of the law's compensated kernel, for a ``kernel`` on d axes.  The law
-    comes from the caller, never from ``kernel.name``, so a kernel file may be named freely.
+    comes from the caller, never from the kernel's name, so a kernel file may be named freely.
 
     A Gaussian law invariant under Z2^d splits into 2^d parts, each with the law of the
     tied-down functional, so the compensated functional equals in law 4^-d times the sum of

@@ -191,23 +191,20 @@ def test_a_sampler_refuses_an_out_of_range_seed_before_its_first_step(watson32, 
 
 
 @pytest.mark.parametrize(
-    "rho, count, message",
-    [(1.5, 1000, r"^rho must be in \[0, 1\], got 1.5$"), (0.5, 999, r"^need at least 1000 samples per side$")],
-    ids=["rho", "count"],
+    "name, rho, count, message",
+    [
+        ("duplication", 1.5, 1000, r"^rho must be in \[0, 1\], got 1.5$"),
+        ("duplication", 0.5, 999, r"^need at least 1000 samples per side$"),
+        ("triplication", 0.5, 1000, r"^unknown law 'triplication' \(known: duplication, quadruplication\)$"),
+    ],
+    ids=["rho", "count", "unknown-law"],
 )
-def test_law_check_refuses_bad_input_before_its_first_step(watson32, rho, count, message):
-    """rho and the sample floor are judged on entry, so a run that must fail builds no dense
-    tied-down kernel and draws no sample first."""
+def test_law_check_refuses_bad_input_before_its_first_step(watson32, name, rho, count, message):
+    """The law's name, rho and the sample floor are judged on entry, so a run that must fail
+    builds no dense tied-down kernel and draws no sample first."""
     with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
         with pytest.raises(ValueError, match=message):
-            law_check("duplication", watson32, rho, count, seed=1)
-
-
-def test_law_check_refuses_an_unknown_law_before_its_first_step(watson32):
-    with mock.patch("invdecomp.sampling.builtin_kernel", side_effect=AssertionError("ran before the check")):
-        known = r"\(known: duplication, quadruplication\)"
-        with pytest.raises(ValueError, match=rf"^unknown law 'triplication' {known}$"):
-            law_check("triplication", watson32, 0.5, 1000, seed=1)
+            law_check(name, watson32, rho, count, seed=1)
 
 
 @pytest.mark.parametrize(
