@@ -15,7 +15,9 @@ stream, and a block drawn in chunks from its one generator (:func:`draw_chunks`,
 :func:`_chi2_sum`) gets the variates of one fill.  The samples agree bitwise over full
 blocks, and to roundoff in a partial one, where BLAS may pick another kernel for another
 column count.  Changing ``BLOCK`` changes the samples.  :func:`_block_generator` alone loads
-``numpy.random``, at a run's first draw, so a run that draws nothing never loads it.
+``numpy.random``, at a run's first draw, so a run that draws nothing never loads it, and
+loads it without OpenSSL's libcrypto unless the process holds that already
+(:func:`_import_numpy_random`).
 
 A column holds r normals, one per eigenvalue that :func:`_clip_spectrum` keeps: normal k is
 the Karhunen-Loeve coordinate on the k-th kept eigenvalue, ascending, in every sampler.
@@ -46,6 +48,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -97,6 +101,8 @@ LAWS = {
 }
 KS_EXACT_MAX = 10_000  # ks_2samp's exact mode, which snaps the distance, up to this sample size
 MIN_SAMPLES = 1000     # the fewest samples per side that compare_distributions and law_check take
+KS_CHUNK = 4096        # sample points per CDF search of ks_statistic: 32 KiB per temporary
+_NUMPY_RANDOM_LOCK = threading.Lock()  # one first import of numpy.random at a time
 
 
 def worker_count() -> int:
@@ -122,12 +128,34 @@ def _check_key(seed: int, stream: int, a: int) -> None:
         raise ValueError("block index out of the 48-bit key range")
 
 
+def _import_numpy_random() -> None:
+    """Imports ``numpy.random`` without OpenSSL's libcrypto, which it reaches through
+    ``secrets``, ``hmac`` and ``hashlib`` only for unseeded ``SeedSequence`` entropy.
+
+    When ``_hashlib`` is not loaded yet, it is hidden during the import, and the entries of
+    those four modules that the import added are removed after it, so a later ``import
+    hashlib`` loads the full OpenSSL-backed module.  A process that loaded ``_hashlib`` first
+    keeps its modules.  Unseeded entropy still comes from the operating system."""
+    with _NUMPY_RANDOM_LOCK:  # a second worker waits here until the first import is done
+        if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+            return
+        added = [name for name in ("_hashlib", "hashlib", "hmac", "secrets") if name not in sys.modules]
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            for name in added:
+                sys.modules.pop(name, None)
+
+
 def _block_generator(seed: int, stream: int, a: int) -> Generator:
     """The generator of the block that starts at column ``a``, the one keying rule: SFC64 seeded
     by ``SeedSequence(seed, spawn_key=(stream, a // BLOCK))``, for a key :func:`_check_key`
     accepts.  It is the only code that loads ``numpy.random``, so a run loads it at its first
     draw and a run that draws nothing never does."""
     _check_key(seed, stream, a)
+    if "numpy.random" not in sys.modules:
+        _import_numpy_random()
     from numpy.random import SFC64, Generator, SeedSequence  # here, so a run that draws nothing never imports it
     return Generator(SFC64(SeedSequence(seed, spawn_key=(stream, a // BLOCK))))
 
@@ -365,21 +393,24 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Smirnov's two-sample KS distance sup_x |F_a(x) - F_b(x)|, bitwise
     ``scipy.stats.ks_2samp(a, b).statistic``.
 
-    Both right-continuous empirical CDFs are evaluated at every sample point, ``CHUNK`` points
-    at a time, keeping their difference's running max and min, which are exact; so the call
-    holds the two sorted samples and a few chunks.  When both sizes are at most
+    Both right-continuous empirical CDFs are evaluated at every sample point, ``KS_CHUNK``
+    points at a time, keeping their difference's running max and min, which are exact; so the
+    call holds the two sorted samples and a few chunks.  When both sizes are at most
     ``KS_EXACT_MAX`` the distance is rounded to its lattice 1/lcm(n_a, n_b), as ks_2samp's
-    exact mode rounds it.
+    exact mode rounds it.  A NaN raises ``ValueError`` (ks_2samp returns nan); +-inf are
+    points like any other.
     """
     a, b = np.sort(a), np.sort(b)
     n1, n2 = a.size, b.size
     if n1 == 0 or n2 == 0:
         raise ValueError(f"both samples must be non-empty, got {n1} and {n2} points")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # a NaN sorts last
+        raise ValueError("the samples must hold no NaN")
     hi, lo = -np.inf, np.inf
     for pts in (a, b):
-        for i in range(0, pts.size, CHUNK):
-            diffs = np.searchsorted(a, pts[i : i + CHUNK], side="right") / n1
-            diffs -= np.searchsorted(b, pts[i : i + CHUNK], side="right") / n2
+        for i in range(0, pts.size, KS_CHUNK):
+            diffs = np.searchsorted(a, pts[i : i + KS_CHUNK], side="right") / n1
+            diffs -= np.searchsorted(b, pts[i : i + KS_CHUNK], side="right") / n2
             hi, lo = max(hi, diffs.max()), min(lo, diffs.min())
     # max keeps its first argument on a tie, as scipy keeps max(diffs): a zero distance is +0.0
     d = max(hi, np.clip(-lo, 0, 1))

@@ -1,6 +1,7 @@
 """The public surface: exports resolve, and the benchmark's traced names exist."""
 
 import ast
+import hmac
 import importlib
 import importlib.util
 import json
@@ -57,11 +58,12 @@ def test_traced_spans_exist():
         assert callable(obj)
 
 
-def _fresh_stdout(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter that imports this package."""
+def _fresh_stdout(code: str, **env: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this package, with
+    ``env`` added to its environment."""
     src = str(Path(invdecomp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
@@ -145,8 +147,7 @@ _LOADS_NUMPY_RANDOM = "import sys; print('numpy.random' in sys.modules)"
 
 
 def test_importing_the_runner_loads_no_numpy_random():
-    """numpy.random (about 6 MiB resident, OpenSSL's libcrypto among it) loads at a run's first
-    draw, not with the package."""
+    """numpy.random (about 3 MiB resident) loads at a run's first draw, not with the package."""
     assert _fresh_stdout("import invdecomp, invdecomp.cli; " + _LOADS_NUMPY_RANDOM) == "False"
 
 
@@ -170,6 +171,48 @@ def test_numpy_random_loads_only_in_a_run_that_draws(tmp_path, preset, loaded):
     out = str(tmp_path / "out")
     code = f"import invdecomp.cli as cli; cli.main(['run', '--preset', {preset!r}, '--out', {out!r}]); "
     assert _fresh_stdout(code + _LOADS_NUMPY_RANDOM).splitlines()[-1] == loaded
+
+
+_ENTROPY_MODULES = "import sys; print([m for m in ('_hashlib', 'hashlib', 'hmac', 'secrets') if m in sys.modules])"
+
+
+@pytest.mark.parametrize(
+    "preset, threads", [("watson-duplication", "1"), ("watson-duplication", "2"), ("torus-2d", "1")]
+)
+def test_a_sampled_run_loads_no_openssl(tmp_path, preset, threads):
+    """numpy.random reaches OpenSSL's libcrypto (about 3.4 MiB resident) through secrets,
+    hmac and hashlib only for unseeded entropy, so a run's draws leave them unloaded, also
+    when two workers make their first generators at once (a short switch interval makes
+    them interleave)."""
+    out = str(tmp_path / "out")
+    code = "import sys; sys.setswitchinterval(1e-6); "
+    code += f"import invdecomp.cli as cli; cli.main(['run', '--preset', {preset!r}, '--out', {out!r}]); "
+    lines = _fresh_stdout(code + _LOADS_NUMPY_RANDOM + "; " + _ENTROPY_MODULES, INVDECOMP_THREADS=threads)
+    assert lines.splitlines()[-2:] == ["True", "[]"]
+
+
+_LIBRARY_DRAW = "invdecomp.sample(invdecomp.builtin_kernel('watson', invdecomp.make_interval_grid(8)), 3, seed=1); "
+
+
+def test_after_a_library_draw_hashlib_loads_openssl():
+    """A caller that imports hashlib after a draw gets the full module: OpenSSL's hash objects,
+    a working hmac, and unseeded SeedSequence entropy."""
+    code = (
+        "import invdecomp; " + _LIBRARY_DRAW + "import _hashlib, hashlib, hmac; "
+        "from numpy.random import SeedSequence; "
+        "print(isinstance(hashlib.sha256(b'x'), _hashlib.HASH), hmac.new(b'k', b'm', 'sha256').hexdigest(), "
+        "SeedSequence().entropy != SeedSequence().entropy)"
+    )
+    expected = hmac.new(b"k", b"m", "sha256").hexdigest()
+    assert _fresh_stdout(code) == f"True {expected} True"
+
+
+def test_a_process_that_loaded_hashlib_first_keeps_it():
+    code = (
+        "import sys, hashlib, _hashlib, invdecomp; " + _LIBRARY_DRAW +
+        "print(sys.modules['hashlib'] is hashlib, sys.modules['_hashlib'] is _hashlib)"
+    )
+    assert _fresh_stdout(code) == "True True"
 
 
 def test_pyproject_version_is_the_package_version():

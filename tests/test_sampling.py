@@ -30,6 +30,7 @@ from invdecomp.kernels import (
 from invdecomp.sampling import (
     BLOCK,
     EXP_STREAM,
+    KS_CHUNK,
     KS_EXACT_MAX,
     LAWS,
     RNG_CONTRACT,
@@ -1034,9 +1035,9 @@ def _two_samples(n1, n2, kind, seed=11):
         (2000, 700, "integers"),
         (20_000, 20_000, "ties"),
         (20_000, 20_000, "same"),  # distance zero, unsnapped: its sign must be +
-        (2 * CHUNK + 3, CHUNK - 1, "ties"),  # unequal sizes on both sides of CHUNK
+        (2 * CHUNK + 3, CHUNK - 1, "ties"),  # unequal sizes on both sides of a KS_CHUNK multiple
         (150_000, 150_000, "integers"),  # tie runs of about 30k straddle the chunk edges
-        (CHUNK + 1, CHUNK + 1, "same"),  # distance zero over two chunks: its sign must be +
+        (CHUNK + 1, CHUNK + 1, "same"),  # distance zero over 17 chunks: its sign must be +
     ],
 )
 def test_statistics_are_bitwise_scipys(n1, n2, kind):
@@ -1062,10 +1063,25 @@ def test_ks_statistic_refuses_an_empty_sample(empty_first):
         ks_statistic(*(pair if empty_first else pair[::-1]))
 
 
+def test_ks_statistic_refuses_a_nan_and_takes_infinities_as_scipy_does():
+    """scipy's distance is nan when a sample holds a NaN, which a gate would not read as a
+    failure, so the NaN is refused; +-inf are ordinary points, bitwise as in scipy."""
+    grid = np.arange(1200.0)
+    with_nan = np.array([1.0, np.nan, 2.0] * 400)
+    assert np.isnan(ks_2samp(with_nan, grid).statistic)
+    for pair in ((with_nan, grid), (grid, with_nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(*pair)
+    with_inf = np.array([1.0, np.inf, -np.inf, 2.0] * 300)
+    for pair in ((with_inf, grid), (grid, with_inf), (with_inf, -with_inf)):
+        assert ks_statistic(*pair) == ks_2samp(*pair).statistic
+
+
 def test_ks_statistic_holds_its_sorted_copies_and_a_few_chunks():
     """On 100,000 points a side the KS distance peaks within its two sorted
-    copies, 8 (n1 + n2) bytes, and 4 x ``CHUNK`` doubles (3.53 MiB) above its
-    entry: it evaluates the CDFs ``CHUNK`` points at a time."""
+    copies, 8 (n1 + n2) bytes, 4 x ``KS_CHUNK`` doubles and 4 KiB of array
+    headers (1.65 MiB) above its entry: it evaluates the CDFs ``KS_CHUNK``
+    points at a time."""
     a, b = _two_samples(100_000, 100_000, "continuous")
     tracemalloc.start()
     try:
@@ -1074,7 +1090,7 @@ def test_ks_statistic_holds_its_sorted_copies_and_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (a.size + b.size) + 4 * 8 * CHUNK
+    assert peak <= 8 * (a.size + b.size) + 4 * 8 * KS_CHUNK + 4096
 
 
 def test_kstat_takes_orders_one_to_four():

@@ -1,6 +1,7 @@
 """The proof tools in ``tools/`` run against the package in ``src/``."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -239,6 +240,7 @@ def test_bench_pairs_of_the_repo_against_itself_writes_its_record(tmp_path):
     for metric in workload["metrics"].values():
         assert metric["better"] in ("lower", "higher")
         assert metric["change_better"] in (0, 1)
+        assert metric["verdict"] in ("gain", "worse", "within bound")
         for side in ("parent", "change"):
             summary = metric[side]
             assert len(summary["runs"]) == 1
@@ -249,3 +251,38 @@ def test_bench_pairs_of_the_repo_against_itself_writes_its_record(tmp_path):
         assert pair[side]["correct"] is True
         assert {"attempted", "failed", "machine", "host"} <= set(pair[side])
     assert "dup-1d-serial peak_rss_mb: " in run.stderr
+    assert f"/1 {workload['metrics']['peak_rss_mb']['verdict']}\n" in run.stderr
+
+
+def _pairs(name, parent, change):
+    """Synthetic pairs of ``name``'s values, beside a metric ``probe_s`` that has no bound."""
+    return [
+        {s: {"metrics": {name: {"value": v, "unit": "-"}, "probe_s": {"value": 1.0, "unit": "s"}}}
+         for s, v in (("parent", p), ("change", c))}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_bench_pairs_verdicts_on_synthetic_pairs():
+    """gain: 9 in 10 pairs won and the medians apart by more than the parent's IQR; worse: the
+    median worse by more than the bound, a fraction of the parent's median; else within bound."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    end_to_end = {"peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}}
+    parent = [45.0 + 0.01 * i for i in range(10)]  # median 45.045, IQR 0.045
+    cases = [
+        ([40.0] * 9 + [46.0], 9, "gain"),
+        ([40.0] * 8 + [46.0] * 2, 8, "within bound"),  # 8 in 10 is too few
+        ([p - 0.04 for p in parent], 10, "within bound"),  # every pair won, by less than the IQR
+        ([p + 4.0 for p in parent], 0, "within bound"),  # 4.0 MB worse is within 10% of 45
+        ([p + 4.6 for p in parent], 0, "worse"),
+    ]
+    for change, won, expected in cases:
+        rec = bench_pairs.compare(_pairs("peak_rss_mb", parent, change), end_to_end)
+        assert rec["peak_rss_mb"]["change_better"] == won
+        assert rec["peak_rss_mb"]["verdict"] == expected, change
+        assert "verdict" not in rec["probe_s"] and rec["probe_s"]["better"] is None
+    higher = {"ratio": {"name": "ratio", "better": "higher", "bound": 0.05}}
+    assert bench_pairs.compare(_pairs("ratio", [1.0] * 10, [0.9] * 10), higher)["ratio"]["verdict"] == "worse"
+    assert bench_pairs.compare(_pairs("ratio", [0.8] * 10, [1.0] * 10), higher)["ratio"]["verdict"] == "gain"

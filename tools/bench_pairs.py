@@ -21,10 +21,10 @@ read source, as a run in a fresh checkout does.
 The record, written to PATH (or to stdout), holds both sides' revisions and the settings, and
 per workload and metric each side's runs, median and quartiles (inclusive method), and
 ``change_better``: the pairs in which the change's value is better in the direction that
-``BENCHMARK.json`` gives for that metric (a tie is not better).  Each run keeps its
-``correct``, ``attempted`` and ``failed`` fields and its ``machine`` and ``host`` lines.  A
-summary line per workload and metric goes to stderr:
-``parent median -> change median [parent IQR] better/pairs``.
+``BENCHMARK.json`` gives for that metric (a tie is not better), and its ``verdict``
+(:func:`verdict`).  Each run keeps its ``correct``, ``attempted`` and ``failed`` fields and its
+``machine`` and ``host`` lines.  A summary line per workload and metric goes to stderr:
+``parent median -> change median [parent IQR] better/pairs verdict``.
 """
 
 from __future__ import annotations
@@ -103,19 +103,35 @@ def summarize(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(pairs: list, better: dict) -> dict:
-    """Per metric of one workload's ``pairs``: units, both sides' summaries, and the pairs
-    in which the change is better."""
+def verdict(rec: dict, pairs: int, bound: float) -> str:
+    """``gain`` when the change wins at least 9 in 10 of the ``pairs`` and its median is better
+    than the parent's by more than the parent's IQR; ``worse`` when its median is worse by more
+    than ``bound`` times the parent's median; else ``within bound``.  ``rec`` is one metric's
+    record of :func:`compare`."""
+    sign = 1 if rec["better"] == "lower" else -1
+    parent, change = rec["parent"], rec["change"]
+    gain = sign * (parent["median"] - change["median"])
+    if 10 * rec["change_better"] >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "worse" if -gain > bound * abs(parent["median"]) else "within bound"
+
+
+def compare(pairs: list, end_to_end: dict) -> dict:
+    """Per metric of one workload's ``pairs``: units, both sides' summaries, and for a metric
+    of ``end_to_end`` (name -> its ``BENCHMARK.json`` record) the pairs in which the change is
+    better and the :func:`verdict`."""
     out = {}
     for name, m in pairs[0]["parent"]["metrics"].items():
         sides = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
-        rec = {"unit": m["unit"], "better": better.get(name)}
+        spec = end_to_end.get(name, {})
+        rec = {"unit": m["unit"], "better": spec.get("better")}
         rec.update((s, summarize(v)) for s, v in sides.items())
-        if name in better:
-            sign = 1 if better[name] == "lower" else -1
+        if spec:
+            sign = 1 if spec["better"] == "lower" else -1
             rec["change_better"] = sum(
                 sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"])
             )
+            rec["verdict"] = verdict(rec, len(pairs), spec["bound"])
         out[name] = rec
     return out
 
@@ -137,7 +153,7 @@ def main(argv=None) -> int:
         trees = {s: Path(tmp) / s for s in SIDES}
         revisions = {s: materialize(getattr(args, s), trees[s]) for s in SIDES}
         bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        end_to_end = {m["name"]: m for m in bench["end_to_end"]}
         workloads = args.workload or [w["name"] for w in bench["workloads"]]
         runs: dict = {w: [] for w in workloads}
         for i in range(args.pairs):
@@ -151,7 +167,7 @@ def main(argv=None) -> int:
 
     workload_records = {}
     for w, pairs in runs.items():
-        metrics = compare(pairs, better)
+        metrics = compare(pairs, end_to_end)
         for pair in pairs:  # each run keeps correct, attempted, failed, machine and host
             for s in SIDES:
                 del pair[s]["metrics"]
@@ -170,7 +186,8 @@ def main(argv=None) -> int:
             p, c = m["parent"], m["change"]
             print(
                 f"{w} {name}: {p['median']:.4g} -> {c['median']:.4g} {m['unit']} "
-                f"[{p['q3'] - p['q1']:.3g}] {m.get('change_better', '-')}/{args.pairs}",
+                f"[{p['q3'] - p['q1']:.3g}] {m.get('change_better', '-')}/{args.pairs} "
+                f"{m.get('verdict', '-')}",
                 file=sys.stderr,
             )
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
