@@ -21,9 +21,12 @@ read source, as a run in a fresh checkout does.
 The record, written to PATH (or to stdout), holds both sides' revisions and the settings, and
 per workload and metric each side's runs, median and quartiles (inclusive method), and
 ``change_better``: the pairs in which the change's value is better in the direction that
-``BENCHMARK.json`` gives for that metric (a tie is not better), and its ``verdict``
-(:func:`verdict`).  Each run keeps its ``correct``, ``attempted`` and ``failed`` fields and its
-``machine`` and ``host`` lines.  A summary line per workload and metric goes to stderr:
+``BENCHMARK.json`` gives for that metric (a tie is not better), and its ``verdict``:
+``gain`` when the change wins at least 9 in 10 pairs and its median is better than the
+parent's by more than the parent's IQR, ``worse`` when its median is worse than the parent's
+by more than the metric's ``bound`` times the parent's median, else ``within bound``.  Each
+run keeps its ``correct``, ``attempted`` and ``failed`` fields and its ``machine`` and
+``host`` lines.  A summary line per workload and metric goes to stderr:
 ``parent median -> change median [parent IQR] better/pairs verdict``.
 """
 
@@ -103,23 +106,10 @@ def summarize(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def verdict(rec: dict, pairs: int, bound: float) -> str:
-    """``gain`` when the change wins at least 9 in 10 of the ``pairs`` and its median is better
-    than the parent's by more than the parent's IQR; ``worse`` when its median is worse by more
-    than ``bound`` times the parent's median; else ``within bound``.  ``rec`` is one metric's
-    record of :func:`compare`."""
-    sign = 1 if rec["better"] == "lower" else -1
-    parent, change = rec["parent"], rec["change"]
-    gain = sign * (parent["median"] - change["median"])
-    if 10 * rec["change_better"] >= 9 * pairs and gain > parent["q3"] - parent["q1"]:
-        return "gain"
-    return "worse" if -gain > bound * abs(parent["median"]) else "within bound"
-
-
 def compare(pairs: list, end_to_end: dict) -> dict:
     """Per metric of one workload's ``pairs``: units, both sides' summaries, and for a metric
     of ``end_to_end`` (name -> its ``BENCHMARK.json`` record) the pairs in which the change is
-    better and the :func:`verdict`."""
+    better and the verdict of the module docstring."""
     out = {}
     for name, m in pairs[0]["parent"]["metrics"].items():
         sides = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
@@ -128,10 +118,14 @@ def compare(pairs: list, end_to_end: dict) -> dict:
         rec.update((s, summarize(v)) for s, v in sides.items())
         if spec:
             sign = 1 if spec["better"] == "lower" else -1
-            rec["change_better"] = sum(
-                sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"])
-            )
-            rec["verdict"] = verdict(rec, len(pairs), spec["bound"])
+            won = sum(sign * (p - c) > 0 for p, c in zip(sides["parent"], sides["change"]))
+            parent = rec["parent"]
+            gain = sign * (parent["median"] - rec["change"]["median"])
+            if 10 * won >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"]:
+                verdict = "gain"
+            else:
+                verdict = "worse" if -gain > spec["bound"] * abs(parent["median"]) else "within bound"
+            rec.update(change_better=won, verdict=verdict)
         out[name] = rec
     return out
 
